@@ -39,12 +39,11 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InternalInvariantError
-from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table, vertices_of
+from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
 from .lp import (
     OPTIMAL,
     Constraint,
     LinearProgram,
-    LpSolution,
     solve,
     solve_with_row_generation,
 )
@@ -69,15 +68,6 @@ class FractionalPacking:
             self, "entries", {mask: Fraction(v) for mask, v in self.entries.items()}
         )
 
-    def validate_for(self, hg: WeightedHypergraph) -> None:
-        if set(self.entries) != set(hg.weights):
-            raise ValueError("packing support does not match the hyperedge set")
-        for mask, value in self.entries.items():
-            if value < 0 or value > hg.weights[mask]:
-                raise ValueError(
-                    f"packing entry {value} out of [0, {hg.weights[mask]}] on {format_subset(mask)}"
-                )
-
     def total(self) -> Fraction:
         return sum(self.entries.values(), _ZERO)
 
@@ -98,7 +88,6 @@ class GraphicalBounds:
     ub_theorem2: Fraction
     lower_bound: Fraction
     ci: Fraction
-    cross_edge_sum: Fraction
 
 
 @dataclass(frozen=True)
@@ -169,9 +158,8 @@ def separation_oracle(
     return best_mask
 
 
-def _subset_row_rco(m: int, mask: int, rhs: Fraction) -> Constraint:
-    coeffs = [_ONE if mask >> i & 1 else _ZERO for i in range(m)]
-    return Constraint(tuple(coeffs), ">=", rhs)
+def _rco_row_coeffs(m: int, mask: int) -> list[Fraction]:
+    return [_ONE if mask >> i & 1 else _ZERO for i in range(m)]
 
 
 def build_rco_lp(hg: WeightedHypergraph, subset_masks=None) -> LinearProgram:
@@ -188,9 +176,7 @@ def build_rco_lp(hg: WeightedHypergraph, subset_masks=None) -> LinearProgram:
     )
     masks = _proper_subsets(hg.m) if subset_masks is None else subset_masks
     for mask in masks:
-        lp.add_constraint(
-            [_ONE if mask >> i & 1 else _ZERO for i in range(hg.m)], ">=", cond[mask]
-        )
+        lp.add_constraint(_rco_row_coeffs(hg.m, mask), ">=", cond[mask])
     return lp
 
 
@@ -211,7 +197,7 @@ def r_co_direct(hg: WeightedHypergraph, *, method: Method = "auto") -> tuple[Fra
             mask = separation_oracle(hg, hg.weights, point)
             if mask is None:
                 return None
-            return _subset_row_rco(hg.m, mask, cond[mask])
+            return Constraint(tuple(_rco_row_coeffs(hg.m, mask)), ">=", cond[mask])
 
         sol = solve_with_row_generation(base, oracle, 1 << hg.m)
     if sol.status != OPTIMAL:
@@ -291,7 +277,6 @@ def upper_bound_theorem1(
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"packing LP reported {sol.status}")
     packing = FractionalPacking(dict(zip(edges, sol.point[:k])))
-    packing.validate_for(hg)
     return sol.objective_value - mres.value, packing
 
 
@@ -308,7 +293,7 @@ def verify_gamma_membership(hg: WeightedHypergraph, packing: PackingLike) -> boo
 
 
 def _require_graph(hg: WeightedHypergraph) -> None:
-    if not all(mask.bit_count() == 2 for mask in hg.weights):
+    if not hg.is_graph:
         raise ValueError("graphical analysis requires every hyperedge to have exactly two vertices")
 
 
@@ -331,9 +316,8 @@ def graphical_lower_bound(
     """
     _require_graph(hg)
     mres = mmi_result if mmi_result is not None else mmi(hg)
-    _, weight = cross_edges(hg, mres.fundamental)
     k = mres.fundamental.size
-    return Fraction(k - 2, k - 1) * weight
+    return Fraction(k - 2, k - 1) * ci_graphical(hg, mmi_result=mres)
 
 
 def ci_graphical(
@@ -367,14 +351,11 @@ def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisRepor
         raise InternalInvariantError(f"packing bound {ub1} exceeds omniscience rate {r_co}")
 
     graphical: Optional[GraphicalBounds] = None
-    if all(mask.bit_count() == 2 for mask in hg.weights):
-        _, weight = cross_edges(hg, mres.fundamental)
-        k = mres.fundamental.size
+    if hg.is_graph:
         graphical = GraphicalBounds(
-            ub_theorem2=(hg.m - 2) * mres.value,
-            lower_bound=Fraction(k - 2, k - 1) * weight,
-            ci=weight,
-            cross_edge_sum=weight,
+            ub_theorem2=graphical_upper_bound(hg, mmi_result=mres),
+            lower_bound=graphical_lower_bound(hg, mmi_result=mres),
+            ci=ci_graphical(hg, mmi_result=mres),
         )
         if not (graphical.lower_bound <= ub1 <= r_co):
             raise InternalInvariantError(
@@ -385,7 +366,7 @@ def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisRepor
             raise InternalInvariantError(
                 "optimally reduced graphical source is not Type S"
             )
-    elif hg.is_graphical and hg.has_singletons:
+    elif all(mask.bit_count() <= 2 for mask in hg.weights):
         warnings.warn(
             "graphical bounds skipped: singleton hyperedges present",
             stacklevel=2,
@@ -400,3 +381,59 @@ def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisRepor
         x_star=x_star,
         graphical=graphical,
     )
+
+
+def run_checks(
+    hg: WeightedHypergraph, report: AnalysisReport, *, method: Method = "auto"
+) -> list[tuple[str, bool, str]]:
+    """Invariant suite over `report = analyze(hg, method=method)`.
+
+    Each entry is (label, ok, detail).  The suite adds only three pieces of
+    work: both LPs solved with the row method the report did not use, and
+    one partition scan of the source reduced by x*, which serves both the
+    capacity-preservation and the Type S check.
+    """
+    checks: list[tuple[str, bool, str]] = []
+    rco, ub, capacity = report.r_co, report.ub_theorem1, report.sk_capacity
+    other = "rowgen" if _resolve_method(hg, method) == "full" else "full"
+    rco_other, _ = r_co_direct(hg, method=other)
+    ub_other, _ = upper_bound_theorem1(hg, mmi_result=report.mmi, method=other)
+    reduced = mmi(hg.restrict(report.x_star.entries))
+
+    identity = report.entropy_total - capacity
+    checks.append(
+        ("R_CO identity (H - I)", rco == identity, f"{rco} vs {identity}")
+    )
+    checks.append(
+        ("row generation agreement (R_CO)", rco == rco_other, f"{rco} vs {rco_other}")
+    )
+    checks.append(
+        ("row generation agreement (packing LP)", ub == ub_other, f"{ub} vs {ub_other}")
+    )
+    checks.append(
+        ("dominance UB <= R_CO", ub <= rco, f"{ub} vs {rco}")
+    )
+    checks.append(
+        (
+            "x* preserves capacity (Gamma membership)",
+            reduced.value == capacity,
+            "capacity changed under x*",
+        )
+    )
+    if report.graphical is not None:
+        ub2 = report.graphical.ub_theorem2
+        lb = report.graphical.lower_bound
+        ci = report.graphical.ci
+        checks.append(
+            ("graph agreement UB = (m-2) I", ub == ub2, f"{ub} vs {ub2}")
+        )
+        checks.append(("sandwich LB <= UB", lb <= ub, f"{lb} vs {ub}"))
+        checks.append(("LB = CI - I", lb == ci - capacity, f"{lb} vs {ci - capacity}"))
+        checks.append(
+            (
+                "reduced source is Type S",
+                reduced.fundamental.size == hg.m,
+                "fundamental partition of reduced source is coarser than singletons",
+            )
+        )
+    return checks

@@ -25,12 +25,10 @@ from fractions import Fraction
 
 from .bounds import (
     analyze,
-    ci_graphical,
     graphical_lower_bound,
-    graphical_upper_bound,
     r_co_direct,
+    run_checks,
     upper_bound_theorem1,
-    verify_gamma_membership,
 )
 from .errors import (
     CapExceededError,
@@ -40,11 +38,11 @@ from .errors import (
     SkboundsError,
 )
 from .hypergraph import MAX_VERTICES, WeightedHypergraph, format_subset, mask_of
-from .partitions import Partition, mmi
+from .partitions import mmi
 from .rational import format_rational, parse_rational
 
-_HEADER_RE = re.compile(r"^m\s*=\s*(\d+)$")
-_EDGE_RE = re.compile(r"^edge((?:\s+\d+)+)\s*:\s*(\S+)$")
+_HEADER_RE = re.compile(r"^m\s*=\s*(\d+)$", re.ASCII)
+_EDGE_RE = re.compile(r"^edge((?:\s+\d+)+)\s*:\s*(\S+)$", re.ASCII)
 
 
 def parse_document(text: str) -> WeightedHypergraph:
@@ -91,181 +89,104 @@ def parse_document(text: str) -> WeightedHypergraph:
     return WeightedHypergraph(m, weights)
 
 
-def _render_partition(partition: Partition) -> str:
-    return str(partition)
+# Each renderer returns (JSON fields, text lines) for one block of the report;
+# main adds "m" and prints one of the two.
 
 
-def _partition_cells_json(partition: Partition) -> list[list[int]]:
-    return [list(cell) for cell in partition.vertex_cells()]
+def _mmi_output(result):
+    doc = {
+        "mmi": {
+            "value": format_rational(result.value),
+            "fundamental": [list(cell) for cell in result.fundamental.vertex_cells()],
+            "minimizer_count": len(result.all_minimizers),
+        }
+    }
+    lines = [
+        f"I(X_M) = {format_rational(result.value)}",
+        f"P* = {result.fundamental}",
+        f"minimizers = {len(result.all_minimizers)}",
+    ]
+    return doc, lines
 
 
-def _x_star_lines(hg: WeightedHypergraph, packing) -> list[str]:
-    return [
+def _ub_output(hg: WeightedHypergraph, bound, packing):
+    doc = {
+        "ub_theorem1": format_rational(bound),
+        "x_star": {format_subset(e): format_rational(packing.entries[e]) for e in hg.edges},
+    }
+    lines = [f"UB(Thm 1) = {format_rational(bound)}"] + [
         f"x*({format_subset(e)}) = {format_rational(packing.entries[e])}"
         for e in hg.edges
     ]
+    return doc, lines
 
 
-def _x_star_json(hg: WeightedHypergraph, packing) -> dict[str, str]:
-    return {format_subset(e): format_rational(packing.entries[e]) for e in hg.edges}
-
-
-def _is_graph(hg: WeightedHypergraph) -> bool:
-    return all(mask.bit_count() == 2 for mask in hg.weights)
-
-
-def _cmd_analyze(hg, method, as_json):
-    report = analyze(hg, method=method)
-    if as_json:
-        doc = {
-            "m": hg.m,
-            "entropy_total": format_rational(report.entropy_total),
-            "mmi": {
-                "value": format_rational(report.mmi.value),
-                "fundamental": _partition_cells_json(report.mmi.fundamental),
-                "minimizer_count": len(report.mmi.all_minimizers),
-            },
-            "r_co": format_rational(report.r_co),
-            "ub_theorem1": format_rational(report.ub_theorem1),
-            "x_star": _x_star_json(hg, report.x_star),
-            "graphical": None
-            if report.graphical is None
-            else {
-                "ub_theorem2": format_rational(report.graphical.ub_theorem2),
-                "lower_bound": format_rational(report.graphical.lower_bound),
-                "ci": format_rational(report.graphical.ci),
-                "cross_edge_sum": format_rational(report.graphical.cross_edge_sum),
-            },
-        }
-        return [json.dumps(doc, indent=2)]
+def _report_output(hg, report):
+    mmi_doc, mmi_lines = _mmi_output(report.mmi)
+    ub_doc, ub_lines = _ub_output(hg, report.ub_theorem1, report.x_star)
+    doc = {
+        "entropy_total": format_rational(report.entropy_total),
+        **mmi_doc,
+        "r_co": format_rational(report.r_co),
+        **ub_doc,
+        "graphical": None
+        if report.graphical is None
+        else {
+            "ub_theorem2": format_rational(report.graphical.ub_theorem2),
+            "lower_bound": format_rational(report.graphical.lower_bound),
+            "ci": format_rational(report.graphical.ci),
+            # Always equal to ci; the key stays for schema compatibility.
+            "cross_edge_sum": format_rational(report.graphical.ci),
+        },
+    }
     lines = [
         f"m = {hg.m}",
         f"H(X_M) = {format_rational(report.entropy_total)}",
-        f"I(X_M) = {format_rational(report.mmi.value)}",
-        f"P* = {_render_partition(report.mmi.fundamental)}",
-        f"minimizers = {len(report.mmi.all_minimizers)}",
+        *mmi_lines,
         f"R_CO = {format_rational(report.r_co)}",
-        f"UB(Thm 1) = {format_rational(report.ub_theorem1)}",
+        *ub_lines,
     ]
-    lines.extend(_x_star_lines(hg, report.x_star))
     if report.graphical is not None:
         lines.extend(
             [
                 f"UB(Thm 2) = {format_rational(report.graphical.ub_theorem2)}",
                 f"LB(Thm 3) = {format_rational(report.graphical.lower_bound)}",
                 f"CI = {format_rational(report.graphical.ci)}",
-                f"cross(P*) = {format_rational(report.graphical.cross_edge_sum)}",
+                f"cross(P*) = {format_rational(report.graphical.ci)}",
             ]
         )
     else:
         lines.append("graphical bounds: n/a (not a graph)")
-    return lines
+    return doc, lines
 
 
-def _cmd_mmi(hg, method, as_json):
-    result = mmi(hg)
-    if as_json:
-        doc = {
-            "m": hg.m,
-            "mmi": {
-                "value": format_rational(result.value),
-                "fundamental": _partition_cells_json(result.fundamental),
-                "minimizer_count": len(result.all_minimizers),
-            },
-        }
-        return [json.dumps(doc, indent=2)]
-    return [
-        f"I(X_M) = {format_rational(result.value)}",
-        f"P* = {_render_partition(result.fundamental)}",
-        f"minimizers = {len(result.all_minimizers)}",
-    ]
+def _cmd_mmi(hg, method):
+    return _mmi_output(mmi(hg))
 
 
-def _cmd_rco(hg, method, as_json):
+def _cmd_rco(hg, method):
     value, _rates = r_co_direct(hg, method=method)
-    if as_json:
-        return [json.dumps({"m": hg.m, "r_co": format_rational(value)}, indent=2)]
-    return [f"R_CO = {format_rational(value)}"]
+    return {"r_co": format_rational(value)}, [f"R_CO = {format_rational(value)}"]
 
 
-def _cmd_ub(hg, method, as_json):
+def _cmd_ub(hg, method):
     bound, packing = upper_bound_theorem1(hg, method=method)
-    if as_json:
-        doc = {
-            "m": hg.m,
-            "ub_theorem1": format_rational(bound),
-            "x_star": _x_star_json(hg, packing),
-        }
-        return [json.dumps(doc, indent=2)]
-    return [f"UB(Thm 1) = {format_rational(bound)}"] + _x_star_lines(hg, packing)
+    return _ub_output(hg, bound, packing)
 
 
-def _cmd_lb(hg, method, as_json):
-    if not _is_graph(hg):
+def _cmd_lb(hg, method):
+    if not hg.is_graph:
         raise InputFormatError("lower bound needs a graphical source (all edges of size 2)")
     bound = graphical_lower_bound(hg)
-    if as_json:
-        return [json.dumps({"m": hg.m, "lower_bound": format_rational(bound)}, indent=2)]
-    return [f"LB(Thm 3) = {format_rational(bound)}"]
+    return {"lower_bound": format_rational(bound)}, [f"LB(Thm 3) = {format_rational(bound)}"]
 
 
 _COMMANDS = {
-    "analyze": _cmd_analyze,
     "mmi": _cmd_mmi,
     "rco": _cmd_rco,
     "ub": _cmd_ub,
     "lb": _cmd_lb,
 }
-
-
-def run_checks(hg: WeightedHypergraph) -> list[tuple[str, bool, str]]:
-    """Invariant suite behind --check; each entry is (label, ok, detail)."""
-    checks: list[tuple[str, bool, str]] = []
-    entropy_total = hg.total_entropy
-    mres = mmi(hg)
-    rco_full, _ = r_co_direct(hg, method="full")
-    rco_rg, _ = r_co_direct(hg, method="rowgen")
-    ub_full, x_star = upper_bound_theorem1(hg, mmi_result=mres, method="full")
-    ub_rg, _ = upper_bound_theorem1(hg, mmi_result=mres, method="rowgen")
-
-    identity = entropy_total - mres.value
-    checks.append(
-        ("R_CO identity (H - I)", rco_full == identity, f"{rco_full} vs {identity}")
-    )
-    checks.append(
-        ("row generation agreement (R_CO)", rco_full == rco_rg, f"{rco_full} vs {rco_rg}")
-    )
-    checks.append(
-        ("row generation agreement (packing LP)", ub_full == ub_rg, f"{ub_full} vs {ub_rg}")
-    )
-    checks.append(
-        ("dominance UB <= R_CO", ub_full <= rco_full, f"{ub_full} vs {rco_full}")
-    )
-    checks.append(
-        (
-            "x* preserves capacity (Gamma membership)",
-            verify_gamma_membership(hg, x_star),
-            "capacity changed under x*",
-        )
-    )
-    if _is_graph(hg):
-        ub2 = graphical_upper_bound(hg, mmi_result=mres)
-        lb = graphical_lower_bound(hg, mmi_result=mres)
-        ci = ci_graphical(hg, mmi_result=mres)
-        checks.append(
-            ("graph agreement UB = (m-2) I", ub_full == ub2, f"{ub_full} vs {ub2}")
-        )
-        checks.append(("sandwich LB <= UB", lb <= ub_full, f"{lb} vs {ub_full}"))
-        checks.append(("LB = CI - I", lb == ci - mres.value, f"{lb} vs {ci - mres.value}"))
-        reduced = hg.restrict(x_star.entries)
-        checks.append(
-            (
-                "reduced source is Type S",
-                mmi(reduced).fundamental.size == hg.m,
-                "fundamental partition of reduced source is coarser than singletons",
-            )
-        )
-    return checks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,12 +239,21 @@ def main(argv=None) -> int:
             with open(args.path, "r", encoding="utf-8") as handle:
                 text = handle.read()
         hg = parse_document(text)
-        lines = _COMMANDS[args.command](hg, args.method, args.json)
+        report = None
+        if args.command == "analyze":
+            report = analyze(hg, method=args.method)
+            doc, lines = _report_output(hg, report)
+        else:
+            doc, lines = _COMMANDS[args.command](hg, args.method)
+        if args.json:
+            lines = [json.dumps({"m": hg.m, **doc}, indent=2)]
         for line in lines:
             print(line)
         if args.check:
+            if report is None:
+                report = analyze(hg, method=args.method)
             failures = 0
-            for label, ok, detail in run_checks(hg):
+            for label, ok, detail in run_checks(hg, report, method=args.method):
                 if ok:
                     print(f"check {label}: ok", file=sys.stderr)
                 else:
@@ -331,19 +261,13 @@ def main(argv=None) -> int:
                     print(f"check {label}: FAIL ({detail})", file=sys.stderr)
             if failures:
                 return 1
-    except OSError as exc:
-        print(f"skbounds: {exc}", file=sys.stderr)
-        return 2
-    except InputFormatError as exc:
-        print(f"skbounds: {exc}", file=sys.stderr)
-        return 2
     except CapExceededError as exc:
         print(f"skbounds: {exc}", file=sys.stderr)
         return 3
     except (InternalInvariantError, RowGenerationLimitError) as exc:
         print(f"skbounds: internal invariant violated: {exc}", file=sys.stderr)
         return 1
-    except SkboundsError as exc:
+    except (OSError, SkboundsError) as exc:
         print(f"skbounds: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -113,13 +113,9 @@ class WeightedHypergraph:
         return sum(self.weights.values(), Fraction(0))
 
     @property
-    def is_graphical(self) -> bool:
-        """True when every hyperedge has at most two vertices."""
-        return all(mask.bit_count() <= 2 for mask in self.weights)
-
-    @property
-    def has_singletons(self) -> bool:
-        return any(mask.bit_count() == 1 for mask in self.weights)
+    def is_graph(self) -> bool:
+        """True when every hyperedge has exactly two vertices."""
+        return all(mask.bit_count() == 2 for mask in self.weights)
 
     def _check_subset(self, subset: int) -> None:
         if subset < 0 or subset > self.full_mask:

@@ -95,21 +95,6 @@ class LinearProgram:
             list(self.upper),
         )
 
-    def dump(self) -> str:
-        """Human-readable inequality listing, one constraint per line."""
-        lines = ["minimize " + _linear_expr(self.objective, self.variables)]
-        for con in self.constraints:
-            lines.append(
-                f"{_linear_expr(con.coeffs, self.variables)} {con.relation} {format_rational(con.rhs)}"
-            )
-        for name, lo, up in zip(self.variables, self.lower, self.upper):
-            if lo is None and up is None:
-                continue
-            left = f"{format_rational(lo)} <= " if lo is not None else ""
-            right = f" <= {format_rational(up)}" if up is not None else ""
-            lines.append(f"{left}{name}{right}")
-        return "\n".join(lines)
-
 
 def _linear_expr(coeffs: Sequence[Fraction], names: Sequence[str]) -> str:
     terms = []
@@ -223,10 +208,11 @@ def solve(lp: LinearProgram) -> LpSolution:
             transforms.append(("split", ncols, ncols + 1))
             ncols += 2
 
-    def le_rows(con: Constraint):
+    def to_columns(coeffs: Sequence[Fraction]):
+        # Coefficients over the nonnegative columns, plus the constant the shifts add.
         acc = [_ZERO] * ncols
         const = _ZERO
-        for t, c in enumerate(con.coeffs):
+        for t, c in enumerate(coeffs):
             if c == 0:
                 continue
             tr = transforms[t]
@@ -239,6 +225,10 @@ def solve(lp: LinearProgram) -> LpSolution:
             else:
                 acc[tr[1]] += c
                 acc[tr[2]] -= c
+        return acc, const
+
+    def le_rows(con: Constraint):
+        acc, const = to_columns(con.coeffs)
         rhs = con.rhs - const
         if con.relation in ("<=", "="):
             yield acc, rhs
@@ -291,26 +281,12 @@ def solve(lp: LinearProgram) -> LpSolution:
         del col_vars[pos]
 
     # Phase two: install the real objective, expressed over the current basis.
-    const = _ZERO
-    col_coeff: dict[int, Fraction] = {}
-    for t, c in enumerate(lp.objective):
-        if c == 0:
-            continue
-        tr = transforms[t]
-        if tr[0] == "shift":
-            col_coeff[tr[1]] = col_coeff.get(tr[1], _ZERO) + c
-            const += c * tr[2]
-        elif tr[0] == "mirror":
-            col_coeff[tr[1]] = col_coeff.get(tr[1], _ZERO) - c
-            const += c * tr[2]
-        else:
-            col_coeff[tr[1]] = col_coeff.get(tr[1], _ZERO) + c
-            col_coeff[tr[2]] = col_coeff.get(tr[2], _ZERO) - c
+    col_coeff, const = to_columns(lp.objective)
     obj = [_ZERO] * (len(col_vars) + 1)
     obj[0] = const
     position = {vid: j for j, vid in enumerate(col_vars)}
     basic_row = {vid: i for i, vid in enumerate(row_vars)}
-    for vid, c in col_coeff.items():
+    for vid, c in enumerate(col_coeff):
         if c == 0:
             continue
         if vid in position:

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 Rational = Fraction
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-_DECIMAL_RE = re.compile(r"^[+-]?\d+\.\d+$")
+_FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
+_DECIMAL_RE = re.compile(r"^[+-]?\d+\.\d+$", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:

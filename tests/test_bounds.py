@@ -196,7 +196,7 @@ def test_analyze_example1():
     assert report.graphical is not None
     assert report.graphical.ub_theorem2 == 3
     assert report.graphical.lower_bound == F(3, 2)
-    assert report.graphical.ci == report.graphical.cross_edge_sum == 3
+    assert report.graphical.ci == 3
 
 
 def test_analyze_example2():
@@ -264,6 +264,11 @@ def test_free_rates_match_nonnegative_rates_on_examples():
 
 
 def test_packing_validation():
+    # The packing LP's declared bounds keep x* on the edge set and inside [0, w].
+    for method in ("full", "rowgen"):
+        _, packing = upper_bound_theorem1(EXAMPLE1, method=method)
+        assert set(packing.entries) == set(EXAMPLE1.weights)
+        assert all(0 <= x <= EXAMPLE1.weights[e] for e, x in packing.entries.items())
     packing = FractionalPacking({mask_of((1, 2)): F(3)})
     with pytest.raises(ValueError):
-        packing.validate_for(EXAMPLE1)
+        EXAMPLE1.restrict(packing.entries)

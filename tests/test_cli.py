@@ -168,3 +168,55 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "mmi", "-")
     assert code == 0
     assert "I(X_M) = 3/2" in out
+
+
+NON_ASCII_DOC = "m = ٤\nedge ١ 2 : 1\nedge 3 4 : ٣/2\n"  # Arabic-Indic 4, 1 and 3
+
+
+def test_parse_rejects_non_ascii_digits(tmp_path, capsys):
+    with pytest.raises(InputFormatError):
+        parse_document(NON_ASCII_DOC)
+    with pytest.raises(ValueError):
+        parse_rational("٣/٢")
+    doc = tmp_path / "digits.hg"
+    doc.write_text(NON_ASCII_DOC, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "analyze", str(doc))
+    assert code == 2
+    assert out == ""
+
+
+def test_check_reuses_the_analyze_report(monkeypatch, capsys):
+    import skbounds.bounds
+    import skbounds.cli
+
+    source = parse_document(fixture_text("example2.hg"))
+    scans = {"input": 0, "reduced": 0}
+    solves = {"full": [], "rowgen": []}
+
+    def count_scans(fn):
+        def wrapper(hg):
+            scans["input" if hg == source else "reduced"] += 1
+            return fn(hg)
+        return wrapper
+
+    def count_solves(kind, fn):
+        def wrapper(lp, *args):
+            solves[kind].append("R_CO" if lp.variables[0] == "R1" else "packing")
+            return fn(lp, *args)
+        return wrapper
+
+    for module in (skbounds.bounds, skbounds.cli):
+        monkeypatch.setattr(module, "mmi", count_scans(module.mmi))
+    monkeypatch.setattr(skbounds.bounds, "solve", count_solves("full", skbounds.bounds.solve))
+    monkeypatch.setattr(
+        skbounds.bounds,
+        "solve_with_row_generation",
+        count_solves("rowgen", skbounds.bounds.solve_with_row_generation),
+    )
+    code, _, err = run_cli(capsys, "analyze", "--check", str(FIXTURE_DIR / "example2.hg"))
+    assert code == 0
+    assert "FAIL" not in err
+    assert scans["input"] == 1
+    assert 1 <= scans["reduced"] <= 2
+    assert sorted(solves["full"]) == ["R_CO", "packing"]
+    assert sorted(solves["rowgen"]) == ["R_CO", "packing"]

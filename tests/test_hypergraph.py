@@ -140,11 +140,11 @@ def test_restrict_validates(example1):
 
 def test_graphical_flags():
     graph = WeightedHypergraph(3, {0b011: Fraction(1)})
-    assert graph.is_graphical and not graph.has_singletons
+    assert graph.is_graph
     with_singleton = WeightedHypergraph(3, {0b011: Fraction(1), 0b100: Fraction(1)})
-    assert with_singleton.is_graphical and with_singleton.has_singletons
+    assert not with_singleton.is_graph
     hyper = WeightedHypergraph(3, {0b111: Fraction(1)})
-    assert not hyper.is_graphical
+    assert not hyper.is_graph
 
 
 def test_duplicate_masks_not_possible_from_dict():

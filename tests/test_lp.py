@@ -108,18 +108,6 @@ def test_degenerate_program_terminates():
     assert sol.objective_value == 1
 
 
-def test_dump_lists_each_constraint():
-    lp = LinearProgram(["x", "y"], [F(1), F(0)], lower=[F(0), None], upper=[F(2), None])
-    lp.add_constraint([F(1), F(-1)], "<=", F(3, 2))
-    lp.add_constraint([F(2), F(1)], "=", F(0))
-    text = lp.dump()
-    lines = text.splitlines()
-    assert lines[0].startswith("minimize")
-    assert "x - y <= 3/2" in lines
-    assert "2 x + y = 0" in lines
-    assert "0 <= x <= 2" in lines
-
-
 def test_constraint_validates_relation():
     with pytest.raises(ValueError):
         Constraint((F(1),), "<", F(0))

@@ -33,7 +33,11 @@ def test_parse_reduces_to_canonical_form():
     assert (q.numerator, q.denominator) == (3, 2)
 
 
-@pytest.mark.parametrize("bad", ["3/0", "abc", "1.5e3", "1/2/3", "1.", ".5", "", "3 / 2"])
+@pytest.mark.parametrize(
+    "bad",
+    # The last three are 3/2, 3 and 1.5 written with Arabic-Indic digits.
+    ["3/0", "abc", "1.5e3", "1/2/3", "1.", ".5", "", "3 / 2", "\u0663/\u0662", "\u0663", "1.\u0665"],
+)
 def test_parse_rejects_bad_literals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
