@@ -176,8 +176,6 @@ NON_ASCII_DOC = "m = ٤\nedge ١ 2 : 1\nedge 3 4 : ٣/2\n"  # Arabic-Indic 4, 1 
 def test_parse_rejects_non_ascii_digits(tmp_path, capsys):
     with pytest.raises(InputFormatError):
         parse_document(NON_ASCII_DOC)
-    with pytest.raises(ValueError):
-        parse_rational("٣/٢")
     doc = tmp_path / "digits.hg"
     doc.write_text(NON_ASCII_DOC, encoding="utf-8")
     code, out, _ = run_cli(capsys, "analyze", str(doc))
