@@ -99,6 +99,9 @@ class AnalysisReport:
     ub_theorem1: Fraction
     x_star: FractionalPacking
     graphical: Optional[GraphicalBounds]
+    # On graphs, the partition scan of the source reduced by x*, which
+    # analyze makes for its Type S check and run_checks reuses.
+    reduced_mmi: Optional[MmiResult] = None
 
 
 def _proper_subsets(m: int):
@@ -351,6 +354,7 @@ def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisRepor
         raise InternalInvariantError(f"packing bound {ub1} exceeds omniscience rate {r_co}")
 
     graphical: Optional[GraphicalBounds] = None
+    reduced_mmi: Optional[MmiResult] = None
     if hg.is_graph:
         graphical = GraphicalBounds(
             ub_theorem2=graphical_upper_bound(hg, mmi_result=mres),
@@ -361,8 +365,8 @@ def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisRepor
             raise InternalInvariantError(
                 f"bound sandwich failed: {graphical.lower_bound} <= {ub1} <= {r_co}"
             )
-        reduced = hg.restrict(x_star.entries)
-        if mmi(reduced).fundamental.size != hg.m:
+        reduced_mmi = mmi(hg.restrict(x_star.entries))
+        if reduced_mmi.fundamental.size != hg.m:
             raise InternalInvariantError(
                 "optimally reduced graphical source is not Type S"
             )
@@ -380,6 +384,7 @@ def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisRepor
         ub_theorem1=ub1,
         x_star=x_star,
         graphical=graphical,
+        reduced_mmi=reduced_mmi,
     )
 
 
@@ -388,17 +393,20 @@ def run_checks(
 ) -> list[tuple[str, bool, str]]:
     """Invariant suite over `report = analyze(hg, method=method)`.
 
-    Each entry is (label, ok, detail).  The suite adds only three pieces of
-    work: both LPs solved with the row method the report did not use, and
-    one partition scan of the source reduced by x*, which serves both the
-    capacity-preservation and the Type S check.
+    Each entry is (label, ok, detail).  The suite adds at most three pieces
+    of work: both LPs solved with the row method the report did not use,
+    and, unless the report already holds it (graphs), one partition scan of
+    the source reduced by x*, which serves both the capacity-preservation
+    and the Type S check.
     """
     checks: list[tuple[str, bool, str]] = []
     rco, ub, capacity = report.r_co, report.ub_theorem1, report.sk_capacity
     other = "rowgen" if _resolve_method(hg, method) == "full" else "full"
     rco_other, _ = r_co_direct(hg, method=other)
     ub_other, _ = upper_bound_theorem1(hg, mmi_result=report.mmi, method=other)
-    reduced = mmi(hg.restrict(report.x_star.entries))
+    reduced = report.reduced_mmi
+    if reduced is None:
+        reduced = mmi(hg.restrict(report.x_star.entries))
 
     identity = report.entropy_total - capacity
     checks.append(

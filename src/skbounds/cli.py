@@ -41,16 +41,21 @@ from .hypergraph import MAX_VERTICES, WeightedHypergraph, format_subset, mask_of
 from .partitions import mmi
 from .rational import format_rational, parse_rational
 
-_HEADER_RE = re.compile(r"^m\s*=\s*(\d+)$", re.ASCII)
-_EDGE_RE = re.compile(r"^edge((?:\s+\d+)+)\s*:\s*(\S+)$", re.ASCII)
+_HEADER_RE = re.compile(r"^m[ \t]*=[ \t]*(\d+)$", re.ASCII)
+_EDGE_RE = re.compile(r"^edge((?:[ \t]+\d+)+)[ \t]*:[ \t]*([^ \t]+)$", re.ASCII)
 
 
 def parse_document(text: str) -> WeightedHypergraph:
-    """Parse a hypergraph document; raises InputFormatError with line numbers."""
+    """Parse a hypergraph document; raises InputFormatError with line numbers.
+
+    Lines end with LF or CRLF, and the only whitespace is space and tab.
+    """
     m = None
     weights: dict[int, Fraction] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        if raw.endswith("\r"):
+            raw = raw[:-1]
+        line = raw.split("#", 1)[0].strip(" \t")
         if not line:
             continue
         if m is None:
@@ -236,7 +241,8 @@ def main(argv=None) -> int:
         if args.path == "-":
             text = sys.stdin.read()
         else:
-            with open(args.path, "r", encoding="utf-8") as handle:
+            # newline="" hands CR and CRLF to the parser untranslated.
+            with open(args.path, "r", encoding="utf-8", newline="") as handle:
                 text = handle.read()
         hg = parse_document(text)
         report = None

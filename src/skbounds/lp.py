@@ -5,11 +5,23 @@ are stored, and pivoting swaps a basic row label with a nonbasic column
 label.  Bland's least-index rule governs both the entering and the leaving
 choice, so the method terminates even on the highly degenerate polyhedra
 this package produces (subset constraints with zero right-hand sides).
-Every comparison is exact; integers are arbitrary precision, so there is no
-overflow to detect.  Optimality is certified by the final dictionary (no
-improving reduced cost for minimization), and the returned point is
-re-checked against every original constraint and bound before the solver
-reports it.
+Optimality is certified by the final dictionary (no improving reduced cost
+for minimization), and the returned point is re-checked against every
+original constraint and bound before the solver reports it.
+
+The dictionary is fraction-free (Edmonds 1967; Bareiss 1968): every entry
+is an integer over one positive common denominator, the determinant of
+the current basis up to sign.  Each "<=" row starts as integers, scaled by
+the lcm of its own denominators, which only rescales that row's slack
+variable; the phase-two objective is scaled the same way.  A pivot
+computes (a * p - f * b) // den, which is exact, touches the elimination
+only where the pivot row is nonzero, and makes |p| the new denominator.
+Positive rescaling of a row, a variable or the objective changes no sign
+of an entry and no order between the ratios of one column, and these are
+all that Bland's rule reads, so the pivots are exactly those of the same
+simplex on the rational dictionary and the returned point is the same.
+Rationals are rebuilt only for the result.  Integers are arbitrary
+precision, so there is no overflow to detect.
 
 Free variables are split into differences of nonnegative parts, variables
 with a lower bound are shifted, upper bounds become rows, and equalities
@@ -24,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import InternalInvariantError, RowGenerationLimitError
@@ -125,34 +138,55 @@ class LpSolution:
     objective_value: Optional[Fraction]
 
 
-def _pivot(rows, obj, row_vars, col_vars, pr, pc):
-    # Dictionary convention: basic_i = row[0] - sum_j row[j+1] * nonbasic_j,
-    # objective z = obj[0] - sum_j obj[j+1] * nonbasic_j.
+def _pivot(rows, obj, row_vars, col_vars, den, pr, pc):
+    """Pivot on rows[pr][pc + 1] and return the new common denominator.
+
+    Dictionary convention, every entry an integer over the positive `den`:
+    basic_i = (row[0] - sum_j row[j+1] * nonbasic_j) / den, and the
+    objective is (obj[0] - sum_j obj[j+1] * nonbasic_j) / den.  Up to sign,
+    each entry is a minor of the starting integer matrix and `den` the
+    determinant of the current basis, so every division below is exact.
+    """
+    k = pc + 1
     prow = rows[pr]
-    piv = prow[pc + 1]
-    inv = 1 / piv
-    newrow = [v * inv for v in prow]
-    newrow[pc + 1] = inv
-    rows[pr] = newrow
+    p = prow[k]
+    sign = 1
+    if p < 0:
+        # The same values with numerators and denominator negated, so the
+        # new denominator |p| is positive.
+        prow = [-b for b in prow]
+        p, sign = -p, -1
     col_vars[pc], row_vars[pr] = row_vars[pr], col_vars[pc]
+    # Only the columns where the pivot row is nonzero need elimination; the
+    # rest only move to the new denominator.
+    support = [(j, b) for j, b in enumerate(prow) if b and j != k]
     for r, row in enumerate(rows):
-        if r == pr:
-            continue
-        f = row[pc + 1]
-        if f == 0:
-            continue
-        updated = [a - f * b for a, b in zip(row, newrow)]
-        updated[pc + 1] = -f * inv
-        rows[r] = updated
-    f = obj[pc + 1]
-    if f != 0:
-        updated = [a - f * b for a, b in zip(obj, newrow)]
-        updated[pc + 1] = -f * inv
-        obj[:] = updated
+        if r != pr:
+            rows[r] = _eliminate(row, support, k, p, den, sign)
+    obj[:] = _eliminate(obj, support, k, p, den, sign)
+    prow[k] = sign * den
+    rows[pr] = prow
+    return p
 
 
-def _bland(rows, obj, row_vars, col_vars):
-    """Run Bland's rule to optimality or unboundedness on the dictionary."""
+def _eliminate(row, support, k, p, den, sign):
+    f = row[k]
+    if not f:
+        return row if p == den else [a * p // den for a in row]
+    new = [a * p // den for a in row]
+    for j, b in support:
+        new[j] = (row[j] * p - f * b) // den
+    new[k] = -sign * f
+    return new
+
+
+def _bland(rows, obj, row_vars, col_vars, den):
+    """Run Bland's rule to optimality or unboundedness on the dictionary.
+
+    Returns the status and the final common denominator.  Every decision
+    reads a sign or compares two ratios of entries over the same
+    denominator, so it matches the decision on the rational dictionary.
+    """
     while True:
         pc = -1
         best_id = None
@@ -161,25 +195,31 @@ def _bland(rows, obj, row_vars, col_vars):
                 best_id = col_vars[j]
                 pc = j
         if pc < 0:
-            return OPTIMAL
+            return OPTIMAL, den
+        k = pc + 1
         pr = -1
-        best_ratio = None
-        best_rid = None
         for i, row in enumerate(rows):
-            a = row[pc + 1]
+            a = row[k]
             if a > 0:
-                ratio = row[0] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and row_vars[i] < best_rid)
-                ):
-                    best_ratio = ratio
-                    best_rid = row_vars[i]
+                # row[0] / a < best_b / best_a, cross-multiplied (a, best_a > 0).
+                if pr < 0:
+                    take = True
+                else:
+                    lhs = row[0] * best_a
+                    rhs = best_b * a
+                    take = lhs < rhs or (lhs == rhs and row_vars[i] < best_rid)
+                if take:
+                    best_b, best_a, best_rid = row[0], a, row_vars[i]
                     pr = i
         if pr < 0:
-            return UNBOUNDED
-        _pivot(rows, obj, row_vars, col_vars, pr, pc)
+            return UNBOUNDED, den
+        den = _pivot(rows, obj, row_vars, col_vars, den, pr, pc)
+
+
+def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """`values` times the lcm of their denominators, as integers, and that lcm."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -209,40 +249,48 @@ def solve(lp: LinearProgram) -> LpSolution:
             ncols += 2
 
     def to_columns(coeffs: Sequence[Fraction]):
-        # Coefficients over the nonnegative columns, plus the constant the shifts add.
-        acc = [_ZERO] * ncols
-        const = _ZERO
+        # Coefficients over the nonnegative columns, plus the constant the
+        # shifts add.  Each column belongs to one variable.
+        acc = [0] * ncols
+        const = 0
         for t, c in enumerate(coeffs):
             if c == 0:
                 continue
             tr = transforms[t]
             if tr[0] == "shift":
-                acc[tr[1]] += c
+                acc[tr[1]] = c
                 const += c * tr[2]
             elif tr[0] == "mirror":
-                acc[tr[1]] -= c
+                acc[tr[1]] = -c
                 const += c * tr[2]
             else:
-                acc[tr[1]] += c
-                acc[tr[2]] -= c
+                acc[tr[1]] = c
+                acc[tr[2]] = -c
         return acc, const
 
     def le_rows(con: Constraint):
+        # Each "<=" row is scaled to integers by its own L > 0, which only
+        # rescales its slack: no sign and no ratio Bland's rule reads changes.
         acc, const = to_columns(con.coeffs)
-        rhs = con.rhs - const
+        row, scale = _integer_row([con.rhs - const] + acc)
         if con.relation in ("<=", "="):
-            yield acc, rhs
+            yield row, scale
         if con.relation in (">=", "="):
-            yield [-a for a in acc], -rhs
+            yield [-a for a in row], scale
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
+    scales: list[int] = []
     for con in lp.constraints:
-        for acc, rhs in le_rows(con):
-            rows.append([rhs] + acc)
+        for row, scale in le_rows(con):
+            rows.append(row)
+            scales.append(scale)
     for col, rhs in bound_rows:
-        acc = [_ZERO] * ncols
-        acc[col] = Fraction(1)
-        rows.append([rhs] + acc)
+        row = [0] * (ncols + 1)
+        row[0] = rhs.numerator
+        row[col + 1] = rhs.denominator
+        rows.append(row)
+        scales.append(rhs.denominator)
+    den = 1
 
     col_vars = list(range(ncols))
     row_vars = [ncols + i for i in range(len(rows))]
@@ -250,14 +298,16 @@ def solve(lp: LinearProgram) -> LpSolution:
     # Phase one: repair an infeasible slack basis with one artificial column.
     if any(row[0] < 0 for row in rows):
         art_id = ncols + len(rows)
-        for row in rows:
-            row.append(Fraction(-1))
+        for row, scale in zip(rows, scales):
+            row.append(-scale)  # -1 in the row before it was scaled by `scale`
         col_vars.append(art_id)
-        aux = [_ZERO] * (len(col_vars) + 1)
-        aux[len(col_vars)] = Fraction(-1)  # z_aux = artificial value
-        pr = min(range(len(rows)), key=lambda i: (rows[i][0], row_vars[i]))
-        _pivot(rows, aux, row_vars, col_vars, pr, len(col_vars) - 1)
-        status = _bland(rows, aux, row_vars, col_vars)
+        aux = [0] * (len(col_vars) + 1)
+        aux[len(col_vars)] = -1  # z_aux = artificial value
+        pr = min(
+            range(len(rows)), key=lambda i: (Fraction(rows[i][0], scales[i]), row_vars[i])
+        )
+        den = _pivot(rows, aux, row_vars, col_vars, den, pr, len(col_vars) - 1)
+        status, den = _bland(rows, aux, row_vars, col_vars, den)
         if status != OPTIMAL:
             raise InternalInvariantError("phase-one objective cannot be unbounded")
         if aux[0] != 0:
@@ -271,7 +321,7 @@ def solve(lp: LinearProgram) -> LpSolution:
                     best_id = col_vars[j]
                     pc = j
             if pc >= 0:
-                _pivot(rows, aux, row_vars, col_vars, r, pc)
+                den = _pivot(rows, aux, row_vars, col_vars, den, r, pc)
             else:
                 del rows[r]
                 del row_vars[r]
@@ -280,31 +330,30 @@ def solve(lp: LinearProgram) -> LpSolution:
             del row[pos + 1]
         del col_vars[pos]
 
-    # Phase two: install the real objective, expressed over the current basis.
+    # Phase two: install the real objective, expressed over the current
+    # basis, as integers over `den` scaled by the lcm of its coefficients.
     col_coeff, const = to_columns(lp.objective)
-    obj = [_ZERO] * (len(col_vars) + 1)
-    obj[0] = const
+    (const, *col_coeff), obj_scale = _integer_row([const] + col_coeff)
+    obj = [0] * (len(col_vars) + 1)
+    obj[0] = const * den
     position = {vid: j for j, vid in enumerate(col_vars)}
     basic_row = {vid: i for i, vid in enumerate(row_vars)}
     for vid, c in enumerate(col_coeff):
         if c == 0:
             continue
         if vid in position:
-            obj[position[vid] + 1] += -c
+            obj[position[vid] + 1] -= c * den
         else:
-            i = basic_row[vid]
-            obj[0] += c * rows[i][0]
-            for j in range(len(col_vars)):
-                obj[j + 1] += c * rows[i][j + 1]
+            obj = [o + c * a for o, a in zip(obj, rows[basic_row[vid]])]
 
-    status = _bland(rows, obj, row_vars, col_vars)
+    status, den = _bland(rows, obj, row_vars, col_vars, den)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None)
 
     values: dict[int, Fraction] = {}
     for i, vid in enumerate(row_vars):
         if vid < ncols:
-            values[vid] = rows[i][0]
+            values[vid] = Fraction(rows[i][0], den)
     point = []
     for t in range(n):
         tr = transforms[t]
@@ -315,9 +364,10 @@ def solve(lp: LinearProgram) -> LpSolution:
         else:
             point.append(values.get(tr[1], _ZERO) - values.get(tr[2], _ZERO))
     objective_value = sum((c * x for c, x in zip(lp.objective, point)), _ZERO)
-    if objective_value != obj[0]:
+    dictionary_value = Fraction(obj[0], den * obj_scale)
+    if objective_value != dictionary_value:
         raise InternalInvariantError(
-            f"objective mismatch: dictionary {obj[0]} vs point value {objective_value}"
+            f"objective mismatch: dictionary {dictionary_value} vs point value {objective_value}"
         )
     _verify(lp, point)
     return LpSolution(OPTIMAL, tuple(point), objective_value)
@@ -331,7 +381,7 @@ def _verify(lp: LinearProgram, point: Sequence[Fraction]) -> None:
         if up is not None and x > up:
             raise InternalInvariantError(f"{lp.variables[t]} = {x} above upper bound {up}")
     for con in lp.constraints:
-        lhs = sum((c * x for c, x in zip(con.coeffs, point)), _ZERO)
+        lhs = sum((c * x for c, x in zip(con.coeffs, point) if c), _ZERO)
         ok = (
             lhs <= con.rhs if con.relation == "<="
             else lhs >= con.rhs if con.relation == ">="

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 Rational = Fraction
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
-_DECIMAL_RE = re.compile(r"^[+-]?\d+\.\d+$", re.ASCII)
+_FRACTION_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
+_DECIMAL_RE = re.compile(r"[+-]?\d+\.\d+", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -24,11 +24,11 @@ def parse_rational(text: str) -> Fraction:
     Decimals are scaled by a power of ten, never routed through binary
     floating point, so "1.5" parses to exactly 3/2.
 
-    Raises ValueError on anything outside that grammar or on a zero
-    denominator.
+    Surrounding spaces and tabs are ignored.  Raises ValueError on anything
+    outside that grammar or on a zero denominator.
     """
-    s = text.strip()
-    if _FRACTION_RE.match(s):
+    s = text.strip(" \t")
+    if _FRACTION_RE.fullmatch(s):
         num, _, den = s.partition("/")
         if den:
             d = int(den)
@@ -36,7 +36,7 @@ def parse_rational(text: str) -> Fraction:
                 raise ValueError(f"zero denominator in {text!r}")
             return Fraction(int(num), d)
         return Fraction(int(num))
-    if _DECIMAL_RE.match(s):
+    if _DECIMAL_RE.fullmatch(s):
         return Fraction(s)
     raise ValueError(f"not a rational literal: {text!r}")
 

@@ -21,6 +21,9 @@ from skbounds import (
     upper_bound_theorem1,
     verify_gamma_membership,
 )
+from skbounds.cli import parse_document
+
+from conftest import fixture_text
 
 F = Fraction
 
@@ -272,3 +275,21 @@ def test_packing_validation():
     packing = FractionalPacking({mask_of((1, 2)): F(3)})
     with pytest.raises(ValueError):
         EXAMPLE1.restrict(packing.entries)
+
+
+@pytest.mark.parametrize("method", ["full", "rowgen"])
+@pytest.mark.parametrize("c", [F(10**100, 3), F(1, 10**100 + 1)], ids=["huge", "tiny"])
+def test_bounds_scale_exactly_with_the_weights(c, method, make_random_hypergraph, make_random_graph):
+    # Scaling every weight by c scales I, R_CO and UB(Thm 1) by exactly c.
+    rng = random.Random(1907)
+    sources = [parse_document(fixture_text("example1.hg"))]
+    sources += [make_random_hypergraph(rng, m) for m in (3, 4, 5)]
+    sources += [make_random_graph(rng, m) for m in (4, 6)]
+    for hg in sources:
+        scaled = WeightedHypergraph(hg.m, {e: c * w for e, w in hg.weights.items()})
+        assert mmi(scaled).value == c * mmi(hg).value
+        assert r_co_direct(scaled, method=method)[0] == c * r_co_direct(hg, method=method)[0]
+        assert (
+            upper_bound_theorem1(scaled, method=method)[0]
+            == c * upper_bound_theorem1(hg, method=method)[0]
+        )

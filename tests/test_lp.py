@@ -108,6 +108,21 @@ def test_degenerate_program_terminates():
     assert sol.objective_value == 1
 
 
+def test_beale_cycling_program_terminates():
+    # Beale (1955): the largest-coefficient entering rule cycles on this
+    # degenerate program; Bland's rule must reach the optimum.
+    lp = LinearProgram(
+        ["x4", "x5", "x6", "x7"], [F(-3, 4), F(20), F(-1, 2), F(6)], lower=[F(0)] * 4
+    )
+    lp.add_constraint([F(1, 4), F(-8), F(-1), F(9)], "<=", F(0))
+    lp.add_constraint([F(1, 2), F(-12), F(-1, 2), F(3)], "<=", F(0))
+    lp.add_constraint([F(0), F(0), F(1), F(0)], "<=", F(1))
+    sol = solve(lp)
+    assert sol.status == "optimal"
+    assert sol.point == (F(1), F(0), F(1), F(0))
+    assert sol.objective_value == F(-5, 4)
+
+
 def test_constraint_validates_relation():
     with pytest.raises(ValueError):
         Constraint((F(1),), "<", F(0))

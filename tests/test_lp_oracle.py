@@ -1,0 +1,85 @@
+"""`lp.solve` against the dense `Fraction` simplex it replaced.
+
+Bland's rule makes the same pivots on the fraction-free dictionary as on
+the rational one, so status, point and objective value must all be equal,
+not merely the optimal value.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from skbounds import build_gamma_lp, build_rco_lp, mmi, solve
+from skbounds.lp import RELATIONS, LinearProgram
+
+from conftest import random_graph, random_hypergraph
+from reference_simplex import reference_solve
+
+RANDOM_LP_COUNT = 200
+
+
+def _value(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+
+
+def random_lp(rng: random.Random) -> LinearProgram:
+    """A small LP mixing every bound kind and relation, zero right-hand sides included.
+
+    Most rows hold at a point inside the bounds (tightly half the time, a
+    degenerate vertex); the rest have a zero or an arbitrary right-hand side.
+    """
+    n = rng.randint(1, 5)
+    lower, upper, inside = [], [], []
+    for _ in range(n):
+        kind = rng.choice(("nonneg", "shift", "box", "mirror", "free"))
+        a, b = _value(rng), abs(_value(rng))
+        lower.append({"nonneg": Fraction(0), "shift": a, "box": a}.get(kind))
+        upper.append({"box": a + b, "mirror": a}.get(kind))
+        inside.append({"nonneg": b, "shift": a + b, "mirror": a - b}.get(kind, a))
+    # Zero costs leave several optimal vertices, so which one comes back
+    # depends on every pivot made, phase one's included.
+    objective = [_value(rng) if rng.random() < 0.8 else Fraction(0) for _ in range(n)]
+    lp = LinearProgram([f"v{t}" for t in range(n)], objective, [], lower, upper)
+    for _ in range(rng.randint(0, 6)):
+        coeffs = [_value(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+        relation = rng.choice(RELATIONS)
+        draw = rng.random()
+        if draw < 0.25:
+            rhs = Fraction(0)
+        elif draw < 0.4:
+            rhs = _value(rng)
+        else:
+            lhs = sum(c * x for c, x in zip(coeffs, inside))
+            slack = Fraction(0) if rng.random() < 0.5 else abs(_value(rng))
+            rhs = lhs + slack if relation == "<=" else lhs - slack if relation == ">=" else lhs
+        lp.add_constraint(coeffs, relation, rhs)
+    return lp
+
+
+def _assert_same(lp: LinearProgram, label: str) -> str:
+    got, want = solve(lp), reference_solve(lp)
+    assert got.status == want.status, label
+    assert got.point == want.point, label
+    assert got.objective_value == want.objective_value, label
+    return got.status
+
+
+def test_random_lps_match_reference():
+    rng = random.Random(4242)
+    statuses = Counter(
+        _assert_same(random_lp(rng), f"lp {i}") for i in range(RANDOM_LP_COUNT)
+    )
+    # The family must reach every outcome, or the comparison misses a branch.
+    assert set(statuses) == {"optimal", "infeasible", "unbounded"}, statuses
+
+
+@pytest.mark.parametrize("family", ["hyper", "graph"])
+def test_package_lps_match_reference(family):
+    rng = random.Random(77 if family == "hyper" else 78)
+    make = random_hypergraph if family == "hyper" else random_graph
+    for i in range(10):
+        hg = make(rng, 3 + i % 4)
+        assert _assert_same(build_rco_lp(hg), f"rco {i}") == "optimal"
+        assert _assert_same(build_gamma_lp(hg, mmi(hg).value), f"gamma {i}") == "optimal"

@@ -35,8 +35,12 @@ def test_parse_reduces_to_canonical_form():
 
 @pytest.mark.parametrize(
     "bad",
-    # The last three are 3/2, 3 and 1.5 written with Arabic-Indic digits.
-    ["3/0", "abc", "1.5e3", "1/2/3", "1.", ".5", "", "3 / 2", "\u0663/\u0662", "\u0663", "1.\u0665"],
+    # Then 3/2, 3 and 1.5 written with Arabic-Indic digits, and literals
+    # padded with whitespace other than space and tab.
+    [
+        "3/0", "abc", "1.5e3", "1/2/3", "1.", ".5", "", "3 / 2",
+        "\u0663/\u0662", "\u0663", "1.\u0665", "1\xa0", "\u30003/2", "3\n",
+    ],
 )
 def test_parse_rejects_bad_literals(bad):
     with pytest.raises(ValueError):
