@@ -26,9 +26,12 @@ family includes the singletons, which already force effective
 nonnegativity whenever it matters, and tests confirm adding explicit signs
 changes nothing on the bundled examples.
 
-Subset constraint families are materialized in full for m <= 8 and
-generated on demand by the separation oracle above that, and both paths
-can be forced for cross-checking.
+Both LPs use one subset family, built by `_subset_row`: for every nonempty
+proper subset B, rates(B) - x(edges inside B) >= rhs, with no x and rhs the
+entropy of B given the rest for R_CO, and one x per hyperedge and rhs 0 for
+the packing LP.  It is materialized in full for m <= 8 and generated on
+demand by `separation_oracle` above that, and both paths can be forced for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InternalInvariantError
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
@@ -53,6 +56,7 @@ FULL_ROW_DEFAULT_MAX_M = 8
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 Method = str  # "auto" | "full" | "rowgen"
 
@@ -129,27 +133,18 @@ def _rate_sums(m: int, rates: Sequence[Fraction]) -> list[Fraction]:
     return sums
 
 
-PackingLike = Union[FractionalPacking, Mapping[int, Fraction]]
-
-
-def _packing_entries(packing: PackingLike) -> Mapping[int, Fraction]:
-    return packing.entries if isinstance(packing, FractionalPacking) else packing
-
-
 def separation_oracle(
     hg: WeightedHypergraph,
-    packing: PackingLike,
+    inside: Sequence[Fraction],
     rates: Sequence[Fraction],
 ) -> Optional[int]:
-    """Most violated subset constraint for a candidate (packing, rates).
+    """Most violated subset row rates(B) >= inside[B], or None if none is violated.
 
-    Exhaustively minimizes g(B) = sum of rates over B minus the packing
-    weight inside B, over nonempty proper subsets B.  Returns the minimizing
-    subset mask when the minimum is negative (ties broken by smallest mask),
-    or None when every subset constraint holds.
+    `inside[B]` is the weight subset mask B must cover: R_CO passes its
+    conditional-entropy table, the packing LP `subset_weight_table(m, x)`.
+    Minimizes rates(B) - inside[B] over nonempty proper subsets B and returns
+    the minimizing mask (smallest on ties) when the minimum is negative.
     """
-    entries = _packing_entries(packing)
-    inside = subset_weight_table(hg.m, entries)
     rsum = _rate_sums(hg.m, rates)
     best: Optional[Fraction] = None
     best_mask: Optional[int] = None
@@ -161,8 +156,29 @@ def separation_oracle(
     return best_mask
 
 
-def _rco_row_coeffs(m: int, mask: int) -> list[Fraction]:
-    return [_ONE if mask >> i & 1 else _ZERO for i in range(m)]
+def _subset_row(edges: Sequence[int], m: int, mask: int, rhs: Fraction) -> Constraint:
+    """The row rates(B) - x(edges inside B) >= rhs; the rates are the last m variables."""
+    coeffs = [_MINUS_ONE if e & ~mask == 0 else _ZERO for e in edges]
+    coeffs += [_ONE if mask >> i & 1 else _ZERO for i in range(m)]
+    return Constraint(tuple(coeffs), ">=", rhs)
+
+
+def _generate_rows(
+    hg: WeightedHypergraph,
+    base: LinearProgram,
+    inside: Callable[[tuple[Fraction, ...]], Sequence[Fraction]],
+    row: Callable[[int], Constraint],
+):
+    """Solve `base`, adding `row(mask)` for the most violated subset until none is.
+
+    `inside(point)` is the table the point's rates (its last m entries) must cover.
+    """
+
+    def oracle(point: tuple[Fraction, ...]) -> Optional[Constraint]:
+        mask = separation_oracle(hg, inside(point), point[-hg.m :])
+        return None if mask is None else row(mask)
+
+    return solve_with_row_generation(base, oracle, 1 << hg.m)
 
 
 def build_rco_lp(hg: WeightedHypergraph, subset_masks=None) -> LinearProgram:
@@ -173,14 +189,12 @@ def build_rco_lp(hg: WeightedHypergraph, subset_masks=None) -> LinearProgram:
     seed row generation).
     """
     cond = hg.conditional_entropy_table()
-    lp = LinearProgram(
+    masks = _proper_subsets(hg.m) if subset_masks is None else subset_masks
+    return LinearProgram(
         variables=[f"R{i}" for i in range(1, hg.m + 1)],
         objective=[_ONE] * hg.m,
+        constraints=[_subset_row((), hg.m, mask, cond[mask]) for mask in masks],
     )
-    masks = _proper_subsets(hg.m) if subset_masks is None else subset_masks
-    for mask in masks:
-        lp.add_constraint(_rco_row_coeffs(hg.m, mask), ">=", cond[mask])
-    return lp
 
 
 def r_co_direct(hg: WeightedHypergraph, *, method: Method = "auto") -> tuple[Fraction, RatePoint]:
@@ -189,20 +203,14 @@ def r_co_direct(hg: WeightedHypergraph, *, method: Method = "auto") -> tuple[Fra
     Infeasibility is impossible (each terminal broadcasting its own entropy
     is feasible), so a non-optimal status is reported as an internal error.
     """
-    resolved = _resolve_method(hg, method)
-    if resolved == "full":
+    if _resolve_method(hg, method) == "full":
         sol = solve(build_rco_lp(hg))
     else:
         base = build_rco_lp(hg, subset_masks=_singleton_masks(hg.m))
         cond = hg.conditional_entropy_table()
-
-        def oracle(point: tuple[Fraction, ...]) -> Optional[Constraint]:
-            mask = separation_oracle(hg, hg.weights, point)
-            if mask is None:
-                return None
-            return Constraint(tuple(_rco_row_coeffs(hg.m, mask)), ">=", cond[mask])
-
-        sol = solve_with_row_generation(base, oracle, 1 << hg.m)
+        sol = _generate_rows(
+            hg, base, lambda point: cond, lambda mask: _subset_row((), hg.m, mask, cond[mask])
+        )
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"omniscience LP reported {sol.status}")
     return sol.objective_value, RatePoint(sol.point)
@@ -225,26 +233,16 @@ def build_gamma_lp(
     k = len(edges)
     m = hg.m
     names = [f"x{format_subset(e)}" for e in edges] + [f"r{i}" for i in range(1, m + 1)]
+    masks = _proper_subsets(m) if subset_masks is None else subset_masks
     lp = LinearProgram(
         variables=names,
         objective=[_ONE] * k + [_ZERO] * m,
+        constraints=[_subset_row(edges, m, mask, _ZERO) for mask in masks],
         lower=[_ZERO] * k + [None] * m,
         upper=[hg.weights[e] for e in edges] + [None] * m,
     )
-    masks = _proper_subsets(m) if subset_masks is None else subset_masks
-    for mask in masks:
-        lp.add_constraint(_gamma_row_coeffs(edges, m, mask), ">=", _ZERO)
-    lp.add_constraint([_ONE] * k + [Fraction(-1)] * m, "=", mmi_value)
+    lp.add_constraint([_ONE] * k + [_MINUS_ONE] * m, "=", mmi_value)
     return lp
-
-
-def _gamma_row_coeffs(edges: Sequence[int], m: int, mask: int) -> list[Fraction]:
-    coeffs = []
-    for e in edges:
-        coeffs.append(Fraction(-1) if e & ~mask == 0 else _ZERO)
-    for i in range(m):
-        coeffs.append(_ONE if mask >> i & 1 else _ZERO)
-    return coeffs
 
 
 def upper_bound_theorem1(
@@ -262,36 +260,32 @@ def upper_bound_theorem1(
     mres = mmi_result if mmi_result is not None else mmi(hg)
     edges = hg.edges
     k = len(edges)
-    resolved = _resolve_method(hg, method)
-    if resolved == "full":
+    if _resolve_method(hg, method) == "full":
         sol = solve(build_gamma_lp(hg, mres.value))
     else:
         base = build_gamma_lp(hg, mres.value, subset_masks=_singleton_masks(hg.m))
-
-        def oracle(point: tuple[Fraction, ...]) -> Optional[Constraint]:
-            packing = dict(zip(edges, point[:k]))
-            rates = point[k:]
-            mask = separation_oracle(hg, packing, rates)
-            if mask is None:
-                return None
-            return Constraint(tuple(_gamma_row_coeffs(edges, hg.m, mask)), ">=", _ZERO)
-
-        sol = solve_with_row_generation(base, oracle, 1 << hg.m)
+        sol = _generate_rows(
+            hg,
+            base,
+            lambda point: subset_weight_table(hg.m, dict(zip(edges, point[:k]))),
+            lambda mask: _subset_row(edges, hg.m, mask, _ZERO),
+        )
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"packing LP reported {sol.status}")
     packing = FractionalPacking(dict(zip(edges, sol.point[:k])))
     return sol.objective_value - mres.value, packing
 
 
-def verify_gamma_membership(hg: WeightedHypergraph, packing: PackingLike) -> bool:
+def verify_gamma_membership(
+    hg: WeightedHypergraph, packing: FractionalPacking | Mapping[int, Fraction]
+) -> bool:
     """True when the packing leaves the secret-key capacity unchanged.
 
     Recomputes the partition minimum of the reduced source and compares it
     with the original capacity; certifies that an LP-optimal packing is
     capacity-preserving.
     """
-    entries = _packing_entries(packing)
-    reduced = hg.restrict(entries)
+    reduced = hg.restrict(packing.entries if isinstance(packing, FractionalPacking) else packing)
     return mmi(reduced).value == mmi(hg).value
 
 

@@ -51,6 +51,12 @@ UNBOUNDED = "unbounded"
 _ZERO = Fraction(0)
 
 
+def _rational(value) -> Fraction:
+    # Fractions are immutable and kept as they are: wrapping each coefficient
+    # again costs a measurable share of LP set-up.
+    return value if type(value) is Fraction else Fraction(value)
+
+
 @dataclass(frozen=True)
 class Constraint:
     coeffs: tuple[Fraction, ...]
@@ -60,8 +66,8 @@ class Constraint:
     def __post_init__(self):
         if self.relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        object.__setattr__(self, "coeffs", tuple(_rational(c) for c in self.coeffs))
+        object.__setattr__(self, "rhs", _rational(self.rhs))
 
 
 @dataclass
@@ -78,15 +84,15 @@ class LinearProgram:
         n = len(self.variables)
         if len(self.objective) != n:
             raise ValueError("objective length does not match variable count")
-        self.objective = [Fraction(c) for c in self.objective]
+        self.objective = [_rational(c) for c in self.objective]
         if self.lower is None:
             self.lower = [None] * n
         if self.upper is None:
             self.upper = [None] * n
         if len(self.lower) != n or len(self.upper) != n:
             raise ValueError("bound vectors must match variable count")
-        self.lower = [None if b is None else Fraction(b) for b in self.lower]
-        self.upper = [None if b is None else Fraction(b) for b in self.upper]
+        self.lower = [None if b is None else _rational(b) for b in self.lower]
+        self.upper = [None if b is None else _rational(b) for b in self.upper]
         for con in self.constraints:
             self._check(con)
 

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import skbounds.bounds
+import skbounds.hypergraph
 from skbounds import (
     FractionalPacking,
+    Partition,
     WeightedHypergraph,
     analyze,
     build_gamma_lp,
@@ -18,12 +21,13 @@ from skbounds import (
     r_co_direct,
     separation_oracle,
     solve,
+    subset_weight_table,
     upper_bound_theorem1,
     verify_gamma_membership,
 )
 from skbounds.cli import parse_document
 
-from conftest import fixture_text
+from conftest import fixture_text, random_graph, random_hypergraph
 
 F = Fraction
 
@@ -138,20 +142,68 @@ def test_upper_bound_dominated_by_rco():
         assert upper_bound_theorem1(hg)[0] <= r_co_direct(hg)[0]
 
 
-def test_separation_oracle_accepts_witness():
-    _, rates = r_co_direct(EXAMPLE1)
-    assert separation_oracle(EXAMPLE1, EXAMPLE1.weights, rates.rates) is None
+def _separation_cases():
+    cases = [
+        # {1,2,3} and {1,2,4} both violate by 3 at zero rates; the smallest mask wins.
+        pytest.param(EXAMPLE1, None, (F(0),) * 4, mask_of((1, 2, 3)), id="example1-tie"),
+        # An optimal R_CO rate point of EXAMPLE1 satisfies every subset row.
+        pytest.param(EXAMPLE1, None, (F(3, 2), F(1), F(1, 2), F(1, 2)), None, id="witness"),
+        pytest.param(TWO_TERMINAL, None, (F(0), F(0)), None, id="two-terminal"),
+    ]
+    rng = random.Random(4409)
+    for m in (3, 4, 5, 6):
+        hg = random_hypergraph(rng, m)
+        x = {e: w * F(rng.randint(0, 3), 3) for e, w in hg.weights.items()}
+        for n in range(3):
+            rates = tuple(F(rng.randint(-2, 6), rng.choice((1, 2, 3))) for _ in range(m))
+            # ... marks a case checked against the brute-force minimum only.
+            cases.append(pytest.param(hg, None, rates, ..., id=f"cond-m{m}-{n}"))
+            cases.append(pytest.param(hg, x, rates, ..., id=f"packing-m{m}-{n}"))
+    return cases
 
 
-def test_separation_oracle_most_violated_subset():
-    zero = (F(0),) * 4
-    mask = separation_oracle(EXAMPLE1, EXAMPLE1.weights, zero)
-    # {1,2,3} and {1,2,4} both violate by 3; smallest mask wins
-    assert mask == mask_of((1, 2, 3))
+@pytest.mark.parametrize("hg, x, rates, expected", _separation_cases())
+def test_separation_oracle_finds_the_most_violated_subset(hg, x, rates, expected):
+    # x is None for R_CO (the table is cond) and a packing otherwise.
+    entries = hg.weights if x is None else x
+    table = hg.conditional_entropy_table() if x is None else subset_weight_table(hg.m, x)
+
+    def slack(b):  # rates(B) - weight inside B, by direct sums
+        rate = sum((r for i, r in enumerate(rates) if b >> i & 1), F(0))
+        return rate - sum((v for e, v in entries.items() if e & ~b == 0), F(0))
+
+    most = min(range(1, hg.full_mask), key=lambda b: (slack(b), b))
+    brute = most if slack(most) < 0 else None
+    found = separation_oracle(hg, table, rates)
+    assert found == brute
+    if expected is not ...:
+        assert found == expected
 
 
-def test_separation_oracle_two_terminal_feasible_at_zero_rates():
-    assert separation_oracle(TWO_TERMINAL, TWO_TERMINAL.weights, (F(0), F(0))) is None
+def test_rco_builds_the_conditional_table_at_most_twice(monkeypatch):
+    # A seeded m = 8 source whose R_CO row generation takes 6 rounds.  The
+    # oracle reads the one cond table of the solve; it builds none per round.
+    hg = random_hypergraph(random.Random(5), 8)
+    builds, rounds = [], []
+    table, oracle = skbounds.hypergraph.subset_weight_table, skbounds.bounds.separation_oracle
+
+    def counted_table(*args):
+        builds.append(args)
+        return table(*args)
+
+    def counted_oracle(*args):
+        rounds.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(skbounds.hypergraph, "subset_weight_table", counted_table)
+    monkeypatch.setattr(skbounds.bounds, "subset_weight_table", counted_table)
+    monkeypatch.setattr(skbounds.bounds, "separation_oracle", counted_oracle)
+    r_co_direct(hg, method="rowgen")
+    assert len(rounds) >= 3
+    assert len(builds) <= 2
+    builds.clear()
+    r_co_direct(hg, method="full")
+    assert len(builds) == 1
 
 
 def test_gamma_membership():
@@ -293,3 +345,47 @@ def test_bounds_scale_exactly_with_the_weights(c, method, make_random_hypergraph
             upper_bound_theorem1(scaled, method=method)[0]
             == c * upper_bound_theorem1(hg, method=method)[0]
         )
+
+
+def _metamorphic_sources():
+    rng = random.Random(2718)
+    sources = [random_hypergraph(rng, m) for m in (3, 4, 5, 6)]
+    return rng, sources + [random_graph(rng, m) for m in (3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("method", ["full", "rowgen"])
+def test_relabeling_permutes_the_fundamental_partition(method):
+    # Renaming the terminals permutes P* and leaves I, R_CO and UB(Thm 1) unchanged.
+    rng, sources = _metamorphic_sources()
+    for hg in sources:
+        perm = list(range(1, hg.m + 1))
+        rng.shuffle(perm)
+
+        def relabel(mask):
+            return mask_of(perm[i] for i in range(hg.m) if mask >> i & 1)
+
+        moved = WeightedHypergraph(hg.m, {relabel(e): w for e, w in hg.weights.items()})
+        mres, moved_mres = mmi(hg), mmi(moved)
+        assert moved_mres.value == mres.value
+        cells = tuple(relabel(cell) for cell in mres.fundamental.cells)
+        assert moved_mres.fundamental == Partition(hg.m, cells)
+        assert r_co_direct(moved, method=method)[0] == r_co_direct(hg, method=method)[0]
+        assert (
+            upper_bound_theorem1(moved, method=method)[0]
+            == upper_bound_theorem1(hg, method=method)[0]
+        )
+
+
+@pytest.mark.parametrize("method", ["full", "rowgen"])
+def test_singleton_edge_adds_its_weight_to_h_and_rco(method):
+    # Private randomness at one terminal leaves I unchanged and raises H and R_CO by its weight.
+    rng, sources = _metamorphic_sources()
+    for hg in sources:
+        singleton = 1 << rng.randrange(hg.m)
+        w = F(rng.randint(1, 7), rng.choice((1, 2, 5)))
+        weights = dict(hg.weights)
+        weights[singleton] = weights.get(singleton, F(0)) + w
+        grown = WeightedHypergraph(hg.m, weights)
+        assert mmi(grown).value == mmi(hg).value
+        assert grown.total_entropy == hg.total_entropy + w
+        assert r_co_direct(grown, method=method)[0] == r_co_direct(hg, method=method)[0] + w

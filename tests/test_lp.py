@@ -8,11 +8,26 @@ F = Fraction
 
 
 def test_single_variable_bounds():
-    lp = LinearProgram(["x"], [F(1)], lower=[F(3, 2)], upper=[F(2)])
-    sol = solve(lp)
-    assert sol.status == "optimal"
-    assert sol.point == (F(3, 2),)
-    assert sol.objective_value == F(3, 2)
+    # Ints, strings and Fractions all come out as equal Fractions, and a
+    # Fraction is kept as it is, not re-wrapped.
+    low, one = F(3, 2), F(1)
+    for cost, lower, upper, coeff, rhs in (
+        (one, low, F(2), one, one),
+        (1, "3/2", 2, 1, "1"),
+        ("1", low, "2", "1", 1),
+    ):
+        lp = LinearProgram(["x"], [cost], lower=[lower], upper=[upper])
+        lp.add_constraint([coeff], ">=", rhs)
+        con = lp.constraints[0]
+        values = (*lp.objective, *lp.lower, *lp.upper, *con.coeffs, con.rhs)
+        assert values == (F(1), F(3, 2), F(2), F(1), F(1))
+        assert all(type(v) is Fraction for v in values)
+        given = (cost, lower, upper, coeff, rhs)
+        assert all(v is g for v, g in zip(values, given) if type(g) is Fraction)
+        sol = solve(lp)
+        assert sol.status == "optimal"
+        assert sol.point == (F(3, 2),)
+        assert sol.objective_value == F(3, 2)
 
 
 def test_facet_optimum_value_forced():
