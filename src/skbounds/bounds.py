@@ -181,14 +181,17 @@ def _generate_rows(
     return solve_with_row_generation(base, oracle, 1 << hg.m)
 
 
-def build_rco_lp(hg: WeightedHypergraph, subset_masks=None) -> LinearProgram:
+def build_rco_lp(hg: WeightedHypergraph, subset_masks=None, cond=None) -> LinearProgram:
     """Omniscience-rate LP: min total rate over the subset-entropy region.
 
     One row per nonempty proper subset B: the rates inside B must cover the
     entropy of B given the rest.  `subset_masks` narrows the family (used to
-    seed row generation).
+    seed row generation); `cond`, when given, is the source's
+    conditional-entropy table, so a caller that needs the table too builds
+    it once.
     """
-    cond = hg.conditional_entropy_table()
+    if cond is None:
+        cond = hg.conditional_entropy_table()
     masks = _proper_subsets(hg.m) if subset_masks is None else subset_masks
     return LinearProgram(
         variables=[f"R{i}" for i in range(1, hg.m + 1)],
@@ -206,8 +209,8 @@ def r_co_direct(hg: WeightedHypergraph, *, method: Method = "auto") -> tuple[Fra
     if _resolve_method(hg, method) == "full":
         sol = solve(build_rco_lp(hg))
     else:
-        base = build_rco_lp(hg, subset_masks=_singleton_masks(hg.m))
         cond = hg.conditional_entropy_table()
+        base = build_rco_lp(hg, subset_masks=_singleton_masks(hg.m), cond=cond)
         sol = _generate_rows(
             hg, base, lambda point: cond, lambda mask: _subset_row((), hg.m, mask, cond[mask])
         )

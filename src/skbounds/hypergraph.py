@@ -52,13 +52,14 @@ def format_subset(mask: int) -> str:
     return "{" + ",".join(str(v) for v in vertices_of(mask)) + "}"
 
 
-def subset_weight_table(m: int, entries: Mapping[int, Fraction]) -> list[Fraction]:
+def subset_weight_table(m: int, entries: Mapping[int, Fraction | int]) -> list[Fraction | int]:
     """table[B] = total value of entries on hyperedges e contained in B.
 
     Computed with a subset-sum (zeta) transform in O(2^m * m) additions.
+    Sums stay in the type of the entries (Fractions or ints); a subset that
+    contains no hyperedge holds int 0.
     """
-    zero = Fraction(0)
-    table = [zero] * (1 << m)
+    table = [0] * (1 << m)
     for mask, value in entries.items():
         table[mask] += value
     for bit in range(m):

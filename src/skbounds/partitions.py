@@ -10,16 +10,37 @@ fundamental partition consists of singletons is called Type S.  The search
 is an exhaustive scan of the partition lattice via restricted growth
 strings, which is the verifiable choice at desk scale (the cap below keeps
 the count at Bell(12), about 4.2M).
+
+`mmi` runs the scan in exact integer arithmetic.  It multiplies every
+weight by L, the lcm of their denominators, so the entropy table holds
+integers (L times the entropies).  It walks the restricted growth strings
+over one mutable list of cells and carries the running sum of their
+entropies: putting a vertex into cell C adds E[C | v] - E[C].  The last
+vertex is placed in a loop, and only the cells where it adds least can
+reach the best value.  A value (S - T) / (k - 1) is compared with the best
+n / d by cross-multiplying, (S - T) * d against n * (k - 1), both
+denominators being positive; the result is n / (L * d), built once.  Every
+minimizer must coarsen the fundamental partition P*: with cover[A] the
+union of the cells of P* that meet A, P* refines P exactly when
+cover[C] == C for every cell C of P.  A plain `Fraction` scan,
+`tests/reference_scan.py`, is its test oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError, InternalInvariantError
-from .hypergraph import WeightedHypergraph, format_subset, mask_of, vertices_of
+from .hypergraph import (
+    WeightedHypergraph,
+    format_subset,
+    mask_of,
+    subset_weight_table,
+    vertices_of,
+)
 
 PARTITION_CAP = 12
 
@@ -148,46 +169,115 @@ class MmiResult:
     all_minimizers: tuple[Partition, ...]
 
 
+def _cover_table(fine: Partition) -> list[int]:
+    """cover[A] = union of the cells of `fine` that meet A, for every mask A."""
+    cell_of = [0] * fine.m
+    for cell in fine.cells:
+        for v in vertices_of(cell):
+            cell_of[v - 1] = cell
+    cover = [0] * (1 << fine.m)
+    for a in range(1, 1 << fine.m):
+        low = a & -a
+        cover[a] = cover[a ^ low] | cell_of[low.bit_length() - 1]
+    return cover
+
+
+def _coarsens(cover: list[int], part: Partition) -> bool:
+    """True when the partition with cover table `cover` refines `part`.
+
+    It does exactly when every cell of `part` is a union of its cells.
+    """
+    return all(cover[cell] == cell for cell in part.cells)
+
+
 def mmi(hg: WeightedHypergraph) -> MmiResult:
     """Minimize the partition value over all partitions with >= 2 cells.
 
-    Returns the minimum, the finest minimizer, and all minimizers.  The
-    finest minimizer is guaranteed unique, and all other minimizers must
-    coarsen it; a violation of either fact is reported as an internal error
-    because it cannot happen for hypergraphical sources.
+    Returns the minimum, the finest minimizer, and all minimizers in scan
+    order.  The finest minimizer is guaranteed unique, and all other
+    minimizers must coarsen it; a violation of either fact is reported as an
+    internal error because it cannot happen for hypergraphical sources.
     """
     _check_enumeration_size(hg.m)
-    ent = hg.entropy_table()
-    total = ent[hg.full_mask]
+    m = hg.m
+    full = hg.full_mask
+    scale = math.lcm(*(w.denominator for w in hg.weights.values()))
+    cond = subset_weight_table(
+        m, {e: w.numerator * (scale // w.denominator) for e, w in hg.weights.items()}
+    )
+    total = cond[full]
+    ent = [total - cond[full ^ a] for a in range(full + 1)]
 
-    best: Fraction | None = None
+    # The scan places vertices 1..m-1 by recursion and the last vertex in a
+    # loop: gain[A] is what putting it into cell A adds to the entropy sum.
+    last = 1 << (m - 1)
+    gain = [ent[a | last] - ent[a] for a in range(last)]
+    ent_last = ent[last]
+    cells = [1]
     minimizers: list[tuple[int, ...]] = []
-    for cells in _raw_partitions(hg.m, min_cells=2):
-        acc = -total
-        for cell in cells:
-            acc += ent[cell]
-        value = acc / (len(cells) - 1)
-        if best is None or value < best:
-            best = value
-            minimizers = [cells]
-        elif value == best:
-            minimizers.append(cells)
+    # best_num / best_den is the best value so far, seeded with that of
+    # {1..m-1},{m}, the first partition scanned.
+    best_num, best_den = ent[last - 1] + ent_last - total, 1
 
-    assert best is not None and minimizers
-    max_cells = max(len(cells) for cells in minimizers)
+    def place(i: int, acc: int) -> None:
+        # cells partition the vertices below i; acc = sum of their entropies - total.
+        nonlocal best_num, best_den
+        k = len(cells)
+        if i < m - 1:
+            bit = 1 << i
+            for j in range(k):
+                cell = cells[j]
+                grown = cells[j] = cell | bit
+                place(i + 1, acc + ent[grown] - ent[cell])
+                cells[j] = cell
+            cells.append(bit)
+            place(i + 1, acc + ent[bit])
+            cells.pop()
+            return
+        if k > 1:
+            # Every placement into an existing cell gives k cells; only the
+            # smallest gain can reach the best value.
+            least = min(map(gain.__getitem__, cells))
+            num = acc + least
+            lhs, rhs = num * best_den, best_num * (k - 1)
+            if lhs <= rhs:
+                if lhs < rhs:
+                    best_num, best_den = num, k - 1
+                    minimizers.clear()
+                for j, cell in enumerate(cells):
+                    if gain[cell] == least:
+                        cells[j] = cell | last
+                        minimizers.append(tuple(cells))
+                        cells[j] = cell
+        num = acc + ent_last
+        lhs, rhs = num * best_den, best_num * k
+        if lhs <= rhs:
+            if lhs < rhs:
+                best_num, best_den = num, k
+                minimizers.clear()
+            minimizers.append((*cells, last))
+
+    place(1, ent[1] - total)
+
+    max_cells = max(map(len, minimizers))
     finest = [cells for cells in minimizers if len(cells) == max_cells]
     if len(finest) != 1:
         raise InternalInvariantError(
             f"finest minimizer is not unique: {len(finest)} partitions with {max_cells} cells"
         )
-    fundamental = Partition(hg.m, finest[0])
-    all_parts = tuple(Partition(hg.m, cells) for cells in minimizers)
+    fundamental = Partition(m, finest[0])
+    cover = _cover_table(fundamental)
+    all_parts = tuple(Partition(m, cells) for cells in minimizers)
     for part in all_parts:
-        if not fundamental.is_refinement_of(part):
+        if not _coarsens(cover, part):
             raise InternalInvariantError(
                 f"minimizer {part} is not a coarsening of the fundamental partition {fundamental}"
             )
-    return MmiResult(value=best, fundamental=fundamental, all_minimizers=all_parts)
+    return MmiResult(
+        value=Fraction(best_num, scale * best_den),
+        fundamental=fundamental,
+        all_minimizers=all_parts,
+    )
 
 
 def is_type_s(hg: WeightedHypergraph) -> bool:

@@ -52,6 +52,17 @@ def random_graph(rng: random.Random, m: int) -> WeightedHypergraph:
     return WeightedHypergraph(m, weights)
 
 
+def cycle_plus_edges(rng: random.Random, m: int) -> WeightedHypergraph:
+    """An m-cycle plus m random 2- or 3-edges."""
+    weights: dict[int, Fraction] = {}
+    for i in range(1, m + 1):
+        weights[mask_of((i, i % m + 1))] = random_weight(rng)
+    for _ in range(m):
+        mask = mask_of(rng.sample(range(1, m + 1), min(m, rng.choice((2, 3)))))
+        weights[mask] = weights.get(mask, Fraction(0)) + random_weight(rng)
+    return WeightedHypergraph(m, weights)
+
+
 @pytest.fixture
 def make_random_hypergraph():
     return random_hypergraph

@@ -6,6 +6,7 @@ import pytest
 import skbounds.bounds
 import skbounds.hypergraph
 from skbounds import (
+    PARTITION_CAP,
     FractionalPacking,
     Partition,
     WeightedHypergraph,
@@ -27,7 +28,7 @@ from skbounds import (
 )
 from skbounds.cli import parse_document
 
-from conftest import fixture_text, random_graph, random_hypergraph
+from conftest import cycle_plus_edges, fixture_text, random_graph, random_hypergraph
 
 F = Fraction
 
@@ -180,9 +181,10 @@ def test_separation_oracle_finds_the_most_violated_subset(hg, x, rates, expected
         assert found == expected
 
 
-def test_rco_builds_the_conditional_table_at_most_twice(monkeypatch):
+def test_rco_builds_the_conditional_table_once(monkeypatch):
     # A seeded m = 8 source whose R_CO row generation takes 6 rounds.  The
-    # oracle reads the one cond table of the solve; it builds none per round.
+    # seed LP and the oracle read the one cond table of the solve; no round
+    # builds another.
     hg = random_hypergraph(random.Random(5), 8)
     builds, rounds = [], []
     table, oracle = skbounds.hypergraph.subset_weight_table, skbounds.bounds.separation_oracle
@@ -200,10 +202,19 @@ def test_rco_builds_the_conditional_table_at_most_twice(monkeypatch):
     monkeypatch.setattr(skbounds.bounds, "separation_oracle", counted_oracle)
     r_co_direct(hg, method="rowgen")
     assert len(rounds) >= 3
-    assert len(builds) <= 2
+    assert len(builds) == 1
     builds.clear()
     r_co_direct(hg, method="full")
     assert len(builds) == 1
+
+
+def test_capacity_identity_at_the_partition_cap():
+    # The largest source the partition scan accepts: a seeded cycle-plus-edges
+    # source with m = PARTITION_CAP and a single minimizer.
+    hg = cycle_plus_edges(random.Random(12), PARTITION_CAP)
+    result = mmi(hg)
+    assert Partition(hg.m, result.fundamental.cells) == result.fundamental
+    assert result.value == hg.total_entropy - r_co_direct(hg, method="rowgen")[0]
 
 
 def test_gamma_membership():

@@ -1,11 +1,14 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from skbounds import InputFormatError, parse_rational
+from skbounds import InputFormatError, analyze, parse_rational, vertices_of
 from skbounds.cli import main, parse_document
+from skbounds.rational import format_rational
 
-from conftest import FIXTURE_DIR, fixture_text
+from conftest import FIXTURE_DIR, fixture_text, random_graph, random_hypergraph
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +26,43 @@ def test_parse_example1():
 def test_parse_merges_duplicate_edges():
     hg = parse_document("m = 3\nedge 1 2 : 1\nedge 2 1 : 1\n")
     assert hg.weights == {0b011: 2}
+
+
+def _edge_line(mask, weight):
+    return f"edge {' '.join(map(str, vertices_of(mask)))} : {format_rational(weight)}"
+
+
+@pytest.mark.parametrize("make", [random_hypergraph, random_graph], ids=["hypergraph", "graph"])
+def test_splitting_an_edge_line_changes_nothing(make, tmp_path, capsys):
+    # One edge line becomes two duplicate lines whose weights sum to its
+    # weight, the second moved to the end of the document.
+    rng = random.Random(3141)
+    for m in range(3, 7):
+        hg = make(rng, m)
+        split = rng.choice(hg.edges)
+        w = hg.weights[split]
+        part = w * Fraction(rng.randint(1, 4), 5)
+        others = [_edge_line(e, hg.weights[e]) for e in hg.edges if e != split]
+        whole = "\n".join([f"m = {m}", _edge_line(split, w), *others, ""])
+        halves = "\n".join(
+            [f"m = {m}", _edge_line(split, part), *others, _edge_line(split, w - part), ""]
+        )
+        for method in ("full", "rowgen"):
+            assert analyze(parse_document(halves), method=method) == analyze(
+                parse_document(whole), method=method
+            )
+        outputs = []
+        for name, text in (("whole.hg", whole), ("halves.hg", halves)):
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            outputs.append(
+                [
+                    run_cli(capsys, "analyze", "--json", flag, str(path))[:2]
+                    for flag in ("--full-rows", "--row-gen")
+                ]
+            )
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0][0] == 0
 
 
 def test_parse_accepts_decimal_weights():

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import skbounds.partitions
 from skbounds import (
     CapExceededError,
+    InternalInvariantError,
     Partition,
     WeightedHypergraph,
     cross_edges,
@@ -14,6 +16,7 @@ from skbounds import (
     mmi,
     partition_mi,
 )
+from skbounds.partitions import _coarsens, _cover_table
 
 EXAMPLE1 = WeightedHypergraph(
     4,
@@ -189,6 +192,34 @@ def test_mmi_on_empty_support():
     result = mmi(hg)
     assert result.value == 0
     assert result.fundamental.size == 3  # finest of the all-zero landscape
+
+
+def test_cover_table_coarsening_agrees_with_is_refinement_of():
+    # Every ordered pair of partitions of {1..5}, the one-cell partition included.
+    parts = [Partition(5, (0b11111,))] + list(enumerate_partitions(5))
+    assert len(parts) == 52
+    for fine in parts:
+        cover = _cover_table(fine)
+        for coarse in parts:
+            assert _coarsens(cover, coarse) == fine.is_refinement_of(coarse)
+
+
+@pytest.mark.parametrize(
+    "ent, message",
+    [
+        # {1,2},{3} and {1},{2,3} tie at 0: two finest minimizers.
+        ([0, 2, 2, 2, 2, 3, 2, 4], "not unique"),
+        # {1,2},{3,4} ties at 2 with the finer {1,3},{2},{4}, which does not refine it.
+        ([0, 3, 3, 1, 4, 1, 4, 4, 1, 3, 3, 2, 2, 4, 1, 1], "not a coarsening"),
+    ],
+)
+def test_mmi_reports_a_broken_invariant(monkeypatch, ent, message):
+    # Entropy tables that no hypergraph has (ent[A] indexed by mask A).
+    full = len(ent) - 1
+    cond = [ent[full] - ent[full ^ b] for b in range(full + 1)]
+    monkeypatch.setattr(skbounds.partitions, "subset_weight_table", lambda m, entries: cond)
+    with pytest.raises(InternalInvariantError, match=message):
+        mmi(WeightedHypergraph(full.bit_length(), {full: Fraction(1)}))
 
 
 def test_is_type_s():
