@@ -1,16 +1,8 @@
 """Exact secret-key capacity and communication bounds for hypergraphical sources."""
 
 from .bounds import (
-    AnalysisReport,
-    FractionalPacking,
-    GraphicalBounds,
-    RatePoint,
     analyze,
-    build_gamma_lp,
-    build_rco_lp,
-    ci_graphical,
-    graphical_lower_bound,
-    graphical_upper_bound,
+    graphical_bounds,
     r_co_direct,
     separation_oracle,
     upper_bound_theorem1,
@@ -23,67 +15,24 @@ from .errors import (
     RowGenerationLimitError,
     SkboundsError,
 )
-from .hypergraph import (
-    MAX_VERTICES,
-    WeightedHypergraph,
-    format_subset,
-    mask_of,
-    subset_weight_table,
-    vertices_of,
-)
-from .lp import (
-    Constraint,
-    LinearProgram,
-    LpSolution,
-    solve,
-    solve_with_row_generation,
-)
-from .partitions import (
-    PARTITION_CAP,
-    MmiResult,
-    Partition,
-    cross_edges,
-    enumerate_partitions,
-    is_type_s,
-    mmi,
-    partition_mi,
-)
-from .rational import Rational, format_rational, parse_rational
+from .hypergraph import WeightedHypergraph, mask_of, subset_weight_table
+from .lp import Constraint, LinearProgram, solve, solve_with_row_generation
+from .partitions import cross_edges, mmi
 
 __all__ = [
-    "AnalysisReport",
     "CapExceededError",
     "Constraint",
-    "FractionalPacking",
-    "GraphicalBounds",
     "InputFormatError",
     "InternalInvariantError",
     "LinearProgram",
-    "LpSolution",
-    "MAX_VERTICES",
-    "MmiResult",
-    "PARTITION_CAP",
-    "Partition",
-    "RatePoint",
-    "Rational",
     "RowGenerationLimitError",
     "SkboundsError",
     "WeightedHypergraph",
     "analyze",
-    "build_gamma_lp",
-    "build_rco_lp",
-    "ci_graphical",
     "cross_edges",
-    "enumerate_partitions",
-    "format_rational",
-    "format_subset",
-    "graphical_lower_bound",
-    "graphical_upper_bound",
-    "is_type_s",
+    "graphical_bounds",
     "mask_of",
     "mmi",
-    "parse_rational",
-    "partition_mi",
     "r_co_direct",
     "separation_oracle",
     "solve",
@@ -91,5 +40,4 @@ __all__ = [
     "subset_weight_table",
     "upper_bound_theorem1",
     "verify_gamma_membership",
-    "vertices_of",
 ]

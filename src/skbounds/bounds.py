@@ -15,11 +15,10 @@ All quantities are exact rationals:
   pins the reduced capacity with one equality, so LP feasibility coincides
   exactly with capacity preservation (`verify_gamma_membership` checks the
   latter independently by recomputing the partition minimum).
-* graphical closed forms (`graphical_upper_bound`, `graphical_lower_bound`,
-  `ci_graphical`): for sources whose hyperedges are all pairs, the packing
-  bound collapses to (m - 2) * capacity, the interactive common information
-  equals the weight crossing the fundamental partition, and their
-  difference-style lower bound scales that crossing weight.
+* `graphical_bounds`: the closed forms for sources whose hyperedges are
+  all pairs.  The packing bound collapses to (m - 2) * capacity, the
+  interactive common information equals the weight crossing the
+  fundamental partition, and the lower bound scales that crossing weight.
 
 Rate variables are deliberately left free (no sign constraint): the subset
 family includes the singletons, which already force effective
@@ -292,42 +291,26 @@ def verify_gamma_membership(
     return mmi(reduced).value == mmi(hg).value
 
 
-def _require_graph(hg: WeightedHypergraph) -> None:
+def graphical_bounds(
+    hg: WeightedHypergraph, *, mmi_result: Optional[MmiResult] = None
+) -> GraphicalBounds:
+    """The closed forms of a graph: UB(Thm 2), LB(Thm 3) and CI.
+
+    UB(Thm 2) = (m - 2) * I, to which the packing bound collapses on graphs;
+    CI is the weight crossing the fundamental partition; with k cells in it,
+    LB(Thm 3) = (k - 2) / (k - 1) * CI, so a two-cell P* gives 0.  Raises
+    ValueError unless every hyperedge has exactly two vertices.
+    """
     if not hg.is_graph:
         raise ValueError("graphical analysis requires every hyperedge to have exactly two vertices")
-
-
-def graphical_upper_bound(
-    hg: WeightedHypergraph, *, mmi_result: Optional[MmiResult] = None
-) -> Fraction:
-    """(m - 2) times the capacity; the packing bound collapses to this on graphs."""
-    _require_graph(hg)
-    mres = mmi_result if mmi_result is not None else mmi(hg)
-    return (hg.m - 2) * mres.value
-
-
-def graphical_lower_bound(
-    hg: WeightedHypergraph, *, mmi_result: Optional[MmiResult] = None
-) -> Fraction:
-    """Scaled weight of edges crossing the fundamental partition.
-
-    With k cells in the fundamental partition the factor is (k-2)/(k-1),
-    so two-cell fundamental partitions give a vacuous bound of 0.
-    """
-    _require_graph(hg)
     mres = mmi_result if mmi_result is not None else mmi(hg)
     k = mres.fundamental.size
-    return Fraction(k - 2, k - 1) * ci_graphical(hg, mmi_result=mres)
-
-
-def ci_graphical(
-    hg: WeightedHypergraph, *, mmi_result: Optional[MmiResult] = None
-) -> Fraction:
-    """Interactive common information of a graph: weight crossing the fundamental partition."""
-    _require_graph(hg)
-    mres = mmi_result if mmi_result is not None else mmi(hg)
-    _, weight = cross_edges(hg, mres.fundamental)
-    return weight
+    _, ci = cross_edges(hg, mres.fundamental)
+    return GraphicalBounds(
+        ub_theorem2=(hg.m - 2) * mres.value,
+        lower_bound=Fraction(k - 2, k - 1) * ci,
+        ci=ci,
+    )
 
 
 def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisReport:
@@ -353,11 +336,7 @@ def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisRepor
     graphical: Optional[GraphicalBounds] = None
     reduced_mmi: Optional[MmiResult] = None
     if hg.is_graph:
-        graphical = GraphicalBounds(
-            ub_theorem2=graphical_upper_bound(hg, mmi_result=mres),
-            lower_bound=graphical_lower_bound(hg, mmi_result=mres),
-            ci=ci_graphical(hg, mmi_result=mres),
-        )
+        graphical = graphical_bounds(hg, mmi_result=mres)
         if not (graphical.lower_bound <= ub1 <= r_co):
             raise InternalInvariantError(
                 f"bound sandwich failed: {graphical.lower_bound} <= {ub1} <= {r_co}"

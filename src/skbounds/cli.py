@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .bounds import (
     analyze,
-    graphical_lower_bound,
+    graphical_bounds,
     r_co_direct,
     run_checks,
     upper_bound_theorem1,
@@ -43,6 +43,14 @@ from .rational import format_rational, parse_rational
 
 _HEADER_RE = re.compile(r"^m[ \t]*=[ \t]*(\d+)$", re.ASCII)
 _EDGE_RE = re.compile(r"^edge((?:[ \t]+\d+)+)[ \t]*:[ \t]*([^ \t]+)$", re.ASCII)
+# Counts and vertices never exceed MAX_VERTICES, so a longer token is out of
+# range without converting it (int() refuses strings over 4,300 digits).
+_MAX_DIGITS = len(str(MAX_VERTICES))
+
+
+def _digits(token: str) -> str:
+    """A digit token without its leading zeros: its length bounds its value."""
+    return token.lstrip("0") or "0"
 
 
 def parse_document(text: str) -> WeightedHypergraph:
@@ -62,23 +70,25 @@ def parse_document(text: str) -> WeightedHypergraph:
             match = _HEADER_RE.match(line)
             if not match:
                 raise InputFormatError("expected header 'm = <count>'", line_no)
-            m = int(match.group(1))
+            count = _digits(match.group(1))
+            if len(count) > _MAX_DIGITS or int(count) > MAX_VERTICES:
+                raise CapExceededError(
+                    f"line {line_no}: m = {count} exceeds the supported maximum of {MAX_VERTICES}"
+                )
+            m = int(count)
             if m < 2:
                 raise InputFormatError("need at least 2 terminals", line_no)
-            if m > MAX_VERTICES:
-                raise CapExceededError(
-                    f"line {line_no}: m = {m} exceeds the supported maximum of {MAX_VERTICES}"
-                )
             continue
         match = _EDGE_RE.match(line)
         if not match:
             raise InputFormatError(f"unrecognized line: {line!r}", line_no)
-        vertices = [int(tok) for tok in match.group(1).split()]
-        if len(set(vertices)) != len(vertices):
+        tokens = [_digits(tok) for tok in match.group(1).split()]
+        if len(set(tokens)) != len(tokens):
             raise InputFormatError("repeated vertex in edge", line_no)
-        for v in vertices:
-            if not 1 <= v <= m:
-                raise InputFormatError(f"vertex {v} outside 1..{m}", line_no)
+        for tok in tokens:
+            if len(tok) > _MAX_DIGITS or not 1 <= int(tok) <= m:
+                raise InputFormatError(f"vertex {tok} outside 1..{m}", line_no)
+        vertices = [int(tok) for tok in tokens]
         try:
             weight = parse_rational(match.group(2))
         except ValueError as exc:
@@ -182,7 +192,7 @@ def _cmd_ub(hg, method):
 def _cmd_lb(hg, method):
     if not hg.is_graph:
         raise InputFormatError("lower bound needs a graphical source (all edges of size 2)")
-    bound = graphical_lower_bound(hg)
+    bound = graphical_bounds(hg).lower_bound
     return {"lower_bound": format_rational(bound)}, [f"LB(Thm 3) = {format_rational(bound)}"]
 
 

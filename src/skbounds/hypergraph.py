@@ -118,40 +118,15 @@ class WeightedHypergraph:
         """True when every hyperedge has exactly two vertices."""
         return all(mask.bit_count() == 2 for mask in self.weights)
 
-    def _check_subset(self, subset: int) -> None:
-        if subset < 0 or subset > self.full_mask:
-            raise ValueError(f"subset mask {subset} out of range for m = {self.m}")
-
-    def entropy(self, subset: int) -> Fraction:
-        """Entropy of the group of terminals in `subset`.
-
-        Equals the total weight of hyperedges intersecting the subset;
-        the empty group has entropy 0.
-        """
-        self._check_subset(subset)
-        return sum((w for mask, w in self.weights.items() if mask & subset), Fraction(0))
-
-    def conditional_entropy(self, subset: int) -> Fraction:
-        """Entropy of `subset` given the remaining terminals.
-
-        Equals the total weight of hyperedges fully contained in the subset,
-        which is also entropy(M) - entropy(complement).
-        """
-        self._check_subset(subset)
-        return sum(
-            (w for mask, w in self.weights.items() if mask & ~subset == 0),
-            Fraction(0),
-        )
-
     def entropy_table(self) -> list[Fraction]:
-        """entropy(A) for every subset mask A, as a list indexed by mask."""
+        """Entropy of every group A (weight of the hyperedges meeting A), by mask."""
         cond = self.conditional_entropy_table()
         total = self.total_entropy
         full = self.full_mask
         return [total - cond[full ^ a] for a in range(full + 1)]
 
     def conditional_entropy_table(self) -> list[Fraction]:
-        """conditional_entropy(A) for every subset mask A."""
+        """Entropy of every group A given the rest (weight inside A), by mask."""
         return subset_weight_table(self.m, self.weights)
 
     def restrict(self, packing: Mapping[int, Fraction]) -> "WeightedHypergraph":

@@ -24,6 +24,10 @@ minimizer must coarsen the fundamental partition P*: with cover[A] the
 union of the cells of P* that meet A, P* refines P exactly when
 cover[C] == C for every cell C of P.  A plain `Fraction` scan,
 `tests/reference_scan.py`, is its test oracle.
+
+`mmi` is the one way the package computes the capacity and P*;
+`cross_edges` gives the weight crossing a partition, which the graph closed
+forms in `bounds` read.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CapExceededError, InternalInvariantError
 from .hypergraph import (
@@ -90,60 +94,6 @@ class Partition:
         return "{" + ",".join(format_subset(cell) for cell in self.cells) + "}"
 
 
-def _raw_partitions(m: int, min_cells: int) -> Iterator[tuple[int, ...]]:
-    # Restricted growth strings: label[0] = 0, label[i] <= max(label[:i]) + 1.
-    labels = [0] * m
-
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == m:
-            if used >= min_cells:
-                cells = [0] * used
-                for idx, lab in enumerate(labels):
-                    cells[lab] |= 1 << idx
-                yield tuple(cells)
-            return
-        for lab in range(used):
-            labels[i] = lab
-            yield from rec(i + 1, used)
-        labels[i] = used
-        yield from rec(i + 1, used + 1)
-
-    yield from rec(1, 1)
-
-
-def _check_enumeration_size(m: int) -> None:
-    if m < 2:
-        raise ValueError("partition enumeration needs m >= 2")
-    if m > PARTITION_CAP:
-        raise CapExceededError(
-            f"m = {m} exceeds the partition enumeration cap of {PARTITION_CAP}"
-        )
-
-
-def enumerate_partitions(m: int) -> Iterator[Partition]:
-    """All partitions of {1..m} with at least two cells, each exactly once.
-
-    Yields Bell(m) - 1 partitions, in restricted-growth-string order (cells
-    already canonical: ordered by smallest member).
-    """
-    _check_enumeration_size(m)
-    for cells in _raw_partitions(m, min_cells=2):
-        yield Partition(m, cells)
-
-
-def partition_mi(hg: WeightedHypergraph, partition: Partition) -> Fraction:
-    """Shared-information value of one partition (at least two cells)."""
-    if partition.m != hg.m:
-        raise ValueError("partition and hypergraph disagree on m")
-    if partition.size < 2:
-        raise ValueError("partition value needs at least two cells")
-    total = hg.total_entropy
-    acc = -total
-    for cell in partition.cells:
-        acc += hg.entropy(cell)
-    return acc / (partition.size - 1)
-
-
 def cross_edges(hg: WeightedHypergraph, partition: Partition) -> tuple[tuple[int, ...], Fraction]:
     """Hyperedges not contained in any single cell, with their weight sum."""
     if partition.m != hg.m:
@@ -198,8 +148,11 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
     minimizers must coarsen it; a violation of either fact is reported as an
     internal error because it cannot happen for hypergraphical sources.
     """
-    _check_enumeration_size(hg.m)
     m = hg.m
+    if m > PARTITION_CAP:
+        raise CapExceededError(
+            f"m = {m} exceeds the partition enumeration cap of {PARTITION_CAP}"
+        )
     full = hg.full_mask
     scale = math.lcm(*(w.denominator for w in hg.weights.values()))
     cond = subset_weight_table(
@@ -278,8 +231,3 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
         fundamental=fundamental,
         all_minimizers=all_parts,
     )
-
-
-def is_type_s(hg: WeightedHypergraph) -> bool:
-    """True when the fundamental partition is the singleton partition."""
-    return mmi(hg).fundamental.size == hg.m

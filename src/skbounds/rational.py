@@ -12,8 +12,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 _FRACTION_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
 _DECIMAL_RE = re.compile(r"[+-]?\d+\.\d+", re.ASCII)
 

@@ -32,6 +32,12 @@ def fixture_text(name: str) -> str:
     return (FIXTURE_DIR / name).read_text(encoding="utf-8")
 
 
+def partition_value(hg: WeightedHypergraph, part) -> Fraction:
+    """(sum of cell entropies - total entropy) / (cells - 1), read off the entropy table."""
+    ent = hg.entropy_table()
+    return (sum(ent[cell] for cell in part.cells) - ent[hg.full_mask]) / (part.size - 1)
+
+
 def random_weight(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 4), rng.choice((1, 2, 3)))
 

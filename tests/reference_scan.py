@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from skbounds import InternalInvariantError, MmiResult, Partition, WeightedHypergraph
+from skbounds import InternalInvariantError, WeightedHypergraph
+from skbounds.partitions import MmiResult, Partition
 
 
 def _raw_partitions(m: int, min_cells: int) -> Iterator[tuple[int, ...]]:

@@ -7,18 +7,12 @@ Everything asserts exact rational equality; there are no tolerances.
 import time
 from fractions import Fraction
 
-from skbounds import (
-    Partition,
-    analyze,
-    graphical_lower_bound,
-    mask_of,
-    mmi,
-    partition_mi,
-    vertices_of,
-)
+from skbounds import analyze, graphical_bounds, mask_of, mmi
 from skbounds.cli import parse_document
+from skbounds.hypergraph import vertices_of
+from skbounds.partitions import Partition
 
-from conftest import fixture_text
+from conftest import fixture_text, partition_value
 
 F = Fraction
 
@@ -100,7 +94,7 @@ def test_criterion_7_sandwich_and_dominance(identity_results, graphical_results)
     for res in identity_results:
         assert res.ub_full <= res.rco_full
     for res in graphical_results:
-        lb = graphical_lower_bound(res.hg, mmi_result=res.mmi_result)
+        lb = graphical_bounds(res.hg, mmi_result=res.mmi_result).lower_bound
         assert lb <= res.ub_full <= res.rco_full
 
     example1 = parse_document(fixture_text("example1.hg"))
@@ -163,7 +157,7 @@ def test_criterion_8_brute_force_oracle(identity_corpus):
         assert engine.value == value
         assert engine.fundamental == Partition.from_vertex_cells(hg.m, finest)
         for part, expected in per_partition:
-            engine_value = partition_mi(hg, Partition.from_vertex_cells(hg.m, part))
+            engine_value = partition_value(hg, Partition.from_vertex_cells(hg.m, part))
             assert engine_value == expected
             checked_partitions += 1
     _passed(

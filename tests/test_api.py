@@ -1,0 +1,42 @@
+"""The package's public surface: `__all__` is what README documents."""
+
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import skbounds
+from skbounds import WeightedHypergraph, graphical_bounds
+from skbounds.cli import parse_document
+
+from conftest import fixture_text
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def documented_entry_points() -> list[str]:
+    """Backticked names of the README paragraph that lists the entry points."""
+    paragraphs = README.read_text(encoding="utf-8").split("\n\n")
+    (listing,) = [p for p in paragraphs if p.startswith("Entry points")]
+    return sorted(re.findall(r"`([^`]+)`", listing))
+
+
+def test_exports_are_the_documented_entry_points():
+    assert sorted(skbounds.__all__) == documented_entry_points()
+    for name in skbounds.__all__:
+        assert getattr(skbounds, name) is not None
+
+
+def test_graphical_bounds_rejects_a_non_graph():
+    with pytest.raises(ValueError, match="exactly two vertices"):
+        graphical_bounds(WeightedHypergraph(3, {0b111: Fraction(1)}))
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [("example1.hg", (3, Fraction(3, 2), 3)), ("example2.hg", (2, 0, 1))],
+)
+def test_graphical_bounds_on_the_worked_examples(name, expected):
+    bounds = graphical_bounds(parse_document(fixture_text(name)))
+    assert (bounds.ub_theorem2, bounds.lower_bound, bounds.ci) == expected

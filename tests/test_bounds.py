@@ -6,17 +6,10 @@ import pytest
 import skbounds.bounds
 import skbounds.hypergraph
 from skbounds import (
-    PARTITION_CAP,
-    FractionalPacking,
-    Partition,
     WeightedHypergraph,
     analyze,
-    build_gamma_lp,
-    build_rco_lp,
-    ci_graphical,
     cross_edges,
-    graphical_lower_bound,
-    graphical_upper_bound,
+    graphical_bounds,
     mask_of,
     mmi,
     r_co_direct,
@@ -26,7 +19,9 @@ from skbounds import (
     upper_bound_theorem1,
     verify_gamma_membership,
 )
+from skbounds.bounds import FractionalPacking, build_gamma_lp, build_rco_lp
 from skbounds.cli import parse_document
+from skbounds.partitions import PARTITION_CAP, Partition
 
 from conftest import cycle_plus_edges, fixture_text, random_graph, random_hypergraph
 
@@ -228,28 +223,27 @@ def test_gamma_membership():
 
 
 def test_graphical_upper_bound():
-    assert graphical_upper_bound(EXAMPLE2) == 2
-    assert graphical_upper_bound(TWO_TERMINAL) == 0
-    assert graphical_upper_bound(TRIANGLE) == upper_bound_theorem1(TRIANGLE)[0] == F(3, 2)
+    assert graphical_bounds(EXAMPLE2).ub_theorem2 == 2
+    assert graphical_bounds(TWO_TERMINAL).ub_theorem2 == 0
+    assert graphical_bounds(TRIANGLE).ub_theorem2 == upper_bound_theorem1(TRIANGLE)[0] == F(3, 2)
 
 
 def test_graphical_lower_bound():
-    assert graphical_lower_bound(EXAMPLE2) == 0  # two-cell fundamental partition
-    assert graphical_lower_bound(TRIANGLE) == F(3, 2)
-    assert graphical_lower_bound(EXAMPLE1) == F(3, 2)
+    assert graphical_bounds(EXAMPLE2).lower_bound == 0  # two-cell fundamental partition
+    assert graphical_bounds(TRIANGLE).lower_bound == F(3, 2)
+    assert graphical_bounds(EXAMPLE1).lower_bound == F(3, 2)
 
 
 def test_ci_graphical():
-    assert ci_graphical(EXAMPLE2) == 1
-    assert ci_graphical(TRIANGLE) == 3
-    assert ci_graphical(TWO_TERMINAL) == F(5, 3)
+    assert graphical_bounds(EXAMPLE2).ci == 1
+    assert graphical_bounds(TRIANGLE).ci == 3
+    assert graphical_bounds(TWO_TERMINAL).ci == F(5, 3)
 
 
 def test_graphical_ops_reject_hyperedges():
-    hyper = WeightedHypergraph(3, {0b111: F(1)})
-    for op in (graphical_upper_bound, graphical_lower_bound, ci_graphical):
-        with pytest.raises(ValueError):
-            op(hyper)
+    for weights in ({0b111: F(1)}, {0b011: F(1), 0b100: F(1)}):
+        with pytest.raises(ValueError, match="exactly two vertices"):
+            graphical_bounds(WeightedHypergraph(3, weights))
 
 
 def test_analyze_example1():
@@ -308,7 +302,8 @@ def test_lower_bound_decomposes_as_ci_minus_capacity(make_random_graph):
         mres = mmi(hg)
         _, weight = cross_edges(hg, mres.fundamental)
         cross_value = weight / (mres.fundamental.size - 1)
-        assert graphical_lower_bound(hg, mmi_result=mres) == ci_graphical(hg, mmi_result=mres) - cross_value
+        bounds = graphical_bounds(hg, mmi_result=mres)
+        assert bounds.lower_bound == bounds.ci - cross_value
 
 
 def test_free_rates_match_nonnegative_rates_on_examples():

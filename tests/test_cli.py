@@ -1,14 +1,22 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from skbounds import InputFormatError, analyze, parse_rational, vertices_of
+from skbounds import CapExceededError, InputFormatError, analyze
 from skbounds.cli import main, parse_document
-from skbounds.rational import format_rational
+from skbounds.hypergraph import vertices_of
+from skbounds.rational import format_rational, parse_rational
 
 from conftest import FIXTURE_DIR, fixture_text, random_graph, random_hypergraph
+
+# Runs `python -m skbounds.cli` on this checkout's src/.
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
 
 def run_cli(capsys, *argv):
@@ -294,3 +302,69 @@ def test_check_reuses_the_analyze_report(monkeypatch, capsys):
     assert scans["reduced"] == 1
     assert sorted(solves["full"]) == ["R_CO", "packing"]
     assert sorted(solves["rowgen"]) == ["R_CO", "packing"]
+
+
+LONG_ZEROS = "0" * 5000  # past the 4,300 digits int() converts from a string
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (f"m = {LONG_ZEROS}2\nedge 1 2 : 1\n", {0b11: 1}),
+        (f"m = 3\nedge {LONG_ZEROS}1 3 : 1\n", {0b101: 1}),
+    ],
+    ids=["header", "vertex"],
+)
+def test_leading_zeros_do_not_limit_a_token(text, expected):
+    assert parse_document(text).weights == expected
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        (f"m = 1{LONG_ZEROS}\nedge 1 2 : 1\n", 3, "exceeds the supported maximum of 20"),
+        (f"m = {LONG_ZEROS}21\nedge 1 2 : 1\n", 3, "line 1: m = 21 exceeds"),
+        (f"m = 3\nedge 1{LONG_ZEROS} 2 : 1\n", 2, "outside 1..3"),
+        (f"m = 3\nedge 1 2 : 1{LONG_ZEROS}\n", 2, "line 2: "),
+    ],
+    ids=["long-header", "zero-padded-header", "long-vertex", "long-weight"],
+)
+def test_long_tokens_exit_by_their_value(text, code, message):
+    # The value of a count or vertex decides the outcome, never its length.
+    with pytest.raises(CapExceededError if code == 3 else InputFormatError, match=message):
+        parse_document(text)
+    result = subprocess.run(
+        [sys.executable, "-m", "skbounds.cli", "analyze", "-"],
+        input=text, capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=60,
+    )
+    assert result.returncode == code
+    assert result.stdout == ""
+    assert result.stderr.startswith("skbounds: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_byte_order_mark_is_rejected(tmp_path, capsys):
+    doc = tmp_path / "bom.hg"
+    doc.write_text("\ufeffm = 2\nedge 1 2 : 1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(doc))
+    assert (code, out) == (2, "")
+    assert err == "skbounds: line 1: expected header 'm = <count>'\n"
+
+
+PATH20 = "m = 20\n" + "".join(f"edge {i} {i + 1} : 1\n" for i in range(1, 20))
+
+
+def test_m20_header_parses():
+    hg = parse_document(PATH20)
+    assert hg.m == 20 and len(hg.edges) == 19
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["mmi"], ["ub"], ["lb"], ["analyze", "--check"]], ids=" ".join
+)
+def test_m20_commands_that_scan_exit_at_the_partition_cap(argv, tmp_path, capsys):
+    doc = tmp_path / "path20.hg"
+    doc.write_text(PATH20, encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, str(doc))
+    assert (code, out) == (3, "")
+    assert err == "skbounds: m = 20 exceeds the partition enumeration cap of 12\n"

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from skbounds import build_gamma_lp, build_rco_lp, mmi, solve
+from skbounds import mmi, solve
+from skbounds.bounds import build_gamma_lp, build_rco_lp
 from skbounds.lp import RELATIONS, LinearProgram
 
 from conftest import random_graph, random_hypergraph

@@ -1,0 +1,87 @@
+"""Property test of the document grammar.
+
+Documents are built from header, edge, comment and stray-character lines:
+mostly well-formed, so that many parse, with malformed pieces mixed in.
+Whatever the document, `parse_document` either returns a source or raises
+one of the two errors the CLI maps to an exit code (2 and 3).
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from skbounds import CapExceededError, InputFormatError, WeightedHypergraph
+from skbounds.cli import parse_document
+
+LONG_ZEROS = "0" * 5000
+
+# Space and tab are the grammar's whitespace; the others must be rejected.
+blanks = st.one_of(
+    st.just(" "),
+    st.just(" "),
+    st.text(alphabet=" \t", min_size=1, max_size=2),
+    st.sampled_from(("", "\x0b", "\x0c", "\xa0", "\u3000")),
+)
+# Decimal tokens, some zero-padded, some out of any terminal's range.
+numbers = st.builds(
+    lambda zeros, n: "0" * zeros + str(n),
+    st.sampled_from((0, 0, 0, 1, 30)),
+    st.one_of(st.integers(1, 6), st.integers(0, 25)),
+)
+weights = st.one_of(
+    numbers,
+    st.builds("{}/{}".format, numbers, numbers),
+    st.builds("{}.{}".format, numbers, numbers),
+    st.builds("-{}".format, numbers),
+    st.text(alphabet="0123456789./-+e\u0663", min_size=1, max_size=8),
+)
+comments = st.builds("#{}".format, st.text(max_size=10))
+strays = st.text(alphabet="m=edg:#\r \ufeff\x00 1\u0664", max_size=8)
+
+
+def header(count, pad):
+    return st.builds("m{}={}{}{}".format, pad, pad, count, pad)
+
+
+def edge(vertex, pad):
+    return st.builds(
+        lambda vs, sep, w, end: "edge" + "".join(sep + v for v in vs) + end + ":" + end + w,
+        st.lists(vertex, max_size=4),
+        pad,
+        weights,
+        pad,
+    )
+
+
+digits = st.integers(1, 9).map(str)
+good_weights = st.one_of(
+    digits, st.builds("{}/{}".format, digits, digits), st.builds("{}.{}".format, digits, digits)
+)
+
+
+@st.composite
+def documents(draw):
+    m = draw(st.integers(2, 6))
+    good_edge = st.builds(
+        lambda vs, w: "edge " + " ".join(map(str, vs)) + " : " + w,
+        st.lists(st.integers(1, m), min_size=1, max_size=3, unique=True),
+        good_weights,
+    )
+    lines = [draw(st.one_of(header(st.just(str(m)), st.just(" ")), header(numbers, blanks)))]
+    noise = st.one_of(comments, strays, edge(numbers, blanks), header(numbers, blanks))
+    lines += draw(st.lists(st.one_of(good_edge, good_edge, good_edge, noise), max_size=5))
+    return draw(st.sampled_from(("\n", "\n", "\r\n", "\r"))).join(lines)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(documents())
+@example(f"m = {LONG_ZEROS}2\nedge 1 2 : 1\n")
+@example(f"m = 1{LONG_ZEROS}\nedge 1 2 : 1\n")
+@example(f"m = 3\nedge {LONG_ZEROS}1 2 : 1\n")
+@example(f"m = 3\nedge 1{LONG_ZEROS} 2 : 1\n")
+@example(f"m = 3\nedge 1 2 : 1{LONG_ZEROS}\n")
+def test_parse_returns_a_source_or_a_documented_error(text):
+    try:
+        hg = parse_document(text)
+    except (InputFormatError, CapExceededError):
+        return
+    assert isinstance(hg, WeightedHypergraph)

@@ -7,16 +7,15 @@ import skbounds.partitions
 from skbounds import (
     CapExceededError,
     InternalInvariantError,
-    Partition,
     WeightedHypergraph,
     cross_edges,
-    enumerate_partitions,
-    is_type_s,
     mask_of,
     mmi,
-    partition_mi,
 )
-from skbounds.partitions import _coarsens, _cover_table
+from skbounds.partitions import Partition, _coarsens, _cover_table
+
+from conftest import partition_value
+from reference_scan import _raw_partitions
 
 EXAMPLE1 = WeightedHypergraph(
     4,
@@ -65,40 +64,39 @@ def test_partition_canonical_order_and_str():
     assert part.cells == (0b0011, 0b0100, 0b1000)
 
 
+def partitions(m):
+    """Every partition of {1..m} with at least two cells, from the reference scan."""
+    return [Partition(m, cells) for cells in _raw_partitions(m, min_cells=2)]
+
+
 def test_enumeration_counts():
     # Bell(m) - 1 partitions with at least two cells
-    assert sum(1 for _ in enumerate_partitions(2)) == 1
-    assert sum(1 for _ in enumerate_partitions(3)) == 4
-    assert sum(1 for _ in enumerate_partitions(4)) == 14
-    assert sum(1 for _ in enumerate_partitions(5)) == 51
+    assert len(partitions(2)) == 1
+    assert len(partitions(3)) == 4
+    assert len(partitions(4)) == 14
+    assert len(partitions(5)) == 51
 
 
 def test_enumeration_unique_and_valid():
     seen = set()
-    for part in enumerate_partitions(4):
+    for part in partitions(4):  # Partition validates its cells
         assert part.size >= 2
         seen.add(part.cells)
     assert len(seen) == 14
 
 
 def test_enumeration_caps():
-    with pytest.raises(ValueError):
-        list(enumerate_partitions(1))
-    with pytest.raises(CapExceededError):
-        list(enumerate_partitions(13))
+    # The scan stops at PARTITION_CAP = 12 terminals before any work.
+    hg = WeightedHypergraph(13, {mask_of((i, i + 1)): Fraction(1) for i in range(1, 13)})
+    with pytest.raises(CapExceededError, match="partition enumeration cap of 12"):
+        mmi(hg)
 
 
 def test_partition_mi_examples():
-    assert partition_mi(EXAMPLE1, P(4, [1, 2], [3], [4])) == Fraction(3, 2)
-    assert partition_mi(EXAMPLE2, P(4, [1, 2, 3], [4])) == 1
+    assert partition_value(EXAMPLE1, P(4, [1, 2], [3], [4])) == Fraction(3, 2)
+    assert partition_value(EXAMPLE2, P(4, [1, 2, 3], [4])) == 1
     two = WeightedHypergraph(2, {0b11: Fraction(5, 7)})
-    assert partition_mi(two, P(2, [1], [2])) == Fraction(5, 7)
-
-
-def test_partition_mi_rejects_one_cell():
-    whole = Partition(4, ((1 << 4) - 1,))
-    with pytest.raises(ValueError):
-        partition_mi(EXAMPLE1, whole)
+    assert partition_value(two, P(2, [1], [2])) == Fraction(5, 7)
 
 
 def test_partition_mi_matches_cross_edge_form_on_graphs(make_random_graph):
@@ -106,9 +104,9 @@ def test_partition_mi_matches_cross_edge_form_on_graphs(make_random_graph):
     graphs = [EXAMPLE1, EXAMPLE2, TRIANGLE, PATH3]
     graphs += [make_random_graph(rng, m) for m in (3, 4, 5, 6)]
     for hg in graphs:
-        for part in enumerate_partitions(hg.m):
+        for part in partitions(hg.m):
             _, weight = cross_edges(hg, part)
-            assert partition_mi(hg, part) == weight / (part.size - 1)
+            assert partition_value(hg, part) == weight / (part.size - 1)
 
 
 def test_cross_edges_examples():
@@ -162,8 +160,8 @@ def test_mmi_value_is_global_minimum(make_random_hypergraph):
     for m in (3, 4, 5):
         hg = make_random_hypergraph(rng, m)
         result = mmi(hg)
-        for part in enumerate_partitions(m):
-            assert result.value <= partition_mi(hg, part)
+        for part in partitions(m):
+            assert result.value <= partition_value(hg, part)
 
 
 def test_mmi_scaling_property(make_random_hypergraph):
@@ -196,7 +194,7 @@ def test_mmi_on_empty_support():
 
 def test_cover_table_coarsening_agrees_with_is_refinement_of():
     # Every ordered pair of partitions of {1..5}, the one-cell partition included.
-    parts = [Partition(5, (0b11111,))] + list(enumerate_partitions(5))
+    parts = [Partition(5, (0b11111,))] + partitions(5)
     assert len(parts) == 52
     for fine in parts:
         cover = _cover_table(fine)
@@ -223,6 +221,7 @@ def test_mmi_reports_a_broken_invariant(monkeypatch, ent, message):
 
 
 def test_is_type_s():
-    assert is_type_s(TRIANGLE)
-    assert not is_type_s(EXAMPLE1)
-    assert not is_type_s(EXAMPLE2)
+    # Type S: the fundamental partition is the singletons.
+    assert mmi(TRIANGLE).fundamental.size == TRIANGLE.m
+    assert mmi(EXAMPLE1).fundamental.size < EXAMPLE1.m
+    assert mmi(EXAMPLE2).fundamental.size < EXAMPLE2.m

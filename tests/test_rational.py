@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from skbounds import format_rational, parse_rational
+from skbounds.rational import format_rational, parse_rational
 
 
 def test_parse_fraction_literal():
