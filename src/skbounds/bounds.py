@@ -31,6 +31,9 @@ entropy of B given the rest for R_CO, and one x per hyperedge and rhs 0 for
 the packing LP.  It is materialized in full for m <= 8 and generated on
 demand by `separation_oracle` above that, and both paths can be forced for
 cross-checking.
+
+Each report identity is written once, in `_report_checks`: `analyze` raises
+on it and `run_checks` lists it beside the checks that need another solve.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
 Method = str  # "auto" | "full" | "rowgen"
+Check = tuple[str, bool, object, object]  # (label, ok, value, expected)
 
 
 @dataclass(frozen=True)
@@ -66,24 +70,10 @@ class FractionalPacking:
 
     entries: dict[int, Fraction]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", {mask: Fraction(v) for mask, v in self.entries.items()}
-        )
-
-    def total(self) -> Fraction:
-        return sum(self.entries.values(), _ZERO)
-
 
 @dataclass(frozen=True)
 class RatePoint:
     rates: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rates", tuple(Fraction(r) for r in self.rates))
-
-    def total(self) -> Fraction:
-        return sum(self.rates, _ZERO)
 
 
 @dataclass(frozen=True)
@@ -98,10 +88,10 @@ class AnalysisReport:
     entropy_total: Fraction
     mmi: MmiResult
     r_co: Fraction
-    sk_capacity: Fraction
     ub_theorem1: Fraction
     x_star: FractionalPacking
     graphical: Optional[GraphicalBounds]
+    method: str  # the resolved row method: "full" or "rowgen"
     # On graphs, the partition scan of the source reduced by x*, which
     # analyze makes for its Type S check and run_checks reuses.
     reduced_mmi: Optional[MmiResult] = None
@@ -313,111 +303,83 @@ def graphical_bounds(
     )
 
 
+def _report_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
+    """The report identities that need nothing beyond the report itself."""
+    rco, ub, capacity = report.r_co, report.ub_theorem1, report.mmi.value
+    identity = report.entropy_total - capacity
+    checks = [
+        ("R_CO identity (H - I)", rco == identity, rco, identity),
+        ("dominance UB <= R_CO", ub <= rco, ub, rco),
+    ]
+    g = report.graphical
+    if g is not None:
+        size = report.reduced_mmi.fundamental.size
+        checks += [
+            ("graph agreement UB = (m-2) I", ub == g.ub_theorem2, ub, g.ub_theorem2),
+            ("sandwich LB <= UB", g.lower_bound <= ub, g.lower_bound, ub),
+            ("LB = CI - I", g.lower_bound == g.ci - capacity, g.lower_bound, g.ci - capacity),
+            ("reduced source is Type S", size == hg.m, size, hg.m),
+        ]
+    return checks
+
+
 def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisReport:
     """Full report: entropy, capacity, omniscience rate, packing bound, graph bounds.
 
-    Enforces the report identities before returning: capacity equals the
-    partition minimum, the omniscience rate equals total entropy minus
-    capacity, the packing bound never exceeds the omniscience rate, and on
-    graphs the bounds sandwich and the reduced source is Type S.  Violations
-    are reported with both conflicting values; they signal bugs.
+    Raises InternalInvariantError, with both values, on the first identity
+    of `_report_checks` that the report breaks (R_CO = H - I, UB <= R_CO,
+    and on graphs UB = (m - 2) I, LB <= UB, LB = CI - I, Type S reduced
+    source); a violation signals a bug.
     """
-    entropy_total = hg.total_entropy
+    method = _resolve_method(hg, method)
     mres = mmi(hg)
     r_co, _rates = r_co_direct(hg, method=method)
-    if r_co != entropy_total - mres.value:
-        raise InternalInvariantError(
-            f"omniscience rate {r_co} != total entropy minus capacity {entropy_total - mres.value}"
-        )
     ub1, x_star = upper_bound_theorem1(hg, mmi_result=mres, method=method)
-    if ub1 > r_co:
-        raise InternalInvariantError(f"packing bound {ub1} exceeds omniscience rate {r_co}")
-
     graphical: Optional[GraphicalBounds] = None
     reduced_mmi: Optional[MmiResult] = None
     if hg.is_graph:
         graphical = graphical_bounds(hg, mmi_result=mres)
-        if not (graphical.lower_bound <= ub1 <= r_co):
-            raise InternalInvariantError(
-                f"bound sandwich failed: {graphical.lower_bound} <= {ub1} <= {r_co}"
-            )
         reduced_mmi = mmi(hg.restrict(x_star.entries))
-        if reduced_mmi.fundamental.size != hg.m:
-            raise InternalInvariantError(
-                "optimally reduced graphical source is not Type S"
-            )
     elif all(mask.bit_count() <= 2 for mask in hg.weights):
-        warnings.warn(
-            "graphical bounds skipped: singleton hyperedges present",
-            stacklevel=2,
-        )
-
-    return AnalysisReport(
-        entropy_total=entropy_total,
+        warnings.warn("graphical bounds skipped: singleton hyperedges present", stacklevel=2)
+    report = AnalysisReport(
+        entropy_total=hg.total_entropy,
         mmi=mres,
         r_co=r_co,
-        sk_capacity=mres.value,
         ub_theorem1=ub1,
         x_star=x_star,
         graphical=graphical,
+        method=method,
         reduced_mmi=reduced_mmi,
     )
+    for label, ok, value, expected in _report_checks(hg, report):
+        if not ok:
+            raise InternalInvariantError(f"{label}: {value} vs {expected}")
+    return report
 
 
-def run_checks(
-    hg: WeightedHypergraph, report: AnalysisReport, *, method: Method = "auto"
-) -> list[tuple[str, bool, str]]:
-    """Invariant suite over `report = analyze(hg, method=method)`.
+def run_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
+    """Invariant suite over `report = analyze(hg, ...)`.
 
-    Each entry is (label, ok, detail).  The suite adds at most three pieces
-    of work: both LPs solved with the row method the report did not use,
-    and, unless the report already holds it (graphs), one partition scan of
-    the source reduced by x*, which serves both the capacity-preservation
-    and the Type S check.
+    Each entry is (label, ok, value, expected).  Beyond the identities
+    `analyze` already enforces, the suite adds at most three pieces of
+    work: both LPs solved with the row method the report did not use, and,
+    unless the report already holds it (graphs), one partition scan of the
+    source reduced by x*, which serves the capacity-preservation check.
     """
-    checks: list[tuple[str, bool, str]] = []
-    rco, ub, capacity = report.r_co, report.ub_theorem1, report.sk_capacity
-    other = "rowgen" if _resolve_method(hg, method) == "full" else "full"
+    other = "rowgen" if report.method == "full" else "full"
     rco_other, _ = r_co_direct(hg, method=other)
     ub_other, _ = upper_bound_theorem1(hg, mmi_result=report.mmi, method=other)
     reduced = report.reduced_mmi
     if reduced is None:
         reduced = mmi(hg.restrict(report.x_star.entries))
-
-    identity = report.entropy_total - capacity
-    checks.append(
-        ("R_CO identity (H - I)", rco == identity, f"{rco} vs {identity}")
-    )
-    checks.append(
-        ("row generation agreement (R_CO)", rco == rco_other, f"{rco} vs {rco_other}")
-    )
-    checks.append(
-        ("row generation agreement (packing LP)", ub == ub_other, f"{ub} vs {ub_other}")
-    )
-    checks.append(
-        ("dominance UB <= R_CO", ub <= rco, f"{ub} vs {rco}")
-    )
-    checks.append(
-        (
-            "x* preserves capacity (Gamma membership)",
-            reduced.value == capacity,
-            "capacity changed under x*",
-        )
-    )
-    if report.graphical is not None:
-        ub2 = report.graphical.ub_theorem2
-        lb = report.graphical.lower_bound
-        ci = report.graphical.ci
-        checks.append(
-            ("graph agreement UB = (m-2) I", ub == ub2, f"{ub} vs {ub2}")
-        )
-        checks.append(("sandwich LB <= UB", lb <= ub, f"{lb} vs {ub}"))
-        checks.append(("LB = CI - I", lb == ci - capacity, f"{lb} vs {ci - capacity}"))
-        checks.append(
-            (
-                "reduced source is Type S",
-                reduced.fundamental.size == hg.m,
-                "fundamental partition of reduced source is coarser than singletons",
-            )
-        )
-    return checks
+    rco, ub, capacity, kept = report.r_co, report.ub_theorem1, report.mmi.value, reduced.value
+    own = _report_checks(hg, report)
+    return [
+        own[0],
+        ("row generation agreement (R_CO)", rco == rco_other, rco, rco_other),
+        ("row generation agreement (packing LP)", ub == ub_other, ub, ub_other),
+        own[1],
+        ("x* preserves capacity (Gamma membership)", kept == capacity, kept, capacity),
+        *own[2:],
+    ]

@@ -269,12 +269,12 @@ def main(argv=None) -> int:
             if report is None:
                 report = analyze(hg, method=args.method)
             failures = 0
-            for label, ok, detail in run_checks(hg, report, method=args.method):
+            for label, ok, value, expected in run_checks(hg, report):
                 if ok:
                     print(f"check {label}: ok", file=sys.stderr)
                 else:
                     failures += 1
-                    print(f"check {label}: FAIL ({detail})", file=sys.stderr)
+                    print(f"check {label}: FAIL ({value} vs {expected})", file=sys.stderr)
             if failures:
                 return 1
     except CapExceededError as exc:

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 _FRACTION_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
 _DECIMAL_RE = re.compile(r"[+-]?\d+\.\d+", re.ASCII)
+MAX_DIGIT_RUN = 4300  # the most digits int() converts from a string
+_LONG_RUN_RE = re.compile(rf"\d{{{MAX_DIGIT_RUN + 1}}}", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -23,9 +25,12 @@ def parse_rational(text: str) -> Fraction:
     floating point, so "1.5" parses to exactly 3/2.
 
     Surrounding spaces and tabs are ignored.  Raises ValueError on anything
-    outside that grammar or on a zero denominator.
+    outside that grammar, on more than MAX_DIGIT_RUN digits in a row, or on
+    a zero denominator.
     """
     s = text.strip(" \t")
+    if _LONG_RUN_RE.search(s):
+        raise ValueError(f"more than {MAX_DIGIT_RUN} digits in a row")
     if _FRACTION_RE.fullmatch(s):
         num, _, den = s.partition("/")
         if den:

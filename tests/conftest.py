@@ -1,26 +1,22 @@
 """Shared fixtures: bundled documents and the randomized corpora.
 
 The corpora are generated from fixed seeds so every run sees the same
-instances.  Heavy per-instance computations (capacity, both LP paths, the
-reduced-source capacity) run once per session and are shared by the
-acceptance criteria.
+instances.  Each instance is analyzed and checked once per session
+(`analyze`, then `run_checks`, which adds both LPs with the other row
+method and the reduced-source capacity), and the acceptance criteria read
+those results.
 """
 
 import random
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 import pytest
 
-from skbounds import (
-    WeightedHypergraph,
-    mask_of,
-    mmi,
-    r_co_direct,
-    upper_bound_theorem1,
-)
+from skbounds import WeightedHypergraph, analyze, mask_of
+from skbounds.bounds import AnalysisReport, run_checks
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -81,41 +77,19 @@ def make_random_graph():
 
 @dataclass
 class InstanceResult:
-    """Everything the acceptance criteria need about one corpus instance."""
+    """One corpus instance: its `analyze` report and `run_checks` by label."""
 
     hg: WeightedHypergraph
-    entropy_total: Fraction
-    mmi_result: object
-    rco_full: Fraction
-    rco_rowgen: Fraction
-    ub_full: Fraction
-    ub_rowgen: Fraction
-    x_star: object
-    restricted_mmi: object
-    graphical_type_s: Optional[bool] = None
+    report: AnalysisReport
+    checks: dict[str, tuple[bool, object, object]]  # label -> (ok, value, expected)
 
 
-def _evaluate(hg: WeightedHypergraph, graphical: bool) -> InstanceResult:
-    mres = mmi(hg)
-    rco_full, _ = r_co_direct(hg, method="full")
-    rco_rowgen, _ = r_co_direct(hg, method="rowgen")
-    ub_full, x_star = upper_bound_theorem1(hg, mmi_result=mres, method="full")
-    ub_rowgen, _ = upper_bound_theorem1(hg, mmi_result=mres, method="rowgen")
-    restricted = hg.restrict(x_star.entries)
-    restricted_mmi = mmi(restricted)
-    type_s = restricted_mmi.fundamental.size == hg.m if graphical else None
-    return InstanceResult(
-        hg=hg,
-        entropy_total=hg.total_entropy,
-        mmi_result=mres,
-        rco_full=rco_full,
-        rco_rowgen=rco_rowgen,
-        ub_full=ub_full,
-        ub_rowgen=ub_rowgen,
-        x_star=x_star,
-        restricted_mmi=restricted_mmi,
-        graphical_type_s=type_s,
-    )
+def _evaluate(hg: WeightedHypergraph) -> InstanceResult:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # graph-plus-singleton sources warn
+        report = analyze(hg)
+    checks = {label: (ok, value, expected) for label, ok, value, expected in run_checks(hg, report)}
+    return InstanceResult(hg, report, checks)
 
 
 @pytest.fixture(scope="session")
@@ -132,9 +106,9 @@ def graphical_corpus():
 
 @pytest.fixture(scope="session")
 def identity_results(identity_corpus):
-    return [_evaluate(hg, graphical=False) for hg in identity_corpus]
+    return [_evaluate(hg) for hg in identity_corpus]
 
 
 @pytest.fixture(scope="session")
 def graphical_results(graphical_corpus):
-    return [_evaluate(hg, graphical=True) for hg in graphical_corpus]
+    return [_evaluate(hg) for hg in graphical_corpus]

@@ -7,7 +7,7 @@ Everything asserts exact rational equality; there are no tolerances.
 import time
 from fractions import Fraction
 
-from skbounds import analyze, graphical_bounds, mask_of, mmi
+from skbounds import analyze, mask_of, mmi
 from skbounds.cli import parse_document
 from skbounds.hypergraph import vertices_of
 from skbounds.partitions import Partition
@@ -58,21 +58,22 @@ def test_criterion_2_example2_golden():
 def test_criterion_3_omniscience_identity(identity_results):
     assert len(identity_results) >= 200
     for res in identity_results:
-        assert res.rco_full == res.entropy_total - res.mmi_result.value
+        assert res.report.r_co == res.report.entropy_total - res.report.mmi.value
     _passed(3, "omniscience identity", f"{len(identity_results)} instances, exact every time")
 
 
 def test_criterion_4_capacity_preserving_packing(identity_results):
     for res in identity_results:
-        assert res.restricted_mmi.value == res.mmi_result.value
+        _, kept, _ = res.checks["x* preserves capacity (Gamma membership)"]
+        assert kept == res.report.mmi.value
     _passed(4, "optimal packing preserves capacity", f"{len(identity_results)} instances")
 
 
 def test_criterion_5_graph_bound_agreement(graphical_results):
     assert len(graphical_results) >= 100
     for res in graphical_results:
-        assert res.ub_full == (res.hg.m - 2) * res.mmi_result.value
-        assert res.graphical_type_s is True
+        assert res.report.ub_theorem1 == (res.hg.m - 2) * res.report.mmi.value
+        assert res.report.reduced_mmi.fundamental.size == res.hg.m  # Type S
     _passed(
         5,
         "graph bound equals (m-2)*I and reduced source is Type S",
@@ -84,18 +85,20 @@ def test_criterion_6_oracle_equivalence(identity_results, graphical_results):
     count = 0
     for res in identity_results + graphical_results:
         assert res.hg.m <= 7
-        assert res.rco_full == res.rco_rowgen
-        assert res.ub_full == res.ub_rowgen
+        assert res.report.method == "full"  # run_checks solved both LPs with row generation
+        _, rco_full, rco_rowgen = res.checks["row generation agreement (R_CO)"]
+        _, ub_full, ub_rowgen = res.checks["row generation agreement (packing LP)"]
+        assert rco_full == rco_rowgen
+        assert ub_full == ub_rowgen
         count += 1
     _passed(6, "full rows equal row generation", f"{count} instances, both LPs")
 
 
 def test_criterion_7_sandwich_and_dominance(identity_results, graphical_results):
     for res in identity_results:
-        assert res.ub_full <= res.rco_full
+        assert res.report.ub_theorem1 <= res.report.r_co
     for res in graphical_results:
-        lb = graphical_bounds(res.hg, mmi_result=res.mmi_result).lower_bound
-        assert lb <= res.ub_full <= res.rco_full
+        assert res.report.graphical.lower_bound <= res.report.ub_theorem1 <= res.report.r_co
 
     example1 = parse_document(fixture_text("example1.hg"))
     report = analyze(example1)
@@ -175,8 +178,8 @@ def test_criterion_9_finest_minimizer(identity_results, graphical_results):
     assert result.fundamental == Partition.from_vertex_cells(3, [[1], [2], [3]])
 
     for res in identity_results + graphical_results:
-        fundamental = res.mmi_result.fundamental
-        for other in res.mmi_result.all_minimizers:
+        fundamental = res.report.mmi.fundamental
+        for other in res.report.mmi.all_minimizers:
             assert fundamental.is_refinement_of(other)
     _passed(
         9,

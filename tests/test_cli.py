@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from skbounds import CapExceededError, InputFormatError, analyze
+from skbounds import CapExceededError, InputFormatError, InternalInvariantError, analyze
+from skbounds.bounds import run_checks
 from skbounds.cli import main, parse_document
 from skbounds.hypergraph import vertices_of
 from skbounds.rational import format_rational, parse_rational
@@ -267,13 +270,33 @@ def test_parse_accepts_crlf_and_tabs(tmp_path, capsys):
     assert "I(X_M) = 3/2" in out
 
 
+def _count_solves(monkeypatch):
+    """Record each LP that bounds solves, by row method, as "R_CO" or "packing"."""
+    import skbounds.bounds
+
+    solves = {"full": [], "rowgen": []}
+
+    def count(kind, fn):
+        def wrapper(lp, *args):
+            solves[kind].append("R_CO" if lp.variables[0] == "R1" else "packing")
+            return fn(lp, *args)
+        return wrapper
+
+    monkeypatch.setattr(skbounds.bounds, "solve", count("full", skbounds.bounds.solve))
+    monkeypatch.setattr(
+        skbounds.bounds,
+        "solve_with_row_generation",
+        count("rowgen", skbounds.bounds.solve_with_row_generation),
+    )
+    return solves
+
+
 def test_check_reuses_the_analyze_report(monkeypatch, capsys):
     import skbounds.bounds
     import skbounds.cli
 
     source = parse_document(fixture_text("example2.hg"))
     scans = {"input": 0, "reduced": 0}
-    solves = {"full": [], "rowgen": []}
 
     def count_scans(fn):
         def wrapper(hg):
@@ -281,20 +304,9 @@ def test_check_reuses_the_analyze_report(monkeypatch, capsys):
             return fn(hg)
         return wrapper
 
-    def count_solves(kind, fn):
-        def wrapper(lp, *args):
-            solves[kind].append("R_CO" if lp.variables[0] == "R1" else "packing")
-            return fn(lp, *args)
-        return wrapper
-
     for module in (skbounds.bounds, skbounds.cli):
         monkeypatch.setattr(module, "mmi", count_scans(module.mmi))
-    monkeypatch.setattr(skbounds.bounds, "solve", count_solves("full", skbounds.bounds.solve))
-    monkeypatch.setattr(
-        skbounds.bounds,
-        "solve_with_row_generation",
-        count_solves("rowgen", skbounds.bounds.solve_with_row_generation),
-    )
+    solves = _count_solves(monkeypatch)
     code, _, err = run_cli(capsys, "analyze", "--check", str(FIXTURE_DIR / "example2.hg"))
     assert code == 0
     assert "FAIL" not in err
@@ -304,7 +316,55 @@ def test_check_reuses_the_analyze_report(monkeypatch, capsys):
     assert sorted(solves["rowgen"]) == ["R_CO", "packing"]
 
 
+def test_check_of_a_row_generation_report_solves_with_full_rows(monkeypatch):
+    hg = parse_document(fixture_text("example1.hg"))
+    report = analyze(hg, method="rowgen")
+    solves = _count_solves(monkeypatch)
+    checks = run_checks(hg, report)
+    assert all(ok for _, ok, _, _ in checks)
+    assert sorted(solves["full"]) == ["R_CO", "packing"]
+    assert solves["rowgen"] == []
+
+
+def test_check_failure_prints_both_values(monkeypatch, capsys):
+    import skbounds.bounds
+
+    path = str(FIXTURE_DIR / "example1.hg")
+    _, report_text, _ = run_cli(capsys, "analyze", path)
+    exact = skbounds.bounds.upper_bound_theorem1
+
+    def off_by_one_under_row_generation(hg, *, mmi_result=None, method="auto"):
+        bound, packing = exact(hg, mmi_result=mmi_result, method=method)
+        return (bound + 1 if method == "rowgen" else bound), packing
+
+    monkeypatch.setattr(skbounds.bounds, "upper_bound_theorem1", off_by_one_under_row_generation)
+    code, out, err = run_cli(capsys, "analyze", "--check", path)
+    assert code == 1
+    assert out == report_text
+    assert "check row generation agreement (packing LP): FAIL (3 vs 4)\n" in err
+    assert err.count("FAIL") == 1
+
+
+def test_analyze_raises_on_a_broken_report_identity(monkeypatch, capsys):
+    import skbounds.bounds
+
+    exact = skbounds.bounds.graphical_bounds
+
+    def off_by_one(hg, *, mmi_result=None):
+        bounds = exact(hg, mmi_result=mmi_result)
+        return dataclasses.replace(bounds, ub_theorem2=bounds.ub_theorem2 + 1)
+
+    monkeypatch.setattr(skbounds.bounds, "graphical_bounds", off_by_one)
+    message = "graph agreement UB = (m-2) I: 2 vs 3"
+    with pytest.raises(InternalInvariantError, match=re.escape(message)):
+        analyze(parse_document(fixture_text("example2.hg")))
+    code, out, err = run_cli(capsys, "analyze", str(FIXTURE_DIR / "example2.hg"))
+    assert (code, out) == (1, "")
+    assert err == f"skbounds: internal invariant violated: {message}\n"
+
+
 LONG_ZEROS = "0" * 5000  # past the 4,300 digits int() converts from a string
+LONG_RUN = "line 2: more than 4300 digits in a row"
 
 
 @pytest.mark.parametrize(
@@ -325,9 +385,14 @@ def test_leading_zeros_do_not_limit_a_token(text, expected):
         (f"m = 1{LONG_ZEROS}\nedge 1 2 : 1\n", 3, "exceeds the supported maximum of 20"),
         (f"m = {LONG_ZEROS}21\nedge 1 2 : 1\n", 3, "line 1: m = 21 exceeds"),
         (f"m = 3\nedge 1{LONG_ZEROS} 2 : 1\n", 2, "outside 1..3"),
-        (f"m = 3\nedge 1 2 : 1{LONG_ZEROS}\n", 2, "line 2: "),
+        (f"m = 3\nedge 1 2 : 1{LONG_ZEROS}\n", 2, LONG_RUN),
+        (f"m = 3\nedge 1 2 : 0.{LONG_ZEROS}1\n", 2, LONG_RUN),
+        (f"m = 3\nedge 1 2 : 1/1{LONG_ZEROS}\n", 2, LONG_RUN),
     ],
-    ids=["long-header", "zero-padded-header", "long-vertex", "long-weight"],
+    ids=[
+        "long-header", "zero-padded-header", "long-vertex", "long-weight", "long-decimal",
+        "long-denominator",
+    ],
 )
 def test_long_tokens_exit_by_their_value(text, code, message):
     # The value of a count or vertex decides the outcome, never its length.
@@ -341,6 +406,7 @@ def test_long_tokens_exit_by_their_value(text, code, message):
     assert result.stdout == ""
     assert result.stderr.startswith("skbounds: ")
     assert "Traceback" not in result.stderr
+    assert "set_int_max_str_digits" not in result.stderr
 
 
 def test_byte_order_mark_is_rejected(tmp_path, capsys):
