@@ -30,7 +30,12 @@ proper subset B, rates(B) - x(edges inside B) >= rhs, with no x and rhs the
 entropy of B given the rest for R_CO, and one x per hyperedge and rhs 0 for
 the packing LP.  It is materialized in full for m <= 8 and generated on
 demand by `separation_oracle` above that, and both paths can be forced for
-cross-checking.
+cross-checking.  Row generation separates in exact ints: R_CO's table is
+built once per solve, times L, the lcm of the weights' denominators
+(`scaled_weight_table`, shared with `mmi`), the packing LP's table once per
+round from the point, and each round puts the rates and the table on one
+common denominator.  `tests/reference_separation.py` keeps the `Fraction`
+sweep as the test oracle.
 
 Each report identity is written once, in `_report_checks`: `analyze` raises
 on it and `run_checks` lists it beside the checks that need another solve.
@@ -38,13 +43,15 @@ on it and `run_checks` lists it beside the checks that need another solve.
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InternalInvariantError
-from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
+from .hypergraph import WeightedHypergraph, format_subset, scaled_weight_table, subset_weight_table
 from .lp import (
     OPTIMAL,
     Constraint,
@@ -114,35 +121,22 @@ def _resolve_method(hg: WeightedHypergraph, method: Method) -> str:
     return method
 
 
-def _rate_sums(m: int, rates: Sequence[Fraction]) -> list[Fraction]:
-    sums = [_ZERO] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + rates[low.bit_length() - 1]
-    return sums
-
-
-def separation_oracle(
-    hg: WeightedHypergraph,
-    inside: Sequence[Fraction],
-    rates: Sequence[Fraction],
-) -> Optional[int]:
+def separation_oracle(hg: WeightedHypergraph, inside: Sequence, rates: Sequence) -> Optional[int]:
     """Most violated subset row rates(B) >= inside[B], or None if none is violated.
 
     `inside[B]` is the weight subset mask B must cover: R_CO passes its
     conditional-entropy table, the packing LP `subset_weight_table(m, x)`.
     Minimizes rates(B) - inside[B] over nonempty proper subsets B and returns
     the minimizing mask (smallest on ties) when the minimum is negative.
+    Works in the type of its inputs; row generation passes ints, both sides
+    scaled by one common denominator.
     """
-    rsum = _rate_sums(hg.m, rates)
-    best: Optional[Fraction] = None
-    best_mask: Optional[int] = None
-    for mask in _proper_subsets(hg.m):
-        g = rsum[mask] - inside[mask]
-        if g < 0 and (best is None or g < best):
-            best = g
-            best_mask = mask
-    return best_mask
+    sums = [0]  # sums[B] = rates(B), one doubling per terminal
+    for rate in rates:
+        sums += [s + rate for s in sums]
+    gaps = list(map(operator.sub, sums, inside))
+    least = min(gaps[1:-1])
+    return gaps.index(least, 1) if least < 0 else None
 
 
 def _subset_row(edges: Sequence[int], m: int, mask: int, rhs: Fraction) -> Constraint:
@@ -155,16 +149,23 @@ def _subset_row(edges: Sequence[int], m: int, mask: int, rhs: Fraction) -> Const
 def _generate_rows(
     hg: WeightedHypergraph,
     base: LinearProgram,
-    inside: Callable[[tuple[Fraction, ...]], Sequence[Fraction]],
+    inside: Callable[[tuple[Fraction, ...]], tuple[list[int], int]],
     row: Callable[[int], Constraint],
 ):
     """Solve `base`, adding `row(mask)` for the most violated subset until none is.
 
-    `inside(point)` is the table the point's rates (its last m entries) must cover.
+    `inside(point)` is (table, L): L times the table the point's rates (its
+    last m entries) must cover, in ints.  Each round separates in ints over
+    D = lcm(L, the rates' denominators), rescaling the table only when D != L.
     """
 
     def oracle(point: tuple[Fraction, ...]) -> Optional[Constraint]:
-        mask = separation_oracle(hg, inside(point), point[-hg.m :])
+        table, scale = inside(point)
+        rates = point[-hg.m :]
+        d = math.lcm(scale, *(r.denominator for r in rates))
+        if d != scale:
+            table = [v * (d // scale) for v in table]
+        mask = separation_oracle(hg, table, [r.numerator * (d // r.denominator) for r in rates])
         return None if mask is None else row(mask)
 
     return solve_with_row_generation(base, oracle, 1 << hg.m)
@@ -176,16 +177,16 @@ def build_rco_lp(hg: WeightedHypergraph, subset_masks=None, cond=None) -> Linear
     One row per nonempty proper subset B: the rates inside B must cover the
     entropy of B given the rest.  `subset_masks` narrows the family (used to
     seed row generation); `cond`, when given, is the source's
-    conditional-entropy table, so a caller that needs the table too builds
-    it once.
+    conditional-entropy table as `scaled_weight_table(hg.m, hg.weights)`
+    returns it, (L times the table in ints, L), so a caller that needs the
+    table too builds it once.
     """
-    if cond is None:
-        cond = hg.conditional_entropy_table()
+    table, scale = scaled_weight_table(hg.m, hg.weights) if cond is None else cond
     masks = _proper_subsets(hg.m) if subset_masks is None else subset_masks
     return LinearProgram(
         variables=[f"R{i}" for i in range(1, hg.m + 1)],
         objective=[_ONE] * hg.m,
-        constraints=[_subset_row((), hg.m, mask, cond[mask]) for mask in masks],
+        constraints=[_subset_row((), hg.m, mask, Fraction(table[mask], scale)) for mask in masks],
     )
 
 
@@ -198,10 +199,14 @@ def r_co_direct(hg: WeightedHypergraph, *, method: Method = "auto") -> tuple[Fra
     if _resolve_method(hg, method) == "full":
         sol = solve(build_rco_lp(hg))
     else:
-        cond = hg.conditional_entropy_table()
+        cond = scaled_weight_table(hg.m, hg.weights)
+        table, scale = cond
         base = build_rco_lp(hg, subset_masks=_singleton_masks(hg.m), cond=cond)
         sol = _generate_rows(
-            hg, base, lambda point: cond, lambda mask: _subset_row((), hg.m, mask, cond[mask])
+            hg,
+            base,
+            lambda point: cond,
+            lambda mask: _subset_row((), hg.m, mask, Fraction(table[mask], scale)),
         )
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"omniscience LP reported {sol.status}")
@@ -255,12 +260,16 @@ def upper_bound_theorem1(
     if _resolve_method(hg, method) == "full":
         sol = solve(build_gamma_lp(hg, mres.value))
     else:
+
+        def packing_table(point):
+            # One denominator for the whole point, so the rates need no rescale.
+            d = math.lcm(*(v.denominator for v in point))
+            x = {e: v.numerator * (d // v.denominator) for e, v in zip(edges, point)}
+            return subset_weight_table(hg.m, x), d
+
         base = build_gamma_lp(hg, mres.value, subset_masks=_singleton_masks(hg.m))
         sol = _generate_rows(
-            hg,
-            base,
-            lambda point: subset_weight_table(hg.m, dict(zip(edges, point[:k]))),
-            lambda mask: _subset_row(edges, hg.m, mask, _ZERO),
+            hg, base, packing_table, lambda mask: _subset_row(edges, hg.m, mask, _ZERO)
         )
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"packing LP reported {sol.status}")
@@ -323,16 +332,19 @@ def _report_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check
     return checks
 
 
-def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisReport:
+def analyze(
+    hg: WeightedHypergraph, *, mmi_result: Optional[MmiResult] = None, method: Method = "auto"
+) -> AnalysisReport:
     """Full report: entropy, capacity, omniscience rate, packing bound, graph bounds.
 
     Raises InternalInvariantError, with both values, on the first identity
     of `_report_checks` that the report breaks (R_CO = H - I, UB <= R_CO,
     and on graphs UB = (m - 2) I, LB <= UB, LB = CI - I, Type S reduced
-    source); a violation signals a bug.
+    source); a violation signals a bug.  `mmi_result`, when given, is the
+    partition scan of `hg`, so a caller that already holds it scans once.
     """
     method = _resolve_method(hg, method)
-    mres = mmi(hg)
+    mres = mmi_result if mmi_result is not None else mmi(hg)
     r_co, _rates = r_co_direct(hg, method=method)
     ub1, x_star = upper_bound_theorem1(hg, mmi_result=mres, method=method)
     graphical: Optional[GraphicalBounds] = None

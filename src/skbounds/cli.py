@@ -175,25 +175,30 @@ def _report_output(hg, report):
     return doc, lines
 
 
+# Each command returns (JSON fields, text lines, its partition scan or None);
+# main hands the scan on to analyze under --check.
 def _cmd_mmi(hg, method):
-    return _mmi_output(mmi(hg))
+    mres = mmi(hg)
+    return (*_mmi_output(mres), mres)
 
 
 def _cmd_rco(hg, method):
     value, _rates = r_co_direct(hg, method=method)
-    return {"r_co": format_rational(value)}, [f"R_CO = {format_rational(value)}"]
+    return {"r_co": format_rational(value)}, [f"R_CO = {format_rational(value)}"], None
 
 
 def _cmd_ub(hg, method):
-    bound, packing = upper_bound_theorem1(hg, method=method)
-    return _ub_output(hg, bound, packing)
+    mres = mmi(hg)
+    bound, packing = upper_bound_theorem1(hg, mmi_result=mres, method=method)
+    return (*_ub_output(hg, bound, packing), mres)
 
 
 def _cmd_lb(hg, method):
     if not hg.is_graph:
         raise InputFormatError("lower bound needs a graphical source (all edges of size 2)")
-    bound = graphical_bounds(hg).lower_bound
-    return {"lower_bound": format_rational(bound)}, [f"LB(Thm 3) = {format_rational(bound)}"]
+    mres = mmi(hg)
+    bound = format_rational(graphical_bounds(hg, mmi_result=mres).lower_bound)
+    return {"lower_bound": bound}, [f"LB(Thm 3) = {bound}"], mres
 
 
 _COMMANDS = {
@@ -255,19 +260,19 @@ def main(argv=None) -> int:
             with open(args.path, "r", encoding="utf-8", newline="") as handle:
                 text = handle.read()
         hg = parse_document(text)
-        report = None
+        report = mres = None
         if args.command == "analyze":
             report = analyze(hg, method=args.method)
             doc, lines = _report_output(hg, report)
         else:
-            doc, lines = _COMMANDS[args.command](hg, args.method)
+            doc, lines, mres = _COMMANDS[args.command](hg, args.method)
         if args.json:
             lines = [json.dumps({"m": hg.m, **doc}, indent=2)]
         for line in lines:
             print(line)
         if args.check:
             if report is None:
-                report = analyze(hg, method=args.method)
+                report = analyze(hg, mmi_result=mres, method=args.method)
             failures = 0
             for label, ok, value, expected in run_checks(hg, report):
                 if ok:

@@ -17,6 +17,7 @@ so instances can be shared freely across concurrent work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -68,6 +69,13 @@ def subset_weight_table(m: int, entries: Mapping[int, Fraction | int]) -> list[F
             if s & b:
                 table[s] += table[s ^ b]
     return table
+
+
+def scaled_weight_table(m: int, entries: Mapping[int, Fraction]) -> tuple[list[int], int]:
+    """(table, L): L the lcm of the entries' denominators, table that of L * entries, in ints."""
+    scale = math.lcm(*(v.denominator for v in entries.values()))
+    ints = {e: v.numerator * (scale // v.denominator) for e, v in entries.items()}
+    return subset_weight_table(m, ints), scale
 
 
 @dataclass(frozen=True)

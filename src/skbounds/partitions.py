@@ -32,7 +32,6 @@ forms in `bounds` read.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -42,7 +41,7 @@ from .hypergraph import (
     WeightedHypergraph,
     format_subset,
     mask_of,
-    subset_weight_table,
+    scaled_weight_table,
     vertices_of,
 )
 
@@ -154,10 +153,7 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
             f"m = {m} exceeds the partition enumeration cap of {PARTITION_CAP}"
         )
     full = hg.full_mask
-    scale = math.lcm(*(w.denominator for w in hg.weights.values()))
-    cond = subset_weight_table(
-        m, {e: w.numerator * (scale // w.denominator) for e, w in hg.weights.items()}
-    )
+    cond, scale = scaled_weight_table(m, hg.weights)
     total = cond[full]
     ent = [total - cond[full ^ a] for a in range(full + 1)]
 

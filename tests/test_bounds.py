@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from skbounds import (
 )
 from skbounds.bounds import FractionalPacking, build_gamma_lp, build_rco_lp
 from skbounds.cli import parse_document
+from skbounds.hypergraph import scaled_weight_table
 from skbounds.partitions import PARTITION_CAP, Partition
 
 from conftest import cycle_plus_edges, fixture_text, random_graph, random_hypergraph
@@ -201,6 +203,21 @@ def test_rco_builds_the_conditional_table_once(monkeypatch):
     builds.clear()
     r_co_direct(hg, method="full")
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("m, expected", [(14, 37), (16, 54)])
+def test_rco_row_generation_at_large_m(m, expected):
+    # Past the partition cap only R_CO runs; its rate point must meet all
+    # 2^m - 2 subset rows, checked here in ints over one denominator d.
+    hg = cycle_plus_edges(random.Random(m), m)
+    value, point = r_co_direct(hg, method="rowgen")
+    assert value == expected == sum(point.rates)
+    table, scale = scaled_weight_table(m, hg.weights)
+    d = math.lcm(scale, *(r.denominator for r in point.rates))
+    sums = [0]
+    for r in point.rates:
+        sums += [s + r.numerator * (d // r.denominator) for s in sums]
+    assert all(sums[b] * scale >= table[b] * d for b in range(1, (1 << m) - 1))
 
 
 def test_capacity_identity_at_the_partition_cap():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-import skbounds.partitions
+import skbounds.hypergraph
 from skbounds import (
     CapExceededError,
     InternalInvariantError,
@@ -212,10 +212,11 @@ def test_cover_table_coarsening_agrees_with_is_refinement_of():
     ],
 )
 def test_mmi_reports_a_broken_invariant(monkeypatch, ent, message):
-    # Entropy tables that no hypergraph has (ent[A] indexed by mask A).
+    # Entropy tables that no hypergraph has (ent[A] indexed by mask A), patched
+    # in where `scaled_weight_table` builds mmi's table; the weight is 1, so L = 1.
     full = len(ent) - 1
     cond = [ent[full] - ent[full ^ b] for b in range(full + 1)]
-    monkeypatch.setattr(skbounds.partitions, "subset_weight_table", lambda m, entries: cond)
+    monkeypatch.setattr(skbounds.hypergraph, "subset_weight_table", lambda m, entries: cond)
     with pytest.raises(InternalInvariantError, match=message):
         mmi(WeightedHypergraph(full.bit_length(), {full: Fraction(1)}))
 

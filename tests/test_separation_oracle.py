@@ -1,0 +1,146 @@
+"""Integer row generation against the plain Fraction sweep it replaced.
+
+Row generation separates in ints over one common denominator per round;
+`reference_separation` is the old `Fraction` sweep.  At every point the
+solver reaches, the row it adds (or its certificate that none is violated)
+must be the one the sweep picks, so the rows, pivots and optimal points
+are those of the Fraction code.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import skbounds.bounds
+from skbounds import WeightedHypergraph, r_co_direct, subset_weight_table, upper_bound_theorem1
+
+from conftest import cycle_plus_edges, random_graph, random_hypergraph
+from reference_separation import reference_separation
+
+FAMILIES = {
+    "hypergraph": random_hypergraph,
+    "graph": random_graph,
+    "cycle": cycle_plus_edges,
+}
+
+# (factor, largest m of the packing LP): huge and tiny factors make the
+# common denominator large.  R_CO runs at m = 3..9 on every scale.  At the
+# tiny scale the rows x(e) <= w(e) and the capacity equality enter the
+# simplex multiplied by about 10^100, and the packing LP on the m = 8
+# cycle source takes about 30 times as long as at unit weights (same
+# rounds), so it stops at m = 6 there.
+SCALES = {
+    "unit": (Fraction(1), 9),
+    "huge": (Fraction(10**100, 3), 9),
+    "tiny": (Fraction(1, 10**100 + 1), 6),
+}
+
+
+def _row_mask(row, m):
+    """The subset B of an added row rates(B) - x(inside B) >= rhs, or None for no row."""
+    return None if row is None else sum(1 << i for i, c in enumerate(row.coeffs[-m:]) if c == 1)
+
+
+def _record_rounds(monkeypatch, hg, reference_table):
+    """Check each round's row against the reference sweep; returns the list of added masks."""
+    m, added = hg.m, []
+    solve_rowgen = skbounds.bounds.solve_with_row_generation
+
+    def checked(base, oracle, max_rounds):
+        def compare(point):
+            extra = oracle(point)
+            mask = _row_mask(extra, m)
+            if mask is not None:
+                added.append(mask)
+            assert mask == reference_separation(m, reference_table(point), point[-m:])
+            return extra
+
+        return solve_rowgen(base, compare, max_rounds)
+
+    monkeypatch.setattr(skbounds.bounds, "solve_with_row_generation", checked)
+    return added
+
+
+@pytest.mark.parametrize("scale", list(SCALES))
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_row_generation_adds_the_rows_of_the_fraction_sweep(monkeypatch, family, scale):
+    rng = random.Random(f"separation-oracle/{family}")
+    factor, packing_max_m = SCALES[scale]
+    rco_rows = packing_rows = 0
+    for m in range(3, 10):
+        hg = FAMILIES[family](rng, m)
+        hg = WeightedHypergraph(m, {e: factor * w for e, w in hg.weights.items()})
+        edges, cond = hg.edges, hg.conditional_entropy_table()
+        with monkeypatch.context() as patch:
+            added = _record_rounds(patch, hg, lambda point: cond)
+            r_co_direct(hg, method="rowgen")
+            rco_rows += len(added)
+        if m > packing_max_m:
+            continue
+        with monkeypatch.context() as patch:
+            added = _record_rounds(
+                patch, hg, lambda point: subset_weight_table(m, dict(zip(edges, point)))
+            )
+            upper_bound_theorem1(hg, method="rowgen")
+            packing_rows += len(added)
+    # Both LPs needed rows beyond the singletons they start from.
+    assert rco_rows > 0 and packing_rows > 0
+
+
+class _Captured(Exception):
+    pass
+
+
+def _round_oracle(monkeypatch, solve_lp):
+    """The per-round oracle that `solve_lp()` hands to row generation, before any solve."""
+
+    def capture(base, oracle, max_rounds):
+        raise _Captured(oracle)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(skbounds.bounds, "solve_with_row_generation", capture)
+        with pytest.raises(_Captured) as captured:
+            solve_lp()
+    return captured.value.args[0]
+
+
+@pytest.mark.parametrize("scale", list(SCALES))
+def test_a_round_separates_like_the_fraction_sweep_at_any_point(monkeypatch, scale):
+    # The solver's own points rarely carry a denominator the weights lack.
+    # Rates over 5 and 7 do, so most rounds here rescale the table.
+    rng = random.Random(f"separation-points/{scale}")
+    factor = SCALES[scale][0]
+    for m in range(3, 8):
+        hg = random_hypergraph(rng, m)
+        hg = WeightedHypergraph(m, {e: factor * w for e, w in hg.weights.items()})
+        edges, cond = hg.edges, hg.conditional_entropy_table()
+        rco = _round_oracle(monkeypatch, lambda: r_co_direct(hg, method="rowgen"))
+        packing = _round_oracle(monkeypatch, lambda: upper_bound_theorem1(hg, method="rowgen"))
+        for _ in range(20):
+            rates = tuple(
+                factor * Fraction(rng.randint(-2, 8), rng.choice((1, 2, 5, 7))) for _ in range(m)
+            )
+            x = tuple(hg.weights[e] * Fraction(rng.randint(0, 4), 4) for e in edges)
+            assert _row_mask(rco(rates), m) == reference_separation(m, cond, rates)
+            table = subset_weight_table(m, dict(zip(edges, x)))
+            assert _row_mask(packing(x + rates), m) == reference_separation(m, table, rates)
+
+
+def test_row_generation_separates_in_ints(monkeypatch):
+    # Weights with denominators 1, 2 and 3: every round must still reach the
+    # oracle as ints, never as Fractions.
+    hg = cycle_plus_edges(random.Random(8), 8)
+    seen = []
+    oracle = skbounds.bounds.separation_oracle
+
+    def typed(hg_, inside, rates):
+        seen.append({type(v) for v in (*inside, *rates)})
+        return oracle(hg_, inside, rates)
+
+    monkeypatch.setattr(skbounds.bounds, "separation_oracle", typed)
+    r_co_direct(hg, method="rowgen")
+    rco_rounds = len(seen)
+    upper_bound_theorem1(hg, method="rowgen")
+    assert 0 < rco_rounds < len(seen)
+    assert all(types == {int} for types in seen)
