@@ -12,7 +12,6 @@ from .errors import (
     CapExceededError,
     InputFormatError,
     InternalInvariantError,
-    RowGenerationLimitError,
     SkboundsError,
 )
 from .hypergraph import WeightedHypergraph, mask_of, subset_weight_table
@@ -25,7 +24,6 @@ __all__ = [
     "InputFormatError",
     "InternalInvariantError",
     "LinearProgram",
-    "RowGenerationLimitError",
     "SkboundsError",
     "WeightedHypergraph",
     "analyze",

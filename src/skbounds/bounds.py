@@ -34,8 +34,9 @@ cross-checking.  Row generation separates in exact ints: R_CO's table is
 built once per solve, times L, the lcm of the weights' denominators
 (`scaled_weight_table`, shared with `mmi`), the packing LP's table once per
 round from the point, and each round puts the rates and the table on one
-common denominator.  `tests/reference_separation.py` keeps the `Fraction`
-sweep as the test oracle.
+common denominator; all three scale through `rational.to_integers`.
+`tests/reference_separation.py` keeps the `Fraction` sweep as the test
+oracle.
 
 Each report identity is written once, in `_report_checks`: `analyze` raises
 on it and `run_checks` lists it beside the checks that need another solve.
@@ -43,7 +44,6 @@ on it and `run_checks` lists it beside the checks that need another solve.
 
 from __future__ import annotations
 
-import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -60,6 +60,7 @@ from .lp import (
     solve_with_row_generation,
 )
 from .partitions import MmiResult, cross_edges, mmi
+from .rational import to_integers
 
 FULL_ROW_DEFAULT_MAX_M = 8
 
@@ -121,7 +122,7 @@ def _resolve_method(hg: WeightedHypergraph, method: Method) -> str:
     return method
 
 
-def separation_oracle(hg: WeightedHypergraph, inside: Sequence, rates: Sequence) -> Optional[int]:
+def separation_oracle(inside: Sequence, rates: Sequence) -> Optional[int]:
     """Most violated subset row rates(B) >= inside[B], or None if none is violated.
 
     `inside[B]` is the weight subset mask B must cover: R_CO passes its
@@ -161,11 +162,10 @@ def _generate_rows(
 
     def oracle(point: tuple[Fraction, ...]) -> Optional[Constraint]:
         table, scale = inside(point)
-        rates = point[-hg.m :]
-        d = math.lcm(scale, *(r.denominator for r in rates))
+        rates, d = to_integers(point[-hg.m :], scale)
         if d != scale:
             table = [v * (d // scale) for v in table]
-        mask = separation_oracle(hg, table, [r.numerator * (d // r.denominator) for r in rates])
+        mask = separation_oracle(table, rates)
         return None if mask is None else row(mask)
 
     return solve_with_row_generation(base, oracle, 1 << hg.m)
@@ -263,9 +263,8 @@ def upper_bound_theorem1(
 
         def packing_table(point):
             # One denominator for the whole point, so the rates need no rescale.
-            d = math.lcm(*(v.denominator for v in point))
-            x = {e: v.numerator * (d // v.denominator) for e, v in zip(edges, point)}
-            return subset_weight_table(hg.m, x), d
+            ints, d = to_integers(point)
+            return subset_weight_table(hg.m, dict(zip(edges, ints))), d
 
         base = build_gamma_lp(hg, mres.value, subset_masks=_singleton_masks(hg.m))
         sol = _generate_rows(
@@ -332,19 +331,16 @@ def _report_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check
     return checks
 
 
-def analyze(
-    hg: WeightedHypergraph, *, mmi_result: Optional[MmiResult] = None, method: Method = "auto"
-) -> AnalysisReport:
+def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisReport:
     """Full report: entropy, capacity, omniscience rate, packing bound, graph bounds.
 
     Raises InternalInvariantError, with both values, on the first identity
     of `_report_checks` that the report breaks (R_CO = H - I, UB <= R_CO,
     and on graphs UB = (m - 2) I, LB <= UB, LB = CI - I, Type S reduced
-    source); a violation signals a bug.  `mmi_result`, when given, is the
-    partition scan of `hg`, so a caller that already holds it scans once.
+    source); a violation signals a bug.
     """
     method = _resolve_method(hg, method)
-    mres = mmi_result if mmi_result is not None else mmi(hg)
+    mres = mmi(hg)
     r_co, _rates = r_co_direct(hg, method=method)
     ub1, x_star = upper_bound_theorem1(hg, mmi_result=mres, method=method)
     graphical: Optional[GraphicalBounds] = None

@@ -30,13 +30,7 @@ from .bounds import (
     run_checks,
     upper_bound_theorem1,
 )
-from .errors import (
-    CapExceededError,
-    InputFormatError,
-    InternalInvariantError,
-    RowGenerationLimitError,
-    SkboundsError,
-)
+from .errors import CapExceededError, InputFormatError, InternalInvariantError, SkboundsError
 from .hypergraph import MAX_VERTICES, WeightedHypergraph, format_subset, mask_of
 from .partitions import mmi
 from .rational import format_rational, parse_rational
@@ -104,8 +98,8 @@ def parse_document(text: str) -> WeightedHypergraph:
     return WeightedHypergraph(m, weights)
 
 
-# Each renderer returns (JSON fields, text lines) for one block of the report;
-# main adds "m" and prints one of the two.
+# Each renderer and command returns (JSON fields, text lines); main adds "m"
+# and prints one of the two.
 
 
 def _mmi_output(result):
@@ -136,7 +130,10 @@ def _ub_output(hg: WeightedHypergraph, bound, packing):
     return doc, lines
 
 
-def _report_output(hg, report):
+# Each command takes (hg, method, report), where report is the analyze report
+# for analyze and under --check: a command reads its quantity from it, and
+# without one computes only that quantity.
+def _cmd_analyze(hg, method, report):
     mmi_doc, mmi_lines = _mmi_output(report.mmi)
     ub_doc, ub_lines = _ub_output(hg, report.ub_theorem1, report.x_star)
     doc = {
@@ -175,33 +172,29 @@ def _report_output(hg, report):
     return doc, lines
 
 
-# Each command returns (JSON fields, text lines, its partition scan or None);
-# main hands the scan on to analyze under --check.
-def _cmd_mmi(hg, method):
-    mres = mmi(hg)
-    return (*_mmi_output(mres), mres)
+def _cmd_mmi(hg, method, report):
+    return _mmi_output(mmi(hg) if report is None else report.mmi)
 
 
-def _cmd_rco(hg, method):
-    value, _rates = r_co_direct(hg, method=method)
-    return {"r_co": format_rational(value)}, [f"R_CO = {format_rational(value)}"], None
+def _cmd_rco(hg, method, report):
+    value = r_co_direct(hg, method=method)[0] if report is None else report.r_co
+    return {"r_co": format_rational(value)}, [f"R_CO = {format_rational(value)}"]
 
 
-def _cmd_ub(hg, method):
-    mres = mmi(hg)
-    bound, packing = upper_bound_theorem1(hg, mmi_result=mres, method=method)
-    return (*_ub_output(hg, bound, packing), mres)
+def _cmd_ub(hg, method, report):
+    if report is None:
+        return _ub_output(hg, *upper_bound_theorem1(hg, method=method))
+    return _ub_output(hg, report.ub_theorem1, report.x_star)
 
 
-def _cmd_lb(hg, method):
-    if not hg.is_graph:
-        raise InputFormatError("lower bound needs a graphical source (all edges of size 2)")
-    mres = mmi(hg)
-    bound = format_rational(graphical_bounds(hg, mmi_result=mres).lower_bound)
-    return {"lower_bound": bound}, [f"LB(Thm 3) = {bound}"], mres
+def _cmd_lb(hg, method, report):
+    graphical = graphical_bounds(hg) if report is None else report.graphical
+    bound = format_rational(graphical.lower_bound)
+    return {"lower_bound": bound}, [f"LB(Thm 3) = {bound}"]
 
 
 _COMMANDS = {
+    "analyze": _cmd_analyze,
     "mmi": _cmd_mmi,
     "rco": _cmd_rco,
     "ub": _cmd_ub,
@@ -260,19 +253,17 @@ def main(argv=None) -> int:
             with open(args.path, "r", encoding="utf-8", newline="") as handle:
                 text = handle.read()
         hg = parse_document(text)
-        report = mres = None
-        if args.command == "analyze":
+        if args.command == "lb" and not hg.is_graph:
+            raise InputFormatError("lower bound needs a graphical source (all edges of size 2)")
+        report = None
+        if args.command == "analyze" or args.check:
             report = analyze(hg, method=args.method)
-            doc, lines = _report_output(hg, report)
-        else:
-            doc, lines, mres = _COMMANDS[args.command](hg, args.method)
+        doc, lines = _COMMANDS[args.command](hg, args.method, report)
         if args.json:
             lines = [json.dumps({"m": hg.m, **doc}, indent=2)]
         for line in lines:
             print(line)
         if args.check:
-            if report is None:
-                report = analyze(hg, mmi_result=mres, method=args.method)
             failures = 0
             for label, ok, value, expected in run_checks(hg, report):
                 if ok:
@@ -285,7 +276,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"skbounds: {exc}", file=sys.stderr)
         return 3
-    except (InternalInvariantError, RowGenerationLimitError) as exc:
+    except InternalInvariantError as exc:
         print(f"skbounds: internal invariant violated: {exc}", file=sys.stderr)
         return 1
     except (OSError, SkboundsError) as exc:

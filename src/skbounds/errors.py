@@ -21,7 +21,3 @@ class InputFormatError(SkboundsError):
 
 class InternalInvariantError(SkboundsError):
     """A mathematically guaranteed identity failed; this signals a bug."""
-
-
-class RowGenerationLimitError(SkboundsError):
-    """Separation loop exceeded its iteration cap; this signals a bug."""

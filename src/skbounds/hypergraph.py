@@ -17,12 +17,12 @@ so instances can be shared freely across concurrent work.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import CapExceededError
+from .rational import to_integers
 
 # Hyperedges are bitmasks; parsing rejects anything wider than this.
 MAX_VERTICES = 20
@@ -56,9 +56,10 @@ def format_subset(mask: int) -> str:
 def subset_weight_table(m: int, entries: Mapping[int, Fraction | int]) -> list[Fraction | int]:
     """table[B] = total value of entries on hyperedges e contained in B.
 
-    Computed with a subset-sum (zeta) transform in O(2^m * m) additions.
-    Sums stay in the type of the entries (Fractions or ints); a subset that
-    contains no hyperedge holds int 0.
+    With a source's weights as entries this is the entropy of every group B
+    given the rest.  Computed with a subset-sum (zeta) transform in
+    O(2^m * m) additions.  Sums stay in the type of the entries (Fractions
+    or ints); a subset that contains no hyperedge holds int 0.
     """
     table = [0] * (1 << m)
     for mask, value in entries.items():
@@ -73,9 +74,8 @@ def subset_weight_table(m: int, entries: Mapping[int, Fraction | int]) -> list[F
 
 def scaled_weight_table(m: int, entries: Mapping[int, Fraction]) -> tuple[list[int], int]:
     """(table, L): L the lcm of the entries' denominators, table that of L * entries, in ints."""
-    scale = math.lcm(*(v.denominator for v in entries.values()))
-    ints = {e: v.numerator * (scale // v.denominator) for e, v in entries.items()}
-    return subset_weight_table(m, ints), scale
+    ints, scale = to_integers(entries.values())
+    return subset_weight_table(m, dict(zip(entries, ints))), scale
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,8 @@ class WeightedHypergraph:
     """Terminal count plus a map from hyperedge bitmasks to positive weights.
 
     Zero-weight entries are dropped on construction (the edge set is the
-    support of the weight function); negative weights are rejected.
+    support of the weight function); negative weights are rejected, and so
+    are floats, which are not exact.
     """
 
     m: int
@@ -101,6 +102,8 @@ class WeightedHypergraph:
         for mask, value in self.weights.items():
             if not isinstance(mask, int) or mask <= 0 or mask > full:
                 raise ValueError(f"hyperedge mask {mask!r} is not a nonempty subset of {{1..{self.m}}}")
+            if isinstance(value, float):
+                raise TypeError(f"weight {value!r} on {format_subset(mask)} is a float, not exact")
             value = Fraction(value)
             if value < 0:
                 raise ValueError(f"negative weight {value} on hyperedge {format_subset(mask)}")
@@ -128,14 +131,10 @@ class WeightedHypergraph:
 
     def entropy_table(self) -> list[Fraction]:
         """Entropy of every group A (weight of the hyperedges meeting A), by mask."""
-        cond = self.conditional_entropy_table()
+        cond = subset_weight_table(self.m, self.weights)
         total = self.total_entropy
         full = self.full_mask
         return [total - cond[full ^ a] for a in range(full + 1)]
-
-    def conditional_entropy_table(self) -> list[Fraction]:
-        """Entropy of every group A given the rest (weight inside A), by mask."""
-        return subset_weight_table(self.m, self.weights)
 
     def restrict(self, packing: Mapping[int, Fraction]) -> "WeightedHypergraph":
         """Source left after partially removing hyperedge randomness.
@@ -152,4 +151,4 @@ class WeightedHypergraph:
                 raise ValueError(
                     f"packing entry {value} exceeds weight {self.weights[mask]} on {format_subset(mask)}"
                 )
-        return WeightedHypergraph(self.m, {mask: Fraction(v) for mask, v in packing.items()})
+        return WeightedHypergraph(self.m, dict(packing))

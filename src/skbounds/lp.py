@@ -36,11 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .errors import InternalInvariantError, RowGenerationLimitError
-from .rational import format_rational
+from .errors import InternalInvariantError
+from .rational import format_rational, to_integers
 
 RELATIONS = ("<=", ">=", "=")
 
@@ -54,7 +53,11 @@ _ZERO = Fraction(0)
 def _rational(value) -> Fraction:
     # Fractions are immutable and kept as they are: wrapping each coefficient
     # again costs a measurable share of LP set-up.
-    return value if type(value) is Fraction else Fraction(value)
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a float, not exact")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -222,12 +225,6 @@ def _bland(rows, obj, row_vars, col_vars, den):
         den = _pivot(rows, obj, row_vars, col_vars, den, pr, pc)
 
 
-def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """`values` times the lcm of their denominators, as integers, and that lcm."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def solve(lp: LinearProgram) -> LpSolution:
     """Exact optimum of a minimization program.
 
@@ -278,7 +275,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         # Each "<=" row is scaled to integers by its own L > 0, which only
         # rescales its slack: no sign and no ratio Bland's rule reads changes.
         acc, const = to_columns(con.coeffs)
-        row, scale = _integer_row([con.rhs - const] + acc)
+        row, scale = to_integers([con.rhs - const] + acc)
         if con.relation in ("<=", "="):
             yield row, scale
         if con.relation in (">=", "="):
@@ -291,11 +288,9 @@ def solve(lp: LinearProgram) -> LpSolution:
             rows.append(row)
             scales.append(scale)
     for col, rhs in bound_rows:
-        row = [0] * (ncols + 1)
-        row[0] = rhs.numerator
-        row[col + 1] = rhs.denominator
+        row, scale = to_integers([rhs] + [int(j == col) for j in range(ncols)])
         rows.append(row)
-        scales.append(rhs.denominator)
+        scales.append(scale)
     den = 1
 
     col_vars = list(range(ncols))
@@ -339,7 +334,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     # Phase two: install the real objective, expressed over the current
     # basis, as integers over `den` scaled by the lcm of its coefficients.
     col_coeff, const = to_columns(lp.objective)
-    (const, *col_coeff), obj_scale = _integer_row([const] + col_coeff)
+    (const, *col_coeff), obj_scale = to_integers([const] + col_coeff)
     obj = [0] * (len(col_vars) + 1)
     obj[0] = const * den
     position = {vid: j for j, vid in enumerate(col_vars)}
@@ -426,6 +421,6 @@ def solve_with_row_generation(
             return sol
         lp._check(extra)
         lp.constraints.append(extra)
-    raise RowGenerationLimitError(
+    raise InternalInvariantError(
         f"separation oracle did not certify within {max_rounds} rounds"
     )

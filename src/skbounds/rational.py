@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from typing import Collection
 
 _FRACTION_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
 _DECIMAL_RE = re.compile(r"[+-]?\d+\.\d+", re.ASCII)
@@ -49,3 +51,14 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def to_integers(values: Collection[Fraction | int], base: int = 1) -> tuple[list[int], int]:
+    """(ints, L): L the lcm of `base` and the values' denominators, ints[i] = L * values[i].
+
+    This is the one place the package turns rationals into integers over a
+    common denominator: LP rows, subset tables and separation rounds all
+    scale through it.
+    """
+    scale = lcm(base, *(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale

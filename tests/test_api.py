@@ -1,5 +1,6 @@
 """The package's public surface: `__all__` is what README documents."""
 
+import ast
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +14,7 @@ from skbounds.cli import parse_document
 from conftest import fixture_text
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(skbounds.__file__).resolve().parent
 
 
 def documented_entry_points() -> list[str]:
@@ -26,6 +28,24 @@ def test_exports_are_the_documented_entry_points():
     assert sorted(skbounds.__all__) == documented_entry_points()
     for name in skbounds.__all__:
         assert getattr(skbounds, name) is not None
+
+
+def test_only_rational_scales_to_integers():
+    # The integer format (values times the lcm of their denominators) lives
+    # behind rational.to_integers; no other module reads a denominator.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "rational.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "denominator":
+                offenders.append(f"{path.name}:{node.lineno} .denominator")
+            elif isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name == "lcm":
+                    offenders.append(f"{path.name}:{node.lineno} lcm()")
+    assert offenders == []
 
 
 def test_graphical_bounds_rejects_a_non_graph():

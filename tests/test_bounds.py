@@ -61,7 +61,7 @@ def test_rco_example1():
     value, rates = r_co_direct(EXAMPLE1)
     assert value == F(7, 2)
     assert sum(rates.rates) == value
-    cond = EXAMPLE1.conditional_entropy_table()
+    cond = subset_weight_table(EXAMPLE1.m, EXAMPLE1.weights)
     for mask in range(1, EXAMPLE1.full_mask):
         assert sum(rates.rates[i] for i in range(4) if mask >> i & 1) >= cond[mask]
 
@@ -164,7 +164,7 @@ def _separation_cases():
 def test_separation_oracle_finds_the_most_violated_subset(hg, x, rates, expected):
     # x is None for R_CO (the table is cond) and a packing otherwise.
     entries = hg.weights if x is None else x
-    table = hg.conditional_entropy_table() if x is None else subset_weight_table(hg.m, x)
+    table = subset_weight_table(hg.m, entries)
 
     def slack(b):  # rates(B) - weight inside B, by direct sums
         rate = sum((r for i, r in enumerate(rates) if b >> i & 1), F(0))
@@ -172,7 +172,7 @@ def test_separation_oracle_finds_the_most_violated_subset(hg, x, rates, expected
 
     most = min(range(1, hg.full_mask), key=lambda b: (slack(b), b))
     brute = most if slack(most) < 0 else None
-    found = separation_oracle(hg, table, rates)
+    found = separation_oracle(table, rates)
     assert found == brute
     if expected is not ...:
         assert found == expected
@@ -237,6 +237,8 @@ def test_gamma_membership():
     lowered = dict(EXAMPLE1.weights)
     lowered[mask_of((1, 2))] = F(1)  # below the 3/2 threshold: capacity drops
     assert not verify_gamma_membership(EXAMPLE1, lowered)
+    with pytest.raises(TypeError, match="float"):
+        verify_gamma_membership(EXAMPLE1, {e: float(w) for e, w in EXAMPLE1.weights.items()})
 
 
 def test_graphical_upper_bound():

@@ -40,6 +40,15 @@ def test_rejects_bad_edges():
         WeightedHypergraph(3, {3: Fraction(-1)})
 
 
+def test_weights_must_be_exact():
+    # 0.1 as a float is 3602879701896397/36028797018963968, not 1/10.
+    with pytest.raises(TypeError, match="float"):
+        WeightedHypergraph(3, {0b011: 0.1, 0b110: 1})
+    hg = WeightedHypergraph(3, {0b011: "1/10", 0b110: 1, 0b101: Fraction(1, 10)})
+    assert hg.weights == {0b011: Fraction(1, 10), 0b110: 1, 0b101: Fraction(1, 10)}
+    assert all(type(w) is Fraction for w in hg.weights.values())
+
+
 def test_zero_weight_edges_are_dropped():
     hg = WeightedHypergraph(3, {3: Fraction(0), 6: Fraction(1)})
     assert hg.edges == (6,)
@@ -54,7 +63,7 @@ def test_entropy_example1(example1):
 
 
 def test_conditional_entropy_example1(example1):
-    cond = example1.conditional_entropy_table()
+    cond = subset_weight_table(example1.m, example1.weights)
     # only edge {1,2} fits inside {1,2}
     assert cond[mask_of((1, 2))] == 2
     assert cond[example1.full_mask] == example1.total_entropy
@@ -63,7 +72,7 @@ def test_conditional_entropy_example1(example1):
 
 def test_complement_identity_exhaustive(example1):
     ent = example1.entropy_table()
-    cond = example1.conditional_entropy_table()
+    cond = subset_weight_table(example1.m, example1.weights)
     total = example1.total_entropy
     full = example1.full_mask
     for a in range(full + 1):
@@ -74,7 +83,7 @@ def test_tables_match_pointwise(example1):
     # Direct sums: entropy counts the edges meeting A, the conditional
     # entropy those inside A.
     ent = example1.entropy_table()
-    cond = example1.conditional_entropy_table()
+    cond = subset_weight_table(example1.m, example1.weights)
     weights = example1.weights.items()
     for a in range(example1.full_mask + 1):
         assert ent[a] == sum((w for e, w in weights if e & a), Fraction(0))
@@ -119,6 +128,15 @@ def test_restrict_drops_zeroed_edges(example1):
     reduced = example1.restrict(packing)
     assert reduced.edges == ()
     assert reduced.total_entropy == 0
+
+
+def test_restrict_rejects_a_float_packing(example1):
+    packing = dict(EXAMPLE1)
+    packing[mask_of((1, 2))] = 1.5
+    with pytest.raises(TypeError, match="float"):
+        example1.restrict(packing)
+    packing[mask_of((1, 2))] = 1
+    assert example1.restrict(packing).total_entropy == 4
 
 
 def test_restrict_validates(example1):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from skbounds import Constraint, LinearProgram, RowGenerationLimitError, solve, solve_with_row_generation
+from skbounds import Constraint, InternalInvariantError, LinearProgram, solve, solve_with_row_generation
 
 F = Fraction
 
@@ -138,6 +138,24 @@ def test_beale_cycling_program_terminates():
     assert sol.objective_value == F(-5, 4)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Constraint((0.1,), ">=", 0),
+        lambda: Constraint((1,), ">=", 0.1),
+        lambda: LinearProgram(["x"], [0.1]),
+        lambda: LinearProgram(["x"], [1], lower=[0.5]),
+        lambda: LinearProgram(["x"], [1], upper=[0.5]),
+        lambda: LinearProgram(["x"], [1]).add_constraint([0.5], "<=", 1),
+    ],
+    ids=["coefficient", "rhs", "objective", "lower", "upper", "added-row"],
+)
+def test_floats_are_rejected(build):
+    # Ints, strings and Fractions are accepted (test_single_variable_bounds).
+    with pytest.raises(TypeError, match="float"):
+        build()
+
+
 def test_constraint_validates_relation():
     with pytest.raises(ValueError):
         Constraint((F(1),), "<", F(0))
@@ -175,7 +193,7 @@ def test_row_generation_cap_is_hard_error():
     def broken_oracle(point):
         return Constraint((F(1),), ">=", F(0))
 
-    with pytest.raises(RowGenerationLimitError):
+    with pytest.raises(InternalInvariantError, match="did not certify within 3 rounds"):
         solve_with_row_generation(base, broken_oracle, max_rounds=3)
 
 

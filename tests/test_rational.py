@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from skbounds.rational import format_rational, parse_rational
+from skbounds.rational import format_rational, parse_rational, to_integers
 
 
 def test_parse_fraction_literal():
@@ -87,3 +89,22 @@ def test_canonical_form_after_operations():
         for q in (a + b, a - b, a * b):
             assert q.denominator > 0
             assert math.gcd(abs(q.numerator), q.denominator) == 1
+
+
+# Ints mixed with Fractions, the mix LP rows hand to to_integers.
+exact_values = st.lists(
+    st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60)), max_size=8
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(exact_values, st.integers(1, 36))
+@example([], 1)
+@example([], 7)
+def test_to_integers_scales_by_the_lcm_of_the_denominators(values, base):
+    ints, scale = to_integers(values, base)
+    assert scale == math.lcm(base, *(Fraction(v).denominator for v in values))
+    assert all(type(n) is int for n in ints)
+    assert [Fraction(n, scale) for n in ints] == values
+    if not values:
+        assert (ints, scale) == ([], base)

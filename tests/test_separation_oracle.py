@@ -71,7 +71,7 @@ def test_row_generation_adds_the_rows_of_the_fraction_sweep(monkeypatch, family,
     for m in range(3, 10):
         hg = FAMILIES[family](rng, m)
         hg = WeightedHypergraph(m, {e: factor * w for e, w in hg.weights.items()})
-        edges, cond = hg.edges, hg.conditional_entropy_table()
+        edges, cond = hg.edges, subset_weight_table(m, hg.weights)
         with monkeypatch.context() as patch:
             added = _record_rounds(patch, hg, lambda point: cond)
             r_co_direct(hg, method="rowgen")
@@ -114,7 +114,7 @@ def test_a_round_separates_like_the_fraction_sweep_at_any_point(monkeypatch, sca
     for m in range(3, 8):
         hg = random_hypergraph(rng, m)
         hg = WeightedHypergraph(m, {e: factor * w for e, w in hg.weights.items()})
-        edges, cond = hg.edges, hg.conditional_entropy_table()
+        edges, cond = hg.edges, subset_weight_table(m, hg.weights)
         rco = _round_oracle(monkeypatch, lambda: r_co_direct(hg, method="rowgen"))
         packing = _round_oracle(monkeypatch, lambda: upper_bound_theorem1(hg, method="rowgen"))
         for _ in range(20):
@@ -134,9 +134,9 @@ def test_row_generation_separates_in_ints(monkeypatch):
     seen = []
     oracle = skbounds.bounds.separation_oracle
 
-    def typed(hg_, inside, rates):
+    def typed(inside, rates):
         seen.append({type(v) for v in (*inside, *rates)})
-        return oracle(hg_, inside, rates)
+        return oracle(inside, rates)
 
     monkeypatch.setattr(skbounds.bounds, "separation_oracle", typed)
     r_co_direct(hg, method="rowgen")
