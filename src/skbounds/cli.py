@@ -11,8 +11,8 @@ Document format::
     edge 3 4 : 1.5
 
 Duplicate edge lines merge by summing weights.  Exit codes: 0 success,
-1 invariant violation (under --check), 2 malformed or unsuitable input,
-3 size cap exceeded.
+1 invariant violation (under --check), 2 malformed or unsuitable input
+(input that is not UTF-8 included), 3 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -246,13 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Bytes, decoded strictly: CR and CRLF reach the parser untranslated,
+        # and input that is not UTF-8 exits 2 on both paths.
         if args.path == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            # newline="" hands CR and CRLF to the parser untranslated.
-            with open(args.path, "r", encoding="utf-8", newline="") as handle:
-                text = handle.read()
-        hg = parse_document(text)
+            with open(args.path, "rb") as handle:
+                data = handle.read()
+        hg = parse_document(data.decode("utf-8"))
         if args.command == "lb" and not hg.is_graph:
             raise InputFormatError("lower bound needs a graphical source (all edges of size 2)")
         report = None
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"skbounds: internal invariant violated: {exc}", file=sys.stderr)
         return 1
-    except (OSError, SkboundsError) as exc:
+    except (OSError, UnicodeDecodeError, SkboundsError) as exc:
         print(f"skbounds: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -66,8 +66,9 @@ def subset_weight_table(m: int, entries: Mapping[int, Fraction | int]) -> list[F
         table[mask] += value
     for bit in range(m):
         b = 1 << bit
-        for s in range(1 << m):
-            if s & b:
+        # The masks containing the bit come in runs of b, every 2b masks.
+        for lo in range(b, 1 << m, 2 * b):
+            for s in range(lo, lo + b):
                 table[s] += table[s ^ b]
     return table
 

@@ -34,12 +34,12 @@ oracle for constraint families too large to materialize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import InternalInvariantError
-from .rational import format_rational, to_integers
+from .rational import to_integers
 
 RELATIONS = ("<=", ">=", "=")
 
@@ -107,37 +107,6 @@ class LinearProgram:
         con = Constraint(tuple(coeffs), relation, rhs)
         self._check(con)
         self.constraints.append(con)
-
-    def copy(self) -> "LinearProgram":
-        return LinearProgram(
-            list(self.variables),
-            list(self.objective),
-            list(self.constraints),
-            list(self.lower),
-            list(self.upper),
-        )
-
-
-def _linear_expr(coeffs: Sequence[Fraction], names: Sequence[str]) -> str:
-    terms = []
-    for c, name in zip(coeffs, names):
-        if c == 0:
-            continue
-        if c == 1:
-            terms.append(("+", name))
-        elif c == -1:
-            terms.append(("-", name))
-        elif c > 0:
-            terms.append(("+", f"{format_rational(c)} {name}"))
-        else:
-            terms.append(("-", f"{format_rational(-c)} {name}"))
-    if not terms:
-        return "0"
-    sign, first = terms[0]
-    out = first if sign == "+" else f"-{first}"
-    for sign, term in terms[1:]:
-        out += f" {sign} {term}"
-    return out
 
 
 @dataclass(frozen=True)
@@ -231,44 +200,37 @@ def solve(lp: LinearProgram) -> LpSolution:
     Returns status "optimal" with an exactly feasible point and objective
     value, or "infeasible"/"unbounded".
     """
-    n = len(lp.variables)
-
-    # Map each original variable onto nonnegative columns.
-    transforms = []
+    # Each variable is offset + sum(sign * column) over its nonnegative
+    # columns: shifted by its lower bound, mirrored at its upper bound, or
+    # split into two parts when free.
+    var_map: list[tuple[Fraction, tuple[tuple[int, int], ...]]] = []
     ncols = 0
     bound_rows = []  # (column, rhs): column value <= rhs
-    for t in range(n):
-        lo, up = lp.lower[t], lp.upper[t]
+    for lo, up in zip(lp.lower, lp.upper):
         if lo is not None:
-            transforms.append(("shift", ncols, lo))
+            var_map.append((lo, ((ncols, 1),)))
             if up is not None:
                 bound_rows.append((ncols, up - lo))
             ncols += 1
         elif up is not None:
-            transforms.append(("mirror", ncols, up))
+            var_map.append((up, ((ncols, -1),)))
             ncols += 1
         else:
-            transforms.append(("split", ncols, ncols + 1))
+            var_map.append((_ZERO, ((ncols, 1), (ncols + 1, -1))))
             ncols += 2
 
     def to_columns(coeffs: Sequence[Fraction]):
         # Coefficients over the nonnegative columns, plus the constant the
-        # shifts add.  Each column belongs to one variable.
+        # offsets add.  Each column belongs to one variable.
         acc = [0] * ncols
         const = 0
-        for t, c in enumerate(coeffs):
+        for c, (offset, cols) in zip(coeffs, var_map):
             if c == 0:
                 continue
-            tr = transforms[t]
-            if tr[0] == "shift":
-                acc[tr[1]] = c
-                const += c * tr[2]
-            elif tr[0] == "mirror":
-                acc[tr[1]] = -c
-                const += c * tr[2]
-            else:
-                acc[tr[1]] = c
-                acc[tr[2]] = -c
+            for col, sign in cols:
+                acc[col] = c if sign > 0 else -c
+            if offset:
+                const += c * offset
         return acc, const
 
     def le_rows(con: Constraint):
@@ -356,14 +318,11 @@ def solve(lp: LinearProgram) -> LpSolution:
         if vid < ncols:
             values[vid] = Fraction(rows[i][0], den)
     point = []
-    for t in range(n):
-        tr = transforms[t]
-        if tr[0] == "shift":
-            point.append(tr[2] + values.get(tr[1], _ZERO))
-        elif tr[0] == "mirror":
-            point.append(tr[2] - values.get(tr[1], _ZERO))
-        else:
-            point.append(values.get(tr[1], _ZERO) - values.get(tr[2], _ZERO))
+    for x, cols in var_map:
+        for col, sign in cols:
+            if col in values:
+                x = x + values[col] if sign > 0 else x - values[col]
+        point.append(x)
     objective_value = sum((c * x for c, x in zip(lp.objective, point)), _ZERO)
     dictionary_value = Fraction(obj[0], den * obj_scale)
     if objective_value != dictionary_value:
@@ -381,7 +340,7 @@ def _verify(lp: LinearProgram, point: Sequence[Fraction]) -> None:
             raise InternalInvariantError(f"{lp.variables[t]} = {x} below lower bound {lo}")
         if up is not None and x > up:
             raise InternalInvariantError(f"{lp.variables[t]} = {x} above upper bound {up}")
-    for con in lp.constraints:
+    for i, con in enumerate(lp.constraints):
         lhs = sum((c * x for c, x in zip(con.coeffs, point) if c), _ZERO)
         ok = (
             lhs <= con.rhs if con.relation == "<="
@@ -390,8 +349,8 @@ def _verify(lp: LinearProgram, point: Sequence[Fraction]) -> None:
         )
         if not ok:
             raise InternalInvariantError(
-                f"returned point violates {_linear_expr(con.coeffs, lp.variables)}"
-                f" {con.relation} {format_rational(con.rhs)} (lhs = {lhs})"
+                f"returned point violates constraint {i}:"
+                f" lhs {lhs} is not {con.relation} rhs {con.rhs}"
             )
 
 
@@ -411,7 +370,7 @@ def solve_with_row_generation(
     `max_rounds` is a hard error: the families used here are finite, so
     running past them proves a bug.
     """
-    lp = lp_base.copy()
+    lp = replace(lp_base, constraints=list(lp_base.constraints))
     for _ in range(max_rounds):
         sol = solve(lp)
         if sol.status != OPTIMAL:

@@ -60,3 +60,43 @@ def test_graphical_bounds_rejects_a_non_graph():
 def test_graphical_bounds_on_the_worked_examples(name, expected):
     bounds = graphical_bounds(parse_document(fixture_text(name)))
     assert (bounds.ub_theorem2, bounds.lower_bound, bounds.ci) == expected
+
+
+def _unread_names(tree: ast.Module) -> list[str]:
+    """Imported names, and module-level private ones, that the module never reads."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, ast.Assign):
+            bound = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound = [node.target.id]
+        else:
+            continue
+        names += [b for b in bound if b.startswith("_") and not b.startswith("__")]
+    return sorted(set(names) - read)
+
+
+def test_the_unread_name_guard_sees_imports_and_private_names():
+    source = (
+        "import os, re\nfrom x import a as b, c\n"
+        "_K = 1\n_L: int = 2\ndef _f(): return c\nclass _G: pass\nre.sub\n"
+    )
+    assert _unread_names(ast.parse(source)) == ["_G", "_K", "_L", "_f", "b", "os"]
+
+
+def test_every_import_and_private_name_is_read():
+    # The project has no linter dependency; this is its unused-code check.
+    unread = {
+        path.name: _unread_names(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in unread.items() if names} == {}

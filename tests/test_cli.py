@@ -215,10 +215,33 @@ def test_lb_rejects_non_graph(tmp_path, capsys):
 def test_stdin_input(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(fixture_text("triangle.hg")))
+    stdin = io.TextIOWrapper(io.BytesIO(fixture_text("triangle.hg").encode("utf-8")))
+    monkeypatch.setattr("sys.stdin", stdin)
     code, out, _ = run_cli(capsys, "mmi", "-")
     assert code == 0
     assert "I(X_M) = 3/2" in out
+
+
+NOT_UTF8 = b"m = 2\nedge 1 2 : 1\xff\n"
+
+
+def test_input_that_is_not_utf8_exits_2(tmp_path):
+    # A file or stdin, even under a strict text encoding for stdin: one
+    # stderr line and exit 2, not a traceback and exit 1.
+    doc = tmp_path / "latin1.hg"
+    doc.write_bytes(NOT_UTF8)
+    for args, stdin in (([str(doc)], None), (["-"], NOT_UTF8)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "skbounds.cli", "mmi", *args],
+            input=stdin,
+            capture_output=True,
+            env={**SUBPROCESS_ENV, "PYTHONIOENCODING": "utf-8:strict"},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            b"skbounds: 'utf-8' codec can't decode byte 0xff in position 18: invalid start byte\n"
+        )
 
 
 NON_ASCII_DOC = "m = ٤\nedge ١ 2 : 1\nedge 3 4 : ٣/2\n"  # Arabic-Indic 4, 1 and 3

@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from skbounds import Constraint, InternalInvariantError, LinearProgram, solve, solve_with_row_generation
+from skbounds.lp import _verify
 
 F = Fraction
 
@@ -201,3 +203,50 @@ def test_row_generation_passes_through_infeasible():
     base = LinearProgram(["x"], [F(1)], lower=[F(0)], upper=[F(-1)])
     sol = solve_with_row_generation(base, lambda point: None, max_rounds=2)
     assert sol.status == "infeasible"
+
+
+def test_row_generation_leaves_the_base_lp_unchanged():
+    family = [Constraint((F(1), F(1)), ">=", F(k)) for k in (1, 2, 3)]
+    base = LinearProgram(["x", "y"], [F(1), F(1)], lower=[F(0), F(0)])
+    base.add_constraint([F(1), F(0)], "<=", F(5))
+    rows = base.constraints
+    before = list(rows)
+
+    def oracle(point):
+        return next((c for c in family if point[0] + point[1] < c.rhs), None)
+
+    sol = solve_with_row_generation(base, oracle, max_rounds=8)
+    assert sol.objective_value == 3
+    assert base.constraints is rows
+    assert rows == before
+
+
+def _verify_lp():
+    # x >= 0, y <= 2, z in [1, 3], with one row of each relation.
+    lp = LinearProgram(
+        ["x", "y", "z"], [F(0)] * 3, lower=[F(0), None, F(1)], upper=[None, F(2), F(3)]
+    )
+    lp.add_constraint([F(1), F(1), F(0)], "<=", F(4))
+    lp.add_constraint([F(0), F(1), F(1)], ">=", F(2))
+    lp.add_constraint([F(1), F(0), F(-1)], "=", F(0))
+    return lp
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ((F(3), F(2), F(3)), "constraint 0: lhs 5 is not <= rhs 4"),
+        ((F(1), F(0), F(1)), "constraint 1: lhs 1 is not >= rhs 2"),
+        ((F(2), F(1), F(3, 2)), "constraint 2: lhs 1/2 is not = rhs 0"),
+        ((F(-1), F(2), F(1)), "x = -1 below lower bound 0"),
+        ((F(2), F(5, 2), F(2)), "y = 5/2 above upper bound 2"),
+        ((F(1, 2), F(1), F(1, 2)), "z = 1/2 below lower bound 1"),
+        ((F(4), F(0), F(4)), "z = 4 above upper bound 3"),
+    ],
+    ids=["le-row", "ge-row", "eq-row", "x-lower", "y-upper", "z-lower", "z-upper"],
+)
+def test_verify_rejects_a_point_that_breaks_a_row_or_bound(point, message):
+    lp = _verify_lp()
+    _verify(lp, (F(1), F(1), F(1)))  # feasible: passes silently
+    with pytest.raises(InternalInvariantError, match=re.escape(message)):
+        _verify(lp, point)
