@@ -30,11 +30,14 @@ proper subset B, rates(B) - x(edges inside B) >= rhs, with no x and rhs the
 entropy of B given the rest for R_CO, and one x per hyperedge and rhs 0 for
 the packing LP.  It is materialized in full for m <= 8 and generated on
 demand by `separation_oracle` above that, and both paths can be forced for
-cross-checking.  Row generation separates in exact ints: R_CO's table is
-built once per solve, times L, the lcm of the weights' denominators
-(`scaled_weight_table`, shared with `mmi`), the packing LP's table once per
-round from the point, and each round puts the rates and the table on one
-common denominator; all three scale through `rational.to_integers`.
+cross-checking.  `r_co_direct` and `upper_bound_theorem1`, like `mmi`,
+solve on the integer source (`WeightedHypergraph.integer_source`: weights
+times L, the lcm of their denominators; the packing LP pinned to L times
+the capacity) and divide what they return by L once: every quantity is
+homogeneous of degree one in the weights, and scaling every right-hand side
+and bound by L > 0 changes no pivot.  Row generation separates in ints over
+each point's common denominator d, against d times a table: R_CO's, built
+once per solve, or the packing LP's, built from the point.
 `tests/reference_separation.py` keeps the `Fraction` sweep as the test
 oracle.
 
@@ -51,7 +54,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InternalInvariantError
-from .hypergraph import WeightedHypergraph, format_subset, scaled_weight_table, subset_weight_table
+from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
 from .lp import (
     OPTIMAL,
     Constraint,
@@ -148,27 +151,24 @@ def _subset_row(edges: Sequence[int], m: int, mask: int, rhs: Fraction) -> Const
 
 
 def _generate_rows(
-    hg: WeightedHypergraph,
+    m: int,
     base: LinearProgram,
-    inside: Callable[[tuple[Fraction, ...]], tuple[list[int], int]],
+    inside: Callable[[list[int], int], list[int]],
     row: Callable[[int], Constraint],
 ):
     """Solve `base`, adding `row(mask)` for the most violated subset until none is.
 
-    `inside(point)` is (table, L): L times the table the point's rates (its
-    last m entries) must cover, in ints.  Each round separates in ints over
-    D = lcm(L, the rates' denominators), rescaling the table only when D != L.
+    Each round puts the point on one common denominator d, as ints, and
+    `inside(ints, d)` returns d times the table that the point's rates (its
+    last m entries) must cover.
     """
 
     def oracle(point: tuple[Fraction, ...]) -> Optional[Constraint]:
-        table, scale = inside(point)
-        rates, d = to_integers(point[-hg.m :], scale)
-        if d != scale:
-            table = [v * (d // scale) for v in table]
-        mask = separation_oracle(table, rates)
+        ints, d = to_integers(point)
+        mask = separation_oracle(inside(ints, d), ints[-m:])
         return None if mask is None else row(mask)
 
-    return solve_with_row_generation(base, oracle, 1 << hg.m)
+    return solve_with_row_generation(base, oracle, 1 << m)
 
 
 def build_rco_lp(hg: WeightedHypergraph, subset_masks=None, cond=None) -> LinearProgram:
@@ -177,16 +177,16 @@ def build_rco_lp(hg: WeightedHypergraph, subset_masks=None, cond=None) -> Linear
     One row per nonempty proper subset B: the rates inside B must cover the
     entropy of B given the rest.  `subset_masks` narrows the family (used to
     seed row generation); `cond`, when given, is the source's
-    conditional-entropy table as `scaled_weight_table(hg.m, hg.weights)`
-    returns it, (L times the table in ints, L), so a caller that needs the
-    table too builds it once.
+    conditional-entropy table, `subset_weight_table(hg.m, hg.weights)`, so
+    a caller that needs the table too builds it once.  On the integer
+    source every right-hand side is an int.
     """
-    table, scale = scaled_weight_table(hg.m, hg.weights) if cond is None else cond
+    table = subset_weight_table(hg.m, hg.weights) if cond is None else cond
     masks = _proper_subsets(hg.m) if subset_masks is None else subset_masks
     return LinearProgram(
         variables=[f"R{i}" for i in range(1, hg.m + 1)],
         objective=[_ONE] * hg.m,
-        constraints=[_subset_row((), hg.m, mask, Fraction(table[mask], scale)) for mask in masks],
+        constraints=[_subset_row((), hg.m, mask, table[mask]) for mask in masks],
     )
 
 
@@ -196,21 +196,22 @@ def r_co_direct(hg: WeightedHypergraph, *, method: Method = "auto") -> tuple[Fra
     Infeasibility is impossible (each terminal broadcasting its own entropy
     is feasible), so a non-optimal status is reported as an internal error.
     """
+    m = hg.m
+    src, scale = hg.integer_source()
     if _resolve_method(hg, method) == "full":
-        sol = solve(build_rco_lp(hg))
+        sol = solve(build_rco_lp(src))
     else:
-        cond = scaled_weight_table(hg.m, hg.weights)
-        table, scale = cond
-        base = build_rco_lp(hg, subset_masks=_singleton_masks(hg.m), cond=cond)
+        table = subset_weight_table(m, src.weights)
+        base = build_rco_lp(src, subset_masks=_singleton_masks(m), cond=table)
         sol = _generate_rows(
-            hg,
+            m,
             base,
-            lambda point: cond,
-            lambda mask: _subset_row((), hg.m, mask, Fraction(table[mask], scale)),
+            lambda ints, d: table if d == 1 else [v * d for v in table],
+            lambda mask: _subset_row((), m, mask, table[mask]),
         )
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"omniscience LP reported {sol.status}")
-    return sol.objective_value, RatePoint(sol.point)
+    return sol.objective_value / scale, RatePoint(tuple(r / scale for r in sol.point))
 
 
 def build_gamma_lp(
@@ -255,25 +256,23 @@ def upper_bound_theorem1(
     exceeds the omniscience rate; a non-optimal LP status is a bug.
     """
     mres = mmi_result if mmi_result is not None else mmi(hg)
-    edges = hg.edges
-    k = len(edges)
+    m = hg.m
+    src, scale = hg.integer_source()
+    edges = src.edges
     if _resolve_method(hg, method) == "full":
-        sol = solve(build_gamma_lp(hg, mres.value))
+        sol = solve(build_gamma_lp(src, mres.value * scale))
     else:
-
-        def packing_table(point):
-            # One denominator for the whole point, so the rates need no rescale.
-            ints, d = to_integers(point)
-            return subset_weight_table(hg.m, dict(zip(edges, ints))), d
-
-        base = build_gamma_lp(hg, mres.value, subset_masks=_singleton_masks(hg.m))
+        base = build_gamma_lp(src, mres.value * scale, subset_masks=_singleton_masks(m))
         sol = _generate_rows(
-            hg, base, packing_table, lambda mask: _subset_row(edges, hg.m, mask, _ZERO)
+            m,
+            base,
+            lambda ints, d: subset_weight_table(m, dict(zip(edges, ints))),
+            lambda mask: _subset_row(edges, m, mask, _ZERO),
         )
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"packing LP reported {sol.status}")
-    packing = FractionalPacking(dict(zip(edges, sol.point[:k])))
-    return sol.objective_value - mres.value, packing
+    packing = FractionalPacking({e: x / scale for e, x in zip(edges, sol.point)})
+    return sol.objective_value / scale - mres.value, packing
 
 
 def verify_gamma_membership(
@@ -303,7 +302,7 @@ def graphical_bounds(
         raise ValueError("graphical analysis requires every hyperedge to have exactly two vertices")
     mres = mmi_result if mmi_result is not None else mmi(hg)
     k = mres.fundamental.size
-    _, ci = cross_edges(hg, mres.fundamental)
+    ci = cross_edges(hg, mres.fundamental)
     return GraphicalBounds(
         ub_theorem2=(hg.m - 2) * mres.value,
         lower_bound=Fraction(k - 2, k - 1) * ci,

@@ -73,23 +73,18 @@ def subset_weight_table(m: int, entries: Mapping[int, Fraction | int]) -> list[F
     return table
 
 
-def scaled_weight_table(m: int, entries: Mapping[int, Fraction]) -> tuple[list[int], int]:
-    """(table, L): L the lcm of the entries' denominators, table that of L * entries, in ints."""
-    ints, scale = to_integers(entries.values())
-    return subset_weight_table(m, dict(zip(entries, ints))), scale
-
-
 @dataclass(frozen=True)
 class WeightedHypergraph:
     """Terminal count plus a map from hyperedge bitmasks to positive weights.
 
     Zero-weight entries are dropped on construction (the edge set is the
     support of the weight function); negative weights are rejected, and so
-    are floats, which are not exact.
+    are floats, which are not exact.  Int weights are stored as ints, every
+    other weight as a `Fraction`.
     """
 
     m: int
-    weights: dict[int, Fraction]
+    weights: dict[int, Fraction | int]
 
     def __post_init__(self):
         if self.m < 2:
@@ -99,13 +94,14 @@ class WeightedHypergraph:
                 f"m = {self.m} exceeds the supported maximum of {MAX_VERTICES}"
             )
         full = (1 << self.m) - 1
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, Fraction | int] = {}
         for mask, value in self.weights.items():
             if not isinstance(mask, int) or mask <= 0 or mask > full:
                 raise ValueError(f"hyperedge mask {mask!r} is not a nonempty subset of {{1..{self.m}}}")
             if isinstance(value, float):
                 raise TypeError(f"weight {value!r} on {format_subset(mask)} is a float, not exact")
-            value = Fraction(value)
+            if type(value) is not int:
+                value = Fraction(value)
             if value < 0:
                 raise ValueError(f"negative weight {value} on hyperedge {format_subset(mask)}")
             if value > 0:
@@ -129,6 +125,11 @@ class WeightedHypergraph:
     def is_graph(self) -> bool:
         """True when every hyperedge has exactly two vertices."""
         return all(mask.bit_count() == 2 for mask in self.weights)
+
+    def integer_source(self) -> tuple["WeightedHypergraph", int]:
+        """(source, L): L the lcm of the weights' denominators, source's weights L * w as ints."""
+        ints, scale = to_integers(self.weights.values())
+        return WeightedHypergraph(self.m, dict(zip(self.weights, ints))), scale
 
     def entropy_table(self) -> list[Fraction]:
         """Entropy of every group A (weight of the hyperedges meeting A), by mask."""

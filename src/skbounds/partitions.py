@@ -11,19 +11,19 @@ is an exhaustive scan of the partition lattice via restricted growth
 strings, which is the verifiable choice at desk scale (the cap below keeps
 the count at Bell(12), about 4.2M).
 
-`mmi` runs the scan in exact integer arithmetic.  It multiplies every
-weight by L, the lcm of their denominators, so the entropy table holds
-integers (L times the entropies).  It walks the restricted growth strings
-over one mutable list of cells and carries the running sum of their
-entropies: putting a vertex into cell C adds E[C | v] - E[C].  The last
-vertex is placed in a loop, and only the cells where it adds least can
-reach the best value.  A value (S - T) / (k - 1) is compared with the best
-n / d by cross-multiplying, (S - T) * d against n * (k - 1), both
-denominators being positive; the result is n / (L * d), built once.  Every
-minimizer must coarsen the fundamental partition P*: with cover[A] the
-union of the cells of P* that meet A, P* refines P exactly when
-cover[C] == C for every cell C of P.  A plain `Fraction` scan,
-`tests/reference_scan.py`, is its test oracle.
+`mmi` runs the scan in exact integer arithmetic on the integer source
+(`WeightedHypergraph.integer_source`, every weight times L, the lcm of
+their denominators), so the entropy table holds integers (L times the
+entropies).  It walks the restricted growth strings over one mutable list
+of cells and carries the running sum of their entropies: putting a vertex
+into cell C adds E[C | v] - E[C].  The last vertex is placed in a loop,
+and only the cells where it adds least can reach the best value.  A value
+(S - T) / (k - 1) is compared with the best n / d by cross-multiplying,
+(S - T) * d against n * (k - 1), both denominators being positive; the
+result is n / (L * d), built once.  Every minimizer must coarsen the
+fundamental partition P*: with cover[A] the union of the cells of P* that
+meet A, P* refines P exactly when cover[C] == C for every cell C of P.  A
+plain `Fraction` scan, `tests/reference_scan.py`, is its test oracle.
 
 `mmi` is the one way the package computes the capacity and P*;
 `cross_edges` gives the weight crossing a partition, which the graph closed
@@ -34,16 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import CapExceededError, InternalInvariantError
-from .hypergraph import (
-    WeightedHypergraph,
-    format_subset,
-    mask_of,
-    scaled_weight_table,
-    vertices_of,
-)
+from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table, vertices_of
 
 PARTITION_CAP = 12
 
@@ -74,10 +67,6 @@ class Partition:
         ordered = tuple(sorted(self.cells, key=lambda c: c & -c))
         object.__setattr__(self, "cells", ordered)
 
-    @classmethod
-    def from_vertex_cells(cls, m: int, cells: Iterable[Iterable[int]]) -> "Partition":
-        return cls(m, tuple(mask_of(cell) for cell in cells))
-
     @property
     def size(self) -> int:
         return len(self.cells)
@@ -85,24 +74,18 @@ class Partition:
     def vertex_cells(self) -> tuple[tuple[int, ...], ...]:
         return tuple(vertices_of(cell) for cell in self.cells)
 
-    def is_refinement_of(self, other: "Partition") -> bool:
-        """True when every cell of self sits inside a cell of other."""
-        return all(any(cell & ~big == 0 for big in other.cells) for cell in self.cells)
-
     def __str__(self) -> str:
         return "{" + ",".join(format_subset(cell) for cell in self.cells) + "}"
 
 
-def cross_edges(hg: WeightedHypergraph, partition: Partition) -> tuple[tuple[int, ...], Fraction]:
-    """Hyperedges not contained in any single cell, with their weight sum."""
+def cross_edges(hg: WeightedHypergraph, partition: Partition) -> Fraction:
+    """Total weight of the hyperedges not contained in any single cell."""
     if partition.m != hg.m:
         raise ValueError("partition and hypergraph disagree on m")
-    crossing = tuple(
-        e for e in hg.edges
-        if not any(e & ~cell == 0 for cell in partition.cells)
+    return sum(
+        (w for e, w in hg.weights.items() if not any(e & ~c == 0 for c in partition.cells)),
+        Fraction(0),
     )
-    weight = sum((hg.weights[e] for e in crossing), Fraction(0))
-    return crossing, weight
 
 
 @dataclass(frozen=True)
@@ -153,7 +136,8 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
             f"m = {m} exceeds the partition enumeration cap of {PARTITION_CAP}"
         )
     full = hg.full_mask
-    cond, scale = scaled_weight_table(m, hg.weights)
+    src, scale = hg.integer_source()
+    cond = subset_weight_table(m, src.weights)
     total = cond[full]
     ent = [total - cond[full ^ a] for a in range(full + 1)]
 

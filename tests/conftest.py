@@ -17,6 +17,7 @@ import pytest
 
 from skbounds import WeightedHypergraph, analyze, mask_of
 from skbounds.bounds import AnalysisReport, run_checks
+from skbounds.partitions import Partition
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -26,6 +27,16 @@ GRAPHICAL_CORPUS_SIZE = 100
 
 def fixture_text(name: str) -> str:
     return (FIXTURE_DIR / name).read_text(encoding="utf-8")
+
+
+def from_vertex_cells(m: int, cells) -> Partition:
+    """The partition of {1..m} whose cells are the given vertex collections."""
+    return Partition(m, tuple(mask_of(cell) for cell in cells))
+
+
+def is_refinement_of(fine: Partition, coarse: Partition) -> bool:
+    """True when every cell of `fine` sits inside a cell of `coarse`."""
+    return all(any(cell & ~big == 0 for big in coarse.cells) for cell in fine.cells)
 
 
 def partition_value(hg: WeightedHypergraph, part) -> Fraction:

@@ -15,6 +15,8 @@ from typing import Iterator
 from skbounds import InternalInvariantError, WeightedHypergraph
 from skbounds.partitions import MmiResult, Partition
 
+from conftest import is_refinement_of
+
 
 def _raw_partitions(m: int, min_cells: int) -> Iterator[tuple[int, ...]]:
     # Restricted growth strings: label[0] = 0, label[i] <= max(label[:i]) + 1.
@@ -65,7 +67,7 @@ def reference_mmi(hg: WeightedHypergraph) -> MmiResult:
     fundamental = Partition(hg.m, finest[0])
     all_parts = tuple(Partition(hg.m, cells) for cells in minimizers)
     for part in all_parts:
-        if not fundamental.is_refinement_of(part):
+        if not is_refinement_of(fundamental, part):
             raise InternalInvariantError(
                 f"minimizer {part} is not a coarsening of the fundamental partition {fundamental}"
             )

@@ -10,9 +10,8 @@ from fractions import Fraction
 from skbounds import analyze, mask_of, mmi
 from skbounds.cli import parse_document
 from skbounds.hypergraph import vertices_of
-from skbounds.partitions import Partition
 
-from conftest import fixture_text, partition_value
+from conftest import fixture_text, from_vertex_cells, is_refinement_of, partition_value
 
 F = Fraction
 
@@ -28,7 +27,7 @@ def test_criterion_1_example1_golden():
     elapsed = time.perf_counter() - start
 
     assert report.mmi.value == F(3, 2)
-    assert report.mmi.fundamental == Partition.from_vertex_cells(4, [[1, 2], [3], [4]])
+    assert report.mmi.fundamental == from_vertex_cells(4, [[1, 2], [3], [4]])
     assert report.r_co == F(7, 2)
     assert report.ub_theorem1 == 3
     expected_packing = {e: hg.weights[e] for e in hg.edges}
@@ -45,7 +44,7 @@ def test_criterion_2_example2_golden():
     elapsed = time.perf_counter() - start
 
     assert report.mmi.value == 1
-    assert report.mmi.fundamental == Partition.from_vertex_cells(4, [[1, 2, 3], [4]])
+    assert report.mmi.fundamental == from_vertex_cells(4, [[1, 2, 3], [4]])
     assert report.graphical is not None
     assert report.graphical.lower_bound == 0
     assert report.graphical.ci == 1
@@ -158,9 +157,9 @@ def test_criterion_8_brute_force_oracle(identity_corpus):
         value, finest, per_partition = _oracle_mmi(hg)
         engine = mmi(hg)
         assert engine.value == value
-        assert engine.fundamental == Partition.from_vertex_cells(hg.m, finest)
+        assert engine.fundamental == from_vertex_cells(hg.m, finest)
         for part, expected in per_partition:
-            engine_value = partition_value(hg, Partition.from_vertex_cells(hg.m, part))
+            engine_value = partition_value(hg, from_vertex_cells(hg.m, part))
             assert engine_value == expected
             checked_partitions += 1
     _passed(
@@ -175,12 +174,12 @@ def test_criterion_9_finest_minimizer(identity_results, graphical_results):
     result = mmi(path)
     assert result.value == 1
     assert len(result.all_minimizers) == 3
-    assert result.fundamental == Partition.from_vertex_cells(3, [[1], [2], [3]])
+    assert result.fundamental == from_vertex_cells(3, [[1], [2], [3]])
 
     for res in identity_results + graphical_results:
         fundamental = res.report.mmi.fundamental
         for other in res.report.mmi.all_minimizers:
-            assert fundamental.is_refinement_of(other)
+            assert is_refinement_of(fundamental, other)
     _passed(
         9,
         "finest minimizer",

@@ -100,3 +100,75 @@ def test_every_import_and_private_name_is_read():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+# Public names that are neither exported nor read in src, each with its reason.
+UNREAD_PUBLIC_ALLOWED = {
+    "hypergraph.WeightedHypergraph.entropy_table": "README's way to read the value of one partition",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public top-level function or class and its public methods."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _read_names(tree: ast.AST, skip: ast.AST) -> set[str]:
+    """Names loaded and attributes accessed in `tree`, outside the subtree `skip`."""
+    read, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
+    return read
+
+
+def _unread_public_names(trees: dict[str, ast.Module], exported) -> list[str]:
+    """Public definitions that are not exported and that no code outside their own reads."""
+    unread = []
+    for module, tree in trees.items():
+        for qualified, node in _public_definitions(tree):
+            if node.name in exported and "." not in qualified:
+                continue
+            if not any(node.name in _read_names(other, node) for other in trees.values()):
+                unread.append(f"{module}.{qualified}")
+    return sorted(unread)
+
+
+def _src_trees() -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def test_the_public_surface_guard_sees_methods_and_recursion():
+    trees = {
+        "a": ast.parse(
+            "class K:\n    def used(self): return self.idle\n    def idle(self): pass\n"
+            "    def lonely(self): return self.lonely()\n"
+            "def shown(): pass\ndef hidden(): return hidden()\n"
+        ),
+        "b": ast.parse("def caller(k): return k.used()\n"),
+    }
+    assert _unread_public_names(trees, {"K", "shown", "caller"}) == ["a.K.lonely", "a.hidden"]
+
+
+def test_every_public_name_is_exported_read_or_allowed():
+    # No public surface without a caller: what src neither exports nor reads
+    # (matched by name) is test-only code, which belongs in tests/.
+    unread = _unread_public_names(_src_trees(), set(skbounds.__all__))
+    assert unread == sorted(UNREAD_PUBLIC_ALLOWED)

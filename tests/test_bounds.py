@@ -22,7 +22,6 @@ from skbounds import (
 )
 from skbounds.bounds import FractionalPacking, build_gamma_lp, build_rco_lp
 from skbounds.cli import parse_document
-from skbounds.hypergraph import scaled_weight_table
 from skbounds.partitions import PARTITION_CAP, Partition
 
 from conftest import cycle_plus_edges, fixture_text, random_graph, random_hypergraph
@@ -212,7 +211,8 @@ def test_rco_row_generation_at_large_m(m, expected):
     hg = cycle_plus_edges(random.Random(m), m)
     value, point = r_co_direct(hg, method="rowgen")
     assert value == expected == sum(point.rates)
-    table, scale = scaled_weight_table(m, hg.weights)
+    src, scale = hg.integer_source()
+    table = subset_weight_table(m, src.weights)
     d = math.lcm(scale, *(r.denominator for r in point.rates))
     sums = [0]
     for r in point.rates:
@@ -319,7 +319,7 @@ def test_lower_bound_decomposes_as_ci_minus_capacity(make_random_graph):
     graphs = [EXAMPLE1, EXAMPLE2, TRIANGLE] + [make_random_graph(rng, m) for m in (3, 4, 5)]
     for hg in graphs:
         mres = mmi(hg)
-        _, weight = cross_edges(hg, mres.fundamental)
+        weight = cross_edges(hg, mres.fundamental)
         cross_value = weight / (mres.fundamental.size - 1)
         bounds = graphical_bounds(hg, mmi_result=mres)
         assert bounds.lower_bound == bounds.ci - cross_value
@@ -370,6 +370,20 @@ def test_bounds_scale_exactly_with_the_weights(c, method, make_random_hypergraph
             upper_bound_theorem1(scaled, method=method)[0]
             == c * upper_bound_theorem1(hg, method=method)[0]
         )
+
+
+@pytest.mark.parametrize("method", ["full", "rowgen"])
+def test_an_int_source_reports_fractions(method):
+    # Int weights are stored as ints, yet every reported value is a Fraction.
+    hg = WeightedHypergraph(4, {e: int(w) for e, w in EXAMPLE1.weights.items()})
+    assert {type(w) for w in hg.weights.values()} == {int}
+    report = analyze(hg, method=method)
+    _, rates = r_co_direct(hg, method=method)
+    g = report.graphical
+    values = [report.entropy_total, report.mmi.value, report.r_co, report.ub_theorem1]
+    values += [*report.x_star.entries.values(), *rates.rates, g.ub_theorem2, g.lower_bound, g.ci]
+    assert {type(v) for v in values} == {Fraction}
+    assert (report.mmi.value, report.r_co, report.ub_theorem1) == (F(3, 2), F(7, 2), 3)
 
 
 def _metamorphic_sources():

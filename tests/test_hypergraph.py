@@ -46,7 +46,8 @@ def test_weights_must_be_exact():
         WeightedHypergraph(3, {0b011: 0.1, 0b110: 1})
     hg = WeightedHypergraph(3, {0b011: "1/10", 0b110: 1, 0b101: Fraction(1, 10)})
     assert hg.weights == {0b011: Fraction(1, 10), 0b110: 1, 0b101: Fraction(1, 10)}
-    assert all(type(w) is Fraction for w in hg.weights.values())
+    # Ints stay ints; every other exact weight becomes a Fraction.
+    assert [type(w) for w in hg.weights.values()] == [Fraction, int, Fraction]
 
 
 def test_zero_weight_edges_are_dropped():

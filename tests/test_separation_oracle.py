@@ -4,7 +4,9 @@ Row generation separates in ints over one common denominator per round;
 `reference_separation` is the old `Fraction` sweep.  At every point the
 solver reaches, the row it adds (or its certificate that none is violated)
 must be the one the sweep picks, so the rows, pivots and optimal points
-are those of the Fraction code.
+are those of the Fraction code.  Both LPs are solved on the integer source
+(weights times L, the lcm of their denominators), so the reference tables
+are built from it too.
 """
 
 import random
@@ -13,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import skbounds.bounds
+import skbounds.lp
 from skbounds import WeightedHypergraph, r_co_direct, subset_weight_table, upper_bound_theorem1
 
 from conftest import cycle_plus_edges, random_graph, random_hypergraph
@@ -24,17 +27,17 @@ FAMILIES = {
     "cycle": cycle_plus_edges,
 }
 
-# (factor, largest m of the packing LP): huge and tiny factors make the
-# common denominator large.  R_CO runs at m = 3..9 on every scale.  At the
-# tiny scale the rows x(e) <= w(e) and the capacity equality enter the
-# simplex multiplied by about 10^100, and the packing LP on the m = 8
-# cycle source takes about 30 times as long as at unit weights (same
-# rounds), so it stops at m = 6 there.
+# Factors on the weights: huge and tiny ones make their common denominator
+# or their integer form large.
 SCALES = {
-    "unit": (Fraction(1), 9),
-    "huge": (Fraction(10**100, 3), 9),
-    "tiny": (Fraction(1, 10**100 + 1), 6),
+    "unit": Fraction(1),
+    "huge": Fraction(10**100, 3),
+    "tiny": Fraction(1, 10**100 + 1),
 }
+
+
+def _scaled(hg, factor):
+    return WeightedHypergraph(hg.m, {e: factor * w for e, w in hg.weights.items()})
 
 
 def _row_mask(row, m):
@@ -66,18 +69,15 @@ def _record_rounds(monkeypatch, hg, reference_table):
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_row_generation_adds_the_rows_of_the_fraction_sweep(monkeypatch, family, scale):
     rng = random.Random(f"separation-oracle/{family}")
-    factor, packing_max_m = SCALES[scale]
     rco_rows = packing_rows = 0
     for m in range(3, 10):
-        hg = FAMILIES[family](rng, m)
-        hg = WeightedHypergraph(m, {e: factor * w for e, w in hg.weights.items()})
-        edges, cond = hg.edges, subset_weight_table(m, hg.weights)
+        hg = _scaled(FAMILIES[family](rng, m), SCALES[scale])
+        src, _ = hg.integer_source()
+        edges, cond = src.edges, subset_weight_table(m, src.weights)
         with monkeypatch.context() as patch:
             added = _record_rounds(patch, hg, lambda point: cond)
             r_co_direct(hg, method="rowgen")
             rco_rows += len(added)
-        if m > packing_max_m:
-            continue
         with monkeypatch.context() as patch:
             added = _record_rounds(
                 patch, hg, lambda point: subset_weight_table(m, dict(zip(edges, point)))
@@ -107,21 +107,23 @@ def _round_oracle(monkeypatch, solve_lp):
 
 @pytest.mark.parametrize("scale", list(SCALES))
 def test_a_round_separates_like_the_fraction_sweep_at_any_point(monkeypatch, scale):
-    # The solver's own points rarely carry a denominator the weights lack.
-    # Rates over 5 and 7 do, so most rounds here rescale the table.
+    # The solver's own points rarely carry a denominator.  Rates over 2, 5
+    # and 7 do, so most rounds here multiply the R_CO table.  The points
+    # are those of the LPs on the integer source, whose weights are L times
+    # the scaled ones.
     rng = random.Random(f"separation-points/{scale}")
-    factor = SCALES[scale][0]
     for m in range(3, 8):
-        hg = random_hypergraph(rng, m)
-        hg = WeightedHypergraph(m, {e: factor * w for e, w in hg.weights.items()})
-        edges, cond = hg.edges, subset_weight_table(m, hg.weights)
+        hg = _scaled(random_hypergraph(rng, m), SCALES[scale])
+        src, common = hg.integer_source()
+        factor = common * SCALES[scale]
+        edges, cond = src.edges, subset_weight_table(m, src.weights)
         rco = _round_oracle(monkeypatch, lambda: r_co_direct(hg, method="rowgen"))
         packing = _round_oracle(monkeypatch, lambda: upper_bound_theorem1(hg, method="rowgen"))
         for _ in range(20):
             rates = tuple(
                 factor * Fraction(rng.randint(-2, 8), rng.choice((1, 2, 5, 7))) for _ in range(m)
             )
-            x = tuple(hg.weights[e] * Fraction(rng.randint(0, 4), 4) for e in edges)
+            x = tuple(src.weights[e] * Fraction(rng.randint(0, 4), 4) for e in edges)
             assert _row_mask(rco(rates), m) == reference_separation(m, cond, rates)
             table = subset_weight_table(m, dict(zip(edges, x)))
             assert _row_mask(packing(x + rates), m) == reference_separation(m, table, rates)
@@ -144,3 +146,32 @@ def test_row_generation_separates_in_ints(monkeypatch):
     upper_bound_theorem1(hg, method="rowgen")
     assert 0 < rco_rounds < len(seen)
     assert all(types == {int} for types in seen)
+
+
+def _bits(lp):
+    """Largest numerator or denominator bit length among an LP's entries."""
+    values = [*lp.objective, *(b for b in (*lp.lower, *lp.upper) if b is not None)]
+    for con in lp.constraints:
+        values += [*con.coeffs, con.rhs]
+    return max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in values)
+
+
+@pytest.mark.parametrize("method", ["full", "rowgen"])
+def test_tiny_weights_reach_the_simplex_as_small_integers(monkeypatch, method):
+    # Weights times 1/(10^100 + 1) have a 333-bit denominator.  Both LPs run
+    # on the integer source, so no coefficient, right-hand side or bound that
+    # reaches lp.solve carries it.
+    hg = _scaled(cycle_plus_edges(random.Random(8), 8), SCALES["tiny"])
+    solve, seen = skbounds.lp.solve, []
+
+    def recorded(lp):
+        seen.append(_bits(lp))
+        return solve(lp)
+
+    monkeypatch.setattr(skbounds.bounds, "solve", recorded)
+    monkeypatch.setattr(skbounds.lp, "solve", recorded)
+    r_co_direct(hg, method=method)
+    rco_solves = len(seen)
+    upper_bound_theorem1(hg, method=method)
+    assert 0 < rco_solves < len(seen)
+    assert max(seen) <= 64
