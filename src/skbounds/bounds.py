@@ -28,18 +28,19 @@ changes nothing on the bundled examples.
 Both LPs use one subset family, built by `_subset_row`: for every nonempty
 proper subset B, rates(B) - x(edges inside B) >= rhs, with no x and rhs the
 entropy of B given the rest for R_CO, and one x per hyperedge and rhs 0 for
-the packing LP.  It is materialized in full for m <= 8 and generated on
-demand by `separation_oracle` above that, and both paths can be forced for
-cross-checking.  `r_co_direct` and `upper_bound_theorem1`, like `mmi`,
-solve on the integer source (`WeightedHypergraph.integer_source`: weights
-times L, the lcm of their denominators; the packing LP pinned to L times
-the capacity) and divide what they return by L once: every quantity is
-homogeneous of degree one in the weights, and scaling every right-hand side
-and bound by L > 0 changes no pivot.  Row generation separates in ints over
-each point's common denominator d, against d times a table: R_CO's, built
-once per solve, or the packing LP's, built from the point.
-`tests/reference_separation.py` keeps the `Fraction` sweep as the test
-oracle.
+the packing LP.  `_solve_rows` is the one switch, for both LPs, between
+materializing the family in full (the default for m <= 8) and generating
+it on demand from the singletons with `separation_oracle` (above that);
+either can be forced for cross-checking.  `r_co_direct` and
+`upper_bound_theorem1`, like `mmi`, solve on the integer source
+(`WeightedHypergraph.integer_source`: weights times L, the lcm of their
+denominators; the packing LP pinned to L times the capacity) and divide
+what they return by L once: every quantity is homogeneous of degree one in
+the weights, and scaling every right-hand side and bound by L > 0 changes
+no pivot.  Row generation separates in ints over each point's common
+denominator d, against d times a table: R_CO's, built once per solve, or
+the packing LP's, built from the point.  `tests/reference_separation.py`
+keeps the `Fraction` sweep as the test oracle.
 
 Each report identity is written once, in `_report_checks`: `analyze` raises
 on it and `run_checks` lists it beside the checks that need another solve.
@@ -51,7 +52,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import InternalInvariantError
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
@@ -113,10 +114,6 @@ def _proper_subsets(m: int):
     return range(1, full)
 
 
-def _singleton_masks(m: int):
-    return [1 << i for i in range(m)]
-
-
 def _resolve_method(hg: WeightedHypergraph, method: Method) -> str:
     if method == "auto":
         return "full" if hg.m <= FULL_ROW_DEFAULT_MAX_M else "rowgen"
@@ -150,25 +147,25 @@ def _subset_row(edges: Sequence[int], m: int, mask: int, rhs: Fraction) -> Const
     return Constraint(tuple(coeffs), ">=", rhs)
 
 
-def _generate_rows(
-    m: int,
-    base: LinearProgram,
-    inside: Callable[[list[int], int], list[int]],
-    row: Callable[[int], Constraint],
-):
-    """Solve `base`, adding `row(mask)` for the most violated subset until none is.
+def _solve_rows(m: int, method: str, build, inside, row):
+    """Solve over the subset rows, in full or by row generation: the one switch.
 
-    Each round puts the point on one common denominator d, as ints, and
-    `inside(ints, d)` returns d times the table that the point's rates (its
-    last m entries) must cover.
+    `build(masks)` is the LP with the subset rows of `masks`.  With "full"
+    it gets every nonempty proper subset.  With "rowgen" it gets the
+    singletons, and each round adds `row(mask)` for the most violated subset
+    until none is: the round puts the point on one common denominator d, as
+    ints, and `inside(ints, d)` returns d times the table that the point's
+    rates (its last m entries) must cover.
     """
+    if method == "full":
+        return solve(build(_proper_subsets(m)))
 
     def oracle(point: tuple[Fraction, ...]) -> Optional[Constraint]:
         ints, d = to_integers(point)
         mask = separation_oracle(inside(ints, d), ints[-m:])
         return None if mask is None else row(mask)
 
-    return solve_with_row_generation(base, oracle, 1 << m)
+    return solve_with_row_generation(build([1 << i for i in range(m)]), oracle, 1 << m)
 
 
 def build_rco_lp(hg: WeightedHypergraph, subset_masks=None, cond=None) -> LinearProgram:
@@ -196,19 +193,17 @@ def r_co_direct(hg: WeightedHypergraph, *, method: Method = "auto") -> tuple[Fra
     Infeasibility is impossible (each terminal broadcasting its own entropy
     is feasible), so a non-optimal status is reported as an internal error.
     """
+    method = _resolve_method(hg, method)
     m = hg.m
     src, scale = hg.integer_source()
-    if _resolve_method(hg, method) == "full":
-        sol = solve(build_rco_lp(src))
-    else:
-        table = subset_weight_table(m, src.weights)
-        base = build_rco_lp(src, subset_masks=_singleton_masks(m), cond=table)
-        sol = _generate_rows(
-            m,
-            base,
-            lambda ints, d: table if d == 1 else [v * d for v in table],
-            lambda mask: _subset_row((), m, mask, table[mask]),
-        )
+    table = subset_weight_table(m, src.weights)
+    sol = _solve_rows(
+        m,
+        method,
+        lambda masks: build_rco_lp(src, masks, table),
+        lambda ints, d: table if d == 1 else [v * d for v in table],
+        lambda mask: _subset_row((), m, mask, table[mask]),
+    )
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"omniscience LP reported {sol.status}")
     return sol.objective_value / scale, RatePoint(tuple(r / scale for r in sol.point))
@@ -255,20 +250,18 @@ def upper_bound_theorem1(
     packing.  The full weight vector is always feasible, so the bound never
     exceeds the omniscience rate; a non-optimal LP status is a bug.
     """
+    method = _resolve_method(hg, method)
     mres = mmi_result if mmi_result is not None else mmi(hg)
     m = hg.m
     src, scale = hg.integer_source()
     edges = src.edges
-    if _resolve_method(hg, method) == "full":
-        sol = solve(build_gamma_lp(src, mres.value * scale))
-    else:
-        base = build_gamma_lp(src, mres.value * scale, subset_masks=_singleton_masks(m))
-        sol = _generate_rows(
-            m,
-            base,
-            lambda ints, d: subset_weight_table(m, dict(zip(edges, ints))),
-            lambda mask: _subset_row(edges, m, mask, _ZERO),
-        )
+    sol = _solve_rows(
+        m,
+        method,
+        lambda masks: build_gamma_lp(src, mres.value * scale, masks),
+        lambda ints, d: subset_weight_table(m, dict(zip(edges, ints))),
+        lambda mask: _subset_row(edges, m, mask, _ZERO),
+    )
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"packing LP reported {sol.status}")
     packing = FractionalPacking({e: x / scale for e, x in zip(edges, sol.point)})

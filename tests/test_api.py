@@ -172,3 +172,77 @@ def test_every_public_name_is_exported_read_or_allowed():
     # (matched by name) is test-only code, which belongs in tests/.
     unread = _unread_public_names(_src_trees(), set(skbounds.__all__))
     assert unread == sorted(UNREAD_PUBLIC_ALLOWED)
+
+
+# Parameters with a default that no call in src passes, each with its reason.
+UNPASSED_OPTION_ALLOWED = {
+    "cli.main.argv": "the console script calls main() with none; tests pass their own",
+}
+
+
+def _functions(tree: ast.AST, prefix: str = "", cls=None):
+    """(qualified name, node, enclosing class or None) of every function, nested ones included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.", node.name)
+        elif isinstance(node, ast.FunctionDef):
+            yield f"{prefix}{node.name}", node, cls
+            yield from _functions(node, f"{prefix}{node.name}.")
+        else:
+            yield from _functions(node, prefix, cls)
+
+
+def _passes(call: ast.Call, param: str, position, offset: int) -> bool:
+    """Whether `call` passes `param`: by keyword, or at `position` less `offset`."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args) or position - offset < len(call.args)
+
+
+def _unpassed_options(trees: dict[str, ast.Module]) -> list[str]:
+    """Parameters with a default that no call outside their own function passes.
+
+    Calls match by name: `f(...)` or `x.f(...)` for a function or method f,
+    and `C(...)` for `C.__init__`; a method's positions skip `self`.
+    """
+    calls = [n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    unpassed = []
+    for module, tree in trees.items():
+        for qualified, node, cls in _functions(tree):
+            name, offset = (cls, 1) if node.name == "__init__" else (node.name, int(cls is not None))
+            own = set(map(id, ast.walk(node)))
+            callers = [
+                call
+                for call in calls
+                if id(call) not in own
+                and getattr(call.func, "attr", getattr(call.func, "id", None)) == name
+            ]
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            options = [(arg.arg, first + i) for i, arg in enumerate(positional[first:])]
+            options += [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            for param, position in options:
+                if not any(_passes(call, param, position, offset) for call in callers):
+                    unpassed.append(f"{module}.{qualified}.{param}")
+    return sorted(unpassed)
+
+
+def test_the_option_guard_sees_positions_keywords_and_classes():
+    trees = {
+        "a": ast.parse(
+            "class K:\n    def __init__(self, n=0): pass\n"
+            "    def go(self, fast=False, *, log=None): pass\n"
+            "def f(x, y=1, *, z=2): return f(x, z=3)\ndef g(v=0): pass\n"
+        ),
+        "b": ast.parse("K(5).go(True)\nf(1, 2)\ng()\n"),
+    }
+    assert _unpassed_options(trees) == ["a.K.go.log", "a.f.z", "a.g.v"]
+
+
+def test_every_option_has_a_caller_or_a_reason():
+    # No option without a caller: a default that src never overrides is a
+    # second path nothing takes.
+    assert _unpassed_options(_src_trees()) == sorted(UNPASSED_OPTION_ALLOWED)

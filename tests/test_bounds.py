@@ -204,6 +204,18 @@ def test_rco_builds_the_conditional_table_once(monkeypatch):
     assert len(builds) == 1
 
 
+@pytest.mark.parametrize("entry", [analyze, r_co_direct, upper_bound_theorem1])
+def test_an_unknown_row_method_fails_before_any_work(entry, monkeypatch):
+    # An m = 12 source takes about a second to scan; the method is checked
+    # before that, so the scan must not run at all.
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the partition scan ran before the method was checked")
+
+    monkeypatch.setattr(skbounds.bounds, "mmi", no_scan)
+    with pytest.raises(ValueError, match="unknown method"):
+        entry(cycle_plus_edges(random.Random(12), 12), method="bogus")
+
+
 @pytest.mark.parametrize("m, expected", [(14, 37), (16, 54)])
 def test_rco_row_generation_at_large_m(m, expected):
     # Past the partition cap only R_CO runs; its rate point must meet all

@@ -98,13 +98,12 @@ exact_values = st.lists(
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(exact_values, st.integers(1, 36))
-@example([], 1)
-@example([], 7)
-def test_to_integers_scales_by_the_lcm_of_the_denominators(values, base):
-    ints, scale = to_integers(values, base)
-    assert scale == math.lcm(base, *(Fraction(v).denominator for v in values))
+@given(exact_values)
+@example([])
+def test_to_integers_scales_by_the_lcm_of_the_denominators(values):
+    ints, scale = to_integers(values)
+    assert scale == math.lcm(*(Fraction(v).denominator for v in values))
     assert all(type(n) is int for n in ints)
     assert [Fraction(n, scale) for n in ints] == values
     if not values:
-        assert (ints, scale) == ([], base)
+        assert (ints, scale) == ([], 1)
