@@ -168,22 +168,20 @@ def _solve_rows(m: int, method: str, build, inside, row):
     return solve_with_row_generation(build([1 << i for i in range(m)]), oracle, 1 << m)
 
 
-def build_rco_lp(hg: WeightedHypergraph, subset_masks=None, cond=None) -> LinearProgram:
+def build_rco_lp(hg: WeightedHypergraph, subset_masks, cond) -> LinearProgram:
     """Omniscience-rate LP: min total rate over the subset-entropy region.
 
-    One row per nonempty proper subset B: the rates inside B must cover the
-    entropy of B given the rest.  `subset_masks` narrows the family (used to
-    seed row generation); `cond`, when given, is the source's
-    conditional-entropy table, `subset_weight_table(hg.m, hg.weights)`, so
-    a caller that needs the table too builds it once.  On the integer
-    source every right-hand side is an int.
+    One row per subset B in `subset_masks` (every nonempty proper subset for
+    the full LP, the singletons to seed row generation): the rates inside B
+    must cover the entropy of B given the rest.  `cond` is the source's
+    conditional-entropy table, `subset_weight_table(hg.m, hg.weights)`,
+    which the caller builds once for the LP and its separation.  On the
+    integer source every right-hand side is an int.
     """
-    table = subset_weight_table(hg.m, hg.weights) if cond is None else cond
-    masks = _proper_subsets(hg.m) if subset_masks is None else subset_masks
     return LinearProgram(
         variables=[f"R{i}" for i in range(1, hg.m + 1)],
         objective=[_ONE] * hg.m,
-        constraints=[_subset_row((), hg.m, mask, table[mask]) for mask in masks],
+        constraints=[_subset_row((), hg.m, mask, cond[mask]) for mask in subset_masks],
     )
 
 
@@ -209,28 +207,24 @@ def r_co_direct(hg: WeightedHypergraph, *, method: Method = "auto") -> tuple[Fra
     return sol.objective_value / scale, RatePoint(tuple(r / scale for r in sol.point))
 
 
-def build_gamma_lp(
-    hg: WeightedHypergraph,
-    mmi_value: Fraction,
-    subset_masks=None,
-) -> LinearProgram:
+def build_gamma_lp(hg: WeightedHypergraph, mmi_value: Fraction, subset_masks) -> LinearProgram:
     """Fractional-packing LP behind the communication upper bound.
 
     Variables are one packing entry per hyperedge (bounded by the weights)
     plus one free rate per terminal.  Minimizes total retained weight
-    subject to every proper subset B satisfying
-    rates(B) >= packing weight inside B, and the equality pinning
-    total packing minus total rate to the capacity `mmi_value`.
+    subject to rates(B) >= packing weight inside B for every subset B in
+    `subset_masks` (every nonempty proper subset for the full LP), and the
+    equality pinning total packing minus total rate to the capacity
+    `mmi_value`.
     """
     edges = hg.edges
     k = len(edges)
     m = hg.m
     names = [f"x{format_subset(e)}" for e in edges] + [f"r{i}" for i in range(1, m + 1)]
-    masks = _proper_subsets(m) if subset_masks is None else subset_masks
     lp = LinearProgram(
         variables=names,
         objective=[_ONE] * k + [_ZERO] * m,
-        constraints=[_subset_row(edges, m, mask, _ZERO) for mask in masks],
+        constraints=[_subset_row(edges, m, mask, _ZERO) for mask in subset_masks],
         lower=[_ZERO] * k + [None] * m,
         upper=[hg.weights[e] for e in edges] + [None] * m,
     )

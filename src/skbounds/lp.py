@@ -30,7 +30,18 @@ from the start; phase one uses it to repair an infeasible start, and its
 column is dropped before phase two whether or not phase one ran.
 
 `solve_with_row_generation` wraps `solve` with a caller-supplied separation
-oracle for constraint families too large to materialize.
+oracle for constraint families too large to materialize.  `solve` returns
+its optimal dictionary with the solution, and each later round appends the
+cut to it: the cut's integer row is put over the current denominator by
+eliminating the basic columns, and its slack, a unit column, becomes
+basic, so the basis determinant and the fraction-free invariant are kept.
+The old basis stays dual feasible, and a dual simplex restores primal
+feasibility in a few pivots instead of a re-solve from the slack basis
+(Chvatal, *Linear Programming*, 1983, ch. 10).  It uses the least-index
+rule, Bland's rule read on the dual, so it cannot cycle either: the least
+basic id among the negative rows leaves, and the least ratio of reduced
+cost to row entry enters, least column id on ties.  Every round's point
+is checked like `solve`'s, against the whole working LP.
 """
 
 from __future__ import annotations
@@ -115,6 +126,9 @@ class LpSolution:
     status: str
     point: Optional[tuple[Fraction, ...]]
     objective_value: Optional[Fraction]
+    # The optimal dictionary behind the point, which row generation extends
+    # with each cut; not part of the result.
+    _dictionary: Optional[_Dictionary] = field(default=None, compare=False, repr=False)
 
 
 def _pivot(rows, obj, row_vars, col_vars, den, pr, pc):
@@ -195,6 +209,138 @@ def _bland(rows, obj, row_vars, col_vars, den):
         den = _pivot(rows, obj, row_vars, col_vars, den, pr, pc)
 
 
+def _dual_simplex(rows, obj, row_vars, col_vars, den):
+    """Restore primal feasibility on a dual-feasible dictionary, least index first.
+
+    The basic variable of least id among the negative ones leaves; among the
+    columns that can raise it (negative entry in its row), the one with the
+    least ratio obj[j] / row[j] enters, least column id on ties, which keeps
+    every reduced cost nonpositive.  Returns the status, optimal or
+    infeasible (no column can raise the leaving variable), and the final
+    common denominator.
+    """
+    while True:
+        pr = -1
+        for i, row in enumerate(rows):
+            if row[0] < 0 and (pr < 0 or row_vars[i] < row_vars[pr]):
+                pr = i
+        if pr < 0:
+            return OPTIMAL, den
+        prow = rows[pr]
+        pc = -1
+        for j in range(len(col_vars)):
+            a = prow[j + 1]
+            if a < 0:
+                # obj[j + 1] / a < best_o / best_a, cross-multiplied (a * best_a > 0).
+                if pc < 0:
+                    take = True
+                else:
+                    lhs = obj[j + 1] * best_a
+                    rhs = best_o * a
+                    take = lhs < rhs or (lhs == rhs and col_vars[j] < col_vars[pc])
+                if take:
+                    best_o, best_a = obj[j + 1], a
+                    pc = j
+        if pc < 0:
+            return INFEASIBLE, den
+        den = _pivot(rows, obj, row_vars, col_vars, den, pr, pc)
+
+
+def _to_columns(coeffs: Sequence[Fraction], var_map, ncols: int):
+    """Coefficients over the nonnegative columns, plus the constant the offsets add.
+
+    Each column belongs to one variable.
+    """
+    acc = [0] * ncols
+    const = 0
+    for c, (offset, cols) in zip(coeffs, var_map):
+        if c == 0:
+            continue
+        for col, sign in cols:
+            acc[col] = c if sign > 0 else -c
+        if offset:
+            const += c * offset
+    return acc, const
+
+
+def _integer_rows(con: Constraint, var_map, ncols: int):
+    """`con` as "<=" rows [rhs, *coefficients] over the columns, in integers, and their scale.
+
+    One row for "<=", its negation for ">=", both for "=".  The scale
+    L > 0 only rescales each row's slack.
+    """
+    acc, const = _to_columns(con.coeffs, var_map, ncols)
+    row, scale = to_integers([con.rhs - const] + acc)
+    forms = []
+    if con.relation != ">=":
+        forms.append(row)
+    if con.relation != "<=":
+        forms.append([-a for a in row])
+    return forms, scale
+
+
+class _Dictionary:
+    """An optimal fraction-free dictionary of `solve`, kept to add rows to.
+
+    `var_map` and `ncols` are `solve`'s map from variables to nonnegative
+    columns; the objective row is over `den * obj_scale`.  Variable ids are
+    0..n - 1: the columns, then one slack per row in order of addition.
+    """
+
+    def __init__(self, var_map, ncols, rows, obj, obj_scale, row_vars, col_vars, den):
+        self.var_map, self.ncols = var_map, ncols
+        self.rows, self.obj, self.obj_scale = rows, obj, obj_scale
+        self.row_vars, self.col_vars, self.den = row_vars, col_vars, den
+
+    def solution(self, lp: LinearProgram) -> LpSolution:
+        """The dictionary's point, checked against every row and bound of `lp`."""
+        values: dict[int, Fraction] = {}
+        for row, vid in zip(self.rows, self.row_vars):
+            if vid < self.ncols:
+                values[vid] = Fraction(row[0], self.den)
+        point = []
+        for x, cols in self.var_map:
+            for col, sign in cols:
+                if col in values:
+                    x = x + values[col] if sign > 0 else x - values[col]
+            point.append(x)
+        objective_value = sum((c * x for c, x in zip(lp.objective, point)), _ZERO)
+        dictionary_value = Fraction(self.obj[0], self.den * self.obj_scale)
+        if objective_value != dictionary_value:
+            raise InternalInvariantError(
+                f"objective mismatch: dictionary {dictionary_value}"
+                f" vs point value {objective_value}"
+            )
+        _verify(lp, point)
+        return LpSolution(OPTIMAL, tuple(point), objective_value, self)
+
+    def add_cut(self, lp: LinearProgram, con: Constraint) -> LpSolution:
+        """Add the rows of `con`, the last constraint of `lp`, and re-optimize.
+
+        Each row is put over `den` by eliminating the basic columns, and its
+        slack, with the next free id, becomes basic.  That slack's column is
+        a unit column, so the basis determinant `den` is unchanged and every
+        entry stays an integer minor.  The old basis stays dual feasible, so
+        the dual simplex finishes the round.
+        """
+        rows, row_vars, col_vars, den, ncols = (
+            self.rows, self.row_vars, self.col_vars, self.den, self.ncols
+        )
+        forms, _ = _integer_rows(con, self.var_map, ncols)
+        for form in forms:
+            new = [den * form[0]] + [den * form[vid + 1] if vid < ncols else 0 for vid in col_vars]
+            for row, vid in zip(rows, row_vars):
+                a = form[vid + 1] if vid < ncols else 0
+                if a:
+                    new = [b - a * r for b, r in zip(new, row)]
+            row_vars.append(len(rows) + len(col_vars))
+            rows.append(new)
+        status, self.den = _dual_simplex(rows, self.obj, row_vars, col_vars, den)
+        if status != OPTIMAL:
+            return LpSolution(status, None, None)
+        return self.solution(lp)
+
+
 def solve(lp: LinearProgram) -> LpSolution:
     """Exact optimum of a minimization program.
 
@@ -220,32 +366,14 @@ def solve(lp: LinearProgram) -> LpSolution:
             var_map.append((_ZERO, ((ncols, 1), (ncols + 1, -1))))
             ncols += 2
 
-    def to_columns(coeffs: Sequence[Fraction]):
-        # Coefficients over the nonnegative columns, plus the constant the
-        # offsets add.  Each column belongs to one variable.
-        acc = [0] * ncols
-        const = 0
-        for c, (offset, cols) in zip(coeffs, var_map):
-            if c == 0:
-                continue
-            for col, sign in cols:
-                acc[col] = c if sign > 0 else -c
-            if offset:
-                const += c * offset
-        return acc, const
-
     # Each "<=" row is scaled to integers by its own L > 0, which only
     # rescales its slack: no sign and no ratio Bland's rule reads changes.
     # Its last entry is the artificial variable of phase one, -1 before the
     # scaling and so -L after it.
     rows: list[list[int]] = []
     for con in lp.constraints:
-        acc, const = to_columns(con.coeffs)
-        row, scale = to_integers([con.rhs - const] + acc)
-        if con.relation != ">=":
-            rows.append(row + [-scale])
-        if con.relation != "<=":
-            rows.append([-a for a in row] + [-scale])
+        forms, scale = _integer_rows(con, var_map, ncols)
+        rows += [form + [-scale] for form in forms]
     for col, rhs in bound_rows:
         row, scale = to_integers([rhs] + [int(j == col) for j in range(ncols)])
         rows.append(row + [-scale])
@@ -282,7 +410,7 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     # Phase two: install the real objective, expressed over the current
     # basis, as integers over `den` scaled by the lcm of its coefficients.
-    col_coeff, const = to_columns(lp.objective)
+    col_coeff, const = _to_columns(lp.objective, var_map, ncols)
     (const, *col_coeff), obj_scale = to_integers([const] + col_coeff)
     obj = [0] * (len(col_vars) + 1)
     obj[0] = const * den
@@ -299,25 +427,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     status, den = _bland(rows, obj, row_vars, col_vars, den)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None)
-
-    values: dict[int, Fraction] = {}
-    for i, vid in enumerate(row_vars):
-        if vid < ncols:
-            values[vid] = Fraction(rows[i][0], den)
-    point = []
-    for x, cols in var_map:
-        for col, sign in cols:
-            if col in values:
-                x = x + values[col] if sign > 0 else x - values[col]
-        point.append(x)
-    objective_value = sum((c * x for c, x in zip(lp.objective, point)), _ZERO)
-    dictionary_value = Fraction(obj[0], den * obj_scale)
-    if objective_value != dictionary_value:
-        raise InternalInvariantError(
-            f"objective mismatch: dictionary {dictionary_value} vs point value {objective_value}"
-        )
-    _verify(lp, point)
-    return LpSolution(OPTIMAL, tuple(point), objective_value)
+    return _Dictionary(var_map, ncols, rows, obj, obj_scale, row_vars, col_vars, den).solution(lp)
 
 
 def _verify(lp: LinearProgram, point: Sequence[Fraction]) -> None:
@@ -353,13 +463,17 @@ def solve_with_row_generation(
 
     The oracle receives the current optimal point and returns a violated
     Constraint or None (feasible for the whole family).  The result then
-    equals a solve over the fully materialized family.  Exceeding
+    equals a solve over the fully materialized family.  Only the first round
+    calls `solve`; each later round appends the cut to the previous round's
+    optimal dictionary, which stays dual feasible, and re-optimizes it by
+    the dual simplex.  Every round's point is rebuilt and checked against
+    the whole working LP, as `solve` checks its own.  Exceeding
     `max_rounds` is a hard error: the families used here are finite, so
     running past them proves a bug.
     """
     lp = replace(lp_base, constraints=list(lp_base.constraints))
+    sol = solve(lp)
     for _ in range(max_rounds):
-        sol = solve(lp)
         if sol.status != OPTIMAL:
             return sol
         extra = oracle(sol.point)
@@ -367,6 +481,7 @@ def solve_with_row_generation(
             return sol
         lp._check(extra)
         lp.constraints.append(extra)
+        sol = sol._dictionary.add_cut(lp, extra)
     raise InternalInvariantError(
         f"separation oracle did not certify within {max_rounds} rounds"
     )

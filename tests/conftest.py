@@ -45,6 +45,11 @@ def partition_value(hg: WeightedHypergraph, part) -> Fraction:
     return (sum(ent[cell] for cell in part.cells) - ent[hg.full_mask]) / (part.size - 1)
 
 
+def proper_subsets(m: int) -> range:
+    """Every nonempty proper subset mask of {1..m}: the full family of subset rows."""
+    return range(1, (1 << m) - 1)
+
+
 def random_weight(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 4), rng.choice((1, 2, 3)))
 

@@ -24,7 +24,13 @@ from skbounds.bounds import FractionalPacking, build_gamma_lp, build_rco_lp
 from skbounds.cli import parse_document
 from skbounds.partitions import PARTITION_CAP, Partition
 
-from conftest import cycle_plus_edges, fixture_text, random_graph, random_hypergraph
+from conftest import (
+    cycle_plus_edges,
+    fixture_text,
+    proper_subsets,
+    random_graph,
+    random_hypergraph,
+)
 
 F = Fraction
 
@@ -81,13 +87,13 @@ def test_rco_rowgen_agrees():
 
 
 def test_build_rco_lp_row_count():
-    lp = build_rco_lp(EXAMPLE1)
+    lp = build_rco_lp(EXAMPLE1, proper_subsets(4), subset_weight_table(4, EXAMPLE1.weights))
     assert len(lp.variables) == 4
     assert len(lp.constraints) == 14  # 2^4 - 2 proper nonempty subsets
 
 
 def test_build_gamma_lp_shape():
-    lp = build_gamma_lp(EXAMPLE1, F(3, 2))
+    lp = build_gamma_lp(EXAMPLE1, F(3, 2), proper_subsets(4))
     assert len(lp.variables) == 8  # 4 packing entries + 4 rates
     assert len(lp.constraints) == 15  # 14 subset rows + 1 equality
     assert lp.constraints[-1].relation == "="
@@ -98,7 +104,7 @@ def test_build_gamma_lp_shape():
 
 def test_gamma_lp_feasibility_witness():
     # the full weight vector with an omniscience-optimal rate point is feasible
-    lp = build_gamma_lp(EXAMPLE1, F(3, 2))
+    lp = build_gamma_lp(EXAMPLE1, F(3, 2), proper_subsets(4))
     _, rates = r_co_direct(EXAMPLE1)
     point = [EXAMPLE1.weights[e] for e in EXAMPLE1.edges] + list(rates.rates)
     for con in lp.constraints:
@@ -341,7 +347,7 @@ def test_free_rates_match_nonnegative_rates_on_examples():
     # adding explicit rate nonnegativity must not move the optimum here
     for hg in (EXAMPLE1, EXAMPLE2, TRIANGLE, TWO_TERMINAL):
         value = upper_bound_theorem1(hg)[0] + mmi(hg).value
-        lp = build_gamma_lp(hg, mmi(hg).value)
+        lp = build_gamma_lp(hg, mmi(hg).value, proper_subsets(hg.m))
         k = len(hg.edges)
         lp.lower = lp.lower[:k] + [F(0)] * hg.m
         constrained = solve(lp)
@@ -349,7 +355,7 @@ def test_free_rates_match_nonnegative_rates_on_examples():
         assert constrained.objective_value == value
 
         rco = r_co_direct(hg)[0]
-        rco_lp = build_rco_lp(hg)
+        rco_lp = build_rco_lp(hg, proper_subsets(hg.m), subset_weight_table(hg.m, hg.weights))
         rco_lp.lower = [F(0)] * hg.m
         constrained = solve(rco_lp)
         assert constrained.objective_value == rco

@@ -11,11 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from skbounds import mmi, solve
+from skbounds import mmi, solve, subset_weight_table
 from skbounds.bounds import build_gamma_lp, build_rco_lp
 from skbounds.lp import RELATIONS, LinearProgram
 
-from conftest import random_graph, random_hypergraph
+from conftest import proper_subsets, random_graph, random_hypergraph
 from reference_simplex import reference_solve
 
 RANDOM_LP_COUNT = 200
@@ -82,5 +82,7 @@ def test_package_lps_match_reference(family):
     make = random_hypergraph if family == "hyper" else random_graph
     for i in range(10):
         hg = make(rng, 3 + i % 4)
-        assert _assert_same(build_rco_lp(hg), f"rco {i}") == "optimal"
-        assert _assert_same(build_gamma_lp(hg, mmi(hg).value), f"gamma {i}") == "optimal"
+        masks, cond = proper_subsets(hg.m), subset_weight_table(hg.m, hg.weights)
+        assert _assert_same(build_rco_lp(hg, masks, cond), f"rco {i}") == "optimal"
+        gamma = build_gamma_lp(hg, mmi(hg).value, masks)
+        assert _assert_same(gamma, f"gamma {i}") == "optimal"
