@@ -29,15 +29,15 @@ Both LPs use one subset family, built by `_subset_row`: for every nonempty
 proper subset B, rates(B) - x(edges inside B) >= rhs, with no x and rhs the
 entropy of B given the rest for R_CO, and one x per hyperedge and rhs 0 for
 the packing LP.  `_solve_rows` is the one switch, for both LPs, between
-materializing the family in full (the default for m <= 8) and generating
-it on demand from the singletons with `separation_oracle` (above that);
-either can be forced for cross-checking.  `r_co_direct` and
-`upper_bound_theorem1`, like `mmi`, solve on the integer source
-(`WeightedHypergraph.integer_source`: weights times L, the lcm of their
-denominators; the packing LP pinned to L times the capacity) and divide
-what they return by L once: every quantity is homogeneous of degree one in
-the weights, and scaling every right-hand side and bound by L > 0 changes
-no pivot.  Row generation separates in ints over each point's common
+generating the family on demand from the singletons with
+`separation_oracle` (the default, at every m) and materializing it in
+full, the reference path that `run_checks` cross-solves with.
+`r_co_direct` and `upper_bound_theorem1`, like `mmi`, solve on the
+integer source (`WeightedHypergraph.integer_source`: weights times L, the
+lcm of their denominators; the packing LP pinned to L times the capacity)
+and divide what they return by L once: every quantity is homogeneous of
+degree one in the weights, and scaling every right-hand side and bound by
+L > 0 changes no pivot.  Row generation separates in ints over each point's common
 denominator d, against d times a table: R_CO's, built once per solve, or
 the packing LP's, built from the point.  `tests/reference_separation.py`
 keeps the `Fraction` sweep as the test oracle.
@@ -66,13 +66,11 @@ from .lp import (
 from .partitions import MmiResult, cross_edges, mmi
 from .rational import to_integers
 
-FULL_ROW_DEFAULT_MAX_M = 8
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
-Method = str  # "auto" | "full" | "rowgen"
+Method = str  # "auto" (= "rowgen") | "full" | "rowgen"
 Check = tuple[str, bool, object, object]  # (label, ok, value, expected)
 
 
@@ -103,7 +101,7 @@ class AnalysisReport:
     ub_theorem1: Fraction
     x_star: FractionalPacking
     graphical: Optional[GraphicalBounds]
-    method: str  # the resolved row method: "full" or "rowgen"
+    method: str  # the resolved row method: "rowgen" by default, or "full"
     # On graphs, the partition scan of the source reduced by x*, which
     # analyze makes for its Type S check and run_checks reuses.
     reduced_mmi: Optional[MmiResult] = None
@@ -114,12 +112,10 @@ def _proper_subsets(m: int):
     return range(1, full)
 
 
-def _resolve_method(hg: WeightedHypergraph, method: Method) -> str:
-    if method == "auto":
-        return "full" if hg.m <= FULL_ROW_DEFAULT_MAX_M else "rowgen"
-    if method not in ("full", "rowgen"):
+def _resolve_method(method: Method) -> str:
+    if method not in ("auto", "full", "rowgen"):
         raise ValueError(f"unknown method {method!r}")
-    return method
+    return "rowgen" if method == "auto" else method
 
 
 def separation_oracle(inside: Sequence, rates: Sequence) -> Optional[int]:
@@ -191,7 +187,7 @@ def r_co_direct(hg: WeightedHypergraph, *, method: Method = "auto") -> tuple[Fra
     Infeasibility is impossible (each terminal broadcasting its own entropy
     is feasible), so a non-optimal status is reported as an internal error.
     """
-    method = _resolve_method(hg, method)
+    method = _resolve_method(method)
     m = hg.m
     src, scale = hg.integer_source()
     table = subset_weight_table(m, src.weights)
@@ -244,7 +240,7 @@ def upper_bound_theorem1(
     packing.  The full weight vector is always feasible, so the bound never
     exceeds the omniscience rate; a non-optimal LP status is a bug.
     """
-    method = _resolve_method(hg, method)
+    method = _resolve_method(method)
     mres = mmi_result if mmi_result is not None else mmi(hg)
     m = hg.m
     src, scale = hg.integer_source()
@@ -325,7 +321,7 @@ def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisRepor
     and on graphs UB = (m - 2) I, LB <= UB, LB = CI - I, Type S reduced
     source); a violation signals a bug.
     """
-    method = _resolve_method(hg, method)
+    method = _resolve_method(method)
     mres = mmi(hg)
     r_co, _rates = r_co_direct(hg, method=method)
     ub1, x_star = upper_bound_theorem1(hg, mmi_result=mres, method=method)

@@ -227,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_const",
             const="full",
             dest="method",
-            help="materialize every subset constraint",
+            help="materialize every subset constraint (the reference that --check cross-solves)",
         )
         rows.add_argument(
             "--row-gen",
             action="store_const",
             const="rowgen",
             dest="method",
-            help="generate subset constraints with the separation oracle",
+            help="generate subset constraints with the separation oracle (the default)",
         )
         cmd.set_defaults(method="auto")
     return parser

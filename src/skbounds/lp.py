@@ -279,6 +279,21 @@ def _integer_rows(con: Constraint, var_map, ncols: int):
     return forms, scale
 
 
+def _over_basis(form, rows, row_vars, col_vars, den, ncols):
+    """`den` times the integer form f0 - sum f[c + 1] * column c, over the nonbasic columns.
+
+    The result reads like a dictionary row, (new[0] - sum new[j + 1] *
+    nonbasic_j) / den: each basic column is replaced by its row, and slack
+    ids (ncols and up) have no entry in the form.
+    """
+    new = [den * form[0]] + [den * form[vid + 1] if vid < ncols else 0 for vid in col_vars]
+    for row, vid in zip(rows, row_vars):
+        a = form[vid + 1] if vid < ncols else 0
+        if a:
+            new = [b - a * r for b, r in zip(new, row)]
+    return new
+
+
 class _Dictionary:
     """An optimal fraction-free dictionary of `solve`, kept to add rows to.
 
@@ -328,11 +343,7 @@ class _Dictionary:
         )
         forms, _ = _integer_rows(con, self.var_map, ncols)
         for form in forms:
-            new = [den * form[0]] + [den * form[vid + 1] if vid < ncols else 0 for vid in col_vars]
-            for row, vid in zip(rows, row_vars):
-                a = form[vid + 1] if vid < ncols else 0
-                if a:
-                    new = [b - a * r for b, r in zip(new, row)]
+            new = _over_basis(form, rows, row_vars, col_vars, den, ncols)
             row_vars.append(len(rows) + len(col_vars))
             rows.append(new)
         status, self.den = _dual_simplex(rows, self.obj, row_vars, col_vars, den)
@@ -412,17 +423,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     # basis, as integers over `den` scaled by the lcm of its coefficients.
     col_coeff, const = _to_columns(lp.objective, var_map, ncols)
     (const, *col_coeff), obj_scale = to_integers([const] + col_coeff)
-    obj = [0] * (len(col_vars) + 1)
-    obj[0] = const * den
-    position = {vid: j for j, vid in enumerate(col_vars)}
-    basic_row = {vid: i for i, vid in enumerate(row_vars)}
-    for vid, c in enumerate(col_coeff):
-        if c == 0:
-            continue
-        if vid in position:
-            obj[position[vid] + 1] -= c * den
-        else:
-            obj = [o + c * a for o, a in zip(obj, rows[basic_row[vid]])]
+    obj = _over_basis([const] + [-c for c in col_coeff], rows, row_vars, col_vars, den, ncols)
 
     status, den = _bland(rows, obj, row_vars, col_vars, den)
     if status == UNBOUNDED:

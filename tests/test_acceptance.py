@@ -84,9 +84,9 @@ def test_criterion_6_oracle_equivalence(identity_results, graphical_results):
     count = 0
     for res in identity_results + graphical_results:
         assert res.hg.m <= 7
-        assert res.report.method == "full"  # run_checks solved both LPs with row generation
-        _, rco_full, rco_rowgen = res.checks["row generation agreement (R_CO)"]
-        _, ub_full, ub_rowgen = res.checks["row generation agreement (packing LP)"]
+        assert res.report.method == "rowgen"  # run_checks solved both LPs with full rows
+        _, rco_rowgen, rco_full = res.checks["row generation agreement (R_CO)"]
+        _, ub_rowgen, ub_full = res.checks["row generation agreement (packing LP)"]
         assert rco_full == rco_rowgen
         assert ub_full == ub_rowgen
         count += 1

@@ -222,6 +222,18 @@ def test_an_unknown_row_method_fails_before_any_work(entry, monkeypatch):
         entry(cycle_plus_edges(random.Random(12), 12), method="bogus")
 
 
+@pytest.mark.parametrize("m", range(2, 10))
+def test_the_default_row_method_is_row_generation_at_every_m(m):
+    # No size rule: the default solves both LPs by row generation, so it
+    # reports exactly what method="rowgen" reports, x* and rate point included.
+    hg = cycle_plus_edges(random.Random(m), m)
+    report = analyze(hg)
+    assert report.method == "rowgen"
+    assert report == analyze(hg, method="rowgen")  # field for field, x* included
+    assert r_co_direct(hg) == r_co_direct(hg, method="rowgen")
+    assert upper_bound_theorem1(hg) == upper_bound_theorem1(hg, method="rowgen")
+
+
 @pytest.mark.parametrize("m, expected", [(14, 37), (16, 54)])
 def test_rco_row_generation_at_large_m(m, expected):
     # Past the partition cap only R_CO runs; its rate point must meet all

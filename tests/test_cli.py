@@ -360,11 +360,12 @@ def test_check_failure_prints_both_values(monkeypatch, capsys):
     _, report_text, _ = run_cli(capsys, "analyze", path)
     exact = skbounds.bounds.upper_bound_theorem1
 
-    def off_by_one_under_row_generation(hg, *, mmi_result=None, method="auto"):
+    def off_by_one_under_full_rows(hg, *, mmi_result=None, method="auto"):
         bound, packing = exact(hg, mmi_result=mmi_result, method=method)
-        return (bound + 1 if method == "rowgen" else bound), packing
+        return (bound + 1 if method == "full" else bound), packing
 
-    monkeypatch.setattr(skbounds.bounds, "upper_bound_theorem1", off_by_one_under_row_generation)
+    # The default report is solved by row generation; the cross-check uses full rows.
+    monkeypatch.setattr(skbounds.bounds, "upper_bound_theorem1", off_by_one_under_full_rows)
     code, out, err = run_cli(capsys, "analyze", "--check", path)
     assert code == 1
     assert out == report_text
