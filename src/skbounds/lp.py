@@ -6,8 +6,11 @@ label.  Bland's least-index rule governs both the entering and the leaving
 choice, so the method terminates even on the highly degenerate polyhedra
 this package produces (subset constraints with zero right-hand sides).
 Optimality is certified by the final dictionary (no improving reduced cost
-for minimization), and the returned point is re-checked against every
-original constraint and bound before the solver reports it.
+for minimization), and the returned point is re-checked exactly against
+every original constraint and bound before the solver reports it.  The row
+check runs in integers: each constraint builds its integer form once, when
+it is made, and each check puts the point over one common denominator, so
+a round of row generation sums no `Fraction`s over its working LP.
 
 The dictionary is fraction-free (Edmonds 1967; Bareiss 1968): every entry
 is an integer over one positive common denominator, the determinant of
@@ -77,12 +80,20 @@ class Constraint:
     coeffs: tuple[Fraction, ...]
     relation: str
     rhs: Fraction
+    # The row times the lcm of its denominators, built once for `_verify`:
+    # the integer rhs and (index, coefficient) for each nonzero coefficient.
+    _integer_form: tuple[int, list[tuple[int, int]]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
         object.__setattr__(self, "coeffs", tuple(_rational(c) for c in self.coeffs))
         object.__setattr__(self, "rhs", _rational(self.rhs))
+        (rhs, *ints), _ = to_integers([self.rhs, *self.coeffs])
+        terms = [(t, c) for t, c in enumerate(ints) if c]
+        object.__setattr__(self, "_integer_form", (rhs, terms))
 
 
 @dataclass
@@ -397,9 +408,13 @@ def solve(lp: LinearProgram) -> LpSolution:
     if any(row[0] < 0 for row in rows):
         aux = [0] * (len(col_vars) + 1)
         aux[-1] = -1  # z_aux = artificial value
-        pr = min(
-            range(len(rows)), key=lambda i: (Fraction(rows[i][0], -rows[i][-1]), row_vars[i])
-        )
+        # The row of least rhs over its scale -row[-1] > 0 leaves, compared
+        # cross-multiplied; row ids grow with the index, so a tie keeps the
+        # least id.
+        pr = 0
+        for i, row in enumerate(rows):
+            if row[0] * -rows[pr][-1] < rows[pr][0] * -row[-1]:
+                pr = i
         den = _pivot(rows, aux, row_vars, col_vars, den, pr, ncols)
         status, den = _bland(rows, aux, row_vars, col_vars, den)
         if status != OPTIMAL:
@@ -432,20 +447,32 @@ def solve(lp: LinearProgram) -> LpSolution:
 
 
 def _verify(lp: LinearProgram, point: Sequence[Fraction]) -> None:
+    """Raise unless `point` meets every bound and every row of `lp` exactly.
+
+    The bounds are compared as rationals.  For the rows the point is put
+    over one common denominator D once, as ints xs = D * point, and each row
+    is read in its integer form, L * (rhs, coeffs) with L > 0: the row holds
+    exactly when sum L*c * xs[t] and L*rhs * D stand in the row's relation.
+    Only a failing row is summed again in rationals, for the message.
+    """
     for t, x in enumerate(point):
         lo, up = lp.lower[t], lp.upper[t]
         if lo is not None and x < lo:
             raise InternalInvariantError(f"{lp.variables[t]} = {x} below lower bound {lo}")
         if up is not None and x > up:
             raise InternalInvariantError(f"{lp.variables[t]} = {x} above upper bound {up}")
+    xs, d = to_integers(point)
     for i, con in enumerate(lp.constraints):
-        lhs = sum((c * x for c, x in zip(con.coeffs, point) if c), _ZERO)
+        rhs, terms = con._integer_form
+        lhs = sum([c * xs[t] for t, c in terms])
+        rhs *= d
         ok = (
-            lhs <= con.rhs if con.relation == "<="
-            else lhs >= con.rhs if con.relation == ">="
-            else lhs == con.rhs
+            lhs <= rhs if con.relation == "<="
+            else lhs >= rhs if con.relation == ">="
+            else lhs == rhs
         )
         if not ok:
+            lhs = sum((c * x for c, x in zip(con.coeffs, point) if c), _ZERO)
             raise InternalInvariantError(
                 f"returned point violates constraint {i}:"
                 f" lhs {lhs} is not {con.relation} rhs {con.rhs}"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import skbounds.lp
 from skbounds import Constraint, InternalInvariantError, LinearProgram, solve, solve_with_row_generation
 from skbounds.lp import _verify
 
@@ -156,6 +157,27 @@ def test_floats_are_rejected(build):
     # Ints, strings and Fractions are accepted (test_single_variable_bounds).
     with pytest.raises(TypeError, match="float"):
         build()
+
+
+def test_phase_one_ties_go_to_the_least_row_id(monkeypatch):
+    # In "<=" form the two ">=" rows read -1 <= ... at scales 1 and 3, both
+    # at rhs / scale = -1, the least: phase one's first pivot takes the tied
+    # row of least id.  Ids: columns 0 and 1, then rows 2, 3 and 4.
+    lp = LinearProgram(["x", "y"], [F(1), F(1)], lower=[F(0), F(0)])
+    lp.add_constraint([F(1), F(1)], "<=", F(5))
+    lp.add_constraint([F(0), F(2, 3)], ">=", F(1))
+    lp.add_constraint([F(1), F(0)], ">=", F(1))
+    leaving = []
+    pivot = skbounds.lp._pivot
+
+    def recording(rows, obj, row_vars, col_vars, den, pr, pc):
+        leaving.append(row_vars[pr])
+        return pivot(rows, obj, row_vars, col_vars, den, pr, pc)
+
+    monkeypatch.setattr(skbounds.lp, "_pivot", recording)
+    sol = solve(lp)
+    assert leaving[0] == 3
+    assert sol.point == (F(1), F(3, 2))
 
 
 def test_constraint_validates_relation():
