@@ -20,10 +20,11 @@ All quantities are exact rationals:
   interactive common information equals the weight crossing the
   fundamental partition, and the lower bound scales that crossing weight.
 
-Rate variables are deliberately left free (no sign constraint): the subset
-family includes the singletons, which already force effective
-nonnegativity whenever it matters, and tests confirm adding explicit signs
-changes nothing on the bundled examples.
+Both LPs start dual feasible at their slack basis, which `lp.solve`
+requires.  R_CO's rates cost 1 each and carry the lower bound 0, which
+changes no feasible point: the singleton rows already force R_i >=
+H({i} | rest) >= 0.  The packing LP's rates cost 0 and stay free, and its
+packing entries cost 1 at their lower bound 0.
 
 Both LPs use one subset family, built by `_subset_row`: for every nonempty
 proper subset B, rates(B) - x(edges inside B) >= rhs, with no x and rhs the
@@ -172,12 +173,15 @@ def build_rco_lp(hg: WeightedHypergraph, subset_masks, cond) -> LinearProgram:
     must cover the entropy of B given the rest.  `cond` is the source's
     conditional-entropy table, `subset_weight_table(hg.m, hg.weights)`,
     which the caller builds once for the LP and its separation.  On the
-    integer source every right-hand side is an int.
+    integer source every right-hand side is an int.  The rates are >= 0,
+    which the singleton rows imply, so the LP is dual feasible at its slack
+    basis.
     """
     return LinearProgram(
         variables=[f"R{i}" for i in range(1, hg.m + 1)],
         objective=[_ONE] * hg.m,
         constraints=[_subset_row((), hg.m, mask, cond[mask]) for mask in subset_masks],
+        lower=[_ZERO] * hg.m,
     )
 
 

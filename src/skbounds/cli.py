@@ -21,6 +21,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 from .bounds import (
@@ -255,7 +256,13 @@ def main(argv=None) -> int:
             raise InputFormatError("lower bound needs a graphical source (all edges of size 2)")
         report = None
         if args.command == "analyze" or args.check:
-            report = analyze(hg, method=args.method)
+            # A library warning prints as one plain stderr line, on every
+            # call, not in Python's format with a source path and line.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = analyze(hg, method=args.method)
+            for warning in caught:
+                print(f"skbounds: warning: {warning.message}", file=sys.stderr)
         doc, lines = _COMMANDS[args.command][0](hg, args.method, report)
         if args.json:
             lines = [json.dumps({"m": hg.m, **doc}, indent=2)]

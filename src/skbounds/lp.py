@@ -1,50 +1,46 @@
 """Exact linear programming over rationals.
 
-A two-phase primal simplex on a compact dictionary: only nonbasic columns
-are stored, and pivoting swaps a basic row label with a nonbasic column
-label.  Bland's least-index rule governs both the entering and the leaving
-choice, so the method terminates even on the highly degenerate polyhedra
-this package produces (subset constraints with zero right-hand sides).
-Optimality is certified by the final dictionary (no improving reduced cost
-for minimization), and the returned point is re-checked exactly against
-every original constraint and bound before the solver reports it.  The row
-check runs in integers: each constraint builds its integer form once, when
-it is made, and each check puts the point over one common denominator, so
-a round of row generation sums no `Fraction`s over its working LP.
+One method solves every program: the dual simplex on a compact dictionary
+(only nonbasic columns are stored; a pivot swaps a basic row label with a
+nonbasic column label), started from the slack basis.  There every reduced
+cost is a column's cost, so the start is dual feasible exactly when no
+column cost is negative, and `solve` raises ValueError on any other
+program.  A dual-feasible program is bounded below, so the outcome is
+optimal (no basic variable negative) or infeasible (a negative one that no
+column can raise).
+
+The most negative basic value leaves, least basic id on ties; after a
+pivot whose entering reduced cost is 0, the least basic id among the
+negative ones leaves instead, until the objective next changes.  The
+column of least ratio of reduced cost to row entry enters, least column
+id on ties.  This is finite: a pivot that changes the objective strictly
+raises it, so no basis recurs across such pivots, and in a run at one
+objective every pivot after the first is Bland's rule read on the dual,
+which cannot cycle (Chvatal, *Linear Programming*, 1983, ch. 3 and 10).
+Optimality is certified by the final dictionary, and the point is checked
+exactly against every original row and bound before it is returned; the
+row check runs in integers, over one common denominator per point and an
+integer form that each constraint builds once.
 
 The dictionary is fraction-free (Edmonds 1967; Bareiss 1968): every entry
 is an integer over one positive common denominator, the determinant of
 the current basis up to sign.  Each "<=" row starts as integers, scaled by
 the lcm of its own denominators, which only rescales that row's slack
-variable; the phase-two objective is scaled the same way.  A pivot
-computes (a * p - f * b) // den, which is exact, touches the elimination
-only where the pivot row is nonzero, and makes |p| the new denominator.
-Positive rescaling of a row, a variable or the objective changes no sign
-of an entry and no order between the ratios of one column, and these are
-all that Bland's rule reads, so the pivots are exactly those of the same
-simplex on the rational dictionary and the returned point is the same.
-Rationals are rebuilt only for the result.  Integers are arbitrary
-precision, so there is no overflow to detect.
-
-Free variables are split into differences of nonnegative parts, variables
-with a lower bound are shifted, upper bounds become rows, and equalities
-become opposing inequalities.  Every row carries one artificial variable
-from the start; phase one uses it to repair an infeasible start, and its
-column is dropped before phase two whether or not phase one ran.
+variable; the objective is scaled the same way.  A pivot computes
+(a * p - f * b) // den, which is exact, touches the elimination only where
+the pivot row is nonzero, and makes |p| the new denominator.  Integers are
+arbitrary precision, so there is no overflow to detect.  Free variables
+are split into differences of nonnegative parts, variables with a lower
+bound are shifted, upper bounds become rows, and equalities become
+opposing inequalities.
 
 `solve_with_row_generation` wraps `solve` with a caller-supplied separation
-oracle for constraint families too large to materialize.  `solve` returns
-its optimal dictionary with the solution, and each later round appends the
-cut to it: the cut's integer row is put over the current denominator by
-eliminating the basic columns, and its slack, a unit column, becomes
-basic, so the basis determinant and the fraction-free invariant are kept.
-The old basis stays dual feasible, and a dual simplex restores primal
-feasibility in a few pivots instead of a re-solve from the slack basis
-(Chvatal, *Linear Programming*, 1983, ch. 10).  It uses the least-index
-rule, Bland's rule read on the dual, so it cannot cycle either: the least
-basic id among the negative rows leaves, and the least ratio of reduced
-cost to row entry enters, least column id on ties.  Every round's point
-is checked like `solve`'s, against the whole working LP.
+oracle for constraint families too large to materialize.  Each round after
+the first appends the cut to the previous optimal dictionary: its integer
+row is put over the current denominator and its slack, a unit column,
+becomes basic, so the fraction-free invariant holds.  The old basis stays
+dual feasible, and the same dual simplex restores primal feasibility in a
+few pivots.  Every round's point is checked against the whole working LP.
 """
 
 from __future__ import annotations
@@ -60,7 +56,6 @@ RELATIONS = ("<=", ">=", "=")
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
 
@@ -175,85 +170,62 @@ def _pivot(rows, obj, row_vars, col_vars, den, pr, pc):
 
 def _eliminate(row, support, k, p, den, sign):
     f = row[k]
-    if not f:
-        return row if p == den else [a * p // den for a in row]
-    new = [a * p // den for a in row]
-    for j, b in support:
-        new[j] = (row[j] * p - f * b) // den
+    if p == den:
+        # The denominator stays, so each entry only loses f * b / den, an
+        # integer because the new entry and the old one are.
+        if not f:
+            return row
+        new = row[:]
+        for j, b in support:
+            new[j] -= f * b // den
+    else:
+        new = [a * p // den for a in row]
+        if not f:
+            return new
+        for j, b in support:
+            new[j] = (row[j] * p - f * b) // den
     new[k] = -sign * f
     return new
 
 
-def _bland(rows, obj, row_vars, col_vars, den):
-    """Run Bland's rule to optimality or unboundedness on the dictionary.
-
-    Returns the status and the final common denominator.  Every decision
-    reads a sign or compares two ratios of entries over the same
-    denominator, so it matches the decision on the rational dictionary.
-    """
-    while True:
-        pc = -1
-        best_id = None
-        for j in range(len(col_vars)):
-            if obj[j + 1] > 0 and (best_id is None or col_vars[j] < best_id):
-                best_id = col_vars[j]
-                pc = j
-        if pc < 0:
-            return OPTIMAL, den
-        k = pc + 1
-        pr = -1
-        for i, row in enumerate(rows):
-            a = row[k]
-            if a > 0:
-                # row[0] / a < best_b / best_a, cross-multiplied (a, best_a > 0).
-                if pr < 0:
-                    take = True
-                else:
-                    lhs = row[0] * best_a
-                    rhs = best_b * a
-                    take = lhs < rhs or (lhs == rhs and row_vars[i] < best_rid)
-                if take:
-                    best_b, best_a, best_rid = row[0], a, row_vars[i]
-                    pr = i
-        if pr < 0:
-            return UNBOUNDED, den
-        den = _pivot(rows, obj, row_vars, col_vars, den, pr, pc)
-
-
 def _dual_simplex(rows, obj, row_vars, col_vars, den):
-    """Restore primal feasibility on a dual-feasible dictionary, least index first.
+    """Run the dual simplex on a dual-feasible dictionary, the only pivot routine.
 
-    The basic variable of least id among the negative ones leaves; among the
-    columns that can raise it (negative entry in its row), the one with the
-    least ratio obj[j] / row[j] enters, least column id on ties, which keeps
-    every reduced cost nonpositive.  Returns the status, optimal or
-    infeasible (no column can raise the leaving variable), and the final
-    common denominator.
+    The most negative basic value leaves, least basic id on ties, or, after
+    a pivot whose entering reduced cost was 0, the least basic id among the
+    negative ones.  Among the columns that can raise the leaving variable
+    (negative entry in its row), the one with the least ratio
+    obj[j] / row[j] enters, least column id on ties, which keeps every
+    reduced cost nonpositive.  Returns the status, optimal or infeasible (no
+    column can raise the leaving variable), and the final common
+    denominator.
     """
+    least_id = False
     while True:
         pr = -1
         for i, row in enumerate(rows):
-            if row[0] < 0 and (pr < 0 or row_vars[i] < row_vars[pr]):
-                pr = i
+            b = row[0]
+            if b < 0 and (
+                pr < 0 or (row_vars[i] < row_vars[pr] if least_id or b == best else b < best)
+            ):
+                pr, best = i, b
         if pr < 0:
             return OPTIMAL, den
         prow = rows[pr]
         pc = -1
         for j in range(len(col_vars)):
             a = prow[j + 1]
-            if a < 0:
-                # obj[j + 1] / a < best_o / best_a, cross-multiplied (a * best_a > 0).
-                if pc < 0:
-                    take = True
-                else:
-                    lhs = obj[j + 1] * best_a
-                    rhs = best_o * a
-                    take = lhs < rhs or (lhs == rhs and col_vars[j] < col_vars[pc])
-                if take:
-                    best_o, best_a = obj[j + 1], a
-                    pc = j
+            # obj[j + 1] / a < best_o / best_a, cross-multiplied (a * best_a > 0).
+            if a < 0 and (
+                pc < 0
+                or (d := obj[j + 1] * best_a - best_o * a) < 0
+                or (d == 0 and col_vars[j] < col_vars[pc])
+            ):
+                best_o, best_a, pc = obj[j + 1], a, j
         if pc < 0:
             return INFEASIBLE, den
+        # A zero reduced cost leaves the objective where it is.
+        least_id = not obj[pc + 1]
         den = _pivot(rows, obj, row_vars, col_vars, den, pr, pc)
 
 
@@ -275,34 +247,19 @@ def _to_columns(coeffs: Sequence[Fraction], var_map, ncols: int):
 
 
 def _integer_rows(con: Constraint, var_map, ncols: int):
-    """`con` as "<=" rows [rhs, *coefficients] over the columns, in integers, and their scale.
+    """`con` as "<=" rows [rhs, *coefficients] over the columns, in integers.
 
-    One row for "<=", its negation for ">=", both for "=".  The scale
-    L > 0 only rescales each row's slack.
+    One row for "<=", its negation for ">=", both for "=".  The scale of
+    the integers, L > 0, only rescales each row's slack.
     """
     acc, const = _to_columns(con.coeffs, var_map, ncols)
-    row, scale = to_integers([con.rhs - const] + acc)
+    row, _ = to_integers([con.rhs - const] + acc)
     forms = []
     if con.relation != ">=":
         forms.append(row)
     if con.relation != "<=":
         forms.append([-a for a in row])
-    return forms, scale
-
-
-def _over_basis(form, rows, row_vars, col_vars, den, ncols):
-    """`den` times the integer form f0 - sum f[c + 1] * column c, over the nonbasic columns.
-
-    The result reads like a dictionary row, (new[0] - sum new[j + 1] *
-    nonbasic_j) / den: each basic column is replaced by its row, and slack
-    ids (ncols and up) have no entry in the form.
-    """
-    new = [den * form[0]] + [den * form[vid + 1] if vid < ncols else 0 for vid in col_vars]
-    for row, vid in zip(rows, row_vars):
-        a = form[vid + 1] if vid < ncols else 0
-        if a:
-            new = [b - a * r for b, r in zip(new, row)]
-    return new
+    return forms
 
 
 class _Dictionary:
@@ -343,18 +300,23 @@ class _Dictionary:
     def add_cut(self, lp: LinearProgram, con: Constraint) -> LpSolution:
         """Add the rows of `con`, the last constraint of `lp`, and re-optimize.
 
-        Each row is put over `den` by eliminating the basic columns, and its
-        slack, with the next free id, becomes basic.  That slack's column is
-        a unit column, so the basis determinant `den` is unchanged and every
-        entry stays an integer minor.  The old basis stays dual feasible, so
-        the dual simplex finishes the round.
+        Each integer row f, f0 - sum f[c + 1] * column c >= 0, is put over
+        `den` by replacing each basic column with its row (slack ids, ncols
+        and up, have no entry in f), and its slack, with the next free id,
+        becomes basic.  That slack's column is a unit column, so the basis
+        determinant `den` is unchanged and every entry stays an integer
+        minor.  The old basis stays dual feasible, so the dual simplex
+        finishes the round.
         """
         rows, row_vars, col_vars, den, ncols = (
             self.rows, self.row_vars, self.col_vars, self.den, self.ncols
         )
-        forms, _ = _integer_rows(con, self.var_map, ncols)
-        for form in forms:
-            new = _over_basis(form, rows, row_vars, col_vars, den, ncols)
+        for form in _integer_rows(con, self.var_map, ncols):
+            new = [den * form[0]] + [den * form[vid + 1] if vid < ncols else 0 for vid in col_vars]
+            for row, vid in zip(rows, row_vars):
+                a = form[vid + 1] if vid < ncols else 0
+                if a:
+                    new = [b - a * r for b, r in zip(new, row)]
             row_vars.append(len(rows) + len(col_vars))
             rows.append(new)
         status, self.den = _dual_simplex(rows, self.obj, row_vars, col_vars, den)
@@ -364,10 +326,13 @@ class _Dictionary:
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    """Exact optimum of a minimization program.
+    """Exact optimum of a minimization program that is dual feasible at its slack basis.
 
     Returns status "optimal" with an exactly feasible point and objective
-    value, or "infeasible"/"unbounded".
+    value, or "infeasible".  Raises ValueError, naming the variable, when a
+    column would start with a negative cost: a variable with a lower bound
+    and a cost < 0, one with only an upper bound and a cost > 0, or a free
+    one with a cost other than 0.
     """
     # Each variable is offset + sum(sign * column) over its nonnegative
     # columns: shifted by its lower bound, mirrored at its upper bound, or
@@ -387,62 +352,29 @@ def solve(lp: LinearProgram) -> LpSolution:
         else:
             var_map.append((_ZERO, ((ncols, 1), (ncols + 1, -1))))
             ncols += 2
-
-    # Each "<=" row is scaled to integers by its own L > 0, which only
-    # rescales its slack: no sign and no ratio Bland's rule reads changes.
-    # Its last entry is the artificial variable of phase one, -1 before the
-    # scaling and so -L after it.
-    rows: list[list[int]] = []
-    for con in lp.constraints:
-        forms, scale = _integer_rows(con, var_map, ncols)
-        rows += [form + [-scale] for form in forms]
-    for col, rhs in bound_rows:
-        row, scale = to_integers([rhs] + [int(j == col) for j in range(ncols)])
-        rows.append(row + [-scale])
-    art_id = ncols + len(rows)
-    col_vars = list(range(ncols)) + [art_id]
-    row_vars = [ncols + i for i in range(len(rows))]
-    den = 1
-
-    # Phase one: repair an infeasible slack basis with the artificial column.
-    if any(row[0] < 0 for row in rows):
-        aux = [0] * (len(col_vars) + 1)
-        aux[-1] = -1  # z_aux = artificial value
-        # The row of least rhs over its scale -row[-1] > 0 leaves, compared
-        # cross-multiplied; row ids grow with the index, so a tie keeps the
-        # least id.
-        pr = 0
-        for i, row in enumerate(rows):
-            if row[0] * -rows[pr][-1] < rows[pr][0] * -row[-1]:
-                pr = i
-        den = _pivot(rows, aux, row_vars, col_vars, den, pr, ncols)
-        status, den = _bland(rows, aux, row_vars, col_vars, den)
-        if status != OPTIMAL:
-            raise InternalInvariantError("phase-one objective cannot be unbounded")
-        if aux[0] != 0:
-            return LpSolution(INFEASIBLE, None, None)
-        if art_id in row_vars:
-            # Basic at zero: it pivots out on its row's least-index nonzero
-            # entry, which exists because the slack columns have full rank.
-            r = row_vars.index(art_id)
-            pc = min(
-                (j for j in range(len(col_vars)) if rows[r][j + 1]), key=col_vars.__getitem__
-            )
-            den = _pivot(rows, aux, row_vars, col_vars, den, r, pc)
-    pos = col_vars.index(art_id)
-    for row in rows:
-        del row[pos + 1]
-    del col_vars[pos]
-
-    # Phase two: install the real objective, expressed over the current
-    # basis, as integers over `den` scaled by the lcm of its coefficients.
     col_coeff, const = _to_columns(lp.objective, var_map, ncols)
-    (const, *col_coeff), obj_scale = to_integers([const] + col_coeff)
-    obj = _over_basis([const] + [-c for c in col_coeff], rows, row_vars, col_vars, den, ncols)
+    for name, cost, (_, cols) in zip(lp.variables, lp.objective, var_map):
+        if any(col_coeff[col] < 0 for col, _ in cols):
+            raise ValueError(
+                f"variable {name} has cost {cost}, so the slack basis is not dual feasible:"
+                " a cost must be >= 0 with a lower bound, <= 0 with only an upper bound,"
+                " and 0 on a free variable"
+            )
 
-    status, den = _bland(rows, obj, row_vars, col_vars, den)
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None)
+    # The slack basis: each "<=" row scaled to integers by its own L > 0,
+    # and the objective, whose reduced costs are the negated column costs,
+    # scaled by the lcm of its coefficients.
+    rows = [form for con in lp.constraints for form in _integer_rows(con, var_map, ncols)]
+    for col, rhs in bound_rows:
+        rows.append(to_integers([rhs] + [int(j == col) for j in range(ncols)])[0])
+    col_vars = list(range(ncols))
+    row_vars = [ncols + i for i in range(len(rows))]
+    (const, *col_coeff), obj_scale = to_integers([const] + col_coeff)
+    obj = [const] + [-c for c in col_coeff]
+
+    status, den = _dual_simplex(rows, obj, row_vars, col_vars, 1)
+    if status != OPTIMAL:
+        return LpSolution(status, None, None)
     return _Dictionary(var_map, ncols, rows, obj, obj_scale, row_vars, col_vars, den).solution(lp)
 
 

@@ -2,8 +2,8 @@
 
 This is the loop `skbounds.lp.solve_with_row_generation` ran before it
 warm-started: every round appends the cut to the working LP and solves it
-again from its slack basis with `solve`, so it never runs the dual
-simplex that the warm loop re-optimizes with after each cut.
+again from its slack basis with `solve`, so no dictionary carries over
+from one round to the next.
 `tests/test_rowgen_oracle.py` asserts that both loops reach the same
 status and value.
 """

@@ -1,11 +1,14 @@
-"""Reference solver: the dense `Fraction` dictionary simplex.
+"""Reference solver: the dense `Fraction` two-phase simplex.
 
-This is the two-phase Bland's-rule simplex that `skbounds.lp.solve` used
-before its dictionary became fraction-free.  It stores every entry as a
-`Fraction` and updates whole rows on each pivot, so it shares no
-arithmetic with the package's solver and serves as an independent oracle:
-both must return the same status, point and objective value, because
-Bland's rule makes the same pivots on the same rationals.
+This is the two-phase Bland's-rule primal simplex that `skbounds.lp.solve`
+used before it became a dual simplex on a fraction-free dictionary.  It
+stores every entry as a `Fraction`, updates whole rows on each pivot, and
+repairs an infeasible start with an artificial column, so it shares no
+arithmetic and no pivot rule with the package's solver and serves as an
+independent oracle.  Both must return the same status and objective
+value; where the optimum is not unique the two may stop at different
+optimal vertices.  Unlike `solve`, it also takes programs that are not
+dual feasible at their slack basis, and may report them unbounded.
 
 It takes the package's `LinearProgram` and returns its `LpSolution`; it
 does not re-check the point (`solve` does that on its side).
@@ -14,7 +17,11 @@ does not re-check the point (`solve` does that on its side).
 from fractions import Fraction
 from typing import Sequence
 
-from skbounds.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSolution
+from skbounds.lp import LinearProgram, LpSolution
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
 

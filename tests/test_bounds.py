@@ -31,6 +31,7 @@ from conftest import (
     random_graph,
     random_hypergraph,
 )
+from reference_simplex import reference_solve
 
 F = Fraction
 
@@ -356,7 +357,9 @@ def test_lower_bound_decomposes_as_ci_minus_capacity(make_random_graph):
 
 
 def test_free_rates_match_nonnegative_rates_on_examples():
-    # adding explicit rate nonnegativity must not move the optimum here
+    # The packing LP's rates are free and R_CO's are >= 0; the other choice
+    # must not move either optimum here.  Free R_CO rates cost 1, which
+    # `solve` refuses, so the two-phase reference solves that LP.
     for hg in (EXAMPLE1, EXAMPLE2, TRIANGLE, TWO_TERMINAL):
         value = upper_bound_theorem1(hg)[0] + mmi(hg).value
         lp = build_gamma_lp(hg, mmi(hg).value, proper_subsets(hg.m))
@@ -368,9 +371,11 @@ def test_free_rates_match_nonnegative_rates_on_examples():
 
         rco = r_co_direct(hg)[0]
         rco_lp = build_rco_lp(hg, proper_subsets(hg.m), subset_weight_table(hg.m, hg.weights))
-        rco_lp.lower = [F(0)] * hg.m
-        constrained = solve(rco_lp)
-        assert constrained.objective_value == rco
+        assert rco_lp.lower == [F(0)] * hg.m
+        rco_lp.lower = [None] * hg.m
+        free = reference_solve(rco_lp)
+        assert free.status == "optimal"
+        assert free.objective_value == rco
 
 
 def test_packing_validation():

@@ -155,6 +155,21 @@ def test_analyze_json_graphical_null_for_hypergraph(tmp_path, capsys):
     assert json.loads(out)["graphical"] is None
 
 
+def test_skipped_graphical_bounds_warn_in_one_plain_line(tmp_path, capsys):
+    # Every in-process call prints the same line, with no source path in it.
+    path = tmp_path / "singleton.hg"
+    path.write_text("m = 3\nedge 1 : 1\nedge 1 2 : 1\nedge 2 3 : 2\n", encoding="utf-8")
+    warning = "skbounds: warning: graphical bounds skipped: singleton hyperedges present\n"
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, err) == (0, warning)
+        assert out.startswith("m = 3\n")
+    code, _, err = run_cli(capsys, "rco", "--check", str(path))
+    assert code == 0
+    assert err.startswith(warning)
+    assert all(line.startswith("check ") for line in err[len(warning):].splitlines())
+
+
 def test_analyze_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "analyze", str(FIXTURE_DIR / "example1.hg"))
     _, second, _ = run_cli(capsys, "analyze", str(FIXTURE_DIR / "example1.hg"))

@@ -7,6 +7,8 @@ import skbounds.lp
 from skbounds import Constraint, InternalInvariantError, LinearProgram, solve, solve_with_row_generation
 from skbounds.lp import _verify
 
+from reference_simplex import reference_solve
+
 F = Fraction
 
 
@@ -54,21 +56,35 @@ def test_infeasible_constraints():
 
 
 def test_unbounded():
-    lp = LinearProgram(["x"], [F(-1)], lower=[F(0)])
-    assert solve(lp).status == "unbounded"
+    # A column with a negative cost leaves the slack basis dual infeasible,
+    # and `solve` refuses it, naming the variable: a cost < 0 at a lower
+    # bound, or a cost > 0 at an upper bound alone.
+    lp = LinearProgram(["w", "x"], [F(0), F(-1)], lower=[F(0), F(0)])
+    with pytest.raises(ValueError, match=re.escape("variable x has cost -1,")):
+        solve(lp)
+    lp = LinearProgram(["y"], [F(1, 2)], upper=[F(3)])
+    with pytest.raises(ValueError, match=re.escape("variable y has cost 1/2,")):
+        solve(lp)
 
 
 def test_free_variable_unbounded_without_constraint():
     lp = LinearProgram(["x"], [F(1)])
-    assert solve(lp).status == "unbounded"
+    with pytest.raises(ValueError, match=re.escape("variable x has cost 1,")):
+        solve(lp)
 
 
 def test_free_variable_with_constraint():
-    lp = LinearProgram(["x"], [F(1)])
-    lp.add_constraint([F(1)], ">=", F(-5))
+    # A free variable must cost 0, even where the program has an optimum;
+    # the two-phase reference still solves it.
+    lp = LinearProgram(["x"], [F(-2)])
+    lp.add_constraint([F(1)], "<=", F(5))
+    with pytest.raises(ValueError, match=re.escape("variable x has cost -2,")):
+        solve(lp)
+    assert reference_solve(lp).point == (F(5),)
+    lp.objective = [F(0)]
     sol = solve(lp)
     assert sol.status == "optimal"
-    assert sol.point == (F(-5),)
+    assert sol.point == (F(0),)
 
 
 def test_equality_constraint():
@@ -127,18 +143,19 @@ def test_degenerate_program_terminates():
 
 
 def test_beale_cycling_program_terminates():
-    # Beale (1955): the largest-coefficient entering rule cycles on this
-    # degenerate program; Bland's rule must reach the optimum.
-    lp = LinearProgram(
-        ["x4", "x5", "x6", "x7"], [F(-3, 4), F(20), F(-1, 2), F(6)], lower=[F(0)] * 4
-    )
-    lp.add_constraint([F(1, 4), F(-8), F(-1), F(9)], "<=", F(0))
-    lp.add_constraint([F(1, 2), F(-12), F(-1, 2), F(3)], "<=", F(0))
-    lp.add_constraint([F(0), F(0), F(1), F(0)], "<=", F(1))
-    sol = solve(lp)
-    assert sol.status == "optimal"
-    assert sol.point == (F(1), F(0), F(1), F(0))
-    assert sol.objective_value == F(-5, 4)
+    # Beale (1955): min c.x s.t. A x <= b, x >= 0, on which the
+    # largest-coefficient primal rule cycles, read as its LP dual, which is
+    # dual feasible at the slack basis: min y3 s.t. A^T y >= -c, y >= 0.
+    # The degenerate dual simplex must reach 5/4, minus Beale's optimum.
+    lp = LinearProgram(["y1", "y2", "y3"], [F(0), F(0), F(1)], lower=[F(0)] * 3)
+    lp.add_constraint([F(1, 4), F(1, 2), F(0)], ">=", F(3, 4))
+    lp.add_constraint([F(-8), F(-12), F(0)], ">=", F(-20))
+    lp.add_constraint([F(-1), F(-1, 2), F(1)], ">=", F(1, 2))
+    lp.add_constraint([F(9), F(3), F(0)], ">=", F(-6))
+    sol, want = solve(lp), reference_solve(lp)
+    assert sol.status == want.status == "optimal"
+    assert sol.objective_value == want.objective_value == F(5, 4)
+    assert sol.point == (F(0), F(3, 2), F(5, 4))
 
 
 @pytest.mark.parametrize(
@@ -159,14 +176,8 @@ def test_floats_are_rejected(build):
         build()
 
 
-def test_phase_one_ties_go_to_the_least_row_id(monkeypatch):
-    # In "<=" form the two ">=" rows read -1 <= ... at scales 1 and 3, both
-    # at rhs / scale = -1, the least: phase one's first pivot takes the tied
-    # row of least id.  Ids: columns 0 and 1, then rows 2, 3 and 4.
-    lp = LinearProgram(["x", "y"], [F(1), F(1)], lower=[F(0), F(0)])
-    lp.add_constraint([F(1), F(1)], "<=", F(5))
-    lp.add_constraint([F(0), F(2, 3)], ">=", F(1))
-    lp.add_constraint([F(1), F(0)], ">=", F(1))
+def _leaving_ids(monkeypatch, lp):
+    """The basic ids that leave, in order, as `solve` pivots on `lp`."""
     leaving = []
     pivot = skbounds.lp._pivot
 
@@ -174,10 +185,29 @@ def test_phase_one_ties_go_to_the_least_row_id(monkeypatch):
         leaving.append(row_vars[pr])
         return pivot(rows, obj, row_vars, col_vars, den, pr, pc)
 
-    monkeypatch.setattr(skbounds.lp, "_pivot", recording)
-    sol = solve(lp)
-    assert leaving[0] == 3
-    assert sol.point == (F(1), F(3, 2))
+    with monkeypatch.context() as patch:
+        patch.setattr(skbounds.lp, "_pivot", recording)
+        assert solve(lp).status == "optimal"
+    return leaving
+
+
+def test_dual_simplex_leaving_rule(monkeypatch):
+    def bounds(costs, rhs):
+        # Ids: one column per variable, then the slack of each row v_j >= rhs[j].
+        n = len(costs)
+        lp = LinearProgram([f"v{j}" for j in range(n)], costs, lower=[F(0)] * n)
+        for j, b in enumerate(rhs):
+            lp.add_constraint([F(int(t == j)) for t in range(n)], ">=", F(b))
+        return lp
+
+    # The most negative row leaves first: v0 >= 1 reads -1, v1 >= 3 reads -3.
+    assert _leaving_ids(monkeypatch, bounds([1, 1], [1, 3])) == [3, 2]
+    # Of two equally negative rows the least id leaves first.
+    assert _leaving_ids(monkeypatch, bounds([1, 1], [2, 2])) == [2, 3]
+    # v0 costs 0, so its pivot (row 4) leaves the objective unchanged, and
+    # the least id, 5, leaves next ahead of the more negative 6 and 7.  That
+    # pivot raises the objective, and the most negative row, 7, leads again.
+    assert _leaving_ids(monkeypatch, bounds([0, 1, 1, 1], [5, 1, 2, 3])) == [4, 5, 7, 6]
 
 
 def test_constraint_validates_relation():
