@@ -15,15 +15,12 @@ from .errors import (
     SkboundsError,
 )
 from .hypergraph import WeightedHypergraph, mask_of, subset_weight_table
-from .lp import Constraint, LinearProgram, solve, solve_with_row_generation
 from .partitions import cross_edges, mmi
 
 __all__ = [
     "CapExceededError",
-    "Constraint",
     "InputFormatError",
     "InternalInvariantError",
-    "LinearProgram",
     "SkboundsError",
     "WeightedHypergraph",
     "analyze",
@@ -33,8 +30,6 @@ __all__ = [
     "mmi",
     "r_co_direct",
     "separation_oracle",
-    "solve",
-    "solve_with_row_generation",
     "subset_weight_table",
     "upper_bound_theorem1",
     "verify_gamma_membership",

@@ -12,19 +12,26 @@ All quantities are exact rationals:
   hyperedges as long as the capacity survives; the omniscience rate of the
   reduced source bounds the communication of the original one.  The packing
   feasible set pairs an omniscience rate vector with the reduced source and
-  pins the reduced capacity with one equality, so LP feasibility coincides
-  exactly with capacity preservation (`verify_gamma_membership` checks the
-  latter independently by recomputing the partition minimum).
+  pins the reduced capacity, so LP feasibility coincides exactly with
+  capacity preservation (`verify_gamma_membership` checks the latter
+  independently by recomputing the partition minimum).
 * `graphical_bounds`: the closed forms for sources whose hyperedges are
   all pairs.  The packing bound collapses to (m - 2) * capacity, the
   interactive common information equals the weight crossing the
   fundamental partition, and the lower bound scales that crossing weight.
 
-Both LPs start dual feasible at their slack basis, which `lp.solve`
-requires.  R_CO's rates cost 1 each and carry the lower bound 0, which
-changes no feasible point: the singleton rows already force R_i >=
-H({i} | rest) >= 0.  The packing LP's rates cost 0 and stay free, and its
-packing entries cost 1 at their lower bound 0.
+Both LPs have the one form `lp.solve` takes: rows `>=`, every variable
+>= 0 and every cost >= 0, so both start dual feasible at their slack
+basis.  R_CO's rates cost 1; the packing entries cost 1 and are bounded
+by their weights, and the packing rates cost 0.  The paper's packing LP
+leaves its rates free and pins total packing minus total rate to the
+capacity I by an equality.  Two facts give the same feasible set in the
+one form.  Every working LP holds the singleton rows, r_i >= x(edges
+inside {i}) >= 0, so the bound r >= 0 removes no point.  And capacity is
+monotone in the weights: a point that meets every subset row has rates
+in the omniscience region of the source reduced to x, so total packing
+minus total rate is at most the reduced capacity, which is at most I; the
+pin written as `>=` I therefore holds only with equality.
 
 Both LPs use one subset family, built by `_subset_row`: for every nonempty
 proper subset B, rates(B) - x(edges inside B) >= rhs, with no x and rhs the
@@ -141,7 +148,7 @@ def _subset_row(edges: Sequence[int], m: int, mask: int, rhs: Fraction) -> Const
     """The row rates(B) - x(edges inside B) >= rhs; the rates are the last m variables."""
     coeffs = [_MINUS_ONE if e & ~mask == 0 else _ZERO for e in edges]
     coeffs += [_ONE if mask >> i & 1 else _ZERO for i in range(m)]
-    return Constraint(tuple(coeffs), ">=", rhs)
+    return Constraint(tuple(coeffs), rhs)
 
 
 def _solve_rows(m: int, method: str, build, inside, row):
@@ -173,15 +180,12 @@ def build_rco_lp(hg: WeightedHypergraph, subset_masks, cond) -> LinearProgram:
     must cover the entropy of B given the rest.  `cond` is the source's
     conditional-entropy table, `subset_weight_table(hg.m, hg.weights)`,
     which the caller builds once for the LP and its separation.  On the
-    integer source every right-hand side is an int.  The rates are >= 0,
-    which the singleton rows imply, so the LP is dual feasible at its slack
-    basis.
+    integer source every right-hand side is an int.
     """
     return LinearProgram(
         variables=[f"R{i}" for i in range(1, hg.m + 1)],
         objective=[_ONE] * hg.m,
         constraints=[_subset_row((), hg.m, mask, cond[mask]) for mask in subset_masks],
-        lower=[_ZERO] * hg.m,
     )
 
 
@@ -211,11 +215,12 @@ def build_gamma_lp(hg: WeightedHypergraph, mmi_value: Fraction, subset_masks) ->
     """Fractional-packing LP behind the communication upper bound.
 
     Variables are one packing entry per hyperedge (bounded by the weights)
-    plus one free rate per terminal.  Minimizes total retained weight
+    plus one rate per terminal, all >= 0.  Minimizes total retained weight
     subject to rates(B) >= packing weight inside B for every subset B in
     `subset_masks` (every nonempty proper subset for the full LP), and the
-    equality pinning total packing minus total rate to the capacity
-    `mmi_value`.
+    pin total packing minus total rate >= the capacity `mmi_value`, which
+    holds with equality at every point that meets the whole subset family
+    (module docstring).
     """
     edges = hg.edges
     k = len(edges)
@@ -225,10 +230,9 @@ def build_gamma_lp(hg: WeightedHypergraph, mmi_value: Fraction, subset_masks) ->
         variables=names,
         objective=[_ONE] * k + [_ZERO] * m,
         constraints=[_subset_row(edges, m, mask, _ZERO) for mask in subset_masks],
-        lower=[_ZERO] * k + [None] * m,
         upper=[hg.weights[e] for e in edges] + [None] * m,
     )
-    lp.add_constraint([_ONE] * k + [_MINUS_ONE] * m, "=", mmi_value)
+    lp.add_constraint([_ONE] * k + [_MINUS_ONE] * m, mmi_value)
     return lp
 
 

@@ -1,13 +1,17 @@
-"""Exact linear programming over rationals.
+"""Exact linear programming over rationals, in one form.
 
-One method solves every program: the dual simplex on a compact dictionary
-(only nonbasic columns are stored; a pivot swaps a basic row label with a
+A program minimizes c . x subject to rows coeffs . x >= rhs, x >= 0, and
+x <= u for each variable that has an upper bound u, with every cost
+c >= 0.  Both LPs of the package have that form.
+
+One method solves it: the dual simplex on a compact dictionary (only
+nonbasic columns are stored; a pivot swaps a basic row label with a
 nonbasic column label), started from the slack basis.  There every reduced
 cost is a column's cost, so the start is dual feasible exactly when no
-column cost is negative, and `solve` raises ValueError on any other
-program.  A dual-feasible program is bounded below, so the outcome is
-optimal (no basic variable negative) or infeasible (a negative one that no
-column can raise).
+cost is negative, and `solve` raises ValueError on a negative one.  A
+dual-feasible program is bounded below, so the outcome is optimal (no
+basic variable negative) or infeasible (a negative one that no column can
+raise).
 
 The most negative basic value leaves, least basic id on ties; after a
 pivot whose entering reduced cost is 0, the least basic id among the
@@ -19,20 +23,17 @@ objective every pivot after the first is Bland's rule read on the dual,
 which cannot cycle (Chvatal, *Linear Programming*, 1983, ch. 3 and 10).
 Optimality is certified by the final dictionary, and the point is checked
 exactly against every original row and bound before it is returned; the
-row check runs in integers, over one common denominator per point and an
-integer form that each constraint builds once.
+row check runs in integers, over one common denominator per point.
 
 The dictionary is fraction-free (Edmonds 1967; Bareiss 1968): every entry
 is an integer over one positive common denominator, the determinant of
-the current basis up to sign.  Each "<=" row starts as integers, scaled by
-the lcm of its own denominators, which only rescales that row's slack
-variable; the objective is scaled the same way.  A pivot computes
-(a * p - f * b) // den, which is exact, touches the elimination only where
-the pivot row is nonzero, and makes |p| the new denominator.  Integers are
-arbitrary precision, so there is no overflow to detect.  Free variables
-are split into differences of nonnegative parts, variables with a lower
-bound are shifted, upper bounds become rows, and equalities become
-opposing inequalities.
+the current basis up to sign.  Each constraint builds its integer form
+once, the row times the lcm of its own denominators; negated, that is the
+dictionary row of its slack, rescaled by that lcm.  Each upper bound adds
+one row, and the objective is scaled to integers the same way.  A pivot
+computes (a * p - f * b) // den, which is exact, touches the elimination
+only where the pivot row is nonzero, and makes |p| the new denominator.
+Integers are arbitrary precision, so there is no overflow to detect.
 
 `solve_with_row_generation` wraps `solve` with a caller-supplied separation
 oracle for constraint families too large to materialize.  Each round after
@@ -52,8 +53,6 @@ from typing import Callable, Optional, Sequence
 from .errors import InternalInvariantError
 from .rational import to_integers
 
-RELATIONS = ("<=", ">=", "=")
-
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
@@ -72,18 +71,18 @@ def _rational(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Constraint:
+    """The row coeffs . x >= rhs."""
+
     coeffs: tuple[Fraction, ...]
-    relation: str
     rhs: Fraction
-    # The row times the lcm of its denominators, built once for `_verify`:
-    # the integer rhs and (index, coefficient) for each nonzero coefficient.
+    # The row times the lcm of its denominators, built once for `solve`,
+    # `add_cut` and `_verify`: the integer rhs and (index, coefficient) for
+    # each nonzero coefficient.
     _integer_form: tuple[int, list[tuple[int, int]]] = field(
         init=False, compare=False, repr=False
     )
 
     def __post_init__(self):
-        if self.relation not in RELATIONS:
-            raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
         object.__setattr__(self, "coeffs", tuple(_rational(c) for c in self.coeffs))
         object.__setattr__(self, "rhs", _rational(self.rhs))
         (rhs, *ints), _ = to_integers([self.rhs, *self.coeffs])
@@ -93,12 +92,11 @@ class Constraint:
 
 @dataclass
 class LinearProgram:
-    """Minimization program with named variables and optional var bounds."""
+    """Minimize objective . x subject to the constraints, x >= 0 and x <= upper where given."""
 
     variables: list[str]
     objective: list[Fraction]
     constraints: list[Constraint] = field(default_factory=list)
-    lower: list[Optional[Fraction]] = None
     upper: list[Optional[Fraction]] = None
 
     def __post_init__(self):
@@ -106,13 +104,10 @@ class LinearProgram:
         if len(self.objective) != n:
             raise ValueError("objective length does not match variable count")
         self.objective = [_rational(c) for c in self.objective]
-        if self.lower is None:
-            self.lower = [None] * n
         if self.upper is None:
             self.upper = [None] * n
-        if len(self.lower) != n or len(self.upper) != n:
-            raise ValueError("bound vectors must match variable count")
-        self.lower = [None if b is None else _rational(b) for b in self.lower]
+        if len(self.upper) != n:
+            raise ValueError("upper bound vector does not match variable count")
         self.upper = [None if b is None else _rational(b) for b in self.upper]
         for con in self.constraints:
             self._check(con)
@@ -121,8 +116,8 @@ class LinearProgram:
         if len(con.coeffs) != len(self.variables):
             raise ValueError("constraint coefficient vector does not match variable count")
 
-    def add_constraint(self, coeffs: Sequence[Fraction], relation: str, rhs: Fraction) -> None:
-        con = Constraint(tuple(coeffs), relation, rhs)
+    def add_constraint(self, coeffs: Sequence[Fraction], rhs: Fraction) -> None:
+        con = Constraint(tuple(coeffs), rhs)
         self._check(con)
         self.constraints.append(con)
 
@@ -229,64 +224,37 @@ def _dual_simplex(rows, obj, row_vars, col_vars, den):
         den = _pivot(rows, obj, row_vars, col_vars, den, pr, pc)
 
 
-def _to_columns(coeffs: Sequence[Fraction], var_map, ncols: int):
-    """Coefficients over the nonnegative columns, plus the constant the offsets add.
+def _slack_row(con: Constraint, n: int) -> list[int]:
+    """The dictionary row [rhs, *coefficients] of `con`'s slack, from its integer form.
 
-    Each column belongs to one variable.
+    The slack L * (coeffs . x - rhs), with L > 0 the scale of the integer
+    form, reads (row[0] - sum row[t + 1] * x_t) in the dictionary's
+    convention: the integer form negated.
     """
-    acc = [0] * ncols
-    const = 0
-    for c, (offset, cols) in zip(coeffs, var_map):
-        if c == 0:
-            continue
-        for col, sign in cols:
-            acc[col] = c if sign > 0 else -c
-        if offset:
-            const += c * offset
-    return acc, const
-
-
-def _integer_rows(con: Constraint, var_map, ncols: int):
-    """`con` as "<=" rows [rhs, *coefficients] over the columns, in integers.
-
-    One row for "<=", its negation for ">=", both for "=".  The scale of
-    the integers, L > 0, only rescales each row's slack.
-    """
-    acc, const = _to_columns(con.coeffs, var_map, ncols)
-    row, _ = to_integers([con.rhs - const] + acc)
-    forms = []
-    if con.relation != ">=":
-        forms.append(row)
-    if con.relation != "<=":
-        forms.append([-a for a in row])
-    return forms
+    rhs, terms = con._integer_form
+    row = [-rhs] + [0] * n
+    for t, c in terms:
+        row[t + 1] = -c
+    return row
 
 
 class _Dictionary:
     """An optimal fraction-free dictionary of `solve`, kept to add rows to.
 
-    `var_map` and `ncols` are `solve`'s map from variables to nonnegative
-    columns; the objective row is over `den * obj_scale`.  Variable ids are
-    0..n - 1: the columns, then one slack per row in order of addition.
+    Variable ids are 0..n - 1 for the LP's n variables, then one slack per
+    row in order of addition; the objective row is over `den * obj_scale`.
     """
 
-    def __init__(self, var_map, ncols, rows, obj, obj_scale, row_vars, col_vars, den):
-        self.var_map, self.ncols = var_map, ncols
-        self.rows, self.obj, self.obj_scale = rows, obj, obj_scale
+    def __init__(self, n, rows, obj, obj_scale, row_vars, col_vars, den):
+        self.n, self.rows, self.obj, self.obj_scale = n, rows, obj, obj_scale
         self.row_vars, self.col_vars, self.den = row_vars, col_vars, den
 
     def solution(self, lp: LinearProgram) -> LpSolution:
         """The dictionary's point, checked against every row and bound of `lp`."""
-        values: dict[int, Fraction] = {}
+        point = [_ZERO] * self.n
         for row, vid in zip(self.rows, self.row_vars):
-            if vid < self.ncols:
-                values[vid] = Fraction(row[0], self.den)
-        point = []
-        for x, cols in self.var_map:
-            for col, sign in cols:
-                if col in values:
-                    x = x + values[col] if sign > 0 else x - values[col]
-            point.append(x)
+            if vid < self.n:
+                point[vid] = Fraction(row[0], self.den)
         objective_value = sum((c * x for c, x in zip(lp.objective, point)), _ZERO)
         dictionary_value = Fraction(self.obj[0], self.den * self.obj_scale)
         if objective_value != dictionary_value:
@@ -298,27 +266,24 @@ class _Dictionary:
         return LpSolution(OPTIMAL, tuple(point), objective_value, self)
 
     def add_cut(self, lp: LinearProgram, con: Constraint) -> LpSolution:
-        """Add the rows of `con`, the last constraint of `lp`, and re-optimize.
+        """Add the row of `con`, the last constraint of `lp`, and re-optimize.
 
-        Each integer row f, f0 - sum f[c + 1] * column c >= 0, is put over
-        `den` by replacing each basic column with its row (slack ids, ncols
-        and up, have no entry in f), and its slack, with the next free id,
-        becomes basic.  That slack's column is a unit column, so the basis
-        determinant `den` is unchanged and every entry stays an integer
-        minor.  The old basis stays dual feasible, so the dual simplex
-        finishes the round.
+        Its slack row f, f0 - sum f[t + 1] * x_t, is put over `den` by
+        replacing each basic variable with its row (slacks have no entry in
+        f), and the slack, with the next free id, becomes basic.  That
+        slack's column is a unit column, so the basis determinant `den` is
+        unchanged and every entry stays an integer minor.  The old basis
+        stays dual feasible, so the dual simplex finishes the round.
         """
-        rows, row_vars, col_vars, den, ncols = (
-            self.rows, self.row_vars, self.col_vars, self.den, self.ncols
-        )
-        for form in _integer_rows(con, self.var_map, ncols):
-            new = [den * form[0]] + [den * form[vid + 1] if vid < ncols else 0 for vid in col_vars]
-            for row, vid in zip(rows, row_vars):
-                a = form[vid + 1] if vid < ncols else 0
-                if a:
-                    new = [b - a * r for b, r in zip(new, row)]
-            row_vars.append(len(rows) + len(col_vars))
-            rows.append(new)
+        rows, row_vars, col_vars, den, n = self.rows, self.row_vars, self.col_vars, self.den, self.n
+        form = _slack_row(con, n)
+        new = [den * form[0]] + [den * form[vid + 1] if vid < n else 0 for vid in col_vars]
+        for row, vid in zip(rows, row_vars):
+            a = form[vid + 1] if vid < n else 0
+            if a:
+                new = [b - a * r for b, r in zip(new, row)]
+        row_vars.append(len(rows) + len(col_vars))
+        rows.append(new)
         status, self.den = _dual_simplex(rows, self.obj, row_vars, col_vars, den)
         if status != OPTIMAL:
             return LpSolution(status, None, None)
@@ -326,56 +291,35 @@ class _Dictionary:
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    """Exact optimum of a minimization program that is dual feasible at its slack basis.
+    """Exact optimum of a program whose costs are all >= 0.
 
     Returns status "optimal" with an exactly feasible point and objective
-    value, or "infeasible".  Raises ValueError, naming the variable, when a
-    column would start with a negative cost: a variable with a lower bound
-    and a cost < 0, one with only an upper bound and a cost > 0, or a free
-    one with a cost other than 0.
+    value, or "infeasible".  Raises ValueError, naming the variable, on a
+    negative cost, which leaves the slack basis dual infeasible.
     """
-    # Each variable is offset + sum(sign * column) over its nonnegative
-    # columns: shifted by its lower bound, mirrored at its upper bound, or
-    # split into two parts when free.
-    var_map: list[tuple[Fraction, tuple[tuple[int, int], ...]]] = []
-    ncols = 0
-    bound_rows = []  # (column, rhs): column value <= rhs
-    for lo, up in zip(lp.lower, lp.upper):
-        if lo is not None:
-            var_map.append((lo, ((ncols, 1),)))
-            if up is not None:
-                bound_rows.append((ncols, up - lo))
-            ncols += 1
-        elif up is not None:
-            var_map.append((up, ((ncols, -1),)))
-            ncols += 1
-        else:
-            var_map.append((_ZERO, ((ncols, 1), (ncols + 1, -1))))
-            ncols += 2
-    col_coeff, const = _to_columns(lp.objective, var_map, ncols)
-    for name, cost, (_, cols) in zip(lp.variables, lp.objective, var_map):
-        if any(col_coeff[col] < 0 for col, _ in cols):
+    n = len(lp.variables)
+    for name, cost in zip(lp.variables, lp.objective):
+        if cost < 0:
             raise ValueError(
                 f"variable {name} has cost {cost}, so the slack basis is not dual feasible:"
-                " a cost must be >= 0 with a lower bound, <= 0 with only an upper bound,"
-                " and 0 on a free variable"
+                " every cost must be >= 0"
             )
-
-    # The slack basis: each "<=" row scaled to integers by its own L > 0,
-    # and the objective, whose reduced costs are the negated column costs,
-    # scaled by the lcm of its coefficients.
-    rows = [form for con in lp.constraints for form in _integer_rows(con, var_map, ncols)]
-    for col, rhs in bound_rows:
-        rows.append(to_integers([rhs] + [int(j == col) for j in range(ncols)])[0])
-    col_vars = list(range(ncols))
-    row_vars = [ncols + i for i in range(len(rows))]
-    (const, *col_coeff), obj_scale = to_integers([const] + col_coeff)
-    obj = [const] + [-c for c in col_coeff]
+    # The slack basis: one row per constraint, then one per upper bound
+    # x_t <= u, each scaled to integers by its own L > 0, and the objective,
+    # whose reduced costs are the negated costs, scaled by their lcm.
+    rows = [_slack_row(con, n) for con in lp.constraints]
+    for t, up in enumerate(lp.upper):
+        if up is not None:
+            rows.append(to_integers([up] + [int(j == t) for j in range(n)])[0])
+    col_vars = list(range(n))
+    row_vars = [n + i for i in range(len(rows))]
+    costs, obj_scale = to_integers(lp.objective)
+    obj = [0] + [-c for c in costs]
 
     status, den = _dual_simplex(rows, obj, row_vars, col_vars, 1)
     if status != OPTIMAL:
         return LpSolution(status, None, None)
-    return _Dictionary(var_map, ncols, rows, obj, obj_scale, row_vars, col_vars, den).solution(lp)
+    return _Dictionary(n, rows, obj, obj_scale, row_vars, col_vars, den).solution(lp)
 
 
 def _verify(lp: LinearProgram, point: Sequence[Fraction]) -> None:
@@ -384,30 +328,21 @@ def _verify(lp: LinearProgram, point: Sequence[Fraction]) -> None:
     The bounds are compared as rationals.  For the rows the point is put
     over one common denominator D once, as ints xs = D * point, and each row
     is read in its integer form, L * (rhs, coeffs) with L > 0: the row holds
-    exactly when sum L*c * xs[t] and L*rhs * D stand in the row's relation.
-    Only a failing row is summed again in rationals, for the message.
+    exactly when sum L*c * xs[t] >= L*rhs * D.  Only a failing row is summed
+    again in rationals, for the message.
     """
-    for t, x in enumerate(point):
-        lo, up = lp.lower[t], lp.upper[t]
-        if lo is not None and x < lo:
-            raise InternalInvariantError(f"{lp.variables[t]} = {x} below lower bound {lo}")
+    for name, x, up in zip(lp.variables, point, lp.upper):
+        if x < 0:
+            raise InternalInvariantError(f"{name} = {x} is negative")
         if up is not None and x > up:
-            raise InternalInvariantError(f"{lp.variables[t]} = {x} above upper bound {up}")
+            raise InternalInvariantError(f"{name} = {x} above upper bound {up}")
     xs, d = to_integers(point)
     for i, con in enumerate(lp.constraints):
         rhs, terms = con._integer_form
-        lhs = sum([c * xs[t] for t, c in terms])
-        rhs *= d
-        ok = (
-            lhs <= rhs if con.relation == "<="
-            else lhs >= rhs if con.relation == ">="
-            else lhs == rhs
-        )
-        if not ok:
+        if sum([c * xs[t] for t, c in terms]) < rhs * d:
             lhs = sum((c * x for c, x in zip(con.coeffs, point) if c), _ZERO)
             raise InternalInvariantError(
-                f"returned point violates constraint {i}:"
-                f" lhs {lhs} is not {con.relation} rhs {con.rhs}"
+                f"returned point violates constraint {i}: lhs {lhs} is not >= rhs {con.rhs}"
             )
 
 

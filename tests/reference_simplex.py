@@ -1,4 +1,4 @@
-"""Reference solver: the dense `Fraction` two-phase simplex.
+"""Reference solver: the dense `Fraction` two-phase simplex on general LPs.
 
 This is the two-phase Bland's-rule primal simplex that `skbounds.lp.solve`
 used before it became a dual simplex on a fraction-free dictionary.  It
@@ -7,15 +7,19 @@ repairs an infeasible start with an artificial column, so it shares no
 arithmetic and no pivot rule with the package's solver and serves as an
 independent oracle.  Both must return the same status and objective
 value; where the optimum is not unique the two may stop at different
-optimal vertices.  Unlike `solve`, it also takes programs that are not
-dual feasible at their slack basis, and may report them unbounded.
+optimal vertices.
 
-It takes the package's `LinearProgram` and returns its `LpSolution`; it
-does not re-check the point (`solve` does that on its side).
+It keeps the general input form `solve` no longer takes, `GeneralLP`:
+lower bounds, upper-only and free variables, "<=", ">=" and "=" rows and
+costs of either sign, so it may also report a program unbounded.  A
+package `LinearProgram` is read as the `GeneralLP` with every lower bound
+0 and every row ">=".  It returns the package's `LpSolution` and does not
+re-check the point (`solve` does that on its side).
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from skbounds.lp import LinearProgram, LpSolution
 
@@ -24,6 +28,28 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
+
+
+@dataclass
+class GeneralLP:
+    """Minimize objective . x subject to rows (coeffs, relation, rhs) and optional bounds."""
+
+    variables: list[str]
+    objective: Sequence[Fraction]
+    rows: list[tuple[Sequence[Fraction], str, Fraction]] = field(default_factory=list)
+    lower: Optional[list[Optional[Fraction]]] = None
+    upper: Optional[list[Optional[Fraction]]] = None
+
+    def __post_init__(self):
+        n = len(self.variables)
+        self.lower = [None] * n if self.lower is None else self.lower
+        self.upper = [None] * n if self.upper is None else self.upper
+
+
+def general_form(lp: LinearProgram) -> GeneralLP:
+    """A package program as a `GeneralLP`: every variable >= 0, every row ">="."""
+    rows = [(con.coeffs, ">=", con.rhs) for con in lp.constraints]
+    return GeneralLP(list(lp.variables), lp.objective, rows, [_ZERO] * len(lp.variables), lp.upper)
 
 
 def _pivot(rows, obj, row_vars, col_vars, pr, pc):
@@ -82,7 +108,9 @@ def _bland(rows, obj, row_vars, col_vars):
         _pivot(rows, obj, row_vars, col_vars, pr, pc)
 
 
-def reference_solve(lp: LinearProgram) -> LpSolution:
+def reference_solve(lp: GeneralLP | LinearProgram) -> LpSolution:
+    if isinstance(lp, LinearProgram):
+        lp = general_form(lp)
     n = len(lp.variables)
 
     transforms = []
@@ -121,12 +149,12 @@ def reference_solve(lp: LinearProgram) -> LpSolution:
         return acc, const
 
     rows = []
-    for con in lp.constraints:
-        acc, const = to_columns(con.coeffs)
-        rhs = con.rhs - const
-        if con.relation in ("<=", "="):
+    for coeffs, relation, rhs in lp.rows:
+        acc, const = to_columns(coeffs)
+        rhs = rhs - const
+        if relation in ("<=", "="):
             rows.append([rhs] + acc)
-        if con.relation in (">=", "="):
+        if relation in (">=", "="):
             rows.append([-rhs] + [-a for a in acc])
     for col, rhs in bound_rows:
         acc = [_ZERO] * ncols

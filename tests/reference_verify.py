@@ -1,11 +1,11 @@
 """The `Fraction` point check, kept as a test oracle.
 
 This is the check `skbounds.lp._verify` ran before it moved to integers:
-it compares every variable with its bounds, then sums every row at the
-point in `Fraction`s and compares the sum with the row's rhs under the
-row's relation.  It shares no arithmetic with the package;
-`tests/test_verify_oracle.py` asserts that the integer check raises
-exactly when this one does, with the same message.
+it compares every variable with 0 and its upper bound, then sums every
+row at the point in `Fraction`s and compares the sum with the row's rhs.
+It shares no arithmetic with the package; `tests/test_verify_oracle.py`
+asserts that the integer check raises exactly when this one does, with
+the same message.
 """
 
 from __future__ import annotations
@@ -22,20 +22,14 @@ _ZERO = Fraction(0)
 def reference_verify(lp: LinearProgram, point: Sequence[Fraction]) -> None:
     """Raise InternalInvariantError on the first bound or row that `point` breaks."""
     for t, x in enumerate(point):
-        lo, up = lp.lower[t], lp.upper[t]
-        if lo is not None and x < lo:
-            raise InternalInvariantError(f"{lp.variables[t]} = {x} below lower bound {lo}")
+        up = lp.upper[t]
+        if x < 0:
+            raise InternalInvariantError(f"{lp.variables[t]} = {x} is negative")
         if up is not None and x > up:
             raise InternalInvariantError(f"{lp.variables[t]} = {x} above upper bound {up}")
     for i, con in enumerate(lp.constraints):
         lhs = sum((c * x for c, x in zip(con.coeffs, point) if c), _ZERO)
-        ok = (
-            lhs <= con.rhs if con.relation == "<="
-            else lhs >= con.rhs if con.relation == ">="
-            else lhs == con.rhs
-        )
-        if not ok:
+        if not lhs >= con.rhs:
             raise InternalInvariantError(
-                f"returned point violates constraint {i}:"
-                f" lhs {lhs} is not {con.relation} rhs {con.rhs}"
+                f"returned point violates constraint {i}: lhs {lhs} is not >= rhs {con.rhs}"
             )

@@ -15,7 +15,6 @@ from skbounds import (
     mmi,
     r_co_direct,
     separation_oracle,
-    solve,
     subset_weight_table,
     upper_bound_theorem1,
     verify_gamma_membership,
@@ -31,7 +30,6 @@ from conftest import (
     random_graph,
     random_hypergraph,
 )
-from reference_simplex import reference_solve
 
 F = Fraction
 
@@ -96,11 +94,11 @@ def test_build_rco_lp_row_count():
 def test_build_gamma_lp_shape():
     lp = build_gamma_lp(EXAMPLE1, F(3, 2), proper_subsets(4))
     assert len(lp.variables) == 8  # 4 packing entries + 4 rates
-    assert len(lp.constraints) == 15  # 14 subset rows + 1 equality
-    assert lp.constraints[-1].relation == "="
-    # packing entries carry their weight bounds, rates are free
-    assert lp.lower[:4] == [F(0)] * 4 and lp.upper[:4] == [F(2), F(1), F(1), F(1)]
-    assert lp.lower[4:] == [None] * 4 and lp.upper[4:] == [None] * 4
+    assert len(lp.constraints) == 15  # 14 subset rows + the capacity pin
+    pin = lp.constraints[-1]
+    assert pin.coeffs == (F(1),) * 4 + (F(-1),) * 4 and pin.rhs == F(3, 2)
+    # packing entries carry their weight bounds, rates only the bound 0
+    assert lp.upper == [F(2), F(1), F(1), F(1)] + [None] * 4
 
 
 def test_gamma_lp_feasibility_witness():
@@ -110,7 +108,7 @@ def test_gamma_lp_feasibility_witness():
     point = [EXAMPLE1.weights[e] for e in EXAMPLE1.edges] + list(rates.rates)
     for con in lp.constraints:
         lhs = sum(c * x for c, x in zip(con.coeffs, point))
-        assert lhs >= con.rhs if con.relation == ">=" else lhs == con.rhs
+        assert lhs >= con.rhs
 
 
 def test_upper_bound_example1_value_and_unique_packing():
@@ -354,28 +352,6 @@ def test_lower_bound_decomposes_as_ci_minus_capacity(make_random_graph):
         cross_value = weight / (mres.fundamental.size - 1)
         bounds = graphical_bounds(hg, mmi_result=mres)
         assert bounds.lower_bound == bounds.ci - cross_value
-
-
-def test_free_rates_match_nonnegative_rates_on_examples():
-    # The packing LP's rates are free and R_CO's are >= 0; the other choice
-    # must not move either optimum here.  Free R_CO rates cost 1, which
-    # `solve` refuses, so the two-phase reference solves that LP.
-    for hg in (EXAMPLE1, EXAMPLE2, TRIANGLE, TWO_TERMINAL):
-        value = upper_bound_theorem1(hg)[0] + mmi(hg).value
-        lp = build_gamma_lp(hg, mmi(hg).value, proper_subsets(hg.m))
-        k = len(hg.edges)
-        lp.lower = lp.lower[:k] + [F(0)] * hg.m
-        constrained = solve(lp)
-        assert constrained.status == "optimal"
-        assert constrained.objective_value == value
-
-        rco = r_co_direct(hg)[0]
-        rco_lp = build_rco_lp(hg, proper_subsets(hg.m), subset_weight_table(hg.m, hg.weights))
-        assert rco_lp.lower == [F(0)] * hg.m
-        rco_lp.lower = [None] * hg.m
-        free = reference_solve(rco_lp)
-        assert free.status == "optimal"
-        assert free.objective_value == rco
 
 
 def test_packing_validation():

@@ -3,7 +3,9 @@
 The two solvers pivot by different rules, so where the optimum is not
 unique they may stop at different optimal vertices.  Status and objective
 value must be equal; the package's point must pass `lp._verify` and reach
-the reference's objective value.
+the reference's objective value.  The reference also solves both LPs in
+the paper's form, with free rates and the packing LP's equality pin, as
+the spec of the one form the package solves.
 """
 
 import random
@@ -12,12 +14,13 @@ from fractions import Fraction
 
 import pytest
 
-from skbounds import mmi, solve, subset_weight_table
+from skbounds import mmi, r_co_direct, subset_weight_table, upper_bound_theorem1
 from skbounds.bounds import build_gamma_lp, build_rco_lp
-from skbounds.lp import RELATIONS, LinearProgram, _verify
+from skbounds.cli import parse_document
+from skbounds.lp import LinearProgram, _verify, solve
 
-from conftest import proper_subsets, random_graph, random_hypergraph
-from reference_simplex import reference_solve
+from conftest import FIXTURE_DIR, fixture_text, proper_subsets, random_graph, random_hypergraph
+from reference_simplex import GeneralLP, reference_solve
 
 RANDOM_LP_COUNT = 200
 
@@ -27,41 +30,32 @@ def _value(rng: random.Random) -> Fraction:
 
 
 def random_lp(rng: random.Random) -> LinearProgram:
-    """A small LP mixing every bound kind and relation, zero right-hand sides included.
+    """A small LP in the one form, nonnegative and boxed variables, zero right-hand sides included.
 
-    Most rows hold at a point inside the bounds (tightly half the time, a
-    degenerate vertex); the rest have a zero or an arbitrary right-hand side.
+    Most rows hold at one point (tightly half the time, a degenerate
+    vertex), which lies inside the bounds for some variables and below 0 for
+    others; the rest have a zero or an arbitrary right-hand side.
     """
     n = rng.randint(1, 5)
-    lower, upper, inside, kinds = [], [], [], []
+    upper, inside = [], []
     for _ in range(n):
-        kind = rng.choice(("nonneg", "shift", "box", "mirror", "free"))
         a, b = _value(rng), abs(_value(rng))
-        lower.append({"nonneg": Fraction(0), "shift": a, "box": a}.get(kind))
-        upper.append({"box": a + b, "mirror": a}.get(kind))
-        inside.append({"nonneg": b, "shift": a + b, "mirror": a - b}.get(kind, a))
-        kinds.append(kind)
-    # Dual feasible at the slack basis, as `solve` requires: a cost >= 0 at
-    # a lower bound, <= 0 at an upper bound alone, 0 when free.  Zero costs
-    # leave several optimal vertices.
-    costs = [abs(_value(rng)) if rng.random() < 0.8 else Fraction(0) for _ in range(n)]
-    objective = [
-        {"mirror": -cost, "free": Fraction(0)}.get(kind, cost) for kind, cost in zip(kinds, costs)
-    ]
-    lp = LinearProgram([f"v{t}" for t in range(n)], objective, [], lower, upper)
+        upper.append(abs(a) + b if rng.random() < 0.5 else None)
+        inside.append(a)
+    # Costs >= 0, as `solve` requires; zero costs leave several optimal vertices.
+    objective = [abs(_value(rng)) if rng.random() < 0.8 else Fraction(0) for _ in range(n)]
+    lp = LinearProgram([f"v{t}" for t in range(n)], objective, [], upper)
     for _ in range(rng.randint(0, 6)):
         coeffs = [_value(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
-        relation = rng.choice(RELATIONS)
         draw = rng.random()
         if draw < 0.25:
             rhs = Fraction(0)
         elif draw < 0.4:
             rhs = _value(rng)
         else:
-            lhs = sum(c * x for c, x in zip(coeffs, inside))
             slack = Fraction(0) if rng.random() < 0.5 else abs(_value(rng))
-            rhs = lhs + slack if relation == "<=" else lhs - slack if relation == ">=" else lhs
-        lp.add_constraint(coeffs, relation, rhs)
+            rhs = sum(c * x for c, x in zip(coeffs, inside)) - slack
+        lp.add_constraint(coeffs, rhs)
     return lp
 
 
@@ -95,3 +89,53 @@ def test_package_lps_match_reference(family):
         assert _assert_same(build_rco_lp(hg, masks, cond), f"rco {i}") == "optimal"
         gamma = build_gamma_lp(hg, mmi(hg).value, masks)
         assert _assert_same(gamma, f"gamma {i}") == "optimal"
+
+
+def _subset_rows(m: int, edges, inside):
+    """rates(B) - x(edges inside B) >= inside(B) for every nonempty proper subset B."""
+    for mask in range(1, (1 << m) - 1):
+        coeffs = [Fraction(-1 if e & ~mask == 0 else 0) for e in edges]
+        coeffs += [Fraction(mask >> i & 1) for i in range(m)]
+        yield coeffs, ">=", inside(mask)
+
+
+def paper_packing_lp(hg, capacity: Fraction) -> GeneralLP:
+    """The packing LP as the paper states it: free rates, and total packing minus total rate = I."""
+    edges, m, k = hg.edges, hg.m, len(hg.edges)
+    rows = list(_subset_rows(m, edges, lambda mask: Fraction(0)))
+    rows.append(([Fraction(1)] * k + [Fraction(-1)] * m, "=", capacity))
+    return GeneralLP(
+        [f"x{e}" for e in edges] + [f"r{i}" for i in range(m)],
+        [Fraction(1)] * k + [Fraction(0)] * m,
+        rows,
+        lower=[Fraction(0)] * k + [None] * m,
+        upper=[Fraction(hg.weights[e]) for e in edges] + [None] * m,
+    )
+
+
+def paper_rco_lp(hg) -> GeneralLP:
+    """R_CO with free rates: min total rate over the conditional-entropy rows."""
+    cond = subset_weight_table(hg.m, hg.weights)
+    rows = list(_subset_rows(hg.m, (), lambda mask: Fraction(cond[mask])))
+    return GeneralLP([f"R{i}" for i in range(hg.m)], [Fraction(1)] * hg.m, rows)
+
+
+def test_free_rate_lps_match_both_bounds(identity_corpus, graphical_corpus):
+    # The package solves the packing LP with rates >= 0 and the pin as ">="
+    # (skbounds.bounds); the paper's form, free rates and an equality pin,
+    # solved by the two-phase reference, must give the same UB(Thm 1) under
+    # both row methods.  On the fixtures, free R_CO rates must also give
+    # the same R_CO.
+    fixtures = [parse_document(fixture_text(path.name)) for path in sorted(FIXTURE_DIR.glob("*.hg"))]
+    corpus = [hg for hg in identity_corpus + graphical_corpus if hg.m <= 5]
+    assert len(fixtures) == 5 and len(corpus) == 180
+    for i, hg in enumerate(fixtures + corpus):
+        capacity = mmi(hg).value
+        packing = reference_solve(paper_packing_lp(hg, capacity))
+        assert packing.status == "optimal", i
+        rco = reference_solve(paper_rco_lp(hg)) if i < len(fixtures) else None
+        for method in ("full", "rowgen"):
+            ub = upper_bound_theorem1(hg, method=method)[0]
+            assert packing.objective_value - capacity == ub, (i, method)
+            if rco is not None:
+                assert rco.objective_value == r_co_direct(hg, method=method)[0], (i, method)

@@ -24,13 +24,12 @@ from skbounds import (
     analyze,
     mmi,
     r_co_direct,
-    solve,
-    solve_with_row_generation,
     subset_weight_table,
     upper_bound_theorem1,
     verify_gamma_membership,
 )
 from skbounds.bounds import run_checks
+from skbounds.lp import solve, solve_with_row_generation
 
 from conftest import cycle_plus_edges, random_graph, random_hypergraph, random_weight
 from reference_rowgen import reference_row_generation
@@ -41,10 +40,7 @@ SPLIT_LP_COUNT = 300
 
 
 def _holds(con, point) -> bool:
-    lhs = sum(c * x for c, x in zip(con.coeffs, point))
-    if con.relation == "<=":
-        return lhs <= con.rhs
-    return lhs >= con.rhs if con.relation == ">=" else lhs == con.rhs
+    return sum(c * x for c, x in zip(con.coeffs, point)) >= con.rhs
 
 
 def _first_violated(cuts, added):
@@ -72,12 +68,14 @@ def test_split_lps_match_the_cold_loop_and_the_final_lp():
         final = solve(replace(base, constraints=base.constraints + warm_cuts))
         assert warm.status == cold.status == final.status, f"lp {i}"
         assert warm.objective_value == cold.objective_value == final.objective_value, f"lp {i}"
-        seen.update(con.relation for con in warm_cuts)
+        seen.update("rhs > 0" if con.rhs > 0 else "rhs <= 0" for con in warm_cuts)
         if warm_cuts and warm.status == "infeasible":
             seen["a cut made it infeasible"] += 1
-    # Every relation must reach the dual simplex, and so must a cut that
-    # leaves no feasible point, or the comparison misses a branch.
-    assert set(seen) == {"<=", ">=", "=", "a cut made it infeasible"}, seen
+    # Cuts with a positive rhs and with one <= 0 (violated only through a
+    # negative coefficient) must reach the dual simplex, and so must a cut
+    # that leaves no feasible point, or the comparison misses a branch.
+    assert set(seen) == {"rhs > 0", "rhs <= 0", "a cut made it infeasible"}, seen
+    assert min(seen.values()) >= 20, seen
 
 
 def _pivots(monkeypatch, run, cold: bool):

@@ -150,7 +150,7 @@ def test_row_generation_separates_in_ints(monkeypatch):
 
 def _bits(lp):
     """Largest numerator or denominator bit length among an LP's entries."""
-    values = [*lp.objective, *(b for b in (*lp.lower, *lp.upper) if b is not None)]
+    values = [*lp.objective, *(b for b in lp.upper if b is not None)]
     for con in lp.constraints:
         values += [*con.coeffs, con.rhs]
     return max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in values)

@@ -4,7 +4,8 @@
 once when the constraint is made, and the point over one common
 denominator; `reference_verify` sums every row in `Fraction`s.  On seeded
 LPs and points both must raise on the same points with the same message,
-and row generation must build each integer form once, not once per round.
+and row generation must build each integer form once, not once per round,
+and read it for the dictionary row as well as for the check.
 """
 
 import random
@@ -13,8 +14,8 @@ from collections import Counter
 from fractions import Fraction
 
 import skbounds.lp
-from skbounds import InternalInvariantError, LinearProgram, r_co_direct
-from skbounds.lp import RELATIONS, _verify
+from skbounds import InternalInvariantError, mmi, r_co_direct, upper_bound_theorem1
+from skbounds.lp import LinearProgram, _verify
 
 from conftest import cycle_plus_edges
 from reference_verify import reference_verify
@@ -36,20 +37,13 @@ def _slack(rng: random.Random) -> Fraction:
 def _case(rng: random.Random):
     """A random LP and a point that meets all its bounds and rows."""
     n = rng.randint(1, 4)
-    point = [_value(rng) for _ in range(n)]
-    lower, upper = [], []
-    for x in point:
-        kind = rng.choice(("lower", "upper", "both", "free"))
-        lower.append(x - _slack(rng) if kind in ("lower", "both") else None)
-        upper.append(x + _slack(rng) if kind in ("upper", "both") else None)
-    lp = LinearProgram([f"x{t}" for t in range(n)], [0] * n, lower=lower, upper=upper)
+    point = [rng.choice((Fraction(0), abs(_value(rng)))) for _ in range(n)]
+    upper = [rng.choice((None, x + _slack(rng))) for x in point]
+    lp = LinearProgram([f"x{t}" for t in range(n)], [0] * n, upper=upper)
     for _ in range(rng.randint(1, 4)):
         coeffs = [rng.choice((0, _value(rng), _value(rng))) for _ in range(n)]
         coeffs[rng.randrange(n)] = _value(rng)
-        relation = rng.choice(RELATIONS)
-        lhs = sum(c * x for c, x in zip(coeffs, point))
-        rhs = {"<=": lhs + _slack(rng), ">=": lhs - _slack(rng), "=": lhs}[relation]
-        lp.add_constraint(coeffs, relation, rhs)
+        lp.add_constraint(coeffs, sum(c * x for c, x in zip(coeffs, point)) - _slack(rng))
     return lp, point
 
 
@@ -61,9 +55,8 @@ def _on_row(rng: random.Random, lp: LinearProgram, point, step: Fraction):
     lhs = sum(a * x for a, x in zip(con.coeffs, point))
     moved = list(point)
     moved[t] += (con.rhs - lhs) / c
-    # Past the row: raise the lhs of a "<=" row, lower that of a ">=" row.
-    up = {"<=": True, ">=": False, "=": rng.random() < 0.5}[con.relation]
-    moved[t] += step if (c > 0) == up else -step
+    # Past the row: lower its lhs.
+    moved[t] += -step if c > 0 else step
     return tuple(moved)
 
 
@@ -78,7 +71,7 @@ def _outcome(check, lp, point):
 def _kind(message):
     if message is None:
         return "ok"
-    return "row" if "constraint" in message else "lower" if "below" in message else "upper"
+    return "row" if "constraint" in message else "lower" if "negative" in message else "upper"
 
 
 def test_integer_check_matches_the_fraction_check():
@@ -95,9 +88,11 @@ def test_integer_check_matches_the_fraction_check():
 
 
 def test_row_generation_builds_each_integer_form_once(monkeypatch):
-    # Count to_integers calls by caller through an R_CO solve at m = 10:
-    # each constraint's integer form is built once, when it is made, and
-    # each round's check scales only its point.
+    # Count to_integers calls by caller through R_CO and UB solves at
+    # m = 10: each constraint's integer form is built once, when it is made,
+    # and `solve` and `add_cut` read it there; `solve` scales only the
+    # objective and each upper-bound row, and each round's check only its
+    # point.
     calls = Counter()
     to_integers = skbounds.lp.to_integers
 
@@ -114,7 +109,18 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
 
     monkeypatch.setattr(skbounds.lp, "to_integers", counting)
     monkeypatch.setattr(skbounds.lp, "_verify", recording)
-    r_co_direct(cycle_plus_edges(random.Random(1010), 10), method="rowgen")
-    assert len(checked) >= 10
-    assert calls["__post_init__"] == checked[-1]
-    assert calls["_verify"] == len(checked)
+    hg = cycle_plus_edges(random.Random(1010), 10)
+    capacity = mmi(hg)
+    # R_CO's rates have no upper bound; the packing entries have one each.
+    for run, upper_bounds in (
+        (lambda: r_co_direct(hg, method="rowgen"), 0),
+        (lambda: upper_bound_theorem1(hg, mmi_result=capacity, method="rowgen"), len(hg.edges)),
+    ):
+        calls.clear()
+        checked.clear()
+        run()
+        assert len(checked) >= 10
+        assert set(calls) == {"__post_init__", "solve", "_verify"}, calls
+        assert calls["__post_init__"] == checked[-1]
+        assert calls["solve"] == 1 + upper_bounds
+        assert calls["_verify"] == len(checked)
