@@ -45,10 +45,13 @@ integer source (`WeightedHypergraph.integer_source`: weights times L, the
 lcm of their denominators; the packing LP pinned to L times the capacity)
 and divide what they return by L once: every quantity is homogeneous of
 degree one in the weights, and scaling every right-hand side and bound by
-L > 0 changes no pivot.  Row generation separates in ints over each point's common
-denominator d, against d times a table: R_CO's, built once per solve, or
-the packing LP's, built from the point.  `tests/reference_separation.py`
-keeps the `Fraction` sweep as the test oracle.
+L > 0 changes no pivot.  So every row, bound and cost is an int, as
+`lp.solve` requires, but one: L times the capacity is a fraction n/d even
+on integer weights, so the pin is written times d.  Row generation
+separates in ints over each point's common denominator d, against d times
+a table: R_CO's, built once per solve, or the packing LP's, built from the
+point.  `tests/reference_separation.py` keeps the `Fraction` sweep as the
+test oracle.
 
 Each report identity is written once, in `_report_checks`: `analyze` raises
 on it and `run_checks` lists it beside the checks that need another solve.
@@ -73,10 +76,6 @@ from .lp import (
 )
 from .partitions import MmiResult, cross_edges, mmi
 from .rational import to_integers
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 Method = str  # "auto" (= "rowgen") | "full" | "rowgen"
 Check = tuple[str, bool, object, object]  # (label, ok, value, expected)
@@ -144,10 +143,10 @@ def separation_oracle(inside: Sequence, rates: Sequence) -> Optional[int]:
     return gaps.index(least, 1) if least < 0 else None
 
 
-def _subset_row(edges: Sequence[int], m: int, mask: int, rhs: Fraction) -> Constraint:
+def _subset_row(edges: Sequence[int], m: int, mask: int, rhs: int) -> Constraint:
     """The row rates(B) - x(edges inside B) >= rhs; the rates are the last m variables."""
-    coeffs = [_MINUS_ONE if e & ~mask == 0 else _ZERO for e in edges]
-    coeffs += [_ONE if mask >> i & 1 else _ZERO for i in range(m)]
+    coeffs = [-1 if e & ~mask == 0 else 0 for e in edges]
+    coeffs += [mask >> i & 1 for i in range(m)]
     return Constraint(tuple(coeffs), rhs)
 
 
@@ -184,7 +183,7 @@ def build_rco_lp(hg: WeightedHypergraph, subset_masks, cond) -> LinearProgram:
     """
     return LinearProgram(
         variables=[f"R{i}" for i in range(1, hg.m + 1)],
-        objective=[_ONE] * hg.m,
+        objective=[1] * hg.m,
         constraints=[_subset_row((), hg.m, mask, cond[mask]) for mask in subset_masks],
     )
 
@@ -212,7 +211,7 @@ def r_co_direct(hg: WeightedHypergraph, *, method: Method = "auto") -> tuple[Fra
 
 
 def build_gamma_lp(hg: WeightedHypergraph, mmi_value: Fraction, subset_masks) -> LinearProgram:
-    """Fractional-packing LP behind the communication upper bound.
+    """Fractional-packing LP behind the communication upper bound, on an integer source.
 
     Variables are one packing entry per hyperedge (bounded by the weights)
     plus one rate per terminal, all >= 0.  Minimizes total retained weight
@@ -220,7 +219,9 @@ def build_gamma_lp(hg: WeightedHypergraph, mmi_value: Fraction, subset_masks) ->
     `subset_masks` (every nonempty proper subset for the full LP), and the
     pin total packing minus total rate >= the capacity `mmi_value`, which
     holds with equality at every point that meets the whole subset family
-    (module docstring).
+    (module docstring).  On integer weights the capacity is still a
+    fraction n/d (a minimum of ratios over |P| - 1), and `lp.solve` takes
+    ints, so the pin is written times d: d * (packing - rates) >= n.
     """
     edges = hg.edges
     k = len(edges)
@@ -228,11 +229,12 @@ def build_gamma_lp(hg: WeightedHypergraph, mmi_value: Fraction, subset_masks) ->
     names = [f"x{format_subset(e)}" for e in edges] + [f"r{i}" for i in range(1, m + 1)]
     lp = LinearProgram(
         variables=names,
-        objective=[_ONE] * k + [_ZERO] * m,
-        constraints=[_subset_row(edges, m, mask, _ZERO) for mask in subset_masks],
+        objective=[1] * k + [0] * m,
+        constraints=[_subset_row(edges, m, mask, 0) for mask in subset_masks],
         upper=[hg.weights[e] for e in edges] + [None] * m,
     )
-    lp.add_constraint([_ONE] * k + [_MINUS_ONE] * m, mmi_value)
+    (n,), d = to_integers([mmi_value])
+    lp.add_constraint([d] * k + [-d] * m, n)
     return lp
 
 
@@ -258,7 +260,7 @@ def upper_bound_theorem1(
         method,
         lambda masks: build_gamma_lp(src, mres.value * scale, masks),
         lambda ints, d: subset_weight_table(m, dict(zip(edges, ints))),
-        lambda mask: _subset_row(edges, m, mask, _ZERO),
+        lambda mask: _subset_row(edges, m, mask, 0),
     )
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"packing LP reported {sol.status}")

@@ -222,22 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="additionally run the invariant suite; exit 1 on any violation",
         )
-        rows = cmd.add_mutually_exclusive_group()
-        rows.add_argument(
+        cmd.add_argument(
             "--full-rows",
             action="store_const",
             const="full",
+            default="auto",
             dest="method",
             help="materialize every subset constraint (the reference that --check cross-solves)",
         )
-        rows.add_argument(
-            "--row-gen",
-            action="store_const",
-            const="rowgen",
-            dest="method",
-            help="generate subset constraints with the separation oracle (the default)",
-        )
-        cmd.set_defaults(method="auto")
     return parser
 
 

@@ -1,8 +1,11 @@
-"""Exact linear programming over rationals, in one form.
+"""Exact linear programming over integers, in one form.
 
 A program minimizes c . x subject to rows coeffs . x >= rhs, x >= 0, and
 x <= u for each variable that has an upper bound u, with every cost
-c >= 0.  Both LPs of the package have that form.
+c >= 0.  Every cost, bound, coefficient and right-hand side is an int, as
+in both LPs of the package, which are built on the integer source.
+`LinearProgram` raises TypeError, naming the entry, on anything else: the
+integer arithmetic below would floor a `Fraction` silently.
 
 One method solves it: the dual simplex on a compact dictionary (only
 nonbasic columns are stored; a pivot swaps a basic row label with a
@@ -22,26 +25,25 @@ raises it, so no basis recurs across such pivots, and in a run at one
 objective every pivot after the first is Bland's rule read on the dual,
 which cannot cycle (Chvatal, *Linear Programming*, 1983, ch. 3 and 10).
 Optimality is certified by the final dictionary, and the point is checked
-exactly against every original row and bound before it is returned; the
-row check runs in integers, over one common denominator per point.
+exactly against every original row and bound before it is returned, in
+integers: the basic values xs over the dictionary's denominator.
 
 The dictionary is fraction-free (Edmonds 1967; Bareiss 1968): every entry
 is an integer over one positive common denominator, the determinant of
-the current basis up to sign.  Each constraint builds its integer form
-once, the row times the lcm of its own denominators; negated, that is the
-dictionary row of its slack, rescaled by that lcm.  Each upper bound adds
-one row, and the objective is scaled to integers the same way.  A pivot
-computes (a * p - f * b) // den, which is exact, touches the elimination
-only where the pivot row is nonzero, and makes |p| the new denominator.
+the current basis up to sign.  A constraint's row, negated, is the
+dictionary row of its slack; each upper bound u of x_t adds the row
+[u, unit row t], and the objective row is [0, -c].  A pivot computes
+(a * p - f * b) // den, which is exact, touches the elimination only
+where the pivot row is nonzero, and makes |p| the new denominator.
 Integers are arbitrary precision, so there is no overflow to detect.
 
 `solve_with_row_generation` wraps `solve` with a caller-supplied separation
 oracle for constraint families too large to materialize.  Each round after
-the first appends the cut to the previous optimal dictionary: its integer
-row is put over the current denominator and its slack, a unit column,
-becomes basic, so the fraction-free invariant holds.  The old basis stays
-dual feasible, and the same dual simplex restores primal feasibility in a
-few pivots.  Every round's point is checked against the whole working LP.
+the first appends the cut to the previous optimal dictionary: its row is
+put over the current denominator and its slack, a unit column, becomes
+basic, so the fraction-free invariant holds.  The old basis stays dual
+feasible, and the same dual simplex restores primal feasibility in a few
+pivots.  Every round's point is checked against the whole working LP.
 """
 
 from __future__ import annotations
@@ -51,43 +53,24 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import InternalInvariantError
-from .rational import to_integers
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
-_ZERO = Fraction(0)
 
-
-def _rational(value) -> Fraction:
-    # Fractions are immutable and kept as they are: wrapping each coefficient
-    # again costs a measurable share of LP set-up.
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, float):
-        raise TypeError(f"{value!r} is a float, not exact")
-    return Fraction(value)
+def _require_ints(kind: str, names: Sequence[str], values: Sequence) -> None:
+    """Raise TypeError, naming the entry, on the first of `values` that is not an int."""
+    for name, value in zip(names, values):
+        if type(value) is not int:
+            raise TypeError(f"{kind} of {name} is {value!r}, not an int")
 
 
 @dataclass(frozen=True)
 class Constraint:
-    """The row coeffs . x >= rhs."""
+    """The row coeffs . x >= rhs, in ints."""
 
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
-    # The row times the lcm of its denominators, built once for `solve`,
-    # `add_cut` and `_verify`: the integer rhs and (index, coefficient) for
-    # each nonzero coefficient.
-    _integer_form: tuple[int, list[tuple[int, int]]] = field(
-        init=False, compare=False, repr=False
-    )
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_rational(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", _rational(self.rhs))
-        (rhs, *ints), _ = to_integers([self.rhs, *self.coeffs])
-        terms = [(t, c) for t, c in enumerate(ints) if c]
-        object.__setattr__(self, "_integer_form", (rhs, terms))
+    coeffs: tuple[int, ...]
+    rhs: int
 
 
 @dataclass
@@ -95,28 +78,31 @@ class LinearProgram:
     """Minimize objective . x subject to the constraints, x >= 0 and x <= upper where given."""
 
     variables: list[str]
-    objective: list[Fraction]
+    objective: list[int]
     constraints: list[Constraint] = field(default_factory=list)
-    upper: list[Optional[Fraction]] = None
+    upper: list[Optional[int]] = None
 
     def __post_init__(self):
         n = len(self.variables)
         if len(self.objective) != n:
             raise ValueError("objective length does not match variable count")
-        self.objective = [_rational(c) for c in self.objective]
+        _require_ints("cost", self.variables, self.objective)
         if self.upper is None:
             self.upper = [None] * n
         if len(self.upper) != n:
             raise ValueError("upper bound vector does not match variable count")
-        self.upper = [None if b is None else _rational(b) for b in self.upper]
+        _require_ints("upper bound", self.variables, [0 if u is None else u for u in self.upper])
         for con in self.constraints:
             self._check(con)
 
     def _check(self, con: Constraint) -> None:
         if len(con.coeffs) != len(self.variables):
             raise ValueError("constraint coefficient vector does not match variable count")
+        _require_ints("coefficient", self.variables, con.coeffs)
+        if type(con.rhs) is not int:
+            raise TypeError(f"right-hand side is {con.rhs!r}, not an int")
 
-    def add_constraint(self, coeffs: Sequence[Fraction], rhs: Fraction) -> None:
+    def add_constraint(self, coeffs: Sequence[int], rhs: int) -> None:
         con = Constraint(tuple(coeffs), rhs)
         self._check(con)
         self.constraints.append(con)
@@ -224,46 +210,37 @@ def _dual_simplex(rows, obj, row_vars, col_vars, den):
         den = _pivot(rows, obj, row_vars, col_vars, den, pr, pc)
 
 
-def _slack_row(con: Constraint, n: int) -> list[int]:
-    """The dictionary row [rhs, *coefficients] of `con`'s slack, from its integer form.
-
-    The slack L * (coeffs . x - rhs), with L > 0 the scale of the integer
-    form, reads (row[0] - sum row[t + 1] * x_t) in the dictionary's
-    convention: the integer form negated.
-    """
-    rhs, terms = con._integer_form
-    row = [-rhs] + [0] * n
-    for t, c in terms:
-        row[t + 1] = -c
-    return row
+def _slack_row(con: Constraint) -> list[int]:
+    """The dictionary row of `con`'s slack coeffs . x - rhs over den 1: the row negated."""
+    return [-con.rhs, *(-c for c in con.coeffs)]
 
 
 class _Dictionary:
     """An optimal fraction-free dictionary of `solve`, kept to add rows to.
 
     Variable ids are 0..n - 1 for the LP's n variables, then one slack per
-    row in order of addition; the objective row is over `den * obj_scale`.
+    row in order of addition.
     """
 
-    def __init__(self, n, rows, obj, obj_scale, row_vars, col_vars, den):
-        self.n, self.rows, self.obj, self.obj_scale = n, rows, obj, obj_scale
+    def __init__(self, n, rows, obj, row_vars, col_vars, den):
+        self.n, self.rows, self.obj = n, rows, obj
         self.row_vars, self.col_vars, self.den = row_vars, col_vars, den
 
     def solution(self, lp: LinearProgram) -> LpSolution:
-        """The dictionary's point, checked against every row and bound of `lp`."""
-        point = [_ZERO] * self.n
+        """The point xs / den, checked in ints against the objective and every row and bound."""
+        den = self.den
+        xs = [0] * self.n
         for row, vid in zip(self.rows, self.row_vars):
             if vid < self.n:
-                point[vid] = Fraction(row[0], self.den)
-        objective_value = sum((c * x for c, x in zip(lp.objective, point)), _ZERO)
-        dictionary_value = Fraction(self.obj[0], self.den * self.obj_scale)
-        if objective_value != dictionary_value:
+                xs[vid] = row[0]
+        value = sum([c * x for c, x in zip(lp.objective, xs)])
+        if value != self.obj[0]:
             raise InternalInvariantError(
-                f"objective mismatch: dictionary {dictionary_value}"
-                f" vs point value {objective_value}"
+                f"objective mismatch: dictionary {Fraction(self.obj[0], den)}"
+                f" vs point value {Fraction(value, den)}"
             )
-        _verify(lp, point)
-        return LpSolution(OPTIMAL, tuple(point), objective_value, self)
+        _verify(lp, xs, den)
+        return LpSolution(OPTIMAL, tuple(Fraction(x, den) for x in xs), Fraction(value, den), self)
 
     def add_cut(self, lp: LinearProgram, con: Constraint) -> LpSolution:
         """Add the row of `con`, the last constraint of `lp`, and re-optimize.
@@ -276,7 +253,7 @@ class _Dictionary:
         stays dual feasible, so the dual simplex finishes the round.
         """
         rows, row_vars, col_vars, den, n = self.rows, self.row_vars, self.col_vars, self.den, self.n
-        form = _slack_row(con, n)
+        form = _slack_row(con)
         new = [den * form[0]] + [den * form[vid + 1] if vid < n else 0 for vid in col_vars]
         for row, vid in zip(rows, row_vars):
             a = form[vid + 1] if vid < n else 0
@@ -305,44 +282,37 @@ def solve(lp: LinearProgram) -> LpSolution:
                 " every cost must be >= 0"
             )
     # The slack basis: one row per constraint, then one per upper bound
-    # x_t <= u, each scaled to integers by its own L > 0, and the objective,
-    # whose reduced costs are the negated costs, scaled by their lcm.
-    rows = [_slack_row(con, n) for con in lp.constraints]
+    # x_t <= u, and the objective, whose reduced costs are the negated costs.
+    rows = [_slack_row(con) for con in lp.constraints]
     for t, up in enumerate(lp.upper):
         if up is not None:
-            rows.append(to_integers([up] + [int(j == t) for j in range(n)])[0])
+            rows.append([up] + [int(j == t) for j in range(n)])
     col_vars = list(range(n))
     row_vars = [n + i for i in range(len(rows))]
-    costs, obj_scale = to_integers(lp.objective)
-    obj = [0] + [-c for c in costs]
-
+    obj = [0] + [-c for c in lp.objective]
     status, den = _dual_simplex(rows, obj, row_vars, col_vars, 1)
     if status != OPTIMAL:
         return LpSolution(status, None, None)
-    return _Dictionary(n, rows, obj, obj_scale, row_vars, col_vars, den).solution(lp)
+    return _Dictionary(n, rows, obj, row_vars, col_vars, den).solution(lp)
 
 
-def _verify(lp: LinearProgram, point: Sequence[Fraction]) -> None:
-    """Raise unless `point` meets every bound and every row of `lp` exactly.
+def _verify(lp: LinearProgram, xs: Sequence[int], den: int) -> None:
+    """Raise unless the point xs / den, den > 0, meets every bound and row of `lp` exactly.
 
-    The bounds are compared as rationals.  For the rows the point is put
-    over one common denominator D once, as ints xs = D * point, and each row
-    is read in its integer form, L * (rhs, coeffs) with L > 0: the row holds
-    exactly when sum L*c * xs[t] >= L*rhs * D.  Only a failing row is summed
-    again in rationals, for the message.
+    Each check is in ints: xs[t] >= 0, xs[t] <= u * den and, for each row,
+    sum c * xs[t] >= rhs * den.  Only a message shows rationals.
     """
-    for name, x, up in zip(lp.variables, point, lp.upper):
+    for name, x, up in zip(lp.variables, xs, lp.upper):
         if x < 0:
-            raise InternalInvariantError(f"{name} = {x} is negative")
-        if up is not None and x > up:
-            raise InternalInvariantError(f"{name} = {x} above upper bound {up}")
-    xs, d = to_integers(point)
+            raise InternalInvariantError(f"{name} = {Fraction(x, den)} is negative")
+        if up is not None and x > up * den:
+            raise InternalInvariantError(f"{name} = {Fraction(x, den)} above upper bound {up}")
     for i, con in enumerate(lp.constraints):
-        rhs, terms = con._integer_form
-        if sum([c * xs[t] for t, c in terms]) < rhs * d:
-            lhs = sum((c * x for c, x in zip(con.coeffs, point) if c), _ZERO)
+        lhs = sum([c * x for c, x in zip(con.coeffs, xs) if c])
+        if lhs < con.rhs * den:
             raise InternalInvariantError(
-                f"returned point violates constraint {i}: lhs {lhs} is not >= rhs {con.rhs}"
+                f"returned point violates constraint {i}:"
+                f" lhs {Fraction(lhs, den)} is not >= rhs {con.rhs}"
             )
 
 
@@ -377,6 +347,4 @@ def solve_with_row_generation(
         lp._check(extra)
         lp.constraints.append(extra)
         sol = sol._dictionary.add_cut(lp, extra)
-    raise InternalInvariantError(
-        f"separation oracle did not certify within {max_rounds} rounds"
-    )
+    raise InternalInvariantError(f"separation oracle did not certify within {max_rounds} rounds")

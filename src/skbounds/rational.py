@@ -1,7 +1,8 @@
 """Exact rational scalars: the numeric type plus parsing and rendering.
 
-Every quantity in this package (weights, entropies, rates, LP coefficients)
-is a `fractions.Fraction`.  Fractions carry arbitrary-precision integers and
+Every quantity the package reports (weights, entropies, rates, bounds) is
+a `fractions.Fraction`; the LPs and tables inside run on ints, over one
+common denominator.  Fractions carry arbitrary-precision integers and
 are always kept in canonical form (positive denominator, numerator and
 denominator coprime, zero stored as 0/1), so every computation reproduces
 bit-exactly and no tolerance appears anywhere.
@@ -57,8 +58,8 @@ def to_integers(values: Collection[Fraction | int]) -> tuple[list[int], int]:
     """(ints, L): L the lcm of the values' denominators (1 for none), ints[i] = L * values[i].
 
     This is the one place the package turns rationals into integers over a
-    common denominator: LP rows, subset tables and separation rounds all
-    scale through it.
+    common denominator: the integer source, the packing LP's capacity pin
+    and separation rounds all scale through it.
     """
     # Unpack a list, not a generator: a tuple built from a generator grows by
     # reallocation, which fragments the heap (+1 MiB peak RSS on many small LPs).

@@ -13,8 +13,9 @@ It keeps the general input form `solve` no longer takes, `GeneralLP`:
 lower bounds, upper-only and free variables, "<=", ">=" and "=" rows and
 costs of either sign, so it may also report a program unbounded.  A
 package `LinearProgram` is read as the `GeneralLP` with every lower bound
-0 and every row ">=".  It returns the package's `LpSolution` and does not
-re-check the point (`solve` does that on its side).
+0, every row ">=" and every int a `Fraction`.  It returns the package's
+`LpSolution` and does not re-check the point (`solve` does that on its
+side).
 """
 
 from dataclasses import dataclass, field
@@ -47,9 +48,14 @@ class GeneralLP:
 
 
 def general_form(lp: LinearProgram) -> GeneralLP:
-    """A package program as a `GeneralLP`: every variable >= 0, every row ">="."""
-    rows = [(con.coeffs, ">=", con.rhs) for con in lp.constraints]
-    return GeneralLP(list(lp.variables), lp.objective, rows, [_ZERO] * len(lp.variables), lp.upper)
+    """A package program as a `GeneralLP`: every variable >= 0, every row ">=".
+
+    The package's ints become `Fraction`s, which this solver divides by.
+    """
+    rows = [([Fraction(c) for c in con.coeffs], ">=", Fraction(con.rhs)) for con in lp.constraints]
+    upper = [None if u is None else Fraction(u) for u in lp.upper]
+    objective = [Fraction(c) for c in lp.objective]
+    return GeneralLP(list(lp.variables), objective, rows, [_ZERO] * len(lp.variables), upper)
 
 
 def _pivot(rows, obj, row_vars, col_vars, pr, pc):

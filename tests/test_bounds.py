@@ -85,27 +85,32 @@ def test_rco_rowgen_agrees():
         assert r_co_direct(hg, method="full")[0] == r_co_direct(hg, method="rowgen")[0]
 
 
+# EXAMPLE1's weights are whole, so its integer source has L = 1 and the same weights as ints.
+EXAMPLE1_INT, _ = EXAMPLE1.integer_source()
+
+
 def test_build_rco_lp_row_count():
-    lp = build_rco_lp(EXAMPLE1, proper_subsets(4), subset_weight_table(4, EXAMPLE1.weights))
+    lp = build_rco_lp(EXAMPLE1_INT, proper_subsets(4), subset_weight_table(4, EXAMPLE1_INT.weights))
     assert len(lp.variables) == 4
     assert len(lp.constraints) == 14  # 2^4 - 2 proper nonempty subsets
 
 
 def test_build_gamma_lp_shape():
-    lp = build_gamma_lp(EXAMPLE1, F(3, 2), proper_subsets(4))
+    lp = build_gamma_lp(EXAMPLE1_INT, F(3, 2), proper_subsets(4))
     assert len(lp.variables) == 8  # 4 packing entries + 4 rates
     assert len(lp.constraints) == 15  # 14 subset rows + the capacity pin
+    # The pin, total packing minus total rate >= I = 3/2, written times 2.
     pin = lp.constraints[-1]
-    assert pin.coeffs == (F(1),) * 4 + (F(-1),) * 4 and pin.rhs == F(3, 2)
+    assert pin.coeffs == (2,) * 4 + (-2,) * 4 and pin.rhs == 3
     # packing entries carry their weight bounds, rates only the bound 0
-    assert lp.upper == [F(2), F(1), F(1), F(1)] + [None] * 4
+    assert lp.upper == [2, 1, 1, 1] + [None] * 4
 
 
 def test_gamma_lp_feasibility_witness():
     # the full weight vector with an omniscience-optimal rate point is feasible
-    lp = build_gamma_lp(EXAMPLE1, F(3, 2), proper_subsets(4))
-    _, rates = r_co_direct(EXAMPLE1)
-    point = [EXAMPLE1.weights[e] for e in EXAMPLE1.edges] + list(rates.rates)
+    lp = build_gamma_lp(EXAMPLE1_INT, F(3, 2), proper_subsets(4))
+    _, rates = r_co_direct(EXAMPLE1_INT)
+    point = [EXAMPLE1_INT.weights[e] for e in EXAMPLE1_INT.edges] + list(rates.rates)
     for con in lp.constraints:
         lhs = sum(c * x for c, x in zip(con.coeffs, point))
         assert lhs >= con.rhs

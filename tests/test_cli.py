@@ -68,8 +68,8 @@ def test_splitting_an_edge_line_changes_nothing(make, tmp_path, capsys):
             path.write_text(text, encoding="utf-8")
             outputs.append(
                 [
-                    run_cli(capsys, "analyze", "--json", flag, str(path))[:2]
-                    for flag in ("--full-rows", "--row-gen")
+                    run_cli(capsys, "analyze", "--json", *flags, str(path))[:2]
+                    for flags in (["--full-rows"], [])
                 ]
             )
         assert outputs[0] == outputs[1]
@@ -189,8 +189,17 @@ def test_check_passes_on_bundled_fixtures(name, capsys):
 
 def test_row_flag_paths_match(capsys):
     _, full, _ = run_cli(capsys, "analyze", "--full-rows", str(FIXTURE_DIR / "example2.hg"))
-    _, rowgen, _ = run_cli(capsys, "analyze", "--row-gen", str(FIXTURE_DIR / "example2.hg"))
+    _, rowgen, _ = run_cli(capsys, "analyze", str(FIXTURE_DIR / "example2.hg"))
     assert full == rowgen
+
+
+def test_row_gen_flag_is_gone(capsys):
+    # Row generation is the default, so its flag selected nothing; argparse
+    # rejects it as an unknown option.
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--row-gen", str(FIXTURE_DIR / "example2.hg")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --row-gen" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -2,8 +2,7 @@
 
 `golden_cli.json` holds, for every bundled fixture, the exit code, stdout
 and stderr of each subcommand in text and JSON form, plus `analyze --check`
-with and without `--json`, and `analyze --row-gen --check`.  Any change to
-the printed bytes fails here.
+with and without `--json`.  Any change to the printed bytes fails here.
 
 Regenerate the data file (only when an output change is intended) with::
 
@@ -34,7 +33,6 @@ def golden_argvs() -> list[list[str]]:
             argvs.append([command, "--json", name])
         argvs.append(["analyze", "--check", name])
         argvs.append(["analyze", "--json", "--check", name])
-    argvs += [["analyze", "--row-gen", "--check", name] for name in FIXTURES]
     return argvs
 
 

@@ -18,6 +18,7 @@ from skbounds import mmi, r_co_direct, subset_weight_table, upper_bound_theorem1
 from skbounds.bounds import build_gamma_lp, build_rco_lp
 from skbounds.cli import parse_document
 from skbounds.lp import LinearProgram, _verify, solve
+from skbounds.rational import to_integers
 
 from conftest import FIXTURE_DIR, fixture_text, proper_subsets, random_graph, random_hypergraph
 from reference_simplex import GeneralLP, reference_solve
@@ -25,16 +26,17 @@ from reference_simplex import GeneralLP, reference_solve
 RANDOM_LP_COUNT = 200
 
 
-def _value(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+def _value(rng: random.Random) -> int:
+    return rng.randint(-4, 4)
 
 
 def random_lp(rng: random.Random) -> LinearProgram:
-    """A small LP in the one form, nonnegative and boxed variables, zero right-hand sides included.
+    """A small int LP in the one form, nonnegative and boxed variables, zero right-hand sides included.
 
-    Most rows hold at one point (tightly half the time, a degenerate
-    vertex), which lies inside the bounds for some variables and below 0 for
-    others; the rest have a zero or an arbitrary right-hand side.
+    Most rows hold at one integer point (tightly half the time, a
+    degenerate vertex), which lies inside the bounds for some variables and
+    below 0 for others; the rest have a zero or an arbitrary right-hand
+    side.  The vertices are rational all the same.
     """
     n = rng.randint(1, 5)
     upper, inside = [], []
@@ -43,17 +45,17 @@ def random_lp(rng: random.Random) -> LinearProgram:
         upper.append(abs(a) + b if rng.random() < 0.5 else None)
         inside.append(a)
     # Costs >= 0, as `solve` requires; zero costs leave several optimal vertices.
-    objective = [abs(_value(rng)) if rng.random() < 0.8 else Fraction(0) for _ in range(n)]
+    objective = [abs(_value(rng)) if rng.random() < 0.8 else 0 for _ in range(n)]
     lp = LinearProgram([f"v{t}" for t in range(n)], objective, [], upper)
     for _ in range(rng.randint(0, 6)):
-        coeffs = [_value(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+        coeffs = [_value(rng) if rng.random() < 0.7 else 0 for _ in range(n)]
         draw = rng.random()
         if draw < 0.25:
-            rhs = Fraction(0)
+            rhs = 0
         elif draw < 0.4:
             rhs = _value(rng)
         else:
-            slack = Fraction(0) if rng.random() < 0.5 else abs(_value(rng))
+            slack = 0 if rng.random() < 0.5 else abs(_value(rng))
             rhs = sum(c * x for c, x in zip(coeffs, inside)) - slack
         lp.add_constraint(coeffs, rhs)
     return lp
@@ -64,7 +66,7 @@ def _assert_same(lp: LinearProgram, label: str) -> str:
     assert got.status == want.status, label
     assert got.objective_value == want.objective_value, label
     if got.status == "optimal":
-        _verify(lp, got.point)
+        _verify(lp, *to_integers(got.point))
         assert sum(c * x for c, x in zip(lp.objective, got.point)) == want.objective_value, label
     return got.status
 
@@ -85,9 +87,10 @@ def test_package_lps_match_reference(family):
     make = random_hypergraph if family == "hyper" else random_graph
     for i in range(10):
         hg = make(rng, 3 + i % 4)
-        masks, cond = proper_subsets(hg.m), subset_weight_table(hg.m, hg.weights)
-        assert _assert_same(build_rco_lp(hg, masks, cond), f"rco {i}") == "optimal"
-        gamma = build_gamma_lp(hg, mmi(hg).value, masks)
+        src, scale = hg.integer_source()  # the LPs take ints
+        masks, cond = proper_subsets(src.m), subset_weight_table(src.m, src.weights)
+        assert _assert_same(build_rco_lp(src, masks, cond), f"rco {i}") == "optimal"
+        gamma = build_gamma_lp(src, mmi(hg).value * scale, masks)
         assert _assert_same(gamma, f"gamma {i}") == "optimal"
 
 

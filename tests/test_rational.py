@@ -91,7 +91,7 @@ def test_canonical_form_after_operations():
             assert math.gcd(abs(q.numerator), q.denominator) == 1
 
 
-# Ints mixed with Fractions, the mix LP rows hand to to_integers.
+# Ints mixed with Fractions, as a source hands its weights to to_integers.
 exact_values = st.lists(
     st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60)), max_size=8
 )

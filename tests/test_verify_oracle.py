@@ -1,13 +1,14 @@
 """The integer point check against the `Fraction` check it replaced.
 
-`skbounds.lp._verify` reads each constraint in its integer form, built
-once when the constraint is made, and the point over one common
-denominator; `reference_verify` sums every row in `Fraction`s.  On seeded
-LPs and points both must raise on the same points with the same message,
-and row generation must build each integer form once, not once per round,
-and read it for the dictionary row as well as for the check.
+`skbounds.lp._verify` reads the point as ints xs over a positive den and
+checks every bound and row of the int LP in ints; `reference_verify`
+forms the rationals xs / den and sums every row in `Fraction`s.  On seeded
+LPs and points both must raise on the same points with the same message.
+The LP engine scales nothing to integers itself: in row generation the
+only calls to `to_integers` come from `bounds`.
 """
 
+import math
 import random
 import sys
 from collections import Counter
@@ -16,6 +17,7 @@ from fractions import Fraction
 import skbounds.lp
 from skbounds import InternalInvariantError, mmi, r_co_direct, upper_bound_theorem1
 from skbounds.lp import LinearProgram, _verify
+from skbounds.rational import to_integers
 
 from conftest import cycle_plus_edges
 from reference_verify import reference_verify
@@ -35,15 +37,22 @@ def _slack(rng: random.Random) -> Fraction:
 
 
 def _case(rng: random.Random):
-    """A random LP and a point that meets all its bounds and rows."""
+    """A random int LP and a rational point that meets all its bounds and rows.
+
+    Each row is drawn in `Fraction`s and scaled to ints by the lcm of its
+    denominators; each upper bound is an int at or above the point: its
+    ceiling, on it where the point is whole, or the ceiling past a slack.
+    """
     n = rng.randint(1, 4)
     point = [rng.choice((Fraction(0), abs(_value(rng)))) for _ in range(n)]
-    upper = [rng.choice((None, x + _slack(rng))) for x in point]
+    upper = [rng.choice((None, math.ceil(x), math.ceil(x + _slack(rng)))) for x in point]
     lp = LinearProgram([f"x{t}" for t in range(n)], [0] * n, upper=upper)
     for _ in range(rng.randint(1, 4)):
         coeffs = [rng.choice((0, _value(rng), _value(rng))) for _ in range(n)]
         coeffs[rng.randrange(n)] = _value(rng)
-        lp.add_constraint(coeffs, sum(c * x for c, x in zip(coeffs, point)) - _slack(rng))
+        rhs = sum(c * x for c, x in zip(coeffs, point)) - _slack(rng)
+        (rhs, *coeffs), _ = to_integers([rhs, *coeffs])
+        lp.add_constraint(coeffs, rhs)
     return lp, point
 
 
@@ -60,9 +69,9 @@ def _on_row(rng: random.Random, lp: LinearProgram, point, step: Fraction):
     return tuple(moved)
 
 
-def _outcome(check, lp, point):
+def _outcome(check, lp, xs, den):
     try:
-        check(lp, point)
+        check(lp, xs, den)
     except InternalInvariantError as exc:
         return str(exc)
     return None
@@ -80,47 +89,56 @@ def test_integer_check_matches_the_fraction_check():
     for _ in range(300):
         lp, point = _case(rng)
         for p in (tuple(point), _on_row(rng, lp, point, 0), _on_row(rng, lp, point, STEP)):
-            expected = _outcome(reference_verify, lp, p)
-            assert _outcome(_verify, lp, p) == expected, (lp, p)
+            # The solver's den is a basis determinant, not always the lcm of
+            # the point's denominators, so xs / den need not be reduced.
+            xs, den = to_integers(p)
+            k = rng.choice((1, 2, 7))
+            xs, den = [k * x for x in xs], k * den
+            expected = _outcome(reference_verify, lp, xs, den)
+            assert _outcome(_verify, lp, xs, den) == expected, (lp, p)
             outcomes[_kind(expected)] += 1
     # Every verdict occurs often: a pass, a broken row and each broken bound.
     assert min(outcomes[k] for k in ("ok", "row", "lower", "upper")) >= 50, outcomes
 
 
 def test_row_generation_builds_each_integer_form_once(monkeypatch):
-    # Count to_integers calls by caller through R_CO and UB solves at
-    # m = 10: each constraint's integer form is built once, when it is made,
-    # and `solve` and `add_cut` read it there; `solve` scales only the
-    # objective and each upper-bound row, and each round's check only its
-    # point.
+    # Count to_integers calls by caller through R_CO and UB solves by row
+    # generation at m = 10.  `lp` takes ints and scales nothing: the only
+    # calls are the integer source, built once per solve, each separation
+    # round's point (the oracle in `bounds._solve_rows`), and the packing
+    # LP's capacity pin.
+    assert not hasattr(skbounds.lp, "to_integers")
     calls = Counter()
-    to_integers = skbounds.lp.to_integers
 
     def counting(values):
-        calls[sys._getframe(1).f_code.co_name] += 1
+        caller = sys._getframe(1)
+        calls[caller.f_globals["__name__"], caller.f_code.co_name] += 1
         return to_integers(values)
 
     checked = []  # rows of the working LP at each check
     verify = skbounds.lp._verify
 
-    def recording(lp, point):
+    def recording(lp, xs, den):
         checked.append(len(lp.constraints))
-        verify(lp, point)
+        verify(lp, xs, den)
 
-    monkeypatch.setattr(skbounds.lp, "to_integers", counting)
-    monkeypatch.setattr(skbounds.lp, "_verify", recording)
     hg = cycle_plus_edges(random.Random(1010), 10)
     capacity = mmi(hg)
-    # R_CO's rates have no upper bound; the packing entries have one each.
-    for run, upper_bounds in (
+    for name, module in list(sys.modules.items()):
+        if name.startswith("skbounds") and hasattr(module, "to_integers"):
+            monkeypatch.setattr(module, "to_integers", counting)
+    monkeypatch.setattr(skbounds.lp, "_verify", recording)
+    for run, pins in (
         (lambda: r_co_direct(hg, method="rowgen"), 0),
-        (lambda: upper_bound_theorem1(hg, mmi_result=capacity, method="rowgen"), len(hg.edges)),
+        (lambda: upper_bound_theorem1(hg, mmi_result=capacity, method="rowgen"), 1),
     ):
         calls.clear()
         checked.clear()
         run()
         assert len(checked) >= 10
-        assert set(calls) == {"__post_init__", "solve", "_verify"}, calls
-        assert calls["__post_init__"] == checked[-1]
-        assert calls["solve"] == 1 + upper_bounds
-        assert calls["_verify"] == len(checked)
+        expected = {
+            ("skbounds.hypergraph", "integer_source"): 1,
+            ("skbounds.bounds", "oracle"): len(checked),
+            ("skbounds.bounds", "build_gamma_lp"): pins,
+        }
+        assert calls == Counter({k: v for k, v in expected.items() if v}), calls
