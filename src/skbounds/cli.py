@@ -108,13 +108,13 @@ def _mmi_output(result):
         "mmi": {
             "value": format_rational(result.value),
             "fundamental": [list(cell) for cell in result.fundamental.vertex_cells()],
-            "minimizer_count": len(result.all_minimizers),
+            "minimizer_count": result.minimizer_count,
         }
     }
     lines = [
         f"I(X_M) = {format_rational(result.value)}",
         f"P* = {result.fundamental}",
-        f"minimizers = {len(result.all_minimizers)}",
+        f"minimizers = {result.minimizer_count}",
     ]
     return doc, lines
 

@@ -20,10 +20,17 @@ into cell C adds E[C | v] - E[C].  The last vertex is placed in a loop,
 and only the cells where it adds least can reach the best value.  A value
 (S - T) / (k - 1) is compared with the best n / d by cross-multiplying,
 (S - T) * d against n * (k - 1), both denominators being positive; the
-result is n / (L * d), built once.  Every minimizer must coarsen the
-fundamental partition P*: with cover[A] the union of the cells of P* that
-meet A, P* refines P exactly when cover[C] == C for every cell C of P.  A
-plain `Fraction` scan, `tests/reference_scan.py`, is its test oracle.
+result is n / (L * d), built once.
+
+The scan opens cells in order of their smallest vertex, so each tied
+minimizer it records is already a canonical cell tuple; `MmiResult` keeps
+those tuples and builds a `Partition` only when `all_minimizers` is read.
+Every minimizer must coarsen the fundamental partition P*: with cover[A]
+the union of the cells of P* that meet A, P* refines P exactly when
+cover[C] == C for every cell C of P.  So all minimizers coarsen P* exactly
+when every distinct cell among them is such a union, and each distinct cell
+is checked once, at most 2^m lookups however many minimizers tie.  A plain
+`Fraction` scan, `tests/reference_scan.py`, is its test oracle.
 
 `mmi` is the one way the package computes the capacity and P*;
 `cross_edges` gives the weight crossing a partition, which the graph closed
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import CapExceededError, InternalInvariantError
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table, vertices_of
@@ -93,12 +101,24 @@ class MmiResult:
     """Minimum shared-information value with every minimizing partition.
 
     `fundamental` is the unique finest minimizer; every other minimizer is a
-    coarsening of it.
+    coarsening of it.  `minimizer_cells` holds every minimizer, in scan
+    order, as its canonical cell tuple (bitmasks sorted by smallest member,
+    as in `Partition.cells`); `mmi` checked the coarsening once per distinct
+    cell.  `all_minimizers` builds their `Partition`s on each read and keeps
+    none.
     """
 
     value: Fraction
     fundamental: Partition
-    all_minimizers: tuple[Partition, ...]
+    minimizer_cells: tuple[tuple[int, ...], ...]
+
+    @property
+    def minimizer_count(self) -> int:
+        return len(self.minimizer_cells)
+
+    @property
+    def all_minimizers(self) -> tuple[Partition, ...]:
+        return tuple(Partition(self.fundamental.m, cells) for cells in self.minimizer_cells)
 
 
 def _cover_table(fine: Partition) -> list[int]:
@@ -114,21 +134,14 @@ def _cover_table(fine: Partition) -> list[int]:
     return cover
 
 
-def _coarsens(cover: list[int], part: Partition) -> bool:
-    """True when the partition with cover table `cover` refines `part`.
-
-    It does exactly when every cell of `part` is a union of its cells.
-    """
-    return all(cover[cell] == cell for cell in part.cells)
-
-
 def mmi(hg: WeightedHypergraph) -> MmiResult:
     """Minimize the partition value over all partitions with >= 2 cells.
 
     Returns the minimum, the finest minimizer, and all minimizers in scan
-    order.  The finest minimizer is guaranteed unique, and all other
-    minimizers must coarsen it; a violation of either fact is reported as an
-    internal error because it cannot happen for hypergraphical sources.
+    order as cell tuples.  The finest minimizer is guaranteed unique, and
+    all other minimizers must coarsen it; a violation of either fact is
+    reported as an internal error because it cannot happen for
+    hypergraphical sources.
     """
     m = hg.m
     if m > PARTITION_CAP:
@@ -200,14 +213,14 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
         )
     fundamental = Partition(m, finest[0])
     cover = _cover_table(fundamental)
-    all_parts = tuple(Partition(m, cells) for cells in minimizers)
-    for part in all_parts:
-        if not _coarsens(cover, part):
-            raise InternalInvariantError(
-                f"minimizer {part} is not a coarsening of the fundamental partition {fundamental}"
-            )
+    bad = {c for c in set(chain.from_iterable(minimizers)) if cover[c] != c}
+    if bad:
+        part = Partition(m, next(cells for cells in minimizers if not bad.isdisjoint(cells)))
+        raise InternalInvariantError(
+            f"minimizer {part} is not a coarsening of the fundamental partition {fundamental}"
+        )
     return MmiResult(
         value=Fraction(best_num, scale * best_den),
         fundamental=fundamental,
-        all_minimizers=all_parts,
+        minimizer_cells=tuple(minimizers),
     )

@@ -71,4 +71,5 @@ def reference_mmi(hg: WeightedHypergraph) -> MmiResult:
             raise InternalInvariantError(
                 f"minimizer {part} is not a coarsening of the fundamental partition {fundamental}"
             )
-    return MmiResult(value=best, fundamental=fundamental, all_minimizers=all_parts)
+    cells = tuple(part.cells for part in all_parts)
+    return MmiResult(value=best, fundamental=fundamental, minimizer_cells=cells)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from skbounds import (
     mask_of,
     mmi,
 )
-from skbounds.partitions import Partition, _coarsens, _cover_table
+from skbounds.cli import main, parse_document
+from skbounds.partitions import Partition, _cover_table
 
 from conftest import from_vertex_cells, is_refinement_of, partition_value
 from reference_scan import _raw_partitions
@@ -122,7 +124,7 @@ def test_mmi_example1():
     result = mmi(EXAMPLE1)
     assert result.value == Fraction(3, 2)
     assert result.fundamental == P(4, [1, 2], [3], [4])
-    assert len(result.all_minimizers) == 1
+    assert result.minimizer_count == 1
 
 
 def test_mmi_example2():
@@ -142,7 +144,7 @@ def test_mmi_two_terminals_degenerates_to_edge_weight():
 def test_mmi_path_selects_finest_of_three_minimizers():
     result = mmi(PATH3)
     assert result.value == 1
-    assert len(result.all_minimizers) == 3
+    assert result.minimizer_count == 3
     assert result.fundamental == P(3, [1], [2], [3])
     for other in result.all_minimizers:
         assert is_refinement_of(result.fundamental, other)
@@ -192,7 +194,8 @@ def test_cover_table_coarsening_agrees_with_is_refinement_of():
     for fine in parts:
         cover = _cover_table(fine)
         for coarse in parts:
-            assert _coarsens(cover, coarse) == is_refinement_of(fine, coarse)
+            coarsens = all(cover[c] == c for c in coarse.cells)
+            assert coarsens == is_refinement_of(fine, coarse)
 
 
 @pytest.mark.parametrize(
@@ -211,8 +214,40 @@ def test_mmi_reports_a_broken_invariant(monkeypatch, ent, message):
     full = len(ent) - 1
     cond = [ent[full] - ent[full ^ b] for b in range(full + 1)]
     monkeypatch.setattr(skbounds.partitions, "subset_weight_table", lambda m, entries: cond)
-    with pytest.raises(InternalInvariantError, match=message):
+    with pytest.raises(InternalInvariantError, match=message) as raised:
         mmi(WeightedHypergraph(full.bit_length(), {full: Fraction(1)}))
+    if message == "not a coarsening":
+        # It names the first minimizer holding a bad cell, by its cells.
+        assert "minimizer {{1,2},{3,4}} is not" in str(raised.value)
+
+
+def test_mmi_builds_no_partition_per_tied_minimizer(monkeypatch, tmp_path, capsys):
+    # Singleton edges plus the pair {1,3}: every partition that keeps 1 and 3
+    # together ties at 0, Bell(7) - 1 = 876 of them.
+    text = "m = 8\n" + "".join(f"edge {v} : 1\n" for v in range(1, 9)) + "edge 1 3 : 1\n"
+    hg = parse_document(text)
+    doc = tmp_path / "tie.hg"
+    doc.write_text(text)
+    calls = []
+    post_init = Partition.__post_init__
+
+    def counting(self):
+        calls.append(self.cells)
+        post_init(self)
+
+    monkeypatch.setattr(Partition, "__post_init__", counting)
+    result = mmi(hg)
+    assert len(calls) == 1  # P* alone
+    assert result.minimizer_count == 876
+    calls.clear()
+    assert main(["mmi", "--json", str(doc)]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["mmi"]["minimizer_count"] == 876
+    monkeypatch.undo()
+    assert result.fundamental == P(8, [1, 3], [2], [4], [5], [6], [7], [8])
+    assert result.all_minimizers == tuple(Partition(8, c) for c in result.minimizer_cells)
+    # The scan's tuples are canonical: Partition keeps their order.
+    assert tuple(part.cells for part in result.all_minimizers) == result.minimizer_cells
 
 
 def test_is_type_s():
