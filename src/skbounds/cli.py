@@ -131,10 +131,10 @@ def _ub_output(hg: WeightedHypergraph, bound, packing):
     return doc, lines
 
 
-# Each command takes (hg, method, report), where report is the analyze report
-# for analyze and under --check: a command reads its quantity from it, and
-# without one computes only that quantity.
-def _cmd_analyze(hg, method, report):
+# Each command takes (hg, report), where report is the analyze report for
+# analyze and under --check: a command reads its quantity from it, and
+# without one computes only that quantity, by the default row method.
+def _cmd_analyze(hg, report):
     mmi_doc, mmi_lines = _mmi_output(report.mmi)
     ub_doc, ub_lines = _ub_output(hg, report.ub_theorem1, report.x_star)
     doc = {
@@ -173,22 +173,22 @@ def _cmd_analyze(hg, method, report):
     return doc, lines
 
 
-def _cmd_mmi(hg, method, report):
+def _cmd_mmi(hg, report):
     return _mmi_output(mmi(hg) if report is None else report.mmi)
 
 
-def _cmd_rco(hg, method, report):
-    value = r_co_direct(hg, method=method)[0] if report is None else report.r_co
+def _cmd_rco(hg, report):
+    value = r_co_direct(hg)[0] if report is None else report.r_co
     return {"r_co": format_rational(value)}, [f"R_CO = {format_rational(value)}"]
 
 
-def _cmd_ub(hg, method, report):
+def _cmd_ub(hg, report):
     if report is None:
-        return _ub_output(hg, *upper_bound_theorem1(hg, method=method))
+        return _ub_output(hg, *upper_bound_theorem1(hg))
     return _ub_output(hg, report.ub_theorem1, report.x_star)
 
 
-def _cmd_lb(hg, method, report):
+def _cmd_lb(hg, report):
     graphical = graphical_bounds(hg) if report is None else report.graphical
     bound = format_rational(graphical.lower_bound)
     return {"lower_bound": bound}, [f"LB(Thm 3) = {bound}"]
@@ -222,14 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="additionally run the invariant suite; exit 1 on any violation",
         )
-        cmd.add_argument(
-            "--full-rows",
-            action="store_const",
-            const="full",
-            default="auto",
-            dest="method",
-            help="materialize every subset constraint (the reference that --check cross-solves)",
-        )
     return parser
 
 
@@ -252,10 +244,10 @@ def main(argv=None) -> int:
             # call, not in Python's format with a source path and line.
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                report = analyze(hg, method=args.method)
+                report = analyze(hg)
             for warning in caught:
                 print(f"skbounds: warning: {warning.message}", file=sys.stderr)
-        doc, lines = _COMMANDS[args.command][0](hg, args.method, report)
+        doc, lines = _COMMANDS[args.command][0](hg, report)
         if args.json:
             lines = [json.dumps({"m": hg.m, **doc}, indent=2)]
         for line in lines:

@@ -141,16 +141,16 @@ class WeightedHypergraph:
     def restrict(self, packing: Mapping[int, Fraction]) -> "WeightedHypergraph":
         """Source left after partially removing hyperedge randomness.
 
-        `packing` must assign a value 0 <= x(e) <= w(e) to every hyperedge;
-        hyperedges reduced to zero drop out of the new support.
+        `packing` must assign a value 0 <= x(e) <= w(e) to every hyperedge,
+        of any type the constructor accepts as a weight; hyperedges reduced
+        to zero drop out of the new support.
         """
         if set(packing) != set(self.weights):
             raise ValueError("packing must assign a value to exactly the hyperedges of the source")
-        for mask, value in packing.items():
-            if value < 0:
-                raise ValueError(f"negative packing entry on {format_subset(mask)}")
+        reduced = WeightedHypergraph(self.m, dict(packing))
+        for mask, value in reduced.weights.items():
             if value > self.weights[mask]:
                 raise ValueError(
                     f"packing entry {value} exceeds weight {self.weights[mask]} on {format_subset(mask)}"
                 )
-        return WeightedHypergraph(self.m, dict(packing))
+        return reduced

@@ -126,30 +126,28 @@ def _pivot(rows, obj, row_vars, col_vars, den, pr, pc):
     objective is (obj[0] - sum_j obj[j+1] * nonbasic_j) / den.  Up to sign,
     each entry is a minor of the starting integer matrix and `den` the
     determinant of the current basis, so every division below is exact.
+
+    The pivot entry is negative (`_dual_simplex` enters only a column that
+    raises the leaving variable), so its row is negated first: the same
+    values over the negated denominator, which makes the new one |p| > 0.
     """
     k = pc + 1
-    prow = rows[pr]
+    prow = [-b for b in rows[pr]]
     p = prow[k]
-    sign = 1
-    if p < 0:
-        # The same values with numerators and denominator negated, so the
-        # new denominator |p| is positive.
-        prow = [-b for b in prow]
-        p, sign = -p, -1
     col_vars[pc], row_vars[pr] = row_vars[pr], col_vars[pc]
     # Only the columns where the pivot row is nonzero need elimination; the
     # rest only move to the new denominator.
     support = [(j, b) for j, b in enumerate(prow) if b and j != k]
     for r, row in enumerate(rows):
         if r != pr:
-            rows[r] = _eliminate(row, support, k, p, den, sign)
-    obj[:] = _eliminate(obj, support, k, p, den, sign)
-    prow[k] = sign * den
+            rows[r] = _eliminate(row, support, k, p, den)
+    obj[:] = _eliminate(obj, support, k, p, den)
+    prow[k] = -den
     rows[pr] = prow
     return p
 
 
-def _eliminate(row, support, k, p, den, sign):
+def _eliminate(row, support, k, p, den):
     f = row[k]
     if p == den:
         # The denominator stays, so each entry only loses f * b / den, an
@@ -165,7 +163,7 @@ def _eliminate(row, support, k, p, den, sign):
             return new
         for j, b in support:
             new[j] = (row[j] * p - f * b) // den
-    new[k] = -sign * f
+    new[k] = f
     return new
 
 
@@ -332,19 +330,19 @@ def solve_with_row_generation(
     calls `solve`; each later round appends the cut to the previous round's
     optimal dictionary, which stays dual feasible, and re-optimizes it by
     the dual simplex.  Every round's point is rebuilt and checked against
-    the whole working LP, as `solve` checks its own.  Exceeding
-    `max_rounds` is a hard error: the families used here are finite, so
-    running past them proves a bug.
+    the whole working LP, as `solve` checks its own.  A cut that makes it
+    infeasible, the last one included, returns "infeasible".  A point still
+    uncertified after `max_rounds` cuts is a hard error: the families used
+    here are finite, so running past them proves a bug.
     """
     lp = replace(lp_base, constraints=list(lp_base.constraints))
     sol = solve(lp)
     for _ in range(max_rounds):
-        if sol.status != OPTIMAL:
-            return sol
-        extra = oracle(sol.point)
-        if extra is None:
+        if sol.status != OPTIMAL or (extra := oracle(sol.point)) is None:
             return sol
         lp._check(extra)
         lp.constraints.append(extra)
         sol = sol._dictionary.add_cut(lp, extra)
+    if sol.status != OPTIMAL:
+        return sol  # the last cut proved the working LP infeasible
     raise InternalInvariantError(f"separation oracle did not certify within {max_rounds} rounds")

@@ -1,5 +1,6 @@
 """The package's public surface: `__all__` is what README documents."""
 
+import argparse
 import ast
 import re
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 import skbounds
 from skbounds import WeightedHypergraph, graphical_bounds
-from skbounds.cli import parse_document
+from skbounds.cli import build_parser, parse_document
 
 from conftest import fixture_text
 
@@ -28,6 +29,23 @@ def test_exports_are_the_documented_entry_points():
     assert sorted(skbounds.__all__) == documented_entry_points()
     for name in skbounds.__all__:
         assert getattr(skbounds, name) is not None
+
+
+def documented_synopsis() -> tuple[list[str], list[str]]:
+    """Subcommands and options of the `skbounds <...> [...] <file|->` line in README's CLI section."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    (line,) = [line for line in section.splitlines() if line.startswith("skbounds <")]
+    match = re.fullmatch(r"skbounds <([^>]+)>((?: \[[^]]+\])*) <file\|->", line)
+    return match.group(1).split("|"), re.findall(r"\[([^]]+)\]", match.group(2))
+
+
+def test_synopsis_names_the_commands_and_options_of_the_parser():
+    commands, options = documented_synopsis()
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == commands
+    for name, parser in sub.choices.items():
+        defined = [o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")]
+        assert defined == options, name
 
 
 def test_only_rational_scales_to_integers():
@@ -181,6 +199,10 @@ def test_every_public_name_is_exported_read_or_allowed():
 # Parameters with a default that no call in src passes, each with its reason.
 UNPASSED_OPTION_ALLOWED = {
     "cli.main.argv": "the console script calls main() with none; tests pass their own",
+    "bounds.analyze.method": (
+        'perfbench\'s corpus workload passes method="auto" and the tests pass "full", the'
+        " reference; ROADMAP item 6 removes it"
+    ),
 }
 
 

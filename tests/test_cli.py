@@ -66,14 +66,9 @@ def test_splitting_an_edge_line_changes_nothing(make, tmp_path, capsys):
         for name, text in (("whole.hg", whole), ("halves.hg", halves)):
             path = tmp_path / name
             path.write_text(text, encoding="utf-8")
-            outputs.append(
-                [
-                    run_cli(capsys, "analyze", "--json", *flags, str(path))[:2]
-                    for flags in (["--full-rows"], [])
-                ]
-            )
+            outputs.append(run_cli(capsys, "analyze", "--json", str(path))[:2])
         assert outputs[0] == outputs[1]
-        assert outputs[0][0][0] == 0
+        assert outputs[0][0] == 0
 
 
 def test_parse_accepts_decimal_weights():
@@ -187,19 +182,16 @@ def test_check_passes_on_bundled_fixtures(name, capsys):
     assert "check R_CO identity (H - I): ok" in err
 
 
-def test_row_flag_paths_match(capsys):
-    _, full, _ = run_cli(capsys, "analyze", "--full-rows", str(FIXTURE_DIR / "example2.hg"))
-    _, rowgen, _ = run_cli(capsys, "analyze", str(FIXTURE_DIR / "example2.hg"))
-    assert full == rowgen
-
-
-def test_row_gen_flag_is_gone(capsys):
-    # Row generation is the default, so its flag selected nothing; argparse
-    # rejects it as an unknown option.
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--row-gen", str(FIXTURE_DIR / "example2.hg")])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --row-gen" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", ["--row-gen", "--full-rows"])
+def test_row_gen_flag_is_gone(flag, capsys):
+    # The command line has one row method, the default: argparse rejects
+    # both row flags as unknown options.  Full rows stay in the library as
+    # the reference that --check solves.
+    for command in ("analyze", "mmi", "rco", "ub", "lb"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, str(FIXTURE_DIR / "example2.hg")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -138,18 +138,22 @@ def test_restrict_rejects_a_float_packing(example1):
         example1.restrict(packing)
     packing[mask_of((1, 2))] = 1
     assert example1.restrict(packing).total_entropy == 4
+    # Every other entry type of the constructor is accepted, strings included.
+    packing[mask_of((1, 2))] = "1/2"
+    assert example1.restrict(packing).total_entropy == Fraction(7, 2)
 
 
 def test_restrict_validates(example1):
     with pytest.raises(ValueError):
         example1.restrict({mask_of((1, 2)): Fraction(1)})  # missing edges
     bad = dict(EXAMPLE1)
-    bad[mask_of((1, 2))] = Fraction(-1)
-    with pytest.raises(ValueError):
-        example1.restrict(bad)
-    bad[mask_of((1, 2))] = Fraction(5, 2)
-    with pytest.raises(ValueError):
-        example1.restrict(bad)
+    for negative, above in ((Fraction(-1), Fraction(5, 2)), ("-1", "5/2")):
+        bad[mask_of((1, 2))] = negative
+        with pytest.raises(ValueError, match="negative"):
+            example1.restrict(bad)
+        bad[mask_of((1, 2))] = above
+        with pytest.raises(ValueError, match="exceeds"):
+            example1.restrict(bad)
 
 
 def test_graphical_flags():

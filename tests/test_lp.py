@@ -204,6 +204,15 @@ def test_row_generation_passes_through_infeasible():
     base = LinearProgram(["x"], [1], upper=[-1])
     sol = solve_with_row_generation(base, lambda point: None, max_rounds=2)
     assert sol.status == "infeasible"
+    # A cut that makes the working LP infeasible is a result even in the
+    # last allowed round.
+    cuts = [Constraint((1,), 2)]
+
+    def one_cut(point):
+        return cuts.pop() if cuts else None
+
+    base = LinearProgram(["x"], [1], upper=[1])
+    assert solve_with_row_generation(base, one_cut, max_rounds=1).status == "infeasible"
 
 
 def test_row_generation_leaves_the_base_lp_unchanged():
