@@ -1,0 +1,152 @@
+"""The max-flow path to I and P*, and `mmi`'s scan over the cells of P*.
+
+`flow.dinkelbach` is checked against the `Fraction` scan on every family of
+`test_scan_oracle` at every scale, so huge and tiny lcms reach the flow
+code.  From `TRUNCATION_MIN_M` terminals on, `mmi` scans only the
+coarsenings of the truncation's P*; raising the threshold above m gives the
+scan over the singletons as its reference.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import skbounds.partitions
+from skbounds import InternalInvariantError, WeightedHypergraph, mask_of, mmi
+from skbounds.cli import main
+from skbounds.flow import dinkelbach, min_cut, truncation
+from skbounds.hypergraph import vertices_of
+from skbounds.rational import format_rational
+
+from conftest import cycle_plus_edges
+from reference_scan import reference_mmi
+from test_scan_oracle import FAMILIES, SCALES, tie_heavy_source, type_s_source, zero_support
+
+
+def test_min_cut_returns_the_value_and_the_least_source_side():
+    # Three cuts of value 5 separate 0 from 3: the source sides {0,4},
+    # {0,1,4} and {0,1,2,4}.  Node 4 hangs off the source by an arc of
+    # capacity 7 and reaches the sink by one of capacity 0; node 5 has only
+    # an arc to the sink.
+    arcs = [(0, 1, 3), (0, 2, 2), (1, 2, 1), (1, 3, 2), (2, 3, 3), (0, 4, 7), (4, 3, 0), (5, 3, 4)]
+    value, side = min_cut(6, arcs, 0, 3)
+    assert (value, sorted(side)) == (5, [0, 4])
+
+
+def test_min_cut_side_stops_before_the_saturated_middle_arc():
+    # 0 -> 1 -> 2 -> 3 with capacities 5, 2, 5: the one min cut is the
+    # middle arc, so the least source side is {0, 1}.
+    value, side = min_cut(4, [(0, 1, 5), (1, 2, 2), (2, 3, 5)], 0, 3)
+    assert (value, sorted(side)) == (2, [0, 1])
+
+
+def test_truncation_by_hand():
+    # A triangle on 1, 2, 3 with a pendant edge {3,4}, unit weights: I = 1
+    # with P* = {1,2,3},{4}, and H(M) = 4.
+    src = WeightedHypergraph(4, {0b0011: 1, 0b0101: 1, 0b0110: 1, 0b1100: 1})
+    # At gamma = I the one-cell partition ties with P*, the finest minimizer.
+    assert truncation(src, Fraction(1)) == (3, (0b0111, 0b1000))
+    # At gamma = 2 the singletons win: H(1) + H(2) + H(3) + H(4) - 4 * 2 = 2 + 2 + 3 + 1 - 8 = 0.
+    assert truncation(src, Fraction(2)) == (0, (0b0001, 0b0010, 0b0100, 0b1000))
+    # At gamma = 5/4, between the two, P* alone is least: 4 + 1 - 2 * 5/4 = 5/2,
+    # against 3 for the singletons and 11/4 for the one cell.
+    assert truncation(src, Fraction(5, 4)) == (Fraction(5, 2), (0b0111, 0b1000))
+    # Dinkelbach starts at the singletons' value 4/3, where P* beats the one
+    # cell, and stops at P*'s value.
+    assert dinkelbach(src) == (1, (0b0111, 0b1000))
+
+
+@pytest.mark.parametrize("scale", list(SCALES))
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_dinkelbach_matches_the_fraction_scan(family, scale):
+    rng = random.Random(f"truncation/{family}")
+    c, _ = SCALES[scale]
+    for m in range(2, 9):
+        hg = FAMILIES[family](rng, m)
+        hg = WeightedHypergraph(m, {e: c * w for e, w in hg.weights.items()})
+        src, L = hg.integer_source()
+        capacity, cells = dinkelbach(src)
+        expected = reference_mmi(hg)
+        assert (capacity / L, cells) == (expected.value, expected.fundamental.cells), f"m = {m}"
+
+
+PATH_SOURCES = [
+    *(pytest.param(cycle_plus_edges, m, m, id=f"ladder-{m}") for m in (9, 10, 11)),
+    pytest.param(type_s_source, "path/type-s", 10, id="type-s-10"),
+    pytest.param(tie_heavy_source, "path/tie", 10, id="tie-10"),
+    pytest.param(zero_support, "path/zero", 9, id="zero-9"),
+]
+
+
+@pytest.mark.parametrize("make, seed, m", PATH_SOURCES)
+def test_the_truncation_path_returns_the_singleton_scan_result(monkeypatch, make, seed, m):
+    assert m >= skbounds.partitions.TRUNCATION_MIN_M
+    hg = make(random.Random(seed), m)
+    default = mmi(hg)
+    monkeypatch.setattr(skbounds.partitions, "TRUNCATION_MIN_M", m + 1)  # the singleton scan
+    assert mmi(hg) == default
+
+
+def test_mmi_json_is_byte_identical_on_both_paths(monkeypatch, tmp_path, capsys):
+    hg = tie_heavy_source(random.Random("path/json"), 10)
+    lines = [f"edge {' '.join(map(str, vertices_of(e)))} : {format_rational(w)}" for e, w in hg.weights.items()]
+    doc = tmp_path / "tie10.hg"
+    doc.write_text("m = 10\n" + "\n".join(lines) + "\n")
+    assert main(["mmi", "--json", str(doc)]) == 0
+    default = capsys.readouterr().out
+    monkeypatch.setattr(skbounds.partitions, "TRUNCATION_MIN_M", 11)
+    assert main(["mmi", "--json", str(doc)]) == 0
+    assert capsys.readouterr().out == default
+    assert '"minimizer_count": 21146' in default
+
+
+def test_the_table_has_one_bit_per_cell_of_p_star(monkeypatch):
+    hg = cycle_plus_edges(random.Random(12), 12)
+    calls = []
+    table = skbounds.partitions.subset_weight_table
+
+    def recording(m, entries):
+        calls.append(m)
+        return table(m, entries)
+
+    monkeypatch.setattr(skbounds.partitions, "subset_weight_table", recording)
+    result = mmi(hg)
+    assert calls == [result.fundamental.size]
+    assert result.fundamental.size < 12
+
+
+# Two clusters, {1..5} and {6..9}, each a cycle of weight-3 edges, joined by
+# one unit edge: I = 1 and P* = {1..5},{6..9}.
+TWO_CLUSTERS = WeightedHypergraph(
+    9,
+    {
+        **{mask_of((v, v % 5 + 1)): 3 for v in range(1, 6)},
+        **{mask_of((v, (v - 5) % 4 + 6)): 3 for v in range(6, 10)},
+        mask_of((5, 6)): 1,
+    },
+)
+
+
+def test_two_clusters_has_a_two_cell_p_star():
+    result = mmi(TWO_CLUSTERS)
+    assert result.value == 1
+    assert result.fundamental.cells == (0b000011111, 0b111100000)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        # The singletons: not a minimizer, and finer than P*.
+        (lambda value, cells: (value, tuple(1 << v for v in range(9))), "coarser than the truncation's"),
+        # A two-cell partition that is not a minimizer, with the right I.
+        (lambda value, cells: (value, (0b000001111, 0b111110000)), "is not the truncation's capacity"),
+        # I one unit of the integer source off, either way.
+        (lambda value, cells: (value + 1, cells), "is not the truncation's capacity"),
+        (lambda value, cells: (value - 1, cells), "is not the truncation's capacity"),
+    ],
+)
+def test_a_wrong_truncation_result_is_an_internal_error(monkeypatch, mutate, message):
+    monkeypatch.setattr(skbounds.partitions, "dinkelbach", lambda src: mutate(*dinkelbach(src)))
+    with pytest.raises(InternalInvariantError, match=message):
+        mmi(TWO_CLUSTERS)
