@@ -13,8 +13,10 @@ All quantities are exact rationals:
   reduced source bounds the communication of the original one.  The packing
   feasible set pairs an omniscience rate vector with the reduced source and
   pins the reduced capacity, so LP feasibility coincides exactly with
-  capacity preservation (`verify_gamma_membership` checks the latter
-  independently by recomputing the partition minimum).
+  capacity preservation, membership in Gamma.  `_kept_capacity` checks the
+  latter independently, by one Dilworth truncation of the reduced source
+  at gamma = I; `analyze`, `run_checks` and `verify_gamma_membership` all
+  read it, and no path scans the partitions of a reduced source.
 * `graphical_bounds`: the closed forms for sources whose hyperedges are
   all pairs.  The packing bound collapses to (m - 2) * capacity, the
   interactive common information equals the weight crossing the
@@ -66,6 +68,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import InternalInvariantError
+from .flow import truncation
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
 from .lp import (
     OPTIMAL,
@@ -109,9 +112,6 @@ class AnalysisReport:
     x_star: FractionalPacking
     graphical: Optional[GraphicalBounds]
     method: str  # the resolved row method: "rowgen" by default, or "full"
-    # On graphs, the partition scan of the source reduced by x*, which
-    # analyze makes for its Type S check and run_checks reuses.
-    reduced_mmi: Optional[MmiResult] = None
 
 
 def _proper_subsets(m: int):
@@ -268,17 +268,38 @@ def upper_bound_theorem1(
     return sol.objective_value / scale - mres.value, packing
 
 
+def _kept_capacity(
+    hg: WeightedHypergraph, entries: Mapping[int, Fraction], capacity: Fraction
+) -> tuple[Fraction, int]:
+    """(kept, size): the capacity I left by the packing `entries`, by one truncation.
+
+    On the reduced source times L, the truncation at gamma = L * I sums to
+    at most H(M) - gamma, the one-cell partition's sum, so excess = least -
+    (H(M) - gamma) <= 0.  At 0 the packing keeps I, and the `size` cells
+    found are the reduced source's P*.  Below 0 they form a partition of
+    value kept = I + excess / (L * (size - 1)), below I and at least the
+    reduced capacity.
+    """
+    src, scale = hg.restrict(entries).integer_source()
+    gamma = capacity * scale
+    least, cells = truncation(src, gamma)
+    excess = least - (src.total_entropy - gamma)
+    size = len(cells)
+    return (capacity + excess / (scale * (size - 1)) if excess else capacity), size
+
+
 def verify_gamma_membership(
     hg: WeightedHypergraph, packing: FractionalPacking | Mapping[int, Fraction]
 ) -> bool:
-    """True when the packing leaves the secret-key capacity unchanged.
+    """True when the packing leaves the secret-key capacity unchanged (is in Gamma).
 
-    Recomputes the partition minimum of the reduced source and compares it
-    with the original capacity; certifies that an LP-optimal packing is
-    capacity-preserving.
+    Computes the capacity I of `hg` and checks the source reduced by the
+    packing with one truncation at gamma = I (`_kept_capacity`), the check
+    `analyze` enforces on x*.
     """
-    reduced = hg.restrict(packing.entries if isinstance(packing, FractionalPacking) else packing)
-    return mmi(reduced).value == mmi(hg).value
+    entries = packing.entries if isinstance(packing, FractionalPacking) else packing
+    capacity = mmi(hg).value
+    return _kept_capacity(hg, entries, capacity)[0] == capacity
 
 
 def graphical_bounds(
@@ -304,16 +325,17 @@ def graphical_bounds(
 
 
 def _report_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
-    """The report identities that need nothing beyond the report itself."""
+    """The report identities; beyond the report they need one truncation of the reduced source."""
     rco, ub, capacity = report.r_co, report.ub_theorem1, report.mmi.value
     identity = report.entropy_total - capacity
+    kept, size = _kept_capacity(hg, report.x_star.entries, capacity)
     checks = [
         ("R_CO identity (H - I)", rco == identity, rco, identity),
         ("dominance UB <= R_CO", ub <= rco, ub, rco),
+        ("x* preserves capacity (Gamma membership)", kept == capacity, kept, capacity),
     ]
     g = report.graphical
     if g is not None:
-        size = report.reduced_mmi.fundamental.size
         checks += [
             ("graph agreement UB = (m-2) I", ub == g.ub_theorem2, ub, g.ub_theorem2),
             ("sandwich LB <= UB", g.lower_bound <= ub, g.lower_bound, ub),
@@ -328,18 +350,16 @@ def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisRepor
 
     Raises InternalInvariantError, with both values, on the first identity
     of `_report_checks` that the report breaks (R_CO = H - I, UB <= R_CO,
-    and on graphs UB = (m - 2) I, LB <= UB, LB = CI - I, Type S reduced
-    source); a violation signals a bug.
+    x* in Gamma, and on graphs UB = (m - 2) I, LB <= UB, LB = CI - I, Type
+    S reduced source); a violation signals a bug.
     """
     method = _resolve_method(method)
     mres = mmi(hg)
     r_co, _rates = r_co_direct(hg, method=method)
     ub1, x_star = upper_bound_theorem1(hg, mmi_result=mres, method=method)
     graphical: Optional[GraphicalBounds] = None
-    reduced_mmi: Optional[MmiResult] = None
     if hg.is_graph:
         graphical = graphical_bounds(hg, mmi_result=mres)
-        reduced_mmi = mmi(hg.restrict(x_star.entries))
     elif all(mask.bit_count() <= 2 for mask in hg.weights):
         warnings.warn("graphical bounds skipped: singleton hyperedges present", stacklevel=2)
     report = AnalysisReport(
@@ -350,7 +370,6 @@ def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisRepor
         x_star=x_star,
         graphical=graphical,
         method=method,
-        reduced_mmi=reduced_mmi,
     )
     for label, ok, value, expected in _report_checks(hg, report):
         if not ok:
@@ -362,24 +381,17 @@ def run_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
     """Invariant suite over `report = analyze(hg, ...)`.
 
     Each entry is (label, ok, value, expected).  Beyond the identities
-    `analyze` already enforces, the suite adds at most three pieces of
-    work: both LPs solved with the row method the report did not use, and,
-    unless the report already holds it (graphs), one partition scan of the
-    source reduced by x*, which serves the capacity-preservation check.
+    `analyze` already enforces, the suite solves both LPs again with the
+    row method the report did not use.
     """
     other = "rowgen" if report.method == "full" else "full"
     rco_other, _ = r_co_direct(hg, method=other)
     ub_other, _ = upper_bound_theorem1(hg, mmi_result=report.mmi, method=other)
-    reduced = report.reduced_mmi
-    if reduced is None:
-        reduced = mmi(hg.restrict(report.x_star.entries))
-    rco, ub, capacity, kept = report.r_co, report.ub_theorem1, report.mmi.value, reduced.value
+    rco, ub = report.r_co, report.ub_theorem1
     own = _report_checks(hg, report)
     return [
         own[0],
         ("row generation agreement (R_CO)", rco == rco_other, rco, rco_other),
         ("row generation agreement (packing LP)", ub == ub_other, ub, ub_other),
-        own[1],
-        ("x* preserves capacity (Gamma membership)", kept == capacity, kept, capacity),
-        *own[2:],
+        *own[1:],
     ]

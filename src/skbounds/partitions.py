@@ -42,13 +42,13 @@ tuple; `MmiResult` keeps those tuples and builds a `Partition` only when
 The scan checks what it finds.  On the truncation's units its least value
 must be the truncation's I, and its finest minimizer must be all the units,
 P* itself.  On the singletons the finest minimizer must be unique, and
-every minimizer must coarsen it: with cover[A] the union of the cells of P*
-that meet A, P* refines P exactly when cover[C] == C for every cell C of
-P, so each distinct cell among the minimizers is checked once, at most 2^m
-lookups however many minimizers tie.  Above the threshold every scanned
-partition coarsens the truncation's P* by construction; that this P* is the
-source's rests on the theorem, the two checks above and the oracle tests,
-and is not re-checked exhaustively.  A plain `Fraction` scan,
+every minimizer must coarsen it: P* refines P exactly when no cell of P*
+meets a cell C of P without lying inside it, so each distinct cell among
+the minimizers is checked once against the cells of P*, however many
+minimizers tie.  Above the threshold every scanned partition coarsens the
+truncation's P* by construction; that this P* is the source's rests on the
+theorem, the two checks above and the oracle tests, and is not re-checked
+exhaustively.  A plain `Fraction` scan,
 `tests/reference_scan.py`, is the test oracle of both paths.
 
 `mmi` is the one way the package computes the capacity and P*;
@@ -141,19 +141,6 @@ class MmiResult:
     @property
     def all_minimizers(self) -> tuple[Partition, ...]:
         return tuple(Partition(self.fundamental.m, cells) for cells in self.minimizer_cells)
-
-
-def _cover_table(fine: Partition) -> list[int]:
-    """cover[A] = union of the cells of `fine` that meet A, for every mask A."""
-    cell_of = [0] * fine.m
-    for cell in fine.cells:
-        for v in vertices_of(cell):
-            cell_of[v - 1] = cell
-    cover = [0] * (1 << fine.m)
-    for a in range(1, 1 << fine.m):
-        low = a & -a
-        cover[a] = cover[a ^ low] | cell_of[low.bit_length() - 1]
-    return cover
 
 
 def mmi(hg: WeightedHypergraph) -> MmiResult:
@@ -265,8 +252,8 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
                 f" partition {Partition(m, units)}"
             )
     else:
-        cover = _cover_table(fundamental)
-        bad = {c for c in set(chain.from_iterable(minimizers)) if cover[c] != c}
+        distinct = set(chain.from_iterable(minimizers))
+        bad = {c for c in distinct if any(f & c and f & ~c for f in fundamental.cells)}
         if bad:
             part = Partition(m, next(cells for cells in minimizers if not bad.isdisjoint(cells)))
             raise InternalInvariantError(

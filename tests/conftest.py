@@ -3,8 +3,7 @@
 The corpora are generated from fixed seeds so every run sees the same
 instances.  Each instance is analyzed and checked once per session
 (`analyze`, then `run_checks`, which adds both LPs with the other row
-method and the reduced-source capacity), and the acceptance criteria read
-those results.
+method), and the acceptance criteria read those results.
 """
 
 import random

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from skbounds import (
     upper_bound_theorem1,
     verify_gamma_membership,
 )
-from skbounds.bounds import FractionalPacking, build_gamma_lp, build_rco_lp
+from skbounds.bounds import FractionalPacking, _report_checks, build_gamma_lp, build_rco_lp
 from skbounds.cli import parse_document
 from skbounds.partitions import PARTITION_CAP, Partition
 
@@ -273,6 +274,40 @@ def test_gamma_membership():
     assert not verify_gamma_membership(EXAMPLE1, lowered)
     with pytest.raises(TypeError, match="float"):
         verify_gamma_membership(EXAMPLE1, {e: float(w) for e, w in EXAMPLE1.weights.items()})
+
+
+@pytest.mark.parametrize("m", [8, 10])
+def test_gamma_check_reports_a_partition_value_below_capacity(m):
+    # x* halved on one positive entry leaves Gamma (x* is LP-optimal over it).
+    # The check reports the value of the partition its truncation found: in
+    # [capacity of the reduced source, I), the scan made here as the oracle.
+    hg = cycle_plus_edges(random.Random(m), m)
+    report = analyze(hg)
+    capacity = report.mmi.value
+    label = "x* preserves capacity (Gamma membership)"
+    for e, x in report.x_star.entries.items():
+        if x > 0:
+            entries = {**report.x_star.entries, e: x / 2}
+            broken = dataclasses.replace(report, x_star=FractionalPacking(entries))
+            checks = {c[0]: c[1:] for c in _report_checks(hg, broken)}
+            ok, kept, expected = checks[label]
+            assert not ok and expected == capacity
+            assert mmi(hg.restrict(entries)).value <= kept < capacity
+
+
+def test_analyze_on_a_graph_scans_only_the_input(monkeypatch):
+    hg = random_graph(random.Random(12), 12)
+    scans = []
+
+    def counting(source):
+        scans.append(source)
+        return mmi(source)
+
+    monkeypatch.setattr(skbounds.bounds, "mmi", counting)
+    report = analyze(hg)
+    assert scans == [hg]
+    ok, size, expected = next(c[1:] for c in _report_checks(hg, report) if "Type S" in c[0])
+    assert ok and size == expected == 12
 
 
 def test_graphical_upper_bound():

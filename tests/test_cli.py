@@ -354,7 +354,8 @@ def test_check_reuses_the_analyze_report(monkeypatch, capsys):
         code, _, err = run_cli(capsys, command, "--check", str(FIXTURE_DIR / "example2.hg"))
         assert code == 0, command
         assert "FAIL" not in err
-        assert scans == {"input": 1, "reduced": 1}, command
+        # Gamma membership and Type S read a truncation: no scan of the reduced source.
+        assert scans == {"input": 1, "reduced": 0}, command
         assert sorted(solves["full"]) == ["R_CO", "packing"], command
         assert sorted(solves["rowgen"]) == ["R_CO", "packing"], command
 
@@ -403,6 +404,28 @@ def test_analyze_raises_on_a_broken_report_identity(monkeypatch, capsys):
     with pytest.raises(InternalInvariantError, match=re.escape(message)):
         analyze(parse_document(fixture_text("example2.hg")))
     code, out, err = run_cli(capsys, "analyze", str(FIXTURE_DIR / "example2.hg"))
+    assert (code, out) == (1, "")
+    assert err == f"skbounds: internal invariant violated: {message}\n"
+
+
+def test_analyze_raises_when_x_star_leaves_gamma(monkeypatch, capsys):
+    import skbounds.bounds
+
+    exact = skbounds.bounds.upper_bound_theorem1
+
+    def halve_one_entry(hg, *, mmi_result=None, method="auto"):
+        bound, packing = exact(hg, mmi_result=mmi_result, method=method)
+        entries = dict(packing.entries)
+        e = min(e for e, x in entries.items() if x > 0)
+        entries[e] /= 2
+        return bound, dataclasses.replace(packing, entries=entries)
+
+    # Example 1 with x*({1,2}) = 3/4: the singletons have value 5/4 < I = 3/2.
+    monkeypatch.setattr(skbounds.bounds, "upper_bound_theorem1", halve_one_entry)
+    message = "x* preserves capacity (Gamma membership): 5/4 vs 3/2"
+    with pytest.raises(InternalInvariantError, match=re.escape(message)):
+        analyze(parse_document(fixture_text("example1.hg")))
+    code, out, err = run_cli(capsys, "analyze", str(FIXTURE_DIR / "example1.hg"))
     assert (code, out) == (1, "")
     assert err == f"skbounds: internal invariant violated: {message}\n"
 

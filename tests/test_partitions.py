@@ -14,7 +14,7 @@ from skbounds import (
     mmi,
 )
 from skbounds.cli import main, parse_document
-from skbounds.partitions import Partition, _cover_table
+from skbounds.partitions import Partition
 
 from conftest import from_vertex_cells, is_refinement_of, partition_value
 from reference_scan import _raw_partitions
@@ -185,17 +185,6 @@ def test_mmi_on_empty_support():
     result = mmi(hg)
     assert result.value == 0
     assert result.fundamental.size == 3  # finest of the all-zero landscape
-
-
-def test_cover_table_coarsening_agrees_with_is_refinement_of():
-    # Every ordered pair of partitions of {1..5}, the one-cell partition included.
-    parts = [Partition(5, (0b11111,))] + partitions(5)
-    assert len(parts) == 52
-    for fine in parts:
-        cover = _cover_table(fine)
-        for coarse in parts:
-            coarsens = all(cover[c] == c for c in coarse.cells)
-            assert coarsens == is_refinement_of(fine, coarse)
 
 
 @pytest.mark.parametrize(
