@@ -10,8 +10,11 @@ Functions and Optimization, 2005).
 A partition P has value (sum of H(C) over its cells - H(M)) / (|P| - 1)
 at most gamma exactly when its sum of f is at most H(M) - gamma, the sum
 of the one-cell partition.  So Dinkelbach's iteration finds the capacity I:
-start at the value of the singletons, truncate, and move gamma to the value
+start at the value of some partition, truncate, and move gamma to the value
 of the partition found while that partition beats the one-cell partition.
+Any start at or above I will do; the least value among the singletons and
+the m splits {v} | M - v cuts the truncations about in half on random
+sources, and on a Type-S source it is already I.
 At gamma = I the minimizers of the truncation are the one-cell partition
 and the minimizers of the value, and the finest of them is the fundamental
 partition P* (Chan et al., "Info-clustering", Proc. IEEE 2015).
@@ -128,13 +131,15 @@ def _partition_value(src: WeightedHypergraph, cells: tuple[int, ...]) -> Fractio
 def dinkelbach(src: WeightedHypergraph) -> tuple[Fraction, tuple[int, ...]]:
     """(I, P*): the least partition value of `src` (int weights) and its finest minimizer's cells.
 
-    Starts at the value of the singletons; each truncation either beats the
-    one-cell partition, and gamma falls to the value of the partition found,
-    or shows that no partition has a value below gamma.
+    Starts at the least value among the singletons and the m splits
+    {v} | M - v; each truncation either beats the one-cell partition, and
+    gamma falls to the value of the partition found, or shows that no
+    partition has a value below gamma.
     """
     total = sum(src.weights.values())
-    cells = tuple(1 << v for v in range(src.m))
-    gamma = _partition_value(src, cells)
+    full = (1 << src.m) - 1
+    starts = [tuple(1 << v for v in range(src.m)), *((1 << v, full ^ (1 << v)) for v in range(src.m))]
+    gamma = min(_partition_value(src, cells) for cells in starts)
     while True:
         least, cells = truncation(src, gamma)
         if least >= total - gamma:

@@ -10,45 +10,56 @@ P* consists of singletons is called Type S.  Every minimizer coarsens P*.
 
 `mmi` computes on the integer source (`WeightedHypergraph.integer_source`,
 every weight times L, the lcm of their denominators), so every entropy it
-holds is an int (L times the entropy).  It lists every minimizer by one
-exhaustive scan over *units*, disjoint vertex sets that every minimizer
-keeps whole:
+holds is an int (L times the entropy).  It has two paths:
 
-* From TRUNCATION_MIN_M terminals on, the units are the cells of P*, which
-  `flow.dinkelbach` finds with I by max-flow in polynomial time.  The scan
-  then walks only the coarsenings of P*, Bell(|P*|) partitions.
-* Below it the units are the singletons, and the scan walks all Bell(m)
-  partitions.  The threshold sits at the measured crossover.  Over 50
-  random sources of five families, the full scan takes 13 ms at m = 7
-  against 22 ms for the truncation plus the scan of P*'s coarsenings, 44
-  against 38 ms at m = 8, and 185 against 88 ms at m = 9 (2-vCPU Intel
-  Xeon, Python 3.11.7).  At m = 8 the truncation saves about 0.1 ms a
-  source, too little to give up the exhaustive coarsening check below.
+* From TRUNCATION_MIN_M terminals on, `flow.dinkelbach` finds I and P* by
+  max-flow in polynomial time, one table of the 2^|P*| unions of P*'s cells
+  certifies them, and the minimizers are listed without a scan.
+* Below it an exhaustive scan walks all Bell(m) partitions.  The threshold
+  sits at the measured crossover.  Over 50 random sources of five families
+  (ten each of random hypergraphs, random graphs, cycles plus edges, Type S
+  and tie-heavy), the scan takes 21-25 ms at m = 7 against 27-33 ms for
+  the truncation path, 65-85 against 38-41 ms at m = 8, and 233-275
+  against 47-51 ms at m = 9 (best of five, 2-vCPU Intel Xeon, Python
+  3.11.7); the truncation path wins at m = 8 on each family alone.
 
-Units are ordered by their smallest vertex.  The source is contracted to
-them, each hyperedge to the set of units it meets, and the scan's tables
-are keyed by the 2^|units| unions of units, as original bitmasks.  It walks
-the restricted growth strings over the units with one mutable list of
-cells and carries the running sum of their entropies: putting a unit into
-cell C adds E[C | unit] - E[C].  The last unit is placed in a loop, and
-only the cells where it adds least can reach the best value.  A value
-(S - T) / (k - 1) is compared with the best n / d by cross-multiplying,
-(S - T) * d against n * (k - 1), both denominators being positive; the
-result is n / (L * d), built once.  Cells open in order of their smallest
-unit, so each tied minimizer the scan records is already a canonical cell
-tuple; `MmiResult` keeps those tuples and builds a `Partition` only when
-`all_minimizers` is read.
+The truncation path.  Let I = num / den, and for a set a of P*'s cells (a
+*union*) let
 
-The scan checks what it finds.  On the truncation's units its least value
-must be the truncation's I, and its finest minimizer must be all the units,
-P* itself.  On the singletons the finest minimizer must be unique, and
-every minimizer must coarsen it: P* refines P exactly when no cell of P*
-meets a cell C of P without lying inside it, so each distinct cell among
-the minimizers is checked once against the cells of P*, however many
-minimizers tie.  Above the threshold every scanned partition coarsens the
-truncation's P* by construction; that this P* is the source's rests on the
-theorem, the two checks above and the oracle tests, and is not re-checked
-exhaustively.  A plain `Fraction` scan,
+    slack(a) = den * (sum of H(u) over the cells u in a - H(a)) - num * (|a| - 1).
+
+For a coarsening Q of P* with at least two cells, the sum of slack(C) over
+its cells C is den * (|Q| - 1) * (I - value(Q)) once slack(all cells) = 0.
+So `mmi` requires slack(all cells) = 0, which says value(P*) = I, and
+slack(a) <= 0 for every union a, which says no coarsening of P* has value
+below I; otherwise it raises `InternalInvariantError`.  Given both, the
+minimizers among the coarsenings are exactly those whose every cell is
+*tight* (slack 0), and P* is the unique finest.  They are listed by
+restricted growth strings over P*'s cells, ordered by smallest vertex: a
+cell is opened or grown only while it is still the restriction of some
+tight union to the cells placed so far, so the walk stays close to the
+number of minimizers (1 on a Type-S source, whose only tight unions are
+the single cells).  That every minimizer coarsens the truncation's P*
+rests on the theorem and on the oracle tests, not on an exhaustive check.
+H comes from the source contracted to P*'s cells, each hyperedge to the
+set of cells it meets.
+
+The scan.  It walks the restricted growth strings over the vertices with
+one mutable list of cells and carries the running sum of their entropies:
+putting vertex v into cell C adds E[C | v] - E[C].  The last vertex is
+placed in a loop, and only the cells where it adds least can reach the
+best value.  A value (S - T) / (k - 1) is compared with the best n / d by
+cross-multiplying, (S - T) * d against n * (k - 1), both denominators
+being positive; the result is n / (L * d), built once.  The finest
+minimizer must be unique, and every minimizer must coarsen it: P* refines
+P exactly when no cell of P* meets a cell C of P without lying inside it,
+so each distinct cell among the minimizers is checked once against the
+cells of P*, however many minimizers tie.
+
+On both paths cells open in order of their smallest vertex, so each
+minimizer is recorded as its canonical cell tuple, in restricted-growth
+order over the vertices; `MmiResult` keeps those tuples and builds a
+`Partition` only when `all_minimizers` is read.  A plain `Fraction` scan,
 `tests/reference_scan.py`, is the test oracle of both paths.
 
 `mmi` is the one way the package computes the capacity and P*;
@@ -65,10 +76,11 @@ from itertools import chain
 from .errors import CapExceededError, InternalInvariantError
 from .flow import dinkelbach
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table, vertices_of
+from .rational import to_integers
 
 PARTITION_CAP = 12
-# From this m on, mmi scans the coarsenings of the truncation's P* only.
-TRUNCATION_MIN_M = 9
+# From this m on, mmi lists the minimizers from the truncation's I and P*.
+TRUNCATION_MIN_M = 8
 
 
 @dataclass(frozen=True)
@@ -125,9 +137,9 @@ class MmiResult:
     `fundamental` is the unique finest minimizer, P*; every other minimizer
     is a coarsening of it.  `minimizer_cells` holds every minimizer, in the
     restricted-growth order over vertices, as its canonical cell tuple
-    (bitmasks sorted by smallest member, as in `Partition.cells`), whichever
-    units `mmi` scanned.  `all_minimizers` builds their `Partition`s on each
-    read and keeps none.
+    (bitmasks sorted by smallest member, as in `Partition.cells`), on either
+    path of `mmi`.  `all_minimizers` builds their `Partition`s on each read
+    and keeps none.
     """
 
     value: Fraction
@@ -146,59 +158,95 @@ class MmiResult:
 def mmi(hg: WeightedHypergraph) -> MmiResult:
     """Minimize the partition value over all partitions with >= 2 cells.
 
-    Returns the minimum, the finest minimizer, and all minimizers in scan
-    order as cell tuples.  From TRUNCATION_MIN_M terminals on, the
-    truncation gives I and P* first and the scan runs over the cells of P*;
-    below, it runs over the singletons.  A finest minimizer that is not
-    unique, a scan whose value is not the truncation's I or whose finest
-    minimizer is not all of P*'s cells, and, on the singleton scan, a
-    minimizer that does not coarsen the finest one are reported as internal
-    errors: none of these can happen for hypergraphical sources.
+    Returns the minimum, the finest minimizer, and all minimizers in
+    restricted-growth order as cell tuples.  From TRUNCATION_MIN_M terminals
+    on, the truncation gives I and P*, one table over the unions of P*'s
+    cells certifies them, and the minimizers are listed as the partitions of
+    P*'s cells into tight unions; below, the scan walks every partition.  A
+    P* whose value is not I, a union of its cells that merges into a
+    partition of value below I, and, on the scan, a finest minimizer that is
+    not unique or a minimizer that does not coarsen it are reported as
+    internal errors: none of these can happen for hypergraphical sources.
     """
     m = hg.m
     if m > PARTITION_CAP:
         raise CapExceededError(
             f"m = {m} exceeds the partition enumeration cap of {PARTITION_CAP}"
         )
-    full = hg.full_mask
     src, scale = hg.integer_source()
-    if m >= TRUNCATION_MIN_M:
-        capacity, units = dinkelbach(src)
-        # The source contracted to the units: each hyperedge becomes the set
-        # of units it meets (bit i for units[i]).
-        contracted: dict[int, int] = {}
-        for e, w in src.weights.items():
-            a = sum(1 << i for i, unit in enumerate(units) if e & unit)
-            contracted[a] = contracted.get(a, 0) + w
-    else:
-        # The singletons: the source is its own contraction.
-        capacity, units, contracted = None, tuple(1 << v for v in range(m)), src.weights
-    n = len(units)
-    top = (1 << n) - 1
-    cond = subset_weight_table(n, contracted)
-    total = cond[top]
+    if m < TRUNCATION_MIN_M:
+        return _scan(m, _entropies(m, src.weights), scale)
+    capacity, units = dinkelbach(src)
+    tight = _tight_unions(src, units, capacity, scale)
+    return MmiResult(capacity / scale, Partition(m, units), tuple(_tight_coarsenings(units, tight)))
+
+
+def _tight_unions(src: WeightedHypergraph, units: tuple[int, ...], capacity: Fraction, scale: int) -> set[int]:
+    """The nonempty unions of the units with slack 0, once the slack table certifies I and P*.
+
+    `units` are the truncation's P* and `capacity` its I = num / den, both
+    of the integer source `src`, which is the source times `scale`.
+    """
+    # The source contracted to the units: each hyperedge becomes the set of
+    # units it meets (bit i for units[i]).
+    contracted: dict[int, int] = {}
+    for e, w in src.weights.items():
+        a = sum(1 << i for i, unit in enumerate(units) if e & unit)
+        contracted[a] = contracted.get(a, 0) + w
+    ent = _entropies(len(units), contracted)
+    # slack[a] = den * (sum of H(u) over the units u in a - H(a)) - num * (|a| - 1).
+    (num,), den = to_integers([capacity])
+    slack = [num]
+    for i in range(len(units)):
+        step = den * ent[1 << i] - num
+        slack += [x + step for x in slack]
+    slack = [x - den * e for x, e in zip(slack, ent)]
     union = [0]  # union[a]: the union of the units in a, as an original bitmask
     for unit in units:
         union += [u | unit for u in union]
-    ent = {u: total - cond[top ^ a] for a, u in enumerate(union)}
+    if slack[-1]:
+        raise InternalInvariantError(
+            f"the truncation's partition {Partition(src.m, units)} does not have its value"
+            f" I = {capacity / scale}"
+        )
+    worst = max(slack[1:])
+    if worst > 0:
+        merged = format_subset(union[slack.index(worst, 1)])
+        raise InternalInvariantError(
+            f"merging the cells of P* inside {merged} gives a partition of value below"
+            f" I = {capacity / scale}"
+        )
+    return {u for u, x in zip(union, slack) if u and not x}
 
-    # The scan places units 1..n-1 by recursion and the last unit in a
-    # loop: gain[A] is what putting it into cell A adds to the entropy sum.
-    last = units[-1]
-    gain = {u: ent[u | last] - ent[u] for u in union[: 1 << (n - 1)]}
+
+def _entropies(n: int, entries: dict[int, int]) -> list[int]:
+    """ent[a] = the weight of the entries meeting a, for every a of n bits."""
+    cond = subset_weight_table(n, entries)
+    total = cond[-1]
+    return [total - c for c in reversed(cond)]
+
+
+def _scan(m: int, ent: list[int], scale: int) -> MmiResult:
+    """Every partition of the m terminals, by restricted growth strings."""
+    full = (1 << m) - 1
+    total = ent[full]
+    # The scan places vertices 2..m-1 by recursion and vertex m in a loop:
+    # gain[C] is what putting it into cell C adds to the entropy sum.
+    last = 1 << (m - 1)
+    gain = [ent[c | last] - ent[c] for c in range(last)]
     ent_last = ent[last]
-    cells = [units[0]]
+    cells = [1]
     minimizers: list[tuple[int, ...]] = []
     # best_num / best_den is the best value so far, seeded with that of
-    # {units 1..n-1},{last unit}, the first partition scanned.
+    # {1..m-1},{m}, the first partition scanned.
     best_num, best_den = ent[full ^ last] + ent_last - total, 1
 
     def place(i: int, acc: int) -> None:
-        # cells partition the units below i; acc = sum of their entropies - total.
+        # cells partition the vertices below i; acc = sum of their entropies - total.
         nonlocal best_num, best_den
         k = len(cells)
-        if i < n - 1:
-            bit = units[i]
+        if i < m - 1:
+            bit = 1 << i
             for j in range(k):
                 cell = cells[j]
                 grown = cells[j] = cell | bit
@@ -231,9 +279,8 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
                 minimizers.clear()
             minimizers.append((*cells, last))
 
-    place(1, ent[units[0]] - total)
+    place(1, ent[1] - total)
 
-    value = Fraction(best_num, scale * best_den)
     max_cells = max(map(len, minimizers))
     finest = [cells for cells in minimizers if len(cells) == max_cells]
     if len(finest) != 1:
@@ -241,26 +288,69 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
             f"finest minimizer is not unique: {len(finest)} partitions with {max_cells} cells"
         )
     fundamental = Partition(m, finest[0])
-    if capacity is not None:
-        if value != capacity / scale:
-            raise InternalInvariantError(
-                f"the scan's minimum {value} is not the truncation's capacity {capacity / scale}"
-            )
-        if max_cells != n:
-            raise InternalInvariantError(
-                f"the finest minimizer {fundamental} is coarser than the truncation's"
-                f" partition {Partition(m, units)}"
-            )
-    else:
-        distinct = set(chain.from_iterable(minimizers))
-        bad = {c for c in distinct if any(f & c and f & ~c for f in fundamental.cells)}
-        if bad:
-            part = Partition(m, next(cells for cells in minimizers if not bad.isdisjoint(cells)))
-            raise InternalInvariantError(
-                f"minimizer {part} is not a coarsening of the fundamental partition {fundamental}"
-            )
-    return MmiResult(
-        value=value,
-        fundamental=fundamental,
-        minimizer_cells=tuple(minimizers),
-    )
+    distinct = set(chain.from_iterable(minimizers))
+    bad = {c for c in distinct if any(f & c and f & ~c for f in fundamental.cells)}
+    if bad:
+        part = Partition(m, next(cells for cells in minimizers if not bad.isdisjoint(cells)))
+        raise InternalInvariantError(
+            f"minimizer {part} is not a coarsening of the fundamental partition {fundamental}"
+        )
+    return MmiResult(Fraction(best_num, scale * best_den), fundamental, tuple(minimizers))
+
+
+def _tight_coarsenings(units: tuple[int, ...], tight: set[int]) -> list[tuple[int, ...]]:
+    """The partitions of the units into >= 2 tight unions, in restricted-growth order.
+
+    `tight` holds the nonempty tight unions as original bitmasks.
+    levels[i] holds their restrictions to the units 0..i, or None where
+    every union of those units is one.  Once unit i is placed, every cell
+    must be in levels[i]: a cell outside it must take unit i, so a node with
+    two such cells has no minimizer below it.
+    """
+    n = len(units)
+    levels: list[set[int] | None] = [None] * n
+    alive = tight
+    prefix = sum(units)  # the union of the units 0..i
+    for i in range(n - 1, 0, -1):
+        if len(alive) < (2 << i) - 1:
+            levels[i] = alive
+        prefix ^= units[i]
+        alive = {t & prefix for t in alive} - {0}
+    cells = [units[0]]
+    minimizers: list[tuple[int, ...]] = []
+
+    def place(i: int) -> None:
+        # cells partition the units below i, each the restriction of a tight union.
+        k = len(cells)
+        bit = units[i]
+        alive = levels[i]
+        if alive is None:
+            grow, fresh = range(k), True
+        else:
+            dead = [j for j in range(k) if cells[j] not in alive]
+            if len(dead) > 1:
+                return
+            grow = [j for j in dead or range(k) if cells[j] | bit in alive]
+            fresh = not dead
+        if i == n - 1:
+            if k > 1:
+                for j in grow:
+                    cell = cells[j]
+                    cells[j] = cell | bit
+                    minimizers.append(tuple(cells))
+                    cells[j] = cell
+            if fresh:
+                minimizers.append((*cells, bit))
+            return
+        for j in grow:
+            cell = cells[j]
+            cells[j] = cell | bit
+            place(i + 1)
+            cells[j] = cell  # the original int, which later tuples share
+        if fresh:
+            cells.append(bit)
+            place(i + 1)
+            cells.pop()
+
+    place(1)
+    return minimizers

@@ -54,8 +54,9 @@ FAMILIES = {
     "zero": zero_support,
 }
 
-# (factor, largest m): huge and tiny factors exercise the lcm scaling.  The
-# cycle and tie families run to TRUNCATION_MIN_M at every scale.
+# (factor, largest m): huge and tiny factors exercise the lcm scaling.  Every
+# family runs at least to TRUNCATION_MIN_M, mmi's truncation path, at every
+# scale.
 SCALES = {
     "unit": (Fraction(1), 9),
     "huge": (Fraction(10**100, 3), 8),
@@ -77,9 +78,7 @@ def bell(n: int) -> int:
 def test_integer_scan_matches_the_fraction_scan(family, scale):
     rng = random.Random(f"scan-oracle/{family}")
     c, max_m = SCALES[scale]
-    if family in ("cycle", "tie"):
-        max_m = TRUNCATION_MIN_M  # mmi's truncation path, at every scale
-    for m in range(2, max_m + 1):
+    for m in range(2, max(max_m, TRUNCATION_MIN_M) + 1):
         hg = FAMILIES[family](rng, m)
         hg = WeightedHypergraph(m, {e: c * w for e, w in hg.weights.items()})
         result = mmi(hg)

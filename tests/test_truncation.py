@@ -1,10 +1,12 @@
-"""The max-flow path to I and P*, and `mmi`'s scan over the cells of P*.
+"""The max-flow path to I and P*, and `mmi`'s listing over the cells of P*.
 
 `flow.dinkelbach` is checked against the `Fraction` scan on every family of
 `test_scan_oracle` at every scale, so huge and tiny lcms reach the flow
-code.  From `TRUNCATION_MIN_M` terminals on, `mmi` scans only the
-coarsenings of the truncation's P*; raising the threshold above m gives the
-scan over the singletons as its reference.
+code.  From `TRUNCATION_MIN_M` terminals on, `mmi` certifies the
+truncation's I and P* with one table over the unions of P*'s cells and
+lists the minimizers as partitions of those cells into tight unions;
+raising the threshold above m gives the scan over the singletons as its
+reference.
 """
 
 import random
@@ -12,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import skbounds.flow
 import skbounds.partitions
 from skbounds import InternalInvariantError, WeightedHypergraph, mask_of, mmi
 from skbounds.cli import main
@@ -52,8 +55,9 @@ def test_truncation_by_hand():
     # At gamma = 5/4, between the two, P* alone is least: 4 + 1 - 2 * 5/4 = 5/2,
     # against 3 for the singletons and 11/4 for the one cell.
     assert truncation(src, Fraction(5, 4)) == (Fraction(5, 2), (0b0111, 0b1000))
-    # Dinkelbach starts at the singletons' value 4/3, where P* beats the one
-    # cell, and stops at P*'s value.
+    # Dinkelbach starts at the least of the singletons' value 4/3 and the
+    # splits {v} | M - v, 2, 2, 3 and 1: the split {4} has value I, and one
+    # truncation there returns P*.
     assert dinkelbach(src) == (1, (0b0111, 0b1000))
 
 
@@ -72,7 +76,7 @@ def test_dinkelbach_matches_the_fraction_scan(family, scale):
 
 
 PATH_SOURCES = [
-    *(pytest.param(cycle_plus_edges, m, m, id=f"ladder-{m}") for m in (9, 10, 11)),
+    *(pytest.param(cycle_plus_edges, m, m, id=f"ladder-{m}") for m in (8, 9, 10, 11)),
     pytest.param(type_s_source, "path/type-s", 10, id="type-s-10"),
     pytest.param(tie_heavy_source, "path/tie", 10, id="tie-10"),
     pytest.param(zero_support, "path/zero", 9, id="zero-9"),
@@ -135,18 +139,70 @@ def test_two_clusters_has_a_two_cell_p_star():
 
 
 @pytest.mark.parametrize(
-    "mutate, message",
+    "mutate",
     [
-        # The singletons: not a minimizer, and finer than P*.
-        (lambda value, cells: (value, tuple(1 << v for v in range(9))), "coarser than the truncation's"),
+        # The singletons: finer than P*, so their value is above I.
+        pytest.param(lambda value, cells: (value, tuple(1 << v for v in range(9))), id="singletons"),
         # A two-cell partition that is not a minimizer, with the right I.
-        (lambda value, cells: (value, (0b000001111, 0b111110000)), "is not the truncation's capacity"),
+        pytest.param(lambda value, cells: (value, (0b000001111, 0b111110000)), id="two-cells"),
         # I one unit of the integer source off, either way.
-        (lambda value, cells: (value + 1, cells), "is not the truncation's capacity"),
-        (lambda value, cells: (value - 1, cells), "is not the truncation's capacity"),
+        pytest.param(lambda value, cells: (value + 1, cells), id="I-plus-1"),
+        pytest.param(lambda value, cells: (value - 1, cells), id="I-minus-1"),
     ],
 )
-def test_a_wrong_truncation_result_is_an_internal_error(monkeypatch, mutate, message):
+def test_a_wrong_truncation_result_is_an_internal_error(monkeypatch, mutate):
     monkeypatch.setattr(skbounds.partitions, "dinkelbach", lambda src: mutate(*dinkelbach(src)))
-    with pytest.raises(InternalInvariantError, match=message):
+    with pytest.raises(InternalInvariantError, match="does not have its value I"):
         mmi(TWO_CLUSTERS)
+
+
+def test_a_partition_finer_than_p_star_at_its_own_value_trips_the_union_check(monkeypatch):
+    # The singletons with gamma = their own value pass the check on P*'s
+    # value, but P* = {1,2,3,4,5,8,9},{6},{7} is coarser, so some union of
+    # singletons merges into a partition of lower value.
+    hg = cycle_plus_edges(random.Random(0), 9)
+    assert mmi(hg).fundamental.cells == (0b110011111, 0b000100000, 0b001000000)
+
+    def singletons(src):
+        crossing = sum(w * (bin(e).count("1") - 1) for e, w in src.weights.items())
+        return Fraction(crossing, src.m - 1), tuple(1 << v for v in range(src.m))
+
+    monkeypatch.setattr(skbounds.partitions, "dinkelbach", singletons)
+    with pytest.raises(InternalInvariantError, match=r"merging the cells of P\* inside"):
+        mmi(hg)
+
+
+def _count_truncations(monkeypatch) -> list:
+    calls = []
+    truncate = skbounds.flow.truncation
+
+    def counting(src, gamma):
+        calls.append(gamma)
+        return truncate(src, gamma)
+
+    monkeypatch.setattr(skbounds.flow, "truncation", counting)
+    return calls
+
+
+def test_dinkelbach_on_a_type_s_source_truncates_once(monkeypatch):
+    calls = _count_truncations(monkeypatch)
+    for m in range(2, 13):
+        calls.clear()
+        src, _ = type_s_source(random.Random(f"dinkelbach/{m}"), m).integer_source()
+        assert dinkelbach(src)[1] == tuple(1 << v for v in range(m))
+        assert len(calls) == 1, f"m = {m}"
+
+
+def test_dinkelbach_starts_at_the_best_one_vs_rest_split(monkeypatch):
+    # Starting at the singletons took 151 truncations on these 50 sources.
+    calls = _count_truncations(monkeypatch)
+    for seed in range(50):
+        dinkelbach(cycle_plus_edges(random.Random(seed), 9).integer_source()[0])
+    assert len(calls) <= 68
+
+
+def test_mmi_on_the_uniform_complete_graph_lists_only_the_singletons():
+    m = 12
+    hg = WeightedHypergraph(m, {mask_of((a, b)): 1 for a in range(1, m + 1) for b in range(a + 1, m + 1)})
+    result = mmi(hg)
+    assert (result.value, result.fundamental.size, result.minimizer_count) == (Fraction(m, 2), m, 1)
