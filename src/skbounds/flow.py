@@ -13,13 +13,17 @@ of the one-cell partition.  So Dinkelbach's iteration finds the capacity I:
 start at the value of some partition, truncate, and move gamma to the value
 of the partition found while that partition beats the one-cell partition.
 Any start at or above I will do; the least value among the singletons and
-the m splits {v} | M - v cuts the truncations about in half on random
-sources, and on a Type-S source it is already I.
+the m splits {v} | M - v, found in one pass over the edges in ints, cuts
+the truncations about in half on random sources, and on a Type-S source it
+is already I.
 At gamma = I the minimizers of the truncation are the one-cell partition
 and the minimizers of the value, and the finest of them is the fundamental
 partition P* (Chan et al., "Info-clustering", Proc. IEEE 2015).
 
 Every capacity is an int: gamma = n / d enters with every weight times d.
+A step's network has no node for the hyperedges that hold the step's
+vertex, and a step with no arc out of its source solves no cut
+(`truncation`).
 """
 
 from __future__ import annotations
@@ -83,65 +87,87 @@ def truncation(src: WeightedHypergraph, gamma: Fraction) -> tuple[Fraction, tupl
 
     `src` has int weights.  Vertex j (in order) gets x_j, the least
     f(S) - x(S - j) over S with j in S within {1..j}, solved as one min cut
-    with j as the source.  An arc j -> v of capacity x_v > 0, or v -> sink of
-    capacity -x_v, carries the modular term of each v < j.  The hyperedges
-    that meet {1..j} in the same set a cost their weight once a vertex of a
-    is on the source side: an arc v -> sink when a = {v}, else unbounded
-    arcs v -> node and an arc node -> sink.  The least minimizer S joins the
+    with j as the source.  The hyperedges that meet {1..j} in the same set a
+    (a group) cost their weight once a vertex of a is on the source side.
+    Every S holds j, so the groups that contain j cost their weight on every
+    cut: it is a constant, and they get no node and no arc.  A vertex v < j
+    on the source side costs term_v, the weight of the group {v} minus x_v:
+    an arc v -> sink of capacity term_v > 0, or an arc j -> v of capacity
+    -term_v with term_v added as a second constant.  Any other group below
+    j is a node, with unbounded arcs from its vertices and an arc
+    node -> sink.  With no arc out of j there is no cut to solve, and S is
+    {j}.  Neither constant moves the least minimizer S, which joins the
     cells it meets.  The cells found this way form the finest minimizing
     partition, and the sum of x is the least sum.  Cells come sorted by
     their smallest vertex.
     """
     (n,), d = to_integers([gamma])
+    edges = [(e, w * d) for e, w in src.weights.items()]
     x: list[int] = []
     cells: list[int] = []
     for j in range(src.m):
+        bit = 1 << j
+        below = bit - 1
+        fixed = 0  # the weight of the groups that contain j
+        term = [-v for v in x]
         groups: dict[int, int] = {}
-        for e, w in src.weights.items():
-            a = e & ((2 << j) - 1)
-            if a:
-                groups[a] = groups.get(a, 0) + w * d
-        # Node v <= j is vertex v, node j + 1 the sink, and one node follows per group.
-        sink = nodes = j + 1
-        arcs = [(j, v, x[v]) if x[v] > 0 else (v, sink, -x[v]) for v in range(j) if x[v]]
-        unbounded = 1 + sum(map(abs, x)) + sum(groups.values())
-        for a, w in groups.items():
-            if a & (a - 1):
-                nodes += 1
-                arcs.append((nodes, sink, w))
-                arcs += [(v, nodes, unbounded) for v in range(j + 1) if a >> v & 1]
-            else:
-                arcs.append((a.bit_length() - 1, sink, w))
-        cut, reached = min_cut(nodes + 1, arcs, j, sink)
-        x.append(cut - sum(v for v in x if v > 0) - n)
-        least = sum(1 << u for u in reached if u <= j)
-        for c in cells:
-            if c & least:
-                least |= c
-        cells = [c for c in cells if not c & least] + [least]
+        for e, w in edges:
+            if e & bit:
+                fixed += w
+            elif e & below:
+                a = e & below
+                if a & (a - 1):
+                    groups[a] = groups.get(a, 0) + w
+                else:
+                    term[a.bit_length() - 1] += w
+        # pull is minus the capacity out of j, so 1 - pull exceeds every min cut.
+        pull = sum(c for c in term if c < 0)
+        if pull:
+            # Node v < j is vertex v, node j the source, node j + 1 the sink, and one node follows per group.
+            sink = j + 1
+            arcs = [(v, sink, c) if c > 0 else (j, v, -c) for v, c in enumerate(term) if c]
+            for node, (a, w) in enumerate(groups.items(), sink + 1):
+                arcs.append((node, sink, w))
+                arcs += [(v, node, 1 - pull) for v in range(j) if a >> v & 1]
+            cut, reached = min_cut(sink + 1 + len(groups), arcs, j, sink)
+            least = sum(1 << u for u in reached if u <= j)
+            for c in cells:
+                if c & least:
+                    least |= c
+            cells = [c for c in cells if not c & least]
+        else:
+            cut, least = 0, bit
+        x.append(fixed + pull + cut - n)
+        cells.append(least)
     return Fraction(sum(x), d), tuple(sorted(cells, key=lambda c: c & -c))
-
-
-def _partition_value(src: WeightedHypergraph, cells: tuple[int, ...]) -> Fraction:
-    """(sum of H(C) over the cells - H(M)) / (cells - 1)."""
-    crossing = sum(w * (sum(1 for c in cells if e & c) - 1) for e, w in src.weights.items())
-    return Fraction(crossing, len(cells) - 1)
 
 
 def dinkelbach(src: WeightedHypergraph) -> tuple[Fraction, tuple[int, ...]]:
     """(I, P*): the least partition value of `src` (int weights) and its finest minimizer's cells.
 
-    Starts at the least value among the singletons and the m splits
-    {v} | M - v; each truncation either beats the one-cell partition, and
-    gamma falls to the value of the partition found, or shows that no
-    partition has a value below gamma.
+    Starts at the least value among the singletons, sum of w(|e| - 1) over
+    m - 1, and the m splits {v} | M - v, each the weight of the edges that
+    hold v and another vertex, all from one pass over the edges.  Each
+    truncation either beats the one-cell partition, and gamma falls to the
+    value of the partition found, or shows that no partition has a value
+    below gamma.
     """
-    total = sum(src.weights.values())
-    full = (1 << src.m) - 1
-    starts = [tuple(1 << v for v in range(src.m)), *((1 << v, full ^ (1 << v)) for v in range(src.m))]
-    gamma = min(_partition_value(src, cells) for cells in starts)
+    m = src.m
+    total = crossing = 0  # crossing: the singletons' value times m - 1
+    split = [0] * m
+    for e, w in src.weights.items():
+        total += w
+        if e & (e - 1):
+            crossing += w * (e.bit_count() - 1)
+            for v in range(m):
+                if e >> v & 1:
+                    split[v] += w
+    best = min(split)
+    gamma = Fraction(best) if best * (m - 1) < crossing else Fraction(crossing, m - 1)
     while True:
         least, cells = truncation(src, gamma)
         if least >= total - gamma:
             return gamma, cells
-        gamma = _partition_value(src, cells)
+        # The partition's sum of H(C) - H(M) is least + gamma * |cells| - H(M).
+        k = len(cells)
+        gamma = (least + gamma * k - total) / (k - 1)

@@ -10,21 +10,11 @@ P* consists of singletons is called Type S.  Every minimizer coarsens P*.
 
 `mmi` computes on the integer source (`WeightedHypergraph.integer_source`,
 every weight times L, the lcm of their denominators), so every entropy it
-holds is an int (L times the entropy).  It has two paths:
+holds is an int (L times the entropy).  `flow.dinkelbach` finds I and P* by
+max-flow in polynomial time, one table of the 2^|P*| unions of P*'s cells
+certifies them, and the minimizers are listed without a scan.
 
-* From TRUNCATION_MIN_M terminals on, `flow.dinkelbach` finds I and P* by
-  max-flow in polynomial time, one table of the 2^|P*| unions of P*'s cells
-  certifies them, and the minimizers are listed without a scan.
-* Below it an exhaustive scan walks all Bell(m) partitions.  The threshold
-  sits at the measured crossover.  Over 50 random sources of five families
-  (ten each of random hypergraphs, random graphs, cycles plus edges, Type S
-  and tie-heavy), the scan takes 21-25 ms at m = 7 against 27-33 ms for
-  the truncation path, 65-85 against 38-41 ms at m = 8, and 233-275
-  against 47-51 ms at m = 9 (best of five, 2-vCPU Intel Xeon, Python
-  3.11.7); the truncation path wins at m = 8 on each family alone.
-
-The truncation path.  Let I = num / den, and for a set a of P*'s cells (a
-*union*) let
+Let I = num / den, and for a set a of P*'s cells (a *union*) let
 
     slack(a) = den * (sum of H(u) over the cells u in a - H(a)) - num * (|a| - 1).
 
@@ -44,23 +34,11 @@ rests on the theorem and on the oracle tests, not on an exhaustive check.
 H comes from the source contracted to P*'s cells, each hyperedge to the
 set of cells it meets.
 
-The scan.  It walks the restricted growth strings over the vertices with
-one mutable list of cells and carries the running sum of their entropies:
-putting vertex v into cell C adds E[C | v] - E[C].  The last vertex is
-placed in a loop, and only the cells where it adds least can reach the
-best value.  A value (S - T) / (k - 1) is compared with the best n / d by
-cross-multiplying, (S - T) * d against n * (k - 1), both denominators
-being positive; the result is n / (L * d), built once.  The finest
-minimizer must be unique, and every minimizer must coarsen it: P* refines
-P exactly when no cell of P* meets a cell C of P without lying inside it,
-so each distinct cell among the minimizers is checked once against the
-cells of P*, however many minimizers tie.
-
-On both paths cells open in order of their smallest vertex, so each
-minimizer is recorded as its canonical cell tuple, in restricted-growth
-order over the vertices; `MmiResult` keeps those tuples and builds a
-`Partition` only when `all_minimizers` is read.  A plain `Fraction` scan,
-`tests/reference_scan.py`, is the test oracle of both paths.
+Cells open in order of their smallest vertex, so each minimizer is
+recorded as its canonical cell tuple, in restricted-growth order over the
+vertices; `MmiResult` keeps those tuples and builds a `Partition` only when
+`all_minimizers` is read.  Two exhaustive scans in `tests/reference_scan.py`,
+one over `Fraction`s and one over ints, are the test oracles of `mmi`.
 
 `mmi` is the one way the package computes the capacity and P*;
 `cross_edges` gives the weight crossing a partition, which the graph closed
@@ -71,7 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .errors import CapExceededError, InternalInvariantError
 from .flow import dinkelbach
@@ -79,8 +56,6 @@ from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table, 
 from .rational import to_integers
 
 PARTITION_CAP = 12
-# From this m on, mmi lists the minimizers from the truncation's I and P*.
-TRUNCATION_MIN_M = 8
 
 
 @dataclass(frozen=True)
@@ -137,9 +112,8 @@ class MmiResult:
     `fundamental` is the unique finest minimizer, P*; every other minimizer
     is a coarsening of it.  `minimizer_cells` holds every minimizer, in the
     restricted-growth order over vertices, as its canonical cell tuple
-    (bitmasks sorted by smallest member, as in `Partition.cells`), on either
-    path of `mmi`.  `all_minimizers` builds their `Partition`s on each read
-    and keeps none.
+    (bitmasks sorted by smallest member, as in `Partition.cells`).
+    `all_minimizers` builds their `Partition`s on each read and keeps none.
     """
 
     value: Fraction
@@ -159,14 +133,12 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
     """Minimize the partition value over all partitions with >= 2 cells.
 
     Returns the minimum, the finest minimizer, and all minimizers in
-    restricted-growth order as cell tuples.  From TRUNCATION_MIN_M terminals
-    on, the truncation gives I and P*, one table over the unions of P*'s
-    cells certifies them, and the minimizers are listed as the partitions of
-    P*'s cells into tight unions; below, the scan walks every partition.  A
-    P* whose value is not I, a union of its cells that merges into a
-    partition of value below I, and, on the scan, a finest minimizer that is
-    not unique or a minimizer that does not coarsen it are reported as
-    internal errors: none of these can happen for hypergraphical sources.
+    restricted-growth order as cell tuples.  The truncation gives I and P*,
+    one table over the unions of P*'s cells certifies them, and the
+    minimizers are listed as the partitions of P*'s cells into tight unions.
+    A P* whose value is not I and a union of its cells that merges into a
+    partition of value below I are reported as internal errors: neither can
+    happen for hypergraphical sources.
     """
     m = hg.m
     if m > PARTITION_CAP:
@@ -174,8 +146,6 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
             f"m = {m} exceeds the partition enumeration cap of {PARTITION_CAP}"
         )
     src, scale = hg.integer_source()
-    if m < TRUNCATION_MIN_M:
-        return _scan(m, _entropies(m, src.weights), scale)
     capacity, units = dinkelbach(src)
     tight = _tight_unions(src, units, capacity, scale)
     return MmiResult(capacity / scale, Partition(m, units), tuple(_tight_coarsenings(units, tight)))
@@ -193,7 +163,8 @@ def _tight_unions(src: WeightedHypergraph, units: tuple[int, ...], capacity: Fra
     for e, w in src.weights.items():
         a = sum(1 << i for i, unit in enumerate(units) if e & unit)
         contracted[a] = contracted.get(a, 0) + w
-    ent = _entropies(len(units), contracted)
+    cond = subset_weight_table(len(units), contracted)
+    ent = [cond[-1] - c for c in reversed(cond)]  # ent[a]: the weight of the edges meeting a
     # slack[a] = den * (sum of H(u) over the units u in a - H(a)) - num * (|a| - 1).
     (num,), den = to_integers([capacity])
     slack = [num]
@@ -217,85 +188,6 @@ def _tight_unions(src: WeightedHypergraph, units: tuple[int, ...], capacity: Fra
             f" I = {capacity / scale}"
         )
     return {u for u, x in zip(union, slack) if u and not x}
-
-
-def _entropies(n: int, entries: dict[int, int]) -> list[int]:
-    """ent[a] = the weight of the entries meeting a, for every a of n bits."""
-    cond = subset_weight_table(n, entries)
-    total = cond[-1]
-    return [total - c for c in reversed(cond)]
-
-
-def _scan(m: int, ent: list[int], scale: int) -> MmiResult:
-    """Every partition of the m terminals, by restricted growth strings."""
-    full = (1 << m) - 1
-    total = ent[full]
-    # The scan places vertices 2..m-1 by recursion and vertex m in a loop:
-    # gain[C] is what putting it into cell C adds to the entropy sum.
-    last = 1 << (m - 1)
-    gain = [ent[c | last] - ent[c] for c in range(last)]
-    ent_last = ent[last]
-    cells = [1]
-    minimizers: list[tuple[int, ...]] = []
-    # best_num / best_den is the best value so far, seeded with that of
-    # {1..m-1},{m}, the first partition scanned.
-    best_num, best_den = ent[full ^ last] + ent_last - total, 1
-
-    def place(i: int, acc: int) -> None:
-        # cells partition the vertices below i; acc = sum of their entropies - total.
-        nonlocal best_num, best_den
-        k = len(cells)
-        if i < m - 1:
-            bit = 1 << i
-            for j in range(k):
-                cell = cells[j]
-                grown = cells[j] = cell | bit
-                place(i + 1, acc + ent[grown] - ent[cell])
-                cells[j] = cell
-            cells.append(bit)
-            place(i + 1, acc + ent[bit])
-            cells.pop()
-            return
-        if k > 1:
-            # Every placement into an existing cell gives k cells; only the
-            # smallest gain can reach the best value.
-            least = min(map(gain.__getitem__, cells))
-            num = acc + least
-            lhs, rhs = num * best_den, best_num * (k - 1)
-            if lhs <= rhs:
-                if lhs < rhs:
-                    best_num, best_den = num, k - 1
-                    minimizers.clear()
-                for j, cell in enumerate(cells):
-                    if gain[cell] == least:
-                        cells[j] = cell | last
-                        minimizers.append(tuple(cells))
-                        cells[j] = cell
-        num = acc + ent_last
-        lhs, rhs = num * best_den, best_num * k
-        if lhs <= rhs:
-            if lhs < rhs:
-                best_num, best_den = num, k
-                minimizers.clear()
-            minimizers.append((*cells, last))
-
-    place(1, ent[1] - total)
-
-    max_cells = max(map(len, minimizers))
-    finest = [cells for cells in minimizers if len(cells) == max_cells]
-    if len(finest) != 1:
-        raise InternalInvariantError(
-            f"finest minimizer is not unique: {len(finest)} partitions with {max_cells} cells"
-        )
-    fundamental = Partition(m, finest[0])
-    distinct = set(chain.from_iterable(minimizers))
-    bad = {c for c in distinct if any(f & c and f & ~c for f in fundamental.cells)}
-    if bad:
-        part = Partition(m, next(cells for cells in minimizers if not bad.isdisjoint(cells)))
-        raise InternalInvariantError(
-            f"minimizer {part} is not a coarsening of the fundamental partition {fundamental}"
-        )
-    return MmiResult(Fraction(best_num, scale * best_den), fundamental, tuple(minimizers))
 
 
 def _tight_coarsenings(units: tuple[int, ...], tight: set[int]) -> list[tuple[int, ...]]:

@@ -17,7 +17,8 @@ from skbounds.cli import main, parse_document
 from skbounds.partitions import Partition
 
 from conftest import from_vertex_cells, is_refinement_of, partition_value
-from reference_scan import _raw_partitions
+import reference_scan
+from reference_scan import _raw_partitions, integer_scan
 
 EXAMPLE1 = WeightedHypergraph(
     4,
@@ -187,27 +188,58 @@ def test_mmi_on_empty_support():
     assert result.fundamental.size == 3  # finest of the all-zero landscape
 
 
+# Entropy tables that no hypergraph has (ent[A] indexed by mask A), patched
+# in where a scan builds its table from the integer source of the one edge
+# {1..m} of weight 1, so L = 1.  Every partition of that source has value 1,
+# so the truncation returns I = 1 with the singletons as P*, and the table
+# over P*'s cells is the patched one.
+# {1,2},{3} and {1},{2,3} tie at 0: two finest minimizers.
+NOT_UNIQUE = [0, 2, 2, 2, 2, 3, 2, 4]
+# {1,2},{3,4} ties at 2 with the finer {1,3},{2},{4}, which does not refine it.
+NOT_A_COARSENING = [0, 3, 3, 1, 4, 1, 4, 4, 1, 3, 3, 2, 2, 4, 1, 1]
+
+
+def _patch_table(monkeypatch, module, ent):
+    full = len(ent) - 1
+    cond = [ent[full] - ent[full ^ b] for b in range(full + 1)]
+    monkeypatch.setattr(module, "subset_weight_table", lambda m, entries: cond)
+    return WeightedHypergraph(full.bit_length(), {full: Fraction(1)})
+
+
 @pytest.mark.parametrize(
     "ent, message",
     [
-        # {1,2},{3} and {1},{2,3} tie at 0: two finest minimizers.
-        ([0, 2, 2, 2, 2, 3, 2, 4], "not unique"),
-        # {1,2},{3,4} ties at 2 with the finer {1,3},{2},{4}, which does not refine it.
-        ([0, 3, 3, 1, 4, 1, 4, 4, 1, 3, 3, 2, 2, 4, 1, 1], "not a coarsening"),
+        pytest.param(
+            NOT_UNIQUE,
+            r"merging the cells of P\* inside \{1,2\} gives a partition of value below I = 1$",
+            id="ent0-not unique",
+        ),
+        pytest.param(
+            NOT_A_COARSENING,
+            r"the truncation's partition \{\{1\},\{2\},\{3\},\{4\}\} does not have its value I = 1$",
+            id="ent1-not a coarsening",
+        ),
     ],
 )
 def test_mmi_reports_a_broken_invariant(monkeypatch, ent, message):
-    # Entropy tables that no hypergraph has (ent[A] indexed by mask A), patched
-    # in where mmi builds its table from the integer source; the weight is 1,
-    # so L = 1.
-    full = len(ent) - 1
-    cond = [ent[full] - ent[full ^ b] for b in range(full + 1)]
-    monkeypatch.setattr(skbounds.partitions, "subset_weight_table", lambda m, entries: cond)
-    with pytest.raises(InternalInvariantError, match=message) as raised:
-        mmi(WeightedHypergraph(full.bit_length(), {full: Fraction(1)}))
-    if message == "not a coarsening":
+    hg = _patch_table(monkeypatch, skbounds.partitions, ent)
+    with pytest.raises(InternalInvariantError, match=message):
+        mmi(hg)
+
+
+@pytest.mark.parametrize(
+    "ent, message",
+    [
+        (NOT_UNIQUE, "finest minimizer is not unique: 2 partitions with 2 cells"),
         # It names the first minimizer holding a bad cell, by its cells.
-        assert "minimizer {{1,2},{3,4}} is not" in str(raised.value)
+        (NOT_A_COARSENING, r"minimizer \{\{1,2\},\{3,4\}\} is not a coarsening"),
+    ],
+    ids=["not unique", "not a coarsening"],
+)
+def test_the_integer_scan_reports_a_broken_invariant(monkeypatch, ent, message):
+    hg = _patch_table(monkeypatch, reference_scan, ent)
+    with pytest.raises(InternalInvariantError, match=message):
+        integer_scan(hg)
 
 
 def test_mmi_builds_no_partition_per_tied_minimizer(monkeypatch, tmp_path, capsys):

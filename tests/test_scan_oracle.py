@@ -1,8 +1,8 @@
-"""The integer partition scan against the plain Fraction scan it replaced.
+"""`mmi` against the plain Fraction scan.
 
-`reference_scan.reference_mmi` is the old scan, kept unchanged; `mmi` must
-return an equal `MmiResult`: the same value, the same fundamental partition
-and the same minimizers in the same order.
+`reference_scan.reference_mmi` walks every partition; `mmi` must return an
+equal `MmiResult`: the same value, the same fundamental partition and the
+same minimizers in the same order.
 """
 
 import random
@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from skbounds import WeightedHypergraph, mask_of, mmi
-from skbounds.partitions import TRUNCATION_MIN_M
 
 from conftest import cycle_plus_edges, random_graph, random_hypergraph, random_weight
 from reference_scan import reference_mmi
@@ -54,9 +53,8 @@ FAMILIES = {
     "zero": zero_support,
 }
 
-# (factor, largest m): huge and tiny factors exercise the lcm scaling.  Every
-# family runs at least to TRUNCATION_MIN_M, mmi's truncation path, at every
-# scale.
+# (factor, largest m): huge and tiny factors exercise the lcm scaling in
+# mmi's integer source and in the max-flow truncation.
 SCALES = {
     "unit": (Fraction(1), 9),
     "huge": (Fraction(10**100, 3), 8),
@@ -78,7 +76,7 @@ def bell(n: int) -> int:
 def test_integer_scan_matches_the_fraction_scan(family, scale):
     rng = random.Random(f"scan-oracle/{family}")
     c, max_m = SCALES[scale]
-    for m in range(2, max(max_m, TRUNCATION_MIN_M) + 1):
+    for m in range(2, max_m + 1):
         hg = FAMILIES[family](rng, m)
         hg = WeightedHypergraph(m, {e: c * w for e, w in hg.weights.items()})
         result = mmi(hg)

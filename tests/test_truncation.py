@@ -2,11 +2,11 @@
 
 `flow.dinkelbach` is checked against the `Fraction` scan on every family of
 `test_scan_oracle` at every scale, so huge and tiny lcms reach the flow
-code.  From `TRUNCATION_MIN_M` terminals on, `mmi` certifies the
-truncation's I and P* with one table over the unions of P*'s cells and
-lists the minimizers as partitions of those cells into tight unions;
-raising the threshold above m gives the scan over the singletons as its
-reference.
+code.  `mmi` certifies the truncation's I and P* with one table over the
+unions of P*'s cells and lists the minimizers as partitions of those cells
+into tight unions; the integer scan over the singletons,
+`reference_scan.integer_scan`, is its reference where the `Fraction` scan
+is too slow.
 """
 
 import random
@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import skbounds.cli
 import skbounds.flow
 import skbounds.partitions
 from skbounds import InternalInvariantError, WeightedHypergraph, mask_of, mmi
@@ -23,7 +24,7 @@ from skbounds.hypergraph import vertices_of
 from skbounds.rational import format_rational
 
 from conftest import cycle_plus_edges
-from reference_scan import reference_mmi
+from reference_scan import integer_scan, reference_mmi
 from test_scan_oracle import FAMILIES, SCALES, tie_heavy_source, type_s_source, zero_support
 
 
@@ -44,10 +45,13 @@ def test_min_cut_side_stops_before_the_saturated_middle_arc():
     assert (value, sorted(side)) == (2, [0, 1])
 
 
+# A triangle on 1, 2, 3 with a pendant edge {3,4}, unit weights: I = 1 with
+# P* = {1,2,3},{4}, and H(M) = 4.
+BY_HAND = WeightedHypergraph(4, {0b0011: 1, 0b0101: 1, 0b0110: 1, 0b1100: 1})
+
+
 def test_truncation_by_hand():
-    # A triangle on 1, 2, 3 with a pendant edge {3,4}, unit weights: I = 1
-    # with P* = {1,2,3},{4}, and H(M) = 4.
-    src = WeightedHypergraph(4, {0b0011: 1, 0b0101: 1, 0b0110: 1, 0b1100: 1})
+    src = BY_HAND
     # At gamma = I the one-cell partition ties with P*, the finest minimizer.
     assert truncation(src, Fraction(1)) == (3, (0b0111, 0b1000))
     # At gamma = 2 the singletons win: H(1) + H(2) + H(3) + H(4) - 4 * 2 = 2 + 2 + 3 + 1 - 8 = 0.
@@ -59,6 +63,40 @@ def test_truncation_by_hand():
     # splits {v} | M - v, 2, 2, 3 and 1: the split {4} has value I, and one
     # truncation there returns P*.
     assert dinkelbach(src) == (1, (0b0111, 0b1000))
+
+
+def test_truncation_gives_no_node_to_a_group_that_holds_the_step_vertex(monkeypatch):
+    networks = []
+    cut = skbounds.flow.min_cut
+
+    def recording(nodes, arcs, source, sink):
+        networks.append((nodes, arcs, source, sink))
+        return cut(nodes, arcs, source, sink)
+
+    monkeypatch.setattr(skbounds.flow, "min_cut", recording)
+    assert truncation(BY_HAND, Fraction(1)) == (3, (0b0111, 0b1000))
+    # No arc leaves vertex 1 or 2, so their steps solve no cut.
+    # At vertex 3 only {1,2} gets a node ({1,3}, {2,3} and {3,4} hold 3); at
+    # vertex 4, {1,2}, {1,3} and {2,3} do ({3,4} holds 4).
+    assert [(source, nodes - sink - 1) for nodes, _, source, sink in networks] == [(2, 1), (3, 3)]
+    for nodes, arcs, source, sink in networks:
+        # The step's vertex is the source, and its arcs reach only vertices below it.
+        assert all(head < source for tail, head, _ in arcs if tail == source)
+
+
+def test_mmi_runs_one_dinkelbach_at_every_m(monkeypatch):
+    calls = []
+
+    def counting(src):
+        calls.append(src.m)
+        return dinkelbach(src)
+
+    monkeypatch.setattr(skbounds.partitions, "dinkelbach", counting)
+    for family, make in FAMILIES.items():
+        rng = random.Random(f"one-path/{family}")
+        for m in range(2, 8):
+            mmi(make(rng, m))
+    assert calls == list(range(2, 8)) * len(FAMILIES)
 
 
 @pytest.mark.parametrize("scale", list(SCALES))
@@ -84,12 +122,9 @@ PATH_SOURCES = [
 
 
 @pytest.mark.parametrize("make, seed, m", PATH_SOURCES)
-def test_the_truncation_path_returns_the_singleton_scan_result(monkeypatch, make, seed, m):
-    assert m >= skbounds.partitions.TRUNCATION_MIN_M
+def test_the_truncation_path_returns_the_singleton_scan_result(make, seed, m):
     hg = make(random.Random(seed), m)
-    default = mmi(hg)
-    monkeypatch.setattr(skbounds.partitions, "TRUNCATION_MIN_M", m + 1)  # the singleton scan
-    assert mmi(hg) == default
+    assert mmi(hg) == integer_scan(hg)
 
 
 def test_mmi_json_is_byte_identical_on_both_paths(monkeypatch, tmp_path, capsys):
@@ -99,7 +134,7 @@ def test_mmi_json_is_byte_identical_on_both_paths(monkeypatch, tmp_path, capsys)
     doc.write_text("m = 10\n" + "\n".join(lines) + "\n")
     assert main(["mmi", "--json", str(doc)]) == 0
     default = capsys.readouterr().out
-    monkeypatch.setattr(skbounds.partitions, "TRUNCATION_MIN_M", 11)
+    monkeypatch.setattr(skbounds.cli, "mmi", integer_scan)
     assert main(["mmi", "--json", str(doc)]) == 0
     assert capsys.readouterr().out == default
     assert '"minimizer_count": 21146' in default
