@@ -13,10 +13,10 @@ All quantities are exact rationals:
   reduced source bounds the communication of the original one.  The packing
   feasible set pairs an omniscience rate vector with the reduced source and
   pins the reduced capacity, so LP feasibility coincides exactly with
-  capacity preservation, membership in Gamma.  `_kept_capacity` checks the
-  latter independently, by one Dilworth truncation of the reduced source
-  at gamma = I; `analyze`, `run_checks` and `verify_gamma_membership` all
-  read it, and no path scans the partitions of a reduced source.
+  capacity preservation, membership in Gamma.  `_reduced_capacity` checks
+  the latter by its definition, the capacity of the reduced source from
+  `flow.dinkelbach`; `analyze`, `run_checks` and `verify_gamma_membership`
+  all read it, and no path scans the partitions of a reduced source.
 * `graphical_bounds`: the closed forms for sources whose hyperedges are
   all pairs.  The packing bound collapses to (m - 2) * capacity, the
   interactive common information equals the weight crossing the
@@ -68,7 +68,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import InternalInvariantError
-from .flow import truncation
+from .flow import dinkelbach
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
 from .lp import (
     OPTIMAL,
@@ -268,24 +268,11 @@ def upper_bound_theorem1(
     return sol.objective_value / scale - mres.value, packing
 
 
-def _kept_capacity(
-    hg: WeightedHypergraph, entries: Mapping[int, Fraction], capacity: Fraction
-) -> tuple[Fraction, int]:
-    """(kept, size): the capacity I left by the packing `entries`, by one truncation.
-
-    On the reduced source times L, the truncation at gamma = L * I sums to
-    at most H(M) - gamma, the one-cell partition's sum, so excess = least -
-    (H(M) - gamma) <= 0.  At 0 the packing keeps I, and the `size` cells
-    found are the reduced source's P*.  Below 0 they form a partition of
-    value kept = I + excess / (L * (size - 1)), below I and at least the
-    reduced capacity.
-    """
+def _reduced_capacity(hg: WeightedHypergraph, entries: Mapping[int, Fraction]) -> tuple[Fraction, int]:
+    """(I, |P*|) of the source reduced to the packing `entries`, by `flow.dinkelbach`."""
     src, scale = hg.restrict(entries).integer_source()
-    gamma = capacity * scale
-    least, cells = truncation(src, gamma)
-    excess = least - (src.total_entropy - gamma)
-    size = len(cells)
-    return (capacity + excess / (scale * (size - 1)) if excess else capacity), size
+    value, cells = dinkelbach(src)
+    return value / scale, len(cells)
 
 
 def verify_gamma_membership(
@@ -293,13 +280,11 @@ def verify_gamma_membership(
 ) -> bool:
     """True when the packing leaves the secret-key capacity unchanged (is in Gamma).
 
-    Computes the capacity I of `hg` and checks the source reduced by the
-    packing with one truncation at gamma = I (`_kept_capacity`), the check
-    `analyze` enforces on x*.
+    Compares the capacity I of `hg` with that of the source reduced by the
+    packing (`_reduced_capacity`), the check `analyze` enforces on x*.
     """
     entries = packing.entries if isinstance(packing, FractionalPacking) else packing
-    capacity = mmi(hg).value
-    return _kept_capacity(hg, entries, capacity)[0] == capacity
+    return _reduced_capacity(hg, entries)[0] == mmi(hg).value
 
 
 def graphical_bounds(
@@ -325,10 +310,10 @@ def graphical_bounds(
 
 
 def _report_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
-    """The report identities; beyond the report they need one truncation of the reduced source."""
+    """The report identities; beyond the report they need the capacity of the reduced source."""
     rco, ub, capacity = report.r_co, report.ub_theorem1, report.mmi.value
     identity = report.entropy_total - capacity
-    kept, size = _kept_capacity(hg, report.x_star.entries, capacity)
+    kept, size = _reduced_capacity(hg, report.x_star.entries)
     checks = [
         ("R_CO identity (H - I)", rco == identity, rco, identity),
         ("dominance UB <= R_CO", ub <= rco, ub, rco),

@@ -201,7 +201,7 @@ UNPASSED_OPTION_ALLOWED = {
     "cli.main.argv": "the console script calls main() with none; tests pass their own",
     "bounds.analyze.method": (
         'perfbench\'s corpus workload passes method="auto" and the tests pass "full", the'
-        " reference; ROADMAP item 6 removes it"
+        " reference; ROADMAP item 5 removes it"
     ),
 }
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,8 @@ from conftest import (
     random_graph,
     random_hypergraph,
 )
+from reference_scan import integer_scan, reference_mmi
+from test_scan_oracle import FAMILIES
 
 F = Fraction
 
@@ -276,23 +279,55 @@ def test_gamma_membership():
         verify_gamma_membership(EXAMPLE1, {e: float(w) for e, w in EXAMPLE1.weights.items()})
 
 
+GAMMA = "x* preserves capacity (Gamma membership)"
+TYPE_S = "reduced source is Type S"
+
+
 @pytest.mark.parametrize("m", [8, 10])
-def test_gamma_check_reports_a_partition_value_below_capacity(m):
+def test_gamma_check_reports_the_reduced_capacity(m):
     # x* halved on one positive entry leaves Gamma (x* is LP-optimal over it).
-    # The check reports the value of the partition its truncation found: in
-    # [capacity of the reduced source, I), the scan made here as the oracle.
+    # The check reports the capacity of the reduced source, by the integer
+    # scan made here as the oracle.
     hg = cycle_plus_edges(random.Random(m), m)
     report = analyze(hg)
     capacity = report.mmi.value
-    label = "x* preserves capacity (Gamma membership)"
     for e, x in report.x_star.entries.items():
         if x > 0:
             entries = {**report.x_star.entries, e: x / 2}
             broken = dataclasses.replace(report, x_star=FractionalPacking(entries))
             checks = {c[0]: c[1:] for c in _report_checks(hg, broken)}
-            ok, kept, expected = checks[label]
+            ok, kept, expected = checks[GAMMA]
             assert not ok and expected == capacity
-            assert mmi(hg.restrict(entries)).value <= kept < capacity
+            assert kept == integer_scan(hg.restrict(entries)).value
+
+
+def test_gamma_and_type_s_lines_read_the_reduced_source():
+    # Packings x_e = w_e * k / 4 with k in 0..4, in Gamma and out of it: the
+    # Gamma line prints the capacity of the reduced source, the Type S line
+    # the size of its P*, and verify_gamma_membership holds exactly when that
+    # capacity is I, all by the `Fraction` scan made here as the oracle.
+    rng = random.Random("reduced-capacity")
+    outside = type_s_lines = 0
+    for family in ("hypergraph", "graph", "cycle", "type_s", "tie"):
+        for m in range(2, 8):
+            hg = FAMILIES[family](rng, m)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # graph-plus-singleton sources warn
+                report = analyze(hg)
+            capacity = report.mmi.value
+            for _ in range(36):
+                entries = {e: w * rng.randint(0, 4) / 4 for e, w in hg.weights.items()}
+                reduced = reference_mmi(hg.restrict(entries))
+                kept = reduced.value == capacity
+                broken = dataclasses.replace(report, x_star=FractionalPacking(entries))
+                checks = {c[0]: c[1:] for c in _report_checks(hg, broken)}
+                assert checks[GAMMA] == (kept, reduced.value, capacity), (family, m, entries)
+                assert verify_gamma_membership(hg, entries) == kept
+                if TYPE_S in checks:
+                    assert checks[TYPE_S][1] == reduced.fundamental.size, (family, m, entries)
+                    type_s_lines += 1
+                outside += not kept
+    assert outside >= 500 and type_s_lines >= 300, (outside, type_s_lines)
 
 
 def test_analyze_on_a_graph_scans_only_the_input(monkeypatch):

@@ -354,7 +354,7 @@ def test_check_reuses_the_analyze_report(monkeypatch, capsys):
         code, _, err = run_cli(capsys, command, "--check", str(FIXTURE_DIR / "example2.hg"))
         assert code == 0, command
         assert "FAIL" not in err
-        # Gamma membership and Type S read a truncation: no scan of the reduced source.
+        # Gamma membership and Type S read `flow.dinkelbach`: no `mmi` of the reduced source.
         assert scans == {"input": 1, "reduced": 0}, command
         assert sorted(solves["full"]) == ["R_CO", "packing"], command
         assert sorted(solves["rowgen"]) == ["R_CO", "packing"], command

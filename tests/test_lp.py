@@ -130,6 +130,20 @@ def test_floats_are_rejected(build):
             build(bad)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LinearProgram(["x", "y"], [1]), "objective length"),
+        (lambda: LinearProgram(["x", "y"], [1, 1], upper=[1]), "upper bound vector"),
+        (lambda: LinearProgram(["x", "y"], [1, 1], [Constraint((1,), 0)]), "constraint"),
+    ],
+    ids=["objective", "upper", "constraint"],
+)
+def test_vectors_must_match_the_variable_count(build, message):
+    with pytest.raises(ValueError, match=f"{message} .*variable count"):
+        build()
+
+
 def _leaving_ids(monkeypatch, lp):
     """The basic ids that leave, in order, as `solve` pivots on `lp`."""
     leaving = []

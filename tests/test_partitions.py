@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,19 @@ def test_partition_validation():
         Partition(3, (0b011, 0b110))  # overlap
     with pytest.raises(ValueError):
         Partition(3, (0b011, 0b100, 0))  # empty cell
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Partition(3, (0b0011, 0b1100)), "outside {1..m}"),
+        (lambda: cross_edges(EXAMPLE1, P(3, [1], [2, 3])), "disagree on m"),
+    ],
+    ids=["cell-outside-m", "cross-edges-other-m"],
+)
+def test_partition_rejects_another_m(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_partition_canonical_order_and_str():

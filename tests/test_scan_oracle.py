@@ -73,7 +73,7 @@ def bell(n: int) -> int:
 
 @pytest.mark.parametrize("scale", list(SCALES))
 @pytest.mark.parametrize("family", list(FAMILIES))
-def test_integer_scan_matches_the_fraction_scan(family, scale):
+def test_mmi_matches_the_fraction_scan(family, scale):
     rng = random.Random(f"scan-oracle/{family}")
     c, max_m = SCALES[scale]
     for m in range(2, max_m + 1):
