@@ -13,8 +13,8 @@ All quantities are exact rationals:
   reduced source bounds the communication of the original one.  The packing
   feasible set pairs an omniscience rate vector with the reduced source and
   pins the reduced capacity, so LP feasibility coincides exactly with
-  capacity preservation, membership in Gamma.  `_reduced_capacity` checks
-  the latter by its definition, the capacity of the reduced source from
+  capacity preservation, membership in Gamma.  `_capacity` checks the
+  latter by its definition, the capacity of the reduced source from
   `flow.dinkelbach`; `analyze`, `run_checks` and `verify_gamma_membership`
   all read it, and no path scans the partitions of a reduced source.
 * `graphical_bounds`: the closed forms for sources whose hyperedges are
@@ -50,10 +50,10 @@ degree one in the weights, and scaling every right-hand side and bound by
 L > 0 changes no pivot.  So every row, bound and cost is an int, as
 `lp.solve` requires, but one: L times the capacity is a fraction n/d even
 on integer weights, so the pin is written times d.  Row generation
-separates in ints over each point's common denominator d, against d times
-a table: R_CO's, built once per solve, or the packing LP's, built from the
-point.  `tests/reference_separation.py` keeps the `Fraction` sweep as the
-test oracle.
+separates each point in the LP dictionary's ints, over its denominator d,
+against d times a table: R_CO's, built once per solve, or the packing
+LP's, built from the point.  `tests/reference_separation.py` keeps the
+`Fraction` sweep as the test oracle.
 
 Each report identity is written once, in `_report_checks`: `analyze` raises
 on it and `run_checks` lists it beside the checks that need another solve.
@@ -114,11 +114,6 @@ class AnalysisReport:
     method: str  # the resolved row method: "rowgen" by default, or "full"
 
 
-def _proper_subsets(m: int):
-    full = (1 << m) - 1
-    return range(1, full)
-
-
 def _resolve_method(method: Method) -> str:
     if method not in ("auto", "full", "rowgen"):
         raise ValueError(f"unknown method {method!r}")
@@ -156,16 +151,15 @@ def _solve_rows(m: int, method: str, build, inside, row):
     `build(masks)` is the LP with the subset rows of `masks`.  With "full"
     it gets every nonempty proper subset.  With "rowgen" it gets the
     singletons, and each round adds `row(mask)` for the most violated subset
-    until none is: the round puts the point on one common denominator d, as
-    ints, and `inside(ints, d)` returns d times the table that the point's
-    rates (its last m entries) must cover.
+    until none is: the round reads the point as the dictionary's ints xs
+    over its denominator d, and `inside(xs, d)` returns d times the table
+    that the point's rates (its last m entries) must cover.
     """
     if method == "full":
-        return solve(build(_proper_subsets(m)))
+        return solve(build(range(1, (1 << m) - 1)))
 
-    def oracle(point: tuple[Fraction, ...]) -> Optional[Constraint]:
-        ints, d = to_integers(point)
-        mask = separation_oracle(inside(ints, d), ints[-m:])
+    def oracle(xs: Sequence[int], d: int) -> Optional[Constraint]:
+        mask = separation_oracle(inside(xs, d), xs[-m:])
         return None if mask is None else row(mask)
 
     return solve_with_row_generation(build([1 << i for i in range(m)]), oracle, 1 << m)
@@ -202,7 +196,7 @@ def r_co_direct(hg: WeightedHypergraph, *, method: Method = "auto") -> tuple[Fra
         m,
         method,
         lambda masks: build_rco_lp(src, masks, table),
-        lambda ints, d: table if d == 1 else [v * d for v in table],
+        lambda xs, d: table if d == 1 else [v * d for v in table],
         lambda mask: _subset_row((), m, mask, table[mask]),
     )
     if sol.status != OPTIMAL:
@@ -259,7 +253,7 @@ def upper_bound_theorem1(
         m,
         method,
         lambda masks: build_gamma_lp(src, mres.value * scale, masks),
-        lambda ints, d: subset_weight_table(m, dict(zip(edges, ints))),
+        lambda xs, d: subset_weight_table(m, dict(zip(edges, xs))),
         lambda mask: _subset_row(edges, m, mask, 0),
     )
     if sol.status != OPTIMAL:
@@ -268,9 +262,9 @@ def upper_bound_theorem1(
     return sol.objective_value / scale - mres.value, packing
 
 
-def _reduced_capacity(hg: WeightedHypergraph, entries: Mapping[int, Fraction]) -> tuple[Fraction, int]:
-    """(I, |P*|) of the source reduced to the packing `entries`, by `flow.dinkelbach`."""
-    src, scale = hg.restrict(entries).integer_source()
+def _capacity(hg: WeightedHypergraph) -> tuple[Fraction, int]:
+    """(I, |P*|) of `hg` by `flow.dinkelbach`, with no listing of the minimizers."""
+    src, scale = hg.integer_source()
     value, cells = dinkelbach(src)
     return value / scale, len(cells)
 
@@ -281,10 +275,10 @@ def verify_gamma_membership(
     """True when the packing leaves the secret-key capacity unchanged (is in Gamma).
 
     Compares the capacity I of `hg` with that of the source reduced by the
-    packing (`_reduced_capacity`), the check `analyze` enforces on x*.
+    packing, both by `_capacity`, the check `analyze` enforces on x*.
     """
     entries = packing.entries if isinstance(packing, FractionalPacking) else packing
-    return _reduced_capacity(hg, entries)[0] == mmi(hg).value
+    return _capacity(hg.restrict(entries))[0] == _capacity(hg)[0]
 
 
 def graphical_bounds(
@@ -313,7 +307,7 @@ def _report_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check
     """The report identities; beyond the report they need the capacity of the reduced source."""
     rco, ub, capacity = report.r_co, report.ub_theorem1, report.mmi.value
     identity = report.entropy_total - capacity
-    kept, size = _reduced_capacity(hg, report.x_star.entries)
+    kept, size = _capacity(hg.restrict(report.x_star.entries))
     checks = [
         ("R_CO identity (H - I)", rco == identity, rco, identity),
         ("dominance UB <= R_CO", ub <= rco, ub, rco),

@@ -43,7 +43,8 @@ the first appends the cut to the previous optimal dictionary: its row is
 put over the current denominator and its slack, a unit column, becomes
 basic, so the fraction-free invariant holds.  The old basis stays dual
 feasible, and the same dual simplex restores primal feasibility in a few
-pivots.  Every round's point is checked against the whole working LP.
+pivots.  Every round's point is checked against the whole working LP in
+the ints xs over den that the oracle then reads.
 """
 
 from __future__ import annotations
@@ -214,18 +215,19 @@ def _slack_row(con: Constraint) -> list[int]:
 
 
 class _Dictionary:
-    """An optimal fraction-free dictionary of `solve`, kept to add rows to.
+    """An optimal fraction-free dictionary of `solve` and its point xs / den, to add rows to.
 
     Variable ids are 0..n - 1 for the LP's n variables, then one slack per
     row in order of addition.
     """
 
-    def __init__(self, n, rows, obj, row_vars, col_vars, den):
-        self.n, self.rows, self.obj = n, rows, obj
+    def __init__(self, lp, rows, obj, row_vars, col_vars, den):
+        self.n, self.rows, self.obj = len(lp.variables), rows, obj
         self.row_vars, self.col_vars, self.den = row_vars, col_vars, den
+        self.check(lp)
 
-    def solution(self, lp: LinearProgram) -> LpSolution:
-        """The point xs / den, checked in ints against the objective and every row and bound."""
+    def check(self, lp: LinearProgram) -> None:
+        """Set xs, the point times den, once it meets the objective and all of `lp` in ints."""
         den = self.den
         xs = [0] * self.n
         for row, vid in zip(self.rows, self.row_vars):
@@ -238,10 +240,15 @@ class _Dictionary:
                 f" vs point value {Fraction(value, den)}"
             )
         _verify(lp, xs, den)
-        return LpSolution(OPTIMAL, tuple(Fraction(x, den) for x in xs), Fraction(value, den), self)
+        self.xs = xs
 
-    def add_cut(self, lp: LinearProgram, con: Constraint) -> LpSolution:
-        """Add the row of `con`, the last constraint of `lp`, and re-optimize.
+    def solution(self) -> LpSolution:
+        """The checked point and its objective value, as `Fraction`s."""
+        point = tuple(Fraction(x, self.den) for x in self.xs)
+        return LpSolution(OPTIMAL, point, Fraction(self.obj[0], self.den), self)
+
+    def add_cut(self, lp: LinearProgram, con: Constraint) -> bool:
+        """Add the row of `con`, the last constraint of `lp`; re-optimize; True unless infeasible.
 
         Its slack row f, f0 - sum f[t + 1] * x_t, is put over `den` by
         replacing each basic variable with its row (slacks have no entry in
@@ -260,9 +267,9 @@ class _Dictionary:
         row_vars.append(len(rows) + len(col_vars))
         rows.append(new)
         status, self.den = _dual_simplex(rows, self.obj, row_vars, col_vars, den)
-        if status != OPTIMAL:
-            return LpSolution(status, None, None)
-        return self.solution(lp)
+        if status == OPTIMAL:
+            self.check(lp)
+        return status == OPTIMAL
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -291,7 +298,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     status, den = _dual_simplex(rows, obj, row_vars, col_vars, 1)
     if status != OPTIMAL:
         return LpSolution(status, None, None)
-    return _Dictionary(n, rows, obj, row_vars, col_vars, den).solution(lp)
+    return _Dictionary(lp, rows, obj, row_vars, col_vars, den).solution()
 
 
 def _verify(lp: LinearProgram, xs: Sequence[int], den: int) -> None:
@@ -314,7 +321,7 @@ def _verify(lp: LinearProgram, xs: Sequence[int], den: int) -> None:
             )
 
 
-SeparationOracle = Callable[[tuple[Fraction, ...]], Optional[Constraint]]
+SeparationOracle = Callable[[Sequence[int], int], Optional[Constraint]]
 
 
 def solve_with_row_generation(
@@ -324,25 +331,24 @@ def solve_with_row_generation(
 ) -> LpSolution:
     """Iterate solve -> separate -> add row until the oracle certifies.
 
-    The oracle receives the current optimal point and returns a violated
-    Constraint or None (feasible for the whole family).  The result then
-    equals a solve over the fully materialized family.  Only the first round
-    calls `solve`; each later round appends the cut to the previous round's
-    optimal dictionary, which stays dual feasible, and re-optimizes it by
-    the dual simplex.  Every round's point is rebuilt and checked against
-    the whole working LP, as `solve` checks its own.  A cut that makes it
-    infeasible, the last one included, returns "infeasible".  A point still
-    uncertified after `max_rounds` cuts is a hard error: the families used
-    here are finite, so running past them proves a bug.
+    The oracle receives each round's optimal point as ints xs over den > 0,
+    checked against the whole working LP, and returns a violated Constraint
+    or None (feasible for the whole family).  The result then equals a
+    solve over the fully materialized family; only it is built in
+    `Fraction`s.  A cut that makes the working LP infeasible, the last one
+    included, returns "infeasible".  A point still uncertified after
+    `max_rounds` cuts is a hard error: the families used here are finite,
+    so running past them proves a bug.
     """
     lp = replace(lp_base, constraints=list(lp_base.constraints))
     sol = solve(lp)
-    for _ in range(max_rounds):
-        if sol.status != OPTIMAL or (extra := oracle(sol.point)) is None:
-            return sol
-        lp._check(extra)
-        lp.constraints.append(extra)
-        sol = sol._dictionary.add_cut(lp, extra)
     if sol.status != OPTIMAL:
-        return sol  # the last cut proved the working LP infeasible
+        return sol
+    dictionary = sol._dictionary
+    for cuts in range(max_rounds):
+        if (extra := oracle(dictionary.xs, dictionary.den)) is None:
+            return dictionary.solution() if cuts else sol
+        lp.add_constraint(extra.coeffs, extra.rhs)
+        if not dictionary.add_cut(lp, extra):
+            return LpSolution(INFEASIBLE, None, None)  # the cut proved the working LP infeasible
     raise InternalInvariantError(f"separation oracle did not certify within {max_rounds} rounds")

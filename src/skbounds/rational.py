@@ -58,8 +58,8 @@ def to_integers(values: Collection[Fraction | int]) -> tuple[list[int], int]:
     """(ints, L): L the lcm of the values' denominators (1 for none), ints[i] = L * values[i].
 
     This is the one place the package turns rationals into integers over a
-    common denominator: the integer source, the packing LP's capacity pin
-    and separation rounds all scale through it.
+    common denominator, from the integer source to the packing LP's pin;
+    separation rounds read the LP dictionary's own ints instead.
     """
     # Unpack a list, not a generator: a tuple built from a generator grows by
     # reallocation, which fragments the heap (+1 MiB peak RSS on many small LPs).

@@ -279,6 +279,17 @@ def test_gamma_membership():
         verify_gamma_membership(EXAMPLE1, {e: float(w) for e, w in EXAMPLE1.weights.items()})
 
 
+def test_gamma_membership_lists_no_minimizers(monkeypatch):
+    # Both capacities come from `flow.dinkelbach`: the check never runs
+    # `mmi`, which also lists every minimizer.
+    def no_mmi(hg):
+        raise AssertionError("verify_gamma_membership ran mmi")
+
+    monkeypatch.setattr(skbounds.bounds, "mmi", no_mmi)
+    assert verify_gamma_membership(EXAMPLE1, EXAMPLE1.weights)
+    assert not verify_gamma_membership(EXAMPLE1, {**EXAMPLE1.weights, mask_of((1, 2)): F(1)})
+
+
 GAMMA = "x* preserves capacity (Gamma membership)"
 TYPE_S = "reduced source is Type S"
 

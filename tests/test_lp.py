@@ -182,7 +182,7 @@ def test_row_generation_degenerate_oracle():
     lp = LinearProgram(["x"], [1])
     lp.add_constraint([1], 2)
     direct = solve(lp)
-    generated = solve_with_row_generation(lp, lambda point: None, max_rounds=4)
+    generated = solve_with_row_generation(lp, lambda xs, den: None, max_rounds=4)
     assert generated == direct
 
 
@@ -194,9 +194,9 @@ def test_row_generation_reaches_full_answer():
 
     base = LinearProgram(["x", "y"], [1, 1])
 
-    def oracle(point):
+    def oracle(xs, den):
         for con in family:
-            if sum(c * v for c, v in zip(con.coeffs, point)) < con.rhs:
+            if sum(c * v for c, v in zip(con.coeffs, xs)) < con.rhs * den:
                 return con
         return None
 
@@ -207,7 +207,7 @@ def test_row_generation_reaches_full_answer():
 def test_row_generation_cap_is_hard_error():
     base = LinearProgram(["x"], [1])
     # oracle keeps returning an already satisfied row: loop cannot make progress
-    def broken_oracle(point):
+    def broken_oracle(xs, den):
         return Constraint((1,), 0)
 
     with pytest.raises(InternalInvariantError, match="did not certify within 3 rounds"):
@@ -216,13 +216,13 @@ def test_row_generation_cap_is_hard_error():
 
 def test_row_generation_passes_through_infeasible():
     base = LinearProgram(["x"], [1], upper=[-1])
-    sol = solve_with_row_generation(base, lambda point: None, max_rounds=2)
+    sol = solve_with_row_generation(base, lambda xs, den: None, max_rounds=2)
     assert sol.status == "infeasible"
     # A cut that makes the working LP infeasible is a result even in the
     # last allowed round.
     cuts = [Constraint((1,), 2)]
 
-    def one_cut(point):
+    def one_cut(xs, den):
         return cuts.pop() if cuts else None
 
     base = LinearProgram(["x"], [1], upper=[1])
@@ -236,8 +236,8 @@ def test_row_generation_leaves_the_base_lp_unchanged():
     rows = base.constraints
     before = list(rows)
 
-    def oracle(point):
-        return next((c for c in family if point[0] + point[1] < c.rhs), None)
+    def oracle(xs, den):
+        return next((c for c in family if xs[0] + xs[1] < c.rhs * den), None)
 
     sol = solve_with_row_generation(base, oracle, max_rounds=8)
     assert sol.objective_value == 3

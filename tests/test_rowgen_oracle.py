@@ -39,15 +39,15 @@ from test_lp_oracle import random_lp
 SPLIT_LP_COUNT = 300
 
 
-def _holds(con, point) -> bool:
-    return sum(c * x for c, x in zip(con.coeffs, point)) >= con.rhs
+def _holds(con, xs, den) -> bool:
+    return sum(c * x for c, x in zip(con.coeffs, xs)) >= con.rhs * den
 
 
 def _first_violated(cuts, added):
     """Oracle returning the first of `cuts` the point violates, recorded in `added`."""
 
-    def oracle(point):
-        con = next((con for con in cuts if not _holds(con, point)), None)
+    def oracle(xs, den):
+        con = next((con for con in cuts if not _holds(con, xs, den)), None)
         if con is not None:
             added.append(con)
         return con

@@ -1,7 +1,8 @@
 """Integer row generation against the plain Fraction sweep it replaced.
 
-Row generation separates in ints over one common denominator per round;
-`reference_separation` is the old `Fraction` sweep.  At every point the
+Row generation separates in ints, each round's point as the LP's dictionary
+holds it, over its denominator; `reference_separation` is the old
+`Fraction` sweep.  At every point the
 solver reaches, the row it adds (or its certificate that none is violated)
 must be the one the sweep picks, so the rows, pivots and optimal points
 are those of the Fraction code.  Both LPs are solved on the integer source
@@ -17,6 +18,7 @@ import pytest
 import skbounds.bounds
 import skbounds.lp
 from skbounds import WeightedHypergraph, r_co_direct, subset_weight_table, upper_bound_theorem1
+from skbounds.rational import to_integers
 
 from conftest import cycle_plus_edges, random_graph, random_hypergraph
 from reference_separation import reference_separation
@@ -51,11 +53,12 @@ def _record_rounds(monkeypatch, hg, reference_table):
     solve_rowgen = skbounds.bounds.solve_with_row_generation
 
     def checked(base, oracle, max_rounds):
-        def compare(point):
-            extra = oracle(point)
+        def compare(xs, den):
+            extra = oracle(xs, den)
             mask = _row_mask(extra, m)
             if mask is not None:
                 added.append(mask)
+            point = [Fraction(x, den) for x in xs]
             assert mask == reference_separation(m, reference_table(point), point[-m:])
             return extra
 
@@ -110,8 +113,17 @@ def test_a_round_separates_like_the_fraction_sweep_at_any_point(monkeypatch, sca
     # The solver's own points rarely carry a denominator.  Rates over 2, 5
     # and 7 do, so most rounds here multiply the R_CO table.  The points
     # are those of the LPs on the integer source, whose weights are L times
-    # the scaled ones.
+    # the scaled ones.  A round reads a point as ints over a denominator
+    # that need not be the least one, so each goes over the lcm times 1, 2
+    # or 7.
     rng = random.Random(f"separation-points/{scale}")
+    k_rng = random.Random(f"separation-points/{scale}/factor")
+
+    def ints(point):
+        xs, den = to_integers(point)
+        k = k_rng.choice((1, 2, 7))
+        return [k * x for x in xs], k * den
+
     for m in range(3, 8):
         hg = _scaled(random_hypergraph(rng, m), SCALES[scale])
         src, common = hg.integer_source()
@@ -124,9 +136,9 @@ def test_a_round_separates_like_the_fraction_sweep_at_any_point(monkeypatch, sca
                 factor * Fraction(rng.randint(-2, 8), rng.choice((1, 2, 5, 7))) for _ in range(m)
             )
             x = tuple(src.weights[e] * Fraction(rng.randint(0, 4), 4) for e in edges)
-            assert _row_mask(rco(rates), m) == reference_separation(m, cond, rates)
+            assert _row_mask(rco(*ints(rates)), m) == reference_separation(m, cond, rates)
             table = subset_weight_table(m, dict(zip(edges, x)))
-            assert _row_mask(packing(x + rates), m) == reference_separation(m, table, rates)
+            assert _row_mask(packing(*ints(x + rates)), m) == reference_separation(m, table, rates)
 
 
 def test_row_generation_separates_in_ints(monkeypatch):

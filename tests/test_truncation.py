@@ -113,11 +113,26 @@ def test_dinkelbach_matches_the_fraction_scan(family, scale):
         assert (capacity / L, cells) == (expected.value, expected.fundamental.cells), f"m = {m}"
 
 
+# A source where the listing meets a node with two cells that no tight
+# union can still hold, and cuts it: I = 2, P* is the singletons, and 49
+# partitions tie.
+TWO_DEAD_CELLS = WeightedHypergraph(
+    6,
+    {
+        mask_of((4, 5, 6)): 2,
+        mask_of((1, 3, 6)): 2,
+        mask_of((4,)): 1,
+        mask_of((1,)): 3,
+        mask_of((2, 6)): 2,
+    },
+)
+
 PATH_SOURCES = [
     *(pytest.param(cycle_plus_edges, m, m, id=f"ladder-{m}") for m in (8, 9, 10, 11)),
     pytest.param(type_s_source, "path/type-s", 10, id="type-s-10"),
     pytest.param(tie_heavy_source, "path/tie", 10, id="tie-10"),
     pytest.param(zero_support, "path/zero", 9, id="zero-9"),
+    pytest.param(lambda rng, m: TWO_DEAD_CELLS, None, 6, id="two-dead-cells-6"),
 ]
 
 

@@ -4,8 +4,9 @@
 checks every bound and row of the int LP in ints; `reference_verify`
 forms the rationals xs / den and sums every row in `Fraction`s.  On seeded
 LPs and points both must raise on the same points with the same message.
-The LP engine scales nothing to integers itself: in row generation the
-only calls to `to_integers` come from `bounds`.
+The LP engine scales nothing to integers itself, and no round of row
+generation calls `to_integers` or builds a `Fraction`: the oracle reads the
+dictionary's own ints.
 """
 
 import math
@@ -103,12 +104,18 @@ def test_integer_check_matches_the_fraction_check():
 
 def test_row_generation_builds_each_integer_form_once(monkeypatch):
     # Count to_integers calls by caller through R_CO and UB solves by row
-    # generation at m = 10.  `lp` takes ints and scales nothing: the only
-    # calls are the integer source, built once per solve, each separation
-    # round's point (the oracle in `bounds._solve_rows`), and the packing
-    # LP's capacity pin.
+    # generation at m = 10.  `lp` takes ints and scales nothing, and the
+    # oracle reads each round's point as the dictionary's ints: the only
+    # calls are the integer source, built once per solve, and the packing
+    # LP's capacity pin.  `lp` builds `Fraction`s only for a solution:
+    # round one's `solve` and the result, each n + 1 of them.
     assert not hasattr(skbounds.lp, "to_integers")
     calls = Counter()
+    fractions = []
+
+    def counting_fraction(*args):
+        fractions.append(args)
+        return Fraction(*args)
 
     def counting(values):
         caller = sys._getframe(1)
@@ -128,17 +135,20 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
         if name.startswith("skbounds") and hasattr(module, "to_integers"):
             monkeypatch.setattr(module, "to_integers", counting)
     monkeypatch.setattr(skbounds.lp, "_verify", recording)
-    for run, pins in (
-        (lambda: r_co_direct(hg, method="rowgen"), 0),
-        (lambda: upper_bound_theorem1(hg, mmi_result=capacity, method="rowgen"), 1),
+    monkeypatch.setattr(skbounds.lp, "Fraction", counting_fraction)
+    k = len(hg.edges)
+    for run, pins, n in (
+        (lambda: r_co_direct(hg, method="rowgen"), 0, hg.m),
+        (lambda: upper_bound_theorem1(hg, mmi_result=capacity, method="rowgen"), 1, k + hg.m),
     ):
         calls.clear()
         checked.clear()
+        fractions.clear()
         run()
         assert len(checked) >= 10
         expected = {
             ("skbounds.hypergraph", "integer_source"): 1,
-            ("skbounds.bounds", "oracle"): len(checked),
             ("skbounds.bounds", "build_gamma_lp"): pins,
         }
         assert calls == Counter({k: v for k, v in expected.items() if v}), calls
+        assert len(fractions) == 2 * (n + 1)
