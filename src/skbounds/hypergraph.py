@@ -12,7 +12,8 @@ forms used throughout this package:
   hyperedges contained in A.
 
 Hypergraphs are immutable after construction and all operations are pure,
-so instances can be shared freely across concurrent work.
+so instances can be shared freely across concurrent work; the one value a
+hypergraph keeps, its integer source, is the same whoever builds it first.
 """
 
 from __future__ import annotations
@@ -127,9 +128,17 @@ class WeightedHypergraph:
         return all(mask.bit_count() == 2 for mask in self.weights)
 
     def integer_source(self) -> tuple["WeightedHypergraph", int]:
-        """(source, L): L the lcm of the weights' denominators, source's weights L * w as ints."""
-        ints, scale = to_integers(self.weights.values())
-        return WeightedHypergraph(self.m, dict(zip(self.weights, ints))), scale
+        """(source, L): L the lcm of the weights' denominators, source's weights L * w as ints.
+
+        Built on the first call and kept on the instance, so `analyze` and
+        the solvers it calls scale each hypergraph once.
+        """
+        built = self.__dict__.get("_integer_source")
+        if built is None:
+            ints, scale = to_integers(self.weights.values())
+            built = WeightedHypergraph(self.m, dict(zip(self.weights, ints))), scale
+            self.__dict__["_integer_source"] = built
+        return built
 
     def entropy_table(self) -> list[Fraction]:
         """Entropy of every group A (weight of the hyperedges meeting A), by mask."""

@@ -12,7 +12,8 @@ P* consists of singletons is called Type S.  Every minimizer coarsens P*.
 every weight times L, the lcm of their denominators), so every entropy it
 holds is an int (L times the entropy).  `flow.dinkelbach` finds I and P* by
 max-flow in polynomial time, one table of the 2^|P*| unions of P*'s cells
-certifies them, and the minimizers are listed without a scan.
+certifies them and counts the minimizers, and the minimizers are listed,
+without a scan, only when read.
 
 Let I = num / den, and for a set a of P*'s cells (a *union*) let
 
@@ -24,7 +25,9 @@ So `mmi` requires slack(all cells) = 0, which says value(P*) = I, and
 slack(a) <= 0 for every union a, which says no coarsening of P* has value
 below I; otherwise it raises `InternalInvariantError`.  Given both, the
 minimizers among the coarsenings are exactly those whose every cell is
-*tight* (slack 0), and P* is the unique finest.  They are listed by
+*tight* (slack 0), and P* is the unique finest.  `_count_coarsenings`
+counts them from the table by a sum over submasks, memoized on the sets
+of cells still to place, and builds none of them.  They are listed by
 restricted growth strings over P*'s cells, ordered by smallest vertex: a
 cell is opened or grown only while it is still the restriction of some
 tight union to the cells placed so far, so the walk stays close to the
@@ -36,9 +39,12 @@ set of cells it meets.
 
 Cells open in order of their smallest vertex, so each minimizer is
 recorded as its canonical cell tuple, in restricted-growth order over the
-vertices; `MmiResult` keeps those tuples and builds a `Partition` only when
-`all_minimizers` is read.  Two exhaustive scans in `tests/reference_scan.py`,
-one over `Fraction`s and one over ints, are the test oracles of `mmi`.
+vertices.  `MmiResult` builds those tuples on the first read of
+`minimizer_cells` and keeps them; no caller in the package reads them, as
+the reports need only the count.  It builds a `Partition` per minimizer
+only when `all_minimizers` is read.  Two exhaustive scans in
+`tests/reference_scan.py`, one over `Fraction`s and one over ints, are the
+test oracles of `mmi`: of its value, P*, count and ordered listing.
 
 `mmi` is the one way the package computes the capacity and P*;
 `cross_edges` gives the weight crossing a partition, which the graph closed
@@ -47,8 +53,10 @@ forms in `bounds` read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
+from typing import Callable, Iterable
 
 from .errors import CapExceededError, InternalInvariantError
 from .flow import dinkelbach
@@ -105,40 +113,52 @@ def cross_edges(hg: WeightedHypergraph, partition: Partition) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MmiResult:
-    """Minimum shared-information value with every minimizing partition.
+    """Minimum shared-information value, P* and the number of minimizers.
 
     `fundamental` is the unique finest minimizer, P*; every other minimizer
-    is a coarsening of it.  `minimizer_cells` holds every minimizer, in the
-    restricted-growth order over vertices, as its canonical cell tuple
-    (bitmasks sorted by smallest member, as in `Partition.cells`).
-    `all_minimizers` builds their `Partition`s on each read and keeps none.
+    is a coarsening of it.  `minimizer_count` counts every minimizer, P*
+    included.  `minimizer_cells` lists them, in the restricted-growth order
+    over vertices, as canonical cell tuples (bitmasks sorted by smallest
+    member, as in `Partition.cells`); `listing` builds them on the first
+    read, which keeps them.  `all_minimizers` builds their `Partition`s on
+    each read and keeps none.  Two results are equal when their values,
+    P*, counts and ordered listings are.
     """
 
     value: Fraction
     fundamental: Partition
-    minimizer_cells: tuple[tuple[int, ...], ...]
+    minimizer_count: int
+    listing: Callable[[], Iterable[tuple[int, ...]]] = field(repr=False)
 
-    @property
-    def minimizer_count(self) -> int:
-        return len(self.minimizer_cells)
+    @cached_property
+    def minimizer_cells(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.listing())
 
     @property
     def all_minimizers(self) -> tuple[Partition, ...]:
         return tuple(Partition(self.fundamental.m, cells) for cells in self.minimizer_cells)
 
+    def __eq__(self, other):
+        if not isinstance(other, MmiResult):
+            return NotImplemented
+        return (self.value, self.fundamental, self.minimizer_count) == (
+            other.value, other.fundamental, other.minimizer_count
+        ) and self.minimizer_cells == other.minimizer_cells
+
 
 def mmi(hg: WeightedHypergraph) -> MmiResult:
     """Minimize the partition value over all partitions with >= 2 cells.
 
-    Returns the minimum, the finest minimizer, and all minimizers in
-    restricted-growth order as cell tuples.  The truncation gives I and P*,
-    one table over the unions of P*'s cells certifies them, and the
-    minimizers are listed as the partitions of P*'s cells into tight unions.
-    A P* whose value is not I and a union of its cells that merges into a
-    partition of value below I are reported as internal errors: neither can
-    happen for hypergraphical sources.
+    Returns the minimum, the finest minimizer, the number of minimizers and
+    their listing in restricted-growth order, built when first read.  The
+    truncation gives I and P*, one table over the unions of P*'s cells
+    certifies them, and the minimizers are counted, and listed when read,
+    as the partitions of P*'s cells into tight unions.  A P* whose value is
+    not I and a union of its cells that merges into a partition of value
+    below I are reported as internal errors: neither can happen for
+    hypergraphical sources.
     """
     m = hg.m
     if m > PARTITION_CAP:
@@ -147,18 +167,24 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
         )
     src, scale = hg.integer_source()
     capacity, units = dinkelbach(src)
-    tight = _tight_unions(src, units, capacity, scale)
-    return MmiResult(capacity / scale, Partition(m, units), tuple(_tight_coarsenings(units, tight)))
+    slack = _certified_slack(src, units, capacity, scale)
+    return MmiResult(
+        capacity / scale,
+        Partition(m, units),
+        _count_coarsenings(slack),
+        partial(_list_coarsenings, units, slack),
+    )
 
 
-def _tight_unions(src: WeightedHypergraph, units: tuple[int, ...], capacity: Fraction, scale: int) -> set[int]:
-    """The nonempty unions of the units with slack 0, once the slack table certifies I and P*.
+def _certified_slack(src: WeightedHypergraph, units: tuple[int, ...], capacity: Fraction, scale: int) -> list[int]:
+    """slack[a] for each union a of the units (bit i for units[i]), once the table certifies I and P*.
 
     `units` are the truncation's P* and `capacity` its I = num / den, both
-    of the integer source `src`, which is the source times `scale`.
+    of the integer source `src`, which is the source times `scale`.  The
+    union a is tight when slack[a] is 0.
     """
     # The source contracted to the units: each hyperedge becomes the set of
-    # units it meets (bit i for units[i]).
+    # units it meets.
     contracted: dict[int, int] = {}
     for e, w in src.weights.items():
         a = sum(1 << i for i, unit in enumerate(units) if e & unit)
@@ -172,9 +198,6 @@ def _tight_unions(src: WeightedHypergraph, units: tuple[int, ...], capacity: Fra
         step = den * ent[1 << i] - num
         slack += [x + step for x in slack]
     slack = [x - den * e for x, e in zip(slack, ent)]
-    union = [0]  # union[a]: the union of the units in a, as an original bitmask
-    for unit in units:
-        union += [u | unit for u in union]
     if slack[-1]:
         raise InternalInvariantError(
             f"the truncation's partition {Partition(src.m, units)} does not have its value"
@@ -182,12 +205,52 @@ def _tight_unions(src: WeightedHypergraph, units: tuple[int, ...], capacity: Fra
         )
     worst = max(slack[1:])
     if worst > 0:
-        merged = format_subset(union[slack.index(worst, 1)])
+        a = slack.index(worst, 1)
+        merged = format_subset(sum(unit for i, unit in enumerate(units) if a >> i & 1))
         raise InternalInvariantError(
             f"merging the cells of P* inside {merged} gives a partition of value below"
             f" I = {capacity / scale}"
         )
-    return {u for u, x in zip(union, slack) if u and not x}
+    return slack
+
+
+def _count_coarsenings(slack: list[int]) -> int:
+    """The number of partitions of the units into >= 2 tight unions, none of them built.
+
+    For a set S of units, f(S) counts the partitions of S into tight
+    unions: f(empty) = 1, and f(S) is the sum of f(S - T) over the tight T
+    with low(S) in T within S, the cell that holds S's first unit.  f is
+    memoized on the sets reached from all the units, and T runs over the
+    submasks of S.  The union of all the units is tight, so f(all) counts
+    the one-cell partition too, which the count drops.
+    """
+    counts = {0: 1}
+
+    def f(s: int) -> int:
+        total = counts.get(s)
+        if total is None:
+            low = s & -s
+            rest = s ^ low
+            total = 0
+            sub = rest
+            while True:
+                if not slack[sub | low]:
+                    total += f(rest ^ sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+            counts[s] = total
+        return total
+
+    return f(len(slack) - 1) - 1
+
+
+def _list_coarsenings(units: tuple[int, ...], slack: list[int]) -> list[tuple[int, ...]]:
+    """The minimizers `_count_coarsenings` counts, as cell tuples in restricted-growth order."""
+    union = [0]  # union[a]: the union of the units in a, as an original bitmask
+    for unit in units:
+        union += [u | unit for u in union]
+    return _tight_coarsenings(units, {u for u, x in zip(union, slack) if u and not x})
 
 
 def _tight_coarsenings(units: tuple[int, ...], tight: set[int]) -> list[tuple[int, ...]]:

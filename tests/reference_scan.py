@@ -7,7 +7,8 @@ integer scan `skbounds.partitions.mmi` ran below m = 8 before the max-flow
 path took every m; it is fast enough to check `mmi` at m = 10 and 11, where
 the `Fraction` scan is not.  Neither shares scan code with the package;
 `tests/test_scan_oracle.py` and `tests/test_truncation.py` assert that each
-returns the result `mmi` does.
+returns the result `mmi` does.  Each counts its minimizers as the length
+of its own list, never by `mmi`'s count.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def reference_mmi(hg: WeightedHypergraph) -> MmiResult:
                 f"minimizer {part} is not a coarsening of the fundamental partition {fundamental}"
             )
     cells = tuple(part.cells for part in all_parts)
-    return MmiResult(value=best, fundamental=fundamental, minimizer_cells=cells)
+    return MmiResult(best, fundamental, len(cells), lambda: cells)
 
 
 def integer_scan(hg: WeightedHypergraph) -> MmiResult:
@@ -170,4 +171,5 @@ def _scan(m: int, ent: list[int], scale: int) -> MmiResult:
         raise InternalInvariantError(
             f"minimizer {part} is not a coarsening of the fundamental partition {fundamental}"
         )
-    return MmiResult(Fraction(best_num, scale * best_den), fundamental, tuple(minimizers))
+    cells = tuple(minimizers)
+    return MmiResult(Fraction(best_num, scale * best_den), fundamental, len(cells), lambda: cells)

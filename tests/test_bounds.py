@@ -24,6 +24,7 @@ from skbounds import (
 from skbounds.bounds import FractionalPacking, _report_checks, build_gamma_lp, build_rco_lp
 from skbounds.cli import parse_document
 from skbounds.partitions import PARTITION_CAP, Partition
+from skbounds.rational import to_integers
 
 from conftest import (
     cycle_plus_edges,
@@ -281,13 +282,33 @@ def test_gamma_membership():
 
 def test_gamma_membership_lists_no_minimizers(monkeypatch):
     # Both capacities come from `flow.dinkelbach`: the check never runs
-    # `mmi`, which also lists every minimizer.
+    # `mmi`, which also certifies P* and counts the minimizers.
     def no_mmi(hg):
         raise AssertionError("verify_gamma_membership ran mmi")
 
     monkeypatch.setattr(skbounds.bounds, "mmi", no_mmi)
     assert verify_gamma_membership(EXAMPLE1, EXAMPLE1.weights)
     assert not verify_gamma_membership(EXAMPLE1, {**EXAMPLE1.weights, mask_of((1, 2)): F(1)})
+
+
+def test_analyze_scales_the_input_and_the_reduced_source_once_each(monkeypatch):
+    # `mmi`, `r_co_direct` and `upper_bound_theorem1` each read the input's
+    # integer source, and the Gamma check the reduced source's: a hypergraph
+    # keeps the one it builds.
+    built = []
+
+    def counting(values):
+        values = list(values)
+        built.append(values)
+        return to_integers(values)
+
+    monkeypatch.setattr(skbounds.hypergraph, "to_integers", counting)
+    hg = cycle_plus_edges(random.Random(7), 7)
+    hg = WeightedHypergraph(7, {e: w / 3 for e, w in hg.weights.items()})
+    report = analyze(hg)
+    assert len(built) == 2
+    assert built[0] == list(hg.weights.values())
+    assert built[1] == list(hg.restrict(report.x_star.entries).weights.values())
 
 
 GAMMA = "x* preserves capacity (Gamma membership)"

@@ -10,6 +10,7 @@ from skbounds import (
     CapExceededError,
     InternalInvariantError,
     WeightedHypergraph,
+    analyze,
     cross_edges,
     mask_of,
     mmi,
@@ -258,7 +259,8 @@ def test_the_integer_scan_reports_a_broken_invariant(monkeypatch, ent, message):
 
 def test_mmi_builds_no_partition_per_tied_minimizer(monkeypatch, tmp_path, capsys):
     # Singleton edges plus the pair {1,3}: every partition that keeps 1 and 3
-    # together ties at 0, Bell(7) - 1 = 876 of them.
+    # together ties at 0, Bell(7) - 1 = 876 of them.  `mmi`, `analyze` and
+    # `mmi --json` count them and list none, as tuples or as `Partition`s.
     text = "m = 8\n" + "".join(f"edge {v} : 1\n" for v in range(1, 9)) + "edge 1 3 : 1\n"
     hg = parse_document(text)
     doc = tmp_path / "tie.hg"
@@ -270,16 +272,23 @@ def test_mmi_builds_no_partition_per_tied_minimizer(monkeypatch, tmp_path, capsy
         calls.append(self.cells)
         post_init(self)
 
+    def listing(units, tight):
+        raise AssertionError("the minimizers were listed")
+
     monkeypatch.setattr(Partition, "__post_init__", counting)
+    monkeypatch.setattr(skbounds.partitions, "_tight_coarsenings", listing)
     result = mmi(hg)
     assert len(calls) == 1  # P* alone
     assert result.minimizer_count == 876
+    with pytest.warns(UserWarning, match="graphical bounds skipped"):
+        assert analyze(hg).mmi.minimizer_count == 876
     calls.clear()
     assert main(["mmi", "--json", str(doc)]) == 0
     assert len(calls) == 1
     assert json.loads(capsys.readouterr().out)["mmi"]["minimizer_count"] == 876
     monkeypatch.undo()
     assert result.fundamental == P(8, [1, 3], [2], [4], [5], [6], [7], [8])
+    assert len(result.minimizer_cells) == 876
     assert result.all_minimizers == tuple(Partition(8, c) for c in result.minimizer_cells)
     # The scan's tuples are canonical: Partition keeps their order.
     assert tuple(part.cells for part in result.all_minimizers) == result.minimizer_cells

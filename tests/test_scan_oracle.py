@@ -1,8 +1,9 @@
 """`mmi` against the plain Fraction scan.
 
 `reference_scan.reference_mmi` walks every partition; `mmi` must return an
-equal `MmiResult`: the same value, the same fundamental partition and the
-same minimizers in the same order.
+equal `MmiResult`: the same value, the same fundamental partition, the same
+count and the same minimizers in the same order.  `mmi` counts without
+listing, so its count is also checked against its own listing.
 """
 
 import random
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import skbounds.partitions
 from skbounds import WeightedHypergraph, mask_of, mmi
 
 from conftest import cycle_plus_edges, random_graph, random_hypergraph, random_weight
@@ -81,9 +83,23 @@ def test_mmi_matches_the_fraction_scan(family, scale):
         hg = WeightedHypergraph(m, {e: c * w for e, w in hg.weights.items()})
         result = mmi(hg)
         assert result == reference_mmi(hg), f"m = {m}"
+        assert result.minimizer_count == len(result.minimizer_cells)
         if family == "type_s":
             assert result.fundamental.size == m
         if family == "tie" and m >= 3:
             assert result.minimizer_count == bell(m - 1) - 1
         if family == "zero":
             assert result.minimizer_count == bell(m) - 1
+
+
+@pytest.mark.parametrize(
+    "family, count", [("tie", bell(11) - 1), ("type_s", 1), ("zero", bell(12) - 1)]
+)
+def test_mmi_counts_at_the_cap_without_listing(monkeypatch, family, count):
+    # At m = 12 the tie-heavy source has Bell(11) - 1 = 678,569 minimizers,
+    # the Type-S source one and the empty support Bell(12) - 1 = 4,213,596.
+    def listing(units, tight):
+        raise AssertionError("the minimizers were listed")
+
+    monkeypatch.setattr(skbounds.partitions, "_tight_coarsenings", listing)
+    assert mmi(FAMILIES[family](random.Random(12), 12)).minimizer_count == count

@@ -139,7 +139,9 @@ PATH_SOURCES = [
 @pytest.mark.parametrize("make, seed, m", PATH_SOURCES)
 def test_the_truncation_path_returns_the_singleton_scan_result(make, seed, m):
     hg = make(random.Random(seed), m)
-    assert mmi(hg) == integer_scan(hg)
+    result = mmi(hg)
+    assert result == integer_scan(hg)
+    assert result.minimizer_count == len(result.minimizer_cells)
 
 
 def test_mmi_json_is_byte_identical_on_both_paths(monkeypatch, tmp_path, capsys):

@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 
 import skbounds.lp
-from skbounds import InternalInvariantError, mmi, r_co_direct, upper_bound_theorem1
+from skbounds import InternalInvariantError, WeightedHypergraph, mmi, r_co_direct, upper_bound_theorem1
 from skbounds.lp import LinearProgram, _verify
 from skbounds.rational import to_integers
 
@@ -106,8 +106,9 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
     # Count to_integers calls by caller through R_CO and UB solves by row
     # generation at m = 10.  `lp` takes ints and scales nothing, and the
     # oracle reads each round's point as the dictionary's ints: the only
-    # calls are the integer source, built once per solve, and the packing
-    # LP's capacity pin.  `lp` builds `Fraction`s only for a solution:
+    # calls are the integer source, built once per hypergraph (each solve
+    # gets a fresh copy, which has not built it yet), and the packing LP's
+    # capacity pin.  `lp` builds `Fraction`s only for a solution:
     # round one's `solve` and the result, each n + 1 of them.
     assert not hasattr(skbounds.lp, "to_integers")
     calls = Counter()
@@ -138,13 +139,13 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
     monkeypatch.setattr(skbounds.lp, "Fraction", counting_fraction)
     k = len(hg.edges)
     for run, pins, n in (
-        (lambda: r_co_direct(hg, method="rowgen"), 0, hg.m),
-        (lambda: upper_bound_theorem1(hg, mmi_result=capacity, method="rowgen"), 1, k + hg.m),
+        (lambda g: r_co_direct(g, method="rowgen"), 0, hg.m),
+        (lambda g: upper_bound_theorem1(g, mmi_result=capacity, method="rowgen"), 1, k + hg.m),
     ):
         calls.clear()
         checked.clear()
         fractions.clear()
-        run()
+        run(WeightedHypergraph(hg.m, hg.weights))
         assert len(checked) >= 10
         expected = {
             ("skbounds.hypergraph", "integer_source"): 1,
