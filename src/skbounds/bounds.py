@@ -15,8 +15,9 @@ All quantities are exact rationals:
   pins the reduced capacity, so LP feasibility coincides exactly with
   capacity preservation, membership in Gamma.  `_capacity` checks the
   latter by its definition, the capacity of the reduced source from
-  `flow.dinkelbach`; `analyze`, `run_checks` and `verify_gamma_membership`
-  all read it, and no path scans the partitions of a reduced source.
+  `flow.dinkelbach`; `analyze`, which keeps the check on its report for
+  `run_checks`, and `verify_gamma_membership` read it, and no path scans
+  the partitions of a reduced source.
 * `graphical_bounds`: the closed forms for sources whose hyperedges are
   all pairs.  The packing bound collapses to (m - 2) * capacity, the
   interactive common information equals the weight crossing the
@@ -56,14 +57,16 @@ LP's, built from the point.  `tests/reference_separation.py` keeps the
 `Fraction` sweep as the test oracle.
 
 Each report identity is written once, in `_report_checks`: `analyze` raises
-on it and `run_checks` lists it beside the checks that need another solve.
+on it and keeps the list on the report, and `run_checks` lists it from
+there beside the checks that need another solve, so no identity and no
+capacity of the reduced source is computed twice.
 """
 
 from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -112,6 +115,7 @@ class AnalysisReport:
     x_star: FractionalPacking
     graphical: Optional[GraphicalBounds]
     method: str  # the resolved row method: "rowgen" by default, or "full"
+    checks: tuple[Check, ...] = ()  # the identities `analyze` enforced, from `_report_checks`
 
 
 def _resolve_method(method: Method) -> str:
@@ -350,24 +354,25 @@ def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisRepor
         graphical=graphical,
         method=method,
     )
-    for label, ok, value, expected in _report_checks(hg, report):
+    checks = tuple(_report_checks(hg, report))
+    for label, ok, value, expected in checks:
         if not ok:
             raise InternalInvariantError(f"{label}: {value} vs {expected}")
-    return report
+    return replace(report, checks=checks)
 
 
 def run_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
     """Invariant suite over `report = analyze(hg, ...)`.
 
-    Each entry is (label, ok, value, expected).  Beyond the identities
-    `analyze` already enforces, the suite solves both LPs again with the
-    row method the report did not use.
+    Each entry is (label, ok, value, expected).  Beside the identities
+    `analyze` enforced, which it reads from `report.checks`, the suite
+    solves both LPs again with the row method the report did not use.
     """
     other = "rowgen" if report.method == "full" else "full"
     rco_other, _ = r_co_direct(hg, method=other)
     ub_other, _ = upper_bound_theorem1(hg, mmi_result=report.mmi, method=other)
     rco, ub = report.r_co, report.ub_theorem1
-    own = _report_checks(hg, report)
+    own = report.checks
     return [
         own[0],
         ("row generation agreement (R_CO)", rco == rco_other, rco, rco_other),

@@ -27,24 +27,21 @@ below I; otherwise it raises `InternalInvariantError`.  Given both, the
 minimizers among the coarsenings are exactly those whose every cell is
 *tight* (slack 0), and P* is the unique finest.  `_count_coarsenings`
 counts them from the table by a sum over submasks, memoized on the sets
-of cells still to place, and builds none of them.  They are listed by
-restricted growth strings over P*'s cells, ordered by smallest vertex: a
-cell is opened or grown only while it is still the restriction of some
-tight union to the cells placed so far, so the walk stays close to the
-number of minimizers (1 on a Type-S source, whose only tight unions are
-the single cells).  That every minimizer coarsens the truncation's P*
-rests on the theorem and on the oracle tests, not on an exhaustive check.
-H comes from the source contracted to P*'s cells, each hyperedge to the
-set of cells it meets.
+of cells still to place, and builds none of them.  `_list_coarsenings`
+lists them, when read, by the same recursion; each single cell of P* is
+tight, so every set of cells it enters yields a minimizer.  That every
+minimizer coarsens the truncation's P* rests on the theorem and on the
+oracle tests, not on an exhaustive check.  H comes from the source
+contracted to P*'s cells, each hyperedge to the set of cells it meets.
 
-Cells open in order of their smallest vertex, so each minimizer is
-recorded as its canonical cell tuple, in restricted-growth order over the
-vertices.  `MmiResult` builds those tuples on the first read of
-`minimizer_cells` and keeps them; no caller in the package reads them, as
-the reports need only the count.  It builds a `Partition` per minimizer
-only when `all_minimizers` is read.  Two exhaustive scans in
+Each minimizer is recorded as its canonical cell tuple (bitmasks sorted
+by smallest vertex), and the listing is in `sorted` order of those
+tuples.  `MmiResult` builds them on the first read of `minimizer_cells`
+and keeps them; no caller in the package reads them, as the reports need
+only the count.  It builds a `Partition` per minimizer only when
+`all_minimizers` is read.  Two exhaustive scans in
 `tests/reference_scan.py`, one over `Fraction`s and one over ints, are the
-test oracles of `mmi`: of its value, P*, count and ordered listing.
+test oracles of `mmi`: of its value, P*, count and sorted listing.
 
 `mmi` is the one way the package computes the capacity and P*;
 `cross_edges` gives the weight crossing a partition, which the graph closed
@@ -55,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .errors import CapExceededError, InternalInvariantError
@@ -119,12 +116,12 @@ class MmiResult:
 
     `fundamental` is the unique finest minimizer, P*; every other minimizer
     is a coarsening of it.  `minimizer_count` counts every minimizer, P*
-    included.  `minimizer_cells` lists them, in the restricted-growth order
-    over vertices, as canonical cell tuples (bitmasks sorted by smallest
-    member, as in `Partition.cells`); `listing` builds them on the first
-    read, which keeps them.  `all_minimizers` builds their `Partition`s on
-    each read and keeps none.  Two results are equal when their values,
-    P*, counts and ordered listings are.
+    included.  `minimizer_cells` lists them, in `sorted` order, as canonical
+    cell tuples (bitmasks sorted by smallest member, as in
+    `Partition.cells`); `listing` builds them on the first read, which
+    keeps them.  `all_minimizers` builds their `Partition`s on each read
+    and keeps none.  Two results are equal when their values, P*, counts
+    and listings are.
     """
 
     value: Fraction
@@ -152,9 +149,9 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
     """Minimize the partition value over all partitions with >= 2 cells.
 
     Returns the minimum, the finest minimizer, the number of minimizers and
-    their listing in restricted-growth order, built when first read.  The
-    truncation gives I and P*, one table over the unions of P*'s cells
-    certifies them, and the minimizers are counted, and listed when read,
+    their sorted listing, built when first read.  The truncation gives I
+    and P*, one table over the unions of P*'s cells certifies them, and the
+    minimizers are counted, and listed when read by the count's recursion,
     as the partitions of P*'s cells into tight unions.  A P* whose value is
     not I and a union of its cells that merges into a partition of value
     below I are reported as internal errors: neither can happen for
@@ -168,11 +165,12 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
     src, scale = hg.integer_source()
     capacity, units = dinkelbach(src)
     slack = _certified_slack(src, units, capacity, scale)
+    # The listing's name is looked up when it is read, not bound here.
     return MmiResult(
         capacity / scale,
         Partition(m, units),
         _count_coarsenings(slack),
-        partial(_list_coarsenings, units, slack),
+        lambda: _list_coarsenings(units, slack),
     )
 
 
@@ -222,7 +220,8 @@ def _count_coarsenings(slack: list[int]) -> int:
     with low(S) in T within S, the cell that holds S's first unit.  f is
     memoized on the sets reached from all the units, and T runs over the
     submasks of S.  The union of all the units is tight, so f(all) counts
-    the one-cell partition too, which the count drops.
+    the one-cell partition too, which the count drops.  Each single unit is
+    tight (its slack is 0), so f(S) >= 1 on every set.
     """
     counts = {0: 1}
 
@@ -246,66 +245,37 @@ def _count_coarsenings(slack: list[int]) -> int:
 
 
 def _list_coarsenings(units: tuple[int, ...], slack: list[int]) -> list[tuple[int, ...]]:
-    """The minimizers `_count_coarsenings` counts, as cell tuples in restricted-growth order."""
+    """The minimizers `_count_coarsenings` counts, as sorted canonical cell tuples.
+
+    Walks f's recursion from all the units: at a set S it places each tight
+    T with low(S) in T within S, and records the cells placed once T = S,
+    if there are at least two.  As f(S) >= 1, every set it enters yields a
+    minimizer.  The tight T of each set are kept, so its submasks are run
+    through once: the walk costs f's submask steps plus the output times
+    its depth.
+    """
     union = [0]  # union[a]: the union of the units in a, as an original bitmask
     for unit in units:
         union += [u | unit for u in union]
-    return _tight_coarsenings(units, {u for u, x in zip(union, slack) if u and not x})
-
-
-def _tight_coarsenings(units: tuple[int, ...], tight: set[int]) -> list[tuple[int, ...]]:
-    """The partitions of the units into >= 2 tight unions, in restricted-growth order.
-
-    `tight` holds the nonempty tight unions as original bitmasks.
-    levels[i] holds their restrictions to the units 0..i, or None where
-    every union of those units is one.  Once unit i is placed, every cell
-    must be in levels[i]: a cell outside it must take unit i, so a node with
-    two such cells has no minimizer below it.
-    """
-    n = len(units)
-    levels: list[set[int] | None] = [None] * n
-    alive = tight
-    prefix = sum(units)  # the union of the units 0..i
-    for i in range(n - 1, 0, -1):
-        if len(alive) < (2 << i) - 1:
-            levels[i] = alive
-        prefix ^= units[i]
-        alive = {t & prefix for t in alive} - {0}
-    cells = [units[0]]
+    options: dict[int, list[int]] = {}
     minimizers: list[tuple[int, ...]] = []
 
-    def place(i: int) -> None:
-        # cells partition the units below i, each the restriction of a tight union.
-        k = len(cells)
-        bit = units[i]
-        alive = levels[i]
-        if alive is None:
-            grow, fresh = range(k), True
-        else:
-            dead = [j for j in range(k) if cells[j] not in alive]
-            if len(dead) > 1:
-                return
-            grow = [j for j in dead or range(k) if cells[j] | bit in alive]
-            fresh = not dead
-        if i == n - 1:
-            if k > 1:
-                for j in grow:
-                    cell = cells[j]
-                    cells[j] = cell | bit
-                    minimizers.append(tuple(cells))
-                    cells[j] = cell
-            if fresh:
-                minimizers.append((*cells, bit))
-            return
-        for j in grow:
-            cell = cells[j]
-            cells[j] = cell | bit
-            place(i + 1)
-            cells[j] = cell  # the original int, which later tuples share
-        if fresh:
-            cells.append(bit)
-            place(i + 1)
-            cells.pop()
+    def walk(s: int, cells: tuple[int, ...]) -> None:
+        if s not in options:
+            low = s & -s
+            sub = rest = s ^ low
+            options[s] = []
+            while True:
+                if not slack[sub | low]:
+                    options[s].append(sub | low)
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+        for t in options[s]:
+            if t != s:
+                walk(s ^ t, (*cells, union[t]))
+            elif cells:
+                minimizers.append((*cells, union[t]))
 
-    place(1)
-    return minimizers
+    walk(len(slack) - 1, ())
+    return sorted(minimizers)

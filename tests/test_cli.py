@@ -333,6 +333,7 @@ def _count_solves(monkeypatch):
 def test_check_reuses_the_analyze_report(monkeypatch, capsys):
     import skbounds.bounds
     import skbounds.cli
+    import skbounds.partitions
 
     source = parse_document(fixture_text("example2.hg"))
     scans = {"input": 0, "reduced": 0}
@@ -345,10 +346,18 @@ def test_check_reuses_the_analyze_report(monkeypatch, capsys):
 
     for module in (skbounds.bounds, skbounds.cli):
         monkeypatch.setattr(module, "mmi", count_scans(module.mmi))
+    truncations = []
+    for module in (skbounds.partitions, skbounds.bounds):
+        def counting(src, _run=module.dinkelbach):
+            truncations.append(src)
+            return _run(src)
+
+        monkeypatch.setattr(module, "dinkelbach", counting)
     solves = _count_solves(monkeypatch)
     # Every command prints from the report, so it does the work of analyze --check.
     for command in ("analyze", "mmi", "rco", "ub", "lb"):
         scans.update(input=0, reduced=0)
+        truncations.clear()
         solves["full"].clear()
         solves["rowgen"].clear()
         code, _, err = run_cli(capsys, command, "--check", str(FIXTURE_DIR / "example2.hg"))
@@ -356,6 +365,9 @@ def test_check_reuses_the_analyze_report(monkeypatch, capsys):
         assert "FAIL" not in err
         # Gamma membership and Type S read `flow.dinkelbach`: no `mmi` of the reduced source.
         assert scans == {"input": 1, "reduced": 0}, command
+        # Two truncations, as in `analyze` alone: its `mmi` and the source
+        # reduced by x*, whose checks the suite reads from the report.
+        assert len(truncations) == 2, command
         assert sorted(solves["full"]) == ["R_CO", "packing"], command
         assert sorted(solves["rowgen"]) == ["R_CO", "packing"], command
 

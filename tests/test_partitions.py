@@ -272,11 +272,11 @@ def test_mmi_builds_no_partition_per_tied_minimizer(monkeypatch, tmp_path, capsy
         calls.append(self.cells)
         post_init(self)
 
-    def listing(units, tight):
+    def listing(*args):
         raise AssertionError("the minimizers were listed")
 
     monkeypatch.setattr(Partition, "__post_init__", counting)
-    monkeypatch.setattr(skbounds.partitions, "_tight_coarsenings", listing)
+    monkeypatch.setattr(skbounds.partitions, "_list_coarsenings", listing)
     result = mmi(hg)
     assert len(calls) == 1  # P* alone
     assert result.minimizer_count == 876
@@ -290,7 +290,7 @@ def test_mmi_builds_no_partition_per_tied_minimizer(monkeypatch, tmp_path, capsy
     assert result.fundamental == P(8, [1, 3], [2], [4], [5], [6], [7], [8])
     assert len(result.minimizer_cells) == 876
     assert result.all_minimizers == tuple(Partition(8, c) for c in result.minimizer_cells)
-    # The scan's tuples are canonical: Partition keeps their order.
+    # The listed tuples are canonical: Partition keeps their order.
     assert tuple(part.cells for part in result.all_minimizers) == result.minimizer_cells
 
 

@@ -10,6 +10,7 @@ is too slow.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -113,8 +114,9 @@ def test_dinkelbach_matches_the_fraction_scan(family, scale):
         assert (capacity / L, cells) == (expected.value, expected.fundamental.cells), f"m = {m}"
 
 
-# A source where the listing meets a node with two cells that no tight
-# union can still hold, and cuts it: I = 2, P* is the singletons, and 49
+# A source where a listing that places P*'s cells one at a time meets two
+# cells that no tight union can still complete; the listing places whole
+# tight unions, so it never does.  I = 2, P* is the singletons, and 49
 # partitions tie.
 TWO_DEAD_CELLS = WeightedHypergraph(
     6,
@@ -142,6 +144,40 @@ def test_the_truncation_path_returns_the_singleton_scan_result(make, seed, m):
     result = mmi(hg)
     assert result == integer_scan(hg)
     assert result.minimizer_count == len(result.minimizer_cells)
+    assert result.minimizer_cells == tuple(sorted(result.minimizer_cells))
+
+
+@pytest.mark.parametrize(
+    "make, calls",
+    [
+        pytest.param(lambda: TWO_DEAD_CELLS, 66, id="two-dead-cells-6"),
+        pytest.param(lambda: tie_heavy_source(random.Random("path/tie"), 10), 21147, id="tie-10"),
+    ],
+)
+def test_every_set_the_listing_enters_yields_a_minimizer(make, calls):
+    # The walk enters the set of cells left after each run of tight unions
+    # it has placed, and only where some minimizer starts with that run: its
+    # calls are the proper prefixes of the listed tuples, each once.
+    result = mmi(make())
+    (walk,) = [
+        code
+        for code in skbounds.partitions._list_coarsenings.__code__.co_consts
+        if getattr(code, "co_name", None) == "walk"
+    ]
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is walk:
+            entered.append(frame.f_locals["cells"])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        cells = result.minimizer_cells
+    finally:
+        sys.setprofile(previous)
+    assert len(entered) == calls
+    assert sorted(entered) == sorted({c[:j] for c in cells for j in range(len(c))})
 
 
 def test_mmi_json_is_byte_identical_on_both_paths(monkeypatch, tmp_path, capsys):
