@@ -9,52 +9,45 @@ All quantities are exact rationals:
   partitions, and to total entropy minus the omniscience rate.
 * `upper_bound_theorem1`: the fractional-packing LP bound on the
   communication needed to reach capacity.  Randomness is removed from
-  hyperedges as long as the capacity survives; the omniscience rate of the
-  reduced source bounds the communication of the original one.  The packing
-  feasible set pairs an omniscience rate vector with the reduced source and
-  pins the reduced capacity, so LP feasibility coincides exactly with
-  capacity preservation, membership in Gamma.  `_capacity` checks the
-  latter by its definition, the capacity of the reduced source from
-  `flow.dinkelbach`; `analyze`, which keeps the check on its report for
-  `run_checks`, and `verify_gamma_membership` read it, and no path scans
-  the partitions of a reduced source.
+  hyperedges as long as the capacity survives: the bound is the least
+  total x(E) - I over Gamma = {0 <= x <= w : I(x) = I}, and x* is in Gamma.
+  `_capacity` checks that by its definition, the capacity of the reduced
+  source from `flow.dinkelbach`; `analyze`, which keeps the check on its
+  report for `run_checks`, and `verify_gamma_membership` read it, and no
+  path scans the partitions of a reduced source.
 * `graphical_bounds`: the closed forms for sources whose hyperedges are
   all pairs.  The packing bound collapses to (m - 2) * capacity, the
   interactive common information equals the weight crossing the
   fundamental partition, and the lower bound scales that crossing weight.
 
-Both LPs have the one form `lp.solve` takes: rows `>=`, every variable
->= 0 and every cost >= 0, so both start dual feasible at their slack
-basis.  R_CO's rates cost 1; the packing entries cost 1 and are bounded
-by their weights, and the packing rates cost 0.  The paper's packing LP
-leaves its rates free and pins total packing minus total rate to the
-capacity I by an equality.  Two facts give the same feasible set in the
-one form.  Every working LP holds the singleton rows, r_i >= x(edges
-inside {i}) >= 0, so the bound r >= 0 removes no point.  And capacity is
-monotone in the weights: a point that meets every subset row has rates
-in the omniscience region of the source reduced to x, so total packing
-minus total rate is at most the reduced capacity, which is at most I; the
-pin written as `>=` I therefore holds only with equality.
+Every LP has the one form `lp.solve` takes: rows `>=`, every variable >= 0
+and every cost >= 0, so it starts dual feasible at its slack basis.  Each
+is solved on the integer source (`WeightedHypergraph.integer_source`:
+weights times L, the lcm of their denominators), and what it returns is
+divided by L once: every quantity is homogeneous of degree one in the
+weights.  So every row, bound and cost is an int, as `lp.solve` requires;
+L times the capacity is a fraction n / d even on integer weights, so the
+rows that carry it are written times d.  Row generation reads each point
+as the LP dictionary's ints over its denominator D.
 
-Both LPs use one subset family, built by `_subset_row`: for every nonempty
-proper subset B, rates(B) - x(edges inside B) >= rhs, with no x and rhs the
-entropy of B given the rest for R_CO, and one x per hyperedge and rhs 0 for
-the packing LP.  `_solve_rows` is the one switch, for both LPs, between
-generating the family on demand from the singletons with
-`separation_oracle` (the default, at every m) and materializing it in
-full, the reference path that `run_checks` cross-solves with.
-`r_co_direct` and `upper_bound_theorem1`, like `mmi`, solve on the
-integer source (`WeightedHypergraph.integer_source`: weights times L, the
-lcm of their denominators; the packing LP pinned to L times the capacity)
-and divide what they return by L once: every quantity is homogeneous of
-degree one in the weights, and scaling every right-hand side and bound by
-L > 0 changes no pivot.  So every row, bound and cost is an int, as
-`lp.solve` requires, but one: L times the capacity is a fraction n/d even
-on integer weights, so the pin is written times d.  Row generation
-separates each point in the LP dictionary's ints, over its denominator d,
-against d times a table: R_CO's, built once per solve, or the packing
-LP's, built from the point.  `tests/reference_separation.py` keeps the
-`Fraction` sweep as the test oracle.
+R_CO has one row per nonempty proper subset B (`_subset_row`): the rates
+inside B cover the entropy of B given the rest.  By default they are
+generated from the singletons by `separation_oracle`, against D times the
+conditional-entropy table built once per solve; "full" materializes them,
+the path `run_checks` cross-solves with.  `tests/reference_separation.py`
+keeps the `Fraction` sweep as the test oracle.
+
+UB's LP is over Gamma itself.  A group's entropy is the weight of the edges
+that meet it, and I is monotone in the weights, so Gamma has one row per
+partition P with two cells or more: the sum over the edges e of
+(cells of P that e meets - 1) * x_e >= I * (|P| - 1); a singleton meets
+one cell of every P and gets no column.  Rows are generated from the
+singletons' partition.  x meets them all exactly when no P has a sum of
+H_x(C) - I over its cells C below x(E) - I, the one-cell partition's, and
+`flow.truncation` finds the least sum in m min cuts (Narayanan 1991;
+Fujishige, *Submodular Functions and Optimization*, 2005).  Method "full"
+solves the paper's subset-row LP, which `run_checks` cross-solves with;
+`tests/reference_packing.py` keeps it, with both row methods, as the oracle.
 
 Each report identity is written once, in `_report_checks`: `analyze` raises
 on it and keeps the list on the report, and `run_checks` lists it from
@@ -68,18 +61,13 @@ import operator
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 from .errors import InternalInvariantError
-from .flow import dinkelbach
+from .flow import dinkelbach, truncation
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
-from .lp import (
-    OPTIMAL,
-    Constraint,
-    LinearProgram,
-    solve,
-    solve_with_row_generation,
-)
+from .lp import OPTIMAL, Constraint, LinearProgram, solve, solve_with_row_generation
 from .partitions import MmiResult, cross_edges, mmi
 from .rational import to_integers
 
@@ -128,7 +116,8 @@ def separation_oracle(inside: Sequence, rates: Sequence) -> Optional[int]:
     """Most violated subset row rates(B) >= inside[B], or None if none is violated.
 
     `inside[B]` is the weight subset mask B must cover: R_CO passes its
-    conditional-entropy table, the packing LP `subset_weight_table(m, x)`.
+    conditional-entropy table (the subset-row packing LP of
+    `tests/reference_packing.py` passes `subset_weight_table(m, x)`).
     Minimizes rates(B) - inside[B] over nonempty proper subsets B and returns
     the minimizing mask (smallest on ties) when the minimum is negative.
     Works in the type of its inputs; row generation passes ints, both sides
@@ -147,26 +136,6 @@ def _subset_row(edges: Sequence[int], m: int, mask: int, rhs: int) -> Constraint
     coeffs = [-1 if e & ~mask == 0 else 0 for e in edges]
     coeffs += [mask >> i & 1 for i in range(m)]
     return Constraint(tuple(coeffs), rhs)
-
-
-def _solve_rows(m: int, method: str, build, inside, row):
-    """Solve over the subset rows, in full or by row generation: the one switch.
-
-    `build(masks)` is the LP with the subset rows of `masks`.  With "full"
-    it gets every nonempty proper subset.  With "rowgen" it gets the
-    singletons, and each round adds `row(mask)` for the most violated subset
-    until none is: the round reads the point as the dictionary's ints xs
-    over its denominator d, and `inside(xs, d)` returns d times the table
-    that the point's rates (its last m entries) must cover.
-    """
-    if method == "full":
-        return solve(build(range(1, (1 << m) - 1)))
-
-    def oracle(xs: Sequence[int], d: int) -> Optional[Constraint]:
-        mask = separation_oracle(inside(xs, d), xs[-m:])
-        return None if mask is None else row(mask)
-
-    return solve_with_row_generation(build([1 << i for i in range(m)]), oracle, 1 << m)
 
 
 def build_rco_lp(hg: WeightedHypergraph, subset_masks, cond) -> LinearProgram:
@@ -196,44 +165,67 @@ def r_co_direct(hg: WeightedHypergraph, *, method: Method = "auto") -> tuple[Fra
     m = hg.m
     src, scale = hg.integer_source()
     table = subset_weight_table(m, src.weights)
-    sol = _solve_rows(
-        m,
-        method,
-        lambda masks: build_rco_lp(src, masks, table),
-        lambda xs, d: table if d == 1 else [v * d for v in table],
-        lambda mask: _subset_row((), m, mask, table[mask]),
-    )
+    if method == "full":
+        sol = solve(build_rco_lp(src, range(1, (1 << m) - 1), table))
+    else:
+
+        def oracle(xs: Sequence[int], d: int) -> Optional[Constraint]:
+            mask = separation_oracle(table if d == 1 else [v * d for v in table], xs)
+            return None if mask is None else _subset_row((), m, mask, table[mask])
+
+        base = build_rco_lp(src, [1 << i for i in range(m)], table)
+        sol = solve_with_row_generation(base, oracle, 1 << m)
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"omniscience LP reported {sol.status}")
     return sol.objective_value / scale, RatePoint(tuple(r / scale for r in sol.point))
 
 
-def build_gamma_lp(hg: WeightedHypergraph, mmi_value: Fraction, subset_masks) -> LinearProgram:
-    """Fractional-packing LP behind the communication upper bound, on an integer source.
+def _partition_row(edges: Sequence[int], cells: Sequence[int], n: int, d: int) -> Constraint:
+    """The row of P = `cells`: the sum of d * (cells e meets - 1) * x_e >= n * (|P| - 1)."""
+    coeffs = tuple(d * (sum(1 for c in cells if c & e) - 1) for e in edges)
+    return Constraint(coeffs, n * (len(cells) - 1))
 
-    Variables are one packing entry per hyperedge (bounded by the weights)
-    plus one rate per terminal, all >= 0.  Minimizes total retained weight
-    subject to rates(B) >= packing weight inside B for every subset B in
-    `subset_masks` (every nonempty proper subset for the full LP), and the
-    pin total packing minus total rate >= the capacity `mmi_value`, which
-    holds with equality at every point that meets the whole subset family
-    (module docstring).  On integer weights the capacity is still a
-    fraction n/d (a minimum of ratios over |P| - 1), and `lp.solve` takes
-    ints, so the pin is written times d: d * (packing - rates) >= n.
+
+def build_gamma_lp(hg: WeightedHypergraph, edges: Sequence[int], n: int, d: int) -> LinearProgram:
+    """UB's working LP over Gamma, with L * I = n / d: the row of the singletons.
+
+    One column per hyperedge of `edges`, the non-singleton ones: cost 1, bounded by its weight.
     """
-    edges = hg.edges
+    return LinearProgram(
+        variables=[f"x{format_subset(e)}" for e in edges],
+        objective=[1] * len(edges),
+        constraints=[_partition_row(edges, [1 << i for i in range(hg.m)], n, d)],
+        upper=[hg.weights[e] for e in edges],
+    )
+
+
+def _subset_packing_lp(hg: WeightedHypergraph, n: int, d: int) -> LinearProgram:
+    """UB's "full" path: the paper's packing LP with every subset row, on an integer source.
+
+    Columns 0 <= x_e <= w_e and rates r_i >= 0; rows rates(B) >= x(edges
+    inside B) and the pin d * (x(E) - r(M)) >= n.  The paper's free rates and
+    equality pin give the same set: the singleton rows give r >= 0, and on
+    every subset row x(E) - r(M) is at most the reduced source's capacity,
+    at most I.
+    """
+    edges, m = hg.edges, hg.m
     k = len(edges)
-    m = hg.m
-    names = [f"x{format_subset(e)}" for e in edges] + [f"r{i}" for i in range(1, m + 1)]
     lp = LinearProgram(
-        variables=names,
+        variables=[f"x{format_subset(e)}" for e in edges] + [f"r{i}" for i in range(1, m + 1)],
         objective=[1] * k + [0] * m,
-        constraints=[_subset_row(edges, m, mask, 0) for mask in subset_masks],
+        constraints=[_subset_row(edges, m, mask, 0) for mask in range(1, (1 << m) - 1)],
         upper=[hg.weights[e] for e in edges] + [None] * m,
     )
-    (n,), d = to_integers([mmi_value])
     lp.add_constraint([d] * k + [-d] * m, n)
     return lp
+
+
+def _bell(m: int) -> int:
+    """The number of partitions of m terminals, by the Bell triangle."""
+    row = [1]
+    for _ in range(m - 1):
+        row = list(accumulate(row, initial=row[-1]))
+    return row[-1]
 
 
 def upper_bound_theorem1(
@@ -245,25 +237,33 @@ def upper_bound_theorem1(
     """Packing-LP upper bound on the communication to reach capacity.
 
     Returns the bound (optimal total packing minus capacity) and an optimal
-    packing.  The full weight vector is always feasible, so the bound never
-    exceeds the omniscience rate; a non-optimal LP status is a bug.
+    packing, 0 on singleton edges.  Each round hands `flow.truncation` the
+    point's ints xs, as weights, at gamma = n * D / d; a least sum below
+    xs(E) - gamma gives the violated row of the truncation's cells.  The
+    full weight vector is always feasible, so the bound never exceeds the
+    omniscience rate; a non-optimal LP status is a bug.
     """
     method = _resolve_method(method)
     mres = mmi_result if mmi_result is not None else mmi(hg)
-    m = hg.m
     src, scale = hg.integer_source()
-    edges = src.edges
-    sol = _solve_rows(
-        m,
-        method,
-        lambda masks: build_gamma_lp(src, mres.value * scale, masks),
-        lambda xs, d: subset_weight_table(m, dict(zip(edges, xs))),
-        lambda mask: _subset_row(edges, m, mask, 0),
-    )
+    (n,), d = to_integers([mres.value * scale])
+    if method == "full":
+        edges = src.edges
+        sol = solve(_subset_packing_lp(src, n, d))
+    else:
+        edges = [e for e in src.edges if e & (e - 1)]
+
+        def oracle(xs: Sequence[int], den: int) -> Optional[Constraint]:
+            gamma = Fraction(n * den, d)
+            least, cells = truncation(WeightedHypergraph(src.m, dict(zip(edges, xs))), gamma)
+            return _partition_row(edges, cells, n, d) if least < sum(xs) - gamma else None
+
+        sol = solve_with_row_generation(build_gamma_lp(src, edges, n, d), oracle, _bell(src.m) - 1)
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"packing LP reported {sol.status}")
-    packing = FractionalPacking({e: x / scale for e, x in zip(edges, sol.point)})
-    return sol.objective_value / scale - mres.value, packing
+    entries = dict.fromkeys(src.edges, Fraction(0))
+    entries.update((e, x / scale) for e, x in zip(edges, sol.point))
+    return sol.objective_value / scale - mres.value, FractionalPacking(entries)
 
 
 def _capacity(hg: WeightedHypergraph) -> tuple[Fraction, int]:

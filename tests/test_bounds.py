@@ -33,7 +33,7 @@ from conftest import (
     random_graph,
     random_hypergraph,
 )
-from reference_scan import integer_scan, reference_mmi
+from reference_scan import _raw_partitions, integer_scan, reference_mmi
 from test_scan_oracle import FAMILIES
 
 F = Fraction
@@ -101,24 +101,29 @@ def test_build_rco_lp_row_count():
 
 
 def test_build_gamma_lp_shape():
-    lp = build_gamma_lp(EXAMPLE1_INT, F(3, 2), proper_subsets(4))
-    assert len(lp.variables) == 8  # 4 packing entries + 4 rates
-    assert len(lp.constraints) == 15  # 14 subset rows + the capacity pin
-    # The pin, total packing minus total rate >= I = 3/2, written times 2.
-    pin = lp.constraints[-1]
-    assert pin.coeffs == (2,) * 4 + (-2,) * 4 and pin.rhs == 3
-    # packing entries carry their weight bounds, rates only the bound 0
-    assert lp.upper == [2, 1, 1, 1] + [None] * 4
+    # I = 3/2 is n / d = 3 / 2 on the integer source (L = 1).
+    lp = build_gamma_lp(EXAMPLE1_INT, EXAMPLE1_INT.edges, 3, 2)
+    assert len(lp.variables) == 4  # one packing entry per edge, no rates
+    assert lp.objective == [1] * 4
+    # The working LP starts from the singletons' row, written times d = 2:
+    # every pair meets two cells, and 3 * (4 - 1) = 9.
+    (row,) = lp.constraints
+    assert row.coeffs == (2,) * 4 and row.rhs == 9
+    # packing entries carry their weight bounds
+    assert lp.upper == [2, 1, 1, 1]
 
 
 def test_gamma_lp_feasibility_witness():
-    # the full weight vector with an omniscience-optimal rate point is feasible
-    lp = build_gamma_lp(EXAMPLE1_INT, F(3, 2), proper_subsets(4))
-    _, rates = r_co_direct(EXAMPLE1_INT)
-    point = [EXAMPLE1_INT.weights[e] for e in EXAMPLE1_INT.edges] + list(rates.rates)
+    # The full weight vector meets the row of every partition of the
+    # terminals, the working LP's singletons row among them.
+    edges, weights = EXAMPLE1_INT.edges, EXAMPLE1_INT.weights
+    lp = build_gamma_lp(EXAMPLE1_INT, edges, 3, 2)
+    for cells in _raw_partitions(4, min_cells=2):
+        coeffs = [2 * (sum(1 for c in cells if c & e) - 1) for e in edges]
+        lp.add_constraint(coeffs, 3 * (len(cells) - 1))
+    assert len(lp.constraints) == 1 + 14  # the seed row, then Bell(4) - 1 partitions
     for con in lp.constraints:
-        lhs = sum(c * x for c, x in zip(con.coeffs, point))
-        assert lhs >= con.rhs
+        assert sum(c * weights[e] for c, e in zip(con.coeffs, edges)) >= con.rhs
 
 
 def test_upper_bound_example1_value_and_unique_packing():

@@ -21,6 +21,8 @@ from skbounds.lp import LinearProgram, _verify, solve
 from skbounds.rational import to_integers
 
 from conftest import FIXTURE_DIR, fixture_text, proper_subsets, random_graph, random_hypergraph
+from reference_packing import subset_packing_lp
+from reference_scan import _raw_partitions
 from reference_simplex import GeneralLP, reference_solve
 
 RANDOM_LP_COUNT = 200
@@ -90,8 +92,19 @@ def test_package_lps_match_reference(family):
         src, scale = hg.integer_source()  # the LPs take ints
         masks, cond = proper_subsets(src.m), subset_weight_table(src.m, src.weights)
         assert _assert_same(build_rco_lp(src, masks, cond), f"rco {i}") == "optimal"
-        gamma = build_gamma_lp(src, mmi(hg).value * scale, masks)
+        # The LP over Gamma with the row of every partition, and the
+        # subset-row packing LP of the reference: one optimum.
+        capacity = mmi(hg).value * scale
+        (n,), d = to_integers([capacity])
+        edges = [e for e in src.edges if e & (e - 1)]
+        gamma = build_gamma_lp(src, edges, n, d)
+        for cells in _raw_partitions(src.m, min_cells=2):
+            coeffs = [d * (sum(1 for c in cells if c & e) - 1) for e in edges]
+            gamma.add_constraint(coeffs, n * (len(cells) - 1))
         assert _assert_same(gamma, f"gamma {i}") == "optimal"
+        subset_rows = subset_packing_lp(src, capacity, masks)
+        assert _assert_same(subset_rows, f"subset rows {i}") == "optimal"
+        assert solve(gamma).objective_value == solve(subset_rows).objective_value, i
 
 
 def _subset_rows(m: int, edges, inside):

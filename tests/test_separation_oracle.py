@@ -1,13 +1,15 @@
-"""Integer row generation against the plain Fraction sweep it replaced.
+"""Integer row generation over subset rows against the plain Fraction sweep it replaced.
 
 Row generation separates in ints, each round's point as the LP's dictionary
 holds it, over its denominator; `reference_separation` is the old
 `Fraction` sweep.  At every point the
 solver reaches, the row it adds (or its certificate that none is violated)
 must be the one the sweep picks, so the rows, pivots and optimal points
-are those of the Fraction code.  Both LPs are solved on the integer source
-(weights times L, the lcm of their denominators), so the reference tables
-are built from it too.
+are those of the Fraction code.  The subset rows are R_CO's, in the
+package, and those of the subset-row packing LP that
+`tests/reference_packing.py` keeps as the oracle of UB(Thm 1).  Both LPs are
+solved on the integer source (weights times L, the lcm of their
+denominators), so the reference tables are built from it too.
 """
 
 import random
@@ -15,9 +17,10 @@ from fractions import Fraction
 
 import pytest
 
+import reference_packing
 import skbounds.bounds
 import skbounds.lp
-from skbounds import WeightedHypergraph, r_co_direct, subset_weight_table, upper_bound_theorem1
+from skbounds import WeightedHypergraph, mmi, r_co_direct, subset_weight_table, upper_bound_theorem1
 from skbounds.rational import to_integers
 
 from conftest import cycle_plus_edges, random_graph, random_hypergraph
@@ -47,10 +50,14 @@ def _row_mask(row, m):
     return None if row is None else sum(1 << i for i, c in enumerate(row.coeffs[-m:]) if c == 1)
 
 
-def _record_rounds(monkeypatch, hg, reference_table):
-    """Check each round's row against the reference sweep; returns the list of added masks."""
+def _record_rounds(monkeypatch, module, hg, reference_table):
+    """Check each round's row against the reference sweep; returns the list of added masks.
+
+    `module` is the one whose `solve_with_row_generation` the solve calls:
+    `skbounds.bounds` for R_CO, `reference_packing` for the packing LP.
+    """
     m, added = hg.m, []
-    solve_rowgen = skbounds.bounds.solve_with_row_generation
+    solve_rowgen = module.solve_with_row_generation
 
     def checked(base, oracle, max_rounds):
         def compare(xs, den):
@@ -64,7 +71,7 @@ def _record_rounds(monkeypatch, hg, reference_table):
 
         return solve_rowgen(base, compare, max_rounds)
 
-    monkeypatch.setattr(skbounds.bounds, "solve_with_row_generation", checked)
+    monkeypatch.setattr(module, "solve_with_row_generation", checked)
     return added
 
 
@@ -78,14 +85,17 @@ def test_row_generation_adds_the_rows_of_the_fraction_sweep(monkeypatch, family,
         src, _ = hg.integer_source()
         edges, cond = src.edges, subset_weight_table(m, src.weights)
         with monkeypatch.context() as patch:
-            added = _record_rounds(patch, hg, lambda point: cond)
+            added = _record_rounds(patch, skbounds.bounds, hg, lambda point: cond)
             r_co_direct(hg, method="rowgen")
             rco_rows += len(added)
         with monkeypatch.context() as patch:
             added = _record_rounds(
-                patch, hg, lambda point: subset_weight_table(m, dict(zip(edges, point)))
+                patch,
+                reference_packing,
+                hg,
+                lambda point: subset_weight_table(m, dict(zip(edges, point))),
             )
-            upper_bound_theorem1(hg, method="rowgen")
+            reference_packing.reference_packing(hg, mmi(hg).value)
             packing_rows += len(added)
     # Both LPs needed rows beyond the singletons they start from.
     assert rco_rows > 0 and packing_rows > 0
@@ -95,14 +105,14 @@ class _Captured(Exception):
     pass
 
 
-def _round_oracle(monkeypatch, solve_lp):
-    """The per-round oracle that `solve_lp()` hands to row generation, before any solve."""
+def _round_oracle(monkeypatch, module, solve_lp):
+    """The oracle that `solve_lp()` hands to `module`'s row generation, before any solve."""
 
     def capture(base, oracle, max_rounds):
         raise _Captured(oracle)
 
     with monkeypatch.context() as patch:
-        patch.setattr(skbounds.bounds, "solve_with_row_generation", capture)
+        patch.setattr(module, "solve_with_row_generation", capture)
         with pytest.raises(_Captured) as captured:
             solve_lp()
     return captured.value.args[0]
@@ -129,8 +139,13 @@ def test_a_round_separates_like_the_fraction_sweep_at_any_point(monkeypatch, sca
         src, common = hg.integer_source()
         factor = common * SCALES[scale]
         edges, cond = src.edges, subset_weight_table(m, src.weights)
-        rco = _round_oracle(monkeypatch, lambda: r_co_direct(hg, method="rowgen"))
-        packing = _round_oracle(monkeypatch, lambda: upper_bound_theorem1(hg, method="rowgen"))
+        capacity = mmi(hg).value
+        rco = _round_oracle(monkeypatch, skbounds.bounds, lambda: r_co_direct(hg, method="rowgen"))
+        packing = _round_oracle(
+            monkeypatch,
+            reference_packing,
+            lambda: reference_packing.reference_packing(hg, capacity),
+        )
         for _ in range(20):
             rates = tuple(
                 factor * Fraction(rng.randint(-2, 8), rng.choice((1, 2, 5, 7))) for _ in range(m)
@@ -153,9 +168,10 @@ def test_row_generation_separates_in_ints(monkeypatch):
         return oracle(inside, rates)
 
     monkeypatch.setattr(skbounds.bounds, "separation_oracle", typed)
+    monkeypatch.setattr(reference_packing, "separation_oracle", typed)
     r_co_direct(hg, method="rowgen")
     rco_rounds = len(seen)
-    upper_bound_theorem1(hg, method="rowgen")
+    reference_packing.reference_packing(hg, mmi(hg).value)
     assert 0 < rco_rounds < len(seen)
     assert all(types == {int} for types in seen)
 

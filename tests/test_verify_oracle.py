@@ -5,8 +5,9 @@ checks every bound and row of the int LP in ints; `reference_verify`
 forms the rationals xs / den and sums every row in `Fraction`s.  On seeded
 LPs and points both must raise on the same points with the same message.
 The LP engine scales nothing to integers itself, and no round of row
-generation calls `to_integers` or builds a `Fraction`: the oracle reads the
-dictionary's own ints.
+generation builds a `Fraction` in `lp` or calls `to_integers` beyond what
+its oracle needs: R_CO's sweep reads the dictionary's own ints, and the
+packing LP's truncation converts only its gamma.
 """
 
 import math
@@ -104,12 +105,15 @@ def test_integer_check_matches_the_fraction_check():
 
 def test_row_generation_builds_each_integer_form_once(monkeypatch):
     # Count to_integers calls by caller through R_CO and UB solves by row
-    # generation at m = 10.  `lp` takes ints and scales nothing, and the
-    # oracle reads each round's point as the dictionary's ints: the only
-    # calls are the integer source, built once per hypergraph (each solve
-    # gets a fresh copy, which has not built it yet), and the packing LP's
-    # capacity pin.  `lp` builds `Fraction`s only for a solution:
-    # round one's `solve` and the result, each n + 1 of them.
+    # generation on the m = 12 ladder source, where each takes at least 10
+    # rounds.  `lp` takes ints and scales nothing, and the oracles read each
+    # round's point as the dictionary's ints: the only calls are the integer
+    # source, built once per hypergraph (each solve gets a fresh copy, which
+    # has not built it yet), UB's capacity n / d, and one per round in UB's
+    # truncation, which puts its gamma n * den / d over one denominator.
+    # `lp` builds `Fraction`s only for a solution: round one's `solve` and
+    # the result, each n + 1 of them, n the LP's columns: the rates for
+    # R_CO, the k' non-singleton edges for UB.
     assert not hasattr(skbounds.lp, "to_integers")
     calls = Counter()
     fractions = []
@@ -130,17 +134,17 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
         checked.append(len(lp.constraints))
         verify(lp, xs, den)
 
-    hg = cycle_plus_edges(random.Random(1010), 10)
+    hg = cycle_plus_edges(random.Random(12), 12)
     capacity = mmi(hg)
     for name, module in list(sys.modules.items()):
         if name.startswith("skbounds") and hasattr(module, "to_integers"):
             monkeypatch.setattr(module, "to_integers", counting)
     monkeypatch.setattr(skbounds.lp, "_verify", recording)
     monkeypatch.setattr(skbounds.lp, "Fraction", counting_fraction)
-    k = len(hg.edges)
-    for run, pins, n in (
+    k = sum(1 for e in hg.edges if e & (e - 1))
+    for run, ub, n in (
         (lambda g: r_co_direct(g, method="rowgen"), 0, hg.m),
-        (lambda g: upper_bound_theorem1(g, mmi_result=capacity, method="rowgen"), 1, k + hg.m),
+        (lambda g: upper_bound_theorem1(g, mmi_result=capacity, method="rowgen"), 1, k),
     ):
         calls.clear()
         checked.clear()
@@ -149,7 +153,9 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
         assert len(checked) >= 10
         expected = {
             ("skbounds.hypergraph", "integer_source"): 1,
-            ("skbounds.bounds", "build_gamma_lp"): pins,
+            ("skbounds.bounds", "upper_bound_theorem1"): ub,
+            # One truncation per check: each checked point goes to the oracle.
+            ("skbounds.flow", "truncation"): ub * len(checked),
         }
         assert calls == Counter({k: v for k, v in expected.items() if v}), calls
         assert len(fractions) == 2 * (n + 1)
