@@ -31,11 +31,11 @@ rows that carry it are written times d.  Row generation reads each point
 as the LP dictionary's ints over its denominator D.
 
 R_CO has one row per nonempty proper subset B (`_subset_row`): the rates
-inside B cover the entropy of B given the rest.  By default they are
-generated from the singletons by `separation_oracle`, against D times the
-conditional-entropy table built once per solve; "full" materializes them,
-the path `run_checks` cross-solves with.  `tests/reference_separation.py`
-keeps the `Fraction` sweep as the test oracle.
+inside B cover the entropy of B given the rest.  They are generated from
+the singletons by `separation_oracle`, against D times the
+conditional-entropy table built once per solve.  `tests/reference_rco.py`
+keeps the LP with every row, and `tests/reference_separation.py` the
+`Fraction` sweep, as test oracles.
 
 UB's LP is over Gamma itself.  A group's entropy is the weight of the edges
 that meet it, and I is monotone in the weights, so Gamma has one row per
@@ -45,14 +45,16 @@ one cell of every P and gets no column.  Rows are generated from the
 singletons' partition.  x meets them all exactly when no P has a sum of
 H_x(C) - I over its cells C below x(E) - I, the one-cell partition's, and
 `flow.truncation` finds the least sum in m min cuts (Narayanan 1991;
-Fujishige, *Submodular Functions and Optimization*, 2005).  Method "full"
-solves the paper's subset-row LP, which `run_checks` cross-solves with;
-`tests/reference_packing.py` keeps it, with both row methods, as the oracle.
+Fujishige, *Submodular Functions and Optimization*, 2005).  The paper's
+subset-row LP stays in `tests/reference_packing.py`, with both row
+methods, as the oracle.
 
-Each report identity is written once, in `_report_checks`: `analyze` raises
-on it and keeps the list on the report, and `run_checks` lists it from
-there beside the checks that need another solve, so no identity and no
-capacity of the reduced source is computed twice.
+`lp` certifies each optimum by LP duality.  Each report identity is
+written once, in `_report_checks`: `analyze` raises on it and keeps the
+list on the report, and `run_checks` adds only the rate point's sweep
+against every subset row.  With R_CO = H - I that point proves R_CO
+optimal, and with x* in Gamma and UB = x*(E) - I the certified LP proves
+UB optimal over all of Gamma.
 """
 
 from __future__ import annotations
@@ -67,11 +69,11 @@ from typing import Mapping, Optional, Sequence
 from .errors import InternalInvariantError
 from .flow import dinkelbach, truncation
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
+# `solve` has no caller here; perfbench's tracer requires this import site of it.
 from .lp import OPTIMAL, Constraint, LinearProgram, solve, solve_with_row_generation
 from .partitions import MmiResult, cross_edges, mmi
 from .rational import to_integers
 
-Method = str  # "auto" (= "rowgen") | "full" | "rowgen"
 Check = tuple[str, bool, object, object]  # (label, ok, value, expected)
 
 
@@ -99,17 +101,16 @@ class AnalysisReport:
     entropy_total: Fraction
     mmi: MmiResult
     r_co: Fraction
+    rates: RatePoint  # the optimal rate point behind r_co
     ub_theorem1: Fraction
     x_star: FractionalPacking
     graphical: Optional[GraphicalBounds]
-    method: str  # the resolved row method: "rowgen" by default, or "full"
     checks: tuple[Check, ...] = ()  # the identities `analyze` enforced, from `_report_checks`
 
 
-def _resolve_method(method: Method) -> str:
-    if method not in ("auto", "full", "rowgen"):
+def _check_method(method: str) -> None:
+    if method not in ("auto", "rowgen"):
         raise ValueError(f"unknown method {method!r}")
-    return "rowgen" if method == "auto" else method
 
 
 def separation_oracle(inside: Sequence, rates: Sequence) -> Optional[int]:
@@ -131,50 +132,40 @@ def separation_oracle(inside: Sequence, rates: Sequence) -> Optional[int]:
     return gaps.index(least, 1) if least < 0 else None
 
 
-def _subset_row(edges: Sequence[int], m: int, mask: int, rhs: int) -> Constraint:
-    """The row rates(B) - x(edges inside B) >= rhs; the rates are the last m variables."""
-    coeffs = [-1 if e & ~mask == 0 else 0 for e in edges]
-    coeffs += [mask >> i & 1 for i in range(m)]
-    return Constraint(tuple(coeffs), rhs)
+def _subset_row(m: int, mask: int, rhs: int) -> Constraint:
+    """The row rates(B) >= rhs of the subset B = `mask`."""
+    return Constraint(tuple(mask >> i & 1 for i in range(m)), rhs)
 
 
-def build_rco_lp(hg: WeightedHypergraph, subset_masks, cond) -> LinearProgram:
-    """Omniscience-rate LP: min total rate over the subset-entropy region.
+def build_rco_lp(hg: WeightedHypergraph, cond) -> LinearProgram:
+    """R_CO's working LP: min total rate, each terminal's covering its entropy given the rest.
 
-    One row per subset B in `subset_masks` (every nonempty proper subset for
-    the full LP, the singletons to seed row generation): the rates inside B
-    must cover the entropy of B given the rest.  `cond` is the source's
-    conditional-entropy table, `subset_weight_table(hg.m, hg.weights)`,
-    which the caller builds once for the LP and its separation.  On the
-    integer source every right-hand side is an int.
+    `cond` is `subset_weight_table(hg.m, hg.weights)`, built once by the
+    caller for the LP and its separation; on the integer source it holds ints.
     """
     return LinearProgram(
         variables=[f"R{i}" for i in range(1, hg.m + 1)],
         objective=[1] * hg.m,
-        constraints=[_subset_row((), hg.m, mask, cond[mask]) for mask in subset_masks],
+        constraints=[_subset_row(hg.m, 1 << i, cond[1 << i]) for i in range(hg.m)],
     )
 
 
-def r_co_direct(hg: WeightedHypergraph, *, method: Method = "auto") -> tuple[Fraction, RatePoint]:
+def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fraction, RatePoint]:
     """Minimum omniscience communication rate with an achieving rate point.
 
     Infeasibility is impossible (each terminal broadcasting its own entropy
     is feasible), so a non-optimal status is reported as an internal error.
     """
-    method = _resolve_method(method)
+    _check_method(method)
     m = hg.m
     src, scale = hg.integer_source()
     table = subset_weight_table(m, src.weights)
-    if method == "full":
-        sol = solve(build_rco_lp(src, range(1, (1 << m) - 1), table))
-    else:
 
-        def oracle(xs: Sequence[int], d: int) -> Optional[Constraint]:
-            mask = separation_oracle(table if d == 1 else [v * d for v in table], xs)
-            return None if mask is None else _subset_row((), m, mask, table[mask])
+    def oracle(xs: Sequence[int], d: int) -> Optional[Constraint]:
+        mask = separation_oracle(table if d == 1 else [v * d for v in table], xs)
+        return None if mask is None else _subset_row(m, mask, table[mask])
 
-        base = build_rco_lp(src, [1 << i for i in range(m)], table)
-        sol = solve_with_row_generation(base, oracle, 1 << m)
+    sol = solve_with_row_generation(build_rco_lp(src, table), oracle, 1 << m)
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"omniscience LP reported {sol.status}")
     return sol.objective_value / scale, RatePoint(tuple(r / scale for r in sol.point))
@@ -199,27 +190,6 @@ def build_gamma_lp(hg: WeightedHypergraph, edges: Sequence[int], n: int, d: int)
     )
 
 
-def _subset_packing_lp(hg: WeightedHypergraph, n: int, d: int) -> LinearProgram:
-    """UB's "full" path: the paper's packing LP with every subset row, on an integer source.
-
-    Columns 0 <= x_e <= w_e and rates r_i >= 0; rows rates(B) >= x(edges
-    inside B) and the pin d * (x(E) - r(M)) >= n.  The paper's free rates and
-    equality pin give the same set: the singleton rows give r >= 0, and on
-    every subset row x(E) - r(M) is at most the reduced source's capacity,
-    at most I.
-    """
-    edges, m = hg.edges, hg.m
-    k = len(edges)
-    lp = LinearProgram(
-        variables=[f"x{format_subset(e)}" for e in edges] + [f"r{i}" for i in range(1, m + 1)],
-        objective=[1] * k + [0] * m,
-        constraints=[_subset_row(edges, m, mask, 0) for mask in range(1, (1 << m) - 1)],
-        upper=[hg.weights[e] for e in edges] + [None] * m,
-    )
-    lp.add_constraint([d] * k + [-d] * m, n)
-    return lp
-
-
 def _bell(m: int) -> int:
     """The number of partitions of m terminals, by the Bell triangle."""
     row = [1]
@@ -232,7 +202,7 @@ def upper_bound_theorem1(
     hg: WeightedHypergraph,
     *,
     mmi_result: Optional[MmiResult] = None,
-    method: Method = "auto",
+    method: str = "auto",
 ) -> tuple[Fraction, FractionalPacking]:
     """Packing-LP upper bound on the communication to reach capacity.
 
@@ -243,22 +213,18 @@ def upper_bound_theorem1(
     full weight vector is always feasible, so the bound never exceeds the
     omniscience rate; a non-optimal LP status is a bug.
     """
-    method = _resolve_method(method)
+    _check_method(method)
     mres = mmi_result if mmi_result is not None else mmi(hg)
     src, scale = hg.integer_source()
     (n,), d = to_integers([mres.value * scale])
-    if method == "full":
-        edges = src.edges
-        sol = solve(_subset_packing_lp(src, n, d))
-    else:
-        edges = [e for e in src.edges if e & (e - 1)]
+    edges = [e for e in src.edges if e & (e - 1)]
 
-        def oracle(xs: Sequence[int], den: int) -> Optional[Constraint]:
-            gamma = Fraction(n * den, d)
-            least, cells = truncation(WeightedHypergraph(src.m, dict(zip(edges, xs))), gamma)
-            return _partition_row(edges, cells, n, d) if least < sum(xs) - gamma else None
+    def oracle(xs: Sequence[int], den: int) -> Optional[Constraint]:
+        gamma = Fraction(n * den, d)
+        least, cells = truncation(WeightedHypergraph(src.m, dict(zip(edges, xs))), gamma)
+        return _partition_row(edges, cells, n, d) if least < sum(xs) - gamma else None
 
-        sol = solve_with_row_generation(build_gamma_lp(src, edges, n, d), oracle, _bell(src.m) - 1)
+    sol = solve_with_row_generation(build_gamma_lp(src, edges, n, d), oracle, _bell(src.m) - 1)
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"packing LP reported {sol.status}")
     entries = dict.fromkeys(src.edges, Fraction(0))
@@ -312,8 +278,10 @@ def _report_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check
     rco, ub, capacity = report.r_co, report.ub_theorem1, report.mmi.value
     identity = report.entropy_total - capacity
     kept, size = _capacity(hg.restrict(report.x_star.entries))
+    packed = sum(report.x_star.entries.values()) - capacity
     checks = [
         ("R_CO identity (H - I)", rco == identity, rco, identity),
+        ("UB = x*(E) - I", ub == packed, ub, packed),
         ("dominance UB <= R_CO", ub <= rco, ub, rco),
         ("x* preserves capacity (Gamma membership)", kept == capacity, kept, capacity),
     ]
@@ -328,17 +296,18 @@ def _report_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check
     return checks
 
 
-def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisReport:
+def analyze(hg: WeightedHypergraph, *, method: str = "auto") -> AnalysisReport:
     """Full report: entropy, capacity, omniscience rate, packing bound, graph bounds.
 
     Raises InternalInvariantError, with both values, on the first identity
-    of `_report_checks` that the report breaks (R_CO = H - I, UB <= R_CO,
-    x* in Gamma, and on graphs UB = (m - 2) I, LB <= UB, LB = CI - I, Type
-    S reduced source); a violation signals a bug.
+    of `_report_checks` that the report breaks (R_CO = H - I,
+    UB = x*(E) - I, UB <= R_CO, x* in Gamma, and on graphs UB = (m - 2) I,
+    LB <= UB, LB = CI - I, Type S reduced source); a violation signals a
+    bug.
     """
-    method = _resolve_method(method)
+    _check_method(method)
     mres = mmi(hg)
-    r_co, _rates = r_co_direct(hg, method=method)
+    r_co, rates = r_co_direct(hg, method=method)
     ub1, x_star = upper_bound_theorem1(hg, mmi_result=mres, method=method)
     graphical: Optional[GraphicalBounds] = None
     if hg.is_graph:
@@ -349,10 +318,10 @@ def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisRepor
         entropy_total=hg.total_entropy,
         mmi=mres,
         r_co=r_co,
+        rates=rates,
         ub_theorem1=ub1,
         x_star=x_star,
         graphical=graphical,
-        method=method,
     )
     checks = tuple(_report_checks(hg, report))
     for label, ok, value, expected in checks:
@@ -362,20 +331,22 @@ def analyze(hg: WeightedHypergraph, *, method: Method = "auto") -> AnalysisRepor
 
 
 def run_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
-    """Invariant suite over `report = analyze(hg, ...)`.
+    """Invariant suite over `report = analyze(hg)`.
 
-    Each entry is (label, ok, value, expected).  Beside the identities
-    `analyze` enforced, which it reads from `report.checks`, the suite
-    solves both LPs again with the row method the report did not use.
+    Each entry is (label, ok, value, expected): the identities `analyze`
+    enforced, from `report.checks`, and the rate point, which must sum to
+    R_CO and meet every subset row by one `separation_oracle` sweep in ints.
+    A failure shows rates(B) and H(B | M - B) of the worst B, else r(M) and R_CO.
     """
-    other = "rowgen" if report.method == "full" else "full"
-    rco_other, _ = r_co_direct(hg, method=other)
-    ub_other, _ = upper_bound_theorem1(hg, mmi_result=report.mmi, method=other)
-    rco, ub = report.r_co, report.ub_theorem1
-    own = report.checks
-    return [
-        own[0],
-        ("row generation agreement (R_CO)", rco == rco_other, rco, rco_other),
-        ("row generation agreement (packing LP)", ub == ub_other, ub, ub_other),
-        *own[1:],
-    ]
+    src, scale = hg.integer_source()
+    table = subset_weight_table(hg.m, src.weights)
+    rates = report.rates.rates
+    xs, d = to_integers([r * scale for r in rates])
+    mask = separation_oracle([v * d for v in table], xs)
+    if mask is None:
+        value, expected = sum(rates), report.r_co
+    else:
+        value = sum(r for i, r in enumerate(rates) if mask >> i & 1)
+        expected = Fraction(table[mask], scale)
+    line = ("rate point meets every subset row (R_CO)", value == expected, value, expected)
+    return [report.checks[0], line, *report.checks[1:]]

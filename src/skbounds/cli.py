@@ -133,7 +133,7 @@ def _ub_output(hg: WeightedHypergraph, bound, packing):
 
 # Each command takes (hg, report), where report is the analyze report for
 # analyze and under --check: a command reads its quantity from it, and
-# without one computes only that quantity, by the default row method.
+# without one computes only that quantity.
 def _cmd_analyze(hg, report):
     mmi_doc, mmi_lines = _mmi_output(report.mmi)
     ub_doc, ub_lines = _ub_output(hg, report.ub_theorem1, report.x_star)

@@ -24,9 +24,10 @@ id on ties.  This is finite: a pivot that changes the objective strictly
 raises it, so no basis recurs across such pivots, and in a run at one
 objective every pivot after the first is Bland's rule read on the dual,
 which cannot cycle (Chvatal, *Linear Programming*, 1983, ch. 3 and 10).
-Optimality is certified by the final dictionary, and the point is checked
-exactly against every original row and bound before it is returned, in
-integers: the basic values xs over the dictionary's denominator.
+Each returned point is checked exactly against every original row and
+bound, in integers: the basic values xs over the dictionary's denominator.
+LP duality certifies it optimal, with the duals read off the final
+objective row (`_Dictionary.solution`; Chvatal 1983, ch. 5).
 
 The dictionary is fraction-free (Edmonds 1967; Bareiss 1968): every entry
 is an integer over one positive common denominator, the determinant of
@@ -171,14 +172,11 @@ def _eliminate(row, support, k, p, den):
 def _dual_simplex(rows, obj, row_vars, col_vars, den):
     """Run the dual simplex on a dual-feasible dictionary, the only pivot routine.
 
-    The most negative basic value leaves, least basic id on ties, or, after
-    a pivot whose entering reduced cost was 0, the least basic id among the
-    negative ones.  Among the columns that can raise the leaving variable
-    (negative entry in its row), the one with the least ratio
-    obj[j] / row[j] enters, least column id on ties, which keeps every
-    reduced cost nonpositive.  Returns the status, optimal or infeasible (no
-    column can raise the leaving variable), and the final common
-    denominator.
+    The leaving and entering rules are the module docstring's.  The
+    entering column has a negative entry in the leaving row, and its least
+    ratio obj[j] / row[j] keeps every reduced cost nonpositive.  Returns
+    the status, optimal or infeasible (no column can raise the leaving
+    variable), and the final common denominator.
     """
     least_id = False
     while True:
@@ -218,34 +216,62 @@ class _Dictionary:
     """An optimal fraction-free dictionary of `solve` and its point xs / den, to add rows to.
 
     Variable ids are 0..n - 1 for the LP's n variables, then one slack per
-    row in order of addition.
+    row in order of addition: the constraints, the upper bounds, then each
+    cut.  `slack_rows[vid - n]` is the index of slack vid's constraint in
+    `lp.constraints`, or ~t for the upper bound of x_t.
     """
 
     def __init__(self, lp, rows, obj, row_vars, col_vars, den):
         self.n, self.rows, self.obj = len(lp.variables), rows, obj
         self.row_vars, self.col_vars, self.den = row_vars, col_vars, den
+        self.slack_rows = [*range(len(lp.constraints))]
+        self.slack_rows += [~t for t, up in enumerate(lp.upper) if up is not None]
         self.check(lp)
 
     def check(self, lp: LinearProgram) -> None:
-        """Set xs, the point times den, once it meets the objective and all of `lp` in ints."""
-        den = self.den
+        """Set xs, the point times den, once it meets all of `lp` in ints."""
         xs = [0] * self.n
         for row, vid in zip(self.rows, self.row_vars):
             if vid < self.n:
                 xs[vid] = row[0]
-        value = sum([c * x for c, x in zip(lp.objective, xs)])
-        if value != self.obj[0]:
-            raise InternalInvariantError(
-                f"objective mismatch: dictionary {Fraction(self.obj[0], den)}"
-                f" vs point value {Fraction(value, den)}"
-            )
-        _verify(lp, xs, den)
+        _verify(lp, xs, self.den)
         self.xs = xs
 
-    def solution(self) -> LpSolution:
-        """The checked point and its objective value, as `Fraction`s."""
-        point = tuple(Fraction(x, self.den) for x in self.xs)
-        return LpSolution(OPTIMAL, point, Fraction(self.obj[0], self.den), self)
+    def solution(self, lp: LinearProgram) -> LpSolution:
+        """The checked point and its value, as `Fraction`s, once duality proves them optimal.
+
+        The duals times den are the nonbasic slacks' negated reduced costs, y_i
+        for row i and z_t for x_t <= u_t (0 if basic).  Over `lp`'s ints, raise
+        unless y, z and every c_t * den - sum_i y_i * a_it + z_t are >= 0 and
+        sum_i y_i * b_i - sum_t z_t * u_t equals both obj[0] and c . xs.
+        """
+        n, den, obj, xs = self.n, self.den, self.obj, self.xs
+        y, z = [0] * len(lp.constraints), [0] * n
+        for j, vid in enumerate(self.col_vars):
+            if vid >= n:
+                row = self.slack_rows[vid - n]
+                if row >= 0:
+                    y[row] = -obj[j + 1]
+                else:
+                    z[~row] = -obj[j + 1]
+        reduced = [c * den + zt for c, zt in zip(lp.objective, z)]
+        dual = -sum([zt * up for zt, up in zip(z, lp.upper) if zt])
+        for yi, con in zip(y, lp.constraints):
+            if yi:
+                dual += yi * con.rhs
+                for t, a in enumerate(con.coeffs):
+                    if a:
+                        reduced[t] -= yi * a
+        primal = sum([c * x for c, x in zip(lp.objective, xs)])
+        least = min([*y, *z, *reduced])
+        if least < 0 or not primal == dual == obj[0]:
+            raise InternalInvariantError(
+                f"no optimality certificate: least dual or reduced cost {Fraction(least, den)},"
+                f" values: point {Fraction(primal, den)}, dual {Fraction(dual, den)},"
+                f" dictionary {Fraction(obj[0], den)}"
+            )
+        point = tuple(Fraction(x, den) for x in xs)
+        return LpSolution(OPTIMAL, point, Fraction(obj[0], den), self)
 
     def add_cut(self, lp: LinearProgram, con: Constraint) -> bool:
         """Add the row of `con`, the last constraint of `lp`; re-optimize; True unless infeasible.
@@ -266,6 +292,7 @@ class _Dictionary:
                 new = [b - a * r for b, r in zip(new, row)]
         row_vars.append(len(rows) + len(col_vars))
         rows.append(new)
+        self.slack_rows.append(len(lp.constraints) - 1)
         status, self.den = _dual_simplex(rows, self.obj, row_vars, col_vars, den)
         if status == OPTIMAL:
             self.check(lp)
@@ -298,7 +325,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     status, den = _dual_simplex(rows, obj, row_vars, col_vars, 1)
     if status != OPTIMAL:
         return LpSolution(status, None, None)
-    return _Dictionary(lp, rows, obj, row_vars, col_vars, den).solution()
+    return _Dictionary(lp, rows, obj, row_vars, col_vars, den).solution(lp)
 
 
 def _verify(lp: LinearProgram, xs: Sequence[int], den: int) -> None:
@@ -347,7 +374,7 @@ def solve_with_row_generation(
     dictionary = sol._dictionary
     for cuts in range(max_rounds):
         if (extra := oracle(dictionary.xs, dictionary.den)) is None:
-            return dictionary.solution() if cuts else sol
+            return dictionary.solution(lp) if cuts else sol
         lp.add_constraint(extra.coeffs, extra.rhs)
         if not dictionary.add_cut(lp, extra):
             return LpSolution(INFEASIBLE, None, None)  # the cut proved the working LP infeasible

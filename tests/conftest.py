@@ -2,8 +2,8 @@
 
 The corpora are generated from fixed seeds so every run sees the same
 instances.  Each instance is analyzed and checked once per session
-(`analyze`, then `run_checks`, which adds both LPs with the other row
-method), and the acceptance criteria read those results.
+(`analyze`, then `run_checks`, which adds the rate point's check against
+every subset row), and the acceptance criteria read those results.
 """
 
 import random

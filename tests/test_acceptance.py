@@ -11,7 +11,9 @@ from skbounds import analyze, mask_of, mmi
 from skbounds.cli import parse_document
 from skbounds.hypergraph import vertices_of
 
-from conftest import fixture_text, from_vertex_cells, is_refinement_of, partition_value
+from conftest import FIXTURE_DIR, fixture_text, from_vertex_cells, is_refinement_of, partition_value
+from reference_packing import reference_packing
+from reference_rco import reference_rco
 from reference_scan import reference_mmi
 
 F = Fraction
@@ -89,16 +91,17 @@ def test_criterion_5_graph_bound_agreement(graphical_results):
 
 
 def test_criterion_6_oracle_equivalence(identity_results, graphical_results):
-    count = 0
-    for res in identity_results + graphical_results:
-        assert res.hg.m <= 7
-        assert res.report.method == "rowgen"  # run_checks solved both LPs with full rows
-        _, rco_rowgen, rco_full = res.checks["row generation agreement (R_CO)"]
-        _, ub_rowgen, ub_full = res.checks["row generation agreement (packing LP)"]
-        assert rco_full == rco_rowgen
-        assert ub_full == ub_rowgen
-        count += 1
-    _passed(6, "full rows equal row generation", f"{count} instances, both LPs")
+    # The package solves both LPs by row generation; the full-row LPs of
+    # tests/ must reach the same values on every corpus instance and fixture.
+    sources = [(res.hg, res.report) for res in identity_results + graphical_results]
+    for path in sorted(FIXTURE_DIR.glob("*.hg")):
+        hg = parse_document(fixture_text(path.name))
+        sources.append((hg, analyze(hg)))
+    for hg, report in sources:
+        assert hg.m <= 7
+        assert reference_rco(hg)[0] == report.r_co
+        assert reference_packing(hg, report.mmi.value, "full")[0] == report.ub_theorem1
+    _passed(6, "full rows equal row generation", f"{len(sources)} instances, both LPs")
 
 
 def test_criterion_7_sandwich_and_dominance(identity_results, graphical_results):

@@ -33,6 +33,8 @@ from conftest import (
     random_graph,
     random_hypergraph,
 )
+from reference_packing import reference_packing
+from reference_rco import full_rco_lp, reference_rco
 from reference_scan import _raw_partitions, integer_scan, reference_mmi
 from test_scan_oracle import FAMILIES
 
@@ -87,7 +89,19 @@ def test_rco_example2_matches_identity():
 
 def test_rco_rowgen_agrees():
     for hg in (EXAMPLE1, EXAMPLE2, TRIANGLE, TWO_TERMINAL):
-        assert r_co_direct(hg, method="full")[0] == r_co_direct(hg, method="rowgen")[0]
+        assert reference_rco(hg)[0] == r_co_direct(hg, method="rowgen")[0]
+
+
+def _rco(hg, method):
+    """R_CO by the package ("rowgen") or by the full-row reference LP ("full")."""
+    return r_co_direct(hg)[0] if method == "rowgen" else reference_rco(hg)[0]
+
+
+def _ub(hg, method):
+    """UB(Thm 1) by the package ("rowgen") or by the full-row subset reference LP ("full")."""
+    if method == "rowgen":
+        return upper_bound_theorem1(hg)[0]
+    return reference_packing(hg, mmi(hg).value, "full")[0]
 
 
 # EXAMPLE1's weights are whole, so its integer source has L = 1 and the same weights as ints.
@@ -95,9 +109,17 @@ EXAMPLE1_INT, _ = EXAMPLE1.integer_source()
 
 
 def test_build_rco_lp_row_count():
-    lp = build_rco_lp(EXAMPLE1_INT, proper_subsets(4), subset_weight_table(4, EXAMPLE1_INT.weights))
+    cond = subset_weight_table(4, EXAMPLE1_INT.weights)
+    lp = build_rco_lp(EXAMPLE1_INT, cond)
     assert len(lp.variables) == 4
-    assert len(lp.constraints) == 14  # 2^4 - 2 proper nonempty subsets
+    # The singletons' rows seed row generation: terminal i covers its entropy given the rest.
+    assert [(con.coeffs, con.rhs) for con in lp.constraints] == [
+        (tuple(int(j == i) for j in range(4)), cond[1 << i]) for i in range(4)
+    ]
+    # The reference writes every row: 2^4 - 2 proper nonempty subsets.
+    full = full_rco_lp(EXAMPLE1_INT)
+    assert len(full.constraints) == len(proper_subsets(4)) == 14
+    assert [con.rhs for con in full.constraints] == [cond[mask] for mask in proper_subsets(4)]
 
 
 def test_build_gamma_lp_shape():
@@ -149,7 +171,7 @@ def test_upper_bound_triangle():
 
 def test_upper_bound_rowgen_agrees():
     for hg in (EXAMPLE1, EXAMPLE2, TRIANGLE, TWO_TERMINAL):
-        full, _ = upper_bound_theorem1(hg, method="full")
+        full, _ = reference_packing(hg, mmi(hg).value, "full")
         rowgen, _ = upper_bound_theorem1(hg, method="rowgen")
         assert full == rowgen
 
@@ -219,9 +241,6 @@ def test_rco_builds_the_conditional_table_once(monkeypatch):
     r_co_direct(hg, method="rowgen")
     assert len(rounds) >= 3
     assert len(builds) == 1
-    builds.clear()
-    r_co_direct(hg, method="full")
-    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("entry", [analyze, r_co_direct, upper_bound_theorem1])
@@ -232,8 +251,10 @@ def test_an_unknown_row_method_fails_before_any_work(entry, monkeypatch):
         raise AssertionError("the partition scan ran before the method was checked")
 
     monkeypatch.setattr(skbounds.bounds, "mmi", no_scan)
-    with pytest.raises(ValueError, match="unknown method"):
-        entry(cycle_plus_edges(random.Random(12), 12), method="bogus")
+    # "full" named the full-row path, which is gone from the package.
+    for method in ("bogus", "full"):
+        with pytest.raises(ValueError, match="unknown method"):
+            entry(cycle_plus_edges(random.Random(12), 12), method=method)
 
 
 @pytest.mark.parametrize("m", range(2, 10))
@@ -242,7 +263,6 @@ def test_the_default_row_method_is_row_generation_at_every_m(m):
     # reports exactly what method="rowgen" reports, x* and rate point included.
     hg = cycle_plus_edges(random.Random(m), m)
     report = analyze(hg)
-    assert report.method == "rowgen"
     assert report == analyze(hg, method="rowgen")  # field for field, x* included
     assert r_co_direct(hg) == r_co_direct(hg, method="rowgen")
     assert upper_bound_theorem1(hg) == upper_bound_theorem1(hg, method="rowgen")
@@ -468,10 +488,11 @@ def test_lower_bound_decomposes_as_ci_minus_capacity(make_random_graph):
 
 def test_packing_validation():
     # The packing LP's declared bounds keep x* on the edge set and inside [0, w].
-    for method in ("full", "rowgen"):
-        _, packing = upper_bound_theorem1(EXAMPLE1, method=method)
-        assert set(packing.entries) == set(EXAMPLE1.weights)
-        assert all(0 <= x <= EXAMPLE1.weights[e] for e, x in packing.entries.items())
+    # So do those of the full-row reference.
+    full = reference_packing(EXAMPLE1, mmi(EXAMPLE1).value, "full")[1]
+    for entries in (upper_bound_theorem1(EXAMPLE1)[1].entries, full):
+        assert set(entries) == set(EXAMPLE1.weights)
+        assert all(0 <= x <= EXAMPLE1.weights[e] for e, x in entries.items())
     packing = FractionalPacking({mask_of((1, 2)): F(3)})
     with pytest.raises(ValueError):
         EXAMPLE1.restrict(packing.entries)
@@ -480,7 +501,8 @@ def test_packing_validation():
 @pytest.mark.parametrize("method", ["full", "rowgen"])
 @pytest.mark.parametrize("c", [F(10**100, 3), F(1, 10**100 + 1)], ids=["huge", "tiny"])
 def test_bounds_scale_exactly_with_the_weights(c, method, make_random_hypergraph, make_random_graph):
-    # Scaling every weight by c scales I, R_CO and UB(Thm 1) by exactly c.
+    # Scaling every weight by c scales I, R_CO and UB(Thm 1) by exactly c, by
+    # row generation and by the full-row references alike.
     rng = random.Random(1907)
     sources = [parse_document(fixture_text("example1.hg"))]
     sources += [make_random_hypergraph(rng, m) for m in (3, 4, 5)]
@@ -488,25 +510,28 @@ def test_bounds_scale_exactly_with_the_weights(c, method, make_random_hypergraph
     for hg in sources:
         scaled = WeightedHypergraph(hg.m, {e: c * w for e, w in hg.weights.items()})
         assert mmi(scaled).value == c * mmi(hg).value
-        assert r_co_direct(scaled, method=method)[0] == c * r_co_direct(hg, method=method)[0]
-        assert (
-            upper_bound_theorem1(scaled, method=method)[0]
-            == c * upper_bound_theorem1(hg, method=method)[0]
-        )
+        assert _rco(scaled, method) == c * _rco(hg, method)
+        assert _ub(scaled, method) == c * _ub(hg, method)
 
 
 @pytest.mark.parametrize("method", ["full", "rowgen"])
 def test_an_int_source_reports_fractions(method):
-    # Int weights are stored as ints, yet every reported value is a Fraction.
+    # Int weights are stored as ints, yet every reported value is a Fraction,
+    # and so is every value of the full-row references.
     hg = WeightedHypergraph(4, {e: int(w) for e, w in EXAMPLE1.weights.items()})
     assert {type(w) for w in hg.weights.values()} == {int}
-    report = analyze(hg, method=method)
-    _, rates = r_co_direct(hg, method=method)
+    report = analyze(hg)
+    rco, rates = report.r_co, report.rates.rates
+    ub, packing = report.ub_theorem1, report.x_star.entries
+    assert r_co_direct(hg) == (rco, report.rates)
+    if method == "full":
+        rco, rates = reference_rco(hg)
+        ub, packing = reference_packing(hg, report.mmi.value, "full")
     g = report.graphical
-    values = [report.entropy_total, report.mmi.value, report.r_co, report.ub_theorem1]
-    values += [*report.x_star.entries.values(), *rates.rates, g.ub_theorem2, g.lower_bound, g.ci]
+    values = [report.entropy_total, report.mmi.value, rco, ub]
+    values += [*packing.values(), *rates, g.ub_theorem2, g.lower_bound, g.ci]
     assert {type(v) for v in values} == {Fraction}
-    assert (report.mmi.value, report.r_co, report.ub_theorem1) == (F(3, 2), F(7, 2), 3)
+    assert (report.mmi.value, rco, ub) == (F(3, 2), F(7, 2), 3)
 
 
 def _metamorphic_sources():
@@ -531,11 +556,8 @@ def test_relabeling_permutes_the_fundamental_partition(method):
         assert moved_mres.value == mres.value
         cells = tuple(relabel(cell) for cell in mres.fundamental.cells)
         assert moved_mres.fundamental == Partition(hg.m, cells)
-        assert r_co_direct(moved, method=method)[0] == r_co_direct(hg, method=method)[0]
-        assert (
-            upper_bound_theorem1(moved, method=method)[0]
-            == upper_bound_theorem1(hg, method=method)[0]
-        )
+        assert _rco(moved, method) == _rco(hg, method)
+        assert _ub(moved, method) == _ub(hg, method)
 
 
 @pytest.mark.parametrize("method", ["full", "rowgen"])
@@ -550,4 +572,4 @@ def test_singleton_edge_adds_its_weight_to_h_and_rco(method):
         grown = WeightedHypergraph(hg.m, weights)
         assert mmi(grown).value == mmi(hg).value
         assert grown.total_entropy == hg.total_entropy + w
-        assert r_co_direct(grown, method=method)[0] == r_co_direct(hg, method=method)[0] + w
+        assert _rco(grown, method) == _rco(hg, method) + w

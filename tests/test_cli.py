@@ -17,6 +17,8 @@ from skbounds.hypergraph import vertices_of
 from skbounds.rational import format_rational, parse_rational
 
 from conftest import FIXTURE_DIR, fixture_text, random_graph, random_hypergraph
+from reference_packing import reference_packing
+from reference_rco import reference_rco
 
 # Runs `python -m skbounds.cli` on this checkout's src/.
 SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
@@ -58,10 +60,15 @@ def test_splitting_an_edge_line_changes_nothing(make, tmp_path, capsys):
         halves = "\n".join(
             [f"m = {m}", _edge_line(split, part), *others, _edge_line(split, w - part), ""]
         )
-        for method in ("full", "rowgen"):
-            assert analyze(parse_document(halves), method=method) == analyze(
-                parse_document(whole), method=method
-            )
+        halves_hg, whole_hg = parse_document(halves), parse_document(whole)
+        report = analyze(whole_hg)
+        assert analyze(halves_hg) == report
+        # So do the full-row reference LPs, rate point and x* included.
+        assert reference_rco(halves_hg) == reference_rco(whole_hg)
+        capacity = report.mmi.value
+        assert reference_packing(halves_hg, capacity, "full") == reference_packing(
+            whole_hg, capacity, "full"
+        )
         outputs = []
         for name, text in (("whole.hg", whole), ("halves.hg", halves)):
             path = tmp_path / name
@@ -310,10 +317,10 @@ def test_parse_accepts_crlf_and_tabs(tmp_path, capsys):
 
 
 def _count_solves(monkeypatch):
-    """Record each LP that bounds solves, by row method, as "R_CO" or "packing"."""
+    """Record each LP that bounds solves, by entry point, as "R_CO" or "packing"."""
     import skbounds.bounds
 
-    solves = {"full": [], "rowgen": []}
+    solves = {"solve": [], "rowgen": []}
 
     def count(kind, fn):
         def wrapper(lp, *args):
@@ -321,7 +328,7 @@ def _count_solves(monkeypatch):
             return fn(lp, *args)
         return wrapper
 
-    monkeypatch.setattr(skbounds.bounds, "solve", count("full", skbounds.bounds.solve))
+    monkeypatch.setattr(skbounds.bounds, "solve", count("solve", skbounds.bounds.solve))
     monkeypatch.setattr(
         skbounds.bounds,
         "solve_with_row_generation",
@@ -358,7 +365,7 @@ def test_check_reuses_the_analyze_report(monkeypatch, capsys):
     for command in ("analyze", "mmi", "rco", "ub", "lb"):
         scans.update(input=0, reduced=0)
         truncations.clear()
-        solves["full"].clear()
+        solves["solve"].clear()
         solves["rowgen"].clear()
         code, _, err = run_cli(capsys, command, "--check", str(FIXTURE_DIR / "example2.hg"))
         assert code == 0, command
@@ -368,37 +375,120 @@ def test_check_reuses_the_analyze_report(monkeypatch, capsys):
         # Two truncations, as in `analyze` alone: its `mmi` and the source
         # reduced by x*, whose checks the suite reads from the report.
         assert len(truncations) == 2, command
-        assert sorted(solves["full"]) == ["R_CO", "packing"], command
+        # The LPs of analyze, and no other: the suite solves no LP.
+        assert solves["solve"] == [], command
         assert sorted(solves["rowgen"]) == ["R_CO", "packing"], command
 
 
-def test_check_of_a_row_generation_report_solves_with_full_rows(monkeypatch):
+def test_check_of_a_report_solves_no_lp(monkeypatch):
     hg = parse_document(fixture_text("example1.hg"))
-    report = analyze(hg, method="rowgen")
+    report = analyze(hg)
     solves = _count_solves(monkeypatch)
     checks = run_checks(hg, report)
     assert all(ok for _, ok, _, _ in checks)
-    assert sorted(solves["full"]) == ["R_CO", "packing"]
-    assert solves["rowgen"] == []
+    assert solves == {"solve": [], "rowgen": []}
+
+
+def _ub_plus_one(monkeypatch):
+    """UB(Thm 1) returned one too high, x* unchanged."""
+    import skbounds.bounds
+
+    exact = skbounds.bounds.upper_bound_theorem1
+
+    def mutated(hg, *, mmi_result=None, method="auto"):
+        bound, packing = exact(hg, mmi_result=mmi_result, method=method)
+        return bound + 1, packing
+
+    monkeypatch.setattr(skbounds.bounds, "upper_bound_theorem1", mutated)
+
+
+def _rate_lowered(monkeypatch):
+    """The first rate of R_CO's point lowered by 1/L, R_CO unchanged."""
+    import skbounds.bounds
+
+    exact = skbounds.bounds.r_co_direct
+
+    def mutated(hg, *, method="auto"):
+        value, point = exact(hg, method=method)
+        rates = list(point.rates)
+        rates[0] -= Fraction(1, hg.integer_source()[1])
+        return value, dataclasses.replace(point, rates=tuple(rates))
+
+    monkeypatch.setattr(skbounds.bounds, "r_co_direct", mutated)
+
+
+def _oracle_none(prefix):
+    """An oracle that certifies round one, in the LP whose variable names start with `prefix`."""
+
+    def mutate(monkeypatch):
+        import skbounds.bounds
+
+        exact = skbounds.bounds.solve_with_row_generation
+
+        def mutated(lp, oracle, max_rounds):
+            if lp.variables[0].startswith(prefix):
+                oracle = lambda xs, den: None  # noqa: E731
+            return exact(lp, oracle, max_rounds)
+
+        monkeypatch.setattr(skbounds.bounds, "solve_with_row_generation", mutated)
+
+    return mutate
+
+
+def _objective_raised(monkeypatch):
+    """obj[0] + 1 in each final dictionary, after the point passed its primal check."""
+    import skbounds.lp
+
+    check = skbounds.lp._Dictionary.check
+
+    def mutated(self, lp):
+        check(self, lp)
+        self.obj[0] += 1
+
+    monkeypatch.setattr(skbounds.lp._Dictionary, "check", mutated)
+
+
+# Each mutation of Example 1's analysis and the first line that reports it.
+MUTATIONS = {
+    "ub-plus-one": (_ub_plus_one, "internal invariant violated: UB = x*(E) - I: 4 vs 3\n"),
+    "rate-lowered": (
+        _rate_lowered,
+        "check rate point meets every subset row (R_CO): FAIL (2 vs 3)\n",
+    ),
+    "rco-oracle-none": (
+        _oracle_none("R"),
+        "internal invariant violated: R_CO identity (H - I): 0 vs 7/2\n",
+    ),
+    "ub-oracle-none": (
+        _oracle_none("x"),
+        "internal invariant violated: x* preserves capacity (Gamma membership): 5/4 vs 3/2\n",
+    ),
+    "tampered-dictionary": (
+        _objective_raised,
+        "internal invariant violated: no optimality certificate",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+def test_check_catches_each_mutation(mutation, monkeypatch, capsys):
+    mutate, message = MUTATIONS[mutation]
+    mutate(monkeypatch)
+    code, _, err = run_cli(capsys, "analyze", "--check", str(FIXTURE_DIR / "example1.hg"))
+    assert code == 1
+    assert message in err
 
 
 def test_check_failure_prints_both_values(monkeypatch, capsys):
-    import skbounds.bounds
-
+    # The rate point is the one line analyze does not enforce: the report
+    # prints in full, and --check names both sides of the broken row.
     path = str(FIXTURE_DIR / "example1.hg")
     _, report_text, _ = run_cli(capsys, "analyze", path)
-    exact = skbounds.bounds.upper_bound_theorem1
-
-    def off_by_one_under_full_rows(hg, *, mmi_result=None, method="auto"):
-        bound, packing = exact(hg, mmi_result=mmi_result, method=method)
-        return (bound + 1 if method == "full" else bound), packing
-
-    # The default report is solved by row generation; the cross-check uses full rows.
-    monkeypatch.setattr(skbounds.bounds, "upper_bound_theorem1", off_by_one_under_full_rows)
+    _rate_lowered(monkeypatch)
     code, out, err = run_cli(capsys, "analyze", "--check", path)
     assert code == 1
     assert out == report_text
-    assert "check row generation agreement (packing LP): FAIL (3 vs 4)\n" in err
+    assert MUTATIONS["rate-lowered"][1] in err
     assert err.count("FAIL") == 1
 
 
@@ -430,7 +520,8 @@ def test_analyze_raises_when_x_star_leaves_gamma(monkeypatch, capsys):
         entries = dict(packing.entries)
         e = min(e for e, x in entries.items() if x > 0)
         entries[e] /= 2
-        return bound, dataclasses.replace(packing, entries=entries)
+        # The bound follows x*, so UB = x*(E) - I still holds and only Gamma breaks.
+        return bound - entries[e], dataclasses.replace(packing, entries=entries)
 
     # Example 1 with x*({1,2}) = 3/4: the singletons have value 5/4 < I = 3/2.
     monkeypatch.setattr(skbounds.bounds, "upper_bound_theorem1", halve_one_entry)

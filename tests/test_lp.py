@@ -81,6 +81,89 @@ def test_duality_certificate():
     assert sol.objective_value == 3 * u + 3 * v == 2
 
 
+def _first_slack_column(d) -> int:
+    """The obj index of the first nonbasic slack of the final dictionary `d`."""
+    return 1 + next(j for j, vid in enumerate(d.col_vars) if vid >= d.n)
+
+
+def _raise_obj(d):
+    d.obj[0] += 1
+
+
+def _negate_a_dual(d):
+    j = _first_slack_column(d)
+    d.obj[j] = -d.obj[j]
+
+
+def _double_a_dual(d):
+    d.obj[_first_slack_column(d)] *= 2
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_raise_obj, "0, values: point 2, dual 2, dictionary 7/3"),
+        (_negate_a_dual, "-1/3, values: point 2, dual 0, dictionary 2"),
+        (_double_a_dual, "-2/3, values: point 2, dual 3, dictionary 2"),
+    ],
+    ids=["objective", "negative-dual", "dual-infeasible"],
+)
+def test_the_certificate_rejects_a_tampered_dictionary(monkeypatch, tamper, message):
+    # The LP of test_duality_certificate with an upper bound; at its
+    # optimum both rows are tight, with duals 1/3 and 1/3, and x <= 5 is
+    # slack.  The point stays optimal and feasible, so the primal check
+    # passes; only the objective row is tampered with, after that check.
+    lp = LinearProgram(["x", "y"], [1, 1], upper=[5, None])
+    lp.add_constraint([1, 2], 3)
+    lp.add_constraint([2, 1], 3)
+    assert solve(lp).objective_value == 2
+    check = skbounds.lp._Dictionary.check
+
+    def check_then_tamper(self, program):
+        check(self, program)
+        tamper(self)
+
+    monkeypatch.setattr(skbounds.lp._Dictionary, "check", check_then_tamper)
+    message = f"no optimality certificate: least dual or reduced cost {message}"
+    with pytest.raises(InternalInvariantError, match=re.escape(message)):
+        solve(lp)
+
+
+@pytest.mark.parametrize(
+    "pivot, message",
+    [(0, "dual 3, dictionary 7/3"), (1, "dual 3, dictionary 2")],
+)
+def test_the_certificate_rejects_a_skipped_elimination(monkeypatch, pivot, message):
+    # The same LP solves in two pivots.  In one of them, one entry of the
+    # objective row moves to the new denominator but misses its elimination:
+    # the point and its check are untouched, and a reduced cost is wrong.
+    lp = LinearProgram(["x", "y"], [1, 1], upper=[5, None])
+    lp.add_constraint([1, 2], 3)
+    lp.add_constraint([2, 1], 3)
+    dual_simplex, eliminate = skbounds.lp._dual_simplex, skbounds.lp._eliminate
+    seen = {"pivots": 0}
+
+    def recording(rows, obj, *rest):
+        seen["obj"] = obj
+        return dual_simplex(rows, obj, *rest)
+
+    def skipping(row, support, k, p, den):
+        new = eliminate(row, support, k, p, den)
+        if row is seen["obj"]:
+            if seen["pivots"] == pivot:
+                j = support[-1][0]
+                new[j] = row[j] * p // den
+            seen["pivots"] += 1
+        return new
+
+    monkeypatch.setattr(skbounds.lp, "_dual_simplex", recording)
+    monkeypatch.setattr(skbounds.lp, "_eliminate", skipping)
+    message = f"least dual or reduced cost -2/3, values: point 2, {message}"
+    with pytest.raises(InternalInvariantError, match=re.escape(message)):
+        solve(lp)
+    assert seen["pivots"] == 2
+
+
 def test_degenerate_program_terminates():
     # many redundant facets through the same vertex
     lp = LinearProgram(["x", "y", "z"], [1, 1, 1])

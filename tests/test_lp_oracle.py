@@ -15,13 +15,14 @@ from fractions import Fraction
 import pytest
 
 from skbounds import mmi, r_co_direct, subset_weight_table, upper_bound_theorem1
-from skbounds.bounds import build_gamma_lp, build_rco_lp
+from skbounds.bounds import build_gamma_lp
 from skbounds.cli import parse_document
 from skbounds.lp import LinearProgram, _verify, solve
 from skbounds.rational import to_integers
 
 from conftest import FIXTURE_DIR, fixture_text, proper_subsets, random_graph, random_hypergraph
-from reference_packing import subset_packing_lp
+from reference_packing import reference_packing, subset_packing_lp
+from reference_rco import full_rco_lp, reference_rco
 from reference_scan import _raw_partitions
 from reference_simplex import GeneralLP, reference_solve
 
@@ -90,8 +91,8 @@ def test_package_lps_match_reference(family):
     for i in range(10):
         hg = make(rng, 3 + i % 4)
         src, scale = hg.integer_source()  # the LPs take ints
-        masks, cond = proper_subsets(src.m), subset_weight_table(src.m, src.weights)
-        assert _assert_same(build_rco_lp(src, masks, cond), f"rco {i}") == "optimal"
+        masks = proper_subsets(src.m)
+        assert _assert_same(full_rco_lp(src), f"rco {i}") == "optimal"
         # The LP over Gamma with the row of every partition, and the
         # subset-row packing LP of the reference: one optimum.
         capacity = mmi(hg).value * scale
@@ -137,11 +138,11 @@ def paper_rco_lp(hg) -> GeneralLP:
 
 
 def test_free_rate_lps_match_both_bounds(identity_corpus, graphical_corpus):
-    # The package solves the packing LP with rates >= 0 and the pin as ">="
-    # (skbounds.bounds); the paper's form, free rates and an equality pin,
-    # solved by the two-phase reference, must give the same UB(Thm 1) under
-    # both row methods.  On the fixtures, free R_CO rates must also give
-    # the same R_CO.
+    # The subset-row reference solves the packing LP with rates >= 0 and the
+    # pin as ">=" (tests/reference_packing.py); the paper's form, free rates
+    # and an equality pin, solved by the two-phase reference, must give the
+    # same UB(Thm 1) as it and as the package's LP over Gamma.  On the
+    # fixtures, free R_CO rates must also give the same R_CO.
     fixtures = [parse_document(fixture_text(path.name)) for path in sorted(FIXTURE_DIR.glob("*.hg"))]
     corpus = [hg for hg in identity_corpus + graphical_corpus if hg.m <= 5]
     assert len(fixtures) == 5 and len(corpus) == 180
@@ -150,8 +151,10 @@ def test_free_rate_lps_match_both_bounds(identity_corpus, graphical_corpus):
         packing = reference_solve(paper_packing_lp(hg, capacity))
         assert packing.status == "optimal", i
         rco = reference_solve(paper_rco_lp(hg)) if i < len(fixtures) else None
-        for method in ("full", "rowgen"):
-            ub = upper_bound_theorem1(hg, method=method)[0]
+        # The package by row generation, and the full-row reference LPs.
+        ubs = {"rowgen": upper_bound_theorem1(hg)[0]}
+        ubs["full"] = reference_packing(hg, capacity, "full")[0]
+        for method, ub in ubs.items():
             assert packing.objective_value - capacity == ub, (i, method)
-            if rco is not None:
-                assert rco.objective_value == r_co_direct(hg, method=method)[0], (i, method)
+        if rco is not None:
+            assert rco.objective_value == r_co_direct(hg)[0] == reference_rco(hg)[0], i

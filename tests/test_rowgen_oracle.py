@@ -32,6 +32,8 @@ from skbounds.bounds import run_checks
 from skbounds.lp import solve, solve_with_row_generation
 
 from conftest import cycle_plus_edges, random_graph, random_hypergraph, random_weight
+from reference_packing import reference_packing
+from reference_rco import reference_rco
 from reference_rowgen import reference_row_generation
 from reference_separation import reference_separation
 from test_lp_oracle import random_lp
@@ -143,10 +145,12 @@ def test_row_generation_results_are_certified(family):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # sources with singleton edges warn
             report = analyze(hg, method="rowgen")
-        # run_checks solves both LPs again with full rows and compares the
-        # values, and checks that x* keeps the capacity.
+        # run_checks checks the rate point and that x* keeps the capacity;
+        # both values must equal those of the full-row LPs.
         failed = [check for check in run_checks(hg, report) if not check[1]]
         assert not failed, (label, failed)
+        assert report.r_co == reference_rco(hg)[0], label
+        assert report.ub_theorem1 == reference_packing(hg, report.mmi.value, "full")[0], label
         assert verify_gamma_membership(hg, report.x_star), label
         r_co, rates = r_co_direct(hg, method="rowgen")
         cond = subset_weight_table(m, hg.weights)

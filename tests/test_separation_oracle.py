@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 import reference_packing
+import reference_rco
 import skbounds.bounds
 import skbounds.lp
 from skbounds import WeightedHypergraph, mmi, r_co_direct, subset_weight_table, upper_bound_theorem1
@@ -187,19 +188,26 @@ def _bits(lp):
 @pytest.mark.parametrize("method", ["full", "rowgen"])
 def test_tiny_weights_reach_the_simplex_as_small_integers(monkeypatch, method):
     # Weights times 1/(10^100 + 1) have a 333-bit denominator.  Both LPs run
-    # on the integer source, so no coefficient, right-hand side or bound that
-    # reaches lp.solve carries it.
+    # on the integer source, by row generation in the package and with every
+    # row in the references, so no coefficient, right-hand side or bound
+    # that reaches lp.solve carries it.
     hg = _scaled(cycle_plus_edges(random.Random(8), 8), SCALES["tiny"])
+    capacity = mmi(hg).value
     solve, seen = skbounds.lp.solve, []
 
     def recorded(lp):
         seen.append(_bits(lp))
         return solve(lp)
 
-    monkeypatch.setattr(skbounds.bounds, "solve", recorded)
-    monkeypatch.setattr(skbounds.lp, "solve", recorded)
-    r_co_direct(hg, method=method)
-    rco_solves = len(seen)
-    upper_bound_theorem1(hg, method=method)
+    for module in (skbounds.bounds, skbounds.lp, reference_rco, reference_packing):
+        monkeypatch.setattr(module, "solve", recorded)
+    if method == "full":
+        reference_rco.reference_rco(hg)
+        rco_solves = len(seen)
+        reference_packing.reference_packing(hg, capacity, "full")
+    else:
+        r_co_direct(hg)
+        rco_solves = len(seen)
+        upper_bound_theorem1(hg)
     assert 0 < rco_solves < len(seen)
     assert max(seen) <= 64

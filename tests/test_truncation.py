@@ -10,7 +10,7 @@ is too slow.
 """
 
 import random
-import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -154,28 +154,41 @@ def test_the_truncation_path_returns_the_singleton_scan_result(make, seed, m):
         pytest.param(lambda: tie_heavy_source(random.Random("path/tie"), 10), 21147, id="tie-10"),
     ],
 )
-def test_every_set_the_listing_enters_yields_a_minimizer(make, calls):
+def test_every_set_the_listing_enters_yields_a_minimizer(make, calls, monkeypatch):
     # The walk enters the set of cells left after each run of tight unions
     # it has placed, and only where some minimizer starts with that run: its
     # calls are the proper prefixes of the listed tuples, each once.
-    result = mmi(make())
+    #
+    # The walk's own code runs with its free names bound here and `walk`
+    # bound to a wrapper that records each call, so no process-wide hook (a
+    # profiler or tracer) is replaced.  `union` is rebuilt as the listing
+    # builds it, and the listing it yields must equal the original's.
+    listing = skbounds.partitions._list_coarsenings
     (walk,) = [
-        code
-        for code in skbounds.partitions._list_coarsenings.__code__.co_consts
-        if getattr(code, "co_name", None) == "walk"
+        code for code in listing.__code__.co_consts if getattr(code, "co_name", None) == "walk"
     ]
     entered = []
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is walk:
-            entered.append(frame.f_locals["cells"])
+    def recorded_listing(units, slack):
+        union = [0]
+        for unit in units:
+            union += [u | unit for u in union]
+        names = {"options": {}, "minimizers": [], "slack": slack, "union": union}
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        cells = result.minimizer_cells
-    finally:
-        sys.setprofile(previous)
+        def recorded_walk(s, cells):
+            entered.append(cells)
+            own_walk(s, cells)
+
+        names["walk"] = recorded_walk
+        closure = tuple(types.CellType(names[name]) for name in walk.co_freevars)
+        own_walk = types.FunctionType(walk, vars(skbounds.partitions), "walk", None, closure)
+        recorded_walk(len(slack) - 1, ())
+        minimizers = sorted(names["minimizers"])
+        assert minimizers == listing(units, slack)
+        return minimizers
+
+    monkeypatch.setattr(skbounds.partitions, "_list_coarsenings", recorded_listing)
+    cells = mmi(make()).minimizer_cells
     assert len(entered) == calls
     assert sorted(entered) == sorted({c[:j] for c in cells for j in range(len(c))})
 
