@@ -44,10 +44,10 @@ partition P with two cells or more: the sum over the edges e of
 one cell of every P and gets no column.  Rows are generated from the
 singletons' partition.  x meets them all exactly when no P has a sum of
 H_x(C) - I over its cells C below x(E) - I, the one-cell partition's, and
-`flow.truncation` finds the least sum in m min cuts (Narayanan 1991;
-Fujishige, *Submodular Functions and Optimization*, 2005).  The paper's
-subset-row LP stays in `tests/reference_packing.py`, with both row
-methods, as the oracle.
+`flow.truncation` finds the least sum in at most m - 1 min cuts
+(Narayanan 1991; Fujishige, *Submodular Functions and Optimization*, 2005).
+The paper's subset-row LP stays in `tests/reference_packing.py`, with both
+row methods, as the oracle.
 
 `lp` certifies each optimum by LP duality.  Each report identity is
 written once, in `_report_checks`: `analyze` raises on it and keeps the

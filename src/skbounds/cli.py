@@ -91,7 +91,7 @@ def parse_document(text: str) -> WeightedHypergraph:
         if weight <= 0:
             raise InputFormatError(f"weight must be positive, got {weight}", line_no)
         mask = mask_of(vertices)
-        weights[mask] = weights.get(mask, Fraction(0)) + weight
+        weights[mask] = weights[mask] + weight if mask in weights else weight
     if m is None:
         raise InputFormatError("empty document: missing 'm = <count>' header")
     if not weights:

@@ -5,7 +5,9 @@ hyperedges that meet C, so for any gamma the function f(C) = H(C) - gamma
 is intersecting submodular, and the least value of the sum of f over the
 cells of a partition (its Dilworth truncation) is found by m minimizations,
 each one s-t min-cut (Narayanan, LAA 144, 1991; Fujishige, Submodular
-Functions and Optimization, 2005).
+Functions and Optimization, 2005).  Each cut is a max-flow on a bipartite
+network (`truncation`), in ints: gamma = n / d enters with every weight
+times d.
 
 A partition P has value (sum of H(C) over its cells - H(M)) / (|P| - 1)
 at most gamma exactly when its sum of f is at most H(M) - gamma, the sum
@@ -19,11 +21,6 @@ is already I.
 At gamma = I the minimizers of the truncation are the one-cell partition
 and the minimizers of the value, and the finest of them is the fundamental
 partition P* (Chan et al., "Info-clustering", Proc. IEEE 2015).
-
-Every capacity is an int: gamma = n / d enters with every weight times d.
-A step's network has no node for the hyperedges that hold the step's
-vertex, and a step with no arc out of its source solves no cut
-(`truncation`).
 """
 
 from __future__ import annotations
@@ -34,72 +31,94 @@ from .hypergraph import WeightedHypergraph
 from .rational import to_integers
 
 
-def min_cut(nodes: int, arcs: list[tuple[int, int, int]], source: int, sink: int) -> tuple[int, list[int]]:
-    """(value, side): a max-flow value from `source` to `sink` and the least min-cut source side.
+def bipartite_cut(supply: list[int], groups: list[tuple[int, int]]) -> tuple[int, int]:
+    """(value, side): a bipartite network's max-flow value and the vertices of its least min-cut source side.
 
-    `arcs` holds (tail, head, capacity) on the nodes 0..nodes-1, each
-    capacity an int >= 0.  Each round grows a breadth-first tree of the
-    residual network from `source` and augments along the tree path of
-    every node with a residual arc into `sink`; when no such node is left,
-    the nodes reached from `source` form the source side contained in every
-    minimum cut.
+    The source has an arc of capacity supply[v] into vertex v, and a group
+    (mask, w) unbounded arcs from its vertices and one of capacity w into
+    the sink.  After a greedy pass fills each group from its vertices, each
+    round augments along the paths of a breadth-first tree of the residual
+    network that end at a group with room left; when none does, the
+    vertices reached (`side`, a mask) lie in the source side of every min
+    cut.
     """
-    head: list[int] = []
-    cap: list[int] = []
-    out: list[list[int]] = [[] for _ in range(nodes)]
-    for tail, to, c in arcs:
-        out[tail].append(len(head))
-        head.append(to)
-        cap.append(c)
-        out[to].append(len(head))
-        head.append(tail)
-        cap.append(0)
-    value = 0
-    while True:
-        via = [-1] * nodes  # the arc each node was first reached by
-        via[source] = via[sink] = -2
-        reached = [source]
-        for u in reached:
-            for a in out[u]:
-                v = head[a]
-                if cap[a] and via[v] == -1:
-                    via[v] = a
-                    reached.append(v)
-        into = [a ^ 1 for a in out[sink] if cap[a ^ 1] and via[head[a]] != -1]
-        if not into:
-            return value, reached
-        # Augment along the tree path of every node with a residual arc into the sink.
-        for a in into:
-            path = [a]
-            u = head[a ^ 1]
-            while u != source:
-                path.append(via[u])
-                u = head[via[u] ^ 1]
-            push = min(cap[b] for b in path)
-            for b in path:
-                cap[b] -= push
-                cap[b ^ 1] += push
-            value += push
+    n = len(supply)
+    left = supply[:]
+    room: list[int] = []
+    members: list[list[int]] = []
+    touching: list[list[int]] = [[] for _ in range(n)]  # the groups of each vertex
+    flow = [0] * (n * len(groups))  # flow[g * n + v] on the arc v -> group g
+    for g, (mask, w) in enumerate(groups):
+        vs = []
+        while mask:
+            v = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            vs.append(v)
+            touching[v].append(g)
+            push = left[v] if left[v] < w else w
+            if push:
+                flow[g * n + v] = push
+                left[v] -= push
+                w -= push
+        members.append(vs)
+        room.append(w)
+    # The flow's value is the supply it has used: sum(supply) - sum(left).
+    while any(left):
+        via = [-2 if c else -1 for c in left]  # the group each vertex was reached from; -2: the source
+        came = [-1] * len(groups)  # the vertex each group was reached from
+        reached = [v for v, c in enumerate(left) if c]
+        ends = []
+        for v in reached:
+            for g in touching[v]:
+                if came[g] == -1:
+                    came[g] = v
+                    if room[g]:
+                        ends.append(g)
+                    for u in members[g]:
+                        if via[u] == -1 and flow[g * n + u]:
+                            via[u] = g
+                            reached.append(u)
+        if not ends:
+            return sum(supply) - sum(left), sum(1 << v for v in reached)
+        # Each path enters its groups along an arc v -> g (ahead) and leaves
+        # them against the flow of another (back).
+        for g in ends:
+            v = came[g]
+            ahead, back = [g * n + v], []
+            while via[v] != -2:
+                h = via[v]
+                back.append(h * n + v)
+                v = came[h]
+                ahead.append(h * n + v)
+            push = min(room[g], left[v], *(flow[a] for a in back))
+            room[g] -= push
+            left[v] -= push
+            for a in ahead:
+                flow[a] += push
+            for a in back:
+                flow[a] -= push
+    return sum(supply), 0
 
 
 def truncation(src: WeightedHypergraph, gamma: Fraction) -> tuple[Fraction, tuple[int, ...]]:
     """The least sum of H(C) - gamma over the cells C of a partition of M, and its finest partition.
 
     `src` has int weights.  Vertex j (in order) gets x_j, the least
-    f(S) - x(S - j) over S with j in S within {1..j}, solved as one min cut
-    with j as the source.  The hyperedges that meet {1..j} in the same set a
-    (a group) cost their weight once a vertex of a is on the source side.
-    Every S holds j, so the groups that contain j cost their weight on every
-    cut: it is a constant, and they get no node and no arc.  A vertex v < j
-    on the source side costs term_v, the weight of the group {v} minus x_v:
-    an arc v -> sink of capacity term_v > 0, or an arc j -> v of capacity
-    -term_v with term_v added as a second constant.  Any other group below
-    j is a node, with unbounded arcs from its vertices and an arc
-    node -> sink.  With no arc out of j there is no cut to solve, and S is
-    {j}.  Neither constant moves the least minimizer S, which joins the
-    cells it meets.  The cells found this way form the finest minimizing
-    partition, and the sum of x is the least sum.  Cells come sorted by
-    their smallest vertex.
+    f(S) - x(S - j) over S with j in S within {1..j}, one min cut with j as
+    the source.  The hyperedges that meet {1..j} in the same set a (a group)
+    cost their weight once a vertex of a is in S, and those that hold j cost
+    it on every S, a constant.  A vertex v < j in S costs term_v, the weight
+    of the group {v} minus x_v.  In the general network of the cut
+    (`tests/reference_flow.py`) a vertex with term_v < 0 gets an arc j -> v
+    of capacity -term_v, and term_v joins the constant; no arc enters any
+    other vertex, and a group is entered only from its vertices.  So only
+    the vertices A with term_v < 0 and the groups that meet A are reached
+    from j or carry flow, and the cut is solved on the bipartite network
+    j -> A -> those groups -> sink (`bipartite_cut`), with the same value
+    and least source side S; with A empty, S is {j}.  The constants do not
+    move S, which joins the cells it meets.  The cells found this way form
+    the finest minimizing partition, and the sum of x is the least sum.
+    Cells come sorted by their smallest vertex.
     """
     (n,), d = to_integers([gamma])
     edges = [(e, w * d) for e, w in src.weights.items()]
@@ -120,24 +139,19 @@ def truncation(src: WeightedHypergraph, gamma: Fraction) -> tuple[Fraction, tupl
                     groups[a] = groups.get(a, 0) + w
                 else:
                     term[a.bit_length() - 1] += w
-        # pull is minus the capacity out of j, so 1 - pull exceeds every min cut.
-        pull = sum(c for c in term if c < 0)
-        if pull:
-            # Node v < j is vertex v, node j the source, node j + 1 the sink, and one node follows per group.
-            sink = j + 1
-            arcs = [(v, sink, c) if c > 0 else (j, v, -c) for v, c in enumerate(term) if c]
-            for node, (a, w) in enumerate(groups.items(), sink + 1):
-                arcs.append((node, sink, w))
-                arcs += [(v, node, 1 - pull) for v in range(j) if a >> v & 1]
-            cut, reached = min_cut(sink + 1 + len(groups), arcs, j, sink)
-            least = sum(1 << u for u in reached if u <= j)
+        supply = [-c if c < 0 else 0 for c in term]
+        if any(supply):
+            movable = sum(1 << v for v, c in enumerate(supply) if c)
+            meet = [(a & movable, w) for a, w in groups.items() if a & movable]
+            cut, side = bipartite_cut(supply, meet)
+            least = bit | side
             for c in cells:
                 if c & least:
                     least |= c
             cells = [c for c in cells if not c & least]
         else:
             cut, least = 0, bit
-        x.append(fixed + pull + cut - n)
+        x.append(fixed - sum(supply) + cut - n)
         cells.append(least)
     return Fraction(sum(x), d), tuple(sorted(cells, key=lambda c: c & -c))
 

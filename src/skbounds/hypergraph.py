@@ -101,12 +101,12 @@ class WeightedHypergraph:
                 raise ValueError(f"hyperedge mask {mask!r} is not a nonempty subset of {{1..{self.m}}}")
             if isinstance(value, float):
                 raise TypeError(f"weight {value!r} on {format_subset(mask)} is a float, not exact")
-            if type(value) is not int:
+            if type(value) is not int and type(value) is not Fraction:
                 value = Fraction(value)
-            if value < 0:
-                raise ValueError(f"negative weight {value} on hyperedge {format_subset(mask)}")
             if value > 0:
                 clean[mask] = value
+            elif value:
+                raise ValueError(f"negative weight {value} on hyperedge {format_subset(mask)}")
         object.__setattr__(self, "weights", clean)
 
     @property

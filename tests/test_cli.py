@@ -606,3 +606,24 @@ def test_m20_commands_that_scan_exit_at_the_partition_cap(argv, tmp_path, capsys
     code, out, err = run_cli(capsys, *argv, str(doc))
     assert (code, out) == (3, "")
     assert err == "skbounds: m = 20 exceeds the partition enumeration cap of 12\n"
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--check"], ["rco", "--check"]], ids=" ".join)
+def test_m20_analyze_exits_at_the_partition_cap_before_any_lp(argv, monkeypatch, tmp_path, capsys):
+    # `analyze` runs `mmi` first, so above the cap it solves neither LP;
+    # run in another order, the exit code and message would be the same,
+    # after seconds of R_CO.
+    import skbounds.bounds
+    import skbounds.cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an LP bound ran before the partition cap")
+
+    for module in (skbounds.bounds, skbounds.cli):
+        monkeypatch.setattr(module, "r_co_direct", forbidden)
+        monkeypatch.setattr(module, "upper_bound_theorem1", forbidden)
+    doc = tmp_path / "path20.hg"
+    doc.write_text(PATH20, encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, str(doc))
+    assert (code, out) == (3, "")
+    assert err == "skbounds: m = 20 exceeds the partition enumeration cap of 12\n"

@@ -2,9 +2,12 @@
 
 `flow.dinkelbach` is checked against the `Fraction` scan on every family of
 `test_scan_oracle` at every scale, so huge and tiny lcms reach the flow
-code.  `mmi` certifies the truncation's I and P* with one table over the
-unions of P*'s cells and lists the minimizers as partitions of those cells
-into tight unions; the integer scan over the singletons,
+code.  `flow.bipartite_cut` is checked against the general max-flow
+`reference_flow.min_cut`, and `flow.truncation` against the truncation on
+the general network, `reference_flow.reference_truncation`.  `mmi`
+certifies the truncation's I and P* with one table over the unions of
+P*'s cells and lists the minimizers as partitions of those cells into
+tight unions; the integer scan over the singletons,
 `reference_scan.integer_scan`, is its reference where the `Fraction` scan
 is too slow.
 """
@@ -15,18 +18,24 @@ from fractions import Fraction
 
 import pytest
 
+import skbounds.bounds
 import skbounds.cli
 import skbounds.flow
 import skbounds.partitions
-from skbounds import InternalInvariantError, WeightedHypergraph, mask_of, mmi
-from skbounds.cli import main
-from skbounds.flow import dinkelbach, min_cut, truncation
+from skbounds import InternalInvariantError, WeightedHypergraph, analyze, mask_of, mmi
+from skbounds.cli import main, parse_document
+from skbounds.flow import bipartite_cut, dinkelbach, truncation
 from skbounds.hypergraph import vertices_of
 from skbounds.rational import format_rational
 
-from conftest import cycle_plus_edges
+from conftest import FIXTURE_DIR, cycle_plus_edges
+from reference_flow import min_cut, reference_truncation
 from reference_scan import integer_scan, reference_mmi
 from test_scan_oracle import FAMILIES, SCALES, tie_heavy_source, type_s_source, zero_support
+
+
+# The general min cut, kept in `tests/reference_flow.py` as the oracle of
+# `flow.bipartite_cut`.
 
 
 def test_min_cut_returns_the_value_and_the_least_source_side():
@@ -66,23 +75,82 @@ def test_truncation_by_hand():
     assert dinkelbach(src) == (1, (0b0111, 0b1000))
 
 
-def test_truncation_gives_no_node_to_a_group_that_holds_the_step_vertex(monkeypatch):
+def _record_cuts(monkeypatch) -> list:
     networks = []
-    cut = skbounds.flow.min_cut
+    cut = skbounds.flow.bipartite_cut
 
-    def recording(nodes, arcs, source, sink):
-        networks.append((nodes, arcs, source, sink))
-        return cut(nodes, arcs, source, sink)
+    def recording(supply, groups):
+        networks.append((supply[:], groups[:]))
+        return cut(supply, groups)
 
-    monkeypatch.setattr(skbounds.flow, "min_cut", recording)
+    monkeypatch.setattr(skbounds.flow, "bipartite_cut", recording)
+    return networks
+
+
+def test_truncation_gives_no_node_to_a_group_that_holds_the_step_vertex(monkeypatch):
+    networks = _record_cuts(monkeypatch)
     assert truncation(BY_HAND, Fraction(1)) == (3, (0b0111, 0b1000))
-    # No arc leaves vertex 1 or 2, so their steps solve no cut.
-    # At vertex 3 only {1,2} gets a node ({1,3}, {2,3} and {3,4} hold 3); at
-    # vertex 4, {1,2}, {1,3} and {2,3} do ({3,4} holds 4).
-    assert [(source, nodes - sink - 1) for nodes, _, source, sink in networks] == [(2, 1), (3, 3)]
-    for nodes, arcs, source, sink in networks:
-        # The step's vertex is the source, and its arcs reach only vertices below it.
-        assert all(head < source for tail, head, _ in arcs if tail == source)
+    # At gamma = 1, x = 1 at vertices 1 and 2, and vertex 1's term at step 2
+    # is w({1,3}) - x_1 = 0, so steps 1 and 2 solve no cut.  At step 3 the
+    # terms of 1 and 2 are -1, and only {1,2} is a group ({1,3}, {2,3} and
+    # {3,4} hold 3); at step 4, {1,2}, {1,3} and {2,3} are ({3,4} holds 4).
+    assert networks == [([1, 1], [(0b011, 1)]), ([1, 1, 1], [(0b011, 1), (0b101, 1), (0b110, 1)])]
+    networks.clear()
+    assert truncation(BY_HAND, Fraction(2)) == (0, (0b0001, 0b0010, 0b0100, 0b1000))
+    # At gamma = 2, x = 0, 0, 1 at vertices 1 to 3, so at step 4 only vertex
+    # 3 has a negative term: vertices 1 and 2 supply nothing, the group
+    # {1,2} meets no vertex that does and gets no node, and {1,3} and {2,3}
+    # reach the network through vertex 3 alone.
+    assert networks == [([0, 0, 1], [(0b100, 1), (0b100, 1)])]
+
+
+def _general_cut(supply: list[int], groups: list[tuple[int, int]]) -> tuple[int, int]:
+    """`reference_flow.min_cut` on the bipartite network, as (value, mask of the vertices on its side)."""
+    n = len(supply)
+    source, sink = n, n + 1
+    arcs = [(source, v, c) for v, c in enumerate(supply)]
+    for node, (mask, w) in enumerate(groups, n + 2):
+        arcs.append((node, sink, w))
+        arcs += [(v, node, sum(supply) + 1) for v in range(n) if mask >> v & 1]
+    value, side = min_cut(n + 2 + len(groups), arcs, source, sink)
+    return value, sum(1 << v for v in side if v < n)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_bipartite_cut_matches_the_general_min_cut_on_random_networks(seed):
+    # Zero supplies, zero group weights and groups holding a vertex with no
+    # supply are all drawn.
+    rng = random.Random(f"bipartite/{seed}")
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        supply = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)]
+        groups = [(rng.randint(1, (1 << n) - 1), rng.choice((0, 1, 2, 4, 7))) for _ in range(rng.randint(0, 6))]
+        assert bipartite_cut(supply, groups) == _general_cut(supply, groups), (supply, groups)
+
+
+def test_every_network_of_the_fixtures_and_the_ladder_matches_the_general_min_cut(monkeypatch):
+    # Every truncation `analyze` runs (I and P*, UB's rounds, the reduced
+    # source's capacity) is compared with the truncation on the general
+    # network, and every cut it solves with the general min cut.
+    networks = _record_cuts(monkeypatch)
+    truncations = []
+    truncate = skbounds.flow.truncation
+
+    def recording(src, gamma):
+        result = truncate(src, gamma)
+        truncations.append(result == reference_truncation(src, gamma))
+        return result
+
+    monkeypatch.setattr(skbounds.flow, "truncation", recording)
+    monkeypatch.setattr(skbounds.bounds, "truncation", recording)
+    sources = [parse_document(path.read_text(encoding="utf-8")) for path in sorted(FIXTURE_DIR.glob("*.hg"))]
+    sources += [cycle_plus_edges(random.Random(m), m) for m in (8, 9, 10, 11)]
+    for hg in sources:
+        analyze(hg)
+    assert len(truncations) >= 40 and all(truncations)
+    assert len(networks) >= 200
+    for supply, groups in networks:
+        assert bipartite_cut(supply, groups) == _general_cut(supply, groups), (supply, groups)
 
 
 def test_mmi_runs_one_dinkelbach_at_every_m(monkeypatch):
