@@ -32,10 +32,10 @@ as the LP dictionary's ints over its denominator D.
 
 R_CO has one row per nonempty proper subset B (`_subset_row`): the rates
 inside B cover the entropy of B given the rest.  They are generated from
-the singletons by `separation_oracle`, against D times the
-conditional-entropy table built once per solve.  `tests/reference_rco.py`
-keeps the LP with every row, and `tests/reference_separation.py` the
-`Fraction` sweep, as test oracles.
+the complements of the singletons by `separation_oracle`, against D times
+the conditional-entropy table built once per solve.
+`tests/reference_rco.py` keeps the LP with every row, and
+`tests/reference_separation.py` the `Fraction` sweep, as test oracles.
 
 UB's LP is over Gamma itself.  A group's entropy is the weight of the edges
 that meet it, and I is monotone in the weights, so Gamma has one row per
@@ -138,15 +138,19 @@ def _subset_row(m: int, mask: int, rhs: int) -> Constraint:
 
 
 def build_rco_lp(hg: WeightedHypergraph, cond) -> LinearProgram:
-    """R_CO's working LP: min total rate, each terminal's covering its entropy given the rest.
+    """R_CO's working LP: min total rate, each M - v covering its entropy given terminal v.
 
-    `cond` is `subset_weight_table(hg.m, hg.weights)`, built once by the
-    caller for the LP and its separation; on the integer source it holds ints.
+    Summed, these m rows give r(M) >= H - value(singletons), the
+    singletons' bound, and on a Type S source they are the rows LP duality
+    needs.  `cond` is `subset_weight_table(hg.m, hg.weights)`, built once
+    by the caller for the LP and its separation; on the integer source it
+    holds ints.
     """
+    complements = [hg.full_mask ^ 1 << i for i in range(hg.m)]
     return LinearProgram(
         variables=[f"R{i}" for i in range(1, hg.m + 1)],
         objective=[1] * hg.m,
-        constraints=[_subset_row(hg.m, 1 << i, cond[1 << i]) for i in range(hg.m)],
+        constraints=[_subset_row(hg.m, mask, cond[mask]) for mask in complements],
     )
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import CapExceededError
@@ -59,18 +60,24 @@ def subset_weight_table(m: int, entries: Mapping[int, Fraction | int]) -> list[F
 
     With a source's weights as entries this is the entropy of every group B
     given the rest.  Computed with a subset-sum (zeta) transform in
-    O(2^m * m) additions.  Sums stay in the type of the entries (Fractions
-    or ints); a subset that contains no hyperedge holds int 0.
+    O(2^m * m) additions: for each bit b, the half of the table without b
+    is added to the half with it by list slices, b strided ones while
+    b^2 < 2^m and 2^m / 2b contiguous runs after.  Sums stay in the type of
+    the entries (Fractions or ints); a subset that contains no hyperedge
+    holds int 0.
     """
-    table = [0] * (1 << m)
+    size = 1 << m
+    table = [0] * size
     for mask, value in entries.items():
         table[mask] += value
     for bit in range(m):
         b = 1 << bit
-        # The masks containing the bit come in runs of b, every 2b masks.
-        for lo in range(b, 1 << m, 2 * b):
-            for s in range(lo, lo + b):
-                table[s] += table[s ^ b]
+        if b * b < size:
+            for j in range(b):
+                table[j + b::2 * b] = map(add, table[j + b::2 * b], table[j::2 * b])
+        else:
+            for j in range(0, size, 2 * b):
+                table[j + b:j + 2 * b] = map(add, table[j + b:j + 2 * b], table[j:j + b])
     return table
 
 

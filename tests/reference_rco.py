@@ -3,10 +3,11 @@
 R_CO is the least total rate over the rate vectors with rates(B) >=
 H(B | M - B) for every nonempty proper subset B of the terminals, and
 H(B | M - B) is the weight of the edges inside B.
-`skbounds.bounds.r_co_direct` generates these rows from the singletons; the
-LP here writes all 2^m - 2 of them at once, each summed from the edges
-directly, on the integer source (weights times L).  It shares no row
-builder and no subset table with the package, only `lp.solve`.
+`skbounds.bounds.r_co_direct` generates these rows from the complements
+of the singletons; the LP here writes all 2^m - 2 of them at once, each
+summed from the edges directly, on the integer source (weights times L).
+It shares no row builder and no subset table with the package, only
+`lp.solve`.
 """
 
 from __future__ import annotations

@@ -112,9 +112,9 @@ def test_build_rco_lp_row_count():
     cond = subset_weight_table(4, EXAMPLE1_INT.weights)
     lp = build_rco_lp(EXAMPLE1_INT, cond)
     assert len(lp.variables) == 4
-    # The singletons' rows seed row generation: terminal i covers its entropy given the rest.
+    # The complements of the singletons seed row generation: M - i covers its entropy given i.
     assert [(con.coeffs, con.rhs) for con in lp.constraints] == [
-        (tuple(int(j == i) for j in range(4)), cond[1 << i]) for i in range(4)
+        (tuple(int(j != i) for j in range(4)), cond[0b1111 ^ 1 << i]) for i in range(4)
     ]
     # The reference writes every row: 2^4 - 2 proper nonempty subsets.
     full = full_rco_lp(EXAMPLE1_INT)
@@ -220,10 +220,10 @@ def test_separation_oracle_finds_the_most_violated_subset(hg, x, rates, expected
 
 
 def test_rco_builds_the_conditional_table_once(monkeypatch):
-    # A seeded m = 8 source whose R_CO row generation takes 6 rounds.  The
-    # seed LP and the oracle read the one cond table of the solve; no round
-    # builds another.
-    hg = random_hypergraph(random.Random(5), 8)
+    # The m = 10 ladder source, whose R_CO row generation takes 6 rounds.
+    # The seed LP and the oracle read the one cond table of the solve; no
+    # round builds another.
+    hg = cycle_plus_edges(random.Random(10), 10)
     builds, rounds = [], []
     table, oracle = skbounds.hypergraph.subset_weight_table, skbounds.bounds.separation_oracle
 
@@ -241,6 +241,23 @@ def test_rco_builds_the_conditional_table_once(monkeypatch):
     r_co_direct(hg, method="rowgen")
     assert len(rounds) >= 3
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("m, rounds", [(10, 6), (12, 7), (14, 6)])
+def test_rco_rounds_on_the_ladder(m, rounds, monkeypatch):
+    # Seeded with the complements of the singletons, R_CO's row generation
+    # on the ladder sources calls the separation 6 / 7 / 6 times; seeded
+    # with the singletons it took 12 / 11 / 14.
+    calls = []
+    oracle = skbounds.bounds.separation_oracle
+
+    def counted(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(skbounds.bounds, "separation_oracle", counted)
+    r_co_direct(cycle_plus_edges(random.Random(m), m))
+    assert len(calls) == rounds
 
 
 @pytest.mark.parametrize("entry", [analyze, r_co_direct, upper_bound_theorem1])

@@ -457,7 +457,7 @@ MUTATIONS = {
     ),
     "rco-oracle-none": (
         _oracle_none("R"),
-        "internal invariant violated: R_CO identity (H - I): 0 vs 7/2\n",
+        "internal invariant violated: R_CO identity (H - I): 10/3 vs 7/2\n",
     ),
     "ub-oracle-none": (
         _oracle_none("x"),

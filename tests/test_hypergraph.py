@@ -100,6 +100,40 @@ def test_subset_weight_table_is_containment_sum():
         )
 
 
+def _contained_sums(m, entries):
+    """The plain definition: each entry on e added at every mask B that contains e."""
+    sums = [0] * (1 << m)
+    for e, v in entries.items():
+        for b in range(1 << m):
+            if e & ~b == 0:
+                sums[b] += v
+    return sums
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_tables_match_the_plain_sums(m):
+    # Over m = 1 to 12 the transform adds bit b by both of its forms: b
+    # strided slices while b^2 < 2^m, contiguous runs after.  Int entries
+    # sum to ints and Fraction entries to Fractions; a mask with no entry
+    # inside holds int 0.
+    rng = random.Random(m)
+    full = (1 << m) - 1
+    maps = [
+        {},
+        {full: Fraction(5, 3)},
+        {1 << i: i + 1 for i in range(m)},
+        {rng.randint(1, full): rng.randint(1, 9) for _ in range(m)},
+        {rng.randint(1, full): Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(m)},
+    ]
+    for entries in maps:
+        table, plain = subset_weight_table(m, entries), _contained_sums(m, entries)
+        assert table == plain
+        assert list(map(type, table)) == list(map(type, plain))
+        if m >= 2 and entries:
+            met = [sum([v for e, v in entries.items() if e & a]) for a in range(full + 1)]
+            assert WeightedHypergraph(m, entries).entropy_table() == met
+
+
 def test_monotonicity_and_submodularity(make_random_hypergraph):
     rng = random.Random(99)
     for m in (3, 4, 5):

@@ -105,9 +105,10 @@ def test_integer_check_matches_the_fraction_check():
 
 def test_row_generation_builds_each_integer_form_once(monkeypatch):
     # Count to_integers calls by caller through R_CO and UB solves by row
-    # generation on the m = 12 ladder source, where each takes at least 10
-    # rounds.  `lp` takes ints and scales nothing, and the oracles read each
-    # round's point as the dictionary's ints: the only calls are the integer
+    # generation, each on a source where it takes at least 10 rounds: UB on
+    # the m = 12 ladder source, R_CO on another seed's m = 12 source.  `lp`
+    # takes ints and scales nothing, and the oracles read each round's
+    # point as the dictionary's ints: the only calls are the integer
     # source, built once per hypergraph (each solve gets a fresh copy, which
     # has not built it yet), UB's capacity n / d, and one per round in UB's
     # truncation, which puts its gamma n * den / d over one denominator.
@@ -135,6 +136,7 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
         verify(lp, xs, den)
 
     hg = cycle_plus_edges(random.Random(12), 12)
+    rco_hg = cycle_plus_edges(random.Random(3), 12)
     capacity = mmi(hg)
     for name, module in list(sys.modules.items()):
         if name.startswith("skbounds") and hasattr(module, "to_integers"):
@@ -142,14 +144,14 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
     monkeypatch.setattr(skbounds.lp, "_verify", recording)
     monkeypatch.setattr(skbounds.lp, "Fraction", counting_fraction)
     k = sum(1 for e in hg.edges if e & (e - 1))
-    for run, ub, n in (
-        (lambda g: r_co_direct(g, method="rowgen"), 0, hg.m),
-        (lambda g: upper_bound_theorem1(g, mmi_result=capacity, method="rowgen"), 1, k),
+    for run, source, ub, n in (
+        (lambda g: r_co_direct(g, method="rowgen"), rco_hg, 0, rco_hg.m),
+        (lambda g: upper_bound_theorem1(g, mmi_result=capacity, method="rowgen"), hg, 1, k),
     ):
         calls.clear()
         checked.clear()
         fractions.clear()
-        run(WeightedHypergraph(hg.m, hg.weights))
+        run(WeightedHypergraph(source.m, source.weights))
         assert len(checked) >= 10
         expected = {
             ("skbounds.hypergraph", "integer_source"): 1,
