@@ -63,7 +63,6 @@ import operator
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 from .errors import InternalInvariantError
@@ -71,7 +70,7 @@ from .flow import dinkelbach, truncation
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
 # `solve` has no caller here; perfbench's tracer requires this import site of it.
 from .lp import OPTIMAL, Constraint, LinearProgram, solve, solve_with_row_generation
-from .partitions import MmiResult, cross_edges, mmi
+from .partitions import MmiResult, bell, cross_edges, mmi
 from .rational import to_integers
 
 Check = tuple[str, bool, object, object]  # (label, ok, value, expected)
@@ -194,14 +193,6 @@ def build_gamma_lp(hg: WeightedHypergraph, edges: Sequence[int], n: int, d: int)
     )
 
 
-def _bell(m: int) -> int:
-    """The number of partitions of m terminals, by the Bell triangle."""
-    row = [1]
-    for _ in range(m - 1):
-        row = list(accumulate(row, initial=row[-1]))
-    return row[-1]
-
-
 def upper_bound_theorem1(
     hg: WeightedHypergraph,
     *,
@@ -228,7 +219,7 @@ def upper_bound_theorem1(
         least, cells = truncation(WeightedHypergraph(src.m, dict(zip(edges, xs))), gamma)
         return _partition_row(edges, cells, n, d) if least < sum(xs) - gamma else None
 
-    sol = solve_with_row_generation(build_gamma_lp(src, edges, n, d), oracle, _bell(src.m) - 1)
+    sol = solve_with_row_generation(build_gamma_lp(src, edges, n, d), oracle, bell(src.m) - 1)
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"packing LP reported {sol.status}")
     entries = dict.fromkeys(src.edges, Fraction(0))

@@ -11,9 +11,10 @@ P* consists of singletons is called Type S.  Every minimizer coarsens P*.
 `mmi` computes on the integer source (`WeightedHypergraph.integer_source`,
 every weight times L, the lcm of their denominators), so every entropy it
 holds is an int (L times the entropy).  `flow.dinkelbach` finds I and P* by
-max-flow in polynomial time, one table of the 2^|P*| unions of P*'s cells
-certifies them and counts the minimizers, and the minimizers are listed,
-without a scan, only when read.
+max-flow in polynomial time.  When I > 0, one table of the 2^|P*| unions of
+P*'s cells certifies them and counts the minimizers; when I = 0, P*'s
+uncut edges certify it and the count is Bell(|P*|) - 1.  Either way the
+minimizers are listed, without a scan, only when read.
 
 Let I = num / den, and for a set a of P*'s cells (a *union*) let
 
@@ -34,6 +35,17 @@ minimizer coarsens the truncation's P* rests on the theorem and on the
 oracle tests, not on an exhaustive check.  H comes from the source
 contracted to P*'s cells, each hyperedge to the set of cells it meets.
 
+I = 0 exactly when the source's edges of positive weight fall apart into
+several components, and P* is then those components.  With num = 0 each
+edge adds w * (the number of cells of a it meets - 1) to slack(a), or 0
+if it meets none, so slack(all cells) = 0 holds exactly when no edge of
+positive weight meets two cells of P*, and then every slack is 0.  So
+`mmi` checks that no edge is cut, raises `InternalInvariantError` as above
+if one is, and counts every partition of P*'s cells into >= 2 unions,
+Bell(|P*|) - 1, with no table and no sum over submasks: the same two
+checks and the same count the table would give.  The listing is the same
+walk over an all-zero slack table, built when read.
+
 Each minimizer is recorded as its canonical cell tuple (bitmasks sorted
 by smallest vertex), and the listing is in `sorted` order of those
 tuples.  `MmiResult` builds them on the first read of `minimizer_cells`
@@ -53,6 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable
 
 from .errors import CapExceededError, InternalInvariantError
@@ -150,12 +163,14 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
 
     Returns the minimum, the finest minimizer, the number of minimizers and
     their sorted listing, built when first read.  The truncation gives I
-    and P*, one table over the unions of P*'s cells certifies them, and the
-    minimizers are counted, and listed when read by the count's recursion,
-    as the partitions of P*'s cells into tight unions.  A P* whose value is
-    not I and a union of its cells that merges into a partition of value
-    below I are reported as internal errors: neither can happen for
-    hypergraphical sources.
+    and P*.  If I > 0, one table over the unions of P*'s cells certifies
+    them, and the minimizers are counted, and listed when read by the
+    count's recursion, as the partitions of P*'s cells into tight unions.
+    If I = 0, no edge of positive weight may meet two cells of P*, and
+    every partition of its cells into >= 2 unions is a minimizer.  A P*
+    whose value is not I and a union of its cells that merges into a
+    partition of value below I are reported as internal errors: neither
+    can happen for hypergraphical sources.
     """
     m = hg.m
     if m > PARTITION_CAP:
@@ -164,13 +179,40 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
         )
     src, scale = hg.integer_source()
     capacity, units = dinkelbach(src)
-    slack = _certified_slack(src, units, capacity, scale)
     # The listing's name is looked up when it is read, not bound here.
+    if not capacity:
+        # slack(all cells) = 0 says that no edge of positive weight meets two
+        # cells, and then every union is tight.
+        if any(w and e & ~next(u for u in units if u & e) for e, w in src.weights.items()):
+            raise _off_value(src, units, capacity, scale)
+        return MmiResult(
+            capacity,
+            Partition(m, units),
+            bell(len(units)) - 1,
+            lambda: _list_coarsenings(units, [0] * (1 << len(units))),
+        )
+    slack = _certified_slack(src, units, capacity, scale)
     return MmiResult(
         capacity / scale,
         Partition(m, units),
         _count_coarsenings(slack),
         lambda: _list_coarsenings(units, slack),
+    )
+
+
+def bell(n: int) -> int:
+    """The number of partitions of n items, by the Bell triangle."""
+    row = [1]
+    for _ in range(n - 1):
+        row = list(accumulate(row, initial=row[-1]))
+    return row[-1]
+
+
+def _off_value(src: WeightedHypergraph, units: tuple[int, ...], capacity: Fraction, scale: int) -> InternalInvariantError:
+    """The error for a truncation's P* whose value is not its I."""
+    return InternalInvariantError(
+        f"the truncation's partition {Partition(src.m, units)} does not have its value"
+        f" I = {capacity / scale}"
     )
 
 
@@ -197,10 +239,7 @@ def _certified_slack(src: WeightedHypergraph, units: tuple[int, ...], capacity: 
         slack += [x + step for x in slack]
     slack = [x - den * e for x, e in zip(slack, ent)]
     if slack[-1]:
-        raise InternalInvariantError(
-            f"the truncation's partition {Partition(src.m, units)} does not have its value"
-            f" I = {capacity / scale}"
-        )
+        raise _off_value(src, units, capacity, scale)
     worst = max(slack[1:])
     if worst > 0:
         a = slack.index(worst, 1)

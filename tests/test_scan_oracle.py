@@ -100,8 +100,29 @@ def test_mmi_matches_the_fraction_scan(family, scale):
 def test_mmi_counts_at_the_cap_without_listing(monkeypatch, family, count):
     # At m = 12 the tie-heavy source has Bell(11) - 1 = 678,569 minimizers,
     # the Type-S source one and the empty support Bell(12) - 1 = 4,213,596.
+    # The tie-heavy source and the empty support have I = 0, which needs no
+    # table over the unions of P*'s cells and no sum over their submasks.
     def listing(*args):
         raise AssertionError("the minimizers were listed")
 
+    tables, counted = [], []
+    table = skbounds.partitions.subset_weight_table
+    count_coarsenings = skbounds.partitions._count_coarsenings
+
+    def recording_table(m, entries):
+        tables.append(m)
+        return table(m, entries)
+
+    def recording_count(slack):
+        counted.append(len(slack))
+        return count_coarsenings(slack)
+
     monkeypatch.setattr(skbounds.partitions, "_list_coarsenings", listing)
-    assert mmi(FAMILIES[family](random.Random(12), 12)).minimizer_count == count
+    monkeypatch.setattr(skbounds.partitions, "subset_weight_table", recording_table)
+    monkeypatch.setattr(skbounds.partitions, "_count_coarsenings", recording_count)
+    result = mmi(FAMILIES[family](random.Random(12), 12))
+    assert result.minimizer_count == count
+    if family == "type_s":
+        assert (tables, counted) == ([result.fundamental.size], [1 << result.fundamental.size])
+    else:
+        assert (result.value, tables, counted) == (0, [], [])

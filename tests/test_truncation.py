@@ -5,11 +5,11 @@
 code.  `flow.bipartite_cut` is checked against the general max-flow
 `reference_flow.min_cut`, and `flow.truncation` against the truncation on
 the general network, `reference_flow.reference_truncation`.  `mmi`
-certifies the truncation's I and P* with one table over the unions of
-P*'s cells and lists the minimizers as partitions of those cells into
-tight unions; the integer scan over the singletons,
-`reference_scan.integer_scan`, is its reference where the `Fraction` scan
-is too slow.
+certifies the truncation's I > 0 and P* with one table over the unions of
+P*'s cells, and I = 0 by P*'s uncut edges, and lists the minimizers as
+partitions of those cells into tight unions; the integer scan over the
+singletons, `reference_scan.integer_scan`, is its reference where the
+`Fraction` scan is too slow.
 """
 
 import random
@@ -28,10 +28,10 @@ from skbounds.flow import bipartite_cut, dinkelbach, truncation
 from skbounds.hypergraph import vertices_of
 from skbounds.rational import format_rational
 
-from conftest import FIXTURE_DIR, cycle_plus_edges
+from conftest import FIXTURE_DIR, cycle_plus_edges, random_weight
 from reference_flow import min_cut, reference_truncation
 from reference_scan import integer_scan, reference_mmi
-from test_scan_oracle import FAMILIES, SCALES, tie_heavy_source, type_s_source, zero_support
+from test_scan_oracle import FAMILIES, SCALES, bell, tie_heavy_source, type_s_source, zero_support
 
 
 # The general min cut, kept in `tests/reference_flow.py` as the oracle of
@@ -197,12 +197,39 @@ TWO_DEAD_CELLS = WeightedHypergraph(
     },
 )
 
+
+def two_cycles(rng: random.Random, m: int) -> WeightedHypergraph:
+    # Two disjoint cycles, on terminals 1..m/2 and the rest, and a singleton
+    # edge at every terminal, all weights drawn: I = 0 with the two cycles as
+    # P*, while dinkelbach starts above 0, since every terminal lies on an
+    # edge of positive weight with another.
+    weights = {1 << v: random_weight(rng) for v in range(m)}
+    for lo, n in ((0, m // 2), (m // 2, m - m // 2)):
+        for i in range(n):
+            weights[(1 << (lo + i)) | (1 << (lo + (i + 1) % n))] = random_weight(rng)
+    return WeightedHypergraph(m, weights)
+
+
+def three_hyperedge_components(rng: random.Random, m: int) -> WeightedHypergraph:
+    # The shuffled terminals split into runs of 3, 3 and m - 6, each joined
+    # by hyperedges over 3 consecutive terminals of its run: I = 0 with the
+    # runs as P*, while dinkelbach starts above 0.
+    order = rng.sample(range(1, m + 1), m)
+    weights = {}
+    for run in (order[:3], order[3:6], order[6:]):
+        for i in range(len(run) - 2):
+            weights[mask_of(run[i : i + 3])] = random_weight(rng)
+    return WeightedHypergraph(m, weights)
+
+
 PATH_SOURCES = [
     *(pytest.param(cycle_plus_edges, m, m, id=f"ladder-{m}") for m in (8, 9, 10, 11)),
     pytest.param(type_s_source, "path/type-s", 10, id="type-s-10"),
     pytest.param(tie_heavy_source, "path/tie", 10, id="tie-10"),
     pytest.param(zero_support, "path/zero", 9, id="zero-9"),
     pytest.param(lambda rng, m: TWO_DEAD_CELLS, None, 6, id="two-dead-cells-6"),
+    pytest.param(two_cycles, "path/two-cycles", 10, id="two-cycles-10"),
+    pytest.param(three_hyperedge_components, "path/three-components", 10, id="three-components-10"),
 ]
 
 
@@ -213,6 +240,8 @@ def test_the_truncation_path_returns_the_singleton_scan_result(make, seed, m):
     assert result == integer_scan(hg)
     assert result.minimizer_count == len(result.minimizer_cells)
     assert result.minimizer_cells == tuple(sorted(result.minimizer_cells))
+    if result.value == 0:
+        assert result.minimizer_count == bell(result.fundamental.size) - 1
 
 
 @pytest.mark.parametrize(
@@ -308,21 +337,34 @@ def test_two_clusters_has_a_two_cell_p_star():
 
 
 @pytest.mark.parametrize(
-    "mutate",
+    "mutate, hg",
     [
         # The singletons: finer than P*, so their value is above I.
-        pytest.param(lambda value, cells: (value, tuple(1 << v for v in range(9))), id="singletons"),
+        pytest.param(lambda value, cells: (value, tuple(1 << v for v in range(9))), TWO_CLUSTERS, id="singletons"),
         # A two-cell partition that is not a minimizer, with the right I.
-        pytest.param(lambda value, cells: (value, (0b000001111, 0b111110000)), id="two-cells"),
-        # I one unit of the integer source off, either way.
-        pytest.param(lambda value, cells: (value + 1, cells), id="I-plus-1"),
-        pytest.param(lambda value, cells: (value - 1, cells), id="I-minus-1"),
+        pytest.param(lambda value, cells: (value, (0b000001111, 0b111110000)), TWO_CLUSTERS, id="two-cells"),
+        # I one unit of the integer source off, either way; I - 1 is 0, so
+        # the check on P*'s uncut edges must catch the edge {5,6}.
+        pytest.param(lambda value, cells: (value + 1, cells), TWO_CLUSTERS, id="I-plus-1"),
+        pytest.param(lambda value, cells: (value - 1, cells), TWO_CLUSTERS, id="I-minus-1"),
+        # I = 0 is right on the tie-heavy source, but the singletons cut its pair.
+        pytest.param(
+            lambda value, cells: (Fraction(0), tuple(1 << v for v in range(9))),
+            tie_heavy_source(random.Random("mutation/tie"), 9),
+            id="zero-singletons",
+        ),
+        # I forced to 0 on a connected source, with its own P*.
+        pytest.param(
+            lambda value, cells: (Fraction(0), cells),
+            cycle_plus_edges(random.Random(9), 9),
+            id="zero-connected",
+        ),
     ],
 )
-def test_a_wrong_truncation_result_is_an_internal_error(monkeypatch, mutate):
+def test_a_wrong_truncation_result_is_an_internal_error(monkeypatch, mutate, hg):
     monkeypatch.setattr(skbounds.partitions, "dinkelbach", lambda src: mutate(*dinkelbach(src)))
     with pytest.raises(InternalInvariantError, match="does not have its value I"):
-        mmi(TWO_CLUSTERS)
+        mmi(hg)
 
 
 def test_a_partition_finer_than_p_star_at_its_own_value_trips_the_union_check(monkeypatch):
