@@ -31,11 +31,21 @@ rows that carry it are written times d.  Row generation reads each point
 as the LP dictionary's ints over its denominator D.
 
 R_CO has one row per nonempty proper subset B (`_subset_row`): the rates
-inside B cover the entropy of B given the rest.  They are generated from
-the complements of the singletons by `separation_oracle`, against D times
-the conditional-entropy table built once per solve.
-`tests/reference_rco.py` keeps the LP with every row, and
-`tests/reference_separation.py` the `Fraction` sweep, as test oracles.
+inside B cover the entropy of B given the rest.  With A = M - B and
+alpha = H(M) - r(M) the row reads r(A) <= H(A) - alpha, so the rows are
+the polyhedron of H - alpha, and the greedy point of `flow.truncation` at
+gamma = I meets them all with r(M) = H - I, which is R_CO (Fujishige 2005;
+Csiszar and Narayan, IEEE Trans. IT, 2004).  `r_co_direct` takes that
+point from `flow.dinkelbach` and proves it optimal without trusting the
+truncation and with no LP rounds.  One `separation_oracle` sweep against
+the conditional-entropy table shows that it meets every row, so
+R_CO <= its sum.  The relaxation `build_rco_lp`, the rows of the
+complements of P*'s cells, which sum to r(M) >= H - value(P*), is solved
+once by `lp.solve`, which certifies its optimum; that optimum must equal
+the point's sum, so R_CO >= its sum.  `tests/reference_rco.py` keeps the
+LP with every row and its row generation from the complements of the
+singletons, and `tests/reference_separation.py` the `Fraction` sweep, as
+test oracles.
 
 UB's LP is over Gamma itself.  A group's entropy is the weight of the edges
 that meet it, and I is monotone in the weights, so Gamma has one row per
@@ -68,7 +78,6 @@ from typing import Mapping, Optional, Sequence
 from .errors import InternalInvariantError
 from .flow import dinkelbach, truncation
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
-# `solve` has no caller here; perfbench's tracer requires this import site of it.
 from .lp import OPTIMAL, Constraint, LinearProgram, solve, solve_with_row_generation
 from .partitions import MmiResult, bell, cross_edges, mmi
 from .rational import to_integers
@@ -120,8 +129,8 @@ def separation_oracle(inside: Sequence, rates: Sequence) -> Optional[int]:
     `tests/reference_packing.py` passes `subset_weight_table(m, x)`).
     Minimizes rates(B) - inside[B] over nonempty proper subsets B and returns
     the minimizing mask (smallest on ties) when the minimum is negative.
-    Works in the type of its inputs; row generation passes ints, both sides
-    scaled by one common denominator.
+    Works in the type of its inputs; R_CO, `run_checks` and row generation
+    pass ints, both sides scaled by one common denominator.
     """
     sums = [0]  # sums[B] = rates(B), one doubling per terminal
     for rate in rates:
@@ -136,42 +145,55 @@ def _subset_row(m: int, mask: int, rhs: int) -> Constraint:
     return Constraint(tuple(mask >> i & 1 for i in range(m)), rhs)
 
 
-def build_rco_lp(hg: WeightedHypergraph, cond) -> LinearProgram:
-    """R_CO's working LP: min total rate, each M - v covering its entropy given terminal v.
+def build_rco_lp(hg: WeightedHypergraph, cond, cells: Sequence[int]) -> LinearProgram:
+    """R_CO's relaxation: min total rate, each M - C covering its entropy given C, for the cells C.
 
-    Summed, these m rows give r(M) >= H - value(singletons), the
-    singletons' bound, and on a Type S source they are the rows LP duality
-    needs.  `cond` is `subset_weight_table(hg.m, hg.weights)`, built once
-    by the caller for the LP and its separation; on the integer source it
-    holds ints.
+    Summed, these rows give r(M) >= H - value(P) for P = `cells`, and
+    y = 1 / (|P| - 1) on each is a dual solution of that value, so the
+    relaxation's optimum lies between H - value(P) and R_CO; at P = P* both
+    are H - I.  On a Type S source the rows are the complements of the
+    singletons.  `cond` is a table of `subset_weight_table` over `hg`'s
+    weights, times one factor, which scales the optimum; `r_co_direct`
+    builds it once, for the relaxation and the sweep, in ints.
     """
-    complements = [hg.full_mask ^ 1 << i for i in range(hg.m)]
     return LinearProgram(
         variables=[f"R{i}" for i in range(1, hg.m + 1)],
         objective=[1] * hg.m,
-        constraints=[_subset_row(hg.m, mask, cond[mask]) for mask in complements],
+        constraints=[_subset_row(hg.m, hg.full_mask ^ c, cond[hg.full_mask ^ c]) for c in cells],
     )
 
 
 def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fraction, RatePoint]:
     """Minimum omniscience communication rate with an achieving rate point.
 
-    Infeasibility is impossible (each terminal broadcasting its own entropy
-    is feasible), so a non-optimal status is reported as an internal error.
+    The point is the greedy point xs / d of `flow.dinkelbach`'s last
+    truncation, on the integer source.  One `separation_oracle` sweep must
+    show that it meets every subset row, and the relaxation over the
+    complements of P*'s cells, solved once, must have its sum as optimum;
+    either failure is reported as an internal error, naming the row or
+    both values.
     """
     _check_method(method)
-    m = hg.m
     src, scale = hg.integer_source()
-    table = subset_weight_table(m, src.weights)
-
-    def oracle(xs: Sequence[int], d: int) -> Optional[Constraint]:
-        mask = separation_oracle(table if d == 1 else [v * d for v in table], xs)
-        return None if mask is None else _subset_row(m, mask, table[mask])
-
-    sol = solve_with_row_generation(build_rco_lp(src, table), oracle, 1 << m)
-    if sol.status != OPTIMAL:
-        raise InternalInvariantError(f"omniscience LP reported {sol.status}")
-    return sol.objective_value / scale, RatePoint(tuple(r / scale for r in sol.point))
+    _, cells, xs, d = dinkelbach(src)
+    # The table times d, as the sweep compares it with xs.
+    table = subset_weight_table(src.m, {e: w * d for e, w in src.weights.items()})
+    mask = separation_oracle(table, xs)
+    if mask is not None:
+        have = sum(x for i, x in enumerate(xs) if mask >> i & 1)
+        raise InternalInvariantError(
+            f"the greedy rate point misses the subset row of {format_subset(mask)}:"
+            f" {Fraction(have, d * scale)} vs {Fraction(table[mask], d * scale)}"
+        )
+    total = sum(xs)
+    sol = solve(build_rco_lp(src, table, cells))
+    if sol.objective_value != total:  # None unless optimal
+        found = sol.status if sol.objective_value is None else sol.objective_value / (d * scale)
+        raise InternalInvariantError(
+            f"the relaxation over P*'s cells has optimum {found},"
+            f" not the rate point's sum {Fraction(total, d * scale)}"
+        )
+    return Fraction(total, d * scale), RatePoint(tuple(Fraction(x, d * scale) for x in xs))
 
 
 def _partition_row(edges: Sequence[int], cells: Sequence[int], n: int, d: int) -> Constraint:
@@ -216,7 +238,7 @@ def upper_bound_theorem1(
 
     def oracle(xs: Sequence[int], den: int) -> Optional[Constraint]:
         gamma = Fraction(n * den, d)
-        least, cells = truncation(WeightedHypergraph(src.m, dict(zip(edges, xs))), gamma)
+        least, cells, _, _ = truncation(WeightedHypergraph(src.m, dict(zip(edges, xs))), gamma)
         return _partition_row(edges, cells, n, d) if least < sum(xs) - gamma else None
 
     sol = solve_with_row_generation(build_gamma_lp(src, edges, n, d), oracle, bell(src.m) - 1)
@@ -230,7 +252,7 @@ def upper_bound_theorem1(
 def _capacity(hg: WeightedHypergraph) -> tuple[Fraction, int]:
     """(I, |P*|) of `hg` by `flow.dinkelbach`, with no listing of the minimizers."""
     src, scale = hg.integer_source()
-    value, cells = dinkelbach(src)
+    value, cells = dinkelbach(src)[:2]
     return value / scale, len(cells)
 
 

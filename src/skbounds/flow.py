@@ -100,8 +100,11 @@ def bipartite_cut(supply: list[int], groups: list[tuple[int, int]]) -> tuple[int
     return sum(supply), 0
 
 
-def truncation(src: WeightedHypergraph, gamma: Fraction) -> tuple[Fraction, tuple[int, ...]]:
-    """The least sum of H(C) - gamma over the cells C of a partition of M, and its finest partition.
+def truncation(
+    src: WeightedHypergraph, gamma: Fraction
+) -> tuple[Fraction, tuple[int, ...], tuple[int, ...], int]:
+    """(least, cells, xs, d): the least sum of H(C) - gamma over the cells C of a partition of M,
+    its finest partition, and the greedy point x = xs / d that reaches it.
 
     `src` has int weights.  Vertex j (in order) gets x_j, the least
     f(S) - x(S - j) over S with j in S within {1..j}, one min cut with j as
@@ -118,7 +121,10 @@ def truncation(src: WeightedHypergraph, gamma: Fraction) -> tuple[Fraction, tupl
     and least source side S; with A empty, S is {j}.  The constants do not
     move S, which joins the cells it meets.  The cells found this way form
     the finest minimizing partition, and the sum of x is the least sum.
-    Cells come sorted by their smallest vertex.
+    Cells come sorted by their smallest vertex.  x is returned as ints xs
+    over gamma's denominator d: x(A) <= H(A) - gamma for every nonempty A
+    (Fujishige 2005), with equality at A = M when the least sum is the
+    one-cell partition's, as it is at gamma = I.
     """
     (n,), d = to_integers([gamma])
     edges = [(e, w * d) for e, w in src.weights.items()]
@@ -153,18 +159,21 @@ def truncation(src: WeightedHypergraph, gamma: Fraction) -> tuple[Fraction, tupl
             cut, least = 0, bit
         x.append(fixed - sum(supply) + cut - n)
         cells.append(least)
-    return Fraction(sum(x), d), tuple(sorted(cells, key=lambda c: c & -c))
+    return Fraction(sum(x), d), tuple(sorted(cells, key=lambda c: c & -c)), tuple(x), d
 
 
-def dinkelbach(src: WeightedHypergraph) -> tuple[Fraction, tuple[int, ...]]:
-    """(I, P*): the least partition value of `src` (int weights) and its finest minimizer's cells.
+def dinkelbach(src: WeightedHypergraph) -> tuple[Fraction, tuple[int, ...], tuple[int, ...], int]:
+    """(I, P*, xs, d): the least partition value of `src` (int weights), its finest minimizer's
+    cells, and the last truncation's greedy point xs / d, at gamma = I.
 
     Starts at the least value among the singletons, sum of w(|e| - 1) over
     m - 1, and the m splits {v} | M - v, each the weight of the edges that
     hold v and another vertex, all from one pass over the edges.  Each
     truncation either beats the one-cell partition, and gamma falls to the
     value of the partition found, or shows that no partition has a value
-    below gamma.
+    below gamma.  The greedy point of that last truncation sums to H(M) - I
+    and meets x(A) <= H(A) - I on every nonempty A, so it is an optimal
+    omniscience rate point (Csiszar and Narayan 2004).
     """
     m = src.m
     total = crossing = 0  # crossing: the singletons' value times m - 1
@@ -179,9 +188,9 @@ def dinkelbach(src: WeightedHypergraph) -> tuple[Fraction, tuple[int, ...]]:
     best = min(split)
     gamma = Fraction(best) if best * (m - 1) < crossing else Fraction(crossing, m - 1)
     while True:
-        least, cells = truncation(src, gamma)
+        least, cells, xs, d = truncation(src, gamma)
         if least >= total - gamma:
-            return gamma, cells
+            return gamma, cells, xs, d
         # The partition's sum of H(C) - H(M) is least + gamma * |cells| - H(M).
         k = len(cells)
         gamma = (least + gamma * k - total) / (k - 1)

@@ -178,7 +178,7 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
             f"m = {m} exceeds the partition enumeration cap of {PARTITION_CAP}"
         )
     src, scale = hg.integer_source()
-    capacity, units = dinkelbach(src)
+    capacity, units = dinkelbach(src)[:2]
     # The listing's name is looked up when it is read, not bound here.
     if not capacity:
         # slack(all cells) = 0 says that no edge of positive weight meets two

@@ -66,8 +66,11 @@ def min_cut(nodes: int, arcs: list[tuple[int, int, int]], source: int, sink: int
             value += push
 
 
-def reference_truncation(src: WeightedHypergraph, gamma: Fraction) -> tuple[Fraction, tuple[int, ...]]:
-    """The least sum of H(C) - gamma over the cells C of a partition of M, and its finest partition.
+def reference_truncation(
+    src: WeightedHypergraph, gamma: Fraction
+) -> tuple[Fraction, tuple[int, ...], tuple[int, ...], int]:
+    """(least, cells, xs, d): the least sum of H(C) - gamma over the cells C of a partition of M,
+    its finest partition, and the greedy point xs / d, d the denominator of gamma.
 
     `src` has int weights.  Vertex j (in order) gets x_j, the least
     f(S) - x(S - j) over S with j in S within {1..j}, solved as one min cut
@@ -123,4 +126,4 @@ def reference_truncation(src: WeightedHypergraph, gamma: Fraction) -> tuple[Frac
             cut, least = 0, bit
         x.append(fixed + pull + cut - n)
         cells.append(least)
-    return Fraction(sum(x), d), tuple(sorted(cells, key=lambda c: c & -c))
+    return Fraction(sum(x), d), tuple(sorted(cells, key=lambda c: c & -c)), tuple(x), d

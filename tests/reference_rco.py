@@ -1,21 +1,28 @@
-"""The omniscience LP with every subset row, kept as a test oracle of R_CO.
+"""The omniscience LP with every subset row, and its row generation, kept as test oracles of R_CO.
 
 R_CO is the least total rate over the rate vectors with rates(B) >=
 H(B | M - B) for every nonempty proper subset B of the terminals, and
-H(B | M - B) is the weight of the edges inside B.
-`skbounds.bounds.r_co_direct` generates these rows from the complements
-of the singletons; the LP here writes all 2^m - 2 of them at once, each
-summed from the edges directly, on the integer source (weights times L).
-It shares no row builder and no subset table with the package, only
-`lp.solve`.
+H(B | M - B) is the weight of the edges inside B.  `full_rco_lp` writes
+all 2^m - 2 rows at once, each summed from the edges directly, on the
+integer source (weights times L); it shares no row builder and no subset
+table with the package, only `lp.solve`.
+
+`rowgen_rco` is the row generation `skbounds.bounds.r_co_direct` ran
+before it took the truncation's greedy point: it starts from the rows of
+the complements of the singletons, r(M - v) >= H(M - v | v), and each
+round adds the row `separation_oracle` picks at the dictionary's point,
+against D times the conditional-entropy table built once per solve.  It
+runs on the package's `subset_weight_table`, `separation_oracle` and
+`solve_with_row_generation`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional, Sequence
 
-from skbounds import InternalInvariantError, WeightedHypergraph
-from skbounds.lp import OPTIMAL, Constraint, LinearProgram, solve
+from skbounds import InternalInvariantError, WeightedHypergraph, separation_oracle, subset_weight_table
+from skbounds.lp import OPTIMAL, Constraint, LinearProgram, solve, solve_with_row_generation
 
 
 def full_rco_lp(src: WeightedHypergraph) -> LinearProgram:
@@ -31,10 +38,41 @@ def full_rco_lp(src: WeightedHypergraph) -> LinearProgram:
     return LinearProgram([f"R{i}" for i in range(1, m + 1)], [1] * m, rows)
 
 
+def _subset_row(m: int, mask: int, rhs: int) -> Constraint:
+    return Constraint(tuple(mask >> i & 1 for i in range(m)), rhs)
+
+
+def cosingleton_rco_lp(src: WeightedHypergraph, cond: Sequence[int]) -> LinearProgram:
+    """The working LP row generation starts from: each M - v covers its entropy given v."""
+    complements = [src.full_mask ^ 1 << i for i in range(src.m)]
+    return LinearProgram(
+        [f"R{i}" for i in range(1, src.m + 1)],
+        [1] * src.m,
+        [_subset_row(src.m, mask, cond[mask]) for mask in complements],
+    )
+
+
+def _result(sol, scale: int, kind: str) -> tuple[Fraction, tuple[Fraction, ...]]:
+    if sol.status != OPTIMAL:
+        raise InternalInvariantError(f"{kind} omniscience LP reported {sol.status}")
+    return sol.objective_value / scale, tuple(r / scale for r in sol.point)
+
+
 def reference_rco(hg: WeightedHypergraph) -> tuple[Fraction, tuple[Fraction, ...]]:
     """(R_CO, an optimal rate point) by the full-row LP, divided by L once."""
     src, scale = hg.integer_source()
-    sol = solve(full_rco_lp(src))
-    if sol.status != OPTIMAL:
-        raise InternalInvariantError(f"full-row omniscience LP reported {sol.status}")
-    return sol.objective_value / scale, tuple(r / scale for r in sol.point)
+    return _result(solve(full_rco_lp(src)), scale, "full-row")
+
+
+def rowgen_rco(hg: WeightedHypergraph) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """(R_CO, an optimal rate point) by row generation from the co-singleton rows, divided by L once."""
+    m = hg.m
+    src, scale = hg.integer_source()
+    table = subset_weight_table(m, src.weights)
+
+    def oracle(xs: Sequence[int], d: int) -> Optional[Constraint]:
+        mask = separation_oracle(table if d == 1 else [v * d for v in table], xs)
+        return None if mask is None else _subset_row(m, mask, table[mask])
+
+    sol = solve_with_row_generation(cosingleton_rco_lp(src, table), oracle, 1 << m)
+    return _result(sol, scale, "row-generation")

@@ -111,12 +111,7 @@ def test_the_unread_name_guard_sees_imports_and_private_names():
 
 
 # Imports that nothing in their module reads, by module, each with its reason.
-UNREAD_IMPORT_ALLOWED = {
-    "bounds.py": {
-        "solve": "perfbench's tracer requires bounds as an import site of lp.solve"
-        " (REQUIRED_SITES); ROADMAP item 1 drops the site",
-    },
-}
+UNREAD_IMPORT_ALLOWED: dict[str, dict[str, str]] = {}
 
 
 def test_every_import_and_private_name_is_read():

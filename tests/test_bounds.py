@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -27,15 +28,20 @@ from skbounds.partitions import PARTITION_CAP, Partition
 from skbounds.rational import to_integers
 
 from conftest import (
+    FIXTURE_DIR,
+    GRAPHICAL_CORPUS_SIZE,
+    IDENTITY_CORPUS_SIZE,
     cycle_plus_edges,
     fixture_text,
     proper_subsets,
     random_graph,
     random_hypergraph,
 )
+import reference_rco as reference_rco_module
 from reference_packing import reference_packing
-from reference_rco import full_rco_lp, reference_rco
+from reference_rco import cosingleton_rco_lp, full_rco_lp, reference_rco, rowgen_rco
 from reference_scan import _raw_partitions, integer_scan, reference_mmi
+from reference_separation import reference_separation
 from test_scan_oracle import FAMILIES
 
 F = Fraction
@@ -89,7 +95,7 @@ def test_rco_example2_matches_identity():
 
 def test_rco_rowgen_agrees():
     for hg in (EXAMPLE1, EXAMPLE2, TRIANGLE, TWO_TERMINAL):
-        assert reference_rco(hg)[0] == r_co_direct(hg, method="rowgen")[0]
+        assert reference_rco(hg)[0] == rowgen_rco(hg)[0] == r_co_direct(hg, method="rowgen")[0]
 
 
 def _rco(hg, method):
@@ -110,12 +116,15 @@ EXAMPLE1_INT, _ = EXAMPLE1.integer_source()
 
 def test_build_rco_lp_row_count():
     cond = subset_weight_table(4, EXAMPLE1_INT.weights)
-    lp = build_rco_lp(EXAMPLE1_INT, cond)
+    # One row per cell: M - C covers its entropy given C.  P* = {1,2},{3},{4}.
+    lp = build_rco_lp(EXAMPLE1_INT, cond, (0b0011, 0b0100, 0b1000))
     assert len(lp.variables) == 4
-    # The complements of the singletons seed row generation: M - i covers its entropy given i.
     assert [(con.coeffs, con.rhs) for con in lp.constraints] == [
-        (tuple(int(j != i) for j in range(4)), cond[0b1111 ^ 1 << i]) for i in range(4)
+        ((0, 0, 1, 1), cond[0b1100]), ((1, 1, 0, 1), cond[0b1011]), ((1, 1, 1, 0), cond[0b0111])
     ]
+    # Over the singletons they are the co-singleton rows that row generation started from.
+    singletons = build_rco_lp(EXAMPLE1_INT, cond, (1, 2, 4, 8))
+    assert singletons.constraints == cosingleton_rco_lp(EXAMPLE1_INT, cond).constraints
     # The reference writes every row: 2^4 - 2 proper nonempty subsets.
     full = full_rco_lp(EXAMPLE1_INT)
     assert len(full.constraints) == len(proper_subsets(4)) == 14
@@ -220,9 +229,9 @@ def test_separation_oracle_finds_the_most_violated_subset(hg, x, rates, expected
 
 
 def test_rco_builds_the_conditional_table_once(monkeypatch):
-    # The m = 10 ladder source, whose R_CO row generation takes 6 rounds.
-    # The seed LP and the oracle read the one cond table of the solve; no
-    # round builds another.
+    # The m = 10 ladder source, whose R_CO row generation in
+    # `tests/reference_rco.py` takes 6 rounds.  The seed LP and the oracle
+    # read the one cond table of the solve; no round builds another.
     hg = cycle_plus_edges(random.Random(10), 10)
     builds, rounds = [], []
     table, oracle = skbounds.hypergraph.subset_weight_table, skbounds.bounds.separation_oracle
@@ -235,10 +244,9 @@ def test_rco_builds_the_conditional_table_once(monkeypatch):
         rounds.append(args)
         return oracle(*args)
 
-    monkeypatch.setattr(skbounds.hypergraph, "subset_weight_table", counted_table)
-    monkeypatch.setattr(skbounds.bounds, "subset_weight_table", counted_table)
-    monkeypatch.setattr(skbounds.bounds, "separation_oracle", counted_oracle)
-    r_co_direct(hg, method="rowgen")
+    monkeypatch.setattr(reference_rco_module, "subset_weight_table", counted_table)
+    monkeypatch.setattr(reference_rco_module, "separation_oracle", counted_oracle)
+    rowgen_rco(hg)
     assert len(rounds) >= 3
     assert len(builds) == 1
 
@@ -255,9 +263,95 @@ def test_rco_rounds_on_the_ladder(m, rounds, monkeypatch):
         calls.append(args)
         return oracle(*args)
 
-    monkeypatch.setattr(skbounds.bounds, "separation_oracle", counted)
-    r_co_direct(cycle_plus_edges(random.Random(m), m))
+    monkeypatch.setattr(reference_rco_module, "separation_oracle", counted)
+    rowgen_rco(cycle_plus_edges(random.Random(m), m))
     assert len(calls) == rounds
+
+
+def _counted(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("m", [10, 12, 14])
+def test_rco_builds_one_table_runs_one_sweep_and_one_solve(m, monkeypatch):
+    # The greedy point of one `dinkelbach` is proved optimal by one sweep
+    # over one table and one solve of the relaxation; no row generation.
+    calls = []
+    for name in ("dinkelbach", "subset_weight_table", "separation_oracle", "solve"):
+        _counted(monkeypatch, skbounds.bounds, name, calls)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("R_CO ran row generation")
+
+    monkeypatch.setattr(skbounds.bounds, "solve_with_row_generation", forbidden)
+    r_co_direct(cycle_plus_edges(random.Random(m), m))
+    assert calls == ["dinkelbach", "subset_weight_table", "separation_oracle", "solve"]
+
+
+def _with_greedy_point(monkeypatch, change):
+    """`bounds.dinkelbach` with its (I, P*, xs, d) passed through `change`."""
+    exact = skbounds.bounds.dinkelbach
+    monkeypatch.setattr(skbounds.bounds, "dinkelbach", lambda src: change(*exact(src)))
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_a_greedy_rate_lowered_by_one_over_l_is_an_internal_error(i, monkeypatch):
+    # Each rate lies on a tight row: the complement of a cell of P* that
+    # does not hold it.  Lowered by 1/L (d in xs over d), it misses that row.
+    hg = WeightedHypergraph(4, {e: w / 3 for e, w in EXAMPLE1.weights.items()})
+
+    def lowered(value, cells, xs, d):
+        return value, cells, tuple(x - d * (j == i) for j, x in enumerate(xs)), d
+
+    _with_greedy_point(monkeypatch, lowered)
+    with pytest.raises(skbounds.InternalInvariantError, match="greedy rate point misses the subset row of"):
+        r_co_direct(hg)
+
+
+def test_a_relaxation_from_a_wrong_partition_is_an_internal_error(monkeypatch):
+    # The singletons' relaxation of Example 1 has optimum 10/3, below
+    # R_CO = 7/2, so it proves nothing about the (right) rate point.  Every
+    # minimizer's relaxation reaches 7/2.
+    for cells in mmi(EXAMPLE1).minimizer_cells:
+        with monkeypatch.context() as patch:
+            _with_greedy_point(patch, lambda value, _, xs, d: (value, cells, xs, d))
+            assert r_co_direct(EXAMPLE1)[0] == F(7, 2)
+    _with_greedy_point(monkeypatch, lambda value, _, xs, d: (value, (1, 2, 4, 8), xs, d))
+    message = "the relaxation over P*'s cells has optimum 10/3, not the rate point's sum 7/2"
+    with pytest.raises(skbounds.InternalInvariantError, match=re.escape(message)):
+        r_co_direct(EXAMPLE1)
+
+
+def _rco_sources():
+    """The fixtures and the ladder at m = 2..12."""
+    sources = [parse_document(fixture_text(path.name)) for path in sorted(FIXTURE_DIR.glob("*.hg"))]
+    return sources + [cycle_plus_edges(random.Random(m), m) for m in range(2, 13)]
+
+
+def test_every_rate_point_sums_to_r_co_and_meets_every_subset_row(identity_corpus, graphical_corpus):
+    # The `Fraction` sweep of `tests/reference_separation.py` over all
+    # 2^m - 2 rows, on the fixtures, both corpora and the ladder.
+    sources = _rco_sources() + identity_corpus + graphical_corpus
+    for hg in sources:
+        value, point = r_co_direct(hg)
+        assert sum(point.rates) == value == hg.total_entropy - mmi(hg).value, hg
+        cond = subset_weight_table(hg.m, hg.weights)
+        assert reference_separation(hg.m, cond, point.rates) is None, hg
+    assert len(sources) == 5 + 11 + IDENTITY_CORPUS_SIZE + GRAPHICAL_CORPUS_SIZE
+
+
+def test_r_co_equals_the_full_row_lp_on_a_random_set():
+    rng = random.Random("rco-random")
+    families = (random_hypergraph, random_graph, cycle_plus_edges)
+    for i in range(300):
+        hg = families[i % 3](rng, rng.randint(2, 7))
+        assert r_co_direct(hg)[0] == reference_rco(hg)[0], i
 
 
 @pytest.mark.parametrize("entry", [analyze, r_co_direct, upper_bound_theorem1])
@@ -268,6 +362,7 @@ def test_an_unknown_row_method_fails_before_any_work(entry, monkeypatch):
         raise AssertionError("the partition scan ran before the method was checked")
 
     monkeypatch.setattr(skbounds.bounds, "mmi", no_scan)
+    monkeypatch.setattr(skbounds.bounds, "dinkelbach", no_scan)
     # "full" named the full-row path, which is gone from the package.
     for method in ("bogus", "full"):
         with pytest.raises(ValueError, match="unknown method"):

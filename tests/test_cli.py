@@ -372,12 +372,12 @@ def test_check_reuses_the_analyze_report(monkeypatch, capsys):
         assert "FAIL" not in err
         # Gamma membership and Type S read `flow.dinkelbach`: no `mmi` of the reduced source.
         assert scans == {"input": 1, "reduced": 0}, command
-        # Two truncations, as in `analyze` alone: its `mmi` and the source
-        # reduced by x*, whose checks the suite reads from the report.
-        assert len(truncations) == 2, command
+        # Three truncations, as in `analyze` alone: its `mmi`, R_CO's rate
+        # point and the source reduced by x*, whose checks the suite reads
+        # from the report.
+        assert len(truncations) == 3, command
         # The LPs of analyze, and no other: the suite solves no LP.
-        assert solves["solve"] == [], command
-        assert sorted(solves["rowgen"]) == ["R_CO", "packing"], command
+        assert solves == {"solve": ["R_CO"], "rowgen": ["packing"]}, command
 
 
 def test_check_of_a_report_solves_no_lp(monkeypatch):
@@ -417,22 +417,29 @@ def _rate_lowered(monkeypatch):
     monkeypatch.setattr(skbounds.bounds, "r_co_direct", mutated)
 
 
-def _oracle_none(prefix):
-    """An oracle that certifies round one, in the LP whose variable names start with `prefix`."""
+def _ub_oracle_none(monkeypatch):
+    """UB's oracle certifies round one."""
+    import skbounds.bounds
 
-    def mutate(monkeypatch):
-        import skbounds.bounds
+    exact = skbounds.bounds.solve_with_row_generation
 
-        exact = skbounds.bounds.solve_with_row_generation
+    def mutated(lp, oracle, max_rounds):
+        return exact(lp, lambda xs, den: None, max_rounds)
 
-        def mutated(lp, oracle, max_rounds):
-            if lp.variables[0].startswith(prefix):
-                oracle = lambda xs, den: None  # noqa: E731
-            return exact(lp, oracle, max_rounds)
+    monkeypatch.setattr(skbounds.bounds, "solve_with_row_generation", mutated)
 
-        monkeypatch.setattr(skbounds.bounds, "solve_with_row_generation", mutated)
 
-    return mutate
+def _greedy_rate_lowered(monkeypatch):
+    """The first rate of the truncation's greedy point, which R_CO reads, lowered by 1/L."""
+    import skbounds.bounds
+
+    exact = skbounds.bounds.dinkelbach
+
+    def mutated(src):
+        value, cells, xs, d = exact(src)
+        return value, cells, (xs[0] - d, *xs[1:]), d
+
+    monkeypatch.setattr(skbounds.bounds, "dinkelbach", mutated)
 
 
 def _objective_raised(monkeypatch):
@@ -455,12 +462,12 @@ MUTATIONS = {
         _rate_lowered,
         "check rate point meets every subset row (R_CO): FAIL (2 vs 3)\n",
     ),
-    "rco-oracle-none": (
-        _oracle_none("R"),
-        "internal invariant violated: R_CO identity (H - I): 10/3 vs 7/2\n",
+    "greedy-rate-lowered": (
+        _greedy_rate_lowered,
+        "internal invariant violated: the greedy rate point misses the subset row of {1,2,3}: 2 vs 3\n",
     ),
     "ub-oracle-none": (
-        _oracle_none("x"),
+        _ub_oracle_none,
         "internal invariant violated: x* preserves capacity (Gamma membership): 5/4 vs 3/2\n",
     ),
     "tampered-dictionary": (

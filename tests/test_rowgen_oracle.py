@@ -4,10 +4,11 @@
 optimal dictionary and re-optimizes by the dual simplex;
 `reference_row_generation` re-solves the grown LP from scratch every round.
 Both must reach the same status and value, and so must `solve` on the
-final working LP.  The optimal vertex may differ where the optimum is not
-unique, so the package results are certified on their own: values equal to
-the full-row LPs, a capacity-preserving x*, a rate point inside every
-subset row, and every invariant of `run_checks`.
+final working LP.  The warm loop runs UB in the package and R_CO's row
+generation in `tests/reference_rco.py`.  The optimal vertex may differ
+where the optimum is not unique, so the package results are certified on
+their own: values equal to the full-row LPs, a capacity-preserving x*, a
+rate point inside every subset row, and every invariant of `run_checks`.
 """
 
 import random
@@ -17,6 +18,7 @@ from dataclasses import replace
 
 import pytest
 
+import reference_rco
 import skbounds.bounds
 import skbounds.lp
 from skbounds import (
@@ -33,7 +35,6 @@ from skbounds.lp import solve, solve_with_row_generation
 
 from conftest import cycle_plus_edges, random_graph, random_hypergraph, random_weight
 from reference_packing import reference_packing
-from reference_rco import reference_rco
 from reference_rowgen import reference_row_generation
 from reference_separation import reference_separation
 from test_lp_oracle import random_lp
@@ -80,8 +81,8 @@ def test_split_lps_match_the_cold_loop_and_the_final_lp():
     assert min(seen.values()) >= 20, seen
 
 
-def _pivots(monkeypatch, run, cold: bool):
-    """`run()` with the warm or the cold loop, and the `lp._pivot` calls it made."""
+def _pivots(monkeypatch, module, run, cold: bool):
+    """`run()` with the warm or the cold loop in `module`, and the `lp._pivot` calls it made."""
     count = 0
     pivot = skbounds.lp._pivot
 
@@ -93,7 +94,7 @@ def _pivots(monkeypatch, run, cold: bool):
     with monkeypatch.context() as patch:
         patch.setattr(skbounds.lp, "_pivot", counted)
         if cold:
-            patch.setattr(skbounds.bounds, "solve_with_row_generation", reference_row_generation)
+            patch.setattr(module, "solve_with_row_generation", reference_row_generation)
         value = run()
     return value, count
 
@@ -102,12 +103,12 @@ def _pivots(monkeypatch, run, cold: bool):
 def test_warm_start_makes_at_most_half_the_pivots_of_the_cold_loop(monkeypatch, m):
     hg = cycle_plus_edges(random.Random(m), m)
     mres = mmi(hg)
-    for name, run in (
-        ("R_CO", lambda: r_co_direct(hg, method="rowgen")[0]),
-        ("UB", lambda: upper_bound_theorem1(hg, mmi_result=mres, method="rowgen")[0]),
+    for name, module, run in (
+        ("R_CO", reference_rco, lambda: reference_rco.rowgen_rco(hg)[0]),
+        ("UB", skbounds.bounds, lambda: upper_bound_theorem1(hg, mmi_result=mres, method="rowgen")[0]),
     ):
-        warm, warm_pivots = _pivots(monkeypatch, run, cold=False)
-        cold, cold_pivots = _pivots(monkeypatch, run, cold=True)
+        warm, warm_pivots = _pivots(monkeypatch, module, run, cold=False)
+        cold, cold_pivots = _pivots(monkeypatch, module, run, cold=True)
         assert warm == cold, name
         assert 2 * warm_pivots <= cold_pivots, (name, warm_pivots, cold_pivots)
 
@@ -149,7 +150,7 @@ def test_row_generation_results_are_certified(family):
         # both values must equal those of the full-row LPs.
         failed = [check for check in run_checks(hg, report) if not check[1]]
         assert not failed, (label, failed)
-        assert report.r_co == reference_rco(hg)[0], label
+        assert report.r_co == reference_rco.reference_rco(hg)[0] == reference_rco.rowgen_rco(hg)[0], label
         assert report.ub_theorem1 == reference_packing(hg, report.mmi.value, "full")[0], label
         assert verify_gamma_membership(hg, report.x_star), label
         r_co, rates = r_co_direct(hg, method="rowgen")

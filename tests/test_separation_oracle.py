@@ -5,11 +5,13 @@ holds it, over its denominator; `reference_separation` is the old
 `Fraction` sweep.  At every point the
 solver reaches, the row it adds (or its certificate that none is violated)
 must be the one the sweep picks, so the rows, pivots and optimal points
-are those of the Fraction code.  The subset rows are R_CO's, in the
-package, and those of the subset-row packing LP that
-`tests/reference_packing.py` keeps as the oracle of UB(Thm 1).  Both LPs are
-solved on the integer source (weights times L, the lcm of their
-denominators), so the reference tables are built from it too.
+are those of the Fraction code.  The subset rows are R_CO's, whose row
+generation `tests/reference_rco.py` keeps as an oracle, and those of the
+subset-row packing LP that `tests/reference_packing.py` keeps as the oracle
+of UB(Thm 1).  Both LPs are solved on the integer source (weights times L,
+the lcm of their denominators), so the reference tables are built from it
+too.  The package's R_CO sweeps once, at the truncation's greedy point, and
+solves one relaxation.
 """
 
 import random
@@ -55,7 +57,7 @@ def _record_rounds(monkeypatch, module, hg, reference_table):
     """Check each round's row against the reference sweep; returns the list of added masks.
 
     `module` is the one whose `solve_with_row_generation` the solve calls:
-    `skbounds.bounds` for R_CO, `reference_packing` for the packing LP.
+    `reference_rco` for R_CO, `reference_packing` for the packing LP.
     """
     m, added = hg.m, []
     solve_rowgen = module.solve_with_row_generation
@@ -86,8 +88,8 @@ def test_row_generation_adds_the_rows_of_the_fraction_sweep(monkeypatch, family,
         src, _ = hg.integer_source()
         edges, cond = src.edges, subset_weight_table(m, src.weights)
         with monkeypatch.context() as patch:
-            added = _record_rounds(patch, skbounds.bounds, hg, lambda point: cond)
-            r_co_direct(hg, method="rowgen")
+            added = _record_rounds(patch, reference_rco, hg, lambda point: cond)
+            reference_rco.rowgen_rco(hg)
             rco_rows += len(added)
         with monkeypatch.context() as patch:
             added = _record_rounds(
@@ -141,7 +143,7 @@ def test_a_round_separates_like_the_fraction_sweep_at_any_point(monkeypatch, sca
         factor = common * SCALES[scale]
         edges, cond = src.edges, subset_weight_table(m, src.weights)
         capacity = mmi(hg).value
-        rco = _round_oracle(monkeypatch, skbounds.bounds, lambda: r_co_direct(hg, method="rowgen"))
+        rco = _round_oracle(monkeypatch, reference_rco, lambda: reference_rco.rowgen_rco(hg))
         packing = _round_oracle(
             monkeypatch,
             reference_packing,
@@ -159,7 +161,8 @@ def test_a_round_separates_like_the_fraction_sweep_at_any_point(monkeypatch, sca
 
 def test_row_generation_separates_in_ints(monkeypatch):
     # Weights with denominators 1, 2 and 3: every round must still reach the
-    # oracle as ints, never as Fractions.
+    # oracle as ints, never as Fractions, and so must the package's one
+    # R_CO sweep at the greedy point.
     hg = cycle_plus_edges(random.Random(8), 8)
     seen = []
     oracle = skbounds.bounds.separation_oracle
@@ -168,12 +171,14 @@ def test_row_generation_separates_in_ints(monkeypatch):
         seen.append({type(v) for v in (*inside, *rates)})
         return oracle(inside, rates)
 
-    monkeypatch.setattr(skbounds.bounds, "separation_oracle", typed)
-    monkeypatch.setattr(reference_packing, "separation_oracle", typed)
-    r_co_direct(hg, method="rowgen")
+    for module in (skbounds.bounds, reference_rco, reference_packing):
+        monkeypatch.setattr(module, "separation_oracle", typed)
+    r_co_direct(hg)
+    assert len(seen) == 1
+    reference_rco.rowgen_rco(hg)
     rco_rounds = len(seen)
     reference_packing.reference_packing(hg, mmi(hg).value)
-    assert 0 < rco_rounds < len(seen)
+    assert 1 < rco_rounds < len(seen)
     assert all(types == {int} for types in seen)
 
 
@@ -188,9 +193,9 @@ def _bits(lp):
 @pytest.mark.parametrize("method", ["full", "rowgen"])
 def test_tiny_weights_reach_the_simplex_as_small_integers(monkeypatch, method):
     # Weights times 1/(10^100 + 1) have a 333-bit denominator.  Both LPs run
-    # on the integer source, by row generation in the package and with every
-    # row in the references, so no coefficient, right-hand side or bound
-    # that reaches lp.solve carries it.
+    # on the integer source, as R_CO's relaxation and UB's row generation in
+    # the package and with every row in the references, so no coefficient,
+    # right-hand side or bound that reaches lp.solve carries it.
     hg = _scaled(cycle_plus_edges(random.Random(8), 8), SCALES["tiny"])
     capacity = mmi(hg).value
     solve, seen = skbounds.lp.solve, []

@@ -63,16 +63,19 @@ BY_HAND = WeightedHypergraph(4, {0b0011: 1, 0b0101: 1, 0b0110: 1, 0b1100: 1})
 def test_truncation_by_hand():
     src = BY_HAND
     # At gamma = I the one-cell partition ties with P*, the finest minimizer.
-    assert truncation(src, Fraction(1)) == (3, (0b0111, 0b1000))
+    # The greedy point: x_1 = H(1) - 1 = 1, x_2 = H(12) - 1 - x_1 = 1,
+    # x_3 = H(123) - 1 - x_1 - x_2 = 1 and x_4 = H(4) - 1 = 0, summing to
+    # H(M) - I = 3.
+    assert truncation(src, Fraction(1)) == (3, (0b0111, 0b1000), (1, 1, 1, 0), 1)
     # At gamma = 2 the singletons win: H(1) + H(2) + H(3) + H(4) - 4 * 2 = 2 + 2 + 3 + 1 - 8 = 0.
-    assert truncation(src, Fraction(2)) == (0, (0b0001, 0b0010, 0b0100, 0b1000))
+    assert truncation(src, Fraction(2)) == (0, (0b0001, 0b0010, 0b0100, 0b1000), (0, 0, 1, -1), 1)
     # At gamma = 5/4, between the two, P* alone is least: 4 + 1 - 2 * 5/4 = 5/2,
-    # against 3 for the singletons and 11/4 for the one cell.
-    assert truncation(src, Fraction(5, 4)) == (Fraction(5, 2), (0b0111, 0b1000))
+    # against 3 for the singletons and 11/4 for the one cell; x is over d = 4.
+    assert truncation(src, Fraction(5, 4)) == (Fraction(5, 2), (0b0111, 0b1000), (3, 3, 5, -1), 4)
     # Dinkelbach starts at the least of the singletons' value 4/3 and the
     # splits {v} | M - v, 2, 2, 3 and 1: the split {4} has value I, and one
-    # truncation there returns P*.
-    assert dinkelbach(src) == (1, (0b0111, 0b1000))
+    # truncation there returns P* and the greedy point.
+    assert dinkelbach(src) == (1, (0b0111, 0b1000), (1, 1, 1, 0), 1)
 
 
 def _record_cuts(monkeypatch) -> list:
@@ -89,14 +92,14 @@ def _record_cuts(monkeypatch) -> list:
 
 def test_truncation_gives_no_node_to_a_group_that_holds_the_step_vertex(monkeypatch):
     networks = _record_cuts(monkeypatch)
-    assert truncation(BY_HAND, Fraction(1)) == (3, (0b0111, 0b1000))
+    assert truncation(BY_HAND, Fraction(1))[:2] == (3, (0b0111, 0b1000))
     # At gamma = 1, x = 1 at vertices 1 and 2, and vertex 1's term at step 2
     # is w({1,3}) - x_1 = 0, so steps 1 and 2 solve no cut.  At step 3 the
     # terms of 1 and 2 are -1, and only {1,2} is a group ({1,3}, {2,3} and
     # {3,4} hold 3); at step 4, {1,2}, {1,3} and {2,3} are ({3,4} holds 4).
     assert networks == [([1, 1], [(0b011, 1)]), ([1, 1, 1], [(0b011, 1), (0b101, 1), (0b110, 1)])]
     networks.clear()
-    assert truncation(BY_HAND, Fraction(2)) == (0, (0b0001, 0b0010, 0b0100, 0b1000))
+    assert truncation(BY_HAND, Fraction(2))[:2] == (0, (0b0001, 0b0010, 0b0100, 0b1000))
     # At gamma = 2, x = 0, 0, 1 at vertices 1 to 3, so at step 4 only vertex
     # 3 has a negative term: vertices 1 and 2 supply nothing, the group
     # {1,2} meets no vertex that does and gets no node, and {1,3} and {2,3}
@@ -129,9 +132,10 @@ def test_the_bipartite_cut_matches_the_general_min_cut_on_random_networks(seed):
 
 
 def test_every_network_of_the_fixtures_and_the_ladder_matches_the_general_min_cut(monkeypatch):
-    # Every truncation `analyze` runs (I and P*, UB's rounds, the reduced
-    # source's capacity) is compared with the truncation on the general
-    # network, and every cut it solves with the general min cut.
+    # Every truncation `analyze` runs (I and P*, R_CO's greedy point, UB's
+    # rounds, the reduced source's capacity) is compared, greedy point
+    # included, with the truncation on the general network, and every cut
+    # it solves with the general min cut.
     networks = _record_cuts(monkeypatch)
     truncations = []
     truncate = skbounds.flow.truncation
@@ -177,7 +181,7 @@ def test_dinkelbach_matches_the_fraction_scan(family, scale):
         hg = FAMILIES[family](rng, m)
         hg = WeightedHypergraph(m, {e: c * w for e, w in hg.weights.items()})
         src, L = hg.integer_source()
-        capacity, cells = dinkelbach(src)
+        capacity, cells = dinkelbach(src)[:2]
         expected = reference_mmi(hg)
         assert (capacity / L, cells) == (expected.value, expected.fundamental.cells), f"m = {m}"
 
@@ -362,7 +366,7 @@ def test_two_clusters_has_a_two_cell_p_star():
     ],
 )
 def test_a_wrong_truncation_result_is_an_internal_error(monkeypatch, mutate, hg):
-    monkeypatch.setattr(skbounds.partitions, "dinkelbach", lambda src: mutate(*dinkelbach(src)))
+    monkeypatch.setattr(skbounds.partitions, "dinkelbach", lambda src: mutate(*dinkelbach(src)[:2]))
     with pytest.raises(InternalInvariantError, match="does not have its value I"):
         mmi(hg)
 

@@ -6,7 +6,8 @@ forms the rationals xs / den and sums every row in `Fraction`s.  On seeded
 LPs and points both must raise on the same points with the same message.
 The LP engine scales nothing to integers itself, and no round of row
 generation builds a `Fraction` in `lp` or calls `to_integers` beyond what
-its oracle needs: R_CO's sweep reads the dictionary's own ints, and the
+its oracle needs: the sweep of R_CO's row generation
+(`tests/reference_rco.py`) reads the dictionary's own ints, and the
 packing LP's truncation converts only its gamma.
 """
 
@@ -17,11 +18,12 @@ from collections import Counter
 from fractions import Fraction
 
 import skbounds.lp
-from skbounds import InternalInvariantError, WeightedHypergraph, mmi, r_co_direct, upper_bound_theorem1
+from skbounds import InternalInvariantError, WeightedHypergraph, mmi, upper_bound_theorem1
 from skbounds.lp import LinearProgram, _verify
 from skbounds.rational import to_integers
 
 from conftest import cycle_plus_edges
+from reference_rco import rowgen_rco
 from reference_verify import reference_verify
 
 DENOMINATORS = (1, 2, 3, 7, 10**100, 10**100 + 1)
@@ -106,7 +108,8 @@ def test_integer_check_matches_the_fraction_check():
 def test_row_generation_builds_each_integer_form_once(monkeypatch):
     # Count to_integers calls by caller through R_CO and UB solves by row
     # generation, each on a source where it takes at least 10 rounds: UB on
-    # the m = 12 ladder source, R_CO on another seed's m = 12 source.  `lp`
+    # the m = 12 ladder source, R_CO's (in `tests/reference_rco.py`) on
+    # another seed's m = 12 source.  `lp`
     # takes ints and scales nothing, and the oracles read each round's
     # point as the dictionary's ints: the only calls are the integer
     # source, built once per hypergraph (each solve gets a fresh copy, which
@@ -145,7 +148,7 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
     monkeypatch.setattr(skbounds.lp, "Fraction", counting_fraction)
     k = sum(1 for e in hg.edges if e & (e - 1))
     for run, source, ub, n in (
-        (lambda g: r_co_direct(g, method="rowgen"), rco_hg, 0, rco_hg.m),
+        (rowgen_rco, rco_hg, 0, rco_hg.m),
         (lambda g: upper_bound_theorem1(g, mmi_result=capacity, method="rowgen"), hg, 1, k),
     ):
         calls.clear()
