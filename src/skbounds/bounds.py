@@ -12,9 +12,12 @@ All quantities are exact rationals:
   hyperedges as long as the capacity survives: the bound is the least
   total x(E) - I over Gamma = {0 <= x <= w : I(x) = I}, and x* is in Gamma.
   `_capacity` checks that by its definition, the capacity of the reduced
-  source from `flow.dinkelbach`; `analyze`, which keeps the check on its
-  report for `run_checks`, and `verify_gamma_membership` read it, and no
-  path scans the partitions of a reduced source.
+  source, read from `flow.fundamental`; `analyze`, which keeps the check on
+  its report for `run_checks`, and `verify_gamma_membership` read it, and no
+  path scans the partitions of a reduced source.  `fundamental` keeps its
+  run on each hypergraph, so `mmi`, `r_co_direct` and `_capacity` of one
+  hypergraph read one `flow.dinkelbach`, and `analyze` runs it twice: on
+  its input and on the source reduced by x*.
 * `graphical_bounds`: the closed forms for sources whose hyperedges are
   all pairs.  The packing bound collapses to (m - 2) * capacity, the
   interactive common information equals the weight crossing the
@@ -36,7 +39,7 @@ alpha = H(M) - r(M) the row reads r(A) <= H(A) - alpha, so the rows are
 the polyhedron of H - alpha, and the greedy point of `flow.truncation` at
 gamma = I meets them all with r(M) = H - I, which is R_CO (Fujishige 2005;
 Csiszar and Narayan, IEEE Trans. IT, 2004).  `r_co_direct` takes that
-point from `flow.dinkelbach` and proves it optimal without trusting the
+point from `flow.fundamental` and proves it optimal without trusting the
 truncation and with no LP rounds.  One `separation_oracle` sweep against
 the conditional-entropy table shows that it meets every row, so
 R_CO <= its sum.  The relaxation `build_rco_lp`, the rows of the
@@ -76,7 +79,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import InternalInvariantError
-from .flow import dinkelbach, truncation
+from .flow import fundamental, truncation
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
 from .lp import OPTIMAL, Constraint, LinearProgram, solve, solve_with_row_generation
 from .partitions import MmiResult, bell, cross_edges, mmi
@@ -167,15 +170,14 @@ def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fracti
     """Minimum omniscience communication rate with an achieving rate point.
 
     The point is the greedy point xs / d of `flow.dinkelbach`'s last
-    truncation, on the integer source.  One `separation_oracle` sweep must
-    show that it meets every subset row, and the relaxation over the
-    complements of P*'s cells, solved once, must have its sum as optimum;
-    either failure is reported as an internal error, naming the row or
-    both values.
+    truncation, on the integer source, read from `flow.fundamental`.  One
+    `separation_oracle` sweep must show that it meets every subset row, and
+    the relaxation over the complements of P*'s cells, solved once, must
+    have its sum as optimum; either failure is reported as an internal
+    error, naming the row or both values.
     """
     _check_method(method)
-    src, scale = hg.integer_source()
-    _, cells, xs, d = dinkelbach(src)
+    src, scale, _, cells, xs, d = fundamental(hg)
     # The table times d, as the sweep compares it with xs.
     table = subset_weight_table(src.m, {e: w * d for e, w in src.weights.items()})
     mask = separation_oracle(table, xs)
@@ -250,9 +252,8 @@ def upper_bound_theorem1(
 
 
 def _capacity(hg: WeightedHypergraph) -> tuple[Fraction, int]:
-    """(I, |P*|) of `hg` by `flow.dinkelbach`, with no listing of the minimizers."""
-    src, scale = hg.integer_source()
-    value, cells = dinkelbach(src)[:2]
+    """(I, |P*|) of `hg` from `flow.fundamental`, with no listing of the minimizers."""
+    _, scale, value, cells, _, _ = fundamental(hg)
     return value / scale, len(cells)
 
 

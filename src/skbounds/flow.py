@@ -21,6 +21,10 @@ is already I.
 At gamma = I the minimizers of the truncation are the one-cell partition
 and the minimizers of the value, and the finest of them is the fundamental
 partition P* (Chan et al., "Info-clustering", Proc. IEEE 2015).
+
+`fundamental` is the one place that runs `dinkelbach` on a hypergraph: it
+runs it once on the integer source and keeps the run on the hypergraph, so
+I, P* and the rate point of one source come from one run.
 """
 
 from __future__ import annotations
@@ -194,3 +198,17 @@ def dinkelbach(src: WeightedHypergraph) -> tuple[Fraction, tuple[int, ...], tupl
         # The partition's sum of H(C) - H(M) is least + gamma * |cells| - H(M).
         k = len(cells)
         gamma = (least + gamma * k - total) / (k - 1)
+
+
+def fundamental(
+    hg: WeightedHypergraph,
+) -> tuple[WeightedHypergraph, int, Fraction, tuple[int, ...], tuple[int, ...], int]:
+    """(src, L, L * I, P*, xs, d): `hg`'s integer source (`integer_source`) and `dinkelbach` on it.
+
+    Run on the first call and kept on `hg`, as its integer source is, so
+    `mmi`, `r_co_direct` and the Gamma check of one hypergraph read one run.
+    """
+    if "_fundamental" not in hg.__dict__:
+        src, scale = hg.integer_source()
+        hg.__dict__["_fundamental"] = (src, scale, *dinkelbach(src))
+    return hg.__dict__["_fundamental"]

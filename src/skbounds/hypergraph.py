@@ -12,8 +12,10 @@ forms used throughout this package:
   hyperedges contained in A.
 
 Hypergraphs are immutable after construction and all operations are pure,
-so instances can be shared freely across concurrent work; the one value a
-hypergraph keeps, its integer source, is the same whoever builds it first.
+so instances can be shared freely across concurrent work.  A hypergraph
+keeps two values, each the same whoever builds it first: its integer
+source, and the Dinkelbach run on it that `flow.fundamental` keeps (I, P*
+and an optimal rate point).
 """
 
 from __future__ import annotations

@@ -11,10 +11,13 @@ P* consists of singletons is called Type S.  Every minimizer coarsens P*.
 `mmi` computes on the integer source (`WeightedHypergraph.integer_source`,
 every weight times L, the lcm of their denominators), so every entropy it
 holds is an int (L times the entropy).  `flow.dinkelbach` finds I and P* by
-max-flow in polynomial time.  When I > 0, one table of the 2^|P*| unions of
-P*'s cells certifies them and counts the minimizers; when I = 0, P*'s
-uncut edges certify it and the count is Bell(|P*|) - 1.  Either way the
-minimizers are listed, without a scan, only when read.
+max-flow in polynomial time.  `mmi` reads that run from
+`flow.fundamental`, which runs it once per hypergraph and keeps it, so
+`r_co_direct` and the Gamma check of the same hypergraph read the same
+run.  When I > 0, one table of the 2^|P*| unions of P*'s cells certifies
+them and counts the minimizers; when I = 0, P*'s uncut edges certify it
+and the count is Bell(|P*|) - 1.  Either way the minimizers are listed,
+without a scan, only when read.
 
 Let I = num / den, and for a set a of P*'s cells (a *union*) let
 
@@ -26,14 +29,16 @@ So `mmi` requires slack(all cells) = 0, which says value(P*) = I, and
 slack(a) <= 0 for every union a, which says no coarsening of P* has value
 below I; otherwise it raises `InternalInvariantError`.  Given both, the
 minimizers among the coarsenings are exactly those whose every cell is
-*tight* (slack 0), and P* is the unique finest.  `_count_coarsenings`
-counts them from the table by a sum over submasks, memoized on the sets
-of cells still to place, and builds none of them.  `_list_coarsenings`
-lists them, when read, by the same recursion; each single cell of P* is
-tight, so every set of cells it enters yields a minimizer.  That every
-minimizer coarsens the truncation's P* rests on the theorem and on the
-oracle tests, not on an exhaustive check.  H comes from the source
-contracted to P*'s cells, each hyperedge to the set of cells it meets.
+*tight* (slack 0), and P* is the unique finest.  For a set S of cells
+still to place, `_tight_parts` walks the submasks of S once for the tight
+T that hold S's first cell.  `_count_coarsenings` counts the minimizers
+from those T, memoized on S, and builds none of them.
+`_list_coarsenings` lists them, when read, by the same recursion over the
+same T; each single cell of P* is tight, so every set of cells it enters
+yields a minimizer.  That every minimizer coarsens the truncation's P*
+rests on the theorem and on the oracle tests, not on an exhaustive check.
+H comes from the source contracted to P*'s cells, each hyperedge to the
+set of cells it meets.
 
 I = 0 exactly when the source's edges of positive weight fall apart into
 several components, and P* is then those components.  With num = 0 each
@@ -69,7 +74,7 @@ from itertools import accumulate
 from typing import Callable, Iterable
 
 from .errors import CapExceededError, InternalInvariantError
-from .flow import dinkelbach
+from .flow import fundamental
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table, vertices_of
 from .rational import to_integers
 
@@ -177,8 +182,7 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
         raise CapExceededError(
             f"m = {m} exceeds the partition enumeration cap of {PARTITION_CAP}"
         )
-    src, scale = hg.integer_source()
-    capacity, units = dinkelbach(src)[:2]
+    src, scale, capacity, units, _, _ = fundamental(hg)
     # The listing's name is looked up when it is read, not bound here.
     if not capacity:
         # slack(all cells) = 0 says that no edge of positive weight meets two
@@ -251,34 +255,47 @@ def _certified_slack(src: WeightedHypergraph, units: tuple[int, ...], capacity: 
     return slack
 
 
+def _tight_parts(slack: list[int]) -> Callable[[int], list[int]]:
+    """parts(S): the tight unions T within S that hold low(S), S's first unit, memoized on S.
+
+    One pass over the submasks of S - low(S) per set S asked for.  Each
+    single unit is tight (its slack is 0), so parts(S) holds low(S) itself.
+    """
+    kept: dict[int, list[int]] = {}
+
+    def parts(s: int) -> list[int]:
+        if s not in kept:
+            low = s & -s
+            sub = rest = s ^ low
+            kept[s] = found = []
+            while True:
+                if not slack[sub | low]:
+                    found.append(sub | low)
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+        return kept[s]
+
+    return parts
+
+
 def _count_coarsenings(slack: list[int]) -> int:
     """The number of partitions of the units into >= 2 tight unions, none of them built.
 
     For a set S of units, f(S) counts the partitions of S into tight
-    unions: f(empty) = 1, and f(S) is the sum of f(S - T) over the tight T
-    with low(S) in T within S, the cell that holds S's first unit.  f is
-    memoized on the sets reached from all the units, and T runs over the
-    submasks of S.  The union of all the units is tight, so f(all) counts
-    the one-cell partition too, which the count drops.  Each single unit is
-    tight (its slack is 0), so f(S) >= 1 on every set.
+    unions: f(empty) = 1, and f(S) is the sum of f(S - T) over T in
+    `_tight_parts`' parts(S), the tight unions that hold S's first unit.  f
+    is memoized on the sets reached from all the units.  The union of all
+    the units is tight, so f(all) counts the one-cell partition too, which
+    the count drops.  As parts(S) holds low(S), f(S) >= 1 on every set.
     """
+    parts = _tight_parts(slack)
     counts = {0: 1}
 
     def f(s: int) -> int:
-        total = counts.get(s)
-        if total is None:
-            low = s & -s
-            rest = s ^ low
-            total = 0
-            sub = rest
-            while True:
-                if not slack[sub | low]:
-                    total += f(rest ^ sub)
-                if not sub:
-                    break
-                sub = (sub - 1) & rest
-            counts[s] = total
-        return total
+        if s not in counts:
+            counts[s] = sum(f(s ^ t) for t in parts(s))
+        return counts[s]
 
     return f(len(slack) - 1) - 1
 
@@ -286,31 +303,20 @@ def _count_coarsenings(slack: list[int]) -> int:
 def _list_coarsenings(units: tuple[int, ...], slack: list[int]) -> list[tuple[int, ...]]:
     """The minimizers `_count_coarsenings` counts, as sorted canonical cell tuples.
 
-    Walks f's recursion from all the units: at a set S it places each tight
-    T with low(S) in T within S, and records the cells placed once T = S,
-    if there are at least two.  As f(S) >= 1, every set it enters yields a
-    minimizer.  The tight T of each set are kept, so its submasks are run
-    through once: the walk costs f's submask steps plus the output times
-    its depth.
+    Walks f's recursion from all the units: at a set S it places each T of
+    parts(S), and records the cells placed once T = S, if there are at
+    least two.  As f(S) >= 1, every set it enters yields a minimizer.
+    parts(S) is memoized, so the submasks of each set are run through once:
+    the walk costs f's submask steps plus the output times its depth.
     """
     union = [0]  # union[a]: the union of the units in a, as an original bitmask
     for unit in units:
         union += [u | unit for u in union]
-    options: dict[int, list[int]] = {}
+    parts = _tight_parts(slack)
     minimizers: list[tuple[int, ...]] = []
 
     def walk(s: int, cells: tuple[int, ...]) -> None:
-        if s not in options:
-            low = s & -s
-            sub = rest = s ^ low
-            options[s] = []
-            while True:
-                if not slack[sub | low]:
-                    options[s].append(sub | low)
-                if not sub:
-                    break
-                sub = (sub - 1) & rest
-        for t in options[s]:
+        for t in parts(s):
             if t != s:
                 walk(s ^ t, (*cells, union[t]))
             elif cells:

@@ -66,6 +66,39 @@ def test_only_rational_scales_to_integers():
     assert offenders == []
 
 
+def _dinkelbach_sites(trees: dict[str, ast.Module]) -> list[str]:
+    """`module:line` of each name, attribute or import of `dinkelbach` outside the module `flow`."""
+    sites = []
+    for module, tree in trees.items():
+        if module == "flow":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+            else:
+                names = [getattr(node, "id", getattr(node, "attr", None))]
+            if "dinkelbach" in names:
+                sites.append(f"{module}:{node.lineno}")
+    return sites
+
+
+def test_the_dinkelbach_guard_sees_imports_names_and_attributes():
+    trees = {
+        "flow": ast.parse("def dinkelbach(src): pass\ndef fundamental(hg): return dinkelbach(hg)\n"),
+        "a": ast.parse("from .flow import dinkelbach as run\nrun(x)\n"),
+        "b": ast.parse("from . import flow\n\nflow.dinkelbach(x)\n"),
+        "c": ast.parse("from .flow import fundamental\nfundamental(hg)\n"),
+    }
+    assert _dinkelbach_sites(trees) == ["a:1", "b:3"]
+
+
+def test_only_flow_runs_dinkelbach():
+    # `flow.fundamental` runs Dinkelbach's iteration once per hypergraph and
+    # keeps the run; every other module reads that run.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    assert _dinkelbach_sites(trees) == []
+
+
 def test_graphical_bounds_rejects_a_non_graph():
     with pytest.raises(ValueError, match="exactly two vertices"):
         graphical_bounds(WeightedHypergraph(3, {0b111: Fraction(1)}))

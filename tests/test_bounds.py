@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import skbounds.bounds
+import skbounds.flow
 import skbounds.hypergraph
 from skbounds import (
     WeightedHypergraph,
@@ -280,10 +281,12 @@ def _counted(monkeypatch, module, name, calls):
 
 @pytest.mark.parametrize("m", [10, 12, 14])
 def test_rco_builds_one_table_runs_one_sweep_and_one_solve(m, monkeypatch):
-    # The greedy point of one `dinkelbach` is proved optimal by one sweep
-    # over one table and one solve of the relaxation; no row generation.
+    # The greedy point of one `dinkelbach`, read from `fundamental`, is
+    # proved optimal by one sweep over one table and one solve of the
+    # relaxation; no row generation.
     calls = []
-    for name in ("dinkelbach", "subset_weight_table", "separation_oracle", "solve"):
+    _counted(monkeypatch, skbounds.flow, "dinkelbach", calls)
+    for name in ("fundamental", "subset_weight_table", "separation_oracle", "solve"):
         _counted(monkeypatch, skbounds.bounds, name, calls)
 
     def forbidden(*args, **kwargs):
@@ -291,13 +294,21 @@ def test_rco_builds_one_table_runs_one_sweep_and_one_solve(m, monkeypatch):
 
     monkeypatch.setattr(skbounds.bounds, "solve_with_row_generation", forbidden)
     r_co_direct(cycle_plus_edges(random.Random(m), m))
-    assert calls == ["dinkelbach", "subset_weight_table", "separation_oracle", "solve"]
+    assert calls == ["fundamental", "dinkelbach", "subset_weight_table", "separation_oracle", "solve"]
 
 
 def _with_greedy_point(monkeypatch, change):
-    """`bounds.dinkelbach` with its (I, P*, xs, d) passed through `change`."""
-    exact = skbounds.bounds.dinkelbach
-    monkeypatch.setattr(skbounds.bounds, "dinkelbach", lambda src: change(*exact(src)))
+    """`bounds.fundamental` with its run's (L * I, P*, xs, d) passed through `change`.
+
+    The kept run is wrapped, not changed, so the module's fixtures keep theirs.
+    """
+    exact = skbounds.bounds.fundamental
+
+    def changed(hg):
+        src, scale, *run = exact(hg)
+        return (src, scale, *change(*run))
+
+    monkeypatch.setattr(skbounds.bounds, "fundamental", changed)
 
 
 @pytest.mark.parametrize("i", range(4))
@@ -362,7 +373,8 @@ def test_an_unknown_row_method_fails_before_any_work(entry, monkeypatch):
         raise AssertionError("the partition scan ran before the method was checked")
 
     monkeypatch.setattr(skbounds.bounds, "mmi", no_scan)
-    monkeypatch.setattr(skbounds.bounds, "dinkelbach", no_scan)
+    monkeypatch.setattr(skbounds.bounds, "fundamental", no_scan)
+    monkeypatch.setattr(skbounds.flow, "dinkelbach", no_scan)
     # "full" named the full-row path, which is gone from the package.
     for method in ("bogus", "full"):
         with pytest.raises(ValueError, match="unknown method"):
@@ -446,6 +458,54 @@ def test_analyze_scales_the_input_and_the_reduced_source_once_each(monkeypatch):
     assert len(built) == 2
     assert built[0] == list(hg.weights.values())
     assert built[1] == list(hg.restrict(report.x_star.entries).weights.values())
+
+
+def _count_dinkelbach(monkeypatch) -> list:
+    """The integer sources `flow.dinkelbach` runs on, in order."""
+    calls = []
+    run = skbounds.flow.dinkelbach
+
+    def counting(src):
+        calls.append(src)
+        return run(src)
+
+    monkeypatch.setattr(skbounds.flow, "dinkelbach", counting)
+    return calls
+
+
+def test_analyze_runs_dinkelbach_on_the_input_and_the_reduced_source_once_each(monkeypatch):
+    # `mmi` and `r_co_direct` read one kept run on the input; the Gamma
+    # check runs one on the source reduced by x*.
+    calls = _count_dinkelbach(monkeypatch)
+    for path in sorted(FIXTURE_DIR.glob("*.hg")):
+        calls.clear()
+        hg = parse_document(fixture_text(path.name))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = analyze(hg)
+        reduced = hg.restrict(report.x_star.entries)
+        assert calls == [hg.integer_source()[0], reduced.integer_source()[0]], path.name
+        assert calls[0] is hg.integer_source()[0]
+
+
+def test_mmi_then_r_co_direct_runs_one_dinkelbach(monkeypatch):
+    calls = _count_dinkelbach(monkeypatch)
+    hg = parse_document(fixture_text("example1.hg"))
+    mmi(hg)
+    r_co_direct(hg)
+    assert calls == [hg.integer_source()[0]]
+    # The Gamma check reuses the input's run and runs one on the reduced source.
+    assert verify_gamma_membership(hg, hg.weights)
+    assert len(calls) == 2 and calls[1] == calls[0] and calls[1] is not calls[0]
+
+
+def test_an_analyzed_hypergraph_equals_a_fresh_parse():
+    # The values kept on a hypergraph are not fields: equality still reads m and the weights.
+    text = fixture_text("example1.hg")
+    hg = parse_document(text)
+    analyze(hg)
+    assert hg == parse_document(text)
+    assert repr(hg) == repr(parse_document(text))
 
 
 GAMMA = "x* preserves capacity (Gamma membership)"

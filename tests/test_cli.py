@@ -340,7 +340,7 @@ def _count_solves(monkeypatch):
 def test_check_reuses_the_analyze_report(monkeypatch, capsys):
     import skbounds.bounds
     import skbounds.cli
-    import skbounds.partitions
+    import skbounds.flow
 
     source = parse_document(fixture_text("example2.hg"))
     scans = {"input": 0, "reduced": 0}
@@ -354,12 +354,12 @@ def test_check_reuses_the_analyze_report(monkeypatch, capsys):
     for module in (skbounds.bounds, skbounds.cli):
         monkeypatch.setattr(module, "mmi", count_scans(module.mmi))
     truncations = []
-    for module in (skbounds.partitions, skbounds.bounds):
-        def counting(src, _run=module.dinkelbach):
-            truncations.append(src)
-            return _run(src)
 
-        monkeypatch.setattr(module, "dinkelbach", counting)
+    def counting(src, _run=skbounds.flow.dinkelbach):
+        truncations.append(src)
+        return _run(src)
+
+    monkeypatch.setattr(skbounds.flow, "dinkelbach", counting)
     solves = _count_solves(monkeypatch)
     # Every command prints from the report, so it does the work of analyze --check.
     for command in ("analyze", "mmi", "rco", "ub", "lb"):
@@ -372,10 +372,10 @@ def test_check_reuses_the_analyze_report(monkeypatch, capsys):
         assert "FAIL" not in err
         # Gamma membership and Type S read `flow.dinkelbach`: no `mmi` of the reduced source.
         assert scans == {"input": 1, "reduced": 0}, command
-        # Three truncations, as in `analyze` alone: its `mmi`, R_CO's rate
-        # point and the source reduced by x*, whose checks the suite reads
-        # from the report.
-        assert len(truncations) == 3, command
+        # Two Dinkelbach runs, as in `analyze` alone: the input's, which its
+        # `mmi` and R_CO's rate point read, and the source reduced by x*'s,
+        # whose checks the suite reads from the report.
+        assert len(truncations) == 2, command
         # The LPs of analyze, and no other: the suite solves no LP.
         assert solves == {"solve": ["R_CO"], "rowgen": ["packing"]}, command
 
@@ -433,13 +433,13 @@ def _greedy_rate_lowered(monkeypatch):
     """The first rate of the truncation's greedy point, which R_CO reads, lowered by 1/L."""
     import skbounds.bounds
 
-    exact = skbounds.bounds.dinkelbach
+    exact = skbounds.bounds.fundamental
 
-    def mutated(src):
-        value, cells, xs, d = exact(src)
-        return value, cells, (xs[0] - d, *xs[1:]), d
+    def mutated(hg):
+        src, scale, value, cells, xs, d = exact(hg)
+        return src, scale, value, cells, (xs[0] - d, *xs[1:]), d
 
-    monkeypatch.setattr(skbounds.bounds, "dinkelbach", mutated)
+    monkeypatch.setattr(skbounds.bounds, "fundamental", mutated)
 
 
 def _objective_raised(monkeypatch):

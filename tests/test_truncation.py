@@ -24,7 +24,7 @@ import skbounds.flow
 import skbounds.partitions
 from skbounds import InternalInvariantError, WeightedHypergraph, analyze, mask_of, mmi
 from skbounds.cli import main, parse_document
-from skbounds.flow import bipartite_cut, dinkelbach, truncation
+from skbounds.flow import bipartite_cut, dinkelbach, fundamental, truncation
 from skbounds.hypergraph import vertices_of
 from skbounds.rational import format_rational
 
@@ -164,7 +164,7 @@ def test_mmi_runs_one_dinkelbach_at_every_m(monkeypatch):
         calls.append(src.m)
         return dinkelbach(src)
 
-    monkeypatch.setattr(skbounds.partitions, "dinkelbach", counting)
+    monkeypatch.setattr(skbounds.flow, "dinkelbach", counting)
     for family, make in FAMILIES.items():
         rng = random.Random(f"one-path/{family}")
         for m in range(2, 8):
@@ -274,7 +274,7 @@ def test_every_set_the_listing_enters_yields_a_minimizer(make, calls, monkeypatc
         union = [0]
         for unit in units:
             union += [u | unit for u in union]
-        names = {"options": {}, "minimizers": [], "slack": slack, "union": union}
+        names = {"parts": skbounds.partitions._tight_parts(slack), "minimizers": [], "union": union}
 
         def recorded_walk(s, cells):
             entered.append(cells)
@@ -366,7 +366,12 @@ def test_two_clusters_has_a_two_cell_p_star():
     ],
 )
 def test_a_wrong_truncation_result_is_an_internal_error(monkeypatch, mutate, hg):
-    monkeypatch.setattr(skbounds.partitions, "dinkelbach", lambda src: mutate(*dinkelbach(src)[:2]))
+    # The kept run is wrapped, not changed: `hg` is built once, at collection.
+    def mutated(hg):
+        src, scale, value, cells, xs, d = fundamental(hg)
+        return (src, scale, *mutate(value, cells), xs, d)
+
+    monkeypatch.setattr(skbounds.partitions, "fundamental", mutated)
     with pytest.raises(InternalInvariantError, match="does not have its value I"):
         mmi(hg)
 
@@ -378,11 +383,12 @@ def test_a_partition_finer_than_p_star_at_its_own_value_trips_the_union_check(mo
     hg = cycle_plus_edges(random.Random(0), 9)
     assert mmi(hg).fundamental.cells == (0b110011111, 0b000100000, 0b001000000)
 
-    def singletons(src):
+    def singletons(hg):
+        src, scale, _, _, xs, d = fundamental(hg)
         crossing = sum(w * (bin(e).count("1") - 1) for e, w in src.weights.items())
-        return Fraction(crossing, src.m - 1), tuple(1 << v for v in range(src.m))
+        return src, scale, Fraction(crossing, src.m - 1), tuple(1 << v for v in range(src.m)), xs, d
 
-    monkeypatch.setattr(skbounds.partitions, "dinkelbach", singletons)
+    monkeypatch.setattr(skbounds.partitions, "fundamental", singletons)
     with pytest.raises(InternalInvariantError, match=r"merging the cells of P\* inside"):
         mmi(hg)
 
