@@ -3,10 +3,13 @@
 All quantities are exact rationals:
 
 * `r_co_direct`: the minimum total rate of communication for omniscience,
-  an LP over rate vectors whose constraints are the conditional entropies
-  of every proper subset of terminals.
+  at the greedy rate point of `flow.dinkelbach`'s last truncation, proved
+  optimal by one sweep over every subset row and one LP relaxation over
+  P*'s cells (below).
 * secret-key capacity: equal to the shared-information minimum over
-  partitions, and to total entropy minus the omniscience rate.
+  partitions, and to total entropy minus the omniscience rate.  `mmi`
+  certifies it once per hypergraph and keeps the result, so `analyze`,
+  `upper_bound_theorem1` and `graphical_bounds` each call `mmi(hg)`.
 * `upper_bound_theorem1`: the fractional-packing LP bound on the
   communication needed to reach capacity.  Randomness is removed from
   hyperedges as long as the capacity survives: the bound is the least
@@ -217,12 +220,7 @@ def build_gamma_lp(hg: WeightedHypergraph, edges: Sequence[int], n: int, d: int)
     )
 
 
-def upper_bound_theorem1(
-    hg: WeightedHypergraph,
-    *,
-    mmi_result: Optional[MmiResult] = None,
-    method: str = "auto",
-) -> tuple[Fraction, FractionalPacking]:
+def upper_bound_theorem1(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fraction, FractionalPacking]:
     """Packing-LP upper bound on the communication to reach capacity.
 
     Returns the bound (optimal total packing minus capacity) and an optimal
@@ -233,9 +231,9 @@ def upper_bound_theorem1(
     omniscience rate; a non-optimal LP status is a bug.
     """
     _check_method(method)
-    mres = mmi_result if mmi_result is not None else mmi(hg)
+    capacity = mmi(hg).value
     src, scale = hg.integer_source()
-    (n,), d = to_integers([mres.value * scale])
+    (n,), d = to_integers([capacity * scale])
     edges = [e for e in src.edges if e & (e - 1)]
 
     def oracle(xs: Sequence[int], den: int) -> Optional[Constraint]:
@@ -248,7 +246,7 @@ def upper_bound_theorem1(
         raise InternalInvariantError(f"packing LP reported {sol.status}")
     entries = dict.fromkeys(src.edges, Fraction(0))
     entries.update((e, x / scale) for e, x in zip(edges, sol.point))
-    return sol.objective_value / scale - mres.value, FractionalPacking(entries)
+    return sol.objective_value / scale - capacity, FractionalPacking(entries)
 
 
 def _capacity(hg: WeightedHypergraph) -> tuple[Fraction, int]:
@@ -269,9 +267,7 @@ def verify_gamma_membership(
     return _capacity(hg.restrict(entries))[0] == _capacity(hg)[0]
 
 
-def graphical_bounds(
-    hg: WeightedHypergraph, *, mmi_result: Optional[MmiResult] = None
-) -> GraphicalBounds:
+def graphical_bounds(hg: WeightedHypergraph) -> GraphicalBounds:
     """The closed forms of a graph: UB(Thm 2), LB(Thm 3) and CI.
 
     UB(Thm 2) = (m - 2) * I, to which the packing bound collapses on graphs;
@@ -281,7 +277,7 @@ def graphical_bounds(
     """
     if not hg.is_graph:
         raise ValueError("graphical analysis requires every hyperedge to have exactly two vertices")
-    mres = mmi_result if mmi_result is not None else mmi(hg)
+    mres = mmi(hg)
     k = mres.fundamental.size
     ci = cross_edges(hg, mres.fundamental)
     return GraphicalBounds(
@@ -326,10 +322,10 @@ def analyze(hg: WeightedHypergraph, *, method: str = "auto") -> AnalysisReport:
     _check_method(method)
     mres = mmi(hg)
     r_co, rates = r_co_direct(hg, method=method)
-    ub1, x_star = upper_bound_theorem1(hg, mmi_result=mres, method=method)
+    ub1, x_star = upper_bound_theorem1(hg, method=method)
     graphical: Optional[GraphicalBounds] = None
     if hg.is_graph:
-        graphical = graphical_bounds(hg, mmi_result=mres)
+        graphical = graphical_bounds(hg)
     elif all(mask.bit_count() <= 2 for mask in hg.weights):
         warnings.warn("graphical bounds skipped: singleton hyperedges present", stacklevel=2)
     report = AnalysisReport(

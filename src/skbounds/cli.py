@@ -133,7 +133,8 @@ def _ub_output(hg: WeightedHypergraph, bound, packing):
 
 # Each command takes (hg, report), where report is the analyze report for
 # analyze and under --check: a command reads its quantity from it, and
-# without one computes only that quantity.
+# without one computes only that quantity.  `mmi` reads the result kept on
+# hg, which is the report's.
 def _cmd_analyze(hg, report):
     mmi_doc, mmi_lines = _mmi_output(report.mmi)
     ub_doc, ub_lines = _ub_output(hg, report.ub_theorem1, report.x_star)
@@ -174,7 +175,7 @@ def _cmd_analyze(hg, report):
 
 
 def _cmd_mmi(hg, report):
-    return _mmi_output(mmi(hg) if report is None else report.mmi)
+    return _mmi_output(mmi(hg))
 
 
 def _cmd_rco(hg, report):

@@ -13,9 +13,11 @@ forms used throughout this package:
 
 Hypergraphs are immutable after construction and all operations are pure,
 so instances can be shared freely across concurrent work.  A hypergraph
-keeps two values, each the same whoever builds it first: its integer
-source, and the Dinkelbach run on it that `flow.fundamental` keeps (I, P*
-and an optimal rate point).
+keeps three values, each the same whoever builds it first: its integer
+source, the Dinkelbach run on it that `flow.fundamental` keeps (I, P*
+and an optimal rate point), and the certified result of
+`partitions.mmi`.  None is a dataclass field, so equality and `repr`
+read only m and the weights.
 """
 
 from __future__ import annotations

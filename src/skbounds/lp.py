@@ -38,14 +38,17 @@ dictionary row of its slack; each upper bound u of x_t adds the row
 where the pivot row is nonzero, and makes |p| the new denominator.
 Integers are arbitrary precision, so there is no overflow to detect.
 
-`solve_with_row_generation` wraps `solve` with a caller-supplied separation
-oracle for constraint families too large to materialize.  Each round after
-the first appends the cut to the previous optimal dictionary: its row is
+`solve_with_row_generation` solves with a caller-supplied separation
+oracle, for constraint families too large to materialize.  Round one
+starts from the slack basis as `solve` does (`_optimal`), without calling
+it.  Each round after the first appends the cut to that one dictionary,
+which stays optimal between rounds: its row is
 put over the current denominator and its slack, a unit column, becomes
 basic, so the fraction-free invariant holds.  The old basis stays dual
 feasible, and the same dual simplex restores primal feasibility in a few
 pivots.  Every round's point is checked against the whole working LP in
-the ints xs over den that the oracle then reads.
+the ints xs over den that the oracle then reads; only the final point is
+certified by duality and built in `Fraction`s.
 """
 
 from __future__ import annotations
@@ -115,9 +118,6 @@ class LpSolution:
     status: str
     point: Optional[tuple[Fraction, ...]]
     objective_value: Optional[Fraction]
-    # The optimal dictionary behind the point, which row generation extends
-    # with each cut; not part of the result.
-    _dictionary: Optional[_Dictionary] = field(default=None, compare=False, repr=False)
 
 
 def _pivot(rows, obj, row_vars, col_vars, den, pr, pc):
@@ -213,7 +213,7 @@ def _slack_row(con: Constraint) -> list[int]:
 
 
 class _Dictionary:
-    """An optimal fraction-free dictionary of `solve` and its point xs / den, to add rows to.
+    """An optimal fraction-free dictionary from `_optimal` and its point xs / den, to add rows to.
 
     Variable ids are 0..n - 1 for the LP's n variables, then one slack per
     row in order of addition: the constraints, the upper bounds, then each
@@ -271,7 +271,7 @@ class _Dictionary:
                 f" dictionary {Fraction(obj[0], den)}"
             )
         point = tuple(Fraction(x, den) for x in xs)
-        return LpSolution(OPTIMAL, point, Fraction(obj[0], den), self)
+        return LpSolution(OPTIMAL, point, Fraction(obj[0], den))
 
     def add_cut(self, lp: LinearProgram, con: Constraint) -> bool:
         """Add the row of `con`, the last constraint of `lp`; re-optimize; True unless infeasible.
@@ -306,6 +306,15 @@ def solve(lp: LinearProgram) -> LpSolution:
     value, or "infeasible".  Raises ValueError, naming the variable, on a
     negative cost, which leaves the slack basis dual infeasible.
     """
+    dictionary = _optimal(lp)
+    return LpSolution(INFEASIBLE, None, None) if dictionary is None else dictionary.solution(lp)
+
+
+def _optimal(lp: LinearProgram) -> Optional[_Dictionary]:
+    """The optimal dictionary of `lp` from its slack basis, checked against `lp`, or None if infeasible.
+
+    Raises ValueError on a negative cost, as `solve` documents.
+    """
     n = len(lp.variables)
     for name, cost in zip(lp.variables, lp.objective):
         if cost < 0:
@@ -323,9 +332,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     row_vars = [n + i for i in range(len(rows))]
     obj = [0] + [-c for c in lp.objective]
     status, den = _dual_simplex(rows, obj, row_vars, col_vars, 1)
-    if status != OPTIMAL:
-        return LpSolution(status, None, None)
-    return _Dictionary(lp, rows, obj, row_vars, col_vars, den).solution(lp)
+    return _Dictionary(lp, rows, obj, row_vars, col_vars, den) if status == OPTIMAL else None
 
 
 def _verify(lp: LinearProgram, xs: Sequence[int], den: int) -> None:
@@ -358,23 +365,24 @@ def solve_with_row_generation(
 ) -> LpSolution:
     """Iterate solve -> separate -> add row until the oracle certifies.
 
-    The oracle receives each round's optimal point as ints xs over den > 0,
-    checked against the whole working LP, and returns a violated Constraint
-    or None (feasible for the whole family).  The result then equals a
-    solve over the fully materialized family; only it is built in
-    `Fraction`s.  A cut that makes the working LP infeasible, the last one
-    included, returns "infeasible".  A point still uncertified after
-    `max_rounds` cuts is a hard error: the families used here are finite,
-    so running past them proves a bug.
+    Round one starts from the slack basis, as `solve` does, and each cut
+    extends that dictionary.  The oracle receives each round's optimal
+    point as ints xs over den > 0, checked against the whole working LP,
+    and returns a violated Constraint or None (feasible for the whole
+    family).  The result then equals a solve over the fully materialized
+    family; only it is built in `Fraction`s and certified by duality.  An
+    infeasible base LP, or a cut that makes the working LP infeasible, the
+    last one included, returns "infeasible".  A point still uncertified
+    after `max_rounds` cuts is a hard error: the families used here are
+    finite, so running past them proves a bug.
     """
     lp = replace(lp_base, constraints=list(lp_base.constraints))
-    sol = solve(lp)
-    if sol.status != OPTIMAL:
-        return sol
-    dictionary = sol._dictionary
-    for cuts in range(max_rounds):
+    dictionary = _optimal(lp)
+    if dictionary is None:
+        return LpSolution(INFEASIBLE, None, None)
+    for _ in range(max_rounds):
         if (extra := oracle(dictionary.xs, dictionary.den)) is None:
-            return dictionary.solution(lp) if cuts else sol
+            return dictionary.solution(lp)
         lp.add_constraint(extra.coeffs, extra.rhs)
         if not dictionary.add_cut(lp, extra):
             return LpSolution(INFEASIBLE, None, None)  # the cut proved the working LP infeasible

@@ -14,10 +14,12 @@ holds is an int (L times the entropy).  `flow.dinkelbach` finds I and P* by
 max-flow in polynomial time.  `mmi` reads that run from
 `flow.fundamental`, which runs it once per hypergraph and keeps it, so
 `r_co_direct` and the Gamma check of the same hypergraph read the same
-run.  When I > 0, one table of the 2^|P*| unions of P*'s cells certifies
-them and counts the minimizers; when I = 0, P*'s uncut edges certify it
-and the count is Bell(|P*|) - 1.  Either way the minimizers are listed,
-without a scan, only when read.
+run.  `mmi` in turn certifies the run once per hypergraph and keeps its
+`MmiResult` on it, so every caller of `mmi(hg)` reads one result.  When
+I > 0, one table of the 2^|P*| unions of P*'s cells certifies them and
+counts the minimizers; when I = 0, P*'s uncut edges certify it and the
+count is Bell(|P*|) - 1.  Either way the minimizers are listed, without a
+scan, only when read.
 
 Let I = num / den, and for a set a of P*'s cells (a *union*) let
 
@@ -139,7 +141,8 @@ class MmiResult:
     `Partition.cells`); `listing` builds them on the first read, which
     keeps them.  `all_minimizers` builds their `Partition`s on each read
     and keeps none.  Two results are equal when their values, P*, counts
-    and listings are.
+    and listings are.  `mmi` keeps one result per hypergraph, so its
+    readers share the listing.
     """
 
     value: Fraction
@@ -175,33 +178,34 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
     every partition of its cells into >= 2 unions is a minimizer.  A P*
     whose value is not I and a union of its cells that merges into a
     partition of value below I are reported as internal errors: neither
-    can happen for hypergraphical sources.
+    can happen for hypergraphical sources.  After the cap check, the
+    result is certified on the first call and kept on `hg`, as its
+    Dinkelbach run is, and every later call returns it.
     """
     m = hg.m
     if m > PARTITION_CAP:
         raise CapExceededError(
             f"m = {m} exceeds the partition enumeration cap of {PARTITION_CAP}"
         )
-    src, scale, capacity, units, _, _ = fundamental(hg)
-    # The listing's name is looked up when it is read, not bound here.
-    if not capacity:
+    if "_mmi" not in hg.__dict__:
+        src, scale, capacity, units, _, _ = fundamental(hg)
+        if capacity:
+            slack = _certified_slack(src, units, capacity, scale)
+            count = _count_coarsenings(slack)
         # slack(all cells) = 0 says that no edge of positive weight meets two
         # cells, and then every union is tight.
-        if any(w and e & ~next(u for u in units if u & e) for e, w in src.weights.items()):
+        elif any(w and e & ~next(u for u in units if u & e) for e, w in src.weights.items()):
             raise _off_value(src, units, capacity, scale)
-        return MmiResult(
-            capacity,
+        else:
+            slack, count = None, bell(len(units)) - 1
+        # The listing's name is looked up when it is read, not bound here.
+        hg.__dict__["_mmi"] = MmiResult(
+            capacity / scale,
             Partition(m, units),
-            bell(len(units)) - 1,
-            lambda: _list_coarsenings(units, [0] * (1 << len(units))),
+            count,
+            lambda: _list_coarsenings(units, slack or [0] * (1 << len(units))),
         )
-    slack = _certified_slack(src, units, capacity, scale)
-    return MmiResult(
-        capacity / scale,
-        Partition(m, units),
-        _count_coarsenings(slack),
-        lambda: _list_coarsenings(units, slack),
-    )
+    return hg.__dict__["_mmi"]
 
 
 def bell(n: int) -> int:

@@ -234,6 +234,42 @@ def test_every_public_name_is_exported_read_or_allowed():
     assert unread == sorted(UNREAD_PUBLIC_ALLOWED)
 
 
+def _private_dataclass_fields(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.Class.field` of each field whose name starts with "_" in a class decorated `dataclass`."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = [getattr(d.func if isinstance(d, ast.Call) else d, "id", None) for d in node.decorator_list]
+            if "dataclass" not in names:
+                continue
+            found += [
+                f"{module}.{node.name}.{item.target.id}"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and item.target.id.startswith("_")
+            ]
+    return sorted(found)
+
+
+def test_the_private_field_guard_sees_dataclasses_only():
+    trees = {
+        "a": ast.parse(
+            "@dataclass(frozen=True)\nclass R:\n    value: int\n    _kept: object = None\n"
+            "@dataclass\nclass S:\n    _n: int\n    def _f(self): pass\n"
+            "class T:\n    _plain: int = 0\n@dataclass\nclass U:\n    n: int\n"
+        ),
+    }
+    assert _private_dataclass_fields(trees) == ["a.R._kept", "a.S._n"]
+
+
+def test_no_dataclass_has_a_private_field():
+    # A private field on a result type is a hidden channel between the code
+    # that builds the result and one reader of it; what a value keeps for
+    # reuse stays with the code that owns it.
+    assert _private_dataclass_fields(_src_trees()) == []
+
+
 # Parameters with a default that no call in src passes, each with its reason.
 UNPASSED_OPTION_ALLOWED = {
     "cli.main.argv": "the console script calls main() with none; tests pass their own",

@@ -10,6 +10,7 @@ import pytest
 import skbounds.bounds
 import skbounds.flow
 import skbounds.hypergraph
+import skbounds.partitions
 from skbounds import (
     WeightedHypergraph,
     analyze,
@@ -25,8 +26,9 @@ from skbounds import (
 )
 from skbounds.bounds import FractionalPacking, _report_checks, build_gamma_lp, build_rco_lp
 from skbounds.cli import parse_document
+from skbounds.hypergraph import vertices_of
 from skbounds.partitions import PARTITION_CAP, Partition
-from skbounds.rational import to_integers
+from skbounds.rational import format_rational, to_integers
 
 from conftest import (
     FIXTURE_DIR,
@@ -503,7 +505,7 @@ def test_an_analyzed_hypergraph_equals_a_fresh_parse():
     # The values kept on a hypergraph are not fields: equality still reads m and the weights.
     text = fixture_text("example1.hg")
     hg = parse_document(text)
-    analyze(hg)
+    assert analyze(hg).mmi is mmi(hg)  # the certified `mmi` result is kept too
     assert hg == parse_document(text)
     assert repr(hg) == repr(parse_document(text))
 
@@ -560,18 +562,55 @@ def test_gamma_and_type_s_lines_read_the_reduced_source():
 
 
 def test_analyze_on_a_graph_scans_only_the_input(monkeypatch):
+    # `mmi` certifies the input's P* once, for UB and the graph bounds too:
+    # it reads the kept run only to build the result it keeps.  The Type S
+    # line reads the reduced source's run, not `mmi`.
     hg = random_graph(random.Random(12), 12)
-    scans = []
+    certified = []
+    run = skbounds.partitions.fundamental
 
     def counting(source):
-        scans.append(source)
-        return mmi(source)
+        certified.append(source)
+        return run(source)
 
-    monkeypatch.setattr(skbounds.bounds, "mmi", counting)
+    monkeypatch.setattr(skbounds.partitions, "fundamental", counting)
     report = analyze(hg)
-    assert scans == [hg]
+    assert certified == [hg]
     ok, size, expected = next(c[1:] for c in _report_checks(hg, report) if "Type S" in c[0])
     assert ok and size == expected == 12
+
+
+def _document(hg: WeightedHypergraph) -> str:
+    lines = [f"edge {' '.join(map(str, vertices_of(e)))} : {format_rational(w)}\n" for e, w in hg.weights.items()]
+    return f"m = {hg.m}\n" + "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_document(cycle_plus_edges(random.Random(8), 8)), fixture_text("example2.hg")],
+    ids=["ladder-8", "example2"],
+)
+def test_analyze_certifies_mmi_once_though_each_bound_calls_it(monkeypatch, text):
+    hg = parse_document(text)
+    calls, certified = [], []
+    read, certify = skbounds.bounds.mmi, skbounds.partitions._certified_slack
+
+    def reading(source):
+        calls.append(source)
+        return read(source)
+
+    def certifying(src, *args):
+        certified.append(src)
+        return certify(src, *args)
+
+    monkeypatch.setattr(skbounds.bounds, "mmi", reading)
+    monkeypatch.setattr(skbounds.partitions, "_certified_slack", certifying)
+    report = analyze(hg)
+    assert report.mmi.value > 0
+    # analyze, UB and, on a graph, graphical_bounds each call `mmi`; one certifies.
+    assert calls == [hg] * (3 if hg.is_graph else 2)
+    assert certified == [hg.integer_source()[0]]
+    assert report.mmi is mmi(hg)
 
 
 def test_graphical_upper_bound():
@@ -654,7 +693,7 @@ def test_lower_bound_decomposes_as_ci_minus_capacity(make_random_graph):
         mres = mmi(hg)
         weight = cross_edges(hg, mres.fundamental)
         cross_value = weight / (mres.fundamental.size - 1)
-        bounds = graphical_bounds(hg, mmi_result=mres)
+        bounds = graphical_bounds(hg)
         assert bounds.lower_bound == bounds.ci - cross_value
 
 

@@ -338,21 +338,19 @@ def _count_solves(monkeypatch):
 
 
 def test_check_reuses_the_analyze_report(monkeypatch, capsys):
-    import skbounds.bounds
-    import skbounds.cli
     import skbounds.flow
+    import skbounds.partitions
 
     source = parse_document(fixture_text("example2.hg"))
-    scans = {"input": 0, "reduced": 0}
+    certified = {"input": 0, "reduced": 0}
+    run = skbounds.partitions.fundamental
 
-    def count_scans(fn):
-        def wrapper(hg):
-            scans["input" if hg == source else "reduced"] += 1
-            return fn(hg)
-        return wrapper
+    # `mmi` reads the kept run only to certify the result it keeps.
+    def certifying(hg):
+        certified["input" if hg == source else "reduced"] += 1
+        return run(hg)
 
-    for module in (skbounds.bounds, skbounds.cli):
-        monkeypatch.setattr(module, "mmi", count_scans(module.mmi))
+    monkeypatch.setattr(skbounds.partitions, "fundamental", certifying)
     truncations = []
 
     def counting(src, _run=skbounds.flow.dinkelbach):
@@ -363,15 +361,16 @@ def test_check_reuses_the_analyze_report(monkeypatch, capsys):
     solves = _count_solves(monkeypatch)
     # Every command prints from the report, so it does the work of analyze --check.
     for command in ("analyze", "mmi", "rco", "ub", "lb"):
-        scans.update(input=0, reduced=0)
+        certified.update(input=0, reduced=0)
         truncations.clear()
         solves["solve"].clear()
         solves["rowgen"].clear()
         code, _, err = run_cli(capsys, command, "--check", str(FIXTURE_DIR / "example2.hg"))
         assert code == 0, command
         assert "FAIL" not in err
+        # `mmi` certifies the input once, however many callers read it.
         # Gamma membership and Type S read `flow.dinkelbach`: no `mmi` of the reduced source.
-        assert scans == {"input": 1, "reduced": 0}, command
+        assert certified == {"input": 1, "reduced": 0}, command
         # Two Dinkelbach runs, as in `analyze` alone: the input's, which its
         # `mmi` and R_CO's rate point read, and the source reduced by x*'s,
         # whose checks the suite reads from the report.
@@ -395,8 +394,8 @@ def _ub_plus_one(monkeypatch):
 
     exact = skbounds.bounds.upper_bound_theorem1
 
-    def mutated(hg, *, mmi_result=None, method="auto"):
-        bound, packing = exact(hg, mmi_result=mmi_result, method=method)
+    def mutated(hg, *, method="auto"):
+        bound, packing = exact(hg, method=method)
         return bound + 1, packing
 
     monkeypatch.setattr(skbounds.bounds, "upper_bound_theorem1", mutated)
@@ -504,8 +503,8 @@ def test_analyze_raises_on_a_broken_report_identity(monkeypatch, capsys):
 
     exact = skbounds.bounds.graphical_bounds
 
-    def off_by_one(hg, *, mmi_result=None):
-        bounds = exact(hg, mmi_result=mmi_result)
+    def off_by_one(hg):
+        bounds = exact(hg)
         return dataclasses.replace(bounds, ub_theorem2=bounds.ub_theorem2 + 1)
 
     monkeypatch.setattr(skbounds.bounds, "graphical_bounds", off_by_one)
@@ -522,8 +521,8 @@ def test_analyze_raises_when_x_star_leaves_gamma(monkeypatch, capsys):
 
     exact = skbounds.bounds.upper_bound_theorem1
 
-    def halve_one_entry(hg, *, mmi_result=None, method="auto"):
-        bound, packing = exact(hg, mmi_result=mmi_result, method=method)
+    def halve_one_entry(hg, *, method="auto"):
+        bound, packing = exact(hg, method=method)
         entries = dict(packing.entries)
         e = min(e for e, x in entries.items() if x > 0)
         entries[e] /= 2

@@ -312,6 +312,28 @@ def test_row_generation_passes_through_infeasible():
     assert solve_with_row_generation(base, one_cut, max_rounds=1).status == "infeasible"
 
 
+@pytest.mark.parametrize("cuts", [0, 3])
+def test_row_generation_calls_no_solve_and_certifies_only_the_result(monkeypatch, cuts):
+    # Round one starts from the slack basis itself, and only the result is
+    # certified and built in `Fraction`s, however many cuts came before it.
+    family = [Constraint((1, 1), k) for k in (1, 2, 3)][:cuts]
+    calls = []
+    certify = skbounds.lp._Dictionary.solution
+
+    def certifying(self, lp):
+        calls.append("certificate")
+        return certify(self, lp)
+
+    def oracle(xs, den):
+        return next((c for c in family if xs[0] + xs[1] < c.rhs * den), None)
+
+    monkeypatch.setattr(skbounds.lp, "solve", lambda lp: calls.append("solve"))
+    monkeypatch.setattr(skbounds.lp._Dictionary, "solution", certifying)
+    sol = solve_with_row_generation(LinearProgram(["x", "y"], [1, 1]), oracle, max_rounds=8)
+    assert sol.objective_value == cuts
+    assert calls == ["certificate"]
+
+
 def test_row_generation_leaves_the_base_lp_unchanged():
     family = [Constraint((1, 1), k) for k in (1, 2, 3)]
     base = LinearProgram(["x", "y"], [1, 1])

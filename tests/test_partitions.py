@@ -203,6 +203,16 @@ def test_mmi_on_empty_support():
     assert result.fundamental.size == 3  # finest of the all-zero landscape
 
 
+@pytest.mark.parametrize("weights", [EXAMPLE1.weights, {0b0011: 1, 0b1100: 1}], ids=["I > 0", "I = 0"])
+def test_mmi_keeps_its_result_on_the_hypergraph(weights):
+    hg = WeightedHypergraph(4, weights)
+    result = mmi(hg)
+    assert mmi(hg) is result
+    # An equal hypergraph certifies and keeps its own.
+    copy = WeightedHypergraph(4, weights)
+    assert mmi(copy) == result and mmi(copy) is not result
+
+
 # Entropy tables that no hypergraph has (ent[A] indexed by mask A), patched
 # in where a scan builds its table from the integer source of the one edge
 # {1..m} of weight 1, so L = 1.  Every partition of that source has value 1,

@@ -15,6 +15,7 @@ solves one relaxation.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -195,17 +196,30 @@ def test_tiny_weights_reach_the_simplex_as_small_integers(monkeypatch, method):
     # Weights times 1/(10^100 + 1) have a 333-bit denominator.  Both LPs run
     # on the integer source, as R_CO's relaxation and UB's row generation in
     # the package and with every row in the references, so no coefficient,
-    # right-hand side or bound that reaches lp.solve carries it.
+    # right-hand side or bound that reaches lp.solve, or row generation with
+    # its base LP or a cut, carries it.
     hg = _scaled(cycle_plus_edges(random.Random(8), 8), SCALES["tiny"])
     capacity = mmi(hg).value
-    solve, seen = skbounds.lp.solve, []
+    solve, rowgen, seen = skbounds.lp.solve, skbounds.lp.solve_with_row_generation, []
 
     def recorded(lp):
         seen.append(_bits(lp))
         return solve(lp)
 
+    def recorded_rowgen(lp, oracle, max_rounds):
+        seen.append(_bits(lp))
+
+        def cutting(xs, den):
+            cut = oracle(xs, den)
+            if cut is not None:
+                seen.append(_bits(replace(lp, constraints=[cut])))
+            return cut
+
+        return rowgen(lp, cutting, max_rounds)
+
     for module in (skbounds.bounds, skbounds.lp, reference_rco, reference_packing):
         monkeypatch.setattr(module, "solve", recorded)
+    monkeypatch.setattr(skbounds.bounds, "solve_with_row_generation", recorded_rowgen)
     if method == "full":
         reference_rco.reference_rco(hg)
         rco_solves = len(seen)
@@ -214,5 +228,6 @@ def test_tiny_weights_reach_the_simplex_as_small_integers(monkeypatch, method):
         r_co_direct(hg)
         rco_solves = len(seen)
         upper_bound_theorem1(hg)
+        assert len(seen) > rco_solves + 1  # UB's working LP and at least one cut
     assert 0 < rco_solves < len(seen)
     assert max(seen) <= 64

@@ -289,7 +289,9 @@ def test_every_set_the_listing_enters_yields_a_minimizer(make, calls, monkeypatc
         return minimizers
 
     monkeypatch.setattr(skbounds.partitions, "_list_coarsenings", recorded_listing)
-    cells = mmi(make()).minimizer_cells
+    hg = make()
+    # A fresh copy: a shared fixture may keep an `mmi` result whose listing was read.
+    cells = mmi(WeightedHypergraph(hg.m, hg.weights)).minimizer_cells
     assert len(entered) == calls
     assert sorted(entered) == sorted({c[:j] for c in cells for j in range(len(c))})
 
@@ -367,13 +369,14 @@ def test_two_clusters_has_a_two_cell_p_star():
 )
 def test_a_wrong_truncation_result_is_an_internal_error(monkeypatch, mutate, hg):
     # The kept run is wrapped, not changed: `hg` is built once, at collection.
+    # `mmi` runs on a fresh copy, which keeps no result of its own yet.
     def mutated(hg):
         src, scale, value, cells, xs, d = fundamental(hg)
         return (src, scale, *mutate(value, cells), xs, d)
 
     monkeypatch.setattr(skbounds.partitions, "fundamental", mutated)
     with pytest.raises(InternalInvariantError, match="does not have its value I"):
-        mmi(hg)
+        mmi(WeightedHypergraph(hg.m, hg.weights))
 
 
 def test_a_partition_finer_than_p_star_at_its_own_value_trips_the_union_check(monkeypatch):
@@ -390,7 +393,7 @@ def test_a_partition_finer_than_p_star_at_its_own_value_trips_the_union_check(mo
 
     monkeypatch.setattr(skbounds.partitions, "fundamental", singletons)
     with pytest.raises(InternalInvariantError, match=r"merging the cells of P\* inside"):
-        mmi(hg)
+        mmi(WeightedHypergraph(hg.m, hg.weights))  # `hg` keeps the result asserted above
 
 
 def _count_truncations(monkeypatch) -> list:

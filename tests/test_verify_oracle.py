@@ -115,9 +115,10 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
     # source, built once per hypergraph (each solve gets a fresh copy, which
     # has not built it yet), UB's capacity n / d, and one per round in UB's
     # truncation, which puts its gamma n * den / d over one denominator.
-    # `lp` builds `Fraction`s only for a solution: round one's `solve` and
-    # the result, each n + 1 of them, n the LP's columns: the rates for
-    # R_CO, the k' non-singleton edges for UB.
+    # UB's copy has its `mmi` kept before counting, which builds its integer
+    # source.  `lp` builds `Fraction`s only for the result: n + 1 of them,
+    # n the LP's columns: the rates for R_CO, the k' non-singleton edges
+    # for UB.
     assert not hasattr(skbounds.lp, "to_integers")
     calls = Counter()
     fractions = []
@@ -140,7 +141,6 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
 
     hg = cycle_plus_edges(random.Random(12), 12)
     rco_hg = cycle_plus_edges(random.Random(3), 12)
-    capacity = mmi(hg)
     for name, module in list(sys.modules.items()):
         if name.startswith("skbounds") and hasattr(module, "to_integers"):
             monkeypatch.setattr(module, "to_integers", counting)
@@ -149,18 +149,21 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
     k = sum(1 for e in hg.edges if e & (e - 1))
     for run, source, ub, n in (
         (rowgen_rco, rco_hg, 0, rco_hg.m),
-        (lambda g: upper_bound_theorem1(g, mmi_result=capacity, method="rowgen"), hg, 1, k),
+        (lambda g: upper_bound_theorem1(g, method="rowgen"), hg, 1, k),
     ):
+        copy = WeightedHypergraph(source.m, source.weights)
+        if ub:
+            mmi(copy)
         calls.clear()
         checked.clear()
         fractions.clear()
-        run(WeightedHypergraph(source.m, source.weights))
+        run(copy)
         assert len(checked) >= 10
         expected = {
-            ("skbounds.hypergraph", "integer_source"): 1,
+            ("skbounds.hypergraph", "integer_source"): 1 - ub,
             ("skbounds.bounds", "upper_bound_theorem1"): ub,
             # One truncation per check: each checked point goes to the oracle.
             ("skbounds.flow", "truncation"): ub * len(checked),
         }
         assert calls == Counter({k: v for k, v in expected.items() if v}), calls
-        assert len(fractions) == 2 * (n + 1)
+        assert len(fractions) == n + 1
