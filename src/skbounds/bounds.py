@@ -56,14 +56,28 @@ test oracles.
 UB's LP is over Gamma itself.  A group's entropy is the weight of the edges
 that meet it, and I is monotone in the weights, so Gamma has one row per
 partition P with two cells or more: the sum over the edges e of
-(cells of P that e meets - 1) * x_e >= I * (|P| - 1); a singleton meets
-one cell of every P and gets no column.  Rows are generated from the
-singletons' partition.  x meets them all exactly when no P has a sum of
-H_x(C) - I over its cells C below x(E) - I, the one-cell partition's, and
+(c_P(e) - 1) * x_e >= I * (|P| - 1), where c_P(e) counts the cells of P
+that e meets; a singleton meets one cell of every P and gets no column.
+
+Nor does an edge that crosses P*, with c_P*(e) >= 2: every x in Gamma
+equals w on it.  `mmi` certifies value(P*) = I, so P*'s row is tight at
+w: the sum of (c_P*(e) - 1) * w_e is I * (|P*| - 1).  Every x in Gamma
+meets that row, so the sum of (c_P*(e) - 1) * (w_e - x_e) is <= 0.  Each
+term is >= 0, as c_P*(e) >= 1 and x <= w, so each is 0: x_e = w_e
+wherever c_P*(e) >= 2.  So `upper_bound_theorem1` fixes the crossing
+edges at their weights, their terms move into every row's right-hand
+side, the LP keeps only the edges inside P*'s cells, and UB is its
+optimum plus w(crossing), minus I.  A Type-S source's LP has no column:
+its singletons' row reads 0 >= 0, so round one is optimal at the slack
+basis and the oracle certifies it at once.
+
+Rows are generated from the singletons' partition.  x, with the crossing
+edges at w, meets them all exactly when no P has a sum of H_x(C) - I over
+its cells C below x(E) - I, the one-cell partition's, and
 `flow.truncation` finds the least sum in at most m - 1 min cuts
 (Narayanan 1991; Fujishige, *Submodular Functions and Optimization*, 2005).
 The paper's subset-row LP stays in `tests/reference_packing.py`, with both
-row methods, as the oracle.
+row methods, as the oracle; it knows nothing of P*.
 
 `lp` certifies each optimum by LP duality.  Each report identity is
 written once, in `_report_checks`: `analyze` raises on it and keeps the
@@ -201,21 +215,36 @@ def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fracti
     return Fraction(total, d * scale), RatePoint(tuple(Fraction(x, d * scale) for x in xs))
 
 
-def _partition_row(edges: Sequence[int], cells: Sequence[int], n: int, d: int) -> Constraint:
-    """The row of P = `cells`: the sum of d * (cells e meets - 1) * x_e >= n * (|P| - 1)."""
-    coeffs = tuple(d * (sum(1 for c in cells if c & e) - 1) for e in edges)
-    return Constraint(coeffs, n * (len(cells) - 1))
+def _partition_row(
+    edges: Sequence[int], fixed: Mapping[int, int], cells: Sequence[int], n: int, d: int
+) -> Constraint:
+    """The row of P = `cells` over the columns `edges`, each edge of `fixed` at its weight.
+
+    Over all edges the row reads: the sum of d * (cells e meets - 1) * x_e >= n * (|P| - 1).
+    The terms of the fixed edges move to the right-hand side, which may then be <= 0.
+    """
+
+    def coeff(e: int) -> int:
+        return d * (sum(1 for c in cells if c & e) - 1)
+
+    rhs = n * (len(cells) - 1) - sum(coeff(e) * w for e, w in fixed.items())
+    return Constraint(tuple(map(coeff, edges)), rhs)
 
 
-def build_gamma_lp(hg: WeightedHypergraph, edges: Sequence[int], n: int, d: int) -> LinearProgram:
+def build_gamma_lp(
+    hg: WeightedHypergraph, edges: Sequence[int], fixed: Mapping[int, int], n: int, d: int
+) -> LinearProgram:
     """UB's working LP over Gamma, with L * I = n / d: the row of the singletons.
 
-    One column per hyperedge of `edges`, the non-singleton ones: cost 1, bounded by its weight.
+    One column per hyperedge of `edges`, the non-singleton ones inside a
+    cell of P*: cost 1, bounded by its weight.  The edges of `fixed`, those
+    that cross P*, are at their weights in the row; a Type-S source has no
+    column, and its row reads 0 >= 0.
     """
     return LinearProgram(
         variables=[f"x{format_subset(e)}" for e in edges],
         objective=[1] * len(edges),
-        constraints=[_partition_row(edges, [1 << i for i in range(hg.m)], n, d)],
+        constraints=[_partition_row(edges, fixed, [1 << i for i in range(hg.m)], n, d)],
         upper=[hg.weights[e] for e in edges],
     )
 
@@ -224,29 +253,39 @@ def upper_bound_theorem1(hg: WeightedHypergraph, *, method: str = "auto") -> tup
     """Packing-LP upper bound on the communication to reach capacity.
 
     Returns the bound (optimal total packing minus capacity) and an optimal
-    packing, 0 on singleton edges.  Each round hands `flow.truncation` the
-    point's ints xs, as weights, at gamma = n * D / d; a least sum below
-    xs(E) - gamma gives the violated row of the truncation's cells.  The
-    full weight vector is always feasible, so the bound never exceeds the
-    omniscience rate; a non-optimal LP status is a bug.
+    packing: the weight on each edge that crosses P* (`mmi(hg).fundamental`),
+    the LP's optimum on the edges inside its cells, 0 on singleton edges.
+    Each round hands `flow.truncation` the point's ints xs, as weights,
+    with every crossing edge at its weight times D, at gamma = n * D / d; a
+    least sum below the total of those weights minus gamma gives the
+    violated row of the truncation's cells.  The full weight vector is
+    always feasible, so the bound never exceeds the omniscience rate; a
+    non-optimal LP status is a bug.
     """
     _check_method(method)
-    capacity = mmi(hg).value
+    mres = mmi(hg)
     src, scale = hg.integer_source()
-    (n,), d = to_integers([capacity * scale])
-    edges = [e for e in src.edges if e & (e - 1)]
+    (n,), d = to_integers([mres.value * scale])
+    units, order = mres.fundamental.cells, src.edges
+    # Every x in Gamma equals w on the edges that cross P* (module docstring).
+    fixed = {e: w for e, w in src.weights.items() if all(e & ~c for c in units)}
+    edges = [e for e in order if e & (e - 1) and e not in fixed]
+    packed = sum(fixed.values())
 
     def oracle(xs: Sequence[int], den: int) -> Optional[Constraint]:
         gamma = Fraction(n * den, d)
-        least, cells, _, _ = truncation(WeightedHypergraph(src.m, dict(zip(edges, xs))), gamma)
-        return _partition_row(edges, cells, n, d) if least < sum(xs) - gamma else None
+        point = {e: w * den for e, w in fixed.items()}
+        point.update(zip(edges, xs))
+        least, cells, _, _ = truncation(WeightedHypergraph(src.m, point), gamma)
+        return _partition_row(edges, fixed, cells, n, d) if least < sum(xs) + packed * den - gamma else None
 
-    sol = solve_with_row_generation(build_gamma_lp(src, edges, n, d), oracle, bell(src.m) - 1)
+    sol = solve_with_row_generation(build_gamma_lp(src, edges, fixed, n, d), oracle, bell(src.m) - 1)
     if sol.status != OPTIMAL:
         raise InternalInvariantError(f"packing LP reported {sol.status}")
-    entries = dict.fromkeys(src.edges, Fraction(0))
+    entries = dict.fromkeys(order, Fraction(0))
+    entries.update((e, Fraction(w, scale)) for e, w in fixed.items())
     entries.update((e, x / scale) for e, x in zip(edges, sol.point))
-    return sol.objective_value / scale - capacity, FractionalPacking(entries)
+    return (sol.objective_value + packed) / scale - mres.value, FractionalPacking(entries)
 
 
 def _capacity(hg: WeightedHypergraph) -> tuple[Fraction, int]:

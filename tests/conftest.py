@@ -80,6 +80,36 @@ def cycle_plus_edges(rng: random.Random, m: int) -> WeightedHypergraph:
     return WeightedHypergraph(m, weights)
 
 
+def clustered_source(rng: random.Random, m: int) -> WeightedHypergraph:
+    """m terminals, 4 <= m <= 16, shuffled into 2 to 4 planted clusters of 2 to 4 terminals.
+
+    Each cluster holds a cycle (one pair on two terminals) and one more
+    random 2- or 3-edge, each at 3 times a `random_weight`; 1 to k + 1
+    light pairs, of weight 1/4 to 1/2, join two of the k clusters.
+    """
+    count = rng.choice([k for k in (2, 3, 4) if 2 * k <= m <= 4 * k])
+    sizes = [2] * count
+    for _ in range(m - 2 * count):
+        sizes[rng.choice([i for i, size in enumerate(sizes) if size < 4])] += 1
+    order = rng.sample(range(1, m + 1), m)
+    clusters = [order[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(count)]
+    weights: dict[int, Fraction] = {}
+
+    def add(vertices, weight: Fraction) -> None:
+        mask = mask_of(vertices)
+        weights[mask] = weights.get(mask, Fraction(0)) + weight
+
+    for cluster in clusters:
+        k = len(cluster)
+        for i in range(k if k > 2 else 1):
+            add((cluster[i], cluster[(i + 1) % k]), 3 * random_weight(rng))
+        add(rng.sample(cluster, min(k, rng.choice((2, 3)))), 3 * random_weight(rng))
+    for _ in range(rng.randint(1, count + 1)):
+        a, b = rng.sample(clusters, 2)
+        add((rng.choice(a), rng.choice(b)), Fraction(1, rng.choice((2, 3, 4))))
+    return WeightedHypergraph(m, weights)
+
+
 @pytest.fixture
 def make_random_hypergraph():
     return random_hypergraph

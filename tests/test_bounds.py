@@ -134,30 +134,52 @@ def test_build_rco_lp_row_count():
     assert [con.rhs for con in full.constraints] == [cond[mask] for mask in proper_subsets(4)]
 
 
-def test_build_gamma_lp_shape():
+# P* = {1,2},{3},{4}: {1,2} lies inside a cell, and the three other pairs cross P*.
+EXAMPLE1_INNER = [mask_of((1, 2))]
+EXAMPLE1_FIXED = {mask_of(pair): 1 for pair in ((1, 4), (2, 3), (3, 4))}
+
+
+def test_build_gamma_lp_shape(monkeypatch):
     # I = 3/2 is n / d = 3 / 2 on the integer source (L = 1).
-    lp = build_gamma_lp(EXAMPLE1_INT, EXAMPLE1_INT.edges, 3, 2)
-    assert len(lp.variables) == 4  # one packing entry per edge, no rates
-    assert lp.objective == [1] * 4
+    lp = build_gamma_lp(EXAMPLE1_INT, EXAMPLE1_INNER, EXAMPLE1_FIXED, 3, 2)
+    assert lp.variables == ["x{1,2}"]  # one packing entry per edge inside a cell, no rates
+    assert lp.objective == [1]
     # The working LP starts from the singletons' row, written times d = 2:
-    # every pair meets two cells, and 3 * (4 - 1) = 9.
+    # every pair meets two cells, and 3 * (4 - 1) = 9 less the crossing
+    # pairs' 2 * 1 * 3 = 6 leaves 3.
     (row,) = lp.constraints
-    assert row.coeffs == (2,) * 4 and row.rhs == 9
+    assert row.coeffs == (2,) and row.rhs == 3
     # packing entries carry their weight bounds
-    assert lp.upper == [2, 1, 1, 1]
+    assert lp.upper == [2]
+    # That is the LP `upper_bound_theorem1` builds from `mmi`'s P*.
+    built = []
+    build = skbounds.bounds.build_gamma_lp
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(skbounds.bounds, "build_gamma_lp", recording)
+    upper_bound_theorem1(WeightedHypergraph(4, EXAMPLE1.weights))
+    assert built == [lp]
 
 
 def test_gamma_lp_feasibility_witness():
-    # The full weight vector meets the row of every partition of the
-    # terminals, the working LP's singletons row among them.
+    # The weight of the inner edge meets the row of every partition of the
+    # terminals, the working LP's singletons row among them, with the
+    # crossing edges at their weights on the right-hand side.  P*'s row is
+    # tight at w: it reads 0 >= 0.
     edges, weights = EXAMPLE1_INT.edges, EXAMPLE1_INT.weights
-    lp = build_gamma_lp(EXAMPLE1_INT, edges, 3, 2)
+    lp = build_gamma_lp(EXAMPLE1_INT, EXAMPLE1_INNER, EXAMPLE1_FIXED, 3, 2)
     for cells in _raw_partitions(4, min_cells=2):
-        coeffs = [2 * (sum(1 for c in cells if c & e) - 1) for e in edges]
-        lp.add_constraint(coeffs, 3 * (len(cells) - 1))
+        coeffs = {e: 2 * (sum(1 for c in cells if c & e) - 1) for e in edges}
+        rhs = 3 * (len(cells) - 1) - sum(coeffs[e] * w for e, w in EXAMPLE1_FIXED.items())
+        lp.add_constraint([coeffs[e] for e in EXAMPLE1_INNER], rhs)
+        if sorted(cells) == [0b0011, 0b0100, 0b1000]:
+            assert lp.constraints[-1].coeffs == (0,) and lp.constraints[-1].rhs == 0
     assert len(lp.constraints) == 1 + 14  # the seed row, then Bell(4) - 1 partitions
     for con in lp.constraints:
-        assert sum(c * weights[e] for c, e in zip(con.coeffs, edges)) >= con.rhs
+        assert sum(c * weights[e] for c, e in zip(con.coeffs, EXAMPLE1_INNER)) >= con.rhs
 
 
 def test_upper_bound_example1_value_and_unique_packing():
@@ -356,7 +378,7 @@ def test_every_rate_point_sums_to_r_co_and_meets_every_subset_row(identity_corpu
         assert sum(point.rates) == value == hg.total_entropy - mmi(hg).value, hg
         cond = subset_weight_table(hg.m, hg.weights)
         assert reference_separation(hg.m, cond, point.rates) is None, hg
-    assert len(sources) == 5 + 11 + IDENTITY_CORPUS_SIZE + GRAPHICAL_CORPUS_SIZE
+    assert len(sources) == 6 + 11 + IDENTITY_CORPUS_SIZE + GRAPHICAL_CORPUS_SIZE
 
 
 def test_r_co_equals_the_full_row_lp_on_a_random_set():

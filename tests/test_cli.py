@@ -454,23 +454,28 @@ def _objective_raised(monkeypatch):
     monkeypatch.setattr(skbounds.lp._Dictionary, "check", mutated)
 
 
-# Each mutation of Example 1's analysis and the first line that reports it.
+# Each mutation, the fixture whose `analyze --check` it breaks, and the first line that reports it.
 MUTATIONS = {
-    "ub-plus-one": (_ub_plus_one, "internal invariant violated: UB = x*(E) - I: 4 vs 3\n"),
+    "ub-plus-one": (_ub_plus_one, "example1.hg", "internal invariant violated: UB = x*(E) - I: 4 vs 3\n"),
     "rate-lowered": (
         _rate_lowered,
+        "example1.hg",
         "check rate point meets every subset row (R_CO): FAIL (2 vs 3)\n",
     ),
     "greedy-rate-lowered": (
         _greedy_rate_lowered,
+        "example1.hg",
         "internal invariant violated: the greedy rate point misses the subset row of {1,2,3}: 2 vs 3\n",
     ),
+    # UB's LP needs cuts on the ladder source, where round one's point leaves Gamma.
     "ub-oracle-none": (
         _ub_oracle_none,
-        "internal invariant violated: x* preserves capacity (Gamma membership): 5/4 vs 3/2\n",
+        "ladder6.hg",
+        "internal invariant violated: x* preserves capacity (Gamma membership): 17/6 vs 11/3\n",
     ),
     "tampered-dictionary": (
         _objective_raised,
+        "example1.hg",
         "internal invariant violated: no optimality certificate",
     ),
 }
@@ -478,9 +483,9 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", list(MUTATIONS))
 def test_check_catches_each_mutation(mutation, monkeypatch, capsys):
-    mutate, message = MUTATIONS[mutation]
+    mutate, fixture, message = MUTATIONS[mutation]
     mutate(monkeypatch)
-    code, _, err = run_cli(capsys, "analyze", "--check", str(FIXTURE_DIR / "example1.hg"))
+    code, _, err = run_cli(capsys, "analyze", "--check", str(FIXTURE_DIR / fixture))
     assert code == 1
     assert message in err
 
@@ -494,7 +499,7 @@ def test_check_failure_prints_both_values(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "analyze", "--check", path)
     assert code == 1
     assert out == report_text
-    assert MUTATIONS["rate-lowered"][1] in err
+    assert MUTATIONS["rate-lowered"][2] in err
     assert err.count("FAIL") == 1
 
 

@@ -20,7 +20,7 @@ from conftest import FIXTURE_DIR
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_cli.json"
 
-FIXTURES = ("example1.hg", "example2.hg", "path3.hg", "triangle.hg", "two_terminal.hg")
+FIXTURES = ("example1.hg", "example2.hg", "path3.hg", "triangle.hg", "two_terminal.hg", "ladder6.hg")
 COMMANDS = ("analyze", "mmi", "rco", "ub", "lb")
 
 

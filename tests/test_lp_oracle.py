@@ -93,19 +93,25 @@ def test_package_lps_match_reference(family):
         src, scale = hg.integer_source()  # the LPs take ints
         masks = proper_subsets(src.m)
         assert _assert_same(full_rco_lp(src), f"rco {i}") == "optimal"
-        # The LP over Gamma with the row of every partition, and the
-        # subset-row packing LP of the reference: one optimum.
-        capacity = mmi(hg).value * scale
+        # The LP over Gamma with the row of every partition, the edges that
+        # cross P* fixed at their weights, and the subset-row packing LP of
+        # the reference: one optimum, once the fixed weight is added back.
+        mres = mmi(hg)
+        capacity = mres.value * scale
         (n,), d = to_integers([capacity])
-        edges = [e for e in src.edges if e & (e - 1)]
-        gamma = build_gamma_lp(src, edges, n, d)
+        units = mres.fundamental.cells
+        fixed = {e: w for e, w in src.weights.items() if not any(e & ~c == 0 for c in units)}
+        edges = [e for e in src.edges if e & (e - 1) and e not in fixed]
+        gamma = build_gamma_lp(src, edges, fixed, n, d)
         for cells in _raw_partitions(src.m, min_cells=2):
-            coeffs = [d * (sum(1 for c in cells if c & e) - 1) for e in edges]
-            gamma.add_constraint(coeffs, n * (len(cells) - 1))
+            coeffs = {e: d * (sum(1 for c in cells if c & e) - 1) for e in src.edges}
+            rhs = n * (len(cells) - 1) - sum(coeffs[e] * w for e, w in fixed.items())
+            gamma.add_constraint([coeffs[e] for e in edges], rhs)
         assert _assert_same(gamma, f"gamma {i}") == "optimal"
         subset_rows = subset_packing_lp(src, capacity, masks)
         assert _assert_same(subset_rows, f"subset rows {i}") == "optimal"
-        assert solve(gamma).objective_value == solve(subset_rows).objective_value, i
+        packed = sum(fixed.values())
+        assert solve(gamma).objective_value + packed == solve(subset_rows).objective_value, i
 
 
 def _subset_rows(m: int, edges, inside):
@@ -145,7 +151,7 @@ def test_free_rate_lps_match_both_bounds(identity_corpus, graphical_corpus):
     # fixtures, free R_CO rates must also give the same R_CO.
     fixtures = [parse_document(fixture_text(path.name)) for path in sorted(FIXTURE_DIR.glob("*.hg"))]
     corpus = [hg for hg in identity_corpus + graphical_corpus if hg.m <= 5]
-    assert len(fixtures) == 5 and len(corpus) == 180
+    assert len(fixtures) == 6 and len(corpus) == 180
     for i, hg in enumerate(fixtures + corpus):
         capacity = mmi(hg).value
         packing = reference_solve(paper_packing_lp(hg, capacity))

@@ -108,8 +108,8 @@ def test_integer_check_matches_the_fraction_check():
 def test_row_generation_builds_each_integer_form_once(monkeypatch):
     # Count to_integers calls by caller through R_CO and UB solves by row
     # generation, each on a source where it takes at least 10 rounds: UB on
-    # the m = 12 ladder source, R_CO's (in `tests/reference_rco.py`) on
-    # another seed's m = 12 source.  `lp`
+    # an m = 12 ladder source whose P* keeps 11 terminals in one cell,
+    # R_CO's (in `tests/reference_rco.py`) on another seed's.  `lp`
     # takes ints and scales nothing, and the oracles read each round's
     # point as the dictionary's ints: the only calls are the integer
     # source, built once per hypergraph (each solve gets a fresh copy, which
@@ -118,7 +118,7 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
     # UB's copy has its `mmi` kept before counting, which builds its integer
     # source.  `lp` builds `Fraction`s only for the result: n + 1 of them,
     # n the LP's columns: the rates for R_CO, the k' non-singleton edges
-    # for UB.
+    # inside P*'s cells for UB.
     assert not hasattr(skbounds.lp, "to_integers")
     calls = Counter()
     fractions = []
@@ -139,14 +139,14 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
         checked.append(len(lp.constraints))
         verify(lp, xs, den)
 
-    hg = cycle_plus_edges(random.Random(12), 12)
+    hg = cycle_plus_edges(random.Random(7), 12)
     rco_hg = cycle_plus_edges(random.Random(3), 12)
     for name, module in list(sys.modules.items()):
         if name.startswith("skbounds") and hasattr(module, "to_integers"):
             monkeypatch.setattr(module, "to_integers", counting)
     monkeypatch.setattr(skbounds.lp, "_verify", recording)
     monkeypatch.setattr(skbounds.lp, "Fraction", counting_fraction)
-    k = sum(1 for e in hg.edges if e & (e - 1))
+    k = sum(1 for e in hg.edges if e & (e - 1) and any(e & ~c == 0 for c in mmi(hg).fundamental.cells))
     for run, source, ub, n in (
         (rowgen_rco, rco_hg, 0, rco_hg.m),
         (lambda g: upper_bound_theorem1(g, method="rowgen"), hg, 1, k),
