@@ -28,13 +28,14 @@ All quantities are exact rationals:
 
 Every LP has the one form `lp.solve` takes: rows `>=`, every variable >= 0
 and every cost >= 0, so it starts dual feasible at its slack basis.  Each
-is solved on the integer source (`WeightedHypergraph.integer_source`:
-weights times L, the lcm of their denominators), and what it returns is
-divided by L once: every quantity is homogeneous of degree one in the
-weights.  So every row, bound and cost is an int, as `lp.solve` requires;
-L times the capacity is a fraction n / d even on integer weights, so the
-rows that carry it are written times d.  Row generation reads each point
-as the LP dictionary's ints over its denominator D.
+is solved on the integer source that `flow.fundamental` keeps (weights
+times L, the lcm of their denominators), and what it returns is divided
+by L once: every quantity is homogeneous of degree one in the weights.
+So every row, bound and cost is an int, as `lp.solve` requires; L times
+the capacity, a fraction even on integer weights, comes from the same
+run as the ints n / d, so the rows that carry it are written times d.
+Row generation reads each point as the LP dictionary's ints over its
+denominator D.
 
 R_CO has one row per nonempty proper subset B (`_subset_row`): the rates
 inside B cover the entropy of B given the rest.  With A = M - B and
@@ -255,17 +256,17 @@ def upper_bound_theorem1(hg: WeightedHypergraph, *, method: str = "auto") -> tup
     Returns the bound (optimal total packing minus capacity) and an optimal
     packing: the weight on each edge that crosses P* (`mmi(hg).fundamental`),
     the LP's optimum on the edges inside its cells, 0 on singleton edges.
+    The integer source and L * I = n / d come from `flow.fundamental`.
     Each round hands `flow.truncation` the point's ints xs, as weights,
     with every crossing edge at its weight times D, at gamma = n * D / d; a
-    least sum below the total of those weights minus gamma gives the
-    violated row of the truncation's cells.  The full weight vector is
-    always feasible, so the bound never exceeds the omniscience rate; a
-    non-optimal LP status is a bug.
+    least sum, over d, below the total of those weights minus gamma gives
+    the violated row of the truncation's cells.  All of it is in ints.  The
+    full weight vector is always feasible, so the bound never exceeds the
+    omniscience rate; a non-optimal LP status is a bug.
     """
     _check_method(method)
     mres = mmi(hg)
-    src, scale = hg.integer_source()
-    (n,), d = to_integers([mres.value * scale])
+    src, scale, n, _, _, d = fundamental(hg)
     units, order = mres.fundamental.cells, src.edges
     # Every x in Gamma equals w on the edges that cross P* (module docstring).
     fixed = {e: w for e, w in src.weights.items() if all(e & ~c for c in units)}
@@ -273,11 +274,10 @@ def upper_bound_theorem1(hg: WeightedHypergraph, *, method: str = "auto") -> tup
     packed = sum(fixed.values())
 
     def oracle(xs: Sequence[int], den: int) -> Optional[Constraint]:
-        gamma = Fraction(n * den, d)
         point = {e: w * den for e, w in fixed.items()}
         point.update(zip(edges, xs))
-        least, cells, _, _ = truncation(WeightedHypergraph(src.m, point), gamma)
-        return _partition_row(edges, fixed, cells, n, d) if least < sum(xs) + packed * den - gamma else None
+        cells, ys = truncation(src.m, point, n * den, d)
+        return _partition_row(edges, fixed, cells, n, d) if sum(ys) < sum(point.values()) * d - n * den else None
 
     sol = solve_with_row_generation(build_gamma_lp(src, edges, fixed, n, d), oracle, bell(src.m) - 1)
     if sol.status != OPTIMAL:
@@ -290,8 +290,8 @@ def upper_bound_theorem1(hg: WeightedHypergraph, *, method: str = "auto") -> tup
 
 def _capacity(hg: WeightedHypergraph) -> tuple[Fraction, int]:
     """(I, |P*|) of `hg` from `flow.fundamental`, with no listing of the minimizers."""
-    _, scale, value, cells, _, _ = fundamental(hg)
-    return value / scale, len(cells)
+    _, scale, n, cells, _, d = fundamental(hg)
+    return Fraction(n, d * scale), len(cells)
 
 
 def verify_gamma_membership(
@@ -391,7 +391,7 @@ def run_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
     R_CO and meet every subset row by one `separation_oracle` sweep in ints.
     A failure shows rates(B) and H(B | M - B) of the worst B, else r(M) and R_CO.
     """
-    src, scale = hg.integer_source()
+    src, scale, *_ = fundamental(hg)
     table = subset_weight_table(hg.m, src.weights)
     rates = report.rates.rates
     xs, d = to_integers([r * scale for r in rates])

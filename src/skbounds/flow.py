@@ -23,13 +23,16 @@ and the minimizers of the value, and the finest of them is the fundamental
 partition P* (Chan et al., "Info-clustering", Proc. IEEE 2015).
 
 `fundamental` is the one place that runs `dinkelbach` on a hypergraph: it
-runs it once on the integer source and keeps the run on the hypergraph, so
-I, P* and the rate point of one source come from one run.
+builds the integer source, runs it once there and keeps both on the
+hypergraph, so I, P* and the rate point of one source come from one run.
+The run is all ints: L * I leaves it as n / d, the greedy point as xs
+over the same d, and its readers take them as they are.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping
 
 from .hypergraph import WeightedHypergraph
 from .rational import to_integers
@@ -105,17 +108,19 @@ def bipartite_cut(supply: list[int], groups: list[tuple[int, int]]) -> tuple[int
 
 
 def truncation(
-    src: WeightedHypergraph, gamma: Fraction
-) -> tuple[Fraction, tuple[int, ...], tuple[int, ...], int]:
-    """(least, cells, xs, d): the least sum of H(C) - gamma over the cells C of a partition of M,
-    its finest partition, and the greedy point x = xs / d that reaches it.
+    m: int, weights: Mapping[int, int], n: int, d: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(cells, xs): the finest partition of M that minimizes the sum of H(C) - gamma over its
+    cells C, at gamma = n / d, and the greedy point x = xs / d that reaches that least sum.
 
-    `src` has int weights.  Vertex j (in order) gets x_j, the least
-    f(S) - x(S - j) over S with j in S within {1..j}, one min cut with j as
-    the source.  The hyperedges that meet {1..j} in the same set a (a group)
-    cost their weight once a vertex of a is in S, and those that hold j cost
-    it on every S, a constant.  A vertex v < j in S costs term_v, the weight
-    of the group {v} minus x_v.  In the general network of the cut
+    H is the entropy of the source on {1..m} with the int `weights`, d > 0
+    need not be gamma's least denominator, and the least sum is sum(xs) / d.
+    Vertex j (in order) gets x_j, the least f(S) - x(S - j) over S with j
+    in S within {1..j}, one min cut with j as the source.  The hyperedges
+    that meet {1..j} in the same set a (a group) cost their weight once a
+    vertex of a is in S, and those that hold j cost it on every S, a
+    constant.  A vertex v < j in S costs term_v, the weight of the group
+    {v} minus x_v.  In the general network of the cut
     (`tests/reference_flow.py`) a vertex with term_v < 0 gets an arc j -> v
     of capacity -term_v, and term_v joins the constant; no arc enters any
     other vertex, and a group is entered only from its vertices.  So only
@@ -125,16 +130,17 @@ def truncation(
     and least source side S; with A empty, S is {j}.  The constants do not
     move S, which joins the cells it meets.  The cells found this way form
     the finest minimizing partition, and the sum of x is the least sum.
-    Cells come sorted by their smallest vertex.  x is returned as ints xs
-    over gamma's denominator d: x(A) <= H(A) - gamma for every nonempty A
-    (Fujishige 2005), with equality at A = M when the least sum is the
-    one-cell partition's, as it is at gamma = I.
+    Cells come sorted by their smallest vertex.  x meets
+    x(A) <= H(A) - gamma for every nonempty A (Fujishige 2005), with
+    equality at A = M when the least sum is the one-cell partition's, as it
+    is at gamma = I.  Scaling n and d by one g > 0 scales every capacity of
+    every cut by g, which moves no least source side, so the cells do not
+    depend on how gamma is written.
     """
-    (n,), d = to_integers([gamma])
-    edges = [(e, w * d) for e, w in src.weights.items()]
+    edges = [(e, w * d) for e, w in weights.items()]
     x: list[int] = []
     cells: list[int] = []
-    for j in range(src.m):
+    for j in range(m):
         bit = 1 << j
         below = bit - 1
         fixed = 0  # the weight of the groups that contain j
@@ -163,12 +169,12 @@ def truncation(
             cut, least = 0, bit
         x.append(fixed - sum(supply) + cut - n)
         cells.append(least)
-    return Fraction(sum(x), d), tuple(sorted(cells, key=lambda c: c & -c)), tuple(x), d
+    return tuple(sorted(cells, key=lambda c: c & -c)), tuple(x)
 
 
-def dinkelbach(src: WeightedHypergraph) -> tuple[Fraction, tuple[int, ...], tuple[int, ...], int]:
-    """(I, P*, xs, d): the least partition value of `src` (int weights), its finest minimizer's
-    cells, and the last truncation's greedy point xs / d, at gamma = I.
+def dinkelbach(src: WeightedHypergraph) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
+    """(n, P*, xs, d): the least partition value I = n / d of `src` (int weights), in lowest
+    terms, its finest minimizer's cells, and the last truncation's greedy point xs / d.
 
     Starts at the least value among the singletons, sum of w(|e| - 1) over
     m - 1, and the m splits {v} | M - v, each the weight of the edges that
@@ -177,7 +183,9 @@ def dinkelbach(src: WeightedHypergraph) -> tuple[Fraction, tuple[int, ...], tupl
     value of the partition found, or shows that no partition has a value
     below gamma.  The greedy point of that last truncation sums to H(M) - I
     and meets x(A) <= H(A) - I on every nonempty A, so it is an optimal
-    omniscience rate point (Csiszar and Narayan 2004).
+    omniscience rate point (Csiszar and Narayan 2004).  gamma is put over
+    its least denominator once per truncation, and every comparison is in
+    ints over it.
     """
     m = src.m
     total = crossing = 0  # crossing: the singletons' value times m - 1
@@ -192,21 +200,24 @@ def dinkelbach(src: WeightedHypergraph) -> tuple[Fraction, tuple[int, ...], tupl
     best = min(split)
     gamma = Fraction(best) if best * (m - 1) < crossing else Fraction(crossing, m - 1)
     while True:
-        least, cells, xs, d = truncation(src, gamma)
-        if least >= total - gamma:
-            return gamma, cells, xs, d
-        # The partition's sum of H(C) - H(M) is least + gamma * |cells| - H(M).
+        (n,), d = to_integers([gamma])
+        cells, xs = truncation(m, src.weights, n, d)
+        if sum(xs) >= total * d - n:
+            return n, cells, xs, d
+        # The partition's sum of H(C) - H(M) is (sum(xs) + n * |cells|) / d - H(M).
         k = len(cells)
-        gamma = (least + gamma * k - total) / (k - 1)
+        gamma = Fraction(sum(xs) + n * k - total * d, d * (k - 1))
 
 
 def fundamental(
     hg: WeightedHypergraph,
-) -> tuple[WeightedHypergraph, int, Fraction, tuple[int, ...], tuple[int, ...], int]:
-    """(src, L, L * I, P*, xs, d): `hg`'s integer source (`integer_source`) and `dinkelbach` on it.
+) -> tuple[WeightedHypergraph, int, int, tuple[int, ...], tuple[int, ...], int]:
+    """(src, L, n, P*, xs, d): `hg`'s integer source (`integer_source`) and `dinkelbach` on it,
+    with L * I = n / d.
 
-    Run on the first call and kept on `hg`, as its integer source is, so
-    `mmi`, `r_co_direct` and the Gamma check of one hypergraph read one run.
+    Run on the first call and kept on `hg`, so `mmi`, `r_co_direct`,
+    `upper_bound_theorem1` and the Gamma check of one hypergraph read one
+    run and one integer source.
     """
     if "_fundamental" not in hg.__dict__:
         src, scale = hg.integer_source()

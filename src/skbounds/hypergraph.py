@@ -13,11 +13,11 @@ forms used throughout this package:
 
 Hypergraphs are immutable after construction and all operations are pure,
 so instances can be shared freely across concurrent work.  A hypergraph
-keeps three values, each the same whoever builds it first: its integer
-source, the Dinkelbach run on it that `flow.fundamental` keeps (I, P*
-and an optimal rate point), and the certified result of
-`partitions.mmi`.  None is a dataclass field, so equality and `repr`
-read only m and the weights.
+keeps two values, each the same whoever builds it first: the Dinkelbach
+run that `flow.fundamental` keeps (its integer source, I, P* and an
+optimal rate point), and the certified result of `partitions.mmi`.
+Neither is a dataclass field, so equality and `repr` read only m and the
+weights.
 """
 
 from __future__ import annotations
@@ -141,15 +141,12 @@ class WeightedHypergraph:
     def integer_source(self) -> tuple["WeightedHypergraph", int]:
         """(source, L): L the lcm of the weights' denominators, source's weights L * w as ints.
 
-        Built on the first call and kept on the instance, so `analyze` and
-        the solvers it calls scale each hypergraph once.
+        Built on each call and kept nowhere: `flow.fundamental`, its one
+        caller in the package, keeps it with the run, so `analyze` and the
+        solvers it calls scale each hypergraph once.
         """
-        built = self.__dict__.get("_integer_source")
-        if built is None:
-            ints, scale = to_integers(self.weights.values())
-            built = WeightedHypergraph(self.m, dict(zip(self.weights, ints))), scale
-            self.__dict__["_integer_source"] = built
-        return built
+        ints, scale = to_integers(self.weights.values())
+        return WeightedHypergraph(self.m, dict(zip(self.weights, ints))), scale
 
     def entropy_table(self) -> list[Fraction]:
         """Entropy of every group A (weight of the hyperedges meeting A), by mask."""

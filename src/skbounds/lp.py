@@ -47,8 +47,9 @@ put over the current denominator and its slack, a unit column, becomes
 basic, so the fraction-free invariant holds.  The old basis stays dual
 feasible, and the same dual simplex restores primal feasibility in a few
 pivots.  Every round's point is checked against the whole working LP in
-the ints xs over den that the oracle then reads; only the final point is
-certified by duality and built in `Fraction`s.
+the ints xs over den that the oracle then reads, and each row the oracle
+returns must be violated there, in the same ints; only the final point
+is certified by duality and built in `Fraction`s.
 """
 
 from __future__ import annotations
@@ -372,9 +373,12 @@ def solve_with_row_generation(
     family).  The result then equals a solve over the fully materialized
     family; only it is built in `Fraction`s and certified by duality.  An
     infeasible base LP, or a cut that makes the working LP infeasible, the
-    last one included, returns "infeasible".  A point still uncertified
-    after `max_rounds` cuts is a hard error: the families used here are
-    finite, so running past them proves a bug.
+    last one included, returns "infeasible".  A returned row that the
+    point already meets, checked in ints as `_verify` checks a row, is a
+    hard error at once, naming the row: adding it cannot move the point,
+    so the oracle would return it again until the cap.  A point still
+    uncertified after `max_rounds` cuts is a hard error too: the families
+    used here are finite, so running past them proves a bug.
     """
     lp = replace(lp_base, constraints=list(lp_base.constraints))
     dictionary = _optimal(lp)
@@ -383,6 +387,13 @@ def solve_with_row_generation(
     for _ in range(max_rounds):
         if (extra := oracle(dictionary.xs, dictionary.den)) is None:
             return dictionary.solution(lp)
+        lhs = sum([c * x for c, x in zip(extra.coeffs, dictionary.xs) if c])
+        if lhs >= extra.rhs * dictionary.den:
+            row = " + ".join(f"{c} {name}" for c, name in zip(extra.coeffs, lp.variables) if c) or 0
+            raise InternalInvariantError(
+                f"separation oracle returned the row {row} >= {extra.rhs},"
+                f" which the point already meets: lhs {Fraction(lhs, dictionary.den)}"
+            )
         lp.add_constraint(extra.coeffs, extra.rhs)
         if not dictionary.add_cut(lp, extra):
             return LpSolution(INFEASIBLE, None, None)  # the cut proved the working LP infeasible

@@ -14,8 +14,10 @@ holds is an int (L times the entropy).  `flow.dinkelbach` finds I and P* by
 max-flow in polynomial time.  `mmi` reads that run from
 `flow.fundamental`, which runs it once per hypergraph and keeps it, so
 `r_co_direct` and the Gamma check of the same hypergraph read the same
-run.  `mmi` in turn certifies the run once per hypergraph and keeps its
-`MmiResult` on it, so every caller of `mmi(hg)` reads one result.  When
+run.  L * I comes from the run as the ints num / den, and `mmi` builds
+the `Fraction` I = num / (den * L) once, for its result.  `mmi` in turn
+certifies the run once per hypergraph and keeps its `MmiResult` on it,
+so every caller of `mmi(hg)` reads one result.  When
 I > 0, one table of the 2^|P*| unions of P*'s cells certifies them and
 counts the minimizers; when I = 0, P*'s uncut edges certify it and the
 count is Bell(|P*|) - 1.  Either way the minimizers are listed, without a
@@ -78,7 +80,6 @@ from typing import Callable, Iterable
 from .errors import CapExceededError, InternalInvariantError
 from .flow import fundamental
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table, vertices_of
-from .rational import to_integers
 
 PARTITION_CAP = 12
 
@@ -188,19 +189,20 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
             f"m = {m} exceeds the partition enumeration cap of {PARTITION_CAP}"
         )
     if "_mmi" not in hg.__dict__:
-        src, scale, capacity, units, _, _ = fundamental(hg)
-        if capacity:
-            slack = _certified_slack(src, units, capacity, scale)
+        src, scale, num, units, _, den = fundamental(hg)
+        value = Fraction(num, den * scale)
+        if num:
+            slack = _certified_slack(src, units, num, den, value)
             count = _count_coarsenings(slack)
         # slack(all cells) = 0 says that no edge of positive weight meets two
         # cells, and then every union is tight.
         elif any(w and e & ~next(u for u in units if u & e) for e, w in src.weights.items()):
-            raise _off_value(src, units, capacity, scale)
+            raise _off_value(m, units, value)
         else:
             slack, count = None, bell(len(units)) - 1
         # The listing's name is looked up when it is read, not bound here.
         hg.__dict__["_mmi"] = MmiResult(
-            capacity / scale,
+            value,
             Partition(m, units),
             count,
             lambda: _list_coarsenings(units, slack or [0] * (1 << len(units))),
@@ -216,20 +218,19 @@ def bell(n: int) -> int:
     return row[-1]
 
 
-def _off_value(src: WeightedHypergraph, units: tuple[int, ...], capacity: Fraction, scale: int) -> InternalInvariantError:
+def _off_value(m: int, units: tuple[int, ...], value: Fraction) -> InternalInvariantError:
     """The error for a truncation's P* whose value is not its I."""
     return InternalInvariantError(
-        f"the truncation's partition {Partition(src.m, units)} does not have its value"
-        f" I = {capacity / scale}"
+        f"the truncation's partition {Partition(m, units)} does not have its value I = {value}"
     )
 
 
-def _certified_slack(src: WeightedHypergraph, units: tuple[int, ...], capacity: Fraction, scale: int) -> list[int]:
+def _certified_slack(src: WeightedHypergraph, units: tuple[int, ...], num: int, den: int, value: Fraction) -> list[int]:
     """slack[a] for each union a of the units (bit i for units[i]), once the table certifies I and P*.
 
-    `units` are the truncation's P* and `capacity` its I = num / den, both
-    of the integer source `src`, which is the source times `scale`.  The
-    union a is tight when slack[a] is 0.
+    `units` are the truncation's P* and num / den its I, both of the
+    integer source `src`; `value` is the source's own I, for the messages.
+    The union a is tight when slack[a] is 0.
     """
     # The source contracted to the units: each hyperedge becomes the set of
     # units it meets.
@@ -240,21 +241,19 @@ def _certified_slack(src: WeightedHypergraph, units: tuple[int, ...], capacity: 
     cond = subset_weight_table(len(units), contracted)
     ent = [cond[-1] - c for c in reversed(cond)]  # ent[a]: the weight of the edges meeting a
     # slack[a] = den * (sum of H(u) over the units u in a - H(a)) - num * (|a| - 1).
-    (num,), den = to_integers([capacity])
     slack = [num]
     for i in range(len(units)):
         step = den * ent[1 << i] - num
         slack += [x + step for x in slack]
     slack = [x - den * e for x, e in zip(slack, ent)]
     if slack[-1]:
-        raise _off_value(src, units, capacity, scale)
+        raise _off_value(src.m, units, value)
     worst = max(slack[1:])
     if worst > 0:
         a = slack.index(worst, 1)
         merged = format_subset(sum(unit for i, unit in enumerate(units) if a >> i & 1))
         raise InternalInvariantError(
-            f"merging the cells of P* inside {merged} gives a partition of value below"
-            f" I = {capacity / scale}"
+            f"merging the cells of P* inside {merged} gives a partition of value below I = {value}"
         )
     return slack
 

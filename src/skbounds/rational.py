@@ -58,8 +58,9 @@ def to_integers(values: Collection[Fraction | int]) -> tuple[list[int], int]:
     """(ints, L): L the lcm of the values' denominators (1 for none), ints[i] = L * values[i].
 
     This is the one place the package turns rationals into integers over a
-    common denominator, from the integer source to L * I = n / d and each
-    truncation's gamma; LP rounds read the dictionary's own ints instead.
+    common denominator: the integer source, each of Dinkelbach's gammas,
+    which leaves L * I as n / d, and the rate point `run_checks` checks.
+    LP rounds read the dictionary's own ints instead.
     """
     # Unpack a list, not a generator: a tuple built from a generator grows by
     # reallocation, which fragments the heap (+1 MiB peak RSS on many small LPs).

@@ -6,16 +6,13 @@ of the vertices with a negative term and the groups that meet them, by
 augmenting-path max-flow on any arc list, and `reference_truncation` the
 truncation that hands it the whole network of a step: a node for every
 vertex below the step's vertex and for every group, with the arcs into the
-sink of the vertices whose term is positive.  They share no network or
-flow code with the package, only `rational.to_integers`.
+sink of the vertices whose term is positive.  They share no code with the
+package.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from skbounds.hypergraph import WeightedHypergraph
-from skbounds.rational import to_integers
+from typing import Mapping
 
 
 def min_cut(nodes: int, arcs: list[tuple[int, int, int]], source: int, sink: int) -> tuple[int, list[int]]:
@@ -67,12 +64,12 @@ def min_cut(nodes: int, arcs: list[tuple[int, int, int]], source: int, sink: int
 
 
 def reference_truncation(
-    src: WeightedHypergraph, gamma: Fraction
-) -> tuple[Fraction, tuple[int, ...], tuple[int, ...], int]:
-    """(least, cells, xs, d): the least sum of H(C) - gamma over the cells C of a partition of M,
-    its finest partition, and the greedy point xs / d, d the denominator of gamma.
+    m: int, weights: Mapping[int, int], n: int, d: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(cells, xs): the finest partition of M that minimizes the sum of H(C) - gamma over its
+    cells C, at gamma = n / d, and the greedy point xs / d that reaches that least sum.
 
-    `src` has int weights.  Vertex j (in order) gets x_j, the least
+    H is the entropy of the source on {1..m} with the int `weights`.  Vertex j (in order) gets x_j, the least
     f(S) - x(S - j) over S with j in S within {1..j}, solved as one min cut
     with j as the source.  The hyperedges that meet {1..j} in the same set a
     (a group) cost their weight once a vertex of a is on the source side.
@@ -88,11 +85,10 @@ def reference_truncation(
     partition, and the sum of x is the least sum.  Cells come sorted by
     their smallest vertex.
     """
-    (n,), d = to_integers([gamma])
-    edges = [(e, w * d) for e, w in src.weights.items()]
+    edges = [(e, w * d) for e, w in weights.items()]
     x: list[int] = []
     cells: list[int] = []
-    for j in range(src.m):
+    for j in range(m):
         bit = 1 << j
         below = bit - 1
         fixed = 0  # the weight of the groups that contain j
@@ -126,4 +122,4 @@ def reference_truncation(
             cut, least = 0, bit
         x.append(fixed + pull + cut - n)
         cells.append(least)
-    return Fraction(sum(x), d), tuple(sorted(cells, key=lambda c: c & -c)), tuple(x), d
+    return tuple(sorted(cells, key=lambda c: c & -c)), tuple(x)

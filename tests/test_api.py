@@ -99,6 +99,49 @@ def test_only_flow_runs_dinkelbach():
     assert _dinkelbach_sites(trees) == []
 
 
+def _to_integers_sites(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.function`, innermost function last, of each read of `to_integers` and each import that renames it.
+
+    A read at module level is named by the module alone.
+    """
+    sites = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{where}.{child.name}"
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                if any(a.name.rsplit(".", 1)[-1] == "to_integers" and a.asname for a in child.names):
+                    sites.append(where)
+            elif getattr(child, "id", getattr(child, "attr", None)) == "to_integers":
+                sites.append(where)
+            visit(child, inner)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return sorted(sites)
+
+
+def test_the_to_integers_guard_sees_calls_attributes_aliases_and_nested_functions():
+    trees = {
+        "flow": ast.parse("from .rational import to_integers\ndef dinkelbach(src):\n    return to_integers([1])\n"),
+        "a": ast.parse("from . import rational\ndef f():\n    def g():\n        return rational.to_integers([])\n    return g\n"),
+        "b": ast.parse("from .rational import to_integers as ti\nti([1])\n"),
+        "c": ast.parse("from .rational import to_integers\nscale = to_integers\n"),
+        "d": ast.parse("def to_integers_like(to_int):\n    return to_int\n"),
+    }
+    assert _to_integers_sites(trees) == ["a.f.g", "b", "c", "flow.dinkelbach"]
+
+
+def test_only_the_integer_source_dinkelbach_and_run_checks_scale_to_integers():
+    # The integer source is built in one place, L * I leaves `dinkelbach` as
+    # ints, and every reader takes them from the run `flow.fundamental`
+    # keeps; `run_checks` scales the reported rate point, which it checks.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    assert _to_integers_sites(trees) == ["bounds.run_checks", "flow.dinkelbach", "hypergraph.integer_source"]
+
+
 def test_graphical_bounds_rejects_a_non_graph():
     with pytest.raises(ValueError, match="exactly two vertices"):
         graphical_bounds(WeightedHypergraph(3, {0b111: Fraction(1)}))

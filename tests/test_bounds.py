@@ -466,8 +466,8 @@ def test_gamma_membership_lists_no_minimizers(monkeypatch):
 
 def test_analyze_scales_the_input_and_the_reduced_source_once_each(monkeypatch):
     # `mmi`, `r_co_direct` and `upper_bound_theorem1` each read the input's
-    # integer source, and the Gamma check the reduced source's: a hypergraph
-    # keeps the one it builds.
+    # integer source, and the Gamma check the reduced source's: the run that
+    # `flow.fundamental` keeps on a hypergraph holds the one it builds.
     built = []
 
     def counting(values):
@@ -509,7 +509,51 @@ def test_analyze_runs_dinkelbach_on_the_input_and_the_reduced_source_once_each(m
             report = analyze(hg)
         reduced = hg.restrict(report.x_star.entries)
         assert calls == [hg.integer_source()[0], reduced.integer_source()[0]], path.name
-        assert calls[0] is hg.integer_source()[0]
+        assert calls[0] is skbounds.flow.fundamental(hg)[0]
+
+
+def test_ub_after_mmi_builds_no_hypergraph(monkeypatch):
+    # UB reads the integer source and L * I from the run `mmi` kept, and each
+    # oracle round hands `flow.truncation` the point as ints: no round
+    # builds a `WeightedHypergraph`.  ladder6's LP takes two cuts.
+    hg = parse_document(fixture_text("ladder6.hg"))
+    mmi(hg)
+    built, rounds = [], []
+    init, truncate = WeightedHypergraph.__post_init__, skbounds.bounds.truncation
+
+    def counting_init(self):
+        built.append(self.m)
+        init(self)
+
+    def counting_truncation(*args):
+        rounds.append(args)
+        return truncate(*args)
+
+    monkeypatch.setattr(WeightedHypergraph, "__post_init__", counting_init)
+    monkeypatch.setattr(skbounds.bounds, "truncation", counting_truncation)
+    assert upper_bound_theorem1(hg)[0] == 12
+    assert built == []
+    assert len(rounds) == 3
+
+
+def test_a_faulty_ub_oracle_raises_at_once(monkeypatch):
+    # A truncation that sees every weight of the point lowered by 1 returns,
+    # from the third round on here, rows the point already meets.  Row
+    # generation names the first one at once; it used to re-add it until
+    # the Bell(9) - 1 = 21,146 round cap.
+    hg = cycle_plus_edges(random.Random(9), 9)
+    mmi(hg)
+    rounds = []
+    truncate = skbounds.bounds.truncation
+
+    def lowered(m, weights, n, d):
+        rounds.append(n)
+        return truncate(m, {e: max(w - 1, 0) for e, w in weights.items()}, n, d)
+
+    monkeypatch.setattr(skbounds.bounds, "truncation", lowered)
+    with pytest.raises(skbounds.InternalInvariantError, match=r"returned the row .* which the point already meets"):
+        upper_bound_theorem1(hg)
+    assert len(rounds) == 3
 
 
 def test_mmi_then_r_co_direct_runs_one_dinkelbach(monkeypatch):

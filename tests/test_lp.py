@@ -289,12 +289,42 @@ def test_row_generation_reaches_full_answer():
 
 def test_row_generation_cap_is_hard_error():
     base = LinearProgram(["x"], [1])
-    # oracle keeps returning an already satisfied row: loop cannot make progress
-    def broken_oracle(xs, den):
-        return Constraint((1,), 0)
+    returned = []
+
+    # Each row x >= k is violated at the point, x = k - 1, so every cut makes
+    # progress, but the family never ends.
+    def endless_oracle(xs, den):
+        returned.append(Fraction(xs[0], den))
+        return Constraint((1,), len(returned))
 
     with pytest.raises(InternalInvariantError, match="did not certify within 3 rounds"):
-        solve_with_row_generation(base, broken_oracle, max_rounds=3)
+        solve_with_row_generation(base, endless_oracle, max_rounds=3)
+    assert returned == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (Constraint((1, 0), 0), "the row 1 x >= 0, which the point already meets: lhs 0"),
+        (Constraint((0, 2), 1), "the row 2 y >= 1, which the point already meets: lhs 3"),
+        (Constraint((0, 0), -1), "the row 0 >= -1, which the point already meets: lhs 0"),
+    ],
+    ids=["tight", "slack", "empty"],
+)
+def test_row_generation_rejects_a_row_the_point_already_meets(row, message):
+    # A returned row the point meets cannot move it: the oracle is at fault,
+    # and row generation raises at once, naming the row, not at the round cap.
+    base = LinearProgram(["x", "y"], [1, 1])
+    base.add_constraint([0, 2], 3)  # the point is x = 0, y = 3/2
+    calls = []
+
+    def faulty_oracle(xs, den):
+        calls.append((xs, den))
+        return row
+
+    with pytest.raises(InternalInvariantError, match=re.escape(message)):
+        solve_with_row_generation(base, faulty_oracle, max_rounds=10**9)
+    assert calls == [([0, 3], 2)]
 
 
 def test_row_generation_passes_through_infeasible():

@@ -12,6 +12,7 @@ singletons, `reference_scan.integer_scan`, is its reference where the
 `Fraction` scan is too slow.
 """
 
+import math
 import random
 import types
 from fractions import Fraction
@@ -65,13 +66,16 @@ def test_truncation_by_hand():
     # At gamma = I the one-cell partition ties with P*, the finest minimizer.
     # The greedy point: x_1 = H(1) - 1 = 1, x_2 = H(12) - 1 - x_1 = 1,
     # x_3 = H(123) - 1 - x_1 - x_2 = 1 and x_4 = H(4) - 1 = 0, summing to
-    # H(M) - I = 3.
-    assert truncation(src, Fraction(1)) == (3, (0b0111, 0b1000), (1, 1, 1, 0), 1)
+    # H(M) - I = 3, the least sum.
+    assert truncation(4, src.weights, 1, 1) == ((0b0111, 0b1000), (1, 1, 1, 0))
+    # gamma = 2 / 2 is the same gamma: the same cells, and x over d = 2.
+    assert truncation(4, src.weights, 2, 2) == ((0b0111, 0b1000), (2, 2, 2, 0))
     # At gamma = 2 the singletons win: H(1) + H(2) + H(3) + H(4) - 4 * 2 = 2 + 2 + 3 + 1 - 8 = 0.
-    assert truncation(src, Fraction(2)) == (0, (0b0001, 0b0010, 0b0100, 0b1000), (0, 0, 1, -1), 1)
+    assert truncation(4, src.weights, 2, 1) == ((0b0001, 0b0010, 0b0100, 0b1000), (0, 0, 1, -1))
     # At gamma = 5/4, between the two, P* alone is least: 4 + 1 - 2 * 5/4 = 5/2,
-    # against 3 for the singletons and 11/4 for the one cell; x is over d = 4.
-    assert truncation(src, Fraction(5, 4)) == (Fraction(5, 2), (0b0111, 0b1000), (3, 3, 5, -1), 4)
+    # against 3 for the singletons and 11/4 for the one cell; x is over d = 4
+    # and sums to 10 = 4 * 5/2.
+    assert truncation(4, src.weights, 5, 4) == ((0b0111, 0b1000), (3, 3, 5, -1))
     # Dinkelbach starts at the least of the singletons' value 4/3 and the
     # splits {v} | M - v, 2, 2, 3 and 1: the split {4} has value I, and one
     # truncation there returns P* and the greedy point.
@@ -92,14 +96,16 @@ def _record_cuts(monkeypatch) -> list:
 
 def test_truncation_gives_no_node_to_a_group_that_holds_the_step_vertex(monkeypatch):
     networks = _record_cuts(monkeypatch)
-    assert truncation(BY_HAND, Fraction(1))[:2] == (3, (0b0111, 0b1000))
+    cells, xs = truncation(4, BY_HAND.weights, 1, 1)
+    assert (sum(xs), cells) == (3, (0b0111, 0b1000))
     # At gamma = 1, x = 1 at vertices 1 and 2, and vertex 1's term at step 2
     # is w({1,3}) - x_1 = 0, so steps 1 and 2 solve no cut.  At step 3 the
     # terms of 1 and 2 are -1, and only {1,2} is a group ({1,3}, {2,3} and
     # {3,4} hold 3); at step 4, {1,2}, {1,3} and {2,3} are ({3,4} holds 4).
     assert networks == [([1, 1], [(0b011, 1)]), ([1, 1, 1], [(0b011, 1), (0b101, 1), (0b110, 1)])]
     networks.clear()
-    assert truncation(BY_HAND, Fraction(2))[:2] == (0, (0b0001, 0b0010, 0b0100, 0b1000))
+    cells, xs = truncation(4, BY_HAND.weights, 2, 1)
+    assert (sum(xs), cells) == (0, (0b0001, 0b0010, 0b0100, 0b1000))
     # At gamma = 2, x = 0, 0, 1 at vertices 1 to 3, so at step 4 only vertex
     # 3 has a negative term: vertices 1 and 2 supply nothing, the group
     # {1,2} meets no vertex that does and gets no node, and {1,3} and {2,3}
@@ -140,9 +146,9 @@ def test_every_network_of_the_fixtures_and_the_ladder_matches_the_general_min_cu
     truncations = []
     truncate = skbounds.flow.truncation
 
-    def recording(src, gamma):
-        result = truncate(src, gamma)
-        truncations.append(result == reference_truncation(src, gamma))
+    def recording(m, weights, n, d):
+        result = truncate(m, weights, n, d)
+        truncations.append(result == reference_truncation(m, weights, n, d))
         return result
 
     monkeypatch.setattr(skbounds.flow, "truncation", recording)
@@ -181,9 +187,10 @@ def test_dinkelbach_matches_the_fraction_scan(family, scale):
         hg = FAMILIES[family](rng, m)
         hg = WeightedHypergraph(m, {e: c * w for e, w in hg.weights.items()})
         src, L = hg.integer_source()
-        capacity, cells = dinkelbach(src)[:2]
+        n, cells, _, d = dinkelbach(src)
         expected = reference_mmi(hg)
-        assert (capacity / L, cells) == (expected.value, expected.fundamental.cells), f"m = {m}"
+        assert (Fraction(n, d * L), cells) == (expected.value, expected.fundamental.cells), f"m = {m}"
+        assert math.gcd(n, d) == 1, f"m = {m}"
 
 
 # A source where a listing that places P*'s cells one at a time meets two
@@ -346,22 +353,22 @@ def test_two_clusters_has_a_two_cell_p_star():
     "mutate, hg",
     [
         # The singletons: finer than P*, so their value is above I.
-        pytest.param(lambda value, cells: (value, tuple(1 << v for v in range(9))), TWO_CLUSTERS, id="singletons"),
+        pytest.param(lambda n, cells, d: (n, tuple(1 << v for v in range(9))), TWO_CLUSTERS, id="singletons"),
         # A two-cell partition that is not a minimizer, with the right I.
-        pytest.param(lambda value, cells: (value, (0b000001111, 0b111110000)), TWO_CLUSTERS, id="two-cells"),
+        pytest.param(lambda n, cells, d: (n, (0b000001111, 0b111110000)), TWO_CLUSTERS, id="two-cells"),
         # I one unit of the integer source off, either way; I - 1 is 0, so
         # the check on P*'s uncut edges must catch the edge {5,6}.
-        pytest.param(lambda value, cells: (value + 1, cells), TWO_CLUSTERS, id="I-plus-1"),
-        pytest.param(lambda value, cells: (value - 1, cells), TWO_CLUSTERS, id="I-minus-1"),
+        pytest.param(lambda n, cells, d: (n + d, cells), TWO_CLUSTERS, id="I-plus-1"),
+        pytest.param(lambda n, cells, d: (n - d, cells), TWO_CLUSTERS, id="I-minus-1"),
         # I = 0 is right on the tie-heavy source, but the singletons cut its pair.
         pytest.param(
-            lambda value, cells: (Fraction(0), tuple(1 << v for v in range(9))),
+            lambda n, cells, d: (0, tuple(1 << v for v in range(9))),
             tie_heavy_source(random.Random("mutation/tie"), 9),
             id="zero-singletons",
         ),
         # I forced to 0 on a connected source, with its own P*.
         pytest.param(
-            lambda value, cells: (Fraction(0), cells),
+            lambda n, cells, d: (0, cells),
             cycle_plus_edges(random.Random(9), 9),
             id="zero-connected",
         ),
@@ -371,8 +378,8 @@ def test_a_wrong_truncation_result_is_an_internal_error(monkeypatch, mutate, hg)
     # The kept run is wrapped, not changed: `hg` is built once, at collection.
     # `mmi` runs on a fresh copy, which keeps no result of its own yet.
     def mutated(hg):
-        src, scale, value, cells, xs, d = fundamental(hg)
-        return (src, scale, *mutate(value, cells), xs, d)
+        src, scale, n, cells, xs, d = fundamental(hg)
+        return (src, scale, *mutate(n, cells, d), xs, d)
 
     monkeypatch.setattr(skbounds.partitions, "fundamental", mutated)
     with pytest.raises(InternalInvariantError, match="does not have its value I"):
@@ -387,9 +394,10 @@ def test_a_partition_finer_than_p_star_at_its_own_value_trips_the_union_check(mo
     assert mmi(hg).fundamental.cells == (0b110011111, 0b000100000, 0b001000000)
 
     def singletons(hg):
-        src, scale, _, _, xs, d = fundamental(hg)
+        src, scale, _, _, xs, _ = fundamental(hg)
         crossing = sum(w * (bin(e).count("1") - 1) for e, w in src.weights.items())
-        return src, scale, Fraction(crossing, src.m - 1), tuple(1 << v for v in range(src.m)), xs, d
+        # Their value crossing / (m - 1), as n / d; `mmi` reads no xs.
+        return src, scale, crossing, tuple(1 << v for v in range(src.m)), xs, src.m - 1
 
     monkeypatch.setattr(skbounds.partitions, "fundamental", singletons)
     with pytest.raises(InternalInvariantError, match=r"merging the cells of P\* inside"):
@@ -400,9 +408,9 @@ def _count_truncations(monkeypatch) -> list:
     calls = []
     truncate = skbounds.flow.truncation
 
-    def counting(src, gamma):
-        calls.append(gamma)
-        return truncate(src, gamma)
+    def counting(m, weights, n, d):
+        calls.append((n, d))
+        return truncate(m, weights, n, d)
 
     monkeypatch.setattr(skbounds.flow, "truncation", counting)
     return calls

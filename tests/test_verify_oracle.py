@@ -5,10 +5,10 @@ checks every bound and row of the int LP in ints; `reference_verify`
 forms the rationals xs / den and sums every row in `Fraction`s.  On seeded
 LPs and points both must raise on the same points with the same message.
 The LP engine scales nothing to integers itself, and no round of row
-generation builds a `Fraction` in `lp` or calls `to_integers` beyond what
-its oracle needs: the sweep of R_CO's row generation
-(`tests/reference_rco.py`) reads the dictionary's own ints, and the
-packing LP's truncation converts only its gamma.
+generation builds a `Fraction` in `lp` or calls `to_integers`: the sweep
+of R_CO's row generation (`tests/reference_rco.py`) reads the
+dictionary's own ints, and the packing LP's truncation takes its gamma as
+ints.
 """
 
 import math
@@ -111,14 +111,15 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
     # an m = 12 ladder source whose P* keeps 11 terminals in one cell,
     # R_CO's (in `tests/reference_rco.py`) on another seed's.  `lp`
     # takes ints and scales nothing, and the oracles read each round's
-    # point as the dictionary's ints: the only calls are the integer
-    # source, built once per hypergraph (each solve gets a fresh copy, which
-    # has not built it yet), UB's capacity n / d, and one per round in UB's
-    # truncation, which puts its gamma n * den / d over one denominator.
-    # UB's copy has its `mmi` kept before counting, which builds its integer
-    # source.  `lp` builds `Fraction`s only for the result: n + 1 of them,
-    # n the LP's columns: the rates for R_CO, the k' non-singleton edges
-    # inside P*'s cells for UB.
+    # point as the dictionary's ints.  Each source's integer form is built
+    # once, on a fresh copy: R_CO's by its `integer_source`, UB's by the run
+    # `flow.fundamental` keeps, which `mmi` makes before UB runs.  That run
+    # builds the integer source and puts Dinkelbach's gamma over one
+    # denominator once per truncation, which leaves L * I as the ints n / d.
+    # UB reads both from the run and calls `to_integers` on no round: its
+    # truncation takes gamma n * den / d as ints.  `lp` builds `Fraction`s
+    # only for the result: n + 1 of them, n the LP's columns: the rates for
+    # R_CO, the k' non-singleton edges inside P*'s cells for UB.
     assert not hasattr(skbounds.lp, "to_integers")
     calls = Counter()
     fractions = []
@@ -139,11 +140,24 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
         checked.append(len(lp.constraints))
         verify(lp, xs, den)
 
+    truncations = {"skbounds.flow": [], "skbounds.bounds": []}  # Dinkelbach's, UB's rounds'
+
+    def counted(module):
+        truncate = sys.modules[module].truncation
+
+        def counting_truncation(m, weights, n, d):
+            truncations[module].append((n, d))
+            return truncate(m, weights, n, d)
+
+        return counting_truncation
+
     hg = cycle_plus_edges(random.Random(7), 12)
     rco_hg = cycle_plus_edges(random.Random(3), 12)
     for name, module in list(sys.modules.items()):
         if name.startswith("skbounds") and hasattr(module, "to_integers"):
             monkeypatch.setattr(module, "to_integers", counting)
+    for name in truncations:
+        monkeypatch.setattr(sys.modules[name], "truncation", counted(name))
     monkeypatch.setattr(skbounds.lp, "_verify", recording)
     monkeypatch.setattr(skbounds.lp, "Fraction", counting_fraction)
     k = sum(1 for e in hg.edges if e & (e - 1) and any(e & ~c == 0 for c in mmi(hg).fundamental.cells))
@@ -152,18 +166,25 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
         (lambda g: upper_bound_theorem1(g, method="rowgen"), hg, 1, k),
     ):
         copy = WeightedHypergraph(source.m, source.weights)
+        calls.clear()
+        truncations["skbounds.flow"].clear()
         if ub:
             mmi(copy)
+        built = Counter(calls)
         calls.clear()
         checked.clear()
         fractions.clear()
+        truncations["skbounds.bounds"].clear()
         run(copy)
         assert len(checked) >= 10
-        expected = {
-            ("skbounds.hypergraph", "integer_source"): 1 - ub,
-            ("skbounds.bounds", "upper_bound_theorem1"): ub,
+        if ub:
+            dinkelbach = len(truncations["skbounds.flow"])
+            assert dinkelbach >= 1
+            expected = {("skbounds.hypergraph", "integer_source"): 1, ("skbounds.flow", "dinkelbach"): dinkelbach}
+            assert built == Counter(expected), built
+            assert calls == Counter(), calls
             # One truncation per check: each checked point goes to the oracle.
-            ("skbounds.flow", "truncation"): ub * len(checked),
-        }
-        assert calls == Counter({k: v for k, v in expected.items() if v}), calls
+            assert len(truncations["skbounds.bounds"]) == len(checked)
+        else:
+            assert calls == Counter({("skbounds.hypergraph", "integer_source"): 1}), calls
         assert len(fractions) == n + 1
