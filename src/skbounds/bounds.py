@@ -60,13 +60,14 @@ partition P with two cells or more: the sum over the edges e of
 (c_P(e) - 1) * x_e >= I * (|P| - 1), where c_P(e) counts the cells of P
 that e meets; a singleton meets one cell of every P and gets no column.
 
-Nor does an edge that crosses P*, with c_P*(e) >= 2: every x in Gamma
-equals w on it.  `mmi` certifies value(P*) = I, so P*'s row is tight at
-w: the sum of (c_P*(e) - 1) * w_e is I * (|P*| - 1).  Every x in Gamma
-meets that row, so the sum of (c_P*(e) - 1) * (w_e - x_e) is <= 0.  Each
-term is >= 0, as c_P*(e) >= 1 and x <= w, so each is 0: x_e = w_e
-wherever c_P*(e) >= 2.  So `upper_bound_theorem1` fixes the crossing
-edges at their weights, their terms move into every row's right-hand
+Nor does an edge that crosses P*, with c_P*(e) >= 2, one that
+`partitions.crossing` returns: every x in Gamma equals w on it.  `mmi`
+certifies value(P*) = I, so P*'s row is tight at w: the sum of
+(c_P*(e) - 1) * w_e is I * (|P*| - 1).  Every x in Gamma meets that row,
+so the sum of (c_P*(e) - 1) * (w_e - x_e) is <= 0.  Each term is >= 0,
+as c_P*(e) >= 1 and x <= w, so each is 0: x_e = w_e wherever
+c_P*(e) >= 2.  So `upper_bound_theorem1` fixes the edges `crossing`
+returns at their weights, their terms move into every row's right-hand
 side, the LP keeps only the edges inside P*'s cells, and UB is its
 optimum plus w(crossing), minus I.  A Type-S source's LP has no column:
 its singletons' row reads 0 >= 0, so round one is optimal at the slack
@@ -100,7 +101,7 @@ from .errors import InternalInvariantError
 from .flow import fundamental, truncation
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
 from .lp import OPTIMAL, Constraint, LinearProgram, solve, solve_with_row_generation
-from .partitions import MmiResult, bell, cross_edges, mmi
+from .partitions import MmiResult, bell, cross_edges, crossing, mmi
 from .rational import to_integers
 
 Check = tuple[str, bool, object, object]  # (label, ok, value, expected)
@@ -269,7 +270,7 @@ def upper_bound_theorem1(hg: WeightedHypergraph, *, method: str = "auto") -> tup
     src, scale, n, _, _, d = fundamental(hg)
     units, order = mres.fundamental.cells, src.edges
     # Every x in Gamma equals w on the edges that cross P* (module docstring).
-    fixed = {e: w for e, w in src.weights.items() if all(e & ~c for c in units)}
+    fixed = crossing(src.weights, units)
     edges = [e for e in order if e & (e - 1) and e not in fixed]
     packed = sum(fixed.values())
 

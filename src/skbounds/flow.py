@@ -25,17 +25,17 @@ partition P* (Chan et al., "Info-clustering", Proc. IEEE 2015).
 `fundamental` is the one place that runs `dinkelbach` on a hypergraph: it
 builds the integer source, runs it once there and keeps both on the
 hypergraph, so I, P* and the rate point of one source come from one run.
-The run is all ints: L * I leaves it as n / d, the greedy point as xs
-over the same d, and its readers take them as they are.
+The run is all ints: gamma is the pair (n, d), kept in lowest terms by
+`math.gcd`, L * I leaves it as n / d, the greedy point as xs over the
+same d, and its readers take them as they are.  No `Fraction` is built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
 from .hypergraph import WeightedHypergraph
-from .rational import to_integers
 
 
 def bipartite_cut(supply: list[int], groups: list[tuple[int, int]]) -> tuple[int, int]:
@@ -183,9 +183,9 @@ def dinkelbach(src: WeightedHypergraph) -> tuple[int, tuple[int, ...], tuple[int
     value of the partition found, or shows that no partition has a value
     below gamma.  The greedy point of that last truncation sums to H(M) - I
     and meets x(A) <= H(A) - I on every nonempty A, so it is an optimal
-    omniscience rate point (Csiszar and Narayan 2004).  gamma is put over
-    its least denominator once per truncation, and every comparison is in
-    ints over it.
+    omniscience rate point (Csiszar and Narayan 2004).  gamma is the int
+    pair (n, d), divided by its gcd once per step, and every comparison is
+    in ints over d.
     """
     m = src.m
     total = crossing = 0  # crossing: the singletons' value times m - 1
@@ -198,15 +198,16 @@ def dinkelbach(src: WeightedHypergraph) -> tuple[int, tuple[int, ...], tuple[int
                 if e >> v & 1:
                     split[v] += w
     best = min(split)
-    gamma = Fraction(best) if best * (m - 1) < crossing else Fraction(crossing, m - 1)
+    n, d = (best, 1) if best * (m - 1) < crossing else (crossing, m - 1)
     while True:
-        (n,), d = to_integers([gamma])
+        g = gcd(n, d)
+        n, d = n // g, d // g
         cells, xs = truncation(m, src.weights, n, d)
         if sum(xs) >= total * d - n:
             return n, cells, xs, d
         # The partition's sum of H(C) - H(M) is (sum(xs) + n * |cells|) / d - H(M).
         k = len(cells)
-        gamma = Fraction(sum(xs) + n * k - total * d, d * (k - 1))
+        n, d = sum(xs) + n * k - total * d, d * (k - 1)
 
 
 def fundamental(

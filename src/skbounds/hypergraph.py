@@ -11,13 +11,16 @@ forms used throughout this package:
 * the entropy of A given the remaining terminals is the total weight of
   hyperedges contained in A.
 
-Hypergraphs are immutable after construction and all operations are pure,
-so instances can be shared freely across concurrent work.  A hypergraph
-keeps two values, each the same whoever builds it first: the Dinkelbach
-run that `flow.fundamental` keeps (its integer source, I, P* and an
-optimal rate point), and the certified result of `partitions.mmi`.
-Neither is a dataclass field, so equality and `repr` read only m and the
-weights.
+Hypergraphs are immutable after construction, which is enforced: the
+weights are a read-only view (`types.MappingProxyType`), so assigning to
+one raises TypeError.  All operations are pure, so instances can be
+shared freely across concurrent work.  A hypergraph keeps two values,
+each the same whoever builds it first: the Dinkelbach run that
+`flow.fundamental` keeps (its integer source, I, P* and an optimal rate
+point), and the certified result of `partitions.mmi`.  Neither is a
+dataclass field, so equality and `repr` read only m and the weights, and
+a pickle or deep copy carries only those two and rebuilds the rest when
+read.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import CapExceededError
@@ -92,11 +96,11 @@ class WeightedHypergraph:
     Zero-weight entries are dropped on construction (the edge set is the
     support of the weight function); negative weights are rejected, and so
     are floats, which are not exact.  Int weights are stored as ints, every
-    other weight as a `Fraction`.
+    other weight as a `Fraction`, in a read-only mapping.
     """
 
     m: int
-    weights: dict[int, Fraction | int]
+    weights: Mapping[int, Fraction | int]
 
     def __post_init__(self):
         if self.m < 2:
@@ -118,7 +122,11 @@ class WeightedHypergraph:
                 clean[mask] = value
             elif value:
                 raise ValueError(f"negative weight {value} on hyperedge {format_subset(mask)}")
-        object.__setattr__(self, "weights", clean)
+        object.__setattr__(self, "weights", MappingProxyType(clean))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; the kept values are rebuilt when read.
+        return WeightedHypergraph, (self.m, dict(self.weights))
 
     @property
     def full_mask(self) -> int:

@@ -336,6 +336,11 @@ def _optimal(lp: LinearProgram) -> Optional[_Dictionary]:
     return _Dictionary(lp, rows, obj, row_vars, col_vars, den) if status == OPTIMAL else None
 
 
+def _lhs(con: Constraint, xs: Sequence[int]) -> int:
+    """The left-hand side of `con` at the ints xs: the one evaluation of a row."""
+    return sum([c * x for c, x in zip(con.coeffs, xs) if c])
+
+
 def _verify(lp: LinearProgram, xs: Sequence[int], den: int) -> None:
     """Raise unless the point xs / den, den > 0, meets every bound and row of `lp` exactly.
 
@@ -348,8 +353,7 @@ def _verify(lp: LinearProgram, xs: Sequence[int], den: int) -> None:
         if up is not None and x > up * den:
             raise InternalInvariantError(f"{name} = {Fraction(x, den)} above upper bound {up}")
     for i, con in enumerate(lp.constraints):
-        lhs = sum([c * x for c, x in zip(con.coeffs, xs) if c])
-        if lhs < con.rhs * den:
+        if (lhs := _lhs(con, xs)) < con.rhs * den:
             raise InternalInvariantError(
                 f"returned point violates constraint {i}:"
                 f" lhs {Fraction(lhs, den)} is not >= rhs {con.rhs}"
@@ -374,7 +378,7 @@ def solve_with_row_generation(
     family; only it is built in `Fraction`s and certified by duality.  An
     infeasible base LP, or a cut that makes the working LP infeasible, the
     last one included, returns "infeasible".  A returned row that the
-    point already meets, checked in ints as `_verify` checks a row, is a
+    point already meets, by `_lhs` as `_verify` checks a row, is a
     hard error at once, naming the row: adding it cannot move the point,
     so the oracle would return it again until the cap.  A point still
     uncertified after `max_rounds` cuts is a hard error too: the families
@@ -387,8 +391,7 @@ def solve_with_row_generation(
     for _ in range(max_rounds):
         if (extra := oracle(dictionary.xs, dictionary.den)) is None:
             return dictionary.solution(lp)
-        lhs = sum([c * x for c, x in zip(extra.coeffs, dictionary.xs) if c])
-        if lhs >= extra.rhs * dictionary.den:
+        if (lhs := _lhs(extra, dictionary.xs)) >= extra.rhs * dictionary.den:
             row = " + ".join(f"{c} {name}" for c, name in zip(extra.coeffs, lp.variables) if c) or 0
             raise InternalInvariantError(
                 f"separation oracle returned the row {row} >= {extra.rhs},"

@@ -44,16 +44,17 @@ rests on the theorem and on the oracle tests, not on an exhaustive check.
 H comes from the source contracted to P*'s cells, each hyperedge to the
 set of cells it meets.
 
-I = 0 exactly when the source's edges of positive weight fall apart into
-several components, and P* is then those components.  With num = 0 each
-edge adds w * (the number of cells of a it meets - 1) to slack(a), or 0
-if it meets none, so slack(all cells) = 0 holds exactly when no edge of
-positive weight meets two cells of P*, and then every slack is 0.  So
-`mmi` checks that no edge is cut, raises `InternalInvariantError` as above
-if one is, and counts every partition of P*'s cells into >= 2 unions,
-Bell(|P*|) - 1, with no table and no sum over submasks: the same two
-checks and the same count the table would give.  The listing is the same
-walk over an all-zero slack table, built when read.
+I = 0 exactly when the source's edges fall apart into several
+components, and P* is then those components.  With num = 0 each edge
+adds w * (the number of cells of a it meets - 1) to slack(a), or 0 if it
+meets none, so slack(all cells) = 0 holds exactly when no edge meets two
+cells of P* (`crossing` finds none; every stored weight is positive),
+and then every slack is 0.  So `mmi` raises `InternalInvariantError` as
+above if `crossing` finds an edge, and otherwise counts every partition
+of P*'s cells into >= 2 unions, Bell(|P*|) - 1, with no table and no sum
+over submasks: the same two checks and the same count the table would
+give.  The listing is the same walk over an all-zero slack table, built
+when read.
 
 Each minimizer is recorded as its canonical cell tuple (bitmasks sorted
 by smallest vertex), and the listing is in `sorted` order of those
@@ -64,18 +65,20 @@ only the count.  It builds a `Partition` per minimizer only when
 `tests/reference_scan.py`, one over `Fraction`s and one over ints, are the
 test oracles of `mmi`: of its value, P*, count and sorted listing.
 
-`mmi` is the one way the package computes the capacity and P*;
-`cross_edges` gives the weight crossing a partition, which the graph closed
-forms in `bounds` read.
+`mmi` is the one way the package computes the capacity and P*.
+`crossing` is the one test of which edges cross a partition, those that
+lie in no single cell: `mmi`'s check at I = 0 reads it, UB's LP in
+`bounds` fixes those of P* at their weights, and `cross_edges` sums
+them for the graph closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import CapExceededError, InternalInvariantError
 from .flow import fundamental
@@ -121,14 +124,16 @@ class Partition:
         return "{" + ",".join(format_subset(cell) for cell in self.cells) + "}"
 
 
+def crossing(weights: Mapping[int, Fraction | int], cells: Sequence[int]) -> dict[int, Fraction | int]:
+    """The entries of `weights` on the hyperedges that lie in no single one of `cells`."""
+    return {e: w for e, w in weights.items() if all(e & ~c for c in cells)}
+
+
 def cross_edges(hg: WeightedHypergraph, partition: Partition) -> Fraction:
     """Total weight of the hyperedges not contained in any single cell."""
     if partition.m != hg.m:
         raise ValueError("partition and hypergraph disagree on m")
-    return sum(
-        (w for e, w in hg.weights.items() if not any(e & ~c == 0 for c in partition.cells)),
-        Fraction(0),
-    )
+    return sum(crossing(hg.weights, partition.cells).values(), Fraction(0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,11 +144,11 @@ class MmiResult:
     is a coarsening of it.  `minimizer_count` counts every minimizer, P*
     included.  `minimizer_cells` lists them, in `sorted` order, as canonical
     cell tuples (bitmasks sorted by smallest member, as in
-    `Partition.cells`); `listing` builds them on the first read, which
-    keeps them.  `all_minimizers` builds their `Partition`s on each read
-    and keeps none.  Two results are equal when their values, P*, counts
-    and listings are.  `mmi` keeps one result per hypergraph, so its
-    readers share the listing.
+    `Partition.cells`); `listing`, a `functools.partial` so that a result
+    pickles, builds them on the first read, which keeps them.
+    `all_minimizers` builds their `Partition`s on each read and keeps none.
+    Two results are equal when their values, P*, counts and listings are.
+    `mmi` keeps one result per hypergraph, so its readers share the listing.
     """
 
     value: Fraction
@@ -175,9 +180,9 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
     and P*.  If I > 0, one table over the unions of P*'s cells certifies
     them, and the minimizers are counted, and listed when read by the
     count's recursion, as the partitions of P*'s cells into tight unions.
-    If I = 0, no edge of positive weight may meet two cells of P*, and
-    every partition of its cells into >= 2 unions is a minimizer.  A P*
-    whose value is not I and a union of its cells that merges into a
+    If I = 0, `crossing` must find no edge that meets two cells of P*,
+    and every partition of its cells into >= 2 unions is a minimizer.  A
+    P* whose value is not I and a union of its cells that merges into a
     partition of value below I are reported as internal errors: neither
     can happen for hypergraphical sources.  After the cap check, the
     result is certified on the first call and kept on `hg`, as its
@@ -194,19 +199,13 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
         if num:
             slack = _certified_slack(src, units, num, den, value)
             count = _count_coarsenings(slack)
-        # slack(all cells) = 0 says that no edge of positive weight meets two
-        # cells, and then every union is tight.
-        elif any(w and e & ~next(u for u in units if u & e) for e, w in src.weights.items()):
+        # slack(all cells) = 0 says that no edge meets two cells, and then
+        # every union is tight.
+        elif crossing(src.weights, units):
             raise _off_value(m, units, value)
         else:
             slack, count = None, bell(len(units)) - 1
-        # The listing's name is looked up when it is read, not bound here.
-        hg.__dict__["_mmi"] = MmiResult(
-            value,
-            Partition(m, units),
-            count,
-            lambda: _list_coarsenings(units, slack or [0] * (1 << len(units))),
-        )
+        hg.__dict__["_mmi"] = MmiResult(value, Partition(m, units), count, partial(_listing, units, slack))
     return hg.__dict__["_mmi"]
 
 
@@ -223,6 +222,11 @@ def _off_value(m: int, units: tuple[int, ...], value: Fraction) -> InternalInvar
     return InternalInvariantError(
         f"the truncation's partition {Partition(m, units)} does not have its value I = {value}"
     )
+
+
+def _listing(units: tuple[int, ...], slack: Optional[list[int]]) -> list[tuple[int, ...]]:
+    """`MmiResult.listing`: `_list_coarsenings`, looked up when read, over `slack` or, at I = 0, all zeros."""
+    return _list_coarsenings(units, slack or [0] * (1 << len(units)))
 
 
 def _certified_slack(src: WeightedHypergraph, units: tuple[int, ...], num: int, den: int, value: Fraction) -> list[int]:

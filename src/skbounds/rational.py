@@ -58,9 +58,10 @@ def to_integers(values: Collection[Fraction | int]) -> tuple[list[int], int]:
     """(ints, L): L the lcm of the values' denominators (1 for none), ints[i] = L * values[i].
 
     This is the one place the package turns rationals into integers over a
-    common denominator: the integer source, each of Dinkelbach's gammas,
-    which leaves L * I as n / d, and the rate point `run_checks` checks.
-    LP rounds read the dictionary's own ints instead.
+    common denominator.  Two callers use it: the integer source
+    (`WeightedHypergraph.integer_source`) and the rate point that
+    `bounds.run_checks` checks.  The capacity run, on the integer source,
+    keeps its gamma as ints, and LP rounds read the dictionary's own ints.
     """
     # Unpack a list, not a generator: a tuple built from a generator grows by
     # reallocation, which fragments the heap (+1 MiB peak RSS on many small LPs).

@@ -134,12 +134,52 @@ def test_the_to_integers_guard_sees_calls_attributes_aliases_and_nested_function
     assert _to_integers_sites(trees) == ["a.f.g", "b", "c", "flow.dinkelbach"]
 
 
-def test_only_the_integer_source_dinkelbach_and_run_checks_scale_to_integers():
-    # The integer source is built in one place, L * I leaves `dinkelbach` as
-    # ints, and every reader takes them from the run `flow.fundamental`
-    # keeps; `run_checks` scales the reported rate point, which it checks.
+def test_only_the_integer_source_and_run_checks_scale_to_integers():
+    # The integer source is built in one place, `dinkelbach` keeps gamma as
+    # ints on it, and every reader takes L * I from the run
+    # `flow.fundamental` keeps; `run_checks` scales the reported rate point,
+    # which it checks.
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
-    assert _to_integers_sites(trees) == ["bounds.run_checks", "flow.dinkelbach", "hypergraph.integer_source"]
+    assert _to_integers_sites(trees) == ["bounds.run_checks", "hypergraph.integer_source"]
+
+
+_FRACTION_NAMES = {"fractions", "rational", "Fraction"}
+
+
+def _fraction_sites(tree: ast.Module) -> list[int]:
+    """Lines that import `fractions` or the package's `rational`, or name `Fraction`, however spelled."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            paths = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            paths = [getattr(node, "id", getattr(node, "attr", ""))]
+        if any(_FRACTION_NAMES & set(path.split(".")) for path in paths):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_fraction_guard_sees_imports_aliases_and_attributes():
+    cases = {
+        "from fractions import Fraction\n": [1],
+        "import fractions as f\n": [1],
+        "from .rational import to_integers\n": [1],
+        "from . import rational\n": [1],
+        "import skbounds.rational\n": [1],
+        "from .hypergraph import Fraction as F\n": [1],
+        "from . import hypergraph\nx = hypergraph.Fraction(1)\n": [2],
+        "from math import gcd\nfrom .hypergraph import WeightedHypergraph\n'builds no Fraction'\n": [],
+    }
+    for source, lines in cases.items():
+        assert _fraction_sites(ast.parse(source)) == lines, source
+
+
+def test_the_capacity_run_builds_no_fraction():
+    # `flow` keeps gamma as the int pair (n, d): it imports nothing from
+    # `fractions` or `rational` and names no `Fraction`.
+    assert _fraction_sites(ast.parse((SRC / "flow.py").read_text(encoding="utf-8"))) == []
 
 
 def test_graphical_bounds_rejects_a_non_graph():

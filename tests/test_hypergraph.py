@@ -1,10 +1,16 @@
+import copy
+import pickle
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from skbounds import CapExceededError, WeightedHypergraph, mask_of, subset_weight_table
+from skbounds import CapExceededError, WeightedHypergraph, analyze, mask_of, mmi, subset_weight_table
+from skbounds.cli import parse_document
 from skbounds.hypergraph import vertices_of
+
+from conftest import FIXTURE_DIR, fixture_text
 
 EXAMPLE1 = {
     mask_of((1, 2)): Fraction(2),
@@ -203,3 +209,41 @@ def test_duplicate_masks_not_possible_from_dict():
     # dict keys are unique; equal-key entries overwrite, so construction is total
     hg = WeightedHypergraph(3, {0b011: Fraction(2)})
     assert hg.weights[0b011] == 2
+
+
+def test_weights_are_read_only(example1):
+    # Assigning a weight after `mmi` kept its result would leave that result
+    # stale (3/2 here, against 2 for the changed source), so it raises.
+    assert mmi(example1).value == Fraction(3, 2)
+    with pytest.raises(TypeError):
+        example1.weights[mask_of((3, 4))] = 5
+    with pytest.raises(TypeError):
+        del example1.weights[mask_of((1, 2))]
+    with pytest.raises(AttributeError):
+        example1.weights.clear()
+    assert example1.weights == EXAMPLE1
+    assert mmi(example1).value == Fraction(3, 2)
+    # The dict handed to the constructor is copied, not wrapped.
+    given = dict(EXAMPLE1)
+    hg = WeightedHypergraph(4, given)
+    given[mask_of((3, 4))] = Fraction(5)
+    assert hg.weights == EXAMPLE1
+
+
+def test_hypergraphs_and_reports_survive_a_pickle_round_trip():
+    # Before and after `analyze` the hypergraph comes back equal, as does
+    # its report, listing included; a deep copy too.
+    for path in sorted(FIXTURE_DIR.glob("*.hg")):
+        hg = parse_document(fixture_text(path.name))
+        before = pickle.loads(pickle.dumps(hg))
+        assert before == hg and copy.deepcopy(hg) == hg
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = analyze(hg)
+            again = pickle.loads(pickle.dumps(hg))
+            assert again == hg and copy.deepcopy(hg) == hg
+            assert analyze(before) == report == analyze(again)
+        back = pickle.loads(pickle.dumps(report))
+        assert back == report
+        assert back.mmi.minimizer_cells == report.mmi.minimizer_cells
+        assert pickle.loads(pickle.dumps(report.mmi)) == report.mmi

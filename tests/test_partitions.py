@@ -16,9 +16,9 @@ from skbounds import (
     mmi,
 )
 from skbounds.cli import main, parse_document
-from skbounds.partitions import Partition
+from skbounds.partitions import Partition, crossing
 
-from conftest import from_vertex_cells, is_refinement_of, partition_value
+from conftest import FIXTURE_DIR, fixture_text, from_vertex_cells, is_refinement_of, partition_value
 import reference_scan
 from reference_scan import _raw_partitions, integer_scan
 
@@ -134,6 +134,29 @@ def test_cross_edges_examples():
     assert cross_edges(EXAMPLE1, P(4, [1, 2], [3], [4])) == 3
     # singleton partition: every multi-vertex edge crosses
     assert cross_edges(EXAMPLE1, P(4, [1], [2], [3], [4])) == EXAMPLE1.total_entropy
+
+
+def test_crossing_holds_the_edges_that_meet_two_cells(identity_corpus, graphical_corpus):
+    # Against a count of the cells each edge meets, over P*, the singletons,
+    # the one-cell partition and a random partition of each source: the
+    # fixtures and both corpora.
+    rng = random.Random(40)
+    sources = [parse_document(fixture_text(path.name)) for path in sorted(FIXTURE_DIR.glob("*.hg"))]
+    crossed = 0
+    for hg in sources + identity_corpus + graphical_corpus:
+        labels = [rng.randrange(3) for _ in range(hg.m)]
+        random_cells = [sum(1 << v for v in range(hg.m) if labels[v] == k) for k in range(3)]
+        for cells in (
+            mmi(hg).fundamental.cells,
+            [1 << v for v in range(hg.m)],
+            [hg.full_mask],
+            [c for c in random_cells if c],
+        ):
+            expected = {e: w for e, w in hg.weights.items() if sum(1 for c in cells if e & c) >= 2}
+            assert crossing(hg.weights, cells) == expected, (hg, cells)
+            assert cross_edges(hg, Partition(hg.m, tuple(cells))) == sum(expected.values())
+            crossed += bool(expected)
+    assert crossed >= 700, crossed  # 776 of 1,224 partitions cross some edge
 
 
 def test_mmi_example1():
