@@ -393,14 +393,15 @@ def run_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
     A failure shows rates(B) and H(B | M - B) of the worst B, else r(M) and R_CO.
     """
     src, scale, *_ = fundamental(hg)
-    table = subset_weight_table(hg.m, src.weights)
     rates = report.rates.rates
     xs, d = to_integers([r * scale for r in rates])
-    mask = separation_oracle([v * d for v in table], xs)
+    # The table times d, as the sweep compares it with xs.
+    table = subset_weight_table(src.m, {e: w * d for e, w in src.weights.items()})
+    mask = separation_oracle(table, xs)
     if mask is None:
         value, expected = sum(rates), report.r_co
     else:
         value = sum(r for i, r in enumerate(rates) if mask >> i & 1)
-        expected = Fraction(table[mask], scale)
+        expected = Fraction(table[mask], d * scale)
     line = ("rate point meets every subset row (R_CO)", value == expected, value, expected)
     return [report.checks[0], line, *report.checks[1:]]

@@ -25,6 +25,8 @@ read.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -68,12 +70,69 @@ def subset_weight_table(m: int, entries: Mapping[int, Fraction | int]) -> list[F
 
     With a source's weights as entries this is the entropy of every group B
     given the rest.  Computed with a subset-sum (zeta) transform in
-    O(2^m * m) additions: for each bit b, the half of the table without b
-    is added to the half with it by list slices, b strided ones while
-    b^2 < 2^m and 2^m / 2b contiguous runs after.  Sums stay in the type of
-    the entries (Fractions or ints); a subset that contains no hyperedge
-    holds int 0.
+    O(2^m * m) additions, in one of two forms chosen by the values alone.
+    Each mask must lie in 0..2^m - 1, else ValueError.
+
+    * Every value a non-negative int (not bool) and their total below 2^64:
+      the table is packed into one int of W-bit fields, field B at bits
+      W*B, with W the narrowest of 8, 16, 32 and 64 that holds the total.
+      No table entry exceeds the total, so no field carries into the next,
+      and each bit b is one addition of the fields without b, shifted onto
+      those with it: T += (T & M_b) << W*2^b.  The fields go in and out
+      through an `array` in little-endian order, byte-swapped on a
+      big-endian host.
+    * Otherwise (Fractions, negative ints, totals of 2^64 or more): for
+      each bit b, the half of the table without b is added to the half
+      with it by list slices, b strided ones while b^2 < 2^m and
+      2^m / 2b contiguous runs after.
+
+    Sums stay in the type of the entries (Fractions or ints); a subset
+    that contains no hyperedge holds int 0.
     """
+    size = 1 << m
+    if entries:
+        lo, hi = min(entries), max(entries)
+        if lo < 0 or hi >= size:
+            raise ValueError(f"mask {lo if lo < 0 else hi} is not a subset of m = {m} terminals")
+    values = entries.values()
+    if {*map(type, values)} <= {int} and min(values, default=0) >= 0:
+        total = sum(values)
+        if total >> 64 == 0:
+            return _packed_table(m, entries, total)
+    return _list_table(m, entries)
+
+
+# (W, array type code) of unsigned W-bit fields, narrowest first.
+_FIELDS = tuple((8 * array(code).itemsize, code) for code in "BHIQ")
+
+
+def _packed_table(m: int, entries: Mapping[int, int], total: int) -> list[int]:
+    """`subset_weight_table` on one int of W-bit fields, every value an int and `total` < 2^64."""
+    for width, code in _FIELDS:
+        if total >> width == 0:
+            break
+    fields = array(code, [0]) * (1 << m)
+    for mask, value in entries.items():
+        fields[mask] = value
+    if sys.byteorder == "big":
+        fields.byteswap()
+    packed = int.from_bytes(fields, "little")
+    # For bit b the step moves runs of s = W*2^b bits, and M_b holds the
+    # runs at even multiples of s: (comb << s) - comb, comb having a 1 at
+    # each of them.  From the top bit down, each step halves the period.
+    comb = 1
+    for bit in reversed(range(m)):
+        s = width << bit
+        packed += (packed & ((comb << s) - comb)) << s
+        comb |= comb << s
+    fields = array(code, packed.to_bytes(len(fields) * fields.itemsize, "little"))
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields.tolist()
+
+
+def _list_table(m: int, entries: Mapping[int, Fraction | int]) -> list[Fraction | int]:
+    """`subset_weight_table` by list slices, in the type of the entries."""
     size = 1 << m
     table = [0] * size
     for mask, value in entries.items():

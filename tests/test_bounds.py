@@ -24,7 +24,7 @@ from skbounds import (
     upper_bound_theorem1,
     verify_gamma_membership,
 )
-from skbounds.bounds import FractionalPacking, _report_checks, build_gamma_lp, build_rco_lp
+from skbounds.bounds import FractionalPacking, _report_checks, build_gamma_lp, build_rco_lp, run_checks
 from skbounds.cli import parse_document
 from skbounds.hypergraph import vertices_of
 from skbounds.partitions import PARTITION_CAP, Partition
@@ -379,6 +379,35 @@ def test_every_rate_point_sums_to_r_co_and_meets_every_subset_row(identity_corpu
         cond = subset_weight_table(hg.m, hg.weights)
         assert reference_separation(hg.m, cond, point.rates) is None, hg
     assert len(sources) == 6 + 11 + IDENTITY_CORPUS_SIZE + GRAPHICAL_CORPUS_SIZE
+
+
+def test_analysis_tables_are_packed_and_match_the_list_transform(identity_corpus, graphical_corpus, monkeypatch):
+    # Every table `analyze` and `run_checks` build on the fixtures, both
+    # corpora and the ladder holds non-negative ints with a total below
+    # 2^64, so none falls back to the list transform; each equals it.
+    list_table, packed_table = skbounds.hypergraph._list_table, skbounds.hypergraph._packed_table
+    packed = 0
+
+    def no_fallback(m, entries):
+        raise AssertionError(f"the list transform ran on {dict(entries)}")
+
+    def checked(m, entries, total):
+        nonlocal packed
+        packed += 1
+        table = packed_table(m, entries, total)
+        assert table == list_table(m, entries)
+        return table
+
+    monkeypatch.setattr(skbounds.hypergraph, "_list_table", no_fallback)
+    monkeypatch.setattr(skbounds.hypergraph, "_packed_table", checked)
+    sources = _rco_sources() + identity_corpus + graphical_corpus
+    for hg in sources:
+        hg = WeightedHypergraph(hg.m, dict(hg.weights))  # keeps no run or mmi result yet
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # graph-plus-singleton sources warn
+            report = analyze(hg)
+        run_checks(hg, report)
+    assert packed >= 2 * len(sources)  # r_co_direct's and run_checks' tables at least
 
 
 def test_r_co_equals_the_full_row_lp_on_a_random_set():

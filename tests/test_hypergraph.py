@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import skbounds.hypergraph
 from skbounds import CapExceededError, WeightedHypergraph, analyze, mask_of, mmi, subset_weight_table
 from skbounds.cli import parse_document
 from skbounds.hypergraph import vertices_of
@@ -131,13 +132,37 @@ def test_tables_match_the_plain_sums(m):
         {rng.randint(1, full): rng.randint(1, 9) for _ in range(m)},
         {rng.randint(1, full): Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(m)},
     ]
-    for entries in maps:
+    # Int maps whose totals sit at each edge of the packed field widths
+    # (8, 16, 32 and 64 bits; 2^64 and over take the list transform), one
+    # with a negative entry (list transform) and one on mask 0.
+    totals = [(1 << w) + k for w in (8, 16, 32, 64) for k in (-1, 0)]
+    int_maps = [{0: 1, full: total - 1} for total in totals] + [{1: -2, full: 5}, {0: 3}]
+    for entries in maps + int_maps:
         table, plain = subset_weight_table(m, entries), _contained_sums(m, entries)
         assert table == plain
         assert list(map(type, table)) == list(map(type, plain))
+    for entries in maps:
         if m >= 2 and entries:
             met = [sum([v for e, v in entries.items() if e & a]) for a in range(full + 1)]
             assert WeightedHypergraph(m, entries).entropy_table() == met
+
+
+def test_the_packed_table_matches_the_list_transform_at_m_16():
+    # 2^16 fields of 8 and of 64 bits, against the list transform itself.
+    rng = random.Random(16)
+    for top in (3, 1 << 50):
+        entries = {rng.randrange(1 << 16): rng.randint(0, top) for _ in range(40)}
+        assert subset_weight_table(16, entries) == skbounds.hypergraph._list_table(16, entries)
+
+
+@pytest.mark.parametrize("value", [5, Fraction(5, 2)])
+def test_a_mask_outside_the_subsets_is_rejected(value):
+    # Checked before either transform, so a negative mask cannot wrap onto
+    # the full set.  Mask 0, the empty set, is a subset.
+    for mask in (-1, 4, 1 << 10):
+        with pytest.raises(ValueError, match=f"mask {mask} is not a subset of m = 2 terminals"):
+            subset_weight_table(2, {3: 1, mask: value})
+    assert subset_weight_table(2, {0: value}) == [value] * 4
 
 
 def test_monotonicity_and_submodularity(make_random_hypergraph):
