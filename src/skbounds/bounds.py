@@ -4,8 +4,8 @@ All quantities are exact rationals:
 
 * `r_co_direct`: the minimum total rate of communication for omniscience,
   at the greedy rate point of `flow.dinkelbach`'s last truncation, proved
-  optimal by one sweep over every subset row and one LP relaxation over
-  P*'s cells (below).
+  optimal by one check of every subset row, on packed ints, and one LP
+  relaxation over P*'s cells (below).
 * secret-key capacity: equal to the shared-information minimum over
   partitions, and to total entropy minus the omniscience rate.  `mmi`
   certifies it once per hypergraph and keeps the result, so `analyze`,
@@ -44,10 +44,14 @@ the polyhedron of H - alpha, and the greedy point of `flow.truncation` at
 gamma = I meets them all with r(M) = H - I, which is R_CO (Fujishige 2005;
 Csiszar and Narayan, IEEE Trans. IT, 2004).  `r_co_direct` takes that
 point from `flow.fundamental` and proves it optimal without trusting the
-truncation and with no LP rounds.  One `separation_oracle` sweep against
-the conditional-entropy table shows that it meets every row, so
-R_CO <= its sum.  The relaxation `build_rco_lp`, the rows of the
-complements of P*'s cells, which sum to r(M) >= H - value(P*), is solved
+truncation and with no LP rounds.  One `separation_oracle` call shows
+that it meets every row, so R_CO <= its sum: on the point's ints it
+compares the packed conditional-entropy table of the weights times d
+with the packed rate sums of every subset, every field in one
+subtraction, and builds no list of 2^m entries; only a missed row goes
+to the list sweep, which names it.  The relaxation `build_rco_lp`, the
+rows of the complements of P*'s cells, which sum to r(M) >= H - value(P*),
+with right-hand sides summed from the edges, is solved
 once by `lp.solve`, which certifies its optimum; that optimum must equal
 the point's sum, so R_CO >= its sum.  `tests/reference_rco.py` keeps the
 LP with every row and its row generation from the complements of the
@@ -83,8 +87,8 @@ row methods, as the oracle; it knows nothing of P*.
 
 `lp` certifies each optimum by LP duality.  Each report identity is
 written once, in `_report_checks`: `analyze` raises on it and keeps the
-list on the report, and `run_checks` adds only the rate point's sweep
-against every subset row.  With R_CO = H - I that point proves R_CO
+list on the report, and `run_checks` adds only the rate point's check
+of every subset row.  With R_CO = H - I that point proves R_CO
 optimal, and with x* in Gamma and UB = x*(E) - I the certified LP proves
 UB optimal over all of Gamma.
 """
@@ -100,6 +104,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import InternalInvariantError
 from .flow import fundamental, truncation
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
+from .hypergraph import naturals, packed_table, packed_width
 from .lp import OPTIMAL, Constraint, LinearProgram, solve, solve_with_row_generation
 from .partitions import MmiResult, bell, cross_edges, crossing, mmi
 from .rational import to_integers
@@ -143,23 +148,49 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
-def separation_oracle(inside: Sequence, rates: Sequence) -> Optional[int]:
-    """Most violated subset row rates(B) >= inside[B], or None if none is violated.
+def separation_oracle(entries: Mapping[int, Fraction | int], rates: Sequence) -> Optional[int]:
+    """Most violated subset row rates(B) >= entries(B), or None if none is violated.
 
-    `inside[B]` is the weight subset mask B must cover: R_CO passes its
-    conditional-entropy table (the subset-row packing LP of
-    `tests/reference_packing.py` passes `subset_weight_table(m, x)`).
-    Minimizes rates(B) - inside[B] over nonempty proper subsets B and returns
-    the minimizing mask (smallest on ties) when the minimum is negative.
+    B runs over the nonempty proper subsets of the len(rates) terminals, and
+    entries(B) is the total value of `entries` on the masks inside B: R_CO
+    passes its integer source's weights times d (the subset-row packing LP
+    of `tests/reference_packing.py` passes a packing).  When every value is
+    an int >= 0, every row is checked at once on packed ints: the
+    `packed_table` of the entries, T, and the rates of every subset, S, in
+    fields of the narrowest W of 8, 16, 32 and 64 bits with both totals
+    below 2^(W - 1).  With HIGH the top bit of every field but M's,
+    ((S | HIGH) - T) & HIGH == HIGH exactly when every row holds, since
+    that bit of headroom keeps every borrow inside its own field (the
+    empty set's row, 0 >= an entry on mask 0, fails only into the sweep).
+    Otherwise, or when a row fails, one sweep over the list
+    `subset_weight_table` minimizes rates(B) - entries(B) and returns the
+    minimizing mask (smallest on ties) when the minimum is negative.
     Works in the type of its inputs; R_CO, `run_checks` and row generation
     pass ints, both sides scaled by one common denominator.
     """
+    m, values = len(rates), entries.values()
+    width = packed_width(max(sum(values), sum(rates)) << 1) if naturals([*values, *rates]) else 0
+    if width:
+        have, ones = 0, 1  # field B of have: rates(B); ones: a 1 in each field
+        for i, rate in enumerate(rates):
+            s = width << i
+            have |= (have + rate * ones) << s
+            ones |= ones << s
+        high = (ones & ~(1 << width * ((1 << m) - 1))) << width - 1
+        if ((have | high) - packed_table(m, entries, width)) & high == high:
+            return None
     sums = [0]  # sums[B] = rates(B), one doubling per terminal
     for rate in rates:
         sums += [s + rate for s in sums]
-    gaps = list(map(operator.sub, sums, inside))
-    least = min(gaps[1:-1])
+    gaps = list(map(operator.sub, sums, subset_weight_table(m, entries)))
+    least = min(gaps[1:-1], default=0)
     return gaps.index(least, 1) if least < 0 else None
+
+
+def _row_sides(entries: Mapping[int, int], xs: Sequence[int], mask: int) -> tuple[int, int]:
+    """(xs(B), entries(B)): both sides of the subset row of B = `mask`."""
+    have = sum(x for i, x in enumerate(xs) if mask >> i & 1)
+    return have, sum(w for e, w in entries.items() if not e & ~mask)
 
 
 def _subset_row(m: int, mask: int, rhs: int) -> Constraint:
@@ -167,21 +198,23 @@ def _subset_row(m: int, mask: int, rhs: int) -> Constraint:
     return Constraint(tuple(mask >> i & 1 for i in range(m)), rhs)
 
 
-def build_rco_lp(hg: WeightedHypergraph, cond, cells: Sequence[int]) -> LinearProgram:
+def build_rco_lp(m: int, entries: Mapping[int, int], cells: Sequence[int]) -> LinearProgram:
     """R_CO's relaxation: min total rate, each M - C covering its entropy given C, for the cells C.
 
     Summed, these rows give r(M) >= H - value(P) for P = `cells`, and
     y = 1 / (|P| - 1) on each is a dual solution of that value, so the
     relaxation's optimum lies between H - value(P) and R_CO; at P = P* both
     are H - I.  On a Type S source the rows are the complements of the
-    singletons.  `cond` is a table of `subset_weight_table` over `hg`'s
-    weights, times one factor, which scales the optimum; `r_co_direct`
-    builds it once, for the relaxation and the sweep, in ints.
+    singletons.  `entries` are the weights of a source on m terminals
+    times one factor, which scales the optimum; the right-hand side of
+    M - C is the total of the edges that miss C, summed from `entries`
+    with no subset table.
     """
+    full, edges = (1 << m) - 1, entries.items()
     return LinearProgram(
-        variables=[f"R{i}" for i in range(1, hg.m + 1)],
-        objective=[1] * hg.m,
-        constraints=[_subset_row(hg.m, hg.full_mask ^ c, cond[hg.full_mask ^ c]) for c in cells],
+        variables=[f"R{i}" for i in range(1, m + 1)],
+        objective=[1] * m,
+        constraints=[_subset_row(m, full ^ c, sum([w for e, w in edges if not e & c])) for c in cells],
     )
 
 
@@ -190,24 +223,22 @@ def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fracti
 
     The point is the greedy point xs / d of `flow.dinkelbach`'s last
     truncation, on the integer source, read from `flow.fundamental`.  One
-    `separation_oracle` sweep must show that it meets every subset row, and
+    `separation_oracle` check must show that it meets every subset row, and
     the relaxation over the complements of P*'s cells, solved once, must
     have its sum as optimum; either failure is reported as an internal
     error, naming the row or both values.
     """
     _check_method(method)
     src, scale, _, cells, xs, d = fundamental(hg)
-    # The table times d, as the sweep compares it with xs.
-    table = subset_weight_table(src.m, {e: w * d for e, w in src.weights.items()})
-    mask = separation_oracle(table, xs)
+    entries = {e: w * d for e, w in src.weights.items()}  # over d, as xs are
+    mask = separation_oracle(entries, xs)
     if mask is not None:
-        have = sum(x for i, x in enumerate(xs) if mask >> i & 1)
+        have, need = (Fraction(v, d * scale) for v in _row_sides(entries, xs, mask))
         raise InternalInvariantError(
-            f"the greedy rate point misses the subset row of {format_subset(mask)}:"
-            f" {Fraction(have, d * scale)} vs {Fraction(table[mask], d * scale)}"
+            f"the greedy rate point misses the subset row of {format_subset(mask)}: {have} vs {need}"
         )
     total = sum(xs)
-    sol = solve(build_rco_lp(src, table, cells))
+    sol = solve(build_rco_lp(src.m, entries, cells))
     if sol.objective_value != total:  # None unless optimal
         found = sol.status if sol.objective_value is None else sol.objective_value / (d * scale)
         raise InternalInvariantError(
@@ -389,19 +420,17 @@ def run_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
 
     Each entry is (label, ok, value, expected): the identities `analyze`
     enforced, from `report.checks`, and the rate point, which must sum to
-    R_CO and meet every subset row by one `separation_oracle` sweep in ints.
+    R_CO and meet every subset row by one `separation_oracle` call in ints.
     A failure shows rates(B) and H(B | M - B) of the worst B, else r(M) and R_CO.
     """
     src, scale, *_ = fundamental(hg)
     rates = report.rates.rates
     xs, d = to_integers([r * scale for r in rates])
-    # The table times d, as the sweep compares it with xs.
-    table = subset_weight_table(src.m, {e: w * d for e, w in src.weights.items()})
-    mask = separation_oracle(table, xs)
+    entries = {e: w * d for e, w in src.weights.items()}  # over d, as xs are
+    mask = separation_oracle(entries, xs)
     if mask is None:
         value, expected = sum(rates), report.r_co
     else:
-        value = sum(r for i, r in enumerate(rates) if mask >> i & 1)
-        expected = Fraction(table[mask], d * scale)
+        value, expected = (Fraction(v, d * scale) for v in _row_sides(entries, xs, mask))
     line = ("rate point meets every subset row (R_CO)", value == expected, value, expected)
     return [report.checks[0], line, *report.checks[1:]]

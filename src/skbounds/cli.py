@@ -52,6 +52,9 @@ def parse_document(text: str) -> WeightedHypergraph:
     """Parse a hypergraph document; raises InputFormatError with line numbers.
 
     Lines end with LF or CRLF, and the only whitespace is space and tab.
+    An edge line's vertex mask is built as its tokens are read; only when a
+    token is longer than any vertex, or the bits are not one per token
+    within 1..m, are the tokens checked one by one, for the message.
     """
     m = None
     weights: dict[int, Fraction] = {}
@@ -77,20 +80,26 @@ def parse_document(text: str) -> WeightedHypergraph:
         match = _EDGE_RE.match(line)
         if not match:
             raise InputFormatError(f"unrecognized line: {line!r}", line_no)
-        tokens = [_digits(tok) for tok in match.group(1).split()]
-        if len(set(tokens)) != len(tokens):
-            raise InputFormatError("repeated vertex in edge", line_no)
+        vertices, literal = match.groups()
+        tokens = vertices.split()
+        bits = 0  # bit v for vertex v, and bit 0 for a token too long to be one
         for tok in tokens:
-            if len(tok) > _MAX_DIGITS or not 1 <= int(tok) <= m:
-                raise InputFormatError(f"vertex {tok} outside 1..{m}", line_no)
-        vertices = [int(tok) for tok in tokens]
+            bits |= 1 << int(tok) if len(tok) <= _MAX_DIGITS else 1
+        if bits & 1 or bits >> (m + 1) or bits.bit_count() != len(tokens):
+            tokens = [_digits(tok) for tok in tokens]
+            if len(set(tokens)) != len(tokens):
+                raise InputFormatError("repeated vertex in edge", line_no)
+            for tok in tokens:
+                if len(tok) > _MAX_DIGITS or not 1 <= int(tok) <= m:
+                    raise InputFormatError(f"vertex {tok} outside 1..{m}", line_no)
+            bits = mask_of(map(int, tokens)) << 1  # only zero-padded vertices get here
+        mask = bits >> 1
         try:
-            weight = parse_rational(match.group(2))
+            weight = parse_rational(literal)
         except ValueError as exc:
             raise InputFormatError(str(exc), line_no) from exc
-        if weight <= 0:
+        if weight.numerator <= 0:
             raise InputFormatError(f"weight must be positive, got {weight}", line_no)
-        mask = mask_of(vertices)
         weights[mask] = weights[mask] + weight if mask in weights else weight
     if m is None:
         raise InputFormatError("empty document: missing 'm = <count>' header")

@@ -43,67 +43,93 @@ def bipartite_cut(supply: list[int], groups: list[tuple[int, int]]) -> tuple[int
 
     The source has an arc of capacity supply[v] into vertex v, and a group
     (mask, w) unbounded arcs from its vertices and one of capacity w into
-    the sink.  After a greedy pass fills each group from its vertices, each
-    round augments along the paths of a breadth-first tree of the residual
-    network that end at a group with room left; when none does, the
-    vertices reached (`side`, a mask) lie in the source side of every min
-    cut.
+    the sink.  A greedy pass fills each group from its vertices that still
+    have supply left.  While some vertex has, each round grows a
+    breadth-first search of the residual network over vertex bitmasks and
+    augments along the paths of its tree that end at a group with room
+    left; when none does, the vertices reached (`side`, a mask) lie in the
+    source side of every min cut.
     """
     n = len(supply)
     left = supply[:]
+    live = 0  # the vertices with supply left
+    for v, c in enumerate(supply):
+        if c:
+            live |= 1 << v
     room: list[int] = []
-    members: list[list[int]] = []
-    touching: list[list[int]] = [[] for _ in range(n)]  # the groups of each vertex
+    carry: list[int] = []  # carry[g]: the vertices with flow into group g
     flow = [0] * (n * len(groups))  # flow[g * n + v] on the arc v -> group g
-    for g, (mask, w) in enumerate(groups):
-        vs = []
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            vs.append(v)
-            touching[v].append(g)
-            push = left[v] if left[v] < w else w
-            if push:
-                flow[g * n + v] = push
-                left[v] -= push
-                w -= push
-        members.append(vs)
+    arc = 0  # g * n, for the group g being filled
+    for mask, w in groups:
+        fill = start = mask & live if w else 0
+        while fill:
+            low = fill & -fill
+            fill ^= low
+            v = low.bit_length() - 1
+            c = left[v]
+            if c > w:
+                left[v] = c - w
+                flow[arc + v] = w
+                w = 0
+                break
+            left[v] = 0
+            flow[arc + v] = c
+            w -= c
+            live ^= low
+            if not w:
+                break
         room.append(w)
+        carry.append(start ^ fill)  # the members it visited, each with flow
+        arc += n
     # The flow's value is the supply it has used: sum(supply) - sum(left).
-    while any(left):
-        via = [-2 if c else -1 for c in left]  # the group each vertex was reached from; -2: the source
+    while live:
         came = [-1] * len(groups)  # the vertex each group was reached from
-        reached = [v for v, c in enumerate(left) if c]
+        via: dict[int, int] = {}  # the group each vertex past the first layer was reached from
+        seen = frontier = live
         ends = []
-        for v in reached:
-            for g in touching[v]:
-                if came[g] == -1:
-                    came[g] = v
+        while frontier:
+            reached = g = 0
+            for mask, _ in groups:
+                meet = mask & frontier
+                if meet and came[g] < 0:
+                    came[g] = (meet & -meet).bit_length() - 1
                     if room[g]:
                         ends.append(g)
-                    for u in members[g]:
-                        if via[u] == -1 and flow[g * n + u]:
-                            via[u] = g
-                            reached.append(u)
+                    new = carry[g] & ~seen
+                    if new:
+                        seen |= new
+                        reached |= new
+                        while new:
+                            via[(new & -new).bit_length() - 1] = g
+                            new &= new - 1
+                g += 1
+            frontier = reached
         if not ends:
-            return sum(supply) - sum(left), sum(1 << v for v in reached)
+            return sum(supply) - sum(left), seen
         # Each path enters its groups along an arc v -> g (ahead) and leaves
-        # them against the flow of another (back).
+        # them against the flow of another (back); an arc is g * n + v.
         for g in ends:
             v = came[g]
             ahead, back = [g * n + v], []
-            while via[v] != -2:
+            while v in via:
                 h = via[v]
                 back.append(h * n + v)
                 v = came[h]
                 ahead.append(h * n + v)
             push = min(room[g], left[v], *(flow[a] for a in back))
+            if not push:  # an earlier path of the round used up a piece of this one
+                continue
             room[g] -= push
             left[v] -= push
+            if not left[v]:
+                live ^= 1 << v
             for a in ahead:
                 flow[a] += push
+                carry[a // n] |= 1 << a % n
             for a in back:
                 flow[a] -= push
+                if not flow[a]:
+                    carry[a // n] ^= 1 << a % n
     return sum(supply), 0
 
 
@@ -155,9 +181,13 @@ def truncation(
                     groups[a] = groups.get(a, 0) + w
                 else:
                     term[a.bit_length() - 1] += w
-        supply = [-c if c < 0 else 0 for c in term]
-        if any(supply):
-            movable = sum(1 << v for v, c in enumerate(supply) if c)
+        movable = lack = 0  # the vertices with a negative term, and its total
+        for v, c in enumerate(term):
+            if c < 0:
+                movable |= 1 << v
+                lack -= c
+        if movable:
+            supply = [-c if c < 0 else 0 for c in term]
             meet = [(a & movable, w) for a, w in groups.items() if a & movable]
             cut, side = bipartite_cut(supply, meet)
             least = bit | side
@@ -167,7 +197,7 @@ def truncation(
             cells = [c for c in cells if not c & least]
         else:
             cut, least = 0, bit
-        x.append(fixed - sum(supply) + cut - n)
+        x.append(fixed - lack + cut - n)
         cells.append(least)
     return tuple(sorted(cells, key=lambda c: c & -c)), tuple(x)
 
@@ -194,9 +224,10 @@ def dinkelbach(src: WeightedHypergraph) -> tuple[int, tuple[int, ...], tuple[int
         total += w
         if e & (e - 1):
             crossing += w * (e.bit_count() - 1)
-            for v in range(m):
-                if e >> v & 1:
-                    split[v] += w
+            rest = e
+            while rest:
+                split[(rest & -rest).bit_length() - 1] += w
+                rest &= rest - 1
     best = min(split)
     n, d = (best, 1) if best * (m - 1) < crossing else (crossing, m - 1)
     while True:

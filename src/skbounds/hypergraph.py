@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import CapExceededError
 from .rational import to_integers
@@ -74,13 +74,9 @@ def subset_weight_table(m: int, entries: Mapping[int, Fraction | int]) -> list[F
     Each mask must lie in 0..2^m - 1, else ValueError.
 
     * Every value a non-negative int (not bool) and their total below 2^64:
-      the table is packed into one int of W-bit fields, field B at bits
-      W*B, with W the narrowest of 8, 16, 32 and 64 that holds the total.
-      No table entry exceeds the total, so no field carries into the next,
-      and each bit b is one addition of the fields without b, shifted onto
-      those with it: T += (T & M_b) << W*2^b.  The fields go in and out
-      through an `array` in little-endian order, byte-swapped on a
-      big-endian host.
+      the table is `packed_table` at the narrowest width of 8, 16, 32 and
+      64 bits that holds the total, unpacked through an `array` in
+      little-endian order, byte-swapped on a big-endian host.
     * Otherwise (Fractions, negative ints, totals of 2^64 or more): for
       each bit b, the half of the table without b is added to the half
       with it by list slices, b strided ones while b^2 < 2^m and
@@ -89,29 +85,43 @@ def subset_weight_table(m: int, entries: Mapping[int, Fraction | int]) -> list[F
     Sums stay in the type of the entries (Fractions or ints); a subset
     that contains no hyperedge holds int 0.
     """
-    size = 1 << m
+    values = entries.values()
+    width = packed_width(sum(values)) if naturals(values) else 0
+    return _packed_table(m, entries, width) if width else _list_table(m, entries)
+
+
+# Array type code of unsigned W-bit fields, by W, narrowest first.
+_CODES = {8 * array(code).itemsize: code for code in "BHIQ"}
+
+
+def naturals(values: Collection) -> bool:
+    """True when every value is an int >= 0 (not a bool), as a packed table needs."""
+    return {*map(type, values)} <= {int} and min(values, default=0) >= 0
+
+
+def packed_width(bound: int) -> int:
+    """The narrowest W of 8, 16, 32 and 64 with bound < 2^W, or 0 if none is that wide."""
+    return next((width for width in _CODES if bound >> width == 0), 0)
+
+
+def _check_masks(m: int, entries: Mapping[int, object]) -> None:
+    """ValueError unless every mask of `entries` lies in 0..2^m - 1."""
     if entries:
         lo, hi = min(entries), max(entries)
-        if lo < 0 or hi >= size:
+        if lo < 0 or hi >> m:
             raise ValueError(f"mask {lo if lo < 0 else hi} is not a subset of m = {m} terminals")
-    values = entries.values()
-    if {*map(type, values)} <= {int} and min(values, default=0) >= 0:
-        total = sum(values)
-        if total >> 64 == 0:
-            return _packed_table(m, entries, total)
-    return _list_table(m, entries)
 
 
-# (W, array type code) of unsigned W-bit fields, narrowest first.
-_FIELDS = tuple((8 * array(code).itemsize, code) for code in "BHIQ")
+def packed_table(m: int, entries: Mapping[int, int], width: int) -> int:
+    """`subset_weight_table` packed into one int of W-bit fields, field B at bits W*B.
 
-
-def _packed_table(m: int, entries: Mapping[int, int], total: int) -> list[int]:
-    """`subset_weight_table` on one int of W-bit fields, every value an int and `total` < 2^64."""
-    for width, code in _FIELDS:
-        if total >> width == 0:
-            break
-    fields = array(code, [0]) * (1 << m)
+    Every value is an int >= 0 and their total is below 2^W, W = `width`
+    (8, 16, 32 or 64); no table entry exceeds the total, so no field
+    carries into the next.  Each bit b is one addition of the fields
+    without b, shifted onto those with it: T += (T & M_b) << W*2^b.
+    """
+    _check_masks(m, entries)
+    fields = array(_CODES[width], [0]) * (1 << m)
     for mask, value in entries.items():
         fields[mask] = value
     if sys.byteorder == "big":
@@ -123,9 +133,15 @@ def _packed_table(m: int, entries: Mapping[int, int], total: int) -> list[int]:
     comb = 1
     for bit in reversed(range(m)):
         s = width << bit
-        packed += (packed & ((comb << s) - comb)) << s
-        comb |= comb << s
-    fields = array(code, packed.to_bytes(len(fields) * fields.itemsize, "little"))
+        up = comb << s
+        packed += (packed & (up - comb)) << s
+        comb |= up
+    return packed
+
+
+def _packed_table(m: int, entries: Mapping[int, int], width: int) -> list[int]:
+    """`subset_weight_table` from `packed_table` at `width`, unpacked to a list."""
+    fields = array(_CODES[width], packed_table(m, entries, width).to_bytes(width << m >> 3, "little"))
     if sys.byteorder == "big":
         fields.byteswap()
     return fields.tolist()
@@ -133,6 +149,7 @@ def _packed_table(m: int, entries: Mapping[int, int], total: int) -> list[int]:
 
 def _list_table(m: int, entries: Mapping[int, Fraction | int]) -> list[Fraction | int]:
     """`subset_weight_table` by list slices, in the type of the entries."""
+    _check_masks(m, entries)
     size = 1 << m
     table = [0] * size
     for mask, value in entries.items():
@@ -177,7 +194,7 @@ class WeightedHypergraph:
                 raise TypeError(f"weight {value!r} on {format_subset(mask)} is a float, not exact")
             if type(value) is not int and type(value) is not Fraction:
                 value = Fraction(value)
-            if value > 0:
+            if value.numerator > 0:  # an int's numerator is itself: no Fraction comparison
                 clean[mask] = value
             elif value:
                 raise ValueError(f"negative weight {value} on hyperedge {format_subset(mask)}")

@@ -32,7 +32,7 @@ def parse_rational(text: str) -> Fraction:
     a zero denominator.
     """
     s = text.strip(" \t")
-    if _LONG_RUN_RE.search(s):
+    if len(s) > MAX_DIGIT_RUN and _LONG_RUN_RE.search(s):
         raise ValueError(f"more than {MAX_DIGIT_RUN} digits in a row")
     if _FRACTION_RE.fullmatch(s):
         num, _, den = s.partition("/")

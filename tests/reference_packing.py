@@ -10,8 +10,8 @@ whole family.  Like the package, it solves on the integer source (weights
 times L) with the pin written times d, where L * I = n / d.
 
 Both row methods are kept: every subset row at once, or row generation from
-the singletons, where each round builds the packing's subset table from the
-point and `separation_oracle` picks the most violated subset.  The
+the singletons, where each round hands the packing and the rates at the
+point to `separation_oracle`, which picks the most violated subset.  The
 `solve_with_row_generation` and `separation_oracle` that the rounds call are
 looked up in this module, so a test can patch them here.
 """
@@ -25,7 +25,6 @@ from skbounds import (
     InternalInvariantError,
     WeightedHypergraph,
     separation_oracle,
-    subset_weight_table,
 )
 from skbounds.lp import OPTIMAL, Constraint, LinearProgram, solve, solve_with_row_generation
 from skbounds.rational import to_integers
@@ -66,7 +65,7 @@ def reference_packing(
     else:
 
         def oracle(xs: Sequence[int], den: int) -> Optional[Constraint]:
-            mask = separation_oracle(subset_weight_table(m, dict(zip(edges, xs))), xs[-m:])
+            mask = separation_oracle(dict(zip(edges, xs)), xs[-m:])
             return None if mask is None else subset_row(edges, m, mask)
 
         base = subset_packing_lp(src, capacity * scale, [1 << i for i in range(m)])

@@ -11,9 +11,9 @@ table with the package, only `lp.solve`.
 before it took the truncation's greedy point: it starts from the rows of
 the complements of the singletons, r(M - v) >= H(M - v | v), and each
 round adds the row `separation_oracle` picks at the dictionary's point,
-against D times the conditional-entropy table built once per solve.  It
-runs on the package's `subset_weight_table`, `separation_oracle` and
-`solve_with_row_generation`.
+against the weights times D; each row's right-hand side comes from the
+conditional-entropy table built once per solve.  It runs on the package's
+`subset_weight_table`, `separation_oracle` and `solve_with_row_generation`.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def rowgen_rco(hg: WeightedHypergraph) -> tuple[Fraction, tuple[Fraction, ...]]:
     table = subset_weight_table(m, src.weights)
 
     def oracle(xs: Sequence[int], d: int) -> Optional[Constraint]:
-        mask = separation_oracle(table if d == 1 else [v * d for v in table], xs)
+        mask = separation_oracle({e: w * d for e, w in src.weights.items()}, xs)
         return None if mask is None else _subset_row(m, mask, table[mask])
 
     sol = solve_with_row_generation(cosingleton_rco_lp(src, table), oracle, 1 << m)

@@ -26,7 +26,8 @@ from skbounds import (
 )
 from skbounds.bounds import FractionalPacking, _report_checks, build_gamma_lp, build_rco_lp, run_checks
 from skbounds.cli import parse_document
-from skbounds.hypergraph import vertices_of
+from skbounds.flow import fundamental
+from skbounds.hypergraph import format_subset, vertices_of
 from skbounds.partitions import PARTITION_CAP, Partition
 from skbounds.rational import format_rational, to_integers
 
@@ -120,13 +121,13 @@ EXAMPLE1_INT, _ = EXAMPLE1.integer_source()
 def test_build_rco_lp_row_count():
     cond = subset_weight_table(4, EXAMPLE1_INT.weights)
     # One row per cell: M - C covers its entropy given C.  P* = {1,2},{3},{4}.
-    lp = build_rco_lp(EXAMPLE1_INT, cond, (0b0011, 0b0100, 0b1000))
+    lp = build_rco_lp(4, EXAMPLE1_INT.weights, (0b0011, 0b0100, 0b1000))
     assert len(lp.variables) == 4
     assert [(con.coeffs, con.rhs) for con in lp.constraints] == [
         ((0, 0, 1, 1), cond[0b1100]), ((1, 1, 0, 1), cond[0b1011]), ((1, 1, 1, 0), cond[0b0111])
     ]
     # Over the singletons they are the co-singleton rows that row generation started from.
-    singletons = build_rco_lp(EXAMPLE1_INT, cond, (1, 2, 4, 8))
+    singletons = build_rco_lp(4, EXAMPLE1_INT.weights, (1, 2, 4, 8))
     assert singletons.constraints == cosingleton_rco_lp(EXAMPLE1_INT, cond).constraints
     # The reference writes every row: 2^4 - 2 proper nonempty subsets.
     full = full_rco_lp(EXAMPLE1_INT)
@@ -237,9 +238,8 @@ def _separation_cases():
 
 @pytest.mark.parametrize("hg, x, rates, expected", _separation_cases())
 def test_separation_oracle_finds_the_most_violated_subset(hg, x, rates, expected):
-    # x is None for R_CO (the table is cond) and a packing otherwise.
+    # x is None for R_CO (the entries are the weights) and a packing otherwise.
     entries = hg.weights if x is None else x
-    table = subset_weight_table(hg.m, entries)
 
     def slack(b):  # rates(B) - weight inside B, by direct sums
         rate = sum((r for i, r in enumerate(rates) if b >> i & 1), F(0))
@@ -247,7 +247,7 @@ def test_separation_oracle_finds_the_most_violated_subset(hg, x, rates, expected
 
     most = min(range(1, hg.full_mask), key=lambda b: (slack(b), b))
     brute = most if slack(most) < 0 else None
-    found = separation_oracle(table, rates)
+    found = separation_oracle(entries, rates)
     assert found == brute
     if expected is not ...:
         assert found == expected
@@ -306,8 +306,8 @@ def _counted(monkeypatch, module, name, calls):
 @pytest.mark.parametrize("m", [10, 12, 14])
 def test_rco_builds_one_table_runs_one_sweep_and_one_solve(m, monkeypatch):
     # The greedy point of one `dinkelbach`, read from `fundamental`, is
-    # proved optimal by one sweep over one table and one solve of the
-    # relaxation; no row generation.
+    # proved optimal by one check of every subset row and one solve of the
+    # relaxation; no row generation, and the check builds no list table.
     calls = []
     _counted(monkeypatch, skbounds.flow, "dinkelbach", calls)
     for name in ("fundamental", "subset_weight_table", "separation_oracle", "solve"):
@@ -318,7 +318,7 @@ def test_rco_builds_one_table_runs_one_sweep_and_one_solve(m, monkeypatch):
 
     monkeypatch.setattr(skbounds.bounds, "solve_with_row_generation", forbidden)
     r_co_direct(cycle_plus_edges(random.Random(m), m))
-    assert calls == ["fundamental", "dinkelbach", "subset_weight_table", "separation_oracle", "solve"]
+    assert calls == ["fundamental", "dinkelbach", "separation_oracle", "solve"]
 
 
 def _with_greedy_point(monkeypatch, change):
@@ -384,22 +384,31 @@ def test_every_rate_point_sums_to_r_co_and_meets_every_subset_row(identity_corpu
 def test_analysis_tables_are_packed_and_match_the_list_transform(identity_corpus, graphical_corpus, monkeypatch):
     # Every table `analyze` and `run_checks` build on the fixtures, both
     # corpora and the ladder holds non-negative ints with a total below
-    # 2^64, so none falls back to the list transform; each equals it.
-    list_table, packed_table = skbounds.hypergraph._list_table, skbounds.hypergraph._packed_table
-    packed = 0
+    # 2^64, so none falls back to the list transform; each list equals it.
+    # The rate point's two checks, R_CO's and run_checks', run on packed
+    # ints and unpack no table.
+    list_table, unpacked_table = skbounds.hypergraph._list_table, skbounds.hypergraph._packed_table
+    rows_table = skbounds.bounds.packed_table
+    unpacked, checks = 0, 0
 
     def no_fallback(m, entries):
         raise AssertionError(f"the list transform ran on {dict(entries)}")
 
-    def checked(m, entries, total):
-        nonlocal packed
-        packed += 1
-        table = packed_table(m, entries, total)
+    def checked(m, entries, width):
+        nonlocal unpacked
+        unpacked += 1
+        table = unpacked_table(m, entries, width)
         assert table == list_table(m, entries)
         return table
 
+    def counted(m, entries, width):
+        nonlocal checks
+        checks += 1
+        return rows_table(m, entries, width)
+
     monkeypatch.setattr(skbounds.hypergraph, "_list_table", no_fallback)
     monkeypatch.setattr(skbounds.hypergraph, "_packed_table", checked)
+    monkeypatch.setattr(skbounds.bounds, "packed_table", counted)
     sources = _rco_sources() + identity_corpus + graphical_corpus
     for hg in sources:
         hg = WeightedHypergraph(hg.m, dict(hg.weights))  # keeps no run or mmi result yet
@@ -407,7 +416,131 @@ def test_analysis_tables_are_packed_and_match_the_list_transform(identity_corpus
             warnings.simplefilter("ignore")  # graph-plus-singleton sources warn
             report = analyze(hg)
         run_checks(hg, report)
-    assert packed >= 2 * len(sources)  # r_co_direct's and run_checks' tables at least
+    assert checks == 2 * len(sources)
+    assert unpacked > len(sources) // 2  # mmi's union tables, wherever I > 0
+
+
+def test_r_co_builds_no_list_table_on_int_sources(identity_corpus, graphical_corpus, monkeypatch):
+    # With both list forms of the table patched to raise, R_CO still runs
+    # on every fixture, both corpora and the ladder: its check of every
+    # subset row stays on packed ints.
+    def no_list(*args):
+        raise AssertionError("R_CO built a list of 2^m entries")
+
+    sources = _rco_sources() + identity_corpus + graphical_corpus
+    expected = [r_co_direct(hg) for hg in sources]
+    monkeypatch.setattr(skbounds.hypergraph, "_list_table", no_list)
+    monkeypatch.setattr(skbounds.hypergraph, "_packed_table", no_list)
+    for hg, result in zip(sources, expected):
+        assert r_co_direct(WeightedHypergraph(hg.m, dict(hg.weights))) == result, hg
+
+
+def _no_list_sweep(*args):
+    raise AssertionError("the check fell back to the list sweep")
+
+
+def test_the_packed_check_passes_every_greedy_point_without_the_list_sweep(
+    identity_corpus, graphical_corpus, monkeypatch
+):
+    # On the fixtures, both corpora and the ladder at m = 2..12 the greedy
+    # point's ints meet every row, as the `Fraction` sweep finds, and the
+    # packed check alone shows it.
+    monkeypatch.setattr(skbounds.bounds, "subset_weight_table", _no_list_sweep)
+    for hg in _rco_sources() + identity_corpus + graphical_corpus:
+        src, _, _, _, xs, d = fundamental(hg)
+        entries = {e: w * d for e, w in src.weights.items()}
+        assert reference_separation(hg.m, subset_weight_table(hg.m, entries), xs) is None, hg
+        assert separation_oracle(entries, xs) is None, hg
+
+
+def test_a_greedy_rate_moved_by_one_is_checked_like_the_fraction_sweep(
+    identity_corpus, graphical_corpus, monkeypatch
+):
+    # Every single rate of the greedy point at m <= 8, moved by -1 or +1 in
+    # its ints: the check names the row the `Fraction` sweep names.  Each
+    # rate lies on a tight row, so every lowered one misses a row, and
+    # r_co_direct names it with both sides, as before the packed check.
+    sources = [hg for hg in _rco_sources() if hg.m <= 8] + identity_corpus + graphical_corpus
+    for hg in sources:
+        src, scale, _, _, xs, d = fundamental(hg)
+        entries = {e: w * d for e, w in src.weights.items()}
+        table = subset_weight_table(hg.m, entries)
+        for i in range(hg.m):
+            for step in (-1, 1):
+                moved = tuple(x + step * (j == i) for j, x in enumerate(xs))
+                mask = reference_separation(hg.m, table, moved)
+                assert separation_oracle(entries, moved) == mask, (hg, i, step)
+                if step > 0:
+                    continue
+                have = sum(x for j, x in enumerate(moved) if mask >> j & 1)
+                message = (
+                    f"the greedy rate point misses the subset row of {format_subset(mask)}:"
+                    f" {F(have, d * scale)} vs {F(table[mask], d * scale)}"
+                )
+                with monkeypatch.context() as patch:
+                    _with_greedy_point(patch, lambda value, cells, _, d: (value, cells, moved, d))
+                    with pytest.raises(skbounds.InternalInvariantError) as raised:
+                        r_co_direct(hg)
+                assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_the_packed_check_at_the_edge_of_each_field_width(width, monkeypatch):
+    # Fields of W bits hold totals up to 2^(W - 1) - 1 with the bit of
+    # headroom; a total of 2^(W - 1) takes the next width, or the list sweep
+    # past 64 bits.  Rows that hold with equality, and rows missed by one
+    # next to full fields, are found as the `Fraction` sweep finds them.
+    widths = []
+    packed = skbounds.bounds.packed_table
+
+    def recorded(m, entries, w):
+        widths.append(w)
+        return packed(m, entries, w)
+
+    monkeypatch.setattr(skbounds.bounds, "packed_table", recorded)
+    for top in (2 ** (width - 1) - 1, 2 ** (width - 1)):
+        cases = [
+            # H = top: the edge {1,2} of weight top - 1 and the singleton {3}.
+            ({0b011: top - 1, 0b100: 1}, (top - 1, 0, 1), None),
+            ({0b011: top - 1, 0b100: 1}, (0, top - 1, 1), None),
+            ({0b011: top - 1, 0b100: 1}, (top - 2, 0, 2), 0b011),
+            ({0b011: top - 1, 0b100: 1}, (top, 0, 0), 0b100),
+            # The rates sum to top over the edge {2,3} of weight 2.
+            ({0b110: 2}, (top - 2, 1, 1), None),
+            ({0b110: 2}, (top - 1, 1, 0), 0b110),
+        ]
+        for entries, rates, expected in cases:
+            widths.clear()
+            assert reference_separation(3, subset_weight_table(3, entries), rates) == expected
+            assert separation_oracle(entries, rates) == expected, (top, rates)
+            if top < 2 ** (width - 1):
+                assert widths == [width]
+            else:
+                assert widths == ([] if width == 64 else [2 * width])
+
+
+def test_negative_and_fraction_values_go_to_the_list_sweep():
+    # Int rates with some negative, the same rates over 1, 2 or 3, and
+    # `Fraction` weights: the check names the row the `Fraction` sweep
+    # names, through the packed check when every value is an int >= 0.
+    rng = random.Random("packed-or-list")
+    for m in range(2, 7):
+        hg = random_hypergraph(rng, m)
+        src, _ = hg.integer_source()
+        tables = {id(src): subset_weight_table(m, src.weights), id(hg): subset_weight_table(m, hg.weights)}
+        for _ in range(20):
+            ints = [rng.randint(-3, 12) for _ in range(m)]
+            for rates in (ints, [F(r, rng.choice((1, 2, 3))) for r in ints]):
+                for source in (src, hg):
+                    expected = reference_separation(m, tables[id(source)], rates)
+                    assert separation_oracle(source.weights, rates) == expected, (hg, rates)
+
+
+def test_one_terminal_has_no_subset_row():
+    # No subset of one terminal is both nonempty and proper, on either path.
+    assert separation_oracle({1: 5}, [3]) is None
+    assert separation_oracle({1: F(5)}, [F(3)]) is None
+    assert separation_oracle({1: 5}, [-3]) is None
 
 
 def test_r_co_equals_the_full_row_lp_on_a_random_set():

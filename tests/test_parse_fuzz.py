@@ -3,7 +3,9 @@
 Documents are built from header, edge, comment and stray-character lines:
 mostly well-formed, so that many parse, with malformed pieces mixed in.
 Whatever the document, `parse_document` either returns a source or raises
-one of the two errors the CLI maps to an exit code (2 and 3).
+one of the two errors the CLI maps to an exit code (2 and 3), and it
+returns the same source, or the same error and message, as the line
+parser kept in `tests/reference_parse.py`.
 """
 
 from hypothesis import example, given, settings
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 
 from skbounds import CapExceededError, InputFormatError, WeightedHypergraph
 from skbounds.cli import parse_document
+
+from reference_parse import reference_parse
 
 LONG_ZEROS = "0" * 5000
 
@@ -85,3 +89,56 @@ def test_parse_returns_a_source_or_a_documented_error(text):
     except (InputFormatError, CapExceededError):
         return
     assert isinstance(hg, WeightedHypergraph)
+
+
+# Mutations of one edge line, each a fault the reference parser names or a
+# form it accepts: a repeated vertex (also "1" against "01"), a vertex out
+# of range, a token of 5 or more digits, a zero, negative or huge weight, a
+# trailing comment, and the line twice (its weights merge).
+MUTATIONS = ("none", "none", "repeat", "range", "long", "weight", "comment", "twice")
+odd_weights = st.sampled_from(
+    ("0", "0/3", "0.0", "-1", "-2/3", "+4", "007", "9" * 40, "1" + "0" * 4400, "3/0", "1e3")
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    m = draw(st.integers(2, 8))
+    lines = [draw(st.sampled_from((f"m = {m}", f"m={m}", f"m =\t0{m}")))]
+    for _ in range(draw(st.integers(1, 6))):
+        tokens = [str(v) for v in draw(st.lists(st.integers(1, m), min_size=1, max_size=4, unique=True))]
+        weight = draw(good_weights)
+        mutation = draw(st.sampled_from(MUTATIONS))
+        if mutation == "repeat":
+            tokens.append(draw(st.sampled_from(("", "0", "00"))) + draw(st.sampled_from(tokens)))
+        elif mutation == "range":
+            tokens[draw(st.integers(0, len(tokens) - 1))] = str(draw(st.sampled_from((0, m + 1, 21, 99))))
+        elif mutation == "long":
+            tokens[-1] = draw(st.sampled_from(("0000", "00000", "12345"))) + tokens[-1]
+        elif mutation == "weight":
+            weight = draw(odd_weights)
+        line = "edge " + " ".join(draw(st.permutations(tokens))) + " : " + weight
+        if mutation == "comment":
+            line += " # " + draw(st.text(alphabet="ab 1:#", max_size=6))
+        lines += [line, line] if mutation == "twice" else [line]
+    return draw(st.sampled_from(("\n", "\r\n"))).join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+def _outcome(parse, text):
+    """The source `parse` returns, or the type and message of the documented error it raises."""
+    try:
+        return parse(text)
+    except (InputFormatError, CapExceededError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.one_of(documents(), mutated_documents()))
+@example("m = 3\nedge 1 01 : 1\n")
+@example("m = 3\nedge 00001 2 : 1\nedge 2 1 : 1/2\n")
+@example("m = 3\r\nedge 1 2 : 1 # c\r\nedge 2 1 : 2\r\n")
+@example(f"m = 3\nedge 1 2 : 1{LONG_ZEROS}\n")
+def test_parse_matches_the_reference_line_parser(text):
+    # The mask built while reading the tokens gives the same source, and
+    # every fault the same error and message, as the token-by-token checks.
+    assert _outcome(parse_document, text) == _outcome(reference_parse, text)

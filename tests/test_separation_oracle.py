@@ -168,9 +168,9 @@ def test_row_generation_separates_in_ints(monkeypatch):
     seen = []
     oracle = skbounds.bounds.separation_oracle
 
-    def typed(inside, rates):
-        seen.append({type(v) for v in (*inside, *rates)})
-        return oracle(inside, rates)
+    def typed(entries, rates):
+        seen.append({type(v) for v in (*entries.values(), *rates)})
+        return oracle(entries, rates)
 
     for module in (skbounds.bounds, reference_rco, reference_packing):
         monkeypatch.setattr(module, "separation_oracle", typed)

@@ -137,6 +137,44 @@ def test_the_bipartite_cut_matches_the_general_min_cut_on_random_networks(seed):
         assert bipartite_cut(supply, groups) == _general_cut(supply, groups), (supply, groups)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_the_bipartite_cut_matches_the_general_min_cut_on_larger_networks(seed):
+    # Up to 10 vertices and 16 groups, most of them pairs with small
+    # capacities, so the greedy fill often leaves supply that only
+    # augmenting paths through several groups can place.
+    rng = random.Random(f"bipartite-large/{seed}")
+    for _ in range(120):
+        n = rng.randint(2, 10)
+        supply = [rng.choice((0, 1, 2, 3, 5, 8)) for _ in range(n)]
+        groups = []
+        for _ in range(rng.randint(0, 16)):
+            mask = (1 << rng.randrange(n)) | (1 << rng.randrange(n)) | rng.choice((0, 0, 1 << rng.randrange(n)))
+            groups.append((mask, rng.choice((1, 1, 2, 3, 6))))
+        assert bipartite_cut(supply, groups) == _general_cut(supply, groups), (supply, groups)
+
+
+def test_every_truncation_of_the_capacity_runs_matches_the_general_network(
+    identity_corpus, graphical_corpus, monkeypatch
+):
+    # `dinkelbach` on the fixtures, both corpora and the ladder at
+    # m = 2..12: each truncation returns the cells and greedy point of the
+    # truncation on the general network.
+    truncations = []
+    truncate = skbounds.flow.truncation
+
+    def recording(m, weights, n, d):
+        result = truncate(m, weights, n, d)
+        truncations.append(result == reference_truncation(m, weights, n, d))
+        return result
+
+    monkeypatch.setattr(skbounds.flow, "truncation", recording)
+    sources = [parse_document(path.read_text(encoding="utf-8")) for path in sorted(FIXTURE_DIR.glob("*.hg"))]
+    sources += [cycle_plus_edges(random.Random(m), m) for m in range(2, 13)] + identity_corpus + graphical_corpus
+    for hg in sources:
+        dinkelbach(hg.integer_source()[0])
+    assert len(truncations) >= len(sources) and all(truncations)
+
+
 def test_every_network_of_the_fixtures_and_the_ladder_matches_the_general_min_cut(monkeypatch):
     # Every truncation `analyze` runs (I and P*, R_CO's greedy point, UB's
     # rounds, the reduced source's capacity) is compared, greedy point
