@@ -14,13 +14,12 @@ All quantities are exact rationals:
   communication needed to reach capacity.  Randomness is removed from
   hyperedges as long as the capacity survives: the bound is the least
   total x(E) - I over Gamma = {0 <= x <= w : I(x) = I}, and x* is in Gamma.
-  `_capacity` checks that by its definition, the capacity of the reduced
-  source, read from `flow.fundamental`; `analyze`, which keeps the check on
-  its report for `run_checks`, and `verify_gamma_membership` read it, and no
-  path scans the partitions of a reduced source.  `fundamental` keeps its
-  run on each hypergraph, so `mmi`, `r_co_direct` and `_capacity` of one
-  hypergraph read one `flow.dinkelbach`, and `analyze` runs it twice: on
-  its input and on the source reduced by x*.
+  UB's last row-generation round certifies that (below), so `analyze`
+  runs `flow.dinkelbach` once, on its input; `fundamental` keeps the run,
+  which `mmi`, `r_co_direct` and UB read.  A report whose x* is not that
+  round's point falls back to `_capacity`, the capacity of the reduced
+  source by its own run; `verify_gamma_membership` truncates the reduced
+  source once at gamma = I and checks the same certificate.
 * `graphical_bounds`: the closed forms for sources whose hyperedges are
   all pairs.  The packing bound collapses to (m - 2) * capacity, the
   interactive common information equals the weight crossing the
@@ -37,26 +36,26 @@ run as the ints n / d, so the rows that carry it are written times d.
 Row generation reads each point as the LP dictionary's ints over its
 denominator D.
 
-R_CO has one row per nonempty proper subset B (`_subset_row`): the rates
-inside B cover the entropy of B given the rest.  With A = M - B and
-alpha = H(M) - r(M) the row reads r(A) <= H(A) - alpha, so the rows are
-the polyhedron of H - alpha, and the greedy point of `flow.truncation` at
-gamma = I meets them all with r(M) = H - I, which is R_CO (Fujishige 2005;
-Csiszar and Narayan, IEEE Trans. IT, 2004).  `r_co_direct` takes that
-point from `flow.fundamental` and proves it optimal without trusting the
-truncation and with no LP rounds.  One `separation_oracle` call shows
-that it meets every row, so R_CO <= its sum: on the point's ints it
-compares the packed conditional-entropy table of the weights times d
-with the packed rate sums of every subset, every field in one
-subtraction, and builds no list of 2^m entries; only a missed row goes
-to the list sweep, which names it.  The relaxation `build_rco_lp`, the
-rows of the complements of P*'s cells, which sum to r(M) >= H - value(P*),
-with right-hand sides summed from the edges, is solved
-once by `lp.solve`, which certifies its optimum; that optimum must equal
-the point's sum, so R_CO >= its sum.  `tests/reference_rco.py` keeps the
-LP with every row and its row generation from the complements of the
-singletons, and `tests/reference_separation.py` the `Fraction` sweep, as
-test oracles.
+R_CO has one row per nonempty proper subset B: the rates inside B cover
+the entropy of B given the rest.  With A = M - B and alpha = H(M) - r(M)
+the row reads r(A) <= H(A) - alpha, so the rows are the polyhedron of
+H - alpha, and the greedy point of `flow.truncation` at gamma = I meets
+them all with r(M) = H - I, which is R_CO (Fujishige 2005; Csiszar and
+Narayan, IEEE Trans. IT, 2004).  `r_co_direct` takes that point from
+`flow.fundamental` and proves it optimal without trusting the truncation
+and with no LP rounds.  One `separation_oracle` call shows that it meets
+every row, so R_CO <= its sum: on the point's ints it compares the packed
+conditional-entropy table of the weights times d with the packed rate
+sums of every subset, every field in one subtraction, and builds no list
+of 2^m entries; only a missed row goes to the list sweep, which names
+it.  The relaxation `build_rco_lp` keeps the rows of the complements of
+P*'s cells, which sum to r(M) >= H - value(P*).  They read only the rate
+sums of the cells, so it has one column per cell, not per terminal, and
+the same optimum; `lp.solve` certifies it once, and it must equal the
+point's sum, so R_CO >= its sum.  `tests/reference_rco.py` keeps the
+relaxation with one column per terminal, the LP with every row and its
+row generation from the complements of the singletons, and
+`tests/reference_separation.py` the `Fraction` sweep, as test oracles.
 
 UB's LP is over Gamma itself.  A group's entropy is the weight of the edges
 that meet it, and I is monotone in the weights, so Gamma has one row per
@@ -85,6 +84,24 @@ its cells C below x(E) - I, the one-cell partition's, and
 The paper's subset-row LP stays in `tests/reference_packing.py`, with both
 row methods, as the oracle; it knows nothing of P*.
 
+The last round proves x* in Gamma, and UB keeps it on the hypergraph: the
+point's ints p over L * den, with each crossing edge at w * den and no
+singleton, and the cells and greedy point ys / d of its truncation at
+gamma = L * I * den.  `_report_checks` accepts it (`_certified_round`)
+when x* is p / (L * den) on every edge, cross-multiplied, 0 on each
+singleton, with 0 <= p <= w * den, sum(ys) is the one-cell partition's
+sum d * p(E) - n * den, and one `separation_oracle` call finds ys(B) >=
+d * H_p(B | M - B) on every nonempty proper B (`_proves_capacity`).  Then
+for every nonempty A = M - B, ys(A) = ys(M) - ys(B) <= d * (H_p(A) -
+gamma): ys / d lies in the polyhedron of H_x - I, so over the cells C of
+any partition P the sum of H_x(C) - I is at least ys(M) / d, the
+one-cell partition's H_x(M) - I, so value_x(P) >= I.  As x* <= w and I
+is monotone in the weights, I(x*) <= I, so I(x*) = I.  The
+Type S line reads the number of the round's cells, P*(x*): that trusts
+the truncation exactly as a Dinkelbach run on the reduced source would.
+When any condition fails, both lines come from the reduced source's run,
+so every printed value stays the same.
+
 `lp` certifies each optimum by LP duality.  Each report identity is
 written once, in `_report_checks`: `analyze` raises on it and keeps the
 list on the report, and `run_checks` adds only the rate point's check
@@ -97,7 +114,7 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -107,7 +124,7 @@ from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
 from .hypergraph import naturals, packed_table, packed_width
 from .lp import OPTIMAL, Constraint, LinearProgram, solve, solve_with_row_generation
 from .partitions import MmiResult, bell, cross_edges, crossing, mmi
-from .rational import to_integers
+from .rational import is_ratio, to_integers
 
 Check = tuple[str, bool, object, object]  # (label, ok, value, expected)
 
@@ -193,29 +210,22 @@ def _row_sides(entries: Mapping[int, int], xs: Sequence[int], mask: int) -> tupl
     return have, sum(w for e, w in entries.items() if not e & ~mask)
 
 
-def _subset_row(m: int, mask: int, rhs: int) -> Constraint:
-    """The row rates(B) >= rhs of the subset B = `mask`."""
-    return Constraint(tuple(mask >> i & 1 for i in range(m)), rhs)
+def build_rco_lp(entries: Mapping[int, int], cells: Sequence[int]) -> LinearProgram:
+    """R_CO's relaxation over the cells C of P = `cells`: min the sum of y, one y_C per cell.
 
-
-def build_rco_lp(m: int, entries: Mapping[int, int], cells: Sequence[int]) -> LinearProgram:
-    """R_CO's relaxation: min total rate, each M - C covering its entropy given C, for the cells C.
-
-    Summed, these rows give r(M) >= H - value(P) for P = `cells`, and
-    y = 1 / (|P| - 1) on each is a dual solution of that value, so the
-    relaxation's optimum lies between H - value(P) and R_CO; at P = P* both
-    are H - I.  On a Type S source the rows are the complements of the
-    singletons.  `entries` are the weights of a source on m terminals
-    times one factor, which scales the optimum; the right-hand side of
-    M - C is the total of the edges that miss C, summed from `entries`
-    with no subset table.
+    Cell C's row: the y of the other cells sum to >= the total of `entries`
+    on the edges that miss C, the entropy of M - C given C.  With one rate
+    per terminal the row reads r(M - C) >= that total, so y_C = r(C) maps
+    each feasible r to a y of the same sum, and y_C on one terminal of C
+    lifts y back: both have one optimum.  Summed, the rows give
+    y(M) >= H - value(P), and 1 / (|P| - 1) on each is a dual solution of
+    that value, so at P = P* the optimum is H - I.  `entries` are a
+    source's weights times one factor, which scales the optimum.
     """
-    full, edges = (1 << m) - 1, entries.items()
-    return LinearProgram(
-        variables=[f"R{i}" for i in range(1, m + 1)],
-        objective=[1] * m,
-        constraints=[_subset_row(m, full ^ c, sum([w for e, w in edges if not e & c])) for c in cells],
-    )
+    k, edges = len(cells), entries.items()
+    rhs = [sum([w for e, w in edges if not e & c]) for c in cells]
+    rows = [Constraint(tuple([int(j != i) for j in range(k)]), b) for i, b in enumerate(rhs)]
+    return LinearProgram([f"y{i}" for i in range(1, k + 1)], [1] * k, rows)
 
 
 def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fraction, RatePoint]:
@@ -238,7 +248,7 @@ def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fracti
             f"the greedy rate point misses the subset row of {format_subset(mask)}: {have} vs {need}"
         )
     total = sum(xs)
-    sol = solve(build_rco_lp(src.m, entries, cells))
+    sol = solve(build_rco_lp(entries, cells))
     if sol.objective_value != total:  # None unless optimal
         found = sol.status if sol.objective_value is None else sol.objective_value / (d * scale)
         raise InternalInvariantError(
@@ -256,12 +266,9 @@ def _partition_row(
     Over all edges the row reads: the sum of d * (cells e meets - 1) * x_e >= n * (|P| - 1).
     The terms of the fixed edges move to the right-hand side, which may then be <= 0.
     """
-
-    def coeff(e: int) -> int:
-        return d * (sum(1 for c in cells if c & e) - 1)
-
-    rhs = n * (len(cells) - 1) - sum(coeff(e) * w for e, w in fixed.items())
-    return Constraint(tuple(map(coeff, edges)), rhs)
+    moved = sum([w * (len([c for c in cells if c & e]) - 1) for e, w in fixed.items()])
+    coeffs = tuple([d * (len([c for c in cells if c & e]) - 1) for e in edges])
+    return Constraint(coeffs, n * (len(cells) - 1) - d * moved)
 
 
 def build_gamma_lp(
@@ -270,12 +277,12 @@ def build_gamma_lp(
     """UB's working LP over Gamma, with L * I = n / d: the row of the singletons.
 
     One column per hyperedge of `edges`, the non-singleton ones inside a
-    cell of P*: cost 1, bounded by its weight.  The edges of `fixed`, those
-    that cross P*, are at their weights in the row; a Type-S source has no
-    column, and its row reads 0 >= 0.
+    cell of P*, named x and the edge's mask: cost 1, bounded by its weight.
+    The edges of `fixed`, those that cross P*, are at their weights in the
+    row; a Type-S source has no column, and its row reads 0 >= 0.
     """
     return LinearProgram(
-        variables=[f"x{format_subset(e)}" for e in edges],
+        variables=[f"x{e}" for e in edges],
         objective=[1] * len(edges),
         constraints=[_partition_row(edges, fixed, [1 << i for i in range(hg.m)], n, d)],
         upper=[hg.weights[e] for e in edges],
@@ -293,6 +300,7 @@ def upper_bound_theorem1(hg: WeightedHypergraph, *, method: str = "auto") -> tup
     with every crossing edge at its weight times D, at gamma = n * D / d; a
     least sum, over d, below the total of those weights minus gamma gives
     the violated row of the truncation's cells.  All of it is in ints.  The
+    last round, which finds none, is kept on `hg` for `_report_checks`.  The
     full weight vector is always feasible, so the bound never exceeds the
     omniscience rate; a non-optimal LP status is a bug.
     """
@@ -303,13 +311,15 @@ def upper_bound_theorem1(hg: WeightedHypergraph, *, method: str = "auto") -> tup
     # Every x in Gamma equals w on the edges that cross P* (module docstring).
     fixed = crossing(src.weights, units)
     edges = [e for e in order if e & (e - 1) and e not in fixed]
-    packed = sum(fixed.values())
 
     def oracle(xs: Sequence[int], den: int) -> Optional[Constraint]:
         point = {e: w * den for e, w in fixed.items()}
         point.update(zip(edges, xs))
         cells, ys = truncation(src.m, point, n * den, d)
-        return _partition_row(edges, fixed, cells, n, d) if sum(ys) < sum(point.values()) * d - n * den else None
+        if sum(ys) < sum(point.values()) * d - n * den:
+            return _partition_row(edges, fixed, cells, n, d)
+        hg.__dict__["_ub_round"] = point, den, cells, ys
+        return None
 
     sol = solve_with_row_generation(build_gamma_lp(src, edges, fixed, n, d), oracle, bell(src.m) - 1)
     if sol.status != OPTIMAL:
@@ -317,7 +327,31 @@ def upper_bound_theorem1(hg: WeightedHypergraph, *, method: str = "auto") -> tup
     entries = dict.fromkeys(order, Fraction(0))
     entries.update((e, Fraction(w, scale)) for e, w in fixed.items())
     entries.update((e, x / scale) for e, x in zip(edges, sol.point))
-    return (sol.objective_value + packed) / scale - mres.value, FractionalPacking(entries)
+    return (sol.objective_value + sum(fixed.values())) / scale - mres.value, FractionalPacking(entries)
+
+
+def _proves_capacity(point: Mapping[int, int], ys: Sequence[int], n: int, d: int) -> bool:
+    """True when ys / d shows that the source of int weights `point` has no partition of
+    value below gamma = n / d: ys sums to d * H(M) - n, the one-cell partition's sum, and
+    one `separation_oracle` call finds ys(B) >= d * H(B | M - B) on every row (module docstring)."""
+    rows = {e: p * d for e, p in point.items()}
+    return sum(ys) == d * sum(point.values()) - n and separation_oracle(rows, ys) is None
+
+
+def _certified_round(hg: WeightedHypergraph, entries: Mapping[int, Fraction]) -> Optional[tuple[int, int, int]]:
+    """(x*(E) as ints p / q, |P*(x*)|) from UB's last round on `hg`, when it certifies
+    x* = `entries` in Gamma (module docstring); else None.  No `Fraction` is built."""
+    kept = hg.__dict__.get("_ub_round")
+    if kept is None or len(entries) != len(hg.weights):
+        return None
+    src, scale, n, _, _, d = fundamental(hg)
+    point, den, cells, ys = kept
+    q, weights = scale * den, src.weights
+    for e, x in entries.items():
+        p = point.get(e, 0)
+        if not (0 <= p <= weights.get(e, -1) * den and is_ratio(x, p, q)):
+            return None
+    return (sum(point.values()), q, len(cells)) if _proves_capacity(point, ys, n * den, d) else None
 
 
 def _capacity(hg: WeightedHypergraph) -> tuple[Fraction, int]:
@@ -331,26 +365,41 @@ def verify_gamma_membership(
 ) -> bool:
     """True when the packing leaves the secret-key capacity unchanged (is in Gamma).
 
-    Compares the capacity I of `hg` with that of the source reduced by the
-    packing, both by `_capacity`, the check `analyze` enforces on x*.
+    One `flow.truncation` of the reduced source at gamma = I, on its
+    integer source: the packing keeps I exactly when the least sum is the
+    one-cell partition's.  Its greedy point must then pass
+    `_proves_capacity`, the certificate `analyze` reads from UB's last
+    round, or it raises InternalInvariantError.  I is read from `hg`'s kept
+    run, and no `flow.dinkelbach` runs on the reduced source.
     """
     entries = packing.entries if isinstance(packing, FractionalPacking) else packing
-    return _capacity(hg.restrict(entries))[0] == _capacity(hg)[0]
+    reduced, factor = hg.restrict(entries).integer_source()
+    _, scale, n, _, _, d = fundamental(hg)
+    n, d = n * factor, d * scale  # gamma = I times the reduced source's own L
+    _, ys = truncation(hg.m, reduced.weights, n, d)
+    if sum(ys) < d * sum(reduced.weights.values()) - n:
+        return False
+    if not _proves_capacity(reduced.weights, ys, n, d):
+        claim = f"the truncation of the reduced source finds no partition below I = {Fraction(n, d * factor)}"
+        raise InternalInvariantError(f"{claim}, but its greedy point does not show it")
+    return True
 
 
 def graphical_bounds(hg: WeightedHypergraph) -> GraphicalBounds:
     """The closed forms of a graph: UB(Thm 2), LB(Thm 3) and CI.
 
     UB(Thm 2) = (m - 2) * I, to which the packing bound collapses on graphs;
-    CI is the weight crossing the fundamental partition; with k cells in it,
-    LB(Thm 3) = (k - 2) / (k - 1) * CI, so a two-cell P* gives 0.  Raises
-    ValueError unless every hyperedge has exactly two vertices.
+    CI is the weight crossing the fundamental partition, summed on the
+    integer source; with k cells in it, LB(Thm 3) = (k - 2) / (k - 1) * CI,
+    so a two-cell P* gives 0.  Raises ValueError unless every hyperedge has
+    exactly two vertices.
     """
     if not hg.is_graph:
         raise ValueError("graphical analysis requires every hyperedge to have exactly two vertices")
     mres = mmi(hg)
+    src, scale, *_ = fundamental(hg)
     k = mres.fundamental.size
-    ci = cross_edges(hg, mres.fundamental)
+    ci = cross_edges(src, mres.fundamental) / scale
     return GraphicalBounds(
         ub_theorem2=(hg.m - 2) * mres.value,
         lower_bound=Fraction(k - 2, k - 1) * ci,
@@ -359,11 +408,17 @@ def graphical_bounds(hg: WeightedHypergraph) -> GraphicalBounds:
 
 
 def _report_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
-    """The report identities; beyond the report they need the capacity of the reduced source."""
+    """The report identities.  x* in Gamma and the Type S line read UB's last round when it
+    certifies x* (`_certified_round`), else the capacity of the reduced source."""
     rco, ub, capacity = report.r_co, report.ub_theorem1, report.mmi.value
     identity = report.entropy_total - capacity
-    kept, size = _capacity(hg.restrict(report.x_star.entries))
-    packed = sum(report.x_star.entries.values()) - capacity
+    certified = _certified_round(hg, report.x_star.entries)
+    if certified is None:
+        total = sum(report.x_star.entries.values())
+        kept, size = _capacity(hg.restrict(report.x_star.entries))
+    else:
+        total, kept, size = Fraction(certified[0], certified[1]), _capacity(hg)[0], certified[2]
+    packed = total - capacity
     checks = [
         ("R_CO identity (H - I)", rco == identity, rco, identity),
         ("UB = x*(E) - I", ub == packed, ub, packed),
@@ -388,7 +443,7 @@ def analyze(hg: WeightedHypergraph, *, method: str = "auto") -> AnalysisReport:
     of `_report_checks` that the report breaks (R_CO = H - I,
     UB = x*(E) - I, UB <= R_CO, x* in Gamma, and on graphs UB = (m - 2) I,
     LB <= UB, LB = CI - I, Type S reduced source); a violation signals a
-    bug.
+    bug.  H is summed on the integer source.
     """
     _check_method(method)
     mres = mmi(hg)
@@ -399,8 +454,9 @@ def analyze(hg: WeightedHypergraph, *, method: str = "auto") -> AnalysisReport:
         graphical = graphical_bounds(hg)
     elif all(mask.bit_count() <= 2 for mask in hg.weights):
         warnings.warn("graphical bounds skipped: singleton hyperedges present", stacklevel=2)
+    src, scale, *_ = fundamental(hg)
     report = AnalysisReport(
-        entropy_total=hg.total_entropy,
+        entropy_total=Fraction(sum(src.weights.values()), scale),
         mmi=mres,
         r_co=r_co,
         rates=rates,
@@ -412,7 +468,8 @@ def analyze(hg: WeightedHypergraph, *, method: str = "auto") -> AnalysisReport:
     for label, ok, value, expected in checks:
         if not ok:
             raise InternalInvariantError(f"{label}: {value} vs {expected}")
-    return replace(report, checks=checks)
+    object.__setattr__(report, "checks", checks)  # the report is new: no reader has it yet
+    return report
 
 
 def run_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:

@@ -14,10 +14,11 @@ forms used throughout this package:
 Hypergraphs are immutable after construction, which is enforced: the
 weights are a read-only view (`types.MappingProxyType`), so assigning to
 one raises TypeError.  All operations are pure, so instances can be
-shared freely across concurrent work.  A hypergraph keeps two values,
+shared freely across concurrent work.  A hypergraph keeps three values,
 each the same whoever builds it first: the Dinkelbach run that
 `flow.fundamental` keeps (its integer source, I, P* and an optimal rate
-point), and the certified result of `partitions.mmi`.  Neither is a
+point), the certified result of `partitions.mmi`, and the last round of
+`bounds.upper_bound_theorem1`, which certifies x* in Gamma.  None is a
 dataclass field, so equality and `repr` read only m and the weights, and
 a pickle or deep copy carries only those two and rebuilds the rest when
 read.
@@ -58,6 +59,14 @@ def vertices_of(mask: int) -> tuple[int, ...]:
         mask >>= 1
         v += 1
     return tuple(out)
+
+
+# `edges` sorts by a key that reads no vertex tuple: vertex v gives
+# character v - 1, "0" if v is in the mask and "1" if not, up to its
+# largest vertex.  Two vertex tuples first differ where one holds a vertex
+# the other lacks, or ends; a tuple that ends there is a prefix and so
+# the shorter key.
+_FLIP = str.maketrans("01", "10")
 
 
 def format_subset(mask: int) -> str:
@@ -188,7 +197,7 @@ class WeightedHypergraph:
         full = (1 << self.m) - 1
         clean: dict[int, Fraction | int] = {}
         for mask, value in self.weights.items():
-            if not isinstance(mask, int) or mask <= 0 or mask > full:
+            if type(mask) is not int or mask <= 0 or mask > full:  # bool is an int subclass
                 raise ValueError(f"hyperedge mask {mask!r} is not a nonempty subset of {{1..{self.m}}}")
             if isinstance(value, float):
                 raise TypeError(f"weight {value!r} on {format_subset(mask)} is a float, not exact")
@@ -211,7 +220,7 @@ class WeightedHypergraph:
     @property
     def edges(self) -> tuple[int, ...]:
         """Hyperedge masks in canonical order (sorted by vertex tuple)."""
-        return tuple(sorted(self.weights, key=vertices_of))
+        return tuple(sorted(self.weights, key=lambda e: bin(e)[:1:-1].translate(_FLIP)))
 
     @property
     def total_entropy(self) -> Fraction:
@@ -227,10 +236,14 @@ class WeightedHypergraph:
 
         Built on each call and kept nowhere: `flow.fundamental`, its one
         caller in the package, keeps it with the run, so `analyze` and the
-        solvers it calls scale each hypergraph once.
+        solvers it calls scale each hypergraph once.  Its masks are this
+        hypergraph's and its weights positive ints, so it skips the
+        constructor's checks.
         """
         ints, scale = to_integers(self.weights.values())
-        return WeightedHypergraph(self.m, dict(zip(self.weights, ints))), scale
+        src = object.__new__(WeightedHypergraph)
+        src.__dict__.update(m=self.m, weights=MappingProxyType(dict(zip(self.weights, ints))))
+        return src, scale
 
     def entropy_table(self) -> list[Fraction]:
         """Entropy of every group A (weight of the hyperedges meeting A), by mask."""

@@ -54,7 +54,8 @@ is certified by duality and built in `Fraction`s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -384,7 +385,8 @@ def solve_with_row_generation(
     uncertified after `max_rounds` cuts is a hard error too: the families
     used here are finite, so running past them proves a bug.
     """
-    lp = replace(lp_base, constraints=list(lp_base.constraints))
+    lp = copy(lp_base)  # checked when built; each cut is checked by `add_constraint`
+    lp.constraints = list(lp_base.constraints)
     dictionary = _optimal(lp)
     if dictionary is None:
         return LpSolution(INFEASIBLE, None, None)

@@ -76,7 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -130,10 +130,10 @@ def crossing(weights: Mapping[int, Fraction | int], cells: Sequence[int]) -> dic
 
 
 def cross_edges(hg: WeightedHypergraph, partition: Partition) -> Fraction:
-    """Total weight of the hyperedges not contained in any single cell."""
+    """Total weight of the hyperedges not contained in any single cell, summed in the weights' type, as a `Fraction`."""
     if partition.m != hg.m:
         raise ValueError("partition and hypergraph disagree on m")
-    return sum(crossing(hg.weights, partition.cells).values(), Fraction(0))
+    return Fraction(sum(crossing(hg.weights, partition.cells).values()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,8 +209,9 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
     return hg.__dict__["_mmi"]
 
 
+@cache
 def bell(n: int) -> int:
-    """The number of partitions of n items, by the Bell triangle."""
+    """The number of partitions of n items, by the Bell triangle; kept per n."""
     row = [1]
     for _ in range(n - 1):
         row = list(accumulate(row, initial=row[-1]))

@@ -54,6 +54,12 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def is_ratio(value: Fraction | int, p: int, q: int) -> bool:
+    """True when `value` is an int or a `Fraction` equal to p / q (q > 0), cross-multiplied: no
+    `Fraction` is built."""
+    return type(value) in (int, Fraction) and value.numerator * q == p * value.denominator
+
+
 def to_integers(values: Collection[Fraction | int]) -> tuple[list[int], int]:
     """(ints, L): L the lcm of the values' denominators (1 for none), ints[i] = L * values[i].
 

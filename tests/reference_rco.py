@@ -7,6 +7,10 @@ all 2^m - 2 rows at once, each summed from the edges directly, on the
 integer source (weights times L); it shares no row builder and no subset
 table with the package, only `lp.solve`.
 
+`per_terminal_rco_lp` is the relaxation over P*'s cells as
+`r_co_direct` built it before it took one column per cell: one rate per
+terminal, with the rows of the complements of the cells.
+
 `rowgen_rco` is the row generation `skbounds.bounds.r_co_direct` ran
 before it took the truncation's greedy point: it starts from the rows of
 the complements of the singletons, r(M - v) >= H(M - v | v), and each
@@ -19,7 +23,7 @@ conditional-entropy table built once per solve.  It runs on the package's
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from skbounds import InternalInvariantError, WeightedHypergraph, separation_oracle, subset_weight_table
 from skbounds.lp import OPTIMAL, Constraint, LinearProgram, solve, solve_with_row_generation
@@ -49,6 +53,17 @@ def cosingleton_rco_lp(src: WeightedHypergraph, cond: Sequence[int]) -> LinearPr
         [f"R{i}" for i in range(1, src.m + 1)],
         [1] * src.m,
         [_subset_row(src.m, mask, cond[mask]) for mask in complements],
+    )
+
+
+def per_terminal_rco_lp(m: int, entries: Mapping[int, int], cells: Sequence[int]) -> LinearProgram:
+    """R_CO's relaxation as `r_co_direct` built it with one rate per terminal: r(M - C) covers
+    the entropy of M - C given C, for each of `cells`, on the weights `entries`."""
+    full = (1 << m) - 1
+    return LinearProgram(
+        [f"R{i}" for i in range(1, m + 1)],
+        [1] * m,
+        [_subset_row(m, full ^ c, sum(w for e, w in entries.items() if not e & c)) for c in cells],
     )
 
 

@@ -182,6 +182,17 @@ def test_the_capacity_run_builds_no_fraction():
     assert _fraction_sites(ast.parse((SRC / "flow.py").read_text(encoding="utf-8"))) == []
 
 
+def test_the_gamma_certificate_builds_no_fraction():
+    # UB's last round is checked against x* by cross-multiplying in ints:
+    # the two functions that check it scale nothing and name no `Fraction`.
+    tree = ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_certified_round", "_proves_capacity"):
+        body = ast.Module(body=functions[name].body, type_ignores=[])
+        assert _fraction_sites(body) == [], name
+        assert _to_integers_sites({name: body}) == [], name
+
+
 def test_graphical_bounds_rejects_a_non_graph():
     with pytest.raises(ValueError, match="exactly two vertices"):
         graphical_bounds(WeightedHypergraph(3, {0b111: Fraction(1)}))

@@ -28,6 +28,7 @@ from skbounds.bounds import FractionalPacking, _report_checks, build_gamma_lp, b
 from skbounds.cli import parse_document
 from skbounds.flow import fundamental
 from skbounds.hypergraph import format_subset, vertices_of
+from skbounds.lp import OPTIMAL, solve
 from skbounds.partitions import PARTITION_CAP, Partition
 from skbounds.rational import format_rational, to_integers
 
@@ -42,8 +43,9 @@ from conftest import (
     random_hypergraph,
 )
 import reference_rco as reference_rco_module
+from reference_gamma import reduced_source_lines
 from reference_packing import reference_packing
-from reference_rco import cosingleton_rco_lp, full_rco_lp, reference_rco, rowgen_rco
+from reference_rco import cosingleton_rco_lp, full_rco_lp, per_terminal_rco_lp, reference_rco, rowgen_rco
 from reference_scan import _raw_partitions, integer_scan, reference_mmi
 from reference_separation import reference_separation
 from test_scan_oracle import FAMILIES
@@ -120,14 +122,15 @@ EXAMPLE1_INT, _ = EXAMPLE1.integer_source()
 
 def test_build_rco_lp_row_count():
     cond = subset_weight_table(4, EXAMPLE1_INT.weights)
-    # One row per cell: M - C covers its entropy given C.  P* = {1,2},{3},{4}.
-    lp = build_rco_lp(4, EXAMPLE1_INT.weights, (0b0011, 0b0100, 0b1000))
-    assert len(lp.variables) == 4
+    # One column per cell and one row per cell: the other cells cover the
+    # entropy of M - C given C.  P* = {1,2},{3},{4}.
+    lp = build_rco_lp(EXAMPLE1_INT.weights, (0b0011, 0b0100, 0b1000))
+    assert len(lp.variables) == 3
     assert [(con.coeffs, con.rhs) for con in lp.constraints] == [
-        ((0, 0, 1, 1), cond[0b1100]), ((1, 1, 0, 1), cond[0b1011]), ((1, 1, 1, 0), cond[0b0111])
+        ((0, 1, 1), cond[0b1100]), ((1, 0, 1), cond[0b1011]), ((1, 1, 0), cond[0b0111])
     ]
     # Over the singletons they are the co-singleton rows that row generation started from.
-    singletons = build_rco_lp(4, EXAMPLE1_INT.weights, (1, 2, 4, 8))
+    singletons = build_rco_lp(EXAMPLE1_INT.weights, (1, 2, 4, 8))
     assert singletons.constraints == cosingleton_rco_lp(EXAMPLE1_INT, cond).constraints
     # The reference writes every row: 2^4 - 2 proper nonempty subsets.
     full = full_rco_lp(EXAMPLE1_INT)
@@ -143,7 +146,7 @@ EXAMPLE1_FIXED = {mask_of(pair): 1 for pair in ((1, 4), (2, 3), (3, 4))}
 def test_build_gamma_lp_shape(monkeypatch):
     # I = 3/2 is n / d = 3 / 2 on the integer source (L = 1).
     lp = build_gamma_lp(EXAMPLE1_INT, EXAMPLE1_INNER, EXAMPLE1_FIXED, 3, 2)
-    assert lp.variables == ["x{1,2}"]  # one packing entry per edge inside a cell, no rates
+    assert lp.variables == ["x3"]  # one packing entry per edge inside a cell, named by its mask; no rates
     assert lp.objective == [1]
     # The working LP starts from the singletons' row, written times d = 2:
     # every pair meets two cells, and 3 * (4 - 1) = 9 less the crossing
@@ -385,8 +388,9 @@ def test_analysis_tables_are_packed_and_match_the_list_transform(identity_corpus
     # Every table `analyze` and `run_checks` build on the fixtures, both
     # corpora and the ladder holds non-negative ints with a total below
     # 2^64, so none falls back to the list transform; each list equals it.
-    # The rate point's two checks, R_CO's and run_checks', run on packed
-    # ints and unpack no table.
+    # The rate point's two checks, R_CO's and run_checks', and the check of
+    # UB's last round that certifies x* run on packed ints and unpack no
+    # table.
     list_table, unpacked_table = skbounds.hypergraph._list_table, skbounds.hypergraph._packed_table
     rows_table = skbounds.bounds.packed_table
     unpacked, checks = 0, 0
@@ -416,7 +420,7 @@ def test_analysis_tables_are_packed_and_match_the_list_transform(identity_corpus
             warnings.simplefilter("ignore")  # graph-plus-singleton sources warn
             report = analyze(hg)
         run_checks(hg, report)
-    assert checks == 2 * len(sources)
+    assert checks == 3 * len(sources)  # R_CO's, UB's certificate of x* and run_checks'
     assert unpacked > len(sources) // 2  # mmi's union tables, wherever I > 0
 
 
@@ -626,10 +630,10 @@ def test_gamma_membership_lists_no_minimizers(monkeypatch):
     assert not verify_gamma_membership(EXAMPLE1, {**EXAMPLE1.weights, mask_of((1, 2)): F(1)})
 
 
-def test_analyze_scales_the_input_and_the_reduced_source_once_each(monkeypatch):
+def test_analyze_scales_the_input_once(monkeypatch):
     # `mmi`, `r_co_direct` and `upper_bound_theorem1` each read the input's
-    # integer source, and the Gamma check the reduced source's: the run that
-    # `flow.fundamental` keeps on a hypergraph holds the one it builds.
+    # integer source, which the run `flow.fundamental` keeps holds, and the
+    # Gamma check reads UB's last round: no reduced source is scaled.
     built = []
 
     def counting(values):
@@ -640,10 +644,8 @@ def test_analyze_scales_the_input_and_the_reduced_source_once_each(monkeypatch):
     monkeypatch.setattr(skbounds.hypergraph, "to_integers", counting)
     hg = cycle_plus_edges(random.Random(7), 7)
     hg = WeightedHypergraph(7, {e: w / 3 for e, w in hg.weights.items()})
-    report = analyze(hg)
-    assert len(built) == 2
-    assert built[0] == list(hg.weights.values())
-    assert built[1] == list(hg.restrict(report.x_star.entries).weights.values())
+    analyze(hg)
+    assert built == [list(hg.weights.values())]
 
 
 def _count_dinkelbach(monkeypatch) -> list:
@@ -659,19 +661,33 @@ def _count_dinkelbach(monkeypatch) -> list:
     return calls
 
 
-def test_analyze_runs_dinkelbach_on_the_input_and_the_reduced_source_once_each(monkeypatch):
-    # `mmi` and `r_co_direct` read one kept run on the input; the Gamma
-    # check runs one on the source reduced by x*.
+def test_analyze_runs_dinkelbach_once_on_the_input(monkeypatch):
+    # `mmi`, `r_co_direct` and UB read one kept run on the input, and the
+    # Gamma and Type S lines read UB's last round: on every fixture
+    # `analyze` runs one Dinkelbach, builds no hypergraph but the integer
+    # source, which skips `__post_init__`, and restricts no source.
     calls = _count_dinkelbach(monkeypatch)
+    built = []
+    init = WeightedHypergraph.__post_init__
+
+    def counting_init(self):
+        built.append(self.m)
+        init(self)
+
+    def no_restrict(self, packing):
+        raise AssertionError("analyze built the reduced source")
+
     for path in sorted(FIXTURE_DIR.glob("*.hg")):
         calls.clear()
         hg = parse_document(fixture_text(path.name))
-        with warnings.catch_warnings():
+        with monkeypatch.context() as patch, warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = analyze(hg)
-        reduced = hg.restrict(report.x_star.entries)
-        assert calls == [hg.integer_source()[0], reduced.integer_source()[0]], path.name
+            patch.setattr(WeightedHypergraph, "__post_init__", counting_init)
+            patch.setattr(WeightedHypergraph, "restrict", no_restrict)
+            analyze(hg)
+        assert calls == [hg.integer_source()[0]], path.name
         assert calls[0] is skbounds.flow.fundamental(hg)[0]
+        assert built == [], path.name
 
 
 def test_ub_after_mmi_builds_no_hypergraph(monkeypatch):
@@ -724,9 +740,10 @@ def test_mmi_then_r_co_direct_runs_one_dinkelbach(monkeypatch):
     mmi(hg)
     r_co_direct(hg)
     assert calls == [hg.integer_source()[0]]
-    # The Gamma check reuses the input's run and runs one on the reduced source.
+    # The Gamma check reuses the input's run and truncates the reduced source once.
     assert verify_gamma_membership(hg, hg.weights)
-    assert len(calls) == 2 and calls[1] == calls[0] and calls[1] is not calls[0]
+    assert not verify_gamma_membership(hg, {**hg.weights, mask_of((1, 2)): F(1)})
+    assert len(calls) == 1
 
 
 def test_an_analyzed_hypergraph_equals_a_fresh_parse():
@@ -760,11 +777,13 @@ def test_gamma_check_reports_the_reduced_capacity(m):
             assert kept == integer_scan(hg.restrict(entries)).value
 
 
-def test_gamma_and_type_s_lines_read_the_reduced_source():
+def test_gamma_and_type_s_lines_read_the_reduced_source(monkeypatch):
     # Packings x_e = w_e * k / 4 with k in 0..4, in Gamma and out of it: the
     # Gamma line prints the capacity of the reduced source, the Type S line
     # the size of its P*, and verify_gamma_membership holds exactly when that
     # capacity is I, all by the `Fraction` scan made here as the oracle.
+    # verify_gamma_membership runs no Dinkelbach: one truncation and its check.
+    calls = _count_dinkelbach(monkeypatch)
     rng = random.Random("reduced-capacity")
     outside = type_s_lines = 0
     for family in ("hypergraph", "graph", "cycle", "type_s", "tie"):
@@ -781,12 +800,179 @@ def test_gamma_and_type_s_lines_read_the_reduced_source():
                 broken = dataclasses.replace(report, x_star=FractionalPacking(entries))
                 checks = {c[0]: c[1:] for c in _report_checks(hg, broken)}
                 assert checks[GAMMA] == (kept, reduced.value, capacity), (family, m, entries)
+                runs = len(calls)
                 assert verify_gamma_membership(hg, entries) == kept
+                assert len(calls) == runs
                 if TYPE_S in checks:
                     assert checks[TYPE_S][1] == reduced.fundamental.size, (family, m, entries)
                     type_s_lines += 1
                 outside += not kept
     assert outside >= 500 and type_s_lines >= 300, (outside, type_s_lines)
+
+
+def _lines(hg, report):
+    """The Gamma line and the Type S line (None off graphs) that `_report_checks` prints."""
+    checks = {c[0]: c[1:] for c in _report_checks(hg, report)}
+    return checks[GAMMA], checks.get(TYPE_S)
+
+
+def _reduced_lines(hg, report):
+    """The same two lines from the reduced source's own Dinkelbach run (`tests/reference_gamma.py`)."""
+    kept, size = reduced_source_lines(hg, report.x_star.entries)
+    capacity = report.mmi.value
+    return (kept == capacity, kept, capacity), None if report.graphical is None else (size == hg.m, size, hg.m)
+
+
+def _no_reduced_source(*args):
+    raise AssertionError("the Gamma line fell back to the reduced source")
+
+
+def _analyzed(hg):
+    """A fresh copy of `hg`, which keeps no run, analyzed: (copy, report)."""
+    hg = WeightedHypergraph(hg.m, dict(hg.weights))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # graph-plus-singleton sources warn
+        return hg, analyze(hg)
+
+
+def test_the_certified_gamma_and_type_s_lines_equal_the_reduced_source(identity_corpus, graphical_corpus, monkeypatch):
+    # On the fixtures, both corpora and the ladder at m = 2..12, UB's last
+    # round certifies x* with no reduced source, and both lines read what
+    # the reduced source's own Dinkelbach run gives.
+    type_s = 0
+    for hg, report in map(_analyzed, _rco_sources() + identity_corpus + graphical_corpus):
+        expected = _reduced_lines(hg, report)
+        with monkeypatch.context() as patch:
+            patch.setattr(WeightedHypergraph, "restrict", _no_reduced_source)
+            assert _lines(hg, report) == expected, hg
+        type_s += report.graphical is not None
+    assert type_s >= 100
+
+
+def _sum_kept(round_, i, step):
+    point, den, cells, ys = round_
+    return point, den, cells, (*ys[:i], ys[i] + step, *ys[i + 1:])
+
+
+def _below_zero(round_):
+    # The sum stays, so only the subset rows can catch it: y_1 < 0 misses
+    # the row of {1}, whose entropy given the rest is >= 0.
+    point, den, cells, ys = round_
+    return point, den, cells, (-1, ys[1] + ys[0] + 1, *ys[2:])
+
+
+def _point_moved(round_, step):
+    point, den, cells, ys = round_
+    e = next(iter(point))
+    return {**point, e: point[e] + step}, den, cells, ys
+
+
+ROUND_MUTATIONS = {
+    "ys-up": lambda r: [_sum_kept(r, i, 1) for i in range(len(r[3]))],
+    "ys-down": lambda r: [_sum_kept(r, i, -1) for i in range(len(r[3]))],
+    "ys-below-zero": lambda r: [_below_zero(r)],
+    "point-up": lambda r: [_point_moved(r, 1)],
+    "point-down": lambda r: [_point_moved(r, -1)],
+}
+
+
+@pytest.mark.parametrize("mutation", list(ROUND_MUTATIONS))
+def test_a_broken_round_falls_back_to_the_reduced_source(mutation, identity_corpus, monkeypatch):
+    # Each entry of the greedy point moved by 1, a point below zero that
+    # keeps the sum, and a point entry off by one: the round no longer
+    # certifies x*, and both lines print the reduced source's values.
+    checked = 0
+    for hg, report in map(_analyzed, _rco_sources() + identity_corpus[:60]):
+        kept = hg.__dict__["_ub_round"]
+        if mutation.startswith("point") and not kept[0]:
+            continue  # no edge with more than one vertex
+        for broken in ROUND_MUTATIONS[mutation](kept):
+            monkeypatch.setitem(hg.__dict__, "_ub_round", broken)
+            assert skbounds.bounds._certified_round(hg, report.x_star.entries) is None, hg
+            assert _lines(hg, report) == _reduced_lines(hg, report), hg
+            checked += 1
+    assert checked >= 70
+
+
+def test_a_round_from_another_packing_falls_back_to_the_reduced_source(identity_corpus):
+    # The report's x* replaced by w, which is in Gamma, and by w with one
+    # singleton edge kept at its weight, which UB sets to 0: UB's round is
+    # of another x*, and both lines print the reduced source's values.
+    singletons = 0
+    for hg, report in map(_analyzed, _rco_sources() + identity_corpus):
+        packings = [dict(hg.weights)]
+        for e, w in hg.weights.items():
+            if not e & (e - 1):
+                packings.append({**report.x_star.entries, e: w})
+                singletons += 1
+                break
+        for entries in packings:
+            other = dataclasses.replace(report, x_star=FractionalPacking(entries))
+            assert skbounds.bounds._certified_round(hg, entries) is None or entries == report.x_star.entries
+            assert _lines(hg, other) == _reduced_lines(hg, other), (hg, entries)
+    assert singletons >= 50
+
+
+def test_a_packing_missing_an_edge_or_above_w_falls_back_and_is_rejected(monkeypatch):
+    # x* with one edge left out, which UB's round matches on every other
+    # edge; and a round whose point, which x* matches, is above w on one
+    # edge: its greedy point passes, as more weight keeps I, but it is not
+    # in Gamma.  Both fall back, and the reduced source rejects them with
+    # the messages it always gave.
+    hg, report = _analyzed(EXAMPLE1)
+    src, scale, n, _, _, d = fundamental(hg)
+    e = next(iter(src.weights))
+    missing = {f: x for f, x in report.x_star.entries.items() if f != e}
+    assert skbounds.bounds._certified_round(hg, missing) is None
+    with pytest.raises(ValueError, match="exactly the hyperedges"):
+        _report_checks(hg, dataclasses.replace(report, x_star=FractionalPacking(missing)))
+    point = {**src.weights, e: 2 * src.weights[e]}
+    cells, ys = skbounds.flow.truncation(hg.m, point, n, d)
+    assert skbounds.bounds._proves_capacity(point, ys, n, d)
+    monkeypatch.setitem(hg.__dict__, "_ub_round", (point, 1, cells, ys))
+    above = {f: F(p, scale) for f, p in point.items()}
+    assert skbounds.bounds._certified_round(hg, above) is None
+    with pytest.raises(ValueError, match="exceeds weight"):
+        _report_checks(hg, dataclasses.replace(report, x_star=FractionalPacking(above)))
+
+
+def test_gamma_membership_raises_when_the_certificate_fails(monkeypatch):
+    # A truncation whose least sum is the one-cell partition's, but whose
+    # greedy point misses a subset row or sums above it, is a fault.
+    truncate = skbounds.bounds.truncation
+    for broken in (_below_zero, lambda r: _sum_kept(r, 0, 1)):
+
+        def faulty(m, weights, n, d, broken=broken):
+            cells, ys = truncate(m, weights, n, d)
+            return cells, broken(({}, 0, cells, ys))[3]
+
+        monkeypatch.setattr(skbounds.bounds, "truncation", faulty)
+        with pytest.raises(skbounds.InternalInvariantError, match="greedy point does not show it"):
+            verify_gamma_membership(EXAMPLE1, EXAMPLE1.weights)
+
+
+def test_the_relaxation_over_cells_has_the_per_terminal_optimum(identity_corpus, graphical_corpus):
+    # One column per cell against one per terminal (`tests/reference_rco.py`),
+    # over P* on the fixtures, both corpora, the ladder at m <= 12 and 300
+    # random sources, and over the singletons and one random partition on
+    # the random ones.
+    rng = random.Random("rco-cells")
+    families = (random_hypergraph, random_graph, cycle_plus_edges)
+    randoms = [families[i % 3](rng, rng.randint(2, 9)) for i in range(300)]
+    fixed = _rco_sources() + identity_corpus + graphical_corpus
+    for i, hg in enumerate(fixed + randoms):
+        src, _, _, cells, _, d = fundamental(hg)
+        entries = {e: w * d for e, w in src.weights.items()}
+        partitions = [cells]
+        if i >= len(fixed):
+            labels = [rng.randrange(hg.m) for _ in range(hg.m)]
+            split = [sum(1 << v for v in range(hg.m) if labels[v] == k) for k in set(labels)]
+            partitions += [[1 << v for v in range(hg.m)], split][: 1 + (len(split) > 1)]
+        for partition in partitions:
+            per_cell = solve(build_rco_lp(entries, partition))
+            per_terminal = solve(per_terminal_rco_lp(hg.m, entries, partition))
+            assert per_cell.status == per_terminal.status == OPTIMAL, hg
+            assert per_cell.objective_value == per_terminal.objective_value, (hg, partition)
 
 
 def test_analyze_on_a_graph_scans_only_the_input(monkeypatch):

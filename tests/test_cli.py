@@ -324,7 +324,7 @@ def _count_solves(monkeypatch):
 
     def count(kind, fn):
         def wrapper(lp, *args):
-            solves[kind].append("R_CO" if lp.variables[0] == "R1" else "packing")
+            solves[kind].append("R_CO" if lp.variables[0] == "y1" else "packing")
             return fn(lp, *args)
         return wrapper
 
@@ -369,12 +369,12 @@ def test_check_reuses_the_analyze_report(monkeypatch, capsys):
         assert code == 0, command
         assert "FAIL" not in err
         # `mmi` certifies the input once, however many callers read it.
-        # Gamma membership and Type S read `flow.dinkelbach`: no `mmi` of the reduced source.
+        # Gamma membership and Type S read UB's last round: no `mmi` of a reduced source.
         assert certified == {"input": 1, "reduced": 0}, command
-        # Two Dinkelbach runs, as in `analyze` alone: the input's, which its
-        # `mmi` and R_CO's rate point read, and the source reduced by x*'s,
-        # whose checks the suite reads from the report.
-        assert len(truncations) == 2, command
+        # One Dinkelbach run, as in `analyze` alone: the input's, which its
+        # `mmi`, R_CO's rate point and UB read; the Gamma and Type S lines,
+        # which the suite reads from the report, come from UB's last round.
+        assert len(truncations) == 1, command
         # The LPs of analyze, and no other: the suite solves no LP.
         assert solves == {"solve": ["R_CO"], "rowgen": ["packing"]}, command
 

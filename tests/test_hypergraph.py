@@ -47,6 +47,32 @@ def test_rejects_bad_edges():
         WeightedHypergraph(3, {3: Fraction(-1)})
 
 
+def test_a_bool_mask_is_rejected():
+    # bool is an int subclass, and True would stand for vertex 1.
+    with pytest.raises(ValueError, match=r"hyperedge mask True is not a nonempty subset of \{1..2\}"):
+        WeightedHypergraph(2, {True: 1, 3: 1})
+
+
+def test_edges_sort_by_vertex_tuple():
+    # The sort key reads no vertex tuple, but orders every mask at m <= 10 as the tuples do.
+    for m in range(2, 11):
+        masks = list(range(1, 1 << m))
+        random.Random(m).shuffle(masks)
+        hg = WeightedHypergraph(m, dict.fromkeys(masks, 1))
+        assert hg.edges == tuple(sorted(masks, key=vertices_of)), m
+
+
+def test_the_integer_source_is_a_checked_hypergraph():
+    # Built without a second `__post_init__`, it equals the hypergraph that
+    # pass would build, pickles, and keeps the weights read-only.
+    hg = WeightedHypergraph(3, {0b011: Fraction(1, 2), 0b110: 2, 0b100: Fraction(2, 3)})
+    src, scale = hg.integer_source()
+    assert scale == 6 and src == WeightedHypergraph(3, {0b011: 3, 0b110: 12, 0b100: 4})
+    assert pickle.loads(pickle.dumps(src)) == src and copy.deepcopy(src) == src
+    with pytest.raises(TypeError):
+        src.weights[0b011] = 1
+
+
 def test_weights_must_be_exact():
     # 0.1 as a float is 3602879701896397/36028797018963968, not 1/10.
     with pytest.raises(TypeError, match="float"):
