@@ -10,7 +10,12 @@ Document format::
     edge 1 2 : 2
     edge 3 4 : 1.5
 
-Duplicate edge lines merge by summing weights.  Exit codes: 0 success,
+Duplicate edge lines merge by summing weights.  A document in the
+canonical layout, the layout of the fixtures and of every generator
+(full-line comments, blank lines, `m = k` and `edge v ... v : a/b` lines
+with single spaces, no leading zeros and LF endings), is read in one
+regex pass over the text; any other document, and any fault, goes to the
+line loop, which words every error.  Exit codes: 0 success,
 1 invariant violation (under --check), 2 malformed or unsuitable input
 (input that is not UTF-8 included), 3 size cap exceeded.
 """
@@ -36,6 +41,12 @@ from .hypergraph import MAX_VERTICES, WeightedHypergraph, format_subset, mask_of
 from .partitions import mmi
 from .rational import format_rational, parse_rational
 
+# One line of a canonical document, with its LF: a full-line comment, a
+# header, an edge line, or (last) any other line, which the pass hands back.
+_CANONICAL_RE = re.compile(
+    r"(?:#[^\n]*|m = ([1-9][0-9]?)|edge((?: [1-9][0-9]?)+) : ([1-9][0-9]*(?:/[1-9][0-9]*)?)|([^\n]*))\n",
+    re.ASCII,
+)
 _HEADER_RE = re.compile(r"^m[ \t]*=[ \t]*(\d+)$", re.ASCII)
 _EDGE_RE = re.compile(r"^edge((?:[ \t]+\d+)+)[ \t]*:[ \t]*([^ \t]+)$", re.ASCII)
 # Counts and vertices never exceed MAX_VERTICES, so a longer token is out of
@@ -48,14 +59,53 @@ def _digits(token: str) -> str:
     return token.lstrip("0") or "0"
 
 
+def _read_canonical(text: str) -> WeightedHypergraph | None:
+    """The source of a canonical document (see the module docstring), or None to hand it to the line loop.
+
+    One header with 2 <= m <= MAX_VERTICES comes before every edge line,
+    whose vertices are distinct and within 1..m; each literal goes through
+    `parse_rational`.
+    """
+    if not text.endswith("\n"):
+        return None
+    m = 0  # until the header, so that every vertex is above m
+    weights: dict[int, Fraction] = {}
+    for count, vertices, literal, other in _CANONICAL_RE.findall(text):
+        if vertices:
+            tokens = vertices.split()
+            bits = 0  # bit v for vertex v
+            for tok in tokens:
+                bits |= 1 << int(tok)
+            if bits >> (m + 1) or bits.bit_count() != len(tokens):
+                return None
+            try:
+                weight = parse_rational(literal)
+            except ValueError:  # a digit run too long to convert
+                return None
+            mask = bits >> 1
+            weights[mask] = weights[mask] + weight if mask in weights else weight
+        elif count:
+            if m or not 2 <= int(count) <= MAX_VERTICES:
+                return None
+            m = int(count)
+        elif other:
+            return None
+    return WeightedHypergraph(m, weights) if weights else None
+
+
 def parse_document(text: str) -> WeightedHypergraph:
     """Parse a hypergraph document; raises InputFormatError with line numbers.
 
     Lines end with LF or CRLF, and the only whitespace is space and tab.
-    An edge line's vertex mask is built as its tokens are read; only when a
-    token is longer than any vertex, or the bits are not one per token
-    within 1..m, are the tokens checked one by one, for the message.
+    A canonical document is read by `_read_canonical`, and any other by
+    the line loop.  There an edge line's vertex mask is built as its
+    tokens are read; only when a token is longer than any vertex, or the
+    bits are not one per token within 1..m, are the tokens checked one by
+    one, for the message.
     """
+    hg = _read_canonical(text)
+    if hg is not None:
+        return hg
     m = None
     weights: dict[int, Fraction] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):

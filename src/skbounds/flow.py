@@ -9,6 +9,23 @@ Functions and Optimization, 2005).  Each cut is a max-flow on a bipartite
 network (`truncation`), in ints: gamma = n / d enters with every weight
 times d.
 
+Each step cuts over the cells found so far.  Vertex j's step minimizes
+f(S) - x(S - j) over the S within {1..j} that hold j, and each cell C of
+the earlier steps is tight, x(C) = f(C), while x(A) <= f(A) on every A
+within {1..j-1}.  If S meets C, intersecting submodularity and
+x(S & C) <= f(S & C) give
+
+    f(S | C) - x(S | C - j) <= f(S) - x(S - j) + (f(C) - x(C)) - (f(S & C) - x(S & C))
+                            <= f(S) - x(S - j),
+
+as the first bracket is 0 and the second at least 0: S may take all of
+C.  The least minimizer's closure under the cells it meets is then a
+minimizer, and the least one that is j with a union of cells; the step
+joins exactly those cells.  So the step may range over unions of cells:
+a cell of two or more vertices enters the network as its least vertex
+(its root), the same x_j and the same cells come out, and the network
+shrinks as the cells grow.
+
 A partition P has value (sum of H(C) over its cells - H(M)) / (|P| - 1)
 at most gamma exactly when its sum of f is at most H(M) - gamma, the sum
 of the one-cell partition.  So Dinkelbach's iteration finds the capacity I:
@@ -142,20 +159,24 @@ def truncation(
     H is the entropy of the source on {1..m} with the int `weights`, d > 0
     need not be gamma's least denominator, and the least sum is sum(xs) / d.
     Vertex j (in order) gets x_j, the least f(S) - x(S - j) over S with j
-    in S within {1..j}, one min cut with j as the source.  The hyperedges
-    that meet {1..j} in the same set a (a group) cost their weight once a
-    vertex of a is in S, and those that hold j cost it on every S, a
-    constant.  A vertex v < j in S costs term_v, the weight of the group
-    {v} minus x_v.  In the general network of the cut
+    in S within {1..j}, one min cut with j as the source.  S ranges over
+    j and unions of the cells found so far (the module's proof), each
+    cell by its root, its least vertex; the other vertices of a cell have
+    no term and lie in no group.  The hyperedges that meet {1..j} in the
+    same set a of roots (a group) cost their weight once a cell of a is in
+    S, and those that hold j cost it on every S, a constant.  A cell C in
+    S costs term_C, the weight of the hyperedges below j that meet only C,
+    minus x(C).  A hyperedge that meets no cell of two or more vertices
+    is not contracted.  In the general network of the cut
     (`tests/reference_flow.py`) a vertex with term_v < 0 gets an arc j -> v
     of capacity -term_v, and term_v joins the constant; no arc enters any
     other vertex, and a group is entered only from its vertices.  So only
-    the vertices A with term_v < 0 and the groups that meet A are reached
+    the roots A with term_v < 0 and the groups that meet A are reached
     from j or carry flow, and the cut is solved on the bipartite network
     j -> A -> those groups -> sink (`bipartite_cut`), with the same value
     and least source side S; with A empty, S is {j}.  The constants do not
-    move S, which joins the cells it meets.  The cells found this way form
-    the finest minimizing partition, and the sum of x is the least sum.
+    move S, which joins the cells of its roots.  The cells found this way
+    form the finest minimizing partition, and the sum of x is the least sum.
     Cells come sorted by their smallest vertex.  x meets
     x(A) <= H(A) - gamma for every nonempty A (Fujishige 2005), with
     equality at A = M when the least sum is the one-cell partition's, as it
@@ -166,17 +187,24 @@ def truncation(
     edges = [(e, w * d) for e, w in weights.items()]
     x: list[int] = []
     cells: list[int] = []
+    base: list[int] = []  # -x(C) at each cell C's root, its least vertex, and 0 at its other vertices
+    merged = 0  # the vertices of the cells of two or more
+    rests: list[tuple[int, int]] = []  # (C, C minus its root) for those cells
     for j in range(m):
         bit = 1 << j
         below = bit - 1
         fixed = 0  # the weight of the groups that contain j
-        term = [-v for v in x]
+        term = base[:]
         groups: dict[int, int] = {}
         for e, w in edges:
             if e & bit:
                 fixed += w
             elif e & below:
                 a = e & below
+                if a & merged:
+                    for c, rest in rests:
+                        if a & c:
+                            a = (a | c) ^ rest
                 if a & (a - 1):
                     groups[a] = groups.get(a, 0) + w
                 else:
@@ -198,6 +226,17 @@ def truncation(
         else:
             cut, least = 0, bit
         x.append(fixed - lack + cut - n)
+        base.append(-x[j])
+        if least != bit:
+            # S took earlier cells: the new cell's root, its least vertex,
+            # takes the -x of all its vertices.
+            root = (least & -least).bit_length() - 1
+            for v in range(root + 1, j + 1):
+                if least >> v & 1:
+                    base[root] += base[v]
+                    base[v] = 0
+            merged |= least
+            rests = [(c, c & (c - 1)) for c in (*cells, least) if c & (c - 1)]
         cells.append(least)
     return tuple(sorted(cells, key=lambda c: c & -c)), tuple(x)
 

@@ -239,9 +239,13 @@ def _certified_slack(src: WeightedHypergraph, units: tuple[int, ...], num: int, 
     """
     # The source contracted to the units: each hyperedge becomes the set of
     # units it meets.
+    bits = [(unit, 1 << i) for i, unit in enumerate(units)]
     contracted: dict[int, int] = {}
     for e, w in src.weights.items():
-        a = sum(1 << i for i, unit in enumerate(units) if e & unit)
+        a = 0
+        for unit, bit in bits:
+            if e & unit:
+                a |= bit
         contracted[a] = contracted.get(a, 0) + w
     cond = subset_weight_table(len(units), contracted)
     ent = [cond[-1] - c for c in reversed(cond)]  # ent[a]: the weight of the edges meeting a

@@ -1,19 +1,28 @@
 """Property test of the document grammar.
 
 Documents are built from header, edge, comment and stray-character lines:
-mostly well-formed, so that many parse, with malformed pieces mixed in.
+mostly well-formed, so that many parse, with malformed pieces mixed in;
+a third family keeps the canonical layout that `parse_document` reads in
+one regex pass, with a fault in a few edge lines.
 Whatever the document, `parse_document` either returns a source or raises
 one of the two errors the CLI maps to an exit code (2 and 3), and it
 returns the same source, or the same error and message, as the line
 parser kept in `tests/reference_parse.py`.
 """
 
+import random
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import skbounds.cli
 from skbounds import CapExceededError, InputFormatError, WeightedHypergraph
 from skbounds.cli import parse_document
+from skbounds.hypergraph import vertices_of
+from skbounds.rational import format_rational
 
+from conftest import FIXTURE_DIR, clustered_source, cycle_plus_edges, random_hypergraph
 from reference_parse import reference_parse
 
 LONG_ZEROS = "0" * 5000
@@ -132,8 +141,68 @@ def _outcome(parse, text):
         return type(exc), str(exc)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(st.one_of(documents(), mutated_documents()))
+@st.composite
+def canonical_documents(draw):
+    """Documents in the fixtures' layout, LF-ended, some with one edge line off it: the regex pass's input."""
+    m = draw(st.sampled_from((*range(2, 10), *range(2, 10), 1, 20, 21)))
+    comment = st.one_of(st.just(""), comments)
+    literal = st.one_of(
+        st.integers(1, 99).map(str), st.builds("{}/{}".format, st.integers(1, 99), st.integers(1, 99))
+    )
+    lines = draw(st.lists(comment, max_size=2)) + [f"m = {m}"]
+    for _ in range(draw(st.integers(0, 5))):
+        vertices = draw(st.lists(st.integers(1, m), min_size=1, max_size=4, unique=True))
+        weight = draw(literal)
+        fault = draw(st.sampled_from(("none",) * 12 + ("above", "repeat", "weight")))
+        if fault == "above":
+            vertices.append(m + 1)
+        elif fault == "repeat":
+            vertices.append(vertices[0])
+        elif fault == "weight":
+            weight = draw(st.sampled_from(("0", "+3", "1.5", "3/0", "02")))
+        lines.append(f"edge {' '.join(map(str, vertices))} : {weight}")
+        lines += draw(st.lists(comment, max_size=1))
+    return "\n".join(lines) + "\n"
+
+
+# Documents one step off the canonical layout, which the regex pass of
+# `parse_document` hands to the line loop: a zero-padded vertex, a signed,
+# zero-denominator, zero and decimal weight, a tab, CRLF, a trailing
+# comment, no final newline, a vertex above m, m above the cap, a repeated
+# vertex, a header with no edge line, a 4,301-digit literal, an edge line
+# before the header and a second header.
+HANDED_BACK = (
+    "m = 3\nedge 01 2 : 1\n",
+    "m = 3\nedge 1 2 : +3\n",
+    "m = 3\nedge 1 2 : 3/0\n",
+    "m = 3\nedge 1 2 : 0\n",
+    "m = 3\nedge 1 2 : 1.5\n",
+    "m = 3\nedge 1\t2 : 1\n",
+    "m = 3\r\nedge 1 2 : 1\r\n",
+    "m = 3\nedge 1 2 : 1 # c\n",
+    "m = 3\nedge 1 2 : 1\nedge 2 3 : 1",
+    "m = 3\nedge 1 4 : 1\n",
+    "m = 21\nedge 1 2 : 1\n",
+    "m = 3\nedge 1 2 1 : 1\n",
+    "m = 3\n",
+    f"m = 3\nedge 1 2 : {'7' * 4301}\n",
+    "edge 1 2 : 1\nm = 3\n",
+    "m = 3\nedge 1 2 : 1\nm = 3\n",
+)
+
+
+def _examples(texts):
+    def add(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+
+    return add
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.one_of(documents(), mutated_documents(), canonical_documents()))
+@_examples(HANDED_BACK)
 @example("m = 3\nedge 1 01 : 1\n")
 @example("m = 3\nedge 00001 2 : 1\nedge 2 1 : 1/2\n")
 @example("m = 3\r\nedge 1 2 : 1 # c\r\nedge 2 1 : 2\r\n")
@@ -142,3 +211,45 @@ def test_parse_matches_the_reference_line_parser(text):
     # The mask built while reading the tokens gives the same source, and
     # every fault the same error and message, as the token-by-token checks.
     assert _outcome(parse_document, text) == _outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("text", HANDED_BACK)
+def test_the_regex_pass_hands_back_every_form_off_the_canonical_layout(text):
+    assert skbounds.cli._read_canonical(text) is None
+
+
+def _render(hg: WeightedHypergraph) -> str:
+    """The document perfbench's generators write: the header, then one edge line per mask in order."""
+    lines = [f"m = {hg.m}"]
+    for e in sorted(hg.weights):
+        lines.append(f"edge {' '.join(map(str, vertices_of(e)))} : {format_rational(hg.weights[e])}")
+    return "\n".join(lines) + "\n"
+
+
+def test_every_fixture_and_generated_document_takes_the_regex_pass(monkeypatch):
+    # Each document is read by the pass, with no line loop, to the
+    # reference's source, and `parse_rational` runs once per edge line, so
+    # a traced run still sees one `rational.parse` span per literal.
+    taken, literals = [], []
+    read, parse = skbounds.cli._read_canonical, skbounds.cli.parse_rational
+
+    def reading(text):
+        hg = read(text)
+        taken.append(hg is not None)
+        return hg
+
+    def counting(literal):
+        literals.append(literal)
+        return parse(literal)
+
+    monkeypatch.setattr(skbounds.cli, "_read_canonical", reading)
+    monkeypatch.setattr(skbounds.cli, "parse_rational", counting)  # the reference has its own
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURE_DIR.glob("*.hg"))]
+    rng = random.Random("regex-pass")
+    texts += [_render(make(rng, m)) for make in (cycle_plus_edges, random_hypergraph) for m in range(4, 11)]
+    texts.append(_render(clustered_source(rng, 12)))
+    for text in texts:
+        literals.clear()
+        assert parse_document(text) == reference_parse(text)
+        assert len(literals) == sum(line.startswith("edge ") for line in text.splitlines())
+    assert len(taken) == len(texts) and all(taken)

@@ -18,6 +18,8 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skbounds.bounds
 import skbounds.cli
@@ -29,7 +31,7 @@ from skbounds.flow import bipartite_cut, dinkelbach, fundamental, truncation
 from skbounds.hypergraph import vertices_of
 from skbounds.rational import format_rational
 
-from conftest import FIXTURE_DIR, cycle_plus_edges, random_weight
+from conftest import FIXTURE_DIR, clustered_source, cycle_plus_edges, random_weight
 from reference_flow import min_cut, reference_truncation
 from reference_scan import integer_scan, reference_mmi
 from test_scan_oracle import FAMILIES, SCALES, bell, tie_heavy_source, type_s_source, zero_support
@@ -101,8 +103,11 @@ def test_truncation_gives_no_node_to_a_group_that_holds_the_step_vertex(monkeypa
     # At gamma = 1, x = 1 at vertices 1 and 2, and vertex 1's term at step 2
     # is w({1,3}) - x_1 = 0, so steps 1 and 2 solve no cut.  At step 3 the
     # terms of 1 and 2 are -1, and only {1,2} is a group ({1,3}, {2,3} and
-    # {3,4} hold 3); at step 4, {1,2}, {1,3} and {2,3} are ({3,4} holds 4).
-    assert networks == [([1, 1], [(0b011, 1)]), ([1, 1, 1], [(0b011, 1), (0b101, 1), (0b110, 1)])]
+    # {3,4} hold 3); the cut's side {1,2} makes {1,2,3} a cell with
+    # x = 3 on it.  At step 4 that cell enters as its root, vertex 1, and
+    # {1,2}, {1,3} and {2,3} meet only it: its term is 3 - x({1,2,3}) = 0,
+    # so step 4 solves no cut either ({3,4} holds 4).
+    assert networks == [([1, 1], [(0b011, 1)])]
     networks.clear()
     cells, xs = truncation(4, BY_HAND.weights, 2, 1)
     assert (sum(xs), cells) == (0, (0b0001, 0b0010, 0b0100, 0b1000))
@@ -111,6 +116,25 @@ def test_truncation_gives_no_node_to_a_group_that_holds_the_step_vertex(monkeypa
     # {1,2} meets no vertex that does and gets no node, and {1,3} and {2,3}
     # reach the network through vertex 3 alone.
     assert networks == [([0, 0, 1], [(0b100, 1), (0b100, 1)])]
+
+
+def test_a_merged_cell_enters_the_network_as_its_root_alone(monkeypatch):
+    # BY_HAND with two more unit edges, {2,5} and {4,5}, at gamma = 1.
+    # Step 1: x_1 = H(1) - 1 = 1.  Step 2: {1,3} gives vertex 1 the term
+    # 1 - x_1 = 0, no cut, and x_2 = w({1,2}, {2,3}, {2,5}) - 1 = 2.
+    # Step 3: {2,5} gives vertex 2 the term 1 - 2 = -1, vertex 1's is -1,
+    # and {1,2} is the one group: the cut's side {1,2} makes {1,2,3} a cell,
+    # x_3 = 3 - 2 + 1 - 1 = 1 and x({1,2,3}) = 4 = H(123) - 1.  Step 4:
+    # {1,2}, {1,3}, {2,3} and {2,5} meet only that cell, so its root's
+    # term is 4 - 4 = 0, no cut, and x_4 = w({3,4}, {4,5}) - 1 = 1.  Step 5:
+    # the cell is vertex 1 alone, with term w({1,2}, {1,3}, {2,3}) - 4 = -1;
+    # vertices 2 and 3 supply nothing and sit in no group, and {3,4} is the
+    # group {1,4}.  Vertex 4's term is -1, and the cut of value 1 takes both
+    # roots: x_5 = w({2,5}, {4,5}) - 2 + 1 - 1 = 0, and M is one cell.
+    networks = _record_cuts(monkeypatch)
+    weights = {**BY_HAND.weights, 0b10010: 1, 0b11000: 1}
+    assert truncation(5, weights, 1, 1) == reference_truncation(5, weights, 1, 1) == ((0b11111,), (1, 2, 1, 1, 0))
+    assert networks == [([1, 1], [(0b0011, 1)]), ([1, 0, 0, 1], [(0b1001, 1)])]
 
 
 def _general_cut(supply: list[int], groups: list[tuple[int, int]]) -> tuple[int, int]:
@@ -153,6 +177,52 @@ def test_the_bipartite_cut_matches_the_general_min_cut_on_larger_networks(seed):
         assert bipartite_cut(supply, groups) == _general_cut(supply, groups), (supply, groups)
 
 
+@st.composite
+def truncation_cases(draw):
+    """(m, weights, n, d): m = 2..8, edges of every size with singletons and repeated masks summed,
+    int weights 0..6, and gamma = n / d anywhere from 0 to above H."""
+    m = draw(st.integers(2, 8))
+    vertex = st.integers(0, m - 1)
+    edge = st.one_of(vertex.map(lambda v: 1 << v), st.integers(1, (1 << m) - 1))
+    weights: dict[int, int] = {}
+    for e, w in draw(st.lists(st.tuples(edge, st.integers(0, 6)), min_size=1, max_size=3 * m)):
+        weights[e] = weights.get(e, 0) + w
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(0, sum(weights.values()) * d + d))
+    return m, weights, n, d
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(truncation_cases())
+def test_the_contracted_truncation_equals_the_general_network_at_every_gamma(case):
+    # Every step cuts over the cells found so far, each of two or more
+    # vertices as its root alone.  A network handed to `bipartite_cut` has
+    # one vertex per vertex below its step j, and the cells before step j
+    # are the truncation of the source restricted to those vertices: a
+    # merged cell's other vertices must supply nothing and lie in no group.
+    m, weights, n, d = case
+    networks = []
+
+    def recording(supply, groups):
+        networks.append((supply, groups))
+        return bipartite_cut(supply, groups)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(skbounds.flow, "bipartite_cut", recording)
+        assert truncation(m, weights, n, d) == reference_truncation(m, weights, n, d)
+    for supply, groups in networks:
+        j = len(supply)
+        below: dict[int, int] = {}
+        for e, w in weights.items():
+            if e & (1 << j) - 1:
+                a = e & (1 << j) - 1
+                below[a] = below.get(a, 0) + w
+        cells, _ = reference_truncation(j, below, n, d)
+        others = sum(c & (c - 1) for c in cells)  # each cell without its least vertex
+        assert not any(supply[v] for v in range(j) if others >> v & 1), (case, supply)
+        assert not any(mask & others for mask, _ in groups), (case, groups)
+
+
 def test_every_truncation_of_the_capacity_runs_matches_the_general_network(
     identity_corpus, graphical_corpus, monkeypatch
 ):
@@ -192,7 +262,8 @@ def test_every_network_of_the_fixtures_and_the_ladder_matches_the_general_min_cu
     monkeypatch.setattr(skbounds.flow, "truncation", recording)
     monkeypatch.setattr(skbounds.bounds, "truncation", recording)
     sources = [parse_document(path.read_text(encoding="utf-8")) for path in sorted(FIXTURE_DIR.glob("*.hg"))]
-    sources += [cycle_plus_edges(random.Random(m), m) for m in (8, 9, 10, 11)]
+    sources += [cycle_plus_edges(random.Random(m), m) for m in (8, 9, 10, 11, 12)]
+    sources.append(clustered_source(random.Random("networks"), 12))
     for hg in sources:
         analyze(hg)
     assert len(truncations) >= 40 and all(truncations)
