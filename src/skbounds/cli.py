@@ -10,14 +10,13 @@ Document format::
     edge 1 2 : 2
     edge 3 4 : 1.5
 
-Duplicate edge lines merge by summing weights.  A document in the
-canonical layout, the layout of the fixtures and of every generator
-(full-line comments, blank lines, `m = k` and `edge v ... v : a/b` lines
-with single spaces, no leading zeros and LF endings), is read in one
-regex pass over the text; any other document, and any fault, goes to the
-line loop, which words every error.  Exit codes: 0 success,
-1 invariant violation (under --check), 2 malformed or unsuitable input
-(input that is not UTF-8 included), 3 size cap exceeded.
+Duplicate edge lines merge by summing weights.  Lines end with LF or
+CRLF, the only whitespace is space and tab, and `#` starts a comment.
+One regex pass reads every line, and one loop over its matches checks
+the header, each edge line and its literal, and words every error.
+Exit codes: 0 success, 1 invariant violation (under --check),
+2 malformed or unsuitable input (input that is not UTF-8 included),
+3 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -41,17 +40,26 @@ from .hypergraph import MAX_VERTICES, WeightedHypergraph, format_subset, mask_of
 from .partitions import mmi
 from .rational import format_rational, parse_rational
 
-# One line of a canonical document, with its LF: a full-line comment, a
-# header, an edge line, or (last) any other line, which the pass hands back.
-_CANONICAL_RE = re.compile(
-    r"(?:#[^\n]*|m = ([1-9][0-9]?)|edge((?: [1-9][0-9]?)+) : ([1-9][0-9]*(?:/[1-9][0-9]*)?)|([^\n]*))\n",
+# A line's end: a comment, a CR and the LF.
+_END = r"(?:#[^\n]*)?\r?\n"
+# One line of a document, after its leading blanks: an edge line, a header,
+# a blank or comment line, or else the rest of the line.  The last always
+# matches, so the leading blanks are never given back.  The literal has no
+# CR, or else one that is not right before the LF, and then stops where the
+# line can end: a CR right before the LF ends the line, and any other CR
+# belongs to the literal.  No run of blanks can be split between two
+# quantifiers, so a line is read in linear time, whether it matches or not.
+_LINE_RE = re.compile(
+    rf"[ \t]*(?:edge([ \t]+\d[ \t\d]*):[ \t]*([^ \t#\n\r]+|[^ \t#\n\r]*\r(?!\n)[^ \t#\n]*?)(?:\n|[ \t]*{_END})"
+    rf"|m[ \t]*=[ \t]*(\d+)[ \t]*{_END}|{_END}|([^\n]*)\n)",
     re.ASCII,
 )
-_HEADER_RE = re.compile(r"^m[ \t]*=[ \t]*(\d+)$", re.ASCII)
-_EDGE_RE = re.compile(r"^edge((?:[ \t]+\d+)+)[ \t]*:[ \t]*([^ \t]+)$", re.ASCII)
 # Counts and vertices never exceed MAX_VERTICES, so a longer token is out of
 # range without converting it (int() refuses strings over 4,300 digits).
 _MAX_DIGITS = len(str(MAX_VERTICES))
+# The mask of each plain vertex token "1".."20".  Any other token adds no
+# bit, so its line has fewer bits than tokens.
+_VERTEX_MASKS = {str(v): 1 << (v - 1) for v in range(1, MAX_VERTICES + 1)}
 
 
 def _digits(token: str) -> str:
@@ -59,66 +67,42 @@ def _digits(token: str) -> str:
     return token.lstrip("0") or "0"
 
 
-def _read_canonical(text: str) -> WeightedHypergraph | None:
-    """The source of a canonical document (see the module docstring), or None to hand it to the line loop.
-
-    One header with 2 <= m <= MAX_VERTICES comes before every edge line,
-    whose vertices are distinct and within 1..m; each literal goes through
-    `parse_rational`.
-    """
-    if not text.endswith("\n"):
-        return None
-    m = 0  # until the header, so that every vertex is above m
-    weights: dict[int, Fraction] = {}
-    for count, vertices, literal, other in _CANONICAL_RE.findall(text):
-        if vertices:
-            tokens = vertices.split()
-            bits = 0  # bit v for vertex v
-            for tok in tokens:
-                bits |= 1 << int(tok)
-            if bits >> (m + 1) or bits.bit_count() != len(tokens):
-                return None
-            try:
-                weight = parse_rational(literal)
-            except ValueError:  # a digit run too long to convert
-                return None
-            mask = bits >> 1
-            weights[mask] = weights[mask] + weight if mask in weights else weight
-        elif count:
-            if m or not 2 <= int(count) <= MAX_VERTICES:
-                return None
-            m = int(count)
-        elif other:
-            return None
-    return WeightedHypergraph(m, weights) if weights else None
-
-
 def parse_document(text: str) -> WeightedHypergraph:
     """Parse a hypergraph document; raises InputFormatError with line numbers.
 
-    Lines end with LF or CRLF, and the only whitespace is space and tab.
-    A canonical document is read by `_read_canonical`, and any other by
-    the line loop.  There an edge line's vertex mask is built as its
-    tokens are read; only when a token is longer than any vertex, or the
-    bits are not one per token within 1..m, are the tokens checked one by
-    one, for the message.
+    One `findall` of `_LINE_RE` over the text reads one match per line, so
+    the match index is the line number; a line it does not recognize is
+    split off the text only to word the error.  An edge line's vertex mask
+    is built from its plain tokens ("1".."20"); only when a token is not
+    one, or the bits are not one per token within 1..m, are the tokens
+    checked one by one, for the message.  Each literal goes through
+    `parse_rational`, its one validator.
     """
-    hg = _read_canonical(text)
-    if hg is not None:
-        return hg
-    m = None
+    m = 0  # until the header
     weights: dict[int, Fraction] = {}
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        if raw.endswith("\r"):
-            raw = raw[:-1]
-        line = raw.split("#", 1)[0].strip(" \t")
-        if not line:
-            continue
-        if m is None:
-            match = _HEADER_RE.match(line)
-            if not match:
-                raise InputFormatError("expected header 'm = <count>'", line_no)
-            count = _digits(match.group(1))
+    for line_no, (vertices, literal, count, other) in enumerate(_LINE_RE.findall(text + "\n"), 1):
+        if vertices and m:
+            tokens = vertices.split()
+            mask = 0
+            for tok in tokens:
+                mask |= _VERTEX_MASKS.get(tok, 0)
+            if mask >> m or mask.bit_count() != len(tokens):
+                tokens = [_digits(tok) for tok in tokens]
+                if len(set(tokens)) != len(tokens):
+                    raise InputFormatError("repeated vertex in edge", line_no)
+                for tok in tokens:
+                    if len(tok) > _MAX_DIGITS or not 1 <= int(tok) <= m:
+                        raise InputFormatError(f"vertex {tok} outside 1..{m}", line_no)
+                mask = mask_of(map(int, tokens))  # only zero-padded vertices get here
+            try:
+                weight = parse_rational(literal)
+            except ValueError as exc:
+                raise InputFormatError(str(exc), line_no) from exc
+            if weight.numerator <= 0:
+                raise InputFormatError(f"weight must be positive, got {weight}", line_no)
+            weights[mask] = weights[mask] + weight if mask in weights else weight
+        elif count and not m:
+            count = _digits(count)
             if len(count) > _MAX_DIGITS or int(count) > MAX_VERTICES:
                 raise CapExceededError(
                     f"line {line_no}: m = {count} exceeds the supported maximum of {MAX_VERTICES}"
@@ -126,32 +110,13 @@ def parse_document(text: str) -> WeightedHypergraph:
             m = int(count)
             if m < 2:
                 raise InputFormatError("need at least 2 terminals", line_no)
-            continue
-        match = _EDGE_RE.match(line)
-        if not match:
+        elif count or vertices or other:
+            if not m:
+                raise InputFormatError("expected header 'm = <count>'", line_no)
+            # The line without its final CR, its comment and its outer blanks.
+            line = text.split("\n")[line_no - 1].removesuffix("\r").split("#", 1)[0].strip(" \t")
             raise InputFormatError(f"unrecognized line: {line!r}", line_no)
-        vertices, literal = match.groups()
-        tokens = vertices.split()
-        bits = 0  # bit v for vertex v, and bit 0 for a token too long to be one
-        for tok in tokens:
-            bits |= 1 << int(tok) if len(tok) <= _MAX_DIGITS else 1
-        if bits & 1 or bits >> (m + 1) or bits.bit_count() != len(tokens):
-            tokens = [_digits(tok) for tok in tokens]
-            if len(set(tokens)) != len(tokens):
-                raise InputFormatError("repeated vertex in edge", line_no)
-            for tok in tokens:
-                if len(tok) > _MAX_DIGITS or not 1 <= int(tok) <= m:
-                    raise InputFormatError(f"vertex {tok} outside 1..{m}", line_no)
-            bits = mask_of(map(int, tokens)) << 1  # only zero-padded vertices get here
-        mask = bits >> 1
-        try:
-            weight = parse_rational(literal)
-        except ValueError as exc:
-            raise InputFormatError(str(exc), line_no) from exc
-        if weight.numerator <= 0:
-            raise InputFormatError(f"weight must be positive, got {weight}", line_no)
-        weights[mask] = weights[mask] + weight if mask in weights else weight
-    if m is None:
+    if not m:
         raise InputFormatError("empty document: missing 'm = <count>' header")
     if not weights:
         raise InputFormatError("document lists no edges")

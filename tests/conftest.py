@@ -18,6 +18,8 @@ from skbounds import WeightedHypergraph, analyze, mask_of
 from skbounds.bounds import AnalysisReport, run_checks
 from skbounds.partitions import Partition
 
+pytest_plugins = ["pytester"]
+
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 IDENTITY_CORPUS_SIZE = 200

@@ -2,8 +2,8 @@
 
 Documents are built from header, edge, comment and stray-character lines:
 mostly well-formed, so that many parse, with malformed pieces mixed in;
-a third family keeps the canonical layout that `parse_document` reads in
-one regex pass, with a fault in a few edge lines.
+a third family keeps the layout of the fixtures and of every generator,
+with a fault in a few edge lines.
 Whatever the document, `parse_document` either returns a source or raises
 one of the two errors the CLI maps to an exit code (2 and 3), and it
 returns the same source, or the same error and message, as the line
@@ -11,6 +11,7 @@ parser kept in `tests/reference_parse.py`.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -143,7 +144,7 @@ def _outcome(parse, text):
 
 @st.composite
 def canonical_documents(draw):
-    """Documents in the fixtures' layout, LF-ended, some with one edge line off it: the regex pass's input."""
+    """Documents in the fixtures' layout, LF-ended, some with one edge line off it."""
     m = draw(st.sampled_from((*range(2, 10), *range(2, 10), 1, 20, 21)))
     comment = st.one_of(st.just(""), comments)
     literal = st.one_of(
@@ -165,13 +166,12 @@ def canonical_documents(draw):
     return "\n".join(lines) + "\n"
 
 
-# Documents one step off the canonical layout, which the regex pass of
-# `parse_document` hands to the line loop: a zero-padded vertex, a signed,
-# zero-denominator, zero and decimal weight, a tab, CRLF, a trailing
+# Documents one step off the fixtures' layout: a zero-padded vertex, a
+# signed, zero-denominator, zero and decimal weight, a tab, CRLF, a trailing
 # comment, no final newline, a vertex above m, m above the cap, a repeated
 # vertex, a header with no edge line, a 4,301-digit literal, an edge line
 # before the header and a second header.
-HANDED_BACK = (
+OFF_LAYOUT = (
     "m = 3\nedge 01 2 : 1\n",
     "m = 3\nedge 1 2 : +3\n",
     "m = 3\nedge 1 2 : 3/0\n",
@@ -189,6 +189,26 @@ HANDED_BACK = (
     "edge 1 2 : 1\nm = 3\n",
     "m = 3\nedge 1 2 : 1\nm = 3\n",
 )
+# The corners of the line pattern: a CR not right before the LF belongs to
+# the literal, and spoils a header or a blank line but not a comment; a CR
+# right before the LF is no literal; a vertical tab is no blank; a comment
+# right after the literal; a tab-separated edge line after a padded header;
+# and a zero-padded header and vertex.
+CORNERS = (
+    "m = 3\nedge 1 2 : 1\r\r\n",
+    "m = 3\nedge 1 2 : 1\r#c\n",
+    "m = 3\nedge 1 2 : 1\r \n",
+    "m = 3\nedge 1 2 : 1\rx\n",
+    "m = 3\nedge 1 2 : \r\n",
+    "m = 3\r\r\nedge 1 2 : 1\n",
+    "m = 3\nedge 1 2 : 1\nm = 3\r\r\n",
+    "m = 3\n  \r\r\nedge 1 2 : 1\n",
+    "m = 3\n#c\r\r\nedge 1 2 : 1\n",
+    "m = 3\n\x0b\nedge 1 2 : 1\n",
+    "m = 3\nedge 1 2 :1#x",
+    "\tm=3 #h\r\nedge\t1\t2\t:\t1\n",
+    "m = 03\nedge 001 2 : 1\n",
+)
 
 
 def _examples(texts):
@@ -202,7 +222,7 @@ def _examples(texts):
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(st.one_of(documents(), mutated_documents(), canonical_documents()))
-@_examples(HANDED_BACK)
+@_examples(OFF_LAYOUT + CORNERS)
 @example("m = 3\nedge 1 01 : 1\n")
 @example("m = 3\nedge 00001 2 : 1\nedge 2 1 : 1/2\n")
 @example("m = 3\r\nedge 1 2 : 1 # c\r\nedge 2 1 : 2\r\n")
@@ -211,11 +231,6 @@ def test_parse_matches_the_reference_line_parser(text):
     # The mask built while reading the tokens gives the same source, and
     # every fault the same error and message, as the token-by-token checks.
     assert _outcome(parse_document, text) == _outcome(reference_parse, text)
-
-
-@pytest.mark.parametrize("text", HANDED_BACK)
-def test_the_regex_pass_hands_back_every_form_off_the_canonical_layout(text):
-    assert skbounds.cli._read_canonical(text) is None
 
 
 def _render(hg: WeightedHypergraph) -> str:
@@ -227,22 +242,15 @@ def _render(hg: WeightedHypergraph) -> str:
 
 
 def test_every_fixture_and_generated_document_takes_the_regex_pass(monkeypatch):
-    # Each document is read by the pass, with no line loop, to the
-    # reference's source, and `parse_rational` runs once per edge line, so
-    # a traced run still sees one `rational.parse` span per literal.
-    taken, literals = [], []
-    read, parse = skbounds.cli._read_canonical, skbounds.cli.parse_rational
-
-    def reading(text):
-        hg = read(text)
-        taken.append(hg is not None)
-        return hg
+    # Each document parses to the reference's source, and `parse_rational`
+    # runs once per edge line, so a traced run still sees one
+    # `rational.parse` span per literal.
+    literals, parse = [], skbounds.cli.parse_rational
 
     def counting(literal):
         literals.append(literal)
         return parse(literal)
 
-    monkeypatch.setattr(skbounds.cli, "_read_canonical", reading)
     monkeypatch.setattr(skbounds.cli, "parse_rational", counting)  # the reference has its own
     texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURE_DIR.glob("*.hg"))]
     rng = random.Random("regex-pass")
@@ -252,4 +260,23 @@ def test_every_fixture_and_generated_document_takes_the_regex_pass(monkeypatch):
         literals.clear()
         assert parse_document(text) == reference_parse(text)
         assert len(literals) == sum(line.startswith("edge ") for line in text.splitlines())
-    assert len(taken) == len(texts) and all(taken)
+
+
+# Each line fails after a scan in linear time: 200,000 vertex tokens and
+# no colon, a literal of 200,000 "1\r" pairs, and 600,000 blanks before an
+# x, at the start of a line and after a vertex.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("m = 3\nedge" + " 1" * 200_000 + "\n", "unrecognized line"),
+        ("m = 3\nedge 1 2 : " + "1\r" * 200_000 + "\n", "not a rational literal"),
+        ("m = 3\n" + " " * 600_000 + "x\n", "unrecognized line: 'x'"),
+        ("m = 3\nedge 1" + " " * 600_000 + "x\n", "unrecognized line: 'edge 1 "),
+    ],
+    ids=["tokens", "cr-pairs", "blanks", "blanks-in-edge"],
+)
+def test_a_long_line_fails_fast(text, message):
+    start = time.perf_counter()
+    with pytest.raises(InputFormatError, match=f"^line 2: {message}"):
+        parse_document(text)
+    assert time.perf_counter() - start < 1.0
