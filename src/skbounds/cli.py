@@ -13,7 +13,8 @@ Document format::
 Duplicate edge lines merge by summing weights.  Lines end with LF or
 CRLF, the only whitespace is space and tab, and `#` starts a comment.
 One regex pass reads every line, and one loop over its matches checks
-the header, each edge line and its literal, and words every error.
+the header, each edge line and each distinct literal once, and words
+every error.
 Exit codes: 0 success, 1 invariant violation (under --check),
 2 malformed or unsuitable input (input that is not UTF-8 included),
 3 size cap exceeded.
@@ -36,7 +37,7 @@ from .bounds import (
     upper_bound_theorem1,
 )
 from .errors import CapExceededError, InputFormatError, InternalInvariantError, SkboundsError
-from .hypergraph import MAX_VERTICES, WeightedHypergraph, format_subset, mask_of
+from .hypergraph import MAX_VERTICES, WeightedHypergraph, _unchecked, format_subset, mask_of
 from .partitions import mmi
 from .rational import format_rational, parse_rational
 
@@ -75,11 +76,15 @@ def parse_document(text: str) -> WeightedHypergraph:
     split off the text only to word the error.  An edge line's vertex mask
     is built from its plain tokens ("1".."20"); only when a token is not
     one, or the bits are not one per token within 1..m, are the tokens
-    checked one by one, for the message.  Each literal goes through
-    `parse_rational`, its one validator.
+    checked one by one, for the message.  Each distinct literal goes
+    through `parse_rational`, its one validator, and the positivity check
+    once per document; a repeat reads the weight kept for it.  The weights
+    are then checked, so the hypergraph is built without the constructor
+    checking them again (`hypergraph._unchecked`).
     """
     m = 0  # until the header
     weights: dict[int, Fraction] = {}
+    parsed: dict[str, Fraction] = {}  # each literal read so far, with its checked weight
     for line_no, (vertices, literal, count, other) in enumerate(_LINE_RE.findall(text + "\n"), 1):
         if vertices and m:
             tokens = vertices.split()
@@ -94,12 +99,15 @@ def parse_document(text: str) -> WeightedHypergraph:
                     if len(tok) > _MAX_DIGITS or not 1 <= int(tok) <= m:
                         raise InputFormatError(f"vertex {tok} outside 1..{m}", line_no)
                 mask = mask_of(map(int, tokens))  # only zero-padded vertices get here
-            try:
-                weight = parse_rational(literal)
-            except ValueError as exc:
-                raise InputFormatError(str(exc), line_no) from exc
-            if weight.numerator <= 0:
-                raise InputFormatError(f"weight must be positive, got {weight}", line_no)
+            weight = parsed.get(literal)
+            if weight is None:
+                try:
+                    weight = parse_rational(literal)
+                except ValueError as exc:
+                    raise InputFormatError(str(exc), line_no) from exc
+                if weight.numerator <= 0:
+                    raise InputFormatError(f"weight must be positive, got {weight}", line_no)
+                parsed[literal] = weight
             weights[mask] = weights[mask] + weight if mask in weights else weight
         elif count and not m:
             count = _digits(count)
@@ -120,7 +128,7 @@ def parse_document(text: str) -> WeightedHypergraph:
         raise InputFormatError("empty document: missing 'm = <count>' header")
     if not weights:
         raise InputFormatError("document lists no edges")
-    return WeightedHypergraph(m, weights)
+    return _unchecked(m, weights)
 
 
 # Each renderer and command returns (JSON fields, text lines); main adds "m"

@@ -39,6 +39,13 @@ At gamma = I the minimizers of the truncation are the one-cell partition
 and the minimizers of the value, and the finest of them is the fundamental
 partition P* (Chan et al., "Info-clustering", Proc. IEEE 2015).
 
+At gamma = 0, where every source with I = 0 ends its run, f is H itself,
+which is already submodular, so the truncation needs no cut: the greedy
+point is Edmonds' greedy vertex, x_j = H({1..j}) - H({1..j-1}), the
+weight of the edges whose least vertex is j, and the least sum is H(M),
+reached exactly by the partitions that no edge of positive weight
+crosses; the finest of them is the components of those edges.
+
 `fundamental` is the one place that runs `dinkelbach` on a hypergraph: it
 builds the integer source, runs it once there and keeps both on the
 hypergraph, so I, P* and the rate point of one source come from one run.
@@ -182,8 +189,23 @@ def truncation(
     equality at A = M when the least sum is the one-cell partition's, as it
     is at gamma = I.  Scaling n and d by one g > 0 scales every capacity of
     every cut by g, which moves no least source side, so the cells do not
-    depend on how gamma is written.
+    depend on how gamma is written.  At n = 0 the cells and xs are read
+    off the edges in one pass, with no network (the module's closed form).
     """
+    if not n:
+        # gamma = 0: x is Edmonds' greedy vertex of H and the cells are the components.
+        xs = [0] * m
+        joined: list[int] = []  # the components of two or more vertices
+        for e, w in weights.items():
+            xs[(e & -e).bit_length() - 1] += w * d
+            if w and e & (e - 1):
+                for c in joined:
+                    if c & e:
+                        e |= c
+                joined = [c for c in joined if not c & e] + [e]
+        whole = sum(joined)
+        cells = joined + [1 << v for v in range(m) if not whole >> v & 1]
+        return tuple(sorted(cells, key=lambda c: c & -c)), tuple(xs)
     edges = [(e, w * d) for e, w in weights.items()]
     x: list[int] = []
     cells: list[int] = []

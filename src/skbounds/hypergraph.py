@@ -237,13 +237,11 @@ class WeightedHypergraph:
         Built on each call and kept nowhere: `flow.fundamental`, its one
         caller in the package, keeps it with the run, so `analyze` and the
         solvers it calls scale each hypergraph once.  Its masks are this
-        hypergraph's and its weights positive ints, so it skips the
-        constructor's checks.
+        hypergraph's and its weights positive ints, so it is built by
+        `_unchecked`.
         """
         ints, scale = to_integers(self.weights.values())
-        src = object.__new__(WeightedHypergraph)
-        src.__dict__.update(m=self.m, weights=MappingProxyType(dict(zip(self.weights, ints))))
-        return src, scale
+        return _unchecked(self.m, dict(zip(self.weights, ints))), scale
 
     def entropy_table(self) -> list[Fraction]:
         """Entropy of every group A (weight of the hyperedges meeting A), by mask."""
@@ -268,3 +266,16 @@ class WeightedHypergraph:
                     f"packing entry {value} exceeds weight {self.weights[mask]} on {format_subset(mask)}"
                 )
         return reduced
+
+
+def _unchecked(m: int, weights: dict[int, Fraction | int]) -> WeightedHypergraph:
+    """A hypergraph that holds `weights` itself, read-only, with none of the constructor's checks.
+
+    For callers that have made them already: m in 2..MAX_VERTICES, every
+    mask a nonempty subset of {1..m} and every weight a positive int or
+    `Fraction`.  The integer source and `cli.parse_document` build theirs
+    this way.
+    """
+    hg = object.__new__(WeightedHypergraph)
+    hg.__dict__.update(m=m, weights=MappingProxyType(weights))
+    return hg

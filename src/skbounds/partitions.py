@@ -18,8 +18,8 @@ run.  L * I comes from the run as the ints num / den, and `mmi` builds
 the `Fraction` I = num / (den * L) once, for its result.  `mmi` in turn
 certifies the run once per hypergraph and keeps its `MmiResult` on it,
 so every caller of `mmi(hg)` reads one result.  When
-I > 0, one table of the 2^|P*| unions of P*'s cells certifies them and
-counts the minimizers; when I = 0, P*'s uncut edges certify it and the
+I > 0, P*'s rate rows over the 2^|P*| unions of its cells certify them
+and count the minimizers; when I = 0, P*'s uncut edges certify it and the
 count is Bell(|P*|) - 1.  Either way the minimizers are listed, without a
 scan, only when read.
 
@@ -31,9 +31,16 @@ For a coarsening Q of P* with at least two cells, the sum of slack(C) over
 its cells C is den * (|Q| - 1) * (I - value(Q)) once slack(all cells) = 0.
 So `mmi` requires slack(all cells) = 0, which says value(P*) = I, and
 slack(a) <= 0 for every union a, which says no coarsening of P* has value
-below I; otherwise it raises `InternalInvariantError`.  Given both, the
+below I; otherwise it raises `InternalInvariantError`.  Both are read
+off P*'s rate rows: cell C gets the rate r_C = den * H(C) - num, and the
+slack at a is minus the row gap r(B) - den * w(E[B]) at its complement B
+(`_certified_slack`), so one table of the edges inside each B and one
+doubling of the rates give every slack.  Given both, the
 minimizers among the coarsenings are exactly those whose every cell is
-*tight* (slack 0), and P* is the unique finest.  For a set S of cells
+*tight* (slack 0), and P* is the unique finest.  P* is the only minimizer
+exactly when its cells and their union are the only tight unions, as on
+every Type-S source, and `_count_coarsenings` then returns 1 at once.
+Otherwise, for a set S of cells
 still to place, `_tight_parts` walks the submasks of S once for the tight
 T that hold S's first cell.  `_count_coarsenings` counts the minimizers
 from those T, memoized on S, and builds none of them.
@@ -42,7 +49,7 @@ same T; each single cell of P* is tight, so every set of cells it enters
 yields a minimizer.  That every minimizer coarsens the truncation's P*
 rests on the theorem and on the oracle tests, not on an exhaustive check.
 H comes from the source contracted to P*'s cells, each hyperedge to the
-set of cells it meets.
+set of cells it meets, read through each vertex's cell.
 
 I = 0 exactly when the source's edges fall apart into several
 components, and P* is then those components.  With num = 0 each edge
@@ -78,6 +85,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import accumulate
+from operator import sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import CapExceededError, InternalInvariantError
@@ -177,9 +185,10 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
 
     Returns the minimum, the finest minimizer, the number of minimizers and
     their sorted listing, built when first read.  The truncation gives I
-    and P*.  If I > 0, one table over the unions of P*'s cells certifies
-    them, and the minimizers are counted, and listed when read by the
-    count's recursion, as the partitions of P*'s cells into tight unions.
+    and P*.  If I > 0, P*'s rate rows over the unions of its cells
+    certify them, and the minimizers are counted, and listed when read by
+    the count's recursion, as the partitions of P*'s cells into tight
+    unions.
     If I = 0, `crossing` must find no edge that meets two cells of P*,
     and every partition of its cells into >= 2 unions is a minimizer.  A
     P* whose value is not I and a union of its cells that merges into a
@@ -231,32 +240,48 @@ def _listing(units: tuple[int, ...], slack: Optional[list[int]]) -> list[tuple[i
 
 
 def _certified_slack(src: WeightedHypergraph, units: tuple[int, ...], num: int, den: int, value: Fraction) -> list[int]:
-    """slack[a] for each union a of the units (bit i for units[i]), once the table certifies I and P*.
+    """slack[a] for each union a of the units (bit i for units[i]), once P*'s rate rows certify I and P*.
 
     `units` are the truncation's P* and num / den its I, both of the
     integer source `src`; `value` is the source's own I, for the messages.
-    The union a is tight when slack[a] is 0.
+    The union a is tight when slack[a] is 0.  Unit C gets the rate
+    r_C = den * H(C) - num, and a set B of units the row gap
+    r(B) - den * w(E[B]), w(E[B]) the weight of the edges inside B's
+    union; one table of den * w(E[B]) gives both, as
+    H(C) = H(M) - w(E[M - C]).  With the same for a union a and its
+    complement M - a, the module's slack(a) is
+
+        slack(a) = r(a) + num - den * H(M) + den * w(E[M - a])
+                 = r(a) - r(M) + den * w(E[M - a])      once r(M) = den * H(M) - num
+                 = -(r(M - a) - den * w(E[M - a])),
+
+    so slack(all units) = 0 is r(M) = den * H(M) - num, and the slack at a
+    is minus the row gap at its complement: slack is the gaps negated and
+    reversed, and a C-level `max` checks them.
     """
-    # The source contracted to the units: each hyperedge becomes the set of
-    # units it meets.
-    bits = [(unit, 1 << i) for i, unit in enumerate(units)]
+    # The source contracted to the units, weights times den: each hyperedge
+    # becomes the set of units it meets, through each vertex's unit bit.
+    bit = [0] * src.m
+    for i, unit in enumerate(units):
+        while unit:
+            bit[(unit & -unit).bit_length() - 1] = 1 << i
+            unit &= unit - 1
     contracted: dict[int, int] = {}
     for e, w in src.weights.items():
         a = 0
-        for unit, bit in bits:
-            if e & unit:
-                a |= bit
-        contracted[a] = contracted.get(a, 0) + w
-    cond = subset_weight_table(len(units), contracted)
-    ent = [cond[-1] - c for c in reversed(cond)]  # ent[a]: the weight of the edges meeting a
-    # slack[a] = den * (sum of H(u) over the units u in a - H(a)) - num * (|a| - 1).
-    slack = [num]
+        while e:
+            a |= bit[(e & -e).bit_length() - 1]
+            e &= e - 1
+        contracted[a] = contracted.get(a, 0) + w * den
+    table = subset_weight_table(len(units), contracted)  # table[B] = den * w(E[B])
+    top = table[-1]  # den * H(M)
+    rates = [0]  # rates[B] = r(B), by doubling
     for i in range(len(units)):
-        step = den * ent[1 << i] - num
-        slack += [x + step for x in slack]
-    slack = [x - den * e for x, e in zip(slack, ent)]
-    if slack[-1]:
+        rate = top - table[-1 - (1 << i)] - num  # r_C = den * (H(M) - w(E[M - C])) - num
+        rates = [*rates, *map(rate.__add__, rates)]
+    if rates[-1] != top - num:
         raise _off_value(src.m, units, value)
+    slack = list(map(sub, reversed(table), reversed(rates)))
     worst = max(slack[1:])
     if worst > 0:
         a = slack.index(worst, 1)
@@ -300,7 +325,12 @@ def _count_coarsenings(slack: list[int]) -> int:
     is memoized on the sets reached from all the units.  The union of all
     the units is tight, so f(all) counts the one-cell partition too, which
     the count drops.  As parts(S) holds low(S), f(S) >= 1 on every set.
+    Each single unit and the union of all are tight, len(slack).bit_length()
+    unions in all; when no other union is, the only partition into >= 2
+    tight unions is the units themselves, and the count is 1 with no walk.
     """
+    if slack.count(0) == len(slack).bit_length():
+        return 1
     parts = _tight_parts(slack)
     counts = {0: 1}
 

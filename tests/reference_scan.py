@@ -46,8 +46,25 @@ def _raw_partitions(m: int, min_cells: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 1)
 
 
+# reference_mmi's results, by (m, sorted weights), for the whole session.
+_SCANNED: dict[tuple, MmiResult] = {}
+
+
 def reference_mmi(hg: WeightedHypergraph) -> MmiResult:
-    """Minimize the partition value over all partitions with >= 2 cells."""
+    """Minimize the partition value over all partitions with >= 2 cells.
+
+    Scanned once per session for each m and sorted weights, so a source
+    that several tests check is walked once.  The result is shared, and
+    immutable: a frozen `MmiResult` whose listing is a tuple.
+    """
+    key = (hg.m, tuple(sorted(hg.weights.items())))
+    if key not in _SCANNED:
+        _SCANNED[key] = _fraction_scan(hg)
+    return _SCANNED[key]
+
+
+def _fraction_scan(hg: WeightedHypergraph) -> MmiResult:
+    """The scan itself: every partition's value from the `Fraction` entropy table."""
     ent = hg.entropy_table()
     total = ent[hg.full_mask]
 

@@ -10,8 +10,10 @@ returns the same source, or the same error and message, as the line
 parser kept in `tests/reference_parse.py`.
 """
 
+import pickle
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -243,8 +245,8 @@ def _render(hg: WeightedHypergraph) -> str:
 
 def test_every_fixture_and_generated_document_takes_the_regex_pass(monkeypatch):
     # Each document parses to the reference's source, and `parse_rational`
-    # runs once per edge line, so a traced run still sees one
-    # `rational.parse` span per literal.
+    # runs once per distinct literal: a repeat reads the weight kept for it,
+    # and a traced run still sees a `rational.parse` span per new literal.
     literals, parse = [], skbounds.cli.parse_rational
 
     def counting(literal):
@@ -256,10 +258,41 @@ def test_every_fixture_and_generated_document_takes_the_regex_pass(monkeypatch):
     rng = random.Random("regex-pass")
     texts += [_render(make(rng, m)) for make in (cycle_plus_edges, random_hypergraph) for m in range(4, 11)]
     texts.append(_render(clustered_source(rng, 12)))
+    repeats = 0
     for text in texts:
         literals.clear()
         assert parse_document(text) == reference_parse(text)
-        assert len(literals) == sum(line.startswith("edge ") for line in text.splitlines())
+        lines = [line.split("#")[0].split(":")[1].strip() for line in text.splitlines() if line.startswith("edge ")]
+        assert sorted(literals) == sorted(set(lines))
+        repeats += len(lines) - len(literals)
+    assert repeats >= 40, repeats
+
+
+@pytest.mark.parametrize(
+    "literal", ["x", "0", "-2", "3/0", "1e3", "7" * 4301], ids=["x", "0", "-2", "3/0", "1e3", "4301-digits"]
+)
+def test_a_repeated_bad_literal_fails_on_its_first_line(literal):
+    # The literal is checked once, where it first appears, so the error
+    # names that line, as the reference's line-by-line checks do.
+    text = f"m = 3\nedge 1 2 : 1\nedge 2 3 : {literal}\nedge 1 3 : 1\nedge 1 3 : {literal}\n"
+    outcome = _outcome(parse_document, text)
+    assert outcome == _outcome(reference_parse, text)
+    assert outcome[0] is InputFormatError and outcome[1].startswith("line 3: ")
+
+
+def test_a_parsed_source_is_the_checked_constructors():
+    # The parser checks every mask and weight, so it builds its source
+    # without the constructor's checks; that source equals the checked
+    # one, keeps its weights read-only and pickles.
+    text = "m = 4\nedge 1 2 : 1/2\nedge 3 4 : 1/2\nedge 2 3 : 2\nedge 1 2 : 1/2\nedge 4 : 0.5\n"
+    hg = parse_document(text)
+    checked = WeightedHypergraph(4, dict(hg.weights))
+    assert hg == checked == reference_parse(text)
+    assert list(hg.weights.items()) == list(checked.weights.items())
+    assert {*map(type, hg.weights.values())} == {Fraction}
+    with pytest.raises(TypeError):
+        hg.weights[0b0011] = Fraction(1)
+    assert pickle.loads(pickle.dumps(hg)) == hg
 
 
 # Each line fails after a scan in linear time: 200,000 vertex tokens and

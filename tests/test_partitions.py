@@ -239,8 +239,9 @@ def test_mmi_keeps_its_result_on_the_hypergraph(weights):
 # Entropy tables that no hypergraph has (ent[A] indexed by mask A), patched
 # in where a scan builds its table from the integer source of the one edge
 # {1..m} of weight 1, so L = 1.  Every partition of that source has value 1,
-# so the truncation returns I = 1 with the singletons as P*, and the table
-# over P*'s cells is the patched one.
+# so the truncation returns I = 1 = 1 / 1 with the singletons as P*, and
+# the table over P*'s cells is the patched one: `mmi` reads both the rates
+# den * H(C) - num and the row gaps off it.
 # {1,2},{3} and {1},{2,3} tie at 0: two finest minimizers.
 NOT_UNIQUE = [0, 2, 2, 2, 2, 3, 2, 4]
 # {1,2},{3,4} ties at 2 with the finer {1,3},{2},{4}, which does not refine it.

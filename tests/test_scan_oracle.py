@@ -15,8 +15,8 @@ import pytest
 import skbounds.partitions
 from skbounds import WeightedHypergraph, mask_of, mmi
 
-from conftest import cycle_plus_edges, random_graph, random_hypergraph, random_weight
-from reference_scan import reference_mmi
+from conftest import clustered_source, cycle_plus_edges, random_graph, random_hypergraph, random_weight
+from reference_scan import integer_scan, reference_mmi
 
 
 def type_s_source(rng: random.Random, m: int) -> WeightedHypergraph:
@@ -101,13 +101,16 @@ def test_mmi_counts_at_the_cap_without_listing(monkeypatch, family, count):
     # At m = 12 the tie-heavy source has Bell(11) - 1 = 678,569 minimizers,
     # the Type-S source one and the empty support Bell(12) - 1 = 4,213,596.
     # The tie-heavy source and the empty support have I = 0, which needs no
-    # table over the unions of P*'s cells and no sum over their submasks.
+    # table over the unions of P*'s cells and no count.  On the Type-S
+    # source only the singletons and their union are tight, so the count is
+    # 1 with no walk over submasks.
     def listing(*args):
         raise AssertionError("the minimizers were listed")
 
-    tables, counted = [], []
+    tables, counted, walks = [], [], []
     table = skbounds.partitions.subset_weight_table
     count_coarsenings = skbounds.partitions._count_coarsenings
+    tight_parts = skbounds.partitions._tight_parts
 
     def recording_table(m, entries):
         tables.append(m)
@@ -117,12 +120,63 @@ def test_mmi_counts_at_the_cap_without_listing(monkeypatch, family, count):
         counted.append(len(slack))
         return count_coarsenings(slack)
 
+    def recording_parts(slack):
+        walks.append(len(slack))
+        return tight_parts(slack)
+
     monkeypatch.setattr(skbounds.partitions, "_list_coarsenings", listing)
     monkeypatch.setattr(skbounds.partitions, "subset_weight_table", recording_table)
     monkeypatch.setattr(skbounds.partitions, "_count_coarsenings", recording_count)
+    monkeypatch.setattr(skbounds.partitions, "_tight_parts", recording_parts)
     result = mmi(FAMILIES[family](random.Random(12), 12))
     assert result.minimizer_count == count
     if family == "type_s":
-        assert (tables, counted) == ([result.fundamental.size], [1 << result.fundamental.size])
+        assert (tables, counted, walks) == ([12], [1 << 12], [])
     else:
-        assert (result.value, tables, counted) == (0, [], [])
+        assert (result.value, tables, counted, walks) == (0, [], [], [])
+
+
+def all_terminal_edge(rng: random.Random, m: int) -> WeightedHypergraph:
+    # One hyperedge on every terminal: every partition has its weight as
+    # value, so P* is the singletons and every union of them is tight.
+    return WeightedHypergraph(m, {(1 << m) - 1: random_weight(rng)})
+
+
+# (make, sizes) per family: the clustered sizes three times each, and the
+# all-terminal hyperedge from m = 3, where a coarsening first ties.
+SHORTCUT_FAMILIES = {
+    "type_s": (type_s_source, range(2, 10)),
+    "clustered": (clustered_source, [m for m in range(4, 10) for _ in range(3)]),
+    "ladder": (lambda rng, m: cycle_plus_edges(random.Random(m), m), range(2, 10)),
+    "all-terminal": (all_terminal_edge, range(3, 9)),
+}
+
+
+@pytest.mark.parametrize("family", list(SHORTCUT_FAMILIES))
+def test_the_count_walks_the_submasks_only_when_a_coarsening_ties(monkeypatch, family):
+    # P* is the only minimizer exactly when its cells and their union are
+    # the only tight unions.  The count is then 1 and no submask is walked;
+    # otherwise the walk runs, as it must on the all-terminal hyperedge.
+    # Either way the count is the integer scan's.
+    walks = []
+    tight_parts = skbounds.partitions._tight_parts
+
+    def recording(slack):
+        walks.append(len(slack))
+        return tight_parts(slack)
+
+    monkeypatch.setattr(skbounds.partitions, "_tight_parts", recording)
+    make, sizes = SHORTCUT_FAMILIES[family]
+    rng = random.Random(f"uniqueness/{family}")
+    walked = []
+    for m in sizes:
+        hg = make(rng, m)
+        walks.clear()
+        result = mmi(hg)
+        assert result.minimizer_count == integer_scan(hg).minimizer_count, (family, m)
+        assert bool(walks) == (result.value > 0 and result.minimizer_count > 1), (family, m)
+        walked.append(bool(walks))
+    if family == "type_s":
+        assert not any(walked)
+    if family == "all-terminal":
+        assert all(walked)

@@ -4,9 +4,10 @@
 `test_scan_oracle` at every scale, so huge and tiny lcms reach the flow
 code.  `flow.bipartite_cut` is checked against the general max-flow
 `reference_flow.min_cut`, and `flow.truncation` against the truncation on
-the general network, `reference_flow.reference_truncation`.  `mmi`
-certifies the truncation's I > 0 and P* with one table over the unions of
-P*'s cells, and I = 0 by P*'s uncut edges, and lists the minimizers as
+the general network, `reference_flow.reference_truncation`, at gamma = 0
+too, where it is read off the edges.  `mmi` certifies the truncation's
+I > 0 and P* by P*'s rate rows over the unions of its cells, and I = 0
+by P*'s uncut edges, and lists the minimizers as
 partitions of those cells into tight unions; the integer scan over the
 singletons, `reference_scan.integer_scan`, is its reference where the
 `Fraction` scan is too slow.
@@ -223,18 +224,49 @@ def test_the_contracted_truncation_equals_the_general_network_at_every_gamma(cas
         assert not any(mask & others for mask, _ in groups), (case, groups)
 
 
+@st.composite
+def zero_gamma_cases(draw):
+    """(m, weights, d): m = 1..8, singleton and wider edges, repeated masks summed, int weights 0..6."""
+    m = draw(st.integers(1, 8))
+    edge = st.one_of(st.integers(0, m - 1).map(lambda v: 1 << v), st.integers(1, (1 << m) - 1))
+    weights: dict[int, int] = {}
+    for e, w in draw(st.lists(st.tuples(edge, st.sampled_from((0, 0, 1, 2, 3, 6))), max_size=3 * m)):
+        weights[e] = weights.get(e, 0) + w
+    return m, weights, draw(st.integers(1, 6))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(zero_gamma_cases())
+def test_the_truncation_at_gamma_zero_is_the_greedy_vertex_and_the_components(case):
+    # At gamma = 0 the truncation of H is H: x_j is d times the weight of
+    # the edges whose least vertex is j, and the cells are the components
+    # of the edges of positive weight.  No network is built.
+    m, weights, d = case
+
+    def no_cut(supply, groups):
+        raise AssertionError("a cut was solved at gamma = 0")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(skbounds.flow, "bipartite_cut", no_cut)
+        cells, xs = truncation(m, weights, 0, d)
+    assert (cells, xs) == reference_truncation(m, weights, 0, d)
+    assert xs == tuple(d * sum(w for e, w in weights.items() if e & -e == 1 << j) for j in range(m))
+
+
 def test_every_truncation_of_the_capacity_runs_matches_the_general_network(
     identity_corpus, graphical_corpus, monkeypatch
 ):
     # `dinkelbach` on the fixtures, both corpora and the ladder at
     # m = 2..12: each truncation returns the cells and greedy point of the
-    # truncation on the general network.
-    truncations = []
+    # truncation on the general network, the closed form at gamma = 0
+    # included.
+    truncations, zero = [], []
     truncate = skbounds.flow.truncation
 
     def recording(m, weights, n, d):
         result = truncate(m, weights, n, d)
         truncations.append(result == reference_truncation(m, weights, n, d))
+        zero.append(not n)
         return result
 
     monkeypatch.setattr(skbounds.flow, "truncation", recording)
@@ -243,6 +275,7 @@ def test_every_truncation_of_the_capacity_runs_matches_the_general_network(
     for hg in sources:
         dinkelbach(hg.integer_source()[0])
     assert len(truncations) >= len(sources) and all(truncations)
+    assert sum(zero) >= 100, sum(zero)
 
 
 def test_every_network_of_the_fixtures_and_the_ladder_matches_the_general_min_cut(monkeypatch):
