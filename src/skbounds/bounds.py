@@ -121,7 +121,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import InternalInvariantError
 from .flow import fundamental, truncation
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
-from .hypergraph import naturals, packed_table, packed_width
+from .hypergraph import naturals, packed_table, packed_width, rate_rows
 from .lp import OPTIMAL, Constraint, LinearProgram, solve, solve_with_row_generation
 from .partitions import MmiResult, bell, cross_edges, crossing, mmi
 from .rational import is_ratio, to_integers
@@ -172,13 +172,12 @@ def separation_oracle(entries: Mapping[int, Fraction | int], rates: Sequence) ->
     entries(B) is the total value of `entries` on the masks inside B: R_CO
     passes its integer source's weights times d (the subset-row packing LP
     of `tests/reference_packing.py` passes a packing).  When every value is
-    an int >= 0, every row is checked at once on packed ints: the
-    `packed_table` of the entries, T, and the rates of every subset, S, in
-    fields of the narrowest W of 8, 16, 32 and 64 bits with both totals
-    below 2^(W - 1).  With HIGH the top bit of every field but M's,
-    ((S | HIGH) - T) & HIGH == HIGH exactly when every row holds, since
-    that bit of headroom keeps every borrow inside its own field (the
-    empty set's row, 0 >= an entry on mask 0, fails only into the sweep).
+    an int >= 0, every row is checked at once on packed ints by
+    `hypergraph.rate_rows`: the rate sums of every subset less the
+    `packed_table` of the entries, in fields of the narrowest W of 8, 16,
+    32 and 64 bits with both totals below 2^(W - 1), each field's top bit
+    set exactly when its row holds (the empty set's row, 0 >= an entry on
+    mask 0, fails only into the sweep).
     Otherwise, or when a row fails, one sweep over the list
     `subset_weight_table` minimizes rates(B) - entries(B) and returns the
     minimizing mask (smallest on ties) when the minimum is negative.
@@ -187,15 +186,8 @@ def separation_oracle(entries: Mapping[int, Fraction | int], rates: Sequence) ->
     """
     m, values = len(rates), entries.values()
     width = packed_width(max(sum(values), sum(rates)) << 1) if naturals([*values, *rates]) else 0
-    if width:
-        have, ones = 0, 1  # field B of have: rates(B); ones: a 1 in each field
-        for i, rate in enumerate(rates):
-            s = width << i
-            have |= (have + rate * ones) << s
-            ones |= ones << s
-        high = (ones & ~(1 << width * ((1 << m) - 1))) << width - 1
-        if ((have | high) - packed_table(m, entries, width)) & high == high:
-            return None
+    if width and rate_rows(m, packed_table(m, entries, width), width, rates)[1]:
+        return None
     sums = [0]  # sums[B] = rates(B), one doubling per terminal
     for rate in rates:
         sums += [s + rate for s in sums]

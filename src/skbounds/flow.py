@@ -39,6 +39,23 @@ At gamma = I the minimizers of the truncation are the one-cell partition
 and the minimizers of the value, and the finest of them is the fundamental
 partition P* (Chan et al., "Info-clustering", Proc. IEEE 2015).
 
+When the start is the singletons, at gamma0 = n / d > 0, their rate rows
+may decide the run with no truncation.  Let x_v = d * H(v) - n (a negative
+one fails its own row, x_v >= d * H(v | M - v) >= 0, and the step stops
+there).  Their sum is d * H(M) - n, as d * (sum of H(v) - H(M)) = (m - 1) * n.
+If one packed check (`hypergraph.rate_rows`) shows x(B) >= d * H(B | M - B)
+on every nonempty proper B, then x / d is a feasible omniscience rate point
+of sum H(M) - gamma0, so R_CO <= H(M) - gamma0 and I = H(M) - R_CO >=
+gamma0 (Csiszar and Narayan 2004); and gamma0, the singletons' value, is
+>= I.  So I = gamma0, the singletons minimize the value, and as the finest
+partition they are P*.  A truncation at gamma = I would then merge
+nothing: each step's least minimizer is {j}, so x_j = H(j) - gamma, and
+its greedy point is x / d.  The run returns (n, the singletons, x, d),
+what the truncations would return.  The table has 2^m fields and a
+truncation passes over the edges once per terminal, so the check runs
+only when 2^m <= 8 m |E|; when a row fails, the truncations run as
+before.
+
 At gamma = 0, where every source with I = 0 ends its run, f is H itself,
 which is already submodular, so the truncation needs no cut: the greedy
 point is Edmonds' greedy vertex, x_j = H({1..j}) - H({1..j-1}), the
@@ -57,9 +74,9 @@ same d, and its readers take them as they are.  No `Fraction` is built.
 from __future__ import annotations
 
 from math import gcd
-from typing import Mapping
+from typing import Mapping, Optional, Sequence
 
-from .hypergraph import WeightedHypergraph
+from .hypergraph import WeightedHypergraph, packed_table, packed_width, rate_rows
 
 
 def bipartite_cut(supply: list[int], groups: list[tuple[int, int]]) -> tuple[int, int]:
@@ -269,7 +286,9 @@ def dinkelbach(src: WeightedHypergraph) -> tuple[int, tuple[int, ...], tuple[int
 
     Starts at the least value among the singletons, sum of w(|e| - 1) over
     m - 1, and the m splits {v} | M - v, each the weight of the edges that
-    hold v and another vertex, all from one pass over the edges.  Each
+    hold v and another vertex, all from one pass over the edges.  A start
+    at the singletons with n > 0 is first tried on their rate rows
+    (`_singleton_rows`, the module's proof), where 2^m <= 8 m |E|.  Each
     truncation either beats the one-cell partition, and gamma falls to the
     value of the partition found, or shows that no partition has a value
     below gamma.  The greedy point of that last truncation sums to H(M) - I
@@ -290,7 +309,14 @@ def dinkelbach(src: WeightedHypergraph) -> tuple[int, tuple[int, ...], tuple[int
                 split[(rest & -rest).bit_length() - 1] += w
                 rest &= rest - 1
     best = min(split)
-    n, d = (best, 1) if best * (m - 1) < crossing else (crossing, m - 1)
+    singletons = best * (m - 1) >= crossing
+    n, d = (crossing, m - 1) if singletons else (best, 1)
+    # A 2^m table against a truncation's m passes over the edges.
+    if singletons and n and 1 << m <= 8 * m * len(src.weights):
+        # H(v): the edges that hold v and another vertex, and {v} itself.
+        decided = _singleton_rows(src, n, d, [h + src.weights.get(1 << v, 0) for v, h in enumerate(split)])
+        if decided:
+            return decided
     while True:
         g = gcd(n, d)
         n, d = n // g, d // g
@@ -300,6 +326,32 @@ def dinkelbach(src: WeightedHypergraph) -> tuple[int, tuple[int, ...], tuple[int
         # The partition's sum of H(C) - H(M) is (sum(xs) + n * |cells|) / d - H(M).
         k = len(cells)
         n, d = sum(xs) + n * k - total * d, d * (k - 1)
+
+
+def _singleton_rows(
+    src: WeightedHypergraph, n: int, d: int, entropies: Sequence[int]
+) -> Optional[tuple[int, tuple[int, ...], tuple[int, ...], int]]:
+    """(n, singletons, xs, d), n / d in lowest terms, when the rates xs = d * H(v) - n at the
+    singletons' value gamma = n / d meet every subset row, else None.
+
+    `entropies` are the H(v).  One `rate_rows` check of the packed table
+    of the weights times d against xs, when every rate is >= 0 and the
+    fields fit in 64 bits.  A success is kept on `src` as `_rows` (n, d,
+    the field width and the packed gaps), where `partitions.mmi` reads it
+    as its certificate.
+    """
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    xs = [d * h - n for h in entropies]
+    entries = {e: w * d for e, w in src.weights.items()}
+    width = packed_width(sum(entries.values()) << 1)  # sum(xs) is d * H(M) - n
+    if min(xs) < 0 or not width:
+        return None
+    gaps, holds = rate_rows(src.m, packed_table(src.m, entries, width), width, xs)
+    if not holds:
+        return None
+    src.__dict__["_rows"] = (n, d, width, gaps)
+    return n, tuple(1 << v for v in range(src.m)), tuple(xs), d
 
 
 def fundamental(

@@ -18,7 +18,9 @@ shared freely across concurrent work.  A hypergraph keeps three values,
 each the same whoever builds it first: the Dinkelbach run that
 `flow.fundamental` keeps (its integer source, I, P* and an optimal rate
 point), the certified result of `partitions.mmi`, and the last round of
-`bounds.upper_bound_theorem1`, which certifies x* in Gamma.  None is a
+`bounds.upper_bound_theorem1`, which certifies x* in Gamma.  The integer
+source of a run that its singletons' rate rows decided keeps those rows
+too (`flow._singleton_rows`), as `mmi`'s certificate.  None is a
 dataclass field, so equality and `repr` read only m and the weights, and
 a pickle or deep copy carries only those two and rebuilds the rest when
 read.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import CapExceededError
 from .rational import to_integers
@@ -148,12 +150,79 @@ def packed_table(m: int, entries: Mapping[int, int], width: int) -> int:
     return packed
 
 
+def rate_rows(m: int, table: int, width: int, rates: Sequence[int]) -> tuple[int, bool]:
+    """(gaps, holds): every row rates(B) >= table(B), B a mask other than 2^m - 1, in one subtraction.
+
+    `table` is packed in W-bit fields, W = `width`, as `packed_table`
+    packs, and rates(B) is the sum of the int `rates` of B's members.
+    Both sides go in with a bias of HALF = 2^(W-1): the rate sums are
+    packed by doubling from HALF in field 0, so field B of `gaps`, the
+    difference, is rates(B) - table(B) + HALF.  Every |rates(B)| and
+    |rates(B) - table(B)| must be below HALF (`row_width` gives such a W);
+    then no field borrows from the next, and row B holds exactly when the
+    top bit of its field is set.  The full set's field holds no row.
+    `holds` is True when every row holds, and `tight_rows` counts the
+    tight ones from the same gaps.
+    """
+    have, ones = 1 << width - 1, 1  # field B of have: rates(B) + HALF; ones: a 1 in each field
+    for i, rate in enumerate(rates):
+        s = width << i
+        have |= (have + rate * ones) << s
+        ones |= ones << s
+    high = (ones ^ 1 << width * ((1 << m) - 1)) << width - 1  # no row at the full set
+    gaps = have - table
+    return gaps, gaps & high == high
+
+
+def tight_rows(m: int, width: int, gaps: int) -> int:
+    """The number of rows of `rate_rows`' `gaps` that hold with equality, once every row holds.
+
+    Each such field is rates(B) - table(B) + HALF >= HALF, and it keeps
+    its top bit when 1 is taken off exactly when the row is not tight.
+    """
+    ones = ((1 << width * ((1 << m) - 1)) - 1) // ((1 << width) - 1)  # a 1 in each field but the full set's
+    high = ones << width - 1
+    return (1 << m) - 1 - ((gaps - ones) & high).bit_count()
+
+
+def row_width(total: int, rates: Sequence[int]) -> int:
+    """The field width `rate_rows` needs for a table of total `total` >= 0 and these int rates.
+
+    Every |rates(B)| is at most the sum of the |rates|, and every
+    |rates(B) - table(B)| at most that plus `total`, so twice that bound
+    below 2^W leaves the top bit of each field free.  The narrowest of 8,
+    16, 32 and 64 bits that holds it, as `packed_table` packs, or else the
+    least multiple of 64.
+    """
+    bound = (sum(map(abs, rates)) + total) << 1
+    return packed_width(bound) or -(-bound.bit_length() // 64) * 64
+
+
+def pack(values: Sequence[int], width: int) -> int:
+    """The ints 0 <= v < 2^W, W = `width` a multiple of 8, as one int of W-bit fields, the first lowest."""
+    if width in _CODES:
+        fields = array(_CODES[width], values)
+        if sys.byteorder == "big":
+            fields.byteswap()
+        return int.from_bytes(fields, "little")
+    return int.from_bytes(b"".join([v.to_bytes(width >> 3, "little") for v in values]), "little")
+
+
+def unpack(packed: int, count: int, width: int) -> list[int]:
+    """The `count` W-bit fields of `packed` >= 0, W = `width` a multiple of 8, lowest first."""
+    data = packed.to_bytes(width * count >> 3, "little")
+    if width in _CODES:
+        fields = array(_CODES[width], data)
+        if sys.byteorder == "big":
+            fields.byteswap()
+        return fields.tolist()
+    size = width >> 3
+    return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+
+
 def _packed_table(m: int, entries: Mapping[int, int], width: int) -> list[int]:
     """`subset_weight_table` from `packed_table` at `width`, unpacked to a list."""
-    fields = array(_CODES[width], packed_table(m, entries, width).to_bytes(width << m >> 3, "little"))
-    if sys.byteorder == "big":
-        fields.byteswap()
-    return fields.tolist()
+    return unpack(packed_table(m, entries, width), 1 << m, width)
 
 
 def _list_table(m: int, entries: Mapping[int, Fraction | int]) -> list[Fraction | int]:

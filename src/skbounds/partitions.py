@@ -34,22 +34,30 @@ slack(a) <= 0 for every union a, which says no coarsening of P* has value
 below I; otherwise it raises `InternalInvariantError`.  Both are read
 off P*'s rate rows: cell C gets the rate r_C = den * H(C) - num, and the
 slack at a is minus the row gap r(B) - den * w(E[B]) at its complement B
-(`_certified_slack`), so one table of the edges inside each B and one
-doubling of the rates give every slack.  Given both, the
-minimizers among the coarsenings are exactly those whose every cell is
-*tight* (slack 0), and P* is the unique finest.  P* is the only minimizer
-exactly when its cells and their union are the only tight unions, as on
-every Type-S source, and `_count_coarsenings` then returns 1 at once.
-Otherwise, for a set S of cells
-still to place, `_tight_parts` walks the submasks of S once for the tight
-T that hold S's first cell.  `_count_coarsenings` counts the minimizers
-from those T, memoized on S, and builds none of them.
-`_list_coarsenings` lists them, when read, by the same recursion over the
-same T; each single cell of P* is tight, so every set of cells it enters
-yields a minimizer.  That every minimizer coarsens the truncation's P*
-rests on the theorem and on the oracle tests, not on an exhaustive check.
-H comes from the source contracted to P*'s cells, each hyperedge to the
-set of cells it meets, read through each vertex's cell.
+(`_certified_rows`), so one table of the edges inside each B and the
+rates summed by doubling give every slack, all in one packed
+subtraction (`hypergraph.rate_rows`) that builds no list of 2^|P*|
+rates or slacks.  When P* is the singletons and `flow.dinkelbach`
+decided the run on their rate rows, those are the same rows, and `mmi`
+reads the run's kept gaps instead of building a second table.  Given
+both checks, the minimizers among the coarsenings are exactly those
+whose every cell is *tight* (slack 0), and P* is the unique finest.  P*
+is the only minimizer exactly when its cells and their union are the
+only tight unions, as on every Type-S source; `hypergraph.tight_rows`
+counts the tight rows from the same gaps, and the count is then 1 with
+no walk.  Otherwise the slacks are unpacked from the gaps (`_slack`),
+and for a set S of cells still to place, `_tight_parts` walks the
+submasks of S once for the tight T that hold S's first cell.
+`_count_coarsenings` counts the minimizers from those T, memoized on S,
+and builds none of them.  `_list_coarsenings` lists them, when read, by
+the same recursion over the same T; each single cell of P* is tight, so
+every set of cells it enters yields a minimizer.  That every minimizer
+coarsens the truncation's P* rests on the theorem and on the oracle
+tests, not on an exhaustive check.  H comes from the source contracted
+to P*'s cells, each hyperedge to the set of cells it meets, read
+through each vertex's cell.  `tests/reference_certificate.py` keeps the
+certificate's list form, every rate and slack a list entry, as the
+oracle of the packed one.
 
 I = 0 exactly when the source's edges fall apart into several
 components, and P* is then those components.  With num = 0 each edge
@@ -74,9 +82,10 @@ test oracles of `mmi`: of its value, P*, count and sorted listing.
 
 `mmi` is the one way the package computes the capacity and P*.
 `crossing` is the one test of which edges cross a partition, those that
-lie in no single cell: `mmi`'s check at I = 0 reads it, UB's LP in
-`bounds` fixes those of P* at their weights, and `cross_edges` sums
-them for the graph closed forms.
+lie in no single cell, each edge checked against the cell of its least
+vertex: `mmi`'s check at I = 0 reads it, UB's LP in `bounds` fixes
+those of P* at their weights, and `cross_edges` sums them for the graph
+closed forms.
 """
 
 from __future__ import annotations
@@ -85,14 +94,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import accumulate
-from operator import sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import CapExceededError, InternalInvariantError
 from .flow import fundamental
-from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table, vertices_of
+from .hypergraph import WeightedHypergraph, format_subset, pack, rate_rows, row_width, subset_weight_table
+from .hypergraph import tight_rows, unpack, vertices_of
 
 PARTITION_CAP = 12
+
+# (width, gaps) of P*'s rate rows: `_certified_rows`.
+Rows = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -133,8 +145,19 @@ class Partition:
 
 
 def crossing(weights: Mapping[int, Fraction | int], cells: Sequence[int]) -> dict[int, Fraction | int]:
-    """The entries of `weights` on the hyperedges that lie in no single one of `cells`."""
-    return {e: w for e, w in weights.items() if all(e & ~c for c in cells)}
+    """The entries of `weights` on the hyperedges that lie in no single one of the disjoint `cells`.
+
+    A hyperedge inside a cell has its least vertex there, so each is
+    checked against that vertex's cell only, read by its bit.
+    """
+    cell_of = {}
+    for cell in cells:
+        rest = cell
+        while rest:
+            low = rest & -rest
+            cell_of[low] = cell
+            rest ^= low
+    return {e: w for e, w in weights.items() if e & ~cell_of.get(e & -e, 0)}
 
 
 def cross_edges(hg: WeightedHypergraph, partition: Partition) -> Fraction:
@@ -186,9 +209,13 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
     Returns the minimum, the finest minimizer, the number of minimizers and
     their sorted listing, built when first read.  The truncation gives I
     and P*.  If I > 0, P*'s rate rows over the unions of its cells
-    certify them, and the minimizers are counted, and listed when read by
-    the count's recursion, as the partitions of P*'s cells into tight
-    unions.
+    certify them in one packed check (`_certified_rows`), the run's own
+    rows when `dinkelbach` decided it on the singletons' rows, and
+    `subset_weight_table`'s table of the source contracted to P*'s cells
+    otherwise.  The minimizers, the partitions of P*'s cells into tight
+    unions, are then counted: 1 with no walk when only the cells and their
+    union are tight, else by a walk over submasks of the unpacked slacks.
+    They are listed, when read, by the count's recursion.
     If I = 0, `crossing` must find no edge that meets two cells of P*,
     and every partition of its cells into >= 2 unions is a minimizer.  A
     P* whose value is not I and a union of its cells that merges into a
@@ -203,18 +230,19 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
             f"m = {m} exceeds the partition enumeration cap of {PARTITION_CAP}"
         )
     if "_mmi" not in hg.__dict__:
-        src, scale, num, units, _, den = fundamental(hg)
+        src, scale, num, units, xs, den = fundamental(hg)
         value = Fraction(num, den * scale)
         if num:
-            slack = _certified_slack(src, units, num, den, value)
-            count = _count_coarsenings(slack)
+            rows, k = _certified_rows(src, units, num, den, xs, value), len(units)
+            # Only the units and their union tight: P* is the only minimizer.
+            count = 1 if tight_rows(k, *rows) == k + 1 else _count_coarsenings(_slack(k, rows))
         # slack(all cells) = 0 says that no edge meets two cells, and then
         # every union is tight.
         elif crossing(src.weights, units):
             raise _off_value(m, units, value)
         else:
-            slack, count = None, bell(len(units)) - 1
-        hg.__dict__["_mmi"] = MmiResult(value, Partition(m, units), count, partial(_listing, units, slack))
+            rows, count = None, bell(len(units)) - 1
+        hg.__dict__["_mmi"] = MmiResult(value, Partition(m, units), count, partial(_listing, units, rows))
     return hg.__dict__["_mmi"]
 
 
@@ -234,20 +262,23 @@ def _off_value(m: int, units: tuple[int, ...], value: Fraction) -> InternalInvar
     )
 
 
-def _listing(units: tuple[int, ...], slack: Optional[list[int]]) -> list[tuple[int, ...]]:
-    """`MmiResult.listing`: `_list_coarsenings`, looked up when read, over `slack` or, at I = 0, all zeros."""
-    return _list_coarsenings(units, slack or [0] * (1 << len(units)))
+def _listing(units: tuple[int, ...], rows: Optional[Rows]) -> list[tuple[int, ...]]:
+    """`MmiResult.listing`: `_list_coarsenings`, looked up when read, over the slacks of `rows` or, at I = 0, all zeros."""
+    k = len(units)
+    return _list_coarsenings(units, _slack(k, rows) if rows else [0] * (1 << k))
 
 
-def _certified_slack(src: WeightedHypergraph, units: tuple[int, ...], num: int, den: int, value: Fraction) -> list[int]:
-    """slack[a] for each union a of the units (bit i for units[i]), once P*'s rate rows certify I and P*.
+def _certified_rows(
+    src: WeightedHypergraph, units: tuple[int, ...], num: int, den: int, xs: tuple[int, ...], value: Fraction
+) -> Rows:
+    """(width, gaps): P*'s rate rows over the unions of the units, once they certify I and P*.
 
-    `units` are the truncation's P* and num / den its I, both of the
-    integer source `src`; `value` is the source's own I, for the messages.
-    The union a is tight when slack[a] is 0.  Unit C gets the rate
-    r_C = den * H(C) - num, and a set B of units the row gap
-    r(B) - den * w(E[B]), w(E[B]) the weight of the edges inside B's
-    union; one table of den * w(E[B]) gives both, as
+    `units` are the truncation's P*, num / den its I and xs / den its
+    greedy point, all of the integer source `src`; `value` is the
+    source's own I, for the messages.  Bit i of a union stands for
+    units[i].  Unit C gets the rate r_C = den * H(C) - num, and a set B
+    of units the row gap r(B) - den * w(E[B]), w(E[B]) the weight of the
+    edges inside B's union; one table of den * w(E[B]) gives both, as
     H(C) = H(M) - w(E[M - C]).  With the same for a union a and its
     complement M - a, the module's slack(a) is
 
@@ -256,9 +287,20 @@ def _certified_slack(src: WeightedHypergraph, units: tuple[int, ...], num: int, 
                  = -(r(M - a) - den * w(E[M - a])),
 
     so slack(all units) = 0 is r(M) = den * H(M) - num, and the slack at a
-    is minus the row gap at its complement: slack is the gaps negated and
-    reversed, and a C-level `max` checks them.
+    is minus the row gap at its complement.  `hypergraph.rate_rows` checks
+    every gap in one subtraction, and `mmi` counts the tight ones, the
+    unions of slack 0, from the same packed gaps (`hypergraph.tight_rows`);
+    a failed row is named from them (`_slack`).  When
+    the units are the singletons and `flow.dinkelbach` kept the rows of
+    this run (`_rows` on `src`), those rows are the same ones: the rates
+    are xs, and only their sum is checked.  Otherwise the contracted
+    source's table comes from `subset_weight_table`.
     """
+    k, kept = len(units), src.__dict__.get("_rows")
+    if kept and k == src.m and kept[:2] == (num, den):
+        if sum(xs) != den * sum(src.weights.values()) - num:
+            raise _off_value(src.m, units, value)
+        return kept[2:]
     # The source contracted to the units, weights times den: each hyperedge
     # becomes the set of units it meets, through each vertex's unit bit.
     bit = [0] * src.m
@@ -273,23 +315,33 @@ def _certified_slack(src: WeightedHypergraph, units: tuple[int, ...], num: int, 
             a |= bit[(e & -e).bit_length() - 1]
             e &= e - 1
         contracted[a] = contracted.get(a, 0) + w * den
-    table = subset_weight_table(len(units), contracted)  # table[B] = den * w(E[B])
+    table = subset_weight_table(k, contracted)  # table[B] = den * w(E[B])
     top = table[-1]  # den * H(M)
-    rates = [0]  # rates[B] = r(B), by doubling
-    for i in range(len(units)):
-        rate = top - table[-1 - (1 << i)] - num  # r_C = den * (H(M) - w(E[M - C])) - num
-        rates = [*rates, *map(rate.__add__, rates)]
-    if rates[-1] != top - num:
+    rates = [top - table[-1 - (1 << i)] - num for i in range(k)]  # r_C = den * (H(M) - w(E[M - C])) - num
+    if sum(rates) != top - num:
         raise _off_value(src.m, units, value)
-    slack = list(map(sub, reversed(table), reversed(rates)))
-    worst = max(slack[1:])
-    if worst > 0:
-        a = slack.index(worst, 1)
+    width = row_width(top, rates)
+    gaps, holds = rate_rows(k, pack(table, width), width, rates)
+    if not holds:
+        slack = _slack(k, (width, gaps))
+        a = slack.index(max(slack[1:]), 1)
         merged = format_subset(sum(unit for i, unit in enumerate(units) if a >> i & 1))
         raise InternalInvariantError(
             f"merging the cells of P* inside {merged} gives a partition of value below I = {value}"
         )
-    return slack
+    return width, gaps
+
+
+def _slack(k: int, rows: Rows) -> list[int]:
+    """slack[a] for each union a of the k units: minus the gap at its complement, unpacked from `rows`.
+
+    Field B of the packed gaps is the gap at B plus 2^(W-1), W the width;
+    the full set's field, which no row reads, holds -num + 2^(W-1) once
+    r(M) = den * H(M) - num, so slack[0] is num.
+    """
+    width, gaps = rows
+    half = 1 << width - 1
+    return [half - field for field in reversed(unpack(gaps, 1 << k, width))]
 
 
 def _tight_parts(slack: list[int]) -> Callable[[int], list[int]]:
@@ -325,12 +377,9 @@ def _count_coarsenings(slack: list[int]) -> int:
     is memoized on the sets reached from all the units.  The union of all
     the units is tight, so f(all) counts the one-cell partition too, which
     the count drops.  As parts(S) holds low(S), f(S) >= 1 on every set.
-    Each single unit and the union of all are tight, len(slack).bit_length()
-    unions in all; when no other union is, the only partition into >= 2
-    tight unions is the units themselves, and the count is 1 with no walk.
+    `mmi` calls it only when some union other than the single units and
+    their union is tight; otherwise the count is 1 with no walk.
     """
-    if slack.count(0) == len(slack).bit_length():
-        return 1
     parts = _tight_parts(slack)
     counts = {0: 1}
 

@@ -14,6 +14,11 @@ from pathlib import Path
 
 import pytest
 
+import skbounds
+import skbounds.bounds
+import skbounds.flow
+import skbounds.hypergraph
+import skbounds.partitions
 from skbounds import WeightedHypergraph, analyze, mask_of
 from skbounds.bounds import AnalysisReport, run_checks
 from skbounds.partitions import Partition
@@ -110,6 +115,28 @@ def clustered_source(rng: random.Random, m: int) -> WeightedHypergraph:
         a, b = rng.sample(clusters, 2)
         add((rng.choice(a), rng.choice(b)), Fraction(1, rng.choice((2, 3, 4))))
     return WeightedHypergraph(m, weights)
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """Every `packed_table` and `subset_weight_table` call, as (name, m), in order.
+
+    Each is recorded wherever the package reads it from, so a packed
+    `subset_weight_table` call records its own `packed_table` call after it.
+    """
+    calls: list[tuple[str, int]] = []
+    modules = (skbounds, skbounds.hypergraph, skbounds.flow, skbounds.partitions, skbounds.bounds)
+    for name in ("packed_table", "subset_weight_table"):
+        original = getattr(skbounds.hypergraph, name)
+
+        def recording(m, *args, _name=name, _original=original):
+            calls.append((_name, m))
+            return _original(m, *args)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, recording)
+    return calls
 
 
 @pytest.fixture

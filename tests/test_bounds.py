@@ -1007,7 +1007,7 @@ def _document(hg: WeightedHypergraph) -> str:
 def test_analyze_certifies_mmi_once_though_each_bound_calls_it(monkeypatch, text):
     hg = parse_document(text)
     calls, certified = [], []
-    read, certify = skbounds.bounds.mmi, skbounds.partitions._certified_slack
+    read, certify = skbounds.bounds.mmi, skbounds.partitions._certified_rows
 
     def reading(source):
         calls.append(source)
@@ -1018,7 +1018,7 @@ def test_analyze_certifies_mmi_once_though_each_bound_calls_it(monkeypatch, text
         return certify(src, *args)
 
     monkeypatch.setattr(skbounds.bounds, "mmi", reading)
-    monkeypatch.setattr(skbounds.partitions, "_certified_slack", certifying)
+    monkeypatch.setattr(skbounds.partitions, "_certified_rows", certifying)
     report = analyze(hg)
     assert report.mmi.value > 0
     # analyze, UB and, on a graph, graphical_bounds each call `mmi`; one certifies.

@@ -97,13 +97,15 @@ def test_mmi_matches_the_fraction_scan(family, scale):
 @pytest.mark.parametrize(
     "family, count", [("tie", bell(11) - 1), ("type_s", 1), ("zero", bell(12) - 1)]
 )
-def test_mmi_counts_at_the_cap_without_listing(monkeypatch, family, count):
+def test_mmi_counts_at_the_cap_without_listing(monkeypatch, table_calls, family, count):
     # At m = 12 the tie-heavy source has Bell(11) - 1 = 678,569 minimizers,
     # the Type-S source one and the empty support Bell(12) - 1 = 4,213,596.
     # The tie-heavy source and the empty support have I = 0, which needs no
-    # table over the unions of P*'s cells and no count.  On the Type-S
-    # source only the singletons and their union are tight, so the count is
-    # 1 with no walk over submasks.
+    # table over the unions of P*'s cells and no count.  The Type-S source,
+    # a complete graph of 66 edges, is decided by its singletons' rate rows
+    # in `dinkelbach`, one packed table of 2^12 fields that `mmi` reads
+    # back; only the singletons and their union are tight, so the count is
+    # 1 with no count call and no walk over submasks.
     def listing(*args):
         raise AssertionError("the minimizers were listed")
 
@@ -131,7 +133,7 @@ def test_mmi_counts_at_the_cap_without_listing(monkeypatch, family, count):
     result = mmi(FAMILIES[family](random.Random(12), 12))
     assert result.minimizer_count == count
     if family == "type_s":
-        assert (tables, counted, walks) == ([12], [1 << 12], [])
+        assert (tables, counted, walks, table_calls) == ([], [], [], [("packed_table", 12)])
     else:
         assert (result.value, tables, counted, walks) == (0, [], [], [])
 

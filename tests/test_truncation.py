@@ -260,8 +260,10 @@ def test_every_truncation_of_the_capacity_runs_matches_the_general_network(
     # m = 2..12: each truncation returns the cells and greedy point of the
     # truncation on the general network, the closed form at gamma = 0
     # included.
-    truncations, zero = [], []
-    truncate = skbounds.flow.truncation
+    # A run that the singletons' rate rows decide runs no truncation; it
+    # counts as one decided.
+    truncations, zero, decided = [], [], []
+    truncate, rows = skbounds.flow.truncation, skbounds.flow._singleton_rows
 
     def recording(m, weights, n, d):
         result = truncate(m, weights, n, d)
@@ -269,12 +271,18 @@ def test_every_truncation_of_the_capacity_runs_matches_the_general_network(
         zero.append(not n)
         return result
 
+    def recording_rows(*args):
+        found = rows(*args)
+        decided.append(found is not None)
+        return found
+
     monkeypatch.setattr(skbounds.flow, "truncation", recording)
+    monkeypatch.setattr(skbounds.flow, "_singleton_rows", recording_rows)
     sources = [parse_document(path.read_text(encoding="utf-8")) for path in sorted(FIXTURE_DIR.glob("*.hg"))]
     sources += [cycle_plus_edges(random.Random(m), m) for m in range(2, 13)] + identity_corpus + graphical_corpus
     for hg in sources:
         dinkelbach(hg.integer_source()[0])
-    assert len(truncations) >= len(sources) and all(truncations)
+    assert len(truncations) + sum(decided) >= len(sources) and all(truncations)
     assert sum(zero) >= 100, sum(zero)
 
 
@@ -528,6 +536,23 @@ def test_a_wrong_truncation_result_is_an_internal_error(monkeypatch, mutate, hg)
         mmi(WeightedHypergraph(hg.m, hg.weights))
 
 
+def test_a_truncation_that_cuts_an_edge_at_gamma_zero_is_an_internal_error(monkeypatch):
+    # The tie-heavy source ends its run at gamma = 0, where the truncation
+    # returns the components.  One that returns the singletons instead cuts
+    # the pair edge, and `mmi`'s check of each edge against the cell of its
+    # least vertex must find it.
+    hg = tie_heavy_source(random.Random("cut/tie"), 9)
+    truncate = skbounds.flow.truncation
+
+    def singletons_at_zero(m, weights, n, d):
+        cells, xs = truncate(m, weights, n, d)
+        return (tuple(1 << v for v in range(m)) if not n else cells), xs
+
+    monkeypatch.setattr(skbounds.flow, "truncation", singletons_at_zero)
+    with pytest.raises(InternalInvariantError, match="does not have its value I = 0$"):
+        mmi(hg)
+
+
 def test_a_partition_finer_than_p_star_at_its_own_value_trips_the_union_check(monkeypatch):
     # The singletons with gamma = their own value pass the check on P*'s
     # value, but P* = {1,2,3,4,5,8,9},{6},{7} is coarser, so some union of
@@ -558,13 +583,20 @@ def _count_truncations(monkeypatch) -> list:
     return calls
 
 
-def test_dinkelbach_on_a_type_s_source_truncates_once(monkeypatch):
+def test_dinkelbach_on_a_type_s_source_truncates_at_most_once(monkeypatch):
+    # The start is the singletons, at I.  Where a 2^m table costs less than
+    # a truncation (2^m <= 8 m |E|), their rate rows decide with no
+    # truncation; elsewhere one truncation shows it.
     calls = _count_truncations(monkeypatch)
+    decided = []
     for m in range(2, 13):
         calls.clear()
         src, _ = type_s_source(random.Random(f"dinkelbach/{m}"), m).integer_source()
         assert dinkelbach(src)[1] == tuple(1 << v for v in range(m))
-        assert len(calls) == 1, f"m = {m}"
+        by_rows = 1 << m <= 8 * m * len(src.weights)
+        assert len(calls) == (0 if by_rows else 1), f"m = {m}"
+        decided.append(by_rows)
+    assert 0 < sum(decided) < len(decided)
 
 
 def test_dinkelbach_starts_at_the_best_one_vs_rest_split(monkeypatch):
