@@ -16,10 +16,11 @@ All quantities are exact rationals:
   total x(E) - I over Gamma = {0 <= x <= w : I(x) = I}, and x* is in Gamma.
   UB's last row-generation round certifies that (below), so `analyze`
   runs `flow.dinkelbach` once, on its input; `fundamental` keeps the run,
-  which `mmi`, `r_co_direct` and UB read.  A report whose x* is not that
-  round's point falls back to `_capacity`, the capacity of the reduced
-  source by its own run; `verify_gamma_membership` truncates the reduced
-  source once at gamma = I and checks the same certificate.
+  a `flow.Run`, which `mmi`, `r_co_direct` and UB read by its fields.  A
+  report whose x* is not that round's point falls back to `_capacity`,
+  the capacity of the reduced source by its own run;
+  `verify_gamma_membership` truncates the reduced source once at
+  gamma = I and checks the same certificate.
 * `graphical_bounds`: the closed forms for sources whose hyperedges are
   all pairs.  The packing bound collapses to (m - 2) * capacity, the
   interactive common information equals the weight crossing the
@@ -48,8 +49,11 @@ every row, so R_CO <= its sum: on the point's ints it compares the packed
 conditional-entropy table of the weights times d with the packed rate
 sums of every subset, every field in one subtraction, and builds no list
 of 2^m entries; only a missed row goes to the list sweep, which names
-it.  The relaxation `build_rco_lp` keeps the rows of the complements of
-P*'s cells, which sum to r(M) >= H - value(P*).  They read only the rate
+it.  When the singletons' rate rows decided the run (`Run.rows`), that
+check has run already, on the same ints (the weights times d, the rates
+xs, n / d in lowest terms), and no second table is built.  The
+relaxation `build_rco_lp` keeps the rows of the complements of P*'s
+cells, which sum to r(M) >= H - value(P*).  They read only the rate
 sums of the cells, so it has one column per cell, not per terminal, and
 the same optimum; `lp.solve` certifies it once, and it must equal the
 point's sum, so R_CO >= its sum.  `tests/reference_rco.py` keeps the
@@ -84,20 +88,22 @@ its cells C below x(E) - I, the one-cell partition's, and
 The paper's subset-row LP stays in `tests/reference_packing.py`, with both
 row methods, as the oracle; it knows nothing of P*.
 
-The last round proves x* in Gamma, and UB keeps it on the hypergraph: the
-point's ints p over L * den, with each crossing edge at w * den and no
-singleton, and the cells and greedy point ys / d of its truncation at
-gamma = L * I * den.  `_report_checks` accepts it (`_certified_round`)
-when x* is p / (L * den) on every edge, cross-multiplied, 0 on each
-singleton, with 0 <= p <= w * den, sum(ys) is the one-cell partition's
-sum d * p(E) - n * den, and one `separation_oracle` call finds ys(B) >=
-d * H_p(B | M - B) on every nonempty proper B (`_proves_capacity`).  Then
-for every nonempty A = M - B, ys(A) = ys(M) - ys(B) <= d * (H_p(A) -
-gamma): ys / d lies in the polyhedron of H_x - I, so over the cells C of
-any partition P the sum of H_x(C) - I is at least ys(M) / d, the
-one-cell partition's H_x(M) - I, so value_x(P) >= I.  As x* <= w and I
-is monotone in the weights, I(x*) <= I, so I(x*) = I.  The
-Type S line reads the number of the round's cells, P*(x*): that trusts
+The last round proves x* in Gamma, and UB hands it along with x*, as
+the `FractionalPacking`'s `last_round`: the point's ints p over L * den,
+with each crossing edge at w * den and no singleton, and the cells and
+greedy point ys / d of its truncation at gamma = L * I * den.
+`_report_checks` accepts it (`_certified_round`) when x* is
+p / (L * den) on every edge, cross-multiplied, 0 on each singleton, with
+0 <= p <= w * den, sum(ys) is the one-cell partition's sum
+d * p(E) - n * den, and one `separation_oracle` call finds ys(B) >=
+d * H_p(B | M - B) on every nonempty proper B (`_proves_capacity`), all
+against the run of the hypergraph being checked, so a round from
+anywhere is either sound or rejected.  Then for every nonempty
+A = M - B, ys(A) = ys(M) - ys(B) <= d * (H_p(A) - gamma): ys / d lies in
+the polyhedron of H_x - I, so over the cells C of any partition P the
+sum of H_x(C) - I is at least ys(M) / d, the one-cell partition's
+H_x(M) - I, so value_x(P) >= I.  As x* <= w and I is monotone in the
+weights, I(x*) <= I, so I(x*) = I.  The Type S line reads the number of the round's cells, P*(x*): that trusts
 the truncation exactly as a Dinkelbach run on the reduced source would.
 When any condition fails, both lines come from the reduced source's run,
 so every printed value stays the same.
@@ -114,7 +120,7 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -131,9 +137,15 @@ Check = tuple[str, bool, object, object]  # (label, ok, value, expected)
 
 @dataclass(frozen=True)
 class FractionalPacking:
-    """Retained weight per hyperedge, 0 <= x(e) <= w(e) on the support."""
+    """Retained weight per hyperedge, 0 <= x(e) <= w(e) on the support.
+
+    `upper_bound_theorem1` hands its last row-generation round along with
+    the packing it certifies, as `last_round` (point, den, cells, ys), for
+    `_certified_round`; equality and `repr` read only the entries.
+    """
 
     entries: dict[int, Fraction]
+    last_round: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -225,29 +237,32 @@ def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fracti
 
     The point is the greedy point xs / d of `flow.dinkelbach`'s last
     truncation, on the integer source, read from `flow.fundamental`.  One
-    `separation_oracle` check must show that it meets every subset row, and
-    the relaxation over the complements of P*'s cells, solved once, must
-    have its sum as optimum; either failure is reported as an internal
-    error, naming the row or both values.
+    `separation_oracle` check must show that it meets every subset row,
+    unless the run's own `rows` showed it, and the relaxation over the
+    complements of P*'s cells, solved once, must have its sum as optimum;
+    either failure is reported as an internal error, naming the row or
+    both values.
     """
     _check_method(method)
-    src, scale, _, cells, xs, d = fundamental(hg)
-    entries = {e: w * d for e, w in src.weights.items()}  # over d, as xs are
-    mask = separation_oracle(entries, xs)
+    run = fundamental(hg)
+    xs, q = run.xs, run.d * run.scale
+    entries = {e: w * run.d for e, w in run.src.weights.items()}  # over d, as xs are
+    # Rows that decided the run checked these rows on these ints already.
+    mask = None if run.rows else separation_oracle(entries, xs)
     if mask is not None:
-        have, need = (Fraction(v, d * scale) for v in _row_sides(entries, xs, mask))
+        have, need = (Fraction(v, q) for v in _row_sides(entries, xs, mask))
         raise InternalInvariantError(
             f"the greedy rate point misses the subset row of {format_subset(mask)}: {have} vs {need}"
         )
     total = sum(xs)
-    sol = solve(build_rco_lp(entries, cells))
+    sol = solve(build_rco_lp(entries, run.cells))
     if sol.objective_value != total:  # None unless optimal
-        found = sol.status if sol.objective_value is None else sol.objective_value / (d * scale)
+        found = sol.status if sol.objective_value is None else sol.objective_value / q
         raise InternalInvariantError(
             f"the relaxation over P*'s cells has optimum {found},"
-            f" not the rate point's sum {Fraction(total, d * scale)}"
+            f" not the rate point's sum {Fraction(total, q)}"
         )
-    return Fraction(total, d * scale), RatePoint(tuple(Fraction(x, d * scale) for x in xs))
+    return Fraction(total, q), RatePoint(tuple(Fraction(x, q) for x in xs))
 
 
 def _partition_row(
@@ -292,17 +307,18 @@ def upper_bound_theorem1(hg: WeightedHypergraph, *, method: str = "auto") -> tup
     with every crossing edge at its weight times D, at gamma = n * D / d; a
     least sum, over d, below the total of those weights minus gamma gives
     the violated row of the truncation's cells.  All of it is in ints.  The
-    last round, which finds none, is kept on `hg` for `_report_checks`.  The
-    full weight vector is always feasible, so the bound never exceeds the
-    omniscience rate; a non-optimal LP status is a bug.
+    last round, which finds none, rides on the packing, as its
+    `last_round`, for `_report_checks`.  The full weight vector is always
+    feasible, so the bound never exceeds the omniscience rate; a
+    non-optimal LP status is a bug.
     """
     _check_method(method)
-    mres = mmi(hg)
-    src, scale, n, _, _, d = fundamental(hg)
-    units, order = mres.fundamental.cells, src.edges
+    mres, run = mmi(hg), fundamental(hg)
+    src, n, d, scale, order = run.src, run.n, run.d, run.scale, run.src.edges
     # Every x in Gamma equals w on the edges that cross P* (module docstring).
-    fixed = crossing(src.weights, units)
+    fixed = crossing(src.weights, mres.fundamental.cells)
     edges = [e for e in order if e & (e - 1) and e not in fixed]
+    rounds = [None]  # the last: the round that finds no violated row, None if the oracle never ran
 
     def oracle(xs: Sequence[int], den: int) -> Optional[Constraint]:
         point = {e: w * den for e, w in fixed.items()}
@@ -310,7 +326,7 @@ def upper_bound_theorem1(hg: WeightedHypergraph, *, method: str = "auto") -> tup
         cells, ys = truncation(src.m, point, n * den, d)
         if sum(ys) < sum(point.values()) * d - n * den:
             return _partition_row(edges, fixed, cells, n, d)
-        hg.__dict__["_ub_round"] = point, den, cells, ys
+        rounds.append((point, den, cells, ys))
         return None
 
     sol = solve_with_row_generation(build_gamma_lp(src, edges, fixed, n, d), oracle, bell(src.m) - 1)
@@ -319,7 +335,7 @@ def upper_bound_theorem1(hg: WeightedHypergraph, *, method: str = "auto") -> tup
     entries = dict.fromkeys(order, Fraction(0))
     entries.update((e, Fraction(w, scale)) for e, w in fixed.items())
     entries.update((e, x / scale) for e, x in zip(edges, sol.point))
-    return (sol.objective_value + sum(fixed.values())) / scale - mres.value, FractionalPacking(entries)
+    return (sol.objective_value + sum(fixed.values())) / scale - mres.value, FractionalPacking(entries, rounds[-1])
 
 
 def _proves_capacity(point: Mapping[int, int], ys: Sequence[int], n: int, d: int) -> bool:
@@ -330,26 +346,25 @@ def _proves_capacity(point: Mapping[int, int], ys: Sequence[int], n: int, d: int
     return sum(ys) == d * sum(point.values()) - n and separation_oracle(rows, ys) is None
 
 
-def _certified_round(hg: WeightedHypergraph, entries: Mapping[int, Fraction]) -> Optional[tuple[int, int, int]]:
-    """(x*(E) as ints p / q, |P*(x*)|) from UB's last round on `hg`, when it certifies
-    x* = `entries` in Gamma (module docstring); else None.  No `Fraction` is built."""
-    kept = hg.__dict__.get("_ub_round")
-    if kept is None or len(entries) != len(hg.weights):
+def _certified_round(hg: WeightedHypergraph, packing: FractionalPacking) -> Optional[tuple[int, int, int]]:
+    """(x*(E) as ints p / q, |P*(x*)|) from the UB round that `packing` carries, when it
+    certifies x* = `packing.entries` in Gamma for `hg`'s own run (module docstring); else
+    None.  No `Fraction` is built."""
+    if packing.last_round is None or len(packing.entries) != len(hg.weights):
         return None
-    src, scale, n, _, _, d = fundamental(hg)
-    point, den, cells, ys = kept
-    q, weights = scale * den, src.weights
-    for e, x in entries.items():
+    run, (point, den, cells, ys) = fundamental(hg), packing.last_round
+    q, weights = run.scale * den, run.src.weights
+    for e, x in packing.entries.items():
         p = point.get(e, 0)
         if not (0 <= p <= weights.get(e, -1) * den and is_ratio(x, p, q)):
             return None
-    return (sum(point.values()), q, len(cells)) if _proves_capacity(point, ys, n * den, d) else None
+    return (sum(point.values()), q, len(cells)) if _proves_capacity(point, ys, run.n * den, run.d) else None
 
 
 def _capacity(hg: WeightedHypergraph) -> tuple[Fraction, int]:
     """(I, |P*|) of `hg` from `flow.fundamental`, with no listing of the minimizers."""
-    _, scale, n, cells, _, d = fundamental(hg)
-    return Fraction(n, d * scale), len(cells)
+    run = fundamental(hg)
+    return Fraction(run.n, run.d * run.scale), len(run.cells)
 
 
 def verify_gamma_membership(
@@ -366,8 +381,8 @@ def verify_gamma_membership(
     """
     entries = packing.entries if isinstance(packing, FractionalPacking) else packing
     reduced, factor = hg.restrict(entries).integer_source()
-    _, scale, n, _, _, d = fundamental(hg)
-    n, d = n * factor, d * scale  # gamma = I times the reduced source's own L
+    run = fundamental(hg)
+    n, d = run.n * factor, run.d * run.scale  # gamma = I times the reduced source's own L
     _, ys = truncation(hg.m, reduced.weights, n, d)
     if sum(ys) < d * sum(reduced.weights.values()) - n:
         return False
@@ -388,10 +403,9 @@ def graphical_bounds(hg: WeightedHypergraph) -> GraphicalBounds:
     """
     if not hg.is_graph:
         raise ValueError("graphical analysis requires every hyperedge to have exactly two vertices")
-    mres = mmi(hg)
-    src, scale, *_ = fundamental(hg)
+    mres, run = mmi(hg), fundamental(hg)
     k = mres.fundamental.size
-    ci = cross_edges(src, mres.fundamental) / scale
+    ci = cross_edges(run.src, mres.fundamental) / run.scale
     return GraphicalBounds(
         ub_theorem2=(hg.m - 2) * mres.value,
         lower_bound=Fraction(k - 2, k - 1) * ci,
@@ -404,7 +418,7 @@ def _report_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check
     certifies x* (`_certified_round`), else the capacity of the reduced source."""
     rco, ub, capacity = report.r_co, report.ub_theorem1, report.mmi.value
     identity = report.entropy_total - capacity
-    certified = _certified_round(hg, report.x_star.entries)
+    certified = _certified_round(hg, report.x_star)
     if certified is None:
         total = sum(report.x_star.entries.values())
         kept, size = _capacity(hg.restrict(report.x_star.entries))
@@ -438,7 +452,7 @@ def analyze(hg: WeightedHypergraph, *, method: str = "auto") -> AnalysisReport:
     bug.  H is summed on the integer source.
     """
     _check_method(method)
-    mres = mmi(hg)
+    mres, run = mmi(hg), fundamental(hg)
     r_co, rates = r_co_direct(hg, method=method)
     ub1, x_star = upper_bound_theorem1(hg, method=method)
     graphical: Optional[GraphicalBounds] = None
@@ -446,9 +460,8 @@ def analyze(hg: WeightedHypergraph, *, method: str = "auto") -> AnalysisReport:
         graphical = graphical_bounds(hg)
     elif all(mask.bit_count() <= 2 for mask in hg.weights):
         warnings.warn("graphical bounds skipped: singleton hyperedges present", stacklevel=2)
-    src, scale, *_ = fundamental(hg)
     report = AnalysisReport(
-        entropy_total=Fraction(sum(src.weights.values()), scale),
+        entropy_total=Fraction(sum(run.src.weights.values()), run.scale),
         mmi=mres,
         r_co=r_co,
         rates=rates,
@@ -472,14 +485,13 @@ def run_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
     R_CO and meet every subset row by one `separation_oracle` call in ints.
     A failure shows rates(B) and H(B | M - B) of the worst B, else r(M) and R_CO.
     """
-    src, scale, *_ = fundamental(hg)
-    rates = report.rates.rates
-    xs, d = to_integers([r * scale for r in rates])
-    entries = {e: w * d for e, w in src.weights.items()}  # over d, as xs are
+    run, rates = fundamental(hg), report.rates.rates
+    xs, d = to_integers([r * run.scale for r in rates])
+    entries = {e: w * d for e, w in run.src.weights.items()}  # over d, as xs are
     mask = separation_oracle(entries, xs)
     if mask is None:
         value, expected = sum(rates), report.r_co
     else:
-        value, expected = (Fraction(v, d * scale) for v in _row_sides(entries, xs, mask))
+        value, expected = (Fraction(v, d * run.scale) for v in _row_sides(entries, xs, mask))
     line = ("rate point meets every subset row (R_CO)", value == expected, value, expected)
     return [report.checks[0], line, *report.checks[1:]]

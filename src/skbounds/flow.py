@@ -50,11 +50,11 @@ gamma0 (Csiszar and Narayan 2004); and gamma0, the singletons' value, is
 >= I.  So I = gamma0, the singletons minimize the value, and as the finest
 partition they are P*.  A truncation at gamma = I would then merge
 nothing: each step's least minimizer is {j}, so x_j = H(j) - gamma, and
-its greedy point is x / d.  The run returns (n, the singletons, x, d),
-what the truncations would return.  The table has 2^m fields and a
-truncation passes over the edges once per terminal, so the check runs
-only when 2^m <= 8 m |E|; when a row fails, the truncations run as
-before.
+its greedy point is x / d.  The run returns n / d, the singletons and
+x, what the truncations would return, and keeps the packed gaps of the
+rows as its `rows`.  The table has 2^m fields and a truncation passes
+over the edges once per terminal, so the check runs only when
+2^m <= 8 m |E|; when a row fails, the truncations run as before.
 
 At gamma = 0, where every source with I = 0 ends its run, f is H itself,
 which is already submodular, so the truncation needs no cut: the greedy
@@ -63,20 +63,48 @@ weight of the edges whose least vertex is j, and the least sum is H(M),
 reached exactly by the partitions that no edge of positive weight
 crosses; the finest of them is the components of those edges.
 
-`fundamental` is the one place that runs `dinkelbach` on a hypergraph: it
-builds the integer source, runs it once there and keeps both on the
-hypergraph, so I, P* and the rate point of one source come from one run.
-The run is all ints: gamma is the pair (n, d), kept in lowest terms by
-`math.gcd`, L * I leaves it as n / d, the greedy point as xs over the
-same d, and its readers take them as they are.  No `Fraction` is built.
+`dinkelbach` returns one `Run`, a frozen record with named fields: the
+integer source and its L, n / d, P*, the greedy point xs and, when the
+singletons' rows decided the run, those rows.  `fundamental` is the one
+place that runs `dinkelbach` on a hypergraph: it builds the integer
+source, runs it once there and keeps the `Run` on the hypergraph, so I,
+P* and the rate point of one source come from one run, and every reader
+takes them by name.  The run is all ints: gamma is the pair (n, d), kept
+in lowest terms by `math.gcd`, L * I leaves it as n / d, the greedy
+point as xs over the same d, and its readers take them as they are.  No
+`Fraction` is built.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Mapping, Optional, Sequence
 
 from .hypergraph import WeightedHypergraph, packed_table, packed_width, rate_rows
+
+
+@dataclass(frozen=True)
+class Run:
+    """One Dinkelbach run on an integer source: I, P* and an optimal rate point, all in ints.
+
+    `src` is the source of int weights, L times a hypergraph's, and `scale`
+    is L.  L * I = n / d in lowest terms, `cells` are the fundamental
+    partition P* (bitmasks sorted by their least vertex), and xs / d is the
+    greedy rate point of the run's last truncation, which sums to
+    L * (H(M) - I).  `rows` is (field width, packed gaps) of the
+    singletons' rate rows when they decided the run (`_singleton_rows`),
+    else None; it is a cache of a check, so equality reads the other
+    fields only.  Frozen and not a tuple: every reader names the field.
+    """
+
+    src: WeightedHypergraph
+    scale: int
+    n: int
+    cells: tuple[int, ...]
+    xs: tuple[int, ...]
+    d: int
+    rows: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
 
 
 def bipartite_cut(supply: list[int], groups: list[tuple[int, int]]) -> tuple[int, int]:
@@ -280,9 +308,9 @@ def truncation(
     return tuple(sorted(cells, key=lambda c: c & -c)), tuple(x)
 
 
-def dinkelbach(src: WeightedHypergraph) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
-    """(n, P*, xs, d): the least partition value I = n / d of `src` (int weights), in lowest
-    terms, its finest minimizer's cells, and the last truncation's greedy point xs / d.
+def dinkelbach(src: WeightedHypergraph, scale: int = 1) -> Run:
+    """The run on `src` (int weights, L = `scale`): the least partition value I = n / d, in
+    lowest terms, its finest minimizer's cells, and the last truncation's greedy point xs / d.
 
     Starts at the least value among the singletons, sum of w(|e| - 1) over
     m - 1, and the m splits {v} | M - v, each the weight of the edges that
@@ -312,59 +340,50 @@ def dinkelbach(src: WeightedHypergraph) -> tuple[int, tuple[int, ...], tuple[int
     singletons = best * (m - 1) >= crossing
     n, d = (crossing, m - 1) if singletons else (best, 1)
     # A 2^m table against a truncation's m passes over the edges.
-    if singletons and n and 1 << m <= 8 * m * len(src.weights):
-        # H(v): the edges that hold v and another vertex, and {v} itself.
-        decided = _singleton_rows(src, n, d, [h + src.weights.get(1 << v, 0) for v, h in enumerate(split)])
-        if decided:
-            return decided
+    if singletons and n and 1 << m <= 8 * m * len(src.weights) and (run := _singleton_rows(src, scale, n, d, split)):
+        return run
     while True:
         g = gcd(n, d)
         n, d = n // g, d // g
         cells, xs = truncation(m, src.weights, n, d)
         if sum(xs) >= total * d - n:
-            return n, cells, xs, d
+            return Run(src, scale, n, cells, xs, d)
         # The partition's sum of H(C) - H(M) is (sum(xs) + n * |cells|) / d - H(M).
         k = len(cells)
         n, d = sum(xs) + n * k - total * d, d * (k - 1)
 
 
-def _singleton_rows(
-    src: WeightedHypergraph, n: int, d: int, entropies: Sequence[int]
-) -> Optional[tuple[int, tuple[int, ...], tuple[int, ...], int]]:
-    """(n, singletons, xs, d), n / d in lowest terms, when the rates xs = d * H(v) - n at the
-    singletons' value gamma = n / d meet every subset row, else None.
+def _singleton_rows(src: WeightedHypergraph, scale: int, n: int, d: int, split: Sequence[int]) -> Optional[Run]:
+    """The run at the singletons' value gamma = n / d, with their rate rows, when the rates
+    xs = d * H(v) - n meet every subset row, else None.
 
-    `entropies` are the H(v).  One `rate_rows` check of the packed table
-    of the weights times d against xs, when every rate is >= 0 and the
-    fields fit in 64 bits.  A success is kept on `src` as `_rows` (n, d,
-    the field width and the packed gaps), where `partitions.mmi` reads it
-    as its certificate.
+    `split[v]` is the weight of the edges that hold v and another vertex,
+    so H(v) adds the weight of {v} itself.  One `rate_rows` check of the
+    packed table of the weights times d against xs, n / d in lowest terms,
+    when every rate is >= 0 and the fields fit in 64 bits.  A success
+    hands the field width and the packed gaps back as the run's `rows`,
+    which `partitions.mmi` reads as its certificate and `r_co_direct` as
+    its check of every row.
     """
     g = gcd(n, d)
     n, d = n // g, d // g
-    xs = [d * h - n for h in entropies]
+    xs = tuple(d * (h + src.weights.get(1 << v, 0)) - n for v, h in enumerate(split))
     entries = {e: w * d for e, w in src.weights.items()}
     width = packed_width(sum(entries.values()) << 1)  # sum(xs) is d * H(M) - n
     if min(xs) < 0 or not width:
         return None
     gaps, holds = rate_rows(src.m, packed_table(src.m, entries, width), width, xs)
-    if not holds:
-        return None
-    src.__dict__["_rows"] = (n, d, width, gaps)
-    return n, tuple(1 << v for v in range(src.m)), tuple(xs), d
+    return Run(src, scale, n, tuple(1 << v for v in range(src.m)), xs, d, (width, gaps)) if holds else None
 
 
-def fundamental(
-    hg: WeightedHypergraph,
-) -> tuple[WeightedHypergraph, int, int, tuple[int, ...], tuple[int, ...], int]:
-    """(src, L, n, P*, xs, d): `hg`'s integer source (`integer_source`) and `dinkelbach` on it,
-    with L * I = n / d.
+def fundamental(hg: WeightedHypergraph) -> Run:
+    """`hg`'s `Run`: `dinkelbach` on its integer source (`integer_source`), with L * I = n / d.
 
-    Run on the first call and kept on `hg`, so `mmi`, `r_co_direct`,
+    Run on the first call and kept on `hg` under the one key that only
+    this function reads and writes, so `mmi`, `r_co_direct`,
     `upper_bound_theorem1` and the Gamma check of one hypergraph read one
     run and one integer source.
     """
-    if "_fundamental" not in hg.__dict__:
-        src, scale = hg.integer_source()
-        hg.__dict__["_fundamental"] = (src, scale, *dinkelbach(src))
-    return hg.__dict__["_fundamental"]
+    if "_run" not in hg.__dict__:
+        hg.__dict__["_run"] = dinkelbach(*hg.integer_source())
+    return hg.__dict__["_run"]

@@ -14,16 +14,16 @@ forms used throughout this package:
 Hypergraphs are immutable after construction, which is enforced: the
 weights are a read-only view (`types.MappingProxyType`), so assigning to
 one raises TypeError.  All operations are pure, so instances can be
-shared freely across concurrent work.  A hypergraph keeps three values,
-each the same whoever builds it first: the Dinkelbach run that
-`flow.fundamental` keeps (its integer source, I, P* and an optimal rate
-point), the certified result of `partitions.mmi`, and the last round of
-`bounds.upper_bound_theorem1`, which certifies x* in Gamma.  The integer
-source of a run that its singletons' rate rows decided keeps those rows
-too (`flow._singleton_rows`), as `mmi`'s certificate.  None is a
-dataclass field, so equality and `repr` read only m and the weights, and
-a pickle or deep copy carries only those two and rebuilds the rest when
-read.
+shared freely across concurrent work.  A hypergraph keeps two values,
+each the same whoever builds it first, each under one key of its
+`__dict__` that only its owner reads and writes: the `flow.Run` that
+`flow.fundamental` keeps (its integer source and L, I, P*, an optimal
+rate point and, when the singletons' rate rows decided the run, those
+rows, `mmi`'s certificate), and the `MmiResult` that `partitions.mmi`
+certifies from it.  UB's last round, which certifies x* in Gamma, rides
+on the packing it certifies, not here.  Neither value is a dataclass
+field, so equality and `repr` read only m and the weights, and a pickle
+or deep copy carries only those two and rebuilds the rest when read.
 """
 
 from __future__ import annotations

@@ -11,13 +11,14 @@ P* consists of singletons is called Type S.  Every minimizer coarsens P*.
 `mmi` computes on the integer source (`WeightedHypergraph.integer_source`,
 every weight times L, the lcm of their denominators), so every entropy it
 holds is an int (L times the entropy).  `flow.dinkelbach` finds I and P* by
-max-flow in polynomial time.  `mmi` reads that run from
+max-flow in polynomial time.  `mmi` reads that run, a `flow.Run`, from
 `flow.fundamental`, which runs it once per hypergraph and keeps it, so
 `r_co_direct` and the Gamma check of the same hypergraph read the same
-run.  L * I comes from the run as the ints num / den, and `mmi` builds
-the `Fraction` I = num / (den * L) once, for its result.  `mmi` in turn
-certifies the run once per hypergraph and keeps its `MmiResult` on it,
-so every caller of `mmi(hg)` reads one result.  When
+run.  L * I comes from the run as the ints num / den (its fields n and
+d), and `mmi` builds the `Fraction` I = num / (den * L) once, for its
+result.  `mmi` in turn certifies the run once per hypergraph and keeps
+its `MmiResult` on the hypergraph, under a key that only `mmi` reads and
+writes, so every caller of `mmi(hg)` reads one result.  When
 I > 0, P*'s rate rows over the 2^|P*| unions of its cells certify them
 and count the minimizers; when I = 0, P*'s uncut edges certify it and the
 count is Bell(|P*|) - 1.  Either way the minimizers are listed, without a
@@ -39,9 +40,10 @@ rates summed by doubling give every slack, all in one packed
 subtraction (`hypergraph.rate_rows`) that builds no list of 2^|P*|
 rates or slacks.  When P* is the singletons and `flow.dinkelbach`
 decided the run on their rate rows, those are the same rows, and `mmi`
-reads the run's kept gaps instead of building a second table.  Given
-both checks, the minimizers among the coarsenings are exactly those
-whose every cell is *tight* (slack 0), and P* is the unique finest.  P*
+reads the gaps the run hands back (`flow.Run.rows`) instead of building
+a second table.  Given both checks, the minimizers among the
+coarsenings are exactly those whose every cell is *tight* (slack 0),
+and P* is the unique finest.  P*
 is the only minimizer exactly when its cells and their union are the
 only tight unions, as on every Type-S source; `hypergraph.tight_rows`
 counts the tight rows from the same gaps, and the count is then 1 with
@@ -97,7 +99,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import CapExceededError, InternalInvariantError
-from .flow import fundamental
+from .flow import Run, fundamental
 from .hypergraph import WeightedHypergraph, format_subset, pack, rate_rows, row_width, subset_weight_table
 from .hypergraph import tight_rows, unpack, vertices_of
 
@@ -210,7 +212,7 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
     their sorted listing, built when first read.  The truncation gives I
     and P*.  If I > 0, P*'s rate rows over the unions of its cells
     certify them in one packed check (`_certified_rows`), the run's own
-    rows when `dinkelbach` decided it on the singletons' rows, and
+    `rows` when `dinkelbach` decided it on the singletons' rows, and
     `subset_weight_table`'s table of the source contracted to P*'s cells
     otherwise.  The minimizers, the partitions of P*'s cells into tight
     unions, are then counted: 1 with no walk when only the cells and their
@@ -230,15 +232,15 @@ def mmi(hg: WeightedHypergraph) -> MmiResult:
             f"m = {m} exceeds the partition enumeration cap of {PARTITION_CAP}"
         )
     if "_mmi" not in hg.__dict__:
-        src, scale, num, units, xs, den = fundamental(hg)
-        value = Fraction(num, den * scale)
-        if num:
-            rows, k = _certified_rows(src, units, num, den, xs, value), len(units)
+        run = fundamental(hg)
+        units, value = run.cells, Fraction(run.n, run.d * run.scale)
+        if run.n:
+            rows, k = _certified_rows(run, value), len(units)
             # Only the units and their union tight: P* is the only minimizer.
             count = 1 if tight_rows(k, *rows) == k + 1 else _count_coarsenings(_slack(k, rows))
         # slack(all cells) = 0 says that no edge meets two cells, and then
         # every union is tight.
-        elif crossing(src.weights, units):
+        elif crossing(run.src.weights, units):
             raise _off_value(m, units, value)
         else:
             rows, count = None, bell(len(units)) - 1
@@ -268,15 +270,13 @@ def _listing(units: tuple[int, ...], rows: Optional[Rows]) -> list[tuple[int, ..
     return _list_coarsenings(units, _slack(k, rows) if rows else [0] * (1 << k))
 
 
-def _certified_rows(
-    src: WeightedHypergraph, units: tuple[int, ...], num: int, den: int, xs: tuple[int, ...], value: Fraction
-) -> Rows:
+def _certified_rows(run: Run, value: Fraction) -> Rows:
     """(width, gaps): P*'s rate rows over the unions of the units, once they certify I and P*.
 
-    `units` are the truncation's P*, num / den its I and xs / den its
-    greedy point, all of the integer source `src`; `value` is the
-    source's own I, for the messages.  Bit i of a union stands for
-    units[i].  Unit C gets the rate r_C = den * H(C) - num, and a set B
+    The units are the run's cells, the truncation's P*, num / den = n / d
+    its I and xs / den its greedy point, all of its integer source `src`;
+    `value` is the source's own I, for the messages.  Bit i of a union
+    stands for units[i].  Unit C gets the rate r_C = den * H(C) - num, and a set B
     of units the row gap r(B) - den * w(E[B]), w(E[B]) the weight of the
     edges inside B's union; one table of den * w(E[B]) gives both, as
     H(C) = H(M) - w(E[M - C]).  With the same for a union a and its
@@ -291,16 +291,17 @@ def _certified_rows(
     every gap in one subtraction, and `mmi` counts the tight ones, the
     unions of slack 0, from the same packed gaps (`hypergraph.tight_rows`);
     a failed row is named from them (`_slack`).  When
-    the units are the singletons and `flow.dinkelbach` kept the rows of
-    this run (`_rows` on `src`), those rows are the same ones: the rates
-    are xs, and only their sum is checked.  Otherwise the contracted
-    source's table comes from `subset_weight_table`.
+    `flow.dinkelbach` decided the run on the singletons' rate rows, the
+    run's `rows`, those rows are the same ones: the units are the
+    singletons, the rates are xs, and only their sum is checked.
+    Otherwise the contracted source's table comes from
+    `subset_weight_table`.
     """
-    k, kept = len(units), src.__dict__.get("_rows")
-    if kept and k == src.m and kept[:2] == (num, den):
-        if sum(xs) != den * sum(src.weights.values()) - num:
+    src, units, num, den, k = run.src, run.cells, run.n, run.d, len(run.cells)
+    if run.rows:
+        if sum(run.xs) != den * sum(src.weights.values()) - num:
             raise _off_value(src.m, units, value)
-        return kept[2:]
+        return run.rows
     # The source contracted to the units, weights times den: each hyperedge
     # becomes the set of units it meets, through each vertex's unit bit.
     bit = [0] * src.m

@@ -19,5 +19,5 @@ from skbounds.flow import dinkelbach
 def reduced_source_lines(hg: WeightedHypergraph, entries: Mapping[int, Fraction]) -> tuple[Fraction, int]:
     """(I, |P*|) of `hg` reduced by the packing `entries`, by one Dinkelbach run of its own."""
     src, scale = hg.restrict(entries).integer_source()
-    n, cells, _, d = dinkelbach(src)
-    return Fraction(n, d * scale), len(cells)
+    run = dinkelbach(src)
+    return Fraction(run.n, run.d * scale), len(run.cells)

@@ -99,6 +99,115 @@ def test_only_flow_runs_dinkelbach():
     assert _dinkelbach_sites(trees) == []
 
 
+def _is_dict(node: ast.AST) -> bool:
+    """True on `x.__dict__` and `vars(x)`."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) == "vars"
+    return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+
+def _kept_state(trees: dict[str, ast.Module]) -> tuple[list[str], dict[str, set[str]]]:
+    """(sites, keys): `module.function`, innermost function last, of each read or write of an
+    object's `__dict__`, sorted, and for each string key used on one, the modules that use it.
+
+    A site at module level is named by the module alone.  A key is the
+    subscript, the first argument of a method call (`get`, `setdefault`,
+    `pop`) or the left side of an `in` test.
+    """
+    sites, keys = [], {}
+
+    def visit(node: ast.AST, where: str, module: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = f"{where}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if _is_dict(child) or (isinstance(child, ast.Constant) and child.value == "__dict__"):
+                sites.append(where)
+            key = None
+            if isinstance(child, ast.Subscript) and _is_dict(child.value):
+                key = child.slice
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and _is_dict(child.func.value):
+                key = child.args[0] if child.args else None
+            elif isinstance(child, ast.Compare) and any(map(_is_dict, child.comparators)):
+                key = child.left
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                keys.setdefault(key.value, set()).add(module)
+            visit(child, inner, module)
+
+    for module, tree in trees.items():
+        visit(tree, module, module)
+    return sorted(sites), keys
+
+
+def test_the_kept_state_guard_sees_reads_writes_keys_and_nested_functions():
+    trees = {
+        "flow": ast.parse(
+            'def fundamental(hg):\n    if "_run" not in hg.__dict__:\n'
+            '        hg.__dict__["_run"] = 1\n    return hg.__dict__["_run"]\n'
+        ),
+        "a": ast.parse('def f(hg):\n    return hg.__dict__.get("_run")\n'),
+        "b": ast.parse('def g(hg):\n    def h():\n        vars(hg)["_x"] = 1\n    return getattr(hg, "__dict__")\n'),
+        "c": ast.parse("kept = hg.__dict__\nhg.__dict__.update(m=2)\n"),
+    }
+    sites, keys = _kept_state(trees)
+    assert sites == ["a.f", "b.g", "b.g.h", "c", "c", "flow.fundamental", "flow.fundamental", "flow.fundamental"]
+    assert keys == {"_run": {"flow", "a"}, "_x": {"b"}}
+
+
+def test_only_the_owners_keep_state_on_a_hypergraph():
+    # A hypergraph keeps two values, each under one key that one function
+    # reads and writes: `flow.fundamental` its `Run`, and `partitions.mmi`
+    # the certified `MmiResult`.  `hypergraph._unchecked` fills a new
+    # instance's fields, with no string key.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    sites, keys = _kept_state(trees)
+    assert set(sites) == {"flow.fundamental", "partitions.mmi", "hypergraph._unchecked"}
+    assert keys == {"_run": {"flow"}, "_mmi": {"partitions"}}
+
+
+def _calls_fundamental(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "fundamental"
+
+
+def _unpacks(target: ast.AST, value: ast.AST) -> bool:
+    """True when assigning `value` to `target` unpacks a `fundamental(...)` result into several names."""
+    if not isinstance(target, (ast.Tuple, ast.List)):
+        return False
+    if isinstance(value, (ast.Tuple, ast.List)) and len(value.elts) == len(target.elts):
+        return any(map(_unpacks, target.elts, value.elts))
+    return _calls_fundamental(value)
+
+
+def _fundamental_unpacks(trees: dict[str, ast.Module]) -> list[str]:
+    """`module:line` of each assignment that unpacks a `fundamental(...)` result, and each `*fundamental(...)`."""
+    sites = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(_unpacks(t, node.value) for t in node.targets):
+                sites.append(f"{module}:{node.lineno}")
+            elif isinstance(node, ast.Starred) and _calls_fundamental(node.value):
+                sites.append(f"{module}:{node.lineno}")
+    return sites
+
+
+def test_the_unpacking_guard_sees_tuples_lists_stars_and_attributes():
+    cases = {
+        "src, scale, *_ = fundamental(hg)\n": ["a:1"],
+        "[n, d] = fundamental(hg)\n": ["a:1"],
+        "from . import flow\n(a, b), c = flow.fundamental(hg), 1\n": ["a:2"],
+        "x = y = (*fundamental(hg),)\n": ["a:1"],
+        "run = fundamental(hg)\nn, d = run.n, run.d\n": [],
+        "run, (p, q) = fundamental(hg), kept\n": [],
+        "n, d = fundamentals(hg)\n": [],
+    }
+    for source, sites in cases.items():
+        assert _fundamental_unpacks({"a": ast.parse(source)}) == sites, source
+
+
+def test_no_module_unpacks_the_run_by_position():
+    # `flow.fundamental` returns a frozen `Run`: every reader names its fields.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    assert _fundamental_unpacks(trees) == []
+
+
 def _to_integers_sites(trees: dict[str, ast.Module]) -> list[str]:
     """`module.function`, innermost function last, of each read of `to_integers` and each import that renames it.
 

@@ -48,7 +48,7 @@ from reference_packing import reference_packing
 from reference_rco import cosingleton_rco_lp, full_rco_lp, per_terminal_rco_lp, reference_rco, rowgen_rco
 from reference_scan import _raw_partitions, integer_scan, reference_mmi
 from reference_separation import reference_separation
-from test_scan_oracle import FAMILIES
+from test_scan_oracle import FAMILIES, type_s_source
 
 F = Fraction
 
@@ -324,16 +324,37 @@ def test_rco_builds_one_table_runs_one_sweep_and_one_solve(m, monkeypatch):
     assert calls == ["fundamental", "dinkelbach", "separation_oracle", "solve"]
 
 
+def test_r_co_on_a_run_the_rows_decided_builds_no_second_table(monkeypatch, table_calls):
+    # A Type-S source whose singletons' rate rows decide its run: those rows
+    # are R_CO's check of every subset row, on the same ints, so `fundamental`
+    # and `r_co_direct` build one 2^m table between them, not two.  With the
+    # rows step off, the truncation's run is checked by `separation_oracle`'s
+    # own table, and R_CO and its rate point are the same.
+    hg = type_s_source(random.Random(3), 8)
+    run = fundamental(hg)
+    result = r_co_direct(hg)
+    assert run.rows is not None and table_calls == [("packed_table", 8)]
+    table_calls.clear()
+    monkeypatch.setattr(skbounds.flow, "_singleton_rows", lambda *args: None)
+    again = WeightedHypergraph(hg.m, dict(hg.weights))
+    assert r_co_direct(again) == result and fundamental(again).rows is None
+    assert table_calls == [("packed_table", 8)]
+    assert result[0] == reference_rco(hg)[0]
+
+
 def _with_greedy_point(monkeypatch, change):
     """`bounds.fundamental` with its run's (L * I, P*, xs, d) passed through `change`.
 
     The kept run is wrapped, not changed, so the module's fixtures keep theirs.
+    The changed run carries no `rows`: a run's rows are the check of its
+    own rate point, which the change moves.
     """
     exact = skbounds.bounds.fundamental
 
     def changed(hg):
-        src, scale, *run = exact(hg)
-        return (src, scale, *change(*run))
+        run = exact(hg)
+        n, cells, xs, d = change(run.n, run.cells, run.xs, run.d)
+        return dataclasses.replace(run, n=n, cells=cells, xs=xs, d=d, rows=None)
 
     monkeypatch.setattr(skbounds.bounds, "fundamental", changed)
 
@@ -414,13 +435,16 @@ def test_analysis_tables_are_packed_and_match_the_list_transform(identity_corpus
     monkeypatch.setattr(skbounds.hypergraph, "_packed_table", checked)
     monkeypatch.setattr(skbounds.bounds, "packed_table", counted)
     sources = _rco_sources() + identity_corpus + graphical_corpus
+    decided = 0  # runs the singletons' rate rows decided: R_CO reads their check
     for hg in sources:
         hg = WeightedHypergraph(hg.m, dict(hg.weights))  # keeps no run or mmi result yet
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # graph-plus-singleton sources warn
             report = analyze(hg)
         run_checks(hg, report)
-    assert checks == 3 * len(sources)  # R_CO's, UB's certificate of x* and run_checks'
+        decided += fundamental(hg).rows is not None
+    assert decided > 0
+    assert checks == 3 * len(sources) - decided  # R_CO's, UB's certificate of x* and run_checks'
     assert unpacked > len(sources) // 2  # mmi's union tables, wherever I > 0
 
 
@@ -451,10 +475,10 @@ def test_the_packed_check_passes_every_greedy_point_without_the_list_sweep(
     # packed check alone shows it.
     monkeypatch.setattr(skbounds.bounds, "subset_weight_table", _no_list_sweep)
     for hg in _rco_sources() + identity_corpus + graphical_corpus:
-        src, _, _, _, xs, d = fundamental(hg)
-        entries = {e: w * d for e, w in src.weights.items()}
-        assert reference_separation(hg.m, subset_weight_table(hg.m, entries), xs) is None, hg
-        assert separation_oracle(entries, xs) is None, hg
+        run = fundamental(hg)
+        entries = {e: w * run.d for e, w in run.src.weights.items()}
+        assert reference_separation(hg.m, subset_weight_table(hg.m, entries), run.xs) is None, hg
+        assert separation_oracle(entries, run.xs) is None, hg
 
 
 def test_a_greedy_rate_moved_by_one_is_checked_like_the_fraction_sweep(
@@ -466,7 +490,8 @@ def test_a_greedy_rate_moved_by_one_is_checked_like_the_fraction_sweep(
     # r_co_direct names it with both sides, as before the packed check.
     sources = [hg for hg in _rco_sources() if hg.m <= 8] + identity_corpus + graphical_corpus
     for hg in sources:
-        src, scale, _, _, xs, d = fundamental(hg)
+        run = fundamental(hg)
+        src, scale, xs, d = run.src, run.scale, run.xs, run.d
         entries = {e: w * d for e, w in src.weights.items()}
         table = subset_weight_table(hg.m, entries)
         for i in range(hg.m):
@@ -653,9 +678,9 @@ def _count_dinkelbach(monkeypatch) -> list:
     calls = []
     run = skbounds.flow.dinkelbach
 
-    def counting(src):
+    def counting(src, *args):
         calls.append(src)
-        return run(src)
+        return run(src, *args)
 
     monkeypatch.setattr(skbounds.flow, "dinkelbach", counting)
     return calls
@@ -686,7 +711,7 @@ def test_analyze_runs_dinkelbach_once_on_the_input(monkeypatch):
             patch.setattr(WeightedHypergraph, "restrict", no_restrict)
             analyze(hg)
         assert calls == [hg.integer_source()[0]], path.name
-        assert calls[0] is skbounds.flow.fundamental(hg)[0]
+        assert calls[0] is skbounds.flow.fundamental(hg).src
         assert built == [], path.name
 
 
@@ -770,7 +795,7 @@ def test_gamma_check_reports_the_reduced_capacity(m):
     for e, x in report.x_star.entries.items():
         if x > 0:
             entries = {**report.x_star.entries, e: x / 2}
-            broken = dataclasses.replace(report, x_star=FractionalPacking(entries))
+            broken = dataclasses.replace(report, x_star=dataclasses.replace(report.x_star, entries=entries))
             checks = {c[0]: c[1:] for c in _report_checks(hg, broken)}
             ok, kept, expected = checks[GAMMA]
             assert not ok and expected == capacity
@@ -797,7 +822,7 @@ def test_gamma_and_type_s_lines_read_the_reduced_source(monkeypatch):
                 entries = {e: w * rng.randint(0, 4) / 4 for e, w in hg.weights.items()}
                 reduced = reference_mmi(hg.restrict(entries))
                 kept = reduced.value == capacity
-                broken = dataclasses.replace(report, x_star=FractionalPacking(entries))
+                broken = dataclasses.replace(report, x_star=dataclasses.replace(report.x_star, entries=entries))
                 checks = {c[0]: c[1:] for c in _report_checks(hg, broken)}
                 assert checks[GAMMA] == (kept, reduced.value, capacity), (family, m, entries)
                 runs = len(calls)
@@ -877,19 +902,19 @@ ROUND_MUTATIONS = {
 
 
 @pytest.mark.parametrize("mutation", list(ROUND_MUTATIONS))
-def test_a_broken_round_falls_back_to_the_reduced_source(mutation, identity_corpus, monkeypatch):
+def test_a_broken_round_falls_back_to_the_reduced_source(mutation, identity_corpus):
     # Each entry of the greedy point moved by 1, a point below zero that
     # keeps the sum, and a point entry off by one: the round no longer
     # certifies x*, and both lines print the reduced source's values.
     checked = 0
     for hg, report in map(_analyzed, _rco_sources() + identity_corpus[:60]):
-        kept = hg.__dict__["_ub_round"]
+        kept = report.x_star.last_round
         if mutation.startswith("point") and not kept[0]:
             continue  # no edge with more than one vertex
         for broken in ROUND_MUTATIONS[mutation](kept):
-            monkeypatch.setitem(hg.__dict__, "_ub_round", broken)
-            assert skbounds.bounds._certified_round(hg, report.x_star.entries) is None, hg
-            assert _lines(hg, report) == _reduced_lines(hg, report), hg
+            x_star = dataclasses.replace(report.x_star, last_round=broken)
+            assert skbounds.bounds._certified_round(hg, x_star) is None, hg
+            assert _lines(hg, dataclasses.replace(report, x_star=x_star)) == _reduced_lines(hg, report), hg
             checked += 1
     assert checked >= 70
 
@@ -907,33 +932,34 @@ def test_a_round_from_another_packing_falls_back_to_the_reduced_source(identity_
                 singletons += 1
                 break
         for entries in packings:
-            other = dataclasses.replace(report, x_star=FractionalPacking(entries))
-            assert skbounds.bounds._certified_round(hg, entries) is None or entries == report.x_star.entries
+            x_star = dataclasses.replace(report.x_star, entries=entries)  # the round of the report's x*
+            other = dataclasses.replace(report, x_star=x_star)
+            assert skbounds.bounds._certified_round(hg, x_star) is None or entries == report.x_star.entries
             assert _lines(hg, other) == _reduced_lines(hg, other), (hg, entries)
     assert singletons >= 50
 
 
-def test_a_packing_missing_an_edge_or_above_w_falls_back_and_is_rejected(monkeypatch):
+def test_a_packing_missing_an_edge_or_above_w_falls_back_and_is_rejected():
     # x* with one edge left out, which UB's round matches on every other
     # edge; and a round whose point, which x* matches, is above w on one
     # edge: its greedy point passes, as more weight keeps I, but it is not
     # in Gamma.  Both fall back, and the reduced source rejects them with
     # the messages it always gave.
     hg, report = _analyzed(EXAMPLE1)
-    src, scale, n, _, _, d = fundamental(hg)
+    run = fundamental(hg)
+    src, n, d = run.src, run.n, run.d
     e = next(iter(src.weights))
-    missing = {f: x for f, x in report.x_star.entries.items() if f != e}
+    missing = dataclasses.replace(report.x_star, entries={f: x for f, x in report.x_star.entries.items() if f != e})
     assert skbounds.bounds._certified_round(hg, missing) is None
     with pytest.raises(ValueError, match="exactly the hyperedges"):
-        _report_checks(hg, dataclasses.replace(report, x_star=FractionalPacking(missing)))
+        _report_checks(hg, dataclasses.replace(report, x_star=missing))
     point = {**src.weights, e: 2 * src.weights[e]}
     cells, ys = skbounds.flow.truncation(hg.m, point, n, d)
     assert skbounds.bounds._proves_capacity(point, ys, n, d)
-    monkeypatch.setitem(hg.__dict__, "_ub_round", (point, 1, cells, ys))
-    above = {f: F(p, scale) for f, p in point.items()}
+    above = FractionalPacking({f: F(p, run.scale) for f, p in point.items()}, (point, 1, cells, ys))
     assert skbounds.bounds._certified_round(hg, above) is None
     with pytest.raises(ValueError, match="exceeds weight"):
-        _report_checks(hg, dataclasses.replace(report, x_star=FractionalPacking(above)))
+        _report_checks(hg, dataclasses.replace(report, x_star=above))
 
 
 def test_gamma_membership_raises_when_the_certificate_fails(monkeypatch):
@@ -961,9 +987,9 @@ def test_the_relaxation_over_cells_has_the_per_terminal_optimum(identity_corpus,
     randoms = [families[i % 3](rng, rng.randint(2, 9)) for i in range(300)]
     fixed = _rco_sources() + identity_corpus + graphical_corpus
     for i, hg in enumerate(fixed + randoms):
-        src, _, _, cells, _, d = fundamental(hg)
-        entries = {e: w * d for e, w in src.weights.items()}
-        partitions = [cells]
+        run = fundamental(hg)
+        entries = {e: w * run.d for e, w in run.src.weights.items()}
+        partitions = [run.cells]
         if i >= len(fixed):
             labels = [rng.randrange(hg.m) for _ in range(hg.m)]
             split = [sum(1 << v for v in range(hg.m) if labels[v] == k) for k in set(labels)]
@@ -1013,9 +1039,9 @@ def test_analyze_certifies_mmi_once_though_each_bound_calls_it(monkeypatch, text
         calls.append(source)
         return read(source)
 
-    def certifying(src, *args):
-        certified.append(src)
-        return certify(src, *args)
+    def certifying(run, *args):
+        certified.append(run.src)
+        return certify(run, *args)
 
     monkeypatch.setattr(skbounds.bounds, "mmi", reading)
     monkeypatch.setattr(skbounds.partitions, "_certified_rows", certifying)

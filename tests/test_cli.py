@@ -353,9 +353,9 @@ def test_check_reuses_the_analyze_report(monkeypatch, capsys):
     monkeypatch.setattr(skbounds.partitions, "fundamental", certifying)
     truncations = []
 
-    def counting(src, _run=skbounds.flow.dinkelbach):
+    def counting(src, *args, _run=skbounds.flow.dinkelbach):
         truncations.append(src)
-        return _run(src)
+        return _run(src, *args)
 
     monkeypatch.setattr(skbounds.flow, "dinkelbach", counting)
     solves = _count_solves(monkeypatch)
@@ -435,8 +435,8 @@ def _greedy_rate_lowered(monkeypatch):
     exact = skbounds.bounds.fundamental
 
     def mutated(hg):
-        src, scale, value, cells, xs, d = exact(hg)
-        return src, scale, value, cells, (xs[0] - d, *xs[1:]), d
+        run = exact(hg)
+        return dataclasses.replace(run, xs=(run.xs[0] - run.d, *run.xs[1:]))
 
     monkeypatch.setattr(skbounds.bounds, "fundamental", mutated)
 

@@ -8,6 +8,7 @@ import pytest
 
 import skbounds.hypergraph
 from skbounds import CapExceededError, WeightedHypergraph, analyze, mask_of, mmi, subset_weight_table
+from skbounds.bounds import _certified_round, _report_checks, run_checks
 from skbounds.cli import parse_document
 from skbounds.hypergraph import vertices_of
 
@@ -283,7 +284,9 @@ def test_weights_are_read_only(example1):
 
 def test_hypergraphs_and_reports_survive_a_pickle_round_trip():
     # Before and after `analyze` the hypergraph comes back equal, as does
-    # its report, listing included; a deep copy too.
+    # its report, listing included; a deep copy too.  UB's last round rides
+    # on x*, so a report read back, on a copy that keeps no run, gives the
+    # same check lines, and the same identities where the round certifies x*.
     for path in sorted(FIXTURE_DIR.glob("*.hg")):
         hg = parse_document(fixture_text(path.name))
         before = pickle.loads(pickle.dumps(hg))
@@ -298,3 +301,7 @@ def test_hypergraphs_and_reports_survive_a_pickle_round_trip():
         assert back == report
         assert back.mmi.minimizer_cells == report.mmi.minimizer_cells
         assert pickle.loads(pickle.dumps(report.mmi)) == report.mmi
+        assert back.x_star.last_round == report.x_star.last_round
+        assert _certified_round(copy.deepcopy(hg), back.x_star) is not None
+        assert run_checks(copy.deepcopy(hg), back) == run_checks(hg, report)
+        assert _report_checks(copy.deepcopy(hg), back) == list(report.checks)

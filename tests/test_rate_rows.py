@@ -12,6 +12,7 @@ truncation; with that step off it must return the same run, and where
 the table costs more it builds none.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 import skbounds.flow
 from skbounds import InternalInvariantError, WeightedHypergraph, mask_of, mmi
 from skbounds.cli import parse_document
-from skbounds.flow import dinkelbach, fundamental
+from skbounds.flow import Run, dinkelbach, fundamental
 from skbounds.hypergraph import pack, packed_table, rate_rows, row_width, tight_rows, unpack
 from skbounds.partitions import _certified_rows, _list_coarsenings, _slack
 
@@ -78,13 +79,13 @@ def _value(src: WeightedHypergraph, cells) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _packed(src, units, num, den, xs, value):
-    """The packed certificate's outcome: (slacks, tight count), or the error's message."""
+def _packed(run: Run, value):
+    """The packed certificate's outcome on `run`: (slacks, tight count), or the error's message."""
     try:
-        rows = _certified_rows(src, units, num, den, xs, value)
+        rows = _certified_rows(run, value)
     except InternalInvariantError as exc:
         return str(exc)
-    return _slack(len(units), rows), tight_rows(len(units), *rows)
+    return _slack(len(run.cells), rows), tight_rows(len(run.cells), *rows)
 
 
 def _listed(src, units, num, den, value):
@@ -96,19 +97,21 @@ def _listed(src, units, num, den, value):
     return slack, slack.count(0)
 
 
-def _runs(hg: WeightedHypergraph):
-    """(src, units, num, den, xs): the true run, the singletons and two-cell merges at their own
-    values, and I one unit too high."""
-    src, _, num, units, xs, den = fundamental(hg)
-    runs = [(units, num, den)] if num else []
+def _runs(hg: WeightedHypergraph) -> list[Run]:
+    """The true run, with its `rows` if they decided it, and on its integer source, with no
+    `rows`, the singletons and two-cell merges at their own values, and I one unit too high."""
+    run = fundamental(hg)
+    src, units = run.src, run.cells
+    runs = []
     singletons = tuple(1 << v for v in range(hg.m))
     runs.append((singletons, *_value(src, singletons)))
     for i in range(min(len(units) - 1, 3)):
         merged = sorted((*units[:i], units[i] | units[i + 1], *units[i + 2:]), key=lambda c: c & -c)
         if len(merged) > 1:
             runs.append((tuple(merged), *_value(src, merged)))
-    runs.append((units, num + 1, den))
-    return [(src, units, n, d, xs) for units, n, d in runs if n > 0]
+    runs.append((units, run.n + 1, run.d))
+    wrong = [dataclasses.replace(run, cells=cells, n=n, d=d, rows=None) for cells, n, d in runs if n > 0]
+    return ([run] if run.n else []) + wrong
 
 
 @pytest.mark.parametrize("family", ["corpora", *FAMILIES])
@@ -116,16 +119,15 @@ def test_the_packed_certificate_equals_the_list_form(family, identity_corpus, gr
     outcomes = {"certified": 0, "failed": 0}
     for hg in _sources(family, identity_corpus, graphical_corpus):
         hg = _fresh(hg)  # a shared corpus source may keep an `mmi` result
-        result = mmi(hg)
-        src, scale, num, units, _, den = fundamental(hg)
-        if num:
-            slack = list_slack(src, units, num, den, result.value)
+        result, run = mmi(hg), fundamental(hg)
+        if run.n:
+            slack = list_slack(run.src, run.cells, run.n, run.d, result.value)
             assert result.minimizer_count == list_count(slack), hg
-            assert result.minimizer_cells == tuple(_list_coarsenings(units, slack)), hg
-        for src, cells, n, d, xs in _runs(hg):
-            value = Fraction(n, d * scale)
-            packed = _packed(src, cells, n, d, xs, value)
-            assert packed == _listed(src, cells, n, d, value), (hg, cells, n, d)
+            assert result.minimizer_cells == tuple(_list_coarsenings(run.cells, slack)), hg
+        for run in _runs(hg):
+            value = Fraction(run.n, run.d * run.scale)
+            packed = _packed(run, value)
+            assert packed == _listed(run.src, run.cells, run.n, run.d, value), (hg, run.cells, run.n, run.d)
             outcomes["failed" if isinstance(packed, str) else "certified"] += 1
     # Every tie-heavy source has I = 0, which the rows do not certify.
     assert outcomes["failed"] and bool(outcomes["certified"]) == (family != "tie"), outcomes
@@ -155,7 +157,7 @@ def test_the_packed_certificate_equals_the_list_form_on_any_partition(case):
         for num in (n, n + 1):
             if num:
                 value = Fraction(num, d)
-                assert _packed(src, cells, num, d, (), value) == _listed(src, cells, num, d, value)
+                assert _packed(Run(src, 1, num, cells, (), d), value) == _listed(src, cells, num, d, value)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -216,7 +218,9 @@ def test_dinkelbach_returns_the_same_run_with_the_rows_step_off(family, identity
 
     monkeypatch.setattr(skbounds.flow, "_singleton_rows", recording)
     runs = [dinkelbach(hg.integer_source()[0]) for hg in sources]
+    assert sum(run.rows is not None for run in runs) == sum(decided)
     _without_rows(monkeypatch)
+    # A `Run` compares its source, L, n, P*, xs and d, and not its `rows`.
     assert [dinkelbach(hg.integer_source()[0]) for hg in sources] == runs
     if family in ("type_s", "all-terminal"):
         # Every Type-S source starts at the singletons, at I, and its rows
@@ -241,8 +245,8 @@ def test_a_singletons_start_whose_rows_fail_still_truncates(monkeypatch, table_c
     monkeypatch.setattr(skbounds.flow, "truncation", recording)
     src = hg.integer_source()[0]
     run = dinkelbach(src)
-    assert table_calls == [("packed_table", 10)] and "_rows" not in src.__dict__
-    assert len(run[1]) < 10 and len(truncations) >= 2
+    assert table_calls == [("packed_table", 10)] and run.rows is None
+    assert len(run.cells) < 10 and len(truncations) >= 2
     _without_rows(monkeypatch)
     assert dinkelbach(hg.integer_source()[0]) == run
 

@@ -13,6 +13,7 @@ singletons, `reference_scan.integer_scan`, is its reference where the
 `Fraction` scan is too slow.
 """
 
+import dataclasses
 import math
 import random
 import types
@@ -82,7 +83,8 @@ def test_truncation_by_hand():
     # Dinkelbach starts at the least of the singletons' value 4/3 and the
     # splits {v} | M - v, 2, 2, 3 and 1: the split {4} has value I, and one
     # truncation there returns P* and the greedy point.
-    assert dinkelbach(src) == (1, (0b0111, 0b1000), (1, 1, 1, 0), 1)
+    run = dinkelbach(src)
+    assert (run.n, run.cells, run.xs, run.d) == (1, (0b0111, 0b1000), (1, 1, 1, 0), 1)
 
 
 def _record_cuts(monkeypatch) -> list:
@@ -316,9 +318,9 @@ def test_every_network_of_the_fixtures_and_the_ladder_matches_the_general_min_cu
 def test_mmi_runs_one_dinkelbach_at_every_m(monkeypatch):
     calls = []
 
-    def counting(src):
+    def counting(src, *args):
         calls.append(src.m)
-        return dinkelbach(src)
+        return dinkelbach(src, *args)
 
     monkeypatch.setattr(skbounds.flow, "dinkelbach", counting)
     for family, make in FAMILIES.items():
@@ -337,10 +339,10 @@ def test_dinkelbach_matches_the_fraction_scan(family, scale):
         hg = FAMILIES[family](rng, m)
         hg = WeightedHypergraph(m, {e: c * w for e, w in hg.weights.items()})
         src, L = hg.integer_source()
-        n, cells, _, d = dinkelbach(src)
+        run = dinkelbach(src)
         expected = reference_mmi(hg)
-        assert (Fraction(n, d * L), cells) == (expected.value, expected.fundamental.cells), f"m = {m}"
-        assert math.gcd(n, d) == 1, f"m = {m}"
+        assert (Fraction(run.n, run.d * L), run.cells) == (expected.value, expected.fundamental.cells), f"m = {m}"
+        assert math.gcd(run.n, run.d) == 1, f"m = {m}"
 
 
 # A source where a listing that places P*'s cells one at a time meets two
@@ -526,10 +528,12 @@ def test_two_clusters_has_a_two_cell_p_star():
 )
 def test_a_wrong_truncation_result_is_an_internal_error(monkeypatch, mutate, hg):
     # The kept run is wrapped, not changed: `hg` is built once, at collection.
-    # `mmi` runs on a fresh copy, which keeps no result of its own yet.
+    # `mmi` runs on a fresh copy, which keeps no result of its own yet.  A
+    # truncation's run carries no singletons' `rows`.
     def mutated(hg):
-        src, scale, n, cells, xs, d = fundamental(hg)
-        return (src, scale, *mutate(n, cells, d), xs, d)
+        run = fundamental(hg)
+        n, cells = mutate(run.n, run.cells, run.d)
+        return dataclasses.replace(run, n=n, cells=cells, rows=None)
 
     monkeypatch.setattr(skbounds.partitions, "fundamental", mutated)
     with pytest.raises(InternalInvariantError, match="does not have its value I"):
@@ -561,10 +565,10 @@ def test_a_partition_finer_than_p_star_at_its_own_value_trips_the_union_check(mo
     assert mmi(hg).fundamental.cells == (0b110011111, 0b000100000, 0b001000000)
 
     def singletons(hg):
-        src, scale, _, _, xs, _ = fundamental(hg)
-        crossing = sum(w * (bin(e).count("1") - 1) for e, w in src.weights.items())
+        run = fundamental(hg)
+        crossing = sum(w * (bin(e).count("1") - 1) for e, w in run.src.weights.items())
         # Their value crossing / (m - 1), as n / d; `mmi` reads no xs.
-        return src, scale, crossing, tuple(1 << v for v in range(src.m)), xs, src.m - 1
+        return dataclasses.replace(run, n=crossing, cells=tuple(1 << v for v in range(hg.m)), d=hg.m - 1, rows=None)
 
     monkeypatch.setattr(skbounds.partitions, "fundamental", singletons)
     with pytest.raises(InternalInvariantError, match=r"merging the cells of P\* inside"):
@@ -592,7 +596,7 @@ def test_dinkelbach_on_a_type_s_source_truncates_at_most_once(monkeypatch):
     for m in range(2, 13):
         calls.clear()
         src, _ = type_s_source(random.Random(f"dinkelbach/{m}"), m).integer_source()
-        assert dinkelbach(src)[1] == tuple(1 << v for v in range(m))
+        assert dinkelbach(src).cells == tuple(1 << v for v in range(m))
         by_rows = 1 << m <= 8 * m * len(src.weights)
         assert len(calls) == (0 if by_rows else 1), f"m = {m}"
         decided.append(by_rows)
