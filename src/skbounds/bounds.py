@@ -51,7 +51,12 @@ sums of every subset, every field in one subtraction, and builds no list
 of 2^m entries; only a missed row goes to the list sweep, which names
 it.  When the singletons' rate rows decided the run (`Run.rows`), that
 check has run already, on the same ints (the weights times d, the rates
-xs, n / d in lowest terms), and no second table is built.  The
+xs, n / d in lowest terms), and no second table is built.  When the
+run's truncations read the source's packed table (`Run.table`, fields
+the weight inside each subset), that table times d, one multiplication,
+is the packed table of the weights times d, and the check reads it in
+place of building its own wherever its fields are as wide as the check
+needs.  The
 relaxation `build_rco_lp` keeps the rows of the complements of P*'s
 cells, which sum to r(M) >= H - value(P*).  They read only the rate
 sums of the cells, so it has one column per cell, not per terminal, and
@@ -177,7 +182,9 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
-def separation_oracle(entries: Mapping[int, Fraction | int], rates: Sequence) -> Optional[int]:
+def separation_oracle(
+    entries: Mapping[int, Fraction | int], rates: Sequence, table: Optional[tuple[int, int]] = None
+) -> Optional[int]:
     """Most violated subset row rates(B) >= entries(B), or None if none is violated.
 
     B runs over the nonempty proper subsets of the len(rates) terminals, and
@@ -189,7 +196,9 @@ def separation_oracle(entries: Mapping[int, Fraction | int], rates: Sequence) ->
     `packed_table` of the entries, in fields of the narrowest W of 8, 16,
     32 and 64 bits with both totals below 2^(W - 1), each field's top bit
     set exactly when its row holds (the empty set's row, 0 >= an entry on
-    mask 0, fails only into the sweep).
+    mask 0, fails only into the sweep).  `table`, when given, is
+    (W', the `packed_table` of the entries at W'), and is read in place of
+    a new table when W' >= W: wider fields leave each top bit as free.
     Otherwise, or when a row fails, one sweep over the list
     `subset_weight_table` minimizes rates(B) - entries(B) and returns the
     minimizing mask (smallest on ties) when the minimum is negative.
@@ -198,8 +207,10 @@ def separation_oracle(entries: Mapping[int, Fraction | int], rates: Sequence) ->
     """
     m, values = len(rates), entries.values()
     width = packed_width(max(sum(values), sum(rates)) << 1) if naturals([*values, *rates]) else 0
-    if width and rate_rows(m, packed_table(m, entries, width), width, rates)[1]:
-        return None
+    if width:
+        width, packed = table if table and table[0] >= width else (width, packed_table(m, entries, width))
+        if rate_rows(m, packed, width, rates)[1]:
+            return None
     sums = [0]  # sums[B] = rates(B), one doubling per terminal
     for rate in rates:
         sums += [s + rate for s in sums]
@@ -237,7 +248,8 @@ def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fracti
 
     The point is the greedy point xs / d of `flow.dinkelbach`'s last
     truncation, on the integer source, read from `flow.fundamental`.  One
-    `separation_oracle` check must show that it meets every subset row,
+    `separation_oracle` check, handed the run's kept table times d, must
+    show that it meets every subset row,
     unless the run's own `rows` showed it, and the relaxation over the
     complements of P*'s cells, solved once, must have its sum as optimum;
     either failure is reported as an internal error, naming the row or
@@ -248,7 +260,8 @@ def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fracti
     xs, q = run.xs, run.d * run.scale
     entries = {e: w * run.d for e, w in run.src.weights.items()}  # over d, as xs are
     # Rows that decided the run checked these rows on these ints already.
-    mask = None if run.rows else separation_oracle(entries, xs)
+    table = run.table and (run.table[0], run.table[1] * run.d)  # the packed table of `entries`
+    mask = None if run.rows else separation_oracle(entries, xs, table)
     if mask is not None:
         have, need = (Fraction(v, q) for v in _row_sides(entries, xs, mask))
         raise InternalInvariantError(

@@ -26,6 +26,30 @@ a cell of two or more vertices enters the network as its least vertex
 (its root), the same x_j and the same cells come out, and the network
 shrinks as the cells grow.
 
+A step may instead read its values off the source's subset table T,
+T(B) the weight of the hyperedges inside B, which `dinkelbach` keeps.
+As H(S) = H(M) - T(M - S), the value at S = j | U, U a union of cells,
+is d * (H(M) - T(M - S)) - n - x(U) in the ints over d.  In the cut's
+network (`truncation`) only the cells with term_C < 0 are reached from
+j, and term_C = d * (T(C | A) - T(A)) - x(C), A the vertices after j:
+the hyperedges that meet C, miss j and meet no other cell lie inside
+C | A and not inside A.  So the least minimizer is j with a union of
+those cells, and the step ranges over their unions only.  The
+minimizers of f(S) - x(S - j) over the S that hold j are closed under
+intersection (f is intersecting submodular and x modular), the least
+one is among these unions, and every other minimizer holds it, so it
+is the intersection of the minimizing unions.  The step lists the
+unions in submask order (union i holds the t-th cell when bit t of i
+is set), so a union comes after every union inside it, and the first
+one at the least value is that intersection: the same cells and x_j as
+the cut, with two lookups per cell and one per union in place of the
+pass over the edges and the cut.  The table has 2^m fields and a
+truncation passes over the edges once per terminal, so `dinkelbach`
+builds it only where 2^m <= 8 m |E| and gamma > 0 at the start, and a
+step reads it only while those cells give at most `UNIONS` = 32 unions;
+the other steps, and every truncation at gamma > 0 with no table (larger
+m, UB's rounds), cut.  Gamma = 0 has its closed form (below).
+
 A partition P has value (sum of H(C) over its cells - H(M)) / (|P| - 1)
 at most gamma exactly when its sum of f is at most H(M) - gamma, the sum
 of the one-cell partition.  So Dinkelbach's iteration finds the capacity I:
@@ -52,9 +76,9 @@ partition they are P*.  A truncation at gamma = I would then merge
 nothing: each step's least minimizer is {j}, so x_j = H(j) - gamma, and
 its greedy point is x / d.  The run returns n / d, the singletons and
 x, what the truncations would return, and keeps the packed gaps of the
-rows as its `rows`.  The table has 2^m fields and a truncation passes
-over the edges once per terminal, so the check runs only when
-2^m <= 8 m |E|; when a row fails, the truncations run as before.
+rows as its `rows`.  The check reads the table of the table step, times
+d, so it runs under the same guard; when a row fails, the truncations
+read that table.
 
 At gamma = 0, where every source with I = 0 ends its run, f is H itself,
 which is already submodular, so the truncation needs no cut: the greedy
@@ -64,9 +88,11 @@ reached exactly by the partitions that no edge of positive weight
 crosses; the finest of them is the components of those edges.
 
 `dinkelbach` returns one `Run`, a frozen record with named fields: the
-integer source and its L, n / d, P*, the greedy point xs and, when the
-singletons' rows decided the run, those rows.  `fundamental` is the one
-place that runs `dinkelbach` on a hypergraph: it builds the integer
+integer source and its L, n / d, P*, the greedy point xs, the
+singletons' rows when they decided the run, and otherwise the packed
+table its truncations read, which `bounds.r_co_direct` scales by d for
+its check of every subset row.  `fundamental` is the one place that
+runs `dinkelbach` on a hypergraph: it builds the integer
 source, runs it once there and keeps the `Run` on the hypergraph, so I,
 P* and the rate point of one source come from one run, and every reader
 takes them by name.  The run is all ints: gamma is the pair (n, d), kept
@@ -81,10 +107,14 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Mapping, Optional, Sequence
 
-from .hypergraph import WeightedHypergraph, packed_table, packed_width, rate_rows
+from .hypergraph import WeightedHypergraph, packed_table, packed_width, rate_rows, unpack
+
+# A truncation step reads its values off the source's subset table when the
+# cells it may join give at most this many unions (the module's table step).
+UNIONS = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Run:
     """One Dinkelbach run on an integer source: I, P* and an optimal rate point, all in ints.
 
@@ -94,8 +124,13 @@ class Run:
     greedy rate point of the run's last truncation, which sums to
     L * (H(M) - I).  `rows` is (field width, packed gaps) of the
     singletons' rate rows when they decided the run (`_singleton_rows`),
-    else None; it is a cache of a check, so equality reads the other
-    fields only.  Frozen and not a tuple: every reader names the field.
+    else None.  `table` is (field width W, `packed_table` of the weights
+    at W) when the truncations read it, else None; W leaves room for the
+    weights times 2 d at the singletons' start and times 4 otherwise.
+    Both are caches, so equality and `repr` read the other fields only.
+    Frozen and not a tuple: every reader names the field.  The
+    constructor fills the instance dict in one update, as a frozen
+    dataclass's would field by field.
     """
 
     src: WeightedHypergraph
@@ -105,6 +140,13 @@ class Run:
     xs: tuple[int, ...]
     d: int
     rows: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+    table: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+
+    def __init__(
+        self, src: WeightedHypergraph, scale: int, n: int, cells: tuple[int, ...], xs: tuple[int, ...], d: int,
+        rows: Optional[tuple[int, int]] = None, table: Optional[tuple[int, int]] = None,
+    ) -> None:
+        self.__dict__.update(src=src, scale=scale, n=n, cells=cells, xs=xs, d=d, rows=rows, table=table)
 
 
 def bipartite_cut(supply: list[int], groups: list[tuple[int, int]]) -> tuple[int, int]:
@@ -203,7 +245,7 @@ def bipartite_cut(supply: list[int], groups: list[tuple[int, int]]) -> tuple[int
 
 
 def truncation(
-    m: int, weights: Mapping[int, int], n: int, d: int
+    m: int, weights: Mapping[int, int], n: int, d: int, table: Optional[Sequence[int]] = None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(cells, xs): the finest partition of M that minimizes the sum of H(C) - gamma over its
     cells C, at gamma = n / d, and the greedy point x = xs / d that reaches that least sum.
@@ -236,6 +278,11 @@ def truncation(
     every cut by g, which moves no least source side, so the cells do not
     depend on how gamma is written.  At n = 0 the cells and xs are read
     off the edges in one pass, with no network (the module's closed form).
+    With `table`, the source's subset table T as a list, a step whose
+    cells with term_C < 0 give at most `UNIONS` unions reads term_C and
+    its values off T instead of the edges, and takes the first minimizing
+    union in submask order, the intersection of the minimizing unions
+    (the module's table step).
     """
     if not n:
         # gamma = 0: x is Edmonds' greedy vertex of H and the cells are the components.
@@ -252,6 +299,7 @@ def truncation(
         cells = joined + [1 << v for v in range(m) if not whole >> v & 1]
         return tuple(sorted(cells, key=lambda c: c & -c)), tuple(xs)
     edges = [(e, w * d) for e, w in weights.items()]
+    top, full = d * table[-1] - n if table else 0, (1 << m) - 1  # top: f(M) = d * H(M) - n
     x: list[int] = []
     cells: list[int] = []
     base: list[int] = []  # -x(C) at each cell C's root, its least vertex, and 0 at its other vertices
@@ -259,40 +307,62 @@ def truncation(
     rests: list[tuple[int, int]] = []  # (C, C minus its root) for those cells
     for j in range(m):
         bit = 1 << j
-        below = bit - 1
-        fixed = 0  # the weight of the groups that contain j
-        term = base[:]
-        groups: dict[int, int] = {}
-        for e, w in edges:
-            if e & bit:
-                fixed += w
-            elif e & below:
-                a = e & below
-                if a & merged:
-                    for c, rest in rests:
-                        if a & c:
-                            a = (a | c) ^ rest
-                if a & (a - 1):
-                    groups[a] = groups.get(a, 0) + w
-                else:
-                    term[a.bit_length() - 1] += w
-        movable = lack = 0  # the vertices with a negative term, and its total
-        for v, c in enumerate(term):
-            if c < 0:
-                movable |= 1 << v
-                lack -= c
-        if movable:
-            supply = [-c if c < 0 else 0 for c in term]
-            meet = [(a & movable, w) for a, w in groups.items() if a & movable]
-            cut, side = bipartite_cut(supply, meet)
-            least = bit | side
-            for c in cells:
-                if c & least:
-                    least |= c
+        if table:
+            # The cells with term_C < 0, term_C = d * (T(C | above) - T(above)) - x(C).
+            above = full ^ (bit + bit - 1)
+            free = table[above]
+            joining = [c for c in cells if d * (table[c | above] - free) < -base[(c & -c).bit_length() - 1]]
+        if table and 1 << len(joining) <= UNIONS:
+            # f(S) - x(S - j) - f(M) for S = j with each union U of those cells, in
+            # submask order: the first least value is at the least minimizer.
+            rest = full ^ bit
+            low, least = -d * table[rest], bit
+            seen = [(0, 0)]  # (U, -x(U))
+            for c in joining:
+                r = base[(c & -c).bit_length() - 1]
+                for u, g in seen[:]:
+                    u, g = u | c, g + r
+                    seen.append((u, g))
+                    value = g - d * table[rest ^ u]
+                    if value < low:
+                        low, least = value, bit | u
             cells = [c for c in cells if not c & least]
+            x.append(top + low)
         else:
-            cut, least = 0, bit
-        x.append(fixed - lack + cut - n)
+            below = bit - 1
+            fixed = 0  # the weight of the groups that contain j
+            term = base[:]
+            groups: dict[int, int] = {}
+            for e, w in edges:
+                if e & bit:
+                    fixed += w
+                elif e & below:
+                    a = e & below
+                    if a & merged:
+                        for c, rest in rests:
+                            if a & c:
+                                a = (a | c) ^ rest
+                    if a & (a - 1):
+                        groups[a] = groups.get(a, 0) + w
+                    else:
+                        term[a.bit_length() - 1] += w
+            movable = lack = 0  # the vertices with a negative term, and its total
+            for v, c in enumerate(term):
+                if c < 0:
+                    movable |= 1 << v
+                    lack -= c
+            if movable:
+                supply = [-c if c < 0 else 0 for c in term]
+                meet = [(a & movable, w) for a, w in groups.items() if a & movable]
+                cut, side = bipartite_cut(supply, meet)
+                least = bit | side
+                for c in cells:
+                    if c & least:
+                        least |= c
+                cells = [c for c in cells if not c & least]
+            else:
+                cut, least = 0, bit
+            x.append(fixed - lack + cut - n)
         base.append(-x[j])
         if least != bit:
             # S took earlier cells: the new cell's root, its least vertex,
@@ -316,7 +386,9 @@ def dinkelbach(src: WeightedHypergraph, scale: int = 1) -> Run:
     m - 1, and the m splits {v} | M - v, each the weight of the edges that
     hold v and another vertex, all from one pass over the edges.  A start
     at the singletons with n > 0 is first tried on their rate rows
-    (`_singleton_rows`, the module's proof), where 2^m <= 8 m |E|.  Each
+    (`_singleton_rows`, the module's proof), where 2^m <= 8 m |E|; under
+    the same guard every start with n > 0 builds the source's packed
+    table once, and the truncations read it as a list.  Each
     truncation either beats the one-cell partition, and gamma falls to the
     value of the partition found, or shows that no partition has a value
     below gamma.  The greedy point of that last truncation sums to H(M) - I
@@ -339,40 +411,47 @@ def dinkelbach(src: WeightedHypergraph, scale: int = 1) -> Run:
     best = min(split)
     singletons = best * (m - 1) >= crossing
     n, d = (crossing, m - 1) if singletons else (best, 1)
-    # A 2^m table against a truncation's m passes over the edges.
-    if singletons and n and 1 << m <= 8 * m * len(src.weights) and (run := _singleton_rows(src, scale, n, d, split)):
-        return run
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    kept = table = None
+    # A 2^m table against a truncation's m passes over the edges.  Its fields
+    # hold the singletons' rows, at 2 d H(M), or else R_CO's check at d <= 2.
+    if n and 1 << m <= 8 * m * len(src.weights) and (width := packed_width(total * (2 * d if singletons else 4))):
+        kept = width, packed_table(m, src.weights, width)
+        if singletons and (run := _singleton_rows(src, scale, n, d, split, kept)):
+            return run
+        table = unpack(kept[1], 1 << m, width)
     while True:
-        g = gcd(n, d)
-        n, d = n // g, d // g
-        cells, xs = truncation(m, src.weights, n, d)
+        cells, xs = truncation(m, src.weights, n, d, table)
         if sum(xs) >= total * d - n:
-            return Run(src, scale, n, cells, xs, d)
+            return Run(src, scale, n, cells, xs, d, table=kept)
         # The partition's sum of H(C) - H(M) is (sum(xs) + n * |cells|) / d - H(M).
         k = len(cells)
         n, d = sum(xs) + n * k - total * d, d * (k - 1)
+        g = gcd(n, d)
+        n, d = n // g, d // g
 
 
-def _singleton_rows(src: WeightedHypergraph, scale: int, n: int, d: int, split: Sequence[int]) -> Optional[Run]:
+def _singleton_rows(
+    src: WeightedHypergraph, scale: int, n: int, d: int, split: Sequence[int], table: tuple[int, int]
+) -> Optional[Run]:
     """The run at the singletons' value gamma = n / d, with their rate rows, when the rates
     xs = d * H(v) - n meet every subset row, else None.
 
     `split[v]` is the weight of the edges that hold v and another vertex,
-    so H(v) adds the weight of {v} itself.  One `rate_rows` check of the
-    packed table of the weights times d against xs, n / d in lowest terms,
-    when every rate is >= 0 and the fields fit in 64 bits.  A success
-    hands the field width and the packed gaps back as the run's `rows`,
-    which `partitions.mmi` reads as its certificate and `r_co_direct` as
-    its check of every row.
+    so H(v) adds the weight of {v} itself.  One `rate_rows` check of
+    `table`, the run's (W, packed table) with W fitting 2 d H(M), times d
+    against xs, n / d in lowest terms, when every rate is >= 0.  A
+    success hands the field width and the packed gaps back as the run's
+    `rows`, which `partitions.mmi` reads as its certificate and
+    `r_co_direct` as its check of every row; on a failure the
+    truncations read the same table.
     """
-    g = gcd(n, d)
-    n, d = n // g, d // g
     xs = tuple(d * (h + src.weights.get(1 << v, 0)) - n for v, h in enumerate(split))
-    entries = {e: w * d for e, w in src.weights.items()}
-    width = packed_width(sum(entries.values()) << 1)  # sum(xs) is d * H(M) - n
-    if min(xs) < 0 or not width:
+    if min(xs) < 0:
         return None
-    gaps, holds = rate_rows(src.m, packed_table(src.m, entries, width), width, xs)
+    width, packed = table
+    gaps, holds = rate_rows(src.m, packed * d, width, xs)
     return Run(src, scale, n, tuple(1 << v for v in range(src.m)), xs, d, (width, gaps)) if holds else None
 
 

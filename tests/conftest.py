@@ -117,26 +117,49 @@ def clustered_source(rng: random.Random, m: int) -> WeightedHypergraph:
     return WeightedHypergraph(m, weights)
 
 
-@pytest.fixture
-def table_calls(monkeypatch):
-    """Every `packed_table` and `subset_weight_table` call, as (name, m), in order.
+# The kernels a test may count: each name, the module that defines it, and
+# the size it is recorded with (m, or a cut's vertex count).
+_KERNELS = {
+    "packed_table": (skbounds.hypergraph, lambda m, *args: m),
+    "subset_weight_table": (skbounds.hypergraph, lambda m, *args: m),
+    "rate_rows": (skbounds.hypergraph, lambda m, *args: m),
+    "bipartite_cut": (skbounds.flow, lambda supply, groups: len(supply)),
+}
+
+
+def _record_kernels(monkeypatch, names) -> list[tuple[str, int]]:
+    """Every call of the named kernels, as (name, size), in order.
 
     Each is recorded wherever the package reads it from, so a packed
     `subset_weight_table` call records its own `packed_table` call after it.
     """
     calls: list[tuple[str, int]] = []
     modules = (skbounds, skbounds.hypergraph, skbounds.flow, skbounds.partitions, skbounds.bounds)
-    for name in ("packed_table", "subset_weight_table"):
-        original = getattr(skbounds.hypergraph, name)
+    for name in names:
+        home, size = _KERNELS[name]
+        original = getattr(home, name)
 
-        def recording(m, *args, _name=name, _original=original):
-            calls.append((_name, m))
-            return _original(m, *args)
+        def recording(*args, _name=name, _size=size, _original=original):
+            calls.append((_name, _size(*args)))
+            return _original(*args)
 
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, recording)
     return calls
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """Every `packed_table` and `subset_weight_table` call, as (name, m), in order."""
+    return _record_kernels(monkeypatch, ("packed_table", "subset_weight_table"))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """`table_calls` with every `rate_rows` call, as ("rate_rows", m), and every
+    `flow.bipartite_cut` call, as ("bipartite_cut", the number of its vertices)."""
+    return _record_kernels(monkeypatch, tuple(_KERNELS))
 
 
 @pytest.fixture

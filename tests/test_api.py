@@ -118,7 +118,8 @@ def _kept_state(trees: dict[str, ast.Module]) -> tuple[list[str], dict[str, set[
 
     def visit(node: ast.AST, where: str, module: str) -> None:
         for child in ast.iter_child_nodes(node):
-            inner = f"{where}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            inner = f"{where}.{child.name}" if named else where
             if _is_dict(child) or (isinstance(child, ast.Constant) and child.value == "__dict__"):
                 sites.append(where)
             key = None
@@ -145,21 +146,21 @@ def test_the_kept_state_guard_sees_reads_writes_keys_and_nested_functions():
         ),
         "a": ast.parse('def f(hg):\n    return hg.__dict__.get("_run")\n'),
         "b": ast.parse('def g(hg):\n    def h():\n        vars(hg)["_x"] = 1\n    return getattr(hg, "__dict__")\n'),
-        "c": ast.parse("kept = hg.__dict__\nhg.__dict__.update(m=2)\n"),
+        "c": ast.parse("kept = hg.__dict__\nhg.__dict__.update(m=2)\nclass K:\n    def k(self):\n        self.__dict__.clear()\n"),
     }
     sites, keys = _kept_state(trees)
-    assert sites == ["a.f", "b.g", "b.g.h", "c", "c", "flow.fundamental", "flow.fundamental", "flow.fundamental"]
+    assert sites == ["a.f", "b.g", "b.g.h", "c", "c", "c.K.k", "flow.fundamental", "flow.fundamental", "flow.fundamental"]
     assert keys == {"_run": {"flow", "a"}, "_x": {"b"}}
 
 
 def test_only_the_owners_keep_state_on_a_hypergraph():
     # A hypergraph keeps two values, each under one key that one function
     # reads and writes: `flow.fundamental` its `Run`, and `partitions.mmi`
-    # the certified `MmiResult`.  `hypergraph._unchecked` fills a new
-    # instance's fields, with no string key.
+    # the certified `MmiResult`.  `hypergraph._unchecked` and `flow.Run`'s
+    # constructor fill a new instance's fields, with no string key.
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     sites, keys = _kept_state(trees)
-    assert set(sites) == {"flow.fundamental", "partitions.mmi", "hypergraph._unchecked"}
+    assert set(sites) == {"flow.fundamental", "partitions.mmi", "hypergraph._unchecked", "flow.Run.__init__"}
     assert keys == {"_run": {"flow"}, "_mmi": {"partitions"}}
 
 

@@ -328,8 +328,8 @@ def test_r_co_on_a_run_the_rows_decided_builds_no_second_table(monkeypatch, tabl
     # A Type-S source whose singletons' rate rows decide its run: those rows
     # are R_CO's check of every subset row, on the same ints, so `fundamental`
     # and `r_co_direct` build one 2^m table between them, not two.  With the
-    # rows step off, the truncation's run is checked by `separation_oracle`'s
-    # own table, and R_CO and its rate point are the same.
+    # rows step off, the truncation's run keeps the same table, which
+    # `separation_oracle` reads, and R_CO and its rate point are the same.
     hg = type_s_source(random.Random(3), 8)
     run = fundamental(hg)
     result = r_co_direct(hg)
@@ -340,6 +340,42 @@ def test_r_co_on_a_run_the_rows_decided_builds_no_second_table(monkeypatch, tabl
     assert r_co_direct(again) == result and fundamental(again).rows is None
     assert table_calls == [("packed_table", 8)]
     assert result[0] == reference_rco(hg)[0]
+
+
+def test_r_co_on_a_split_start_reads_the_table_its_run_kept(kernel_calls):
+    # The ladder at m = 10 starts at a split {v} | M - v, and 2^m <= 8 m |E|:
+    # `dinkelbach` builds the source's table once, every truncation step
+    # reads it with no cut, and R_CO's check of every subset row reads it
+    # times d.
+    hg = cycle_plus_edges(random.Random(10), 10)
+    run = fundamental(hg)
+    assert (run.rows, run.table[0]) == (None, 16)
+    assert r_co_direct(hg)[0] == reference_rco(hg)[0]
+    assert kernel_calls == [("packed_table", 10), ("rate_rows", 10)]
+
+
+def test_a_failed_singletons_start_builds_one_table_for_the_run_and_r_co(kernel_calls):
+    # An m = 10 ladder source that starts at the singletons: their rows
+    # fail, and the same table serves the truncations, whose steps with six
+    # or more joining cells still cut, and R_CO's check.
+    hg = cycle_plus_edges(random.Random(22), 10)
+    fundamental(hg)
+    assert r_co_direct(hg)[0] == reference_rco(hg)[0]
+    assert kernel_calls == [
+        ("packed_table", 10), ("rate_rows", 10),
+        ("bipartite_cut", 8), ("bipartite_cut", 9), ("bipartite_cut", 8), ("bipartite_cut", 9),
+        ("rate_rows", 10),
+    ]
+
+
+def test_the_ladder_at_m_16_keeps_no_table(kernel_calls):
+    # 2^m > 8 m |E|: no table is kept, every step cuts, and R_CO's check
+    # builds its own table, the same calls as with no table step.
+    hg = cycle_plus_edges(random.Random(16), 16)
+    assert fundamental(hg).table is None
+    r_co_direct(hg)
+    cuts = [("bipartite_cut", k) for k in (1, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15)]
+    assert kernel_calls == [*cuts, ("packed_table", 16), ("rate_rows", 16)]
 
 
 def _with_greedy_point(monkeypatch, change):
@@ -411,7 +447,8 @@ def test_analysis_tables_are_packed_and_match_the_list_transform(identity_corpus
     # 2^64, so none falls back to the list transform; each list equals it.
     # The rate point's two checks, R_CO's and run_checks', and the check of
     # UB's last round that certifies x* run on packed ints and unpack no
-    # table.
+    # table.  R_CO's builds none where the run kept its source's table:
+    # every kept table here is wide enough for the check.
     list_table, unpacked_table = skbounds.hypergraph._list_table, skbounds.hypergraph._packed_table
     rows_table = skbounds.bounds.packed_table
     unpacked, checks = 0, 0
@@ -435,7 +472,7 @@ def test_analysis_tables_are_packed_and_match_the_list_transform(identity_corpus
     monkeypatch.setattr(skbounds.hypergraph, "_packed_table", checked)
     monkeypatch.setattr(skbounds.bounds, "packed_table", counted)
     sources = _rco_sources() + identity_corpus + graphical_corpus
-    decided = 0  # runs the singletons' rate rows decided: R_CO reads their check
+    decided = kept = 0  # runs the singletons' rate rows decided, and runs that kept a table
     for hg in sources:
         hg = WeightedHypergraph(hg.m, dict(hg.weights))  # keeps no run or mmi result yet
         with warnings.catch_warnings():
@@ -443,8 +480,9 @@ def test_analysis_tables_are_packed_and_match_the_list_transform(identity_corpus
             report = analyze(hg)
         run_checks(hg, report)
         decided += fundamental(hg).rows is not None
-    assert decided > 0
-    assert checks == 3 * len(sources) - decided  # R_CO's, UB's certificate of x* and run_checks'
+        kept += fundamental(hg).table is not None
+    assert (decided, kept) == (23, 179)
+    assert checks == 3 * len(sources) - decided - kept  # R_CO's, UB's certificate of x* and run_checks'
     assert unpacked > len(sources) // 2  # mmi's union tables, wherever I > 0
 
 

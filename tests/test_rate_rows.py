@@ -238,9 +238,9 @@ def test_a_singletons_start_whose_rows_fail_still_truncates(monkeypatch, table_c
     truncations = []
     truncate = skbounds.flow.truncation
 
-    def recording(m, weights, n, d):
+    def recording(m, weights, n, d, table=None):
         truncations.append((n, d))
-        return truncate(m, weights, n, d)
+        return truncate(m, weights, n, d, table)
 
     monkeypatch.setattr(skbounds.flow, "truncation", recording)
     src = hg.integer_source()[0]

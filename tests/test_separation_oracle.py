@@ -168,9 +168,9 @@ def test_row_generation_separates_in_ints(monkeypatch):
     seen = []
     oracle = skbounds.bounds.separation_oracle
 
-    def typed(entries, rates):
+    def typed(entries, rates, table=None):
         seen.append({type(v) for v in (*entries.values(), *rates)})
-        return oracle(entries, rates)
+        return oracle(entries, rates, table)
 
     for module in (skbounds.bounds, reference_rco, reference_packing):
         monkeypatch.setattr(module, "separation_oracle", typed)

@@ -20,7 +20,7 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skbounds.bounds
@@ -30,7 +30,7 @@ import skbounds.partitions
 from skbounds import InternalInvariantError, WeightedHypergraph, analyze, mask_of, mmi
 from skbounds.cli import main, parse_document
 from skbounds.flow import bipartite_cut, dinkelbach, fundamental, truncation
-from skbounds.hypergraph import vertices_of
+from skbounds.hypergraph import subset_weight_table, vertices_of
 from skbounds.rational import format_rational
 
 from conftest import FIXTURE_DIR, clustered_source, cycle_plus_edges, random_weight
@@ -255,6 +255,83 @@ def test_the_truncation_at_gamma_zero_is_the_greedy_vertex_and_the_components(ca
     assert xs == tuple(d * sum(w for e, w in weights.items() if e & -e == 1 << j) for j in range(m))
 
 
+@st.composite
+def table_step_sources(draw) -> WeightedHypergraph:
+    """An integer source, m = 2..8: edges drawn as in `truncation_cases`, or a source of
+    `test_scan_oracle`'s families (tie-heavy and Type-S among them) or a clustered one
+    (m >= 4), at the unit or the huge scale."""
+    kind = draw(st.sampled_from(["drawn", "clustered", *FAMILIES]))
+    if kind == "drawn":
+        m, weights, _, _ = draw(truncation_cases())
+        return WeightedHypergraph(m, weights)
+    m, rng = draw(st.integers(2, 8)), random.Random(draw(st.integers(0, 2**32)))
+    hg = clustered_source(rng, max(m, 4)) if kind == "clustered" else FAMILIES[kind](rng, m)
+    c, _ = SCALES[draw(st.sampled_from(["unit", "huge"]))]
+    return WeightedHypergraph(hg.m, {e: c * w for e, w in hg.weights.items()}).integer_source()[0]
+
+
+# The shrunk failures of three broken table steps: the last minimizing
+# union taken, the first one with the unions out of submask order, and
+# term_C read at the vertices from j on.
+@example(WeightedHypergraph(3, {3: 6, 6: 1, 5: 7, 7: 2}))
+@example(WeightedHypergraph(5, {e: w * 10**99 for e, w in {29: 15, 3: 90, 27: 60, 8: 60, 30: 30, 12: 20, 24: 20, 2: 20, 6: 45}.items()}))
+@example(WeightedHypergraph(4, {9: 270 * 10**99, 6: 210 * 10**99, 3: 10 * 10**99}))
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(table_step_sources())
+def test_the_table_steps_equal_the_cut_and_the_general_network(src):
+    # At every gamma its run visits, and at gamma = I, the source is
+    # truncated three ways: every step cut (`UNIONS` = 0), every step read
+    # off the subset table (`UNIONS` = 2^m), and on the general network.
+    # The two runs are the same run.
+    m, weights = src.m, src.weights
+    table = subset_weight_table(m, weights)
+    visited, runs = set(), []
+    truncate = skbounds.flow.truncation
+
+    def recording(m, weights, n, d, table=None):
+        visited.add((n, d))
+        return truncate(m, weights, n, d, table)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(skbounds.flow, "truncation", recording)
+        for bound in (0, 1 << m):
+            patch.setattr(skbounds.flow, "UNIONS", bound)
+            runs.append(dinkelbach(src))
+    assert runs[0] == runs[1]
+    visited.add((runs[0].n, runs[0].d))
+    for n, d in sorted(visited):
+        expected = reference_truncation(m, weights, n, d)
+        for bound in (0, 1 << m):
+            cuts = []
+
+            def counted(supply, groups):
+                cuts.append(len(supply))
+                return bipartite_cut(supply, groups)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(skbounds.flow, "UNIONS", bound)
+                patch.setattr(skbounds.flow, "bipartite_cut", counted)
+                assert truncation(m, weights, n, d, table) == expected, (bound, n, d)
+            assert not (bound and cuts), (n, d)  # with the table, no step cuts
+
+
+def test_a_run_is_frozen_and_compares_and_prints_six_fields():
+    # `Run` fills its instance dict in one update, and stays a frozen
+    # dataclass: no field can be assigned or deleted, and equality and
+    # `repr` read src, L, n, P*, xs and d, not the cached rows or table.
+    run = dinkelbach(BY_HAND)
+    assert run.table is not None and run.rows is None
+    for name in ("n", "cells", "xs", "rows", "table"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(run, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(run, name)
+    assert dataclasses.replace(run, rows=(8, 0), table=None) == run
+    assert dataclasses.replace(run, xs=(1, 1, 0, 1)) != run
+    assert repr(run) == f"Run(src={BY_HAND!r}, scale=1, n=1, cells=(7, 8), xs=(1, 1, 1, 0), d=1)"
+    assert [f.name for f in dataclasses.fields(run) if f.compare] == ["src", "scale", "n", "cells", "xs", "d"]
+
+
 def test_every_truncation_of_the_capacity_runs_matches_the_general_network(
     identity_corpus, graphical_corpus, monkeypatch
 ):
@@ -267,8 +344,8 @@ def test_every_truncation_of_the_capacity_runs_matches_the_general_network(
     truncations, zero, decided = [], [], []
     truncate, rows = skbounds.flow.truncation, skbounds.flow._singleton_rows
 
-    def recording(m, weights, n, d):
-        result = truncate(m, weights, n, d)
+    def recording(m, weights, n, d, table=None):
+        result = truncate(m, weights, n, d, table)
         truncations.append(result == reference_truncation(m, weights, n, d))
         zero.append(not n)
         return result
@@ -297,13 +374,17 @@ def test_every_network_of_the_fixtures_and_the_ladder_matches_the_general_min_cu
     truncations = []
     truncate = skbounds.flow.truncation
 
-    def recording(m, weights, n, d):
-        result = truncate(m, weights, n, d)
+    def recording(m, weights, n, d, table=None):
+        result = truncate(m, weights, n, d, table)
         truncations.append(result == reference_truncation(m, weights, n, d))
         return result
 
     monkeypatch.setattr(skbounds.flow, "truncation", recording)
     monkeypatch.setattr(skbounds.bounds, "truncation", recording)
+    # Every step cuts, as in a run that keeps no table, so the capacity
+    # runs' steps reach `bipartite_cut` too; the table steps are checked
+    # against the cut in `test_the_table_steps_equal_the_cut_and_the_general_network`.
+    monkeypatch.setattr(skbounds.flow, "UNIONS", 0)
     sources = [parse_document(path.read_text(encoding="utf-8")) for path in sorted(FIXTURE_DIR.glob("*.hg"))]
     sources += [cycle_plus_edges(random.Random(m), m) for m in (8, 9, 10, 11, 12)]
     sources.append(clustered_source(random.Random("networks"), 12))
@@ -548,8 +629,8 @@ def test_a_truncation_that_cuts_an_edge_at_gamma_zero_is_an_internal_error(monke
     hg = tie_heavy_source(random.Random("cut/tie"), 9)
     truncate = skbounds.flow.truncation
 
-    def singletons_at_zero(m, weights, n, d):
-        cells, xs = truncate(m, weights, n, d)
+    def singletons_at_zero(m, weights, n, d, table=None):
+        cells, xs = truncate(m, weights, n, d, table)
         return (tuple(1 << v for v in range(m)) if not n else cells), xs
 
     monkeypatch.setattr(skbounds.flow, "truncation", singletons_at_zero)
@@ -579,9 +660,9 @@ def _count_truncations(monkeypatch) -> list:
     calls = []
     truncate = skbounds.flow.truncation
 
-    def counting(m, weights, n, d):
+    def counting(m, weights, n, d, table=None):
         calls.append((n, d))
-        return truncate(m, weights, n, d)
+        return truncate(m, weights, n, d, table)
 
     monkeypatch.setattr(skbounds.flow, "truncation", counting)
     return calls

@@ -145,9 +145,9 @@ def test_row_generation_builds_each_integer_form_once(monkeypatch):
     def counted(module):
         truncate = sys.modules[module].truncation
 
-        def counting_truncation(m, weights, n, d):
+        def counting_truncation(m, weights, n, d, table=None):
             truncations[module].append((n, d))
-            return truncate(m, weights, n, d)
+            return truncate(m, weights, n, d, table)
 
         return counting_truncation
 
