@@ -56,12 +56,12 @@ run's truncations read the source's packed table (`Run.table`, fields
 the weight inside each subset), that table times d, one multiplication,
 is the packed table of the weights times d, and the check reads it in
 place of building its own wherever its fields are as wide as the check
-needs.  The
-relaxation `build_rco_lp` keeps the rows of the complements of P*'s
-cells, which sum to r(M) >= H - value(P*).  They read only the rate
-sums of the cells, so it has one column per cell, not per terminal, and
-the same optimum; `lp.solve` certifies it once, and it must equal the
-point's sum, so R_CO >= its sum.  `tests/reference_rco.py` keeps the
+needs; `r_co_direct` then drops it from the run, which the hypergraph
+keeps.  The relaxation `build_rco_lp` keeps the rows of the complements
+of P*'s cells, which sum to r(M) >= H - value(P*).  They read only the
+rate sums of the cells, so it has one column per cell, not per
+terminal, and the same optimum; `lp.solve` certifies it once, and it
+must equal the point's sum, so R_CO >= its sum.  `tests/reference_rco.py` keeps the
 relaxation with one column per terminal, the LP with every row and its
 row generation from the complements of the singletons, and
 `tests/reference_separation.py` the `Fraction` sweep, as test oracles.
@@ -248,12 +248,12 @@ def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fracti
 
     The point is the greedy point xs / d of `flow.dinkelbach`'s last
     truncation, on the integer source, read from `flow.fundamental`.  One
-    `separation_oracle` check, handed the run's kept table times d, must
-    show that it meets every subset row,
-    unless the run's own `rows` showed it, and the relaxation over the
-    complements of P*'s cells, solved once, must have its sum as optimum;
-    either failure is reported as an internal error, naming the row or
-    both values.
+    `separation_oracle` check, handed the run's kept table times d (read
+    once, then dropped from the run), must show that it meets every
+    subset row, unless the run's own `rows` showed it, and the relaxation
+    over the complements of P*'s cells, solved once, must have its sum as
+    optimum; either failure is reported as an internal error, naming the
+    row or both values.
     """
     _check_method(method)
     run = fundamental(hg)
@@ -261,6 +261,7 @@ def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fracti
     entries = {e: w * run.d for e, w in run.src.weights.items()}  # over d, as xs are
     # Rows that decided the run checked these rows on these ints already.
     table = run.table and (run.table[0], run.table[1] * run.d)  # the packed table of `entries`
+    object.__setattr__(run, "table", None)  # read once: the kept run holds no 2^m fields past here
     mask = None if run.rows else separation_oracle(entries, xs, table)
     if mask is not None:
         have, need = (Fraction(v, q) for v in _row_sides(entries, xs, mask))

@@ -45,10 +45,14 @@ one at the least value is that intersection: the same cells and x_j as
 the cut, with two lookups per cell and one per union in place of the
 pass over the edges and the cut.  The table has 2^m fields and a
 truncation passes over the edges once per terminal, so `dinkelbach`
-builds it only where 2^m <= 8 m |E| and gamma > 0 at the start, and a
-step reads it only while those cells give at most `UNIONS` = 32 unions;
-the other steps, and every truncation at gamma > 0 with no table (larger
-m, UB's rounds), cut.  Gamma = 0 has its closed form (below).
+builds it only where 2^m <= 8 m |E| and gamma > 0 at the start, and
+keeps it for the truncations only at m <= 13: past that, the list of
+2^m ints raises the peak memory (by 4 MiB at m = 16 and 51 MiB at
+m = 20 on dense sources).  With a table every step reads it: step j
+has at most j earlier cells, so a truncation lists fewer than 2^m
+unions, no more than the table's own fields.  Every truncation at
+gamma > 0 with no table (sparse or larger m, UB's rounds) cuts; gamma =
+0 has its closed form (below).
 
 A partition P has value (sum of H(C) over its cells - H(M)) / (|P| - 1)
 at most gamma exactly when its sum of f is at most H(M) - gamma, the sum
@@ -77,8 +81,8 @@ nothing: each step's least minimizer is {j}, so x_j = H(j) - gamma, and
 its greedy point is x / d.  The run returns n / d, the singletons and
 x, what the truncations would return, and keeps the packed gaps of the
 rows as its `rows`.  The check reads the table of the table step, times
-d, so it runs under the same guard; when a row fails, the truncations
-read that table.
+d, so it runs under the same guard, at every m; when a row fails, the
+truncations read that table at m <= 13.
 
 At gamma = 0, where every source with I = 0 ends its run, f is H itself,
 which is already submodular, so the truncation needs no cut: the greedy
@@ -91,11 +95,11 @@ crosses; the finest of them is the components of those edges.
 integer source and its L, n / d, P*, the greedy point xs, the
 singletons' rows when they decided the run, and otherwise the packed
 table its truncations read, which `bounds.r_co_direct` scales by d for
-its check of every subset row.  `fundamental` is the one place that
-runs `dinkelbach` on a hypergraph: it builds the integer
-source, runs it once there and keeps the `Run` on the hypergraph, so I,
-P* and the rate point of one source come from one run, and every reader
-takes them by name.  The run is all ints: gamma is the pair (n, d), kept
+its check of every subset row and then drops from the run.
+`fundamental` is the one place that runs `dinkelbach` on a hypergraph:
+it builds the integer source, runs it once there and keeps the `Run` on
+the hypergraph, so I, P* and the rate point of one source come from one
+run, and every reader takes them by name.  The run is all ints: gamma is the pair (n, d), kept
 in lowest terms by `math.gcd`, L * I leaves it as n / d, the greedy
 point as xs over the same d, and its readers take them as they are.  No
 `Fraction` is built.
@@ -109,11 +113,6 @@ from typing import Mapping, Optional, Sequence
 
 from .hypergraph import WeightedHypergraph, packed_table, packed_width, rate_rows, unpack
 
-# A truncation step reads its values off the source's subset table when the
-# cells it may join give at most this many unions (the module's table step).
-UNIONS = 32
-
-
 @dataclass(frozen=True, init=False)
 class Run:
     """One Dinkelbach run on an integer source: I, P* and an optimal rate point, all in ints.
@@ -125,9 +124,10 @@ class Run:
     L * (H(M) - I).  `rows` is (field width, packed gaps) of the
     singletons' rate rows when they decided the run (`_singleton_rows`),
     else None.  `table` is (field width W, `packed_table` of the weights
-    at W) when the truncations read it, else None; W leaves room for the
-    weights times 2 d at the singletons' start and times 4 otherwise.
-    Both are caches, so equality and `repr` read the other fields only.
+    at W) when the truncations read it, else None, and None again once
+    `r_co_direct` has read it; W leaves room for the weights times 2 d at
+    the singletons' start and times 4 otherwise.  Both are caches, so
+    equality and `repr` read the other fields only.
     Frozen and not a tuple: every reader names the field.  The
     constructor fills the instance dict in one update, as a frozen
     dataclass's would field by field.
@@ -278,11 +278,11 @@ def truncation(
     every cut by g, which moves no least source side, so the cells do not
     depend on how gamma is written.  At n = 0 the cells and xs are read
     off the edges in one pass, with no network (the module's closed form).
-    With `table`, the source's subset table T as a list, a step whose
-    cells with term_C < 0 give at most `UNIONS` unions reads term_C and
-    its values off T instead of the edges, and takes the first minimizing
-    union in submask order, the intersection of the minimizing unions
-    (the module's table step).
+    With `table`, the source's subset table T as a list, every step
+    reads term_C and its values off T instead of the edges, and takes the
+    first minimizing union in submask order, the intersection of the
+    minimizing unions (the module's table step); the edges are read only
+    with no table.
     """
     if not n:
         # gamma = 0: x is Edmonds' greedy vertex of H and the cells are the components.
@@ -298,7 +298,7 @@ def truncation(
         whole = sum(joined)
         cells = joined + [1 << v for v in range(m) if not whole >> v & 1]
         return tuple(sorted(cells, key=lambda c: c & -c)), tuple(xs)
-    edges = [(e, w * d) for e, w in weights.items()]
+    edges = [] if table else [(e, w * d) for e, w in weights.items()]
     top, full = d * table[-1] - n if table else 0, (1 << m) - 1  # top: f(M) = d * H(M) - n
     x: list[int] = []
     cells: list[int] = []
@@ -308,18 +308,16 @@ def truncation(
     for j in range(m):
         bit = 1 << j
         if table:
-            # The cells with term_C < 0, term_C = d * (T(C | above) - T(above)) - x(C).
-            above = full ^ (bit + bit - 1)
-            free = table[above]
-            joining = [c for c in cells if d * (table[c | above] - free) < -base[(c & -c).bit_length() - 1]]
-        if table and 1 << len(joining) <= UNIONS:
-            # f(S) - x(S - j) - f(M) for S = j with each union U of those cells, in
-            # submask order: the first least value is at the least minimizer.
-            rest = full ^ bit
-            low, least = -d * table[rest], bit
+            # f(S) - x(S - j) - f(M) for S = j with each union U of the cells with
+            # term_C < 0, term_C = d * (T(C | above) - T(above)) - x(C), in submask
+            # order: the first least value is at the least minimizer.
+            above, rest = full ^ (bit + bit - 1), full ^ bit
+            free, low, least = table[above], -d * table[rest], bit
             seen = [(0, 0)]  # (U, -x(U))
-            for c in joining:
+            for c in cells:
                 r = base[(c & -c).bit_length() - 1]
+                if d * (table[c | above] - free) >= -r:
+                    continue
                 for u, g in seen[:]:
                     u, g = u | c, g + r
                     seen.append((u, g))
@@ -387,8 +385,8 @@ def dinkelbach(src: WeightedHypergraph, scale: int = 1) -> Run:
     hold v and another vertex, all from one pass over the edges.  A start
     at the singletons with n > 0 is first tried on their rate rows
     (`_singleton_rows`, the module's proof), where 2^m <= 8 m |E|; under
-    the same guard every start with n > 0 builds the source's packed
-    table once, and the truncations read it as a list.  Each
+    the same guard every start with n > 0 at m <= 13 builds the source's
+    packed table once, and the truncations read it as a list.  Each
     truncation either beats the one-cell partition, and gamma falls to the
     value of the partition found, or shows that no partition has a value
     below gamma.  The greedy point of that last truncation sums to H(M) - I
@@ -416,11 +414,15 @@ def dinkelbach(src: WeightedHypergraph, scale: int = 1) -> Run:
     kept = table = None
     # A 2^m table against a truncation's m passes over the edges.  Its fields
     # hold the singletons' rows, at 2 d H(M), or else R_CO's check at d <= 2.
-    if n and 1 << m <= 8 * m * len(src.weights) and (width := packed_width(total * (2 * d if singletons else 4))):
-        kept = width, packed_table(m, src.weights, width)
-        if singletons and (run := _singleton_rows(src, scale, n, d, split, kept)):
-            return run
-        table = unpack(kept[1], 1 << m, width)
+    # Past m = 13 only the rows read it: as a list it raises the peak memory.
+    small = m <= 13
+    if n and 1 << m <= 8 * m * len(src.weights) and (singletons or small):
+        if width := packed_width(total * (2 * d if singletons else 4)):
+            packed = width, packed_table(m, src.weights, width)
+            if singletons and (run := _singleton_rows(src, scale, n, d, split, packed)):
+                return run
+            if small:
+                kept, table = packed, unpack(packed[1], 1 << m, width)
     while True:
         cells, xs = truncation(m, src.weights, n, d, table)
         if sum(xs) >= total * d - n:
@@ -445,7 +447,7 @@ def _singleton_rows(
     success hands the field width and the packed gaps back as the run's
     `rows`, which `partitions.mmi` reads as its certificate and
     `r_co_direct` as its check of every row; on a failure the
-    truncations read the same table.
+    truncations read the same table at m <= 13.
     """
     xs = tuple(d * (h + src.weights.get(1 << v, 0)) - n for v, h in enumerate(split))
     if min(xs) < 0:

@@ -356,16 +356,29 @@ def test_r_co_on_a_split_start_reads_the_table_its_run_kept(kernel_calls):
 
 def test_a_failed_singletons_start_builds_one_table_for_the_run_and_r_co(kernel_calls):
     # An m = 10 ladder source that starts at the singletons: their rows
-    # fail, and the same table serves the truncations, whose steps with six
-    # or more joining cells still cut, and R_CO's check.
+    # fail, and the same table serves the truncations, whose steps all read
+    # it with no cut, and R_CO's check, after which the run drops it.
     hg = cycle_plus_edges(random.Random(22), 10)
-    fundamental(hg)
+    run = fundamental(hg)
     assert r_co_direct(hg)[0] == reference_rco(hg)[0]
-    assert kernel_calls == [
-        ("packed_table", 10), ("rate_rows", 10),
-        ("bipartite_cut", 8), ("bipartite_cut", 9), ("bipartite_cut", 8), ("bipartite_cut", 9),
-        ("rate_rows", 10),
-    ]
+    assert kernel_calls == [("packed_table", 10), ("rate_rows", 10), ("rate_rows", 10)]
+    assert run.table is None and fundamental(hg) is run
+
+
+def test_a_dense_source_past_m_13_keeps_no_table(kernel_calls):
+    # 2^m <= 8 m |E| at m = 14, but past m = 13 a split start builds and
+    # keeps no table, whose list would raise the peak memory: every step
+    # cuts, and R_CO's check builds its own table.
+    rng, weights = random.Random(0), {}
+    while len(weights) < 150:
+        mask = rng.randrange(1, 1 << 14)
+        if mask & (mask - 1):
+            weights[mask] = rng.randint(1, 9)
+    hg = WeightedHypergraph(14, weights)
+    assert fundamental(hg).table is None and 1 << 14 <= 8 * 14 * len(weights)
+    assert r_co_direct(hg)[0] == reference_rco(hg)[0]
+    cuts = [call for call in kernel_calls if call[0] == "bipartite_cut"]
+    assert cuts and kernel_calls == [*cuts, ("packed_table", 14), ("rate_rows", 14)]
 
 
 def test_the_ladder_at_m_16_keeps_no_table(kernel_calls):
@@ -475,12 +488,12 @@ def test_analysis_tables_are_packed_and_match_the_list_transform(identity_corpus
     decided = kept = 0  # runs the singletons' rate rows decided, and runs that kept a table
     for hg in sources:
         hg = WeightedHypergraph(hg.m, dict(hg.weights))  # keeps no run or mmi result yet
+        decided += fundamental(hg).rows is not None
+        kept += fundamental(hg).table is not None  # before R_CO reads and drops it
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # graph-plus-singleton sources warn
             report = analyze(hg)
         run_checks(hg, report)
-        decided += fundamental(hg).rows is not None
-        kept += fundamental(hg).table is not None
     assert (decided, kept) == (23, 179)
     assert checks == 3 * len(sources) - decided - kept  # R_CO's, UB's certificate of x* and run_checks'
     assert unpacked > len(sources) // 2  # mmi's union tables, wherever I > 0

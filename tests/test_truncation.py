@@ -280,9 +280,9 @@ def table_step_sources(draw) -> WeightedHypergraph:
 @given(table_step_sources())
 def test_the_table_steps_equal_the_cut_and_the_general_network(src):
     # At every gamma its run visits, and at gamma = I, the source is
-    # truncated three ways: every step cut (`UNIONS` = 0), every step read
-    # off the subset table (`UNIONS` = 2^m), and on the general network.
-    # The two runs are the same run.
+    # truncated three ways: every step cut (no table), every step read off
+    # the subset table, and on the general network.  A run whose
+    # truncations are handed no table is the same run.
     m, weights = src.m, src.weights
     table = subset_weight_table(m, weights)
     visited, runs = set(), []
@@ -290,18 +290,17 @@ def test_the_table_steps_equal_the_cut_and_the_general_network(src):
 
     def recording(m, weights, n, d, table=None):
         visited.add((n, d))
-        return truncate(m, weights, n, d, table)
+        return truncate(m, weights, n, d, table if keep else None)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(skbounds.flow, "truncation", recording)
-        for bound in (0, 1 << m):
-            patch.setattr(skbounds.flow, "UNIONS", bound)
+        for keep in (True, False):
             runs.append(dinkelbach(src))
     assert runs[0] == runs[1]
     visited.add((runs[0].n, runs[0].d))
     for n, d in sorted(visited):
         expected = reference_truncation(m, weights, n, d)
-        for bound in (0, 1 << m):
+        for given in (None, table):
             cuts = []
 
             def counted(supply, groups):
@@ -309,10 +308,9 @@ def test_the_table_steps_equal_the_cut_and_the_general_network(src):
                 return bipartite_cut(supply, groups)
 
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(skbounds.flow, "UNIONS", bound)
                 patch.setattr(skbounds.flow, "bipartite_cut", counted)
-                assert truncation(m, weights, n, d, table) == expected, (bound, n, d)
-            assert not (bound and cuts), (n, d)  # with the table, no step cuts
+                assert truncation(m, weights, n, d, given) == expected, (given is None, n, d)
+            assert not (given and cuts), (n, d)  # with the table, no step cuts
 
 
 def test_a_run_is_frozen_and_compares_and_prints_six_fields():
@@ -374,17 +372,17 @@ def test_every_network_of_the_fixtures_and_the_ladder_matches_the_general_min_cu
     truncations = []
     truncate = skbounds.flow.truncation
 
+    # Every truncation is handed no table, so every step cuts, as in a run
+    # that keeps none, and the capacity runs' steps reach `bipartite_cut`
+    # too; the table steps are checked against the cut in
+    # `test_the_table_steps_equal_the_cut_and_the_general_network`.
     def recording(m, weights, n, d, table=None):
-        result = truncate(m, weights, n, d, table)
+        result = truncate(m, weights, n, d)
         truncations.append(result == reference_truncation(m, weights, n, d))
         return result
 
     monkeypatch.setattr(skbounds.flow, "truncation", recording)
     monkeypatch.setattr(skbounds.bounds, "truncation", recording)
-    # Every step cuts, as in a run that keeps no table, so the capacity
-    # runs' steps reach `bipartite_cut` too; the table steps are checked
-    # against the cut in `test_the_table_steps_equal_the_cut_and_the_general_network`.
-    monkeypatch.setattr(skbounds.flow, "UNIONS", 0)
     sources = [parse_document(path.read_text(encoding="utf-8")) for path in sorted(FIXTURE_DIR.glob("*.hg"))]
     sources += [cycle_plus_edges(random.Random(m), m) for m in (8, 9, 10, 11, 12)]
     sources.append(clustered_source(random.Random("networks"), 12))
