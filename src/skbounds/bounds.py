@@ -5,7 +5,7 @@ All quantities are exact rationals:
 * `r_co_direct`: the minimum total rate of communication for omniscience,
   at the greedy rate point of `flow.dinkelbach`'s last truncation, proved
   optimal by one check of every subset row, on packed ints, and one LP
-  relaxation over P*'s cells (below).
+  row, the sum of the rows of the complements of P*'s cells (below).
 * secret-key capacity: equal to the shared-information minimum over
   partitions, and to total entropy minus the omniscience rate.  `mmi`
   certifies it once per hypergraph and keeps the result, so `analyze`,
@@ -57,14 +57,17 @@ the weight inside each subset), that table times d, one multiplication,
 is the packed table of the weights times d, and the check reads it in
 place of building its own wherever its fields are as wide as the check
 needs; `r_co_direct` then drops it from the run, which the hypergraph
-keeps.  The relaxation `build_rco_lp` keeps the rows of the complements
-of P*'s cells, which sum to r(M) >= H - value(P*).  They read only the
-rate sums of the cells, so it has one column per cell, not per
-terminal, and the same optimum; `lp.solve` certifies it once, and it
-must equal the point's sum, so R_CO >= its sum.  `tests/reference_rco.py` keeps the
-relaxation with one column per terminal, the LP with every row and its
-row generation from the complements of the singletons, and
-`tests/reference_separation.py` the `Fraction` sweep, as test oracles.
+keeps.  The relaxation `build_rco_lp` keeps one row, the sum of the
+rows of the complements of P*'s cells: (|P*| - 1) * r(M) >= the sum of
+H(M - C | C) over the cells C, that is r(M) >= H - value(P*).  Every
+rate point meets it, so by weak duality R_CO is at least its optimum;
+`lp.solve` certifies that optimum once, and it must equal the point's
+sum, so R_CO >= its sum.  It has one column, y = r(M).
+`tests/reference_rco.py` keeps the relaxation with its
+rows one by one, over one column per cell and over one per terminal, the
+LP with every row and its row generation from the complements of the
+singletons, and `tests/reference_separation.py` the `Fraction` sweep, as
+test oracles.
 
 UB's LP is over Gamma itself.  A group's entropy is the weight of the edges
 that meet it, and I is monotone in the weights, so Gamma has one row per
@@ -90,6 +93,10 @@ edges at w, meets them all exactly when no P has a sum of H_x(C) - I over
 its cells C below x(E) - I, the one-cell partition's, and
 `flow.truncation` finds the least sum in at most m - 1 min cuts
 (Narayanan 1991; Fujishige, *Submodular Functions and Optimization*, 2005).
+Each round hands it the subset table of the round's point wherever
+`flow.step_table`, the guard `flow.dinkelbach` builds its own table
+under, builds one: every step is then read off that table, with no cut.
+The table lives for that round only.
 The paper's subset-row LP stays in `tests/reference_packing.py`, with both
 row methods, as the oracle; it knows nothing of P*.
 
@@ -130,12 +137,12 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import InternalInvariantError
-from .flow import fundamental, truncation
+from .flow import fundamental, step_table, truncation
 from .hypergraph import WeightedHypergraph, format_subset, subset_weight_table
-from .hypergraph import naturals, packed_table, packed_width, rate_rows
+from .hypergraph import naturals, packed_table, packed_width, rate_rows, unpack
 from .lp import OPTIMAL, Constraint, LinearProgram, solve, solve_with_row_generation
 from .partitions import MmiResult, bell, cross_edges, crossing, mmi
-from .rational import is_ratio, to_integers
+from .rational import affine, is_ratio, to_integers
 
 Check = tuple[str, bool, object, object]  # (label, ok, value, expected)
 
@@ -226,21 +233,18 @@ def _row_sides(entries: Mapping[int, int], xs: Sequence[int], mask: int) -> tupl
 
 
 def build_rco_lp(entries: Mapping[int, int], cells: Sequence[int]) -> LinearProgram:
-    """R_CO's relaxation over the cells C of P = `cells`: min the sum of y, one y_C per cell.
+    """R_CO's relaxation over the cells C of P = `cells`: min y, the total rate, over one row.
 
-    Cell C's row: the y of the other cells sum to >= the total of `entries`
-    on the edges that miss C, the entropy of M - C given C.  With one rate
-    per terminal the row reads r(M - C) >= that total, so y_C = r(C) maps
-    each feasible r to a y of the same sum, and y_C on one terminal of C
-    lifts y back: both have one optimum.  Summed, the rows give
-    y(M) >= H - value(P), and 1 / (|P| - 1) on each is a dual solution of
-    that value, so at P = P* the optimum is H - I.  `entries` are a
+    The row is the sum, over the cells C, of the subset rows of their
+    complements, r(M - C) >= the total of `entries` on the edges that miss
+    C, the entropy of M - C given C: (|P| - 1) * y >= that sum, with
+    y = r(M).  Every rate point meets it, so R_CO is at least its
+    optimum, H - value(P), which at P = P* is H - I.  `entries` are a
     source's weights times one factor, which scales the optimum.
     """
-    k, edges = len(cells), entries.items()
-    rhs = [sum([w for e, w in edges if not e & c]) for c in cells]
-    rows = [Constraint(tuple([int(j != i) for j in range(k)]), b) for i, b in enumerate(rhs)]
-    return LinearProgram([f"y{i}" for i in range(1, k + 1)], [1] * k, rows)
+    edges = entries.items()
+    rhs = sum([sum([w for e, w in edges if not e & c]) for c in cells])
+    return LinearProgram(["y"], [1], [Constraint((len(cells) - 1,), rhs)])
 
 
 def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fraction, RatePoint]:
@@ -251,9 +255,9 @@ def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fracti
     `separation_oracle` check, handed the run's kept table times d (read
     once, then dropped from the run), must show that it meets every
     subset row, unless the run's own `rows` showed it, and the relaxation
-    over the complements of P*'s cells, solved once, must have its sum as
-    optimum; either failure is reported as an internal error, naming the
-    row or both values.
+    `build_rco_lp`, the summed row of the complements of P*'s cells, solved
+    once, must have its sum as optimum; either failure is reported as an
+    internal error, naming the row or both values.
     """
     _check_method(method)
     run = fundamental(hg)
@@ -318,13 +322,15 @@ def upper_bound_theorem1(hg: WeightedHypergraph, *, method: str = "auto") -> tup
     the LP's optimum on the edges inside its cells, 0 on singleton edges.
     The integer source and L * I = n / d come from `flow.fundamental`.
     Each round hands `flow.truncation` the point's ints xs, as weights,
-    with every crossing edge at its weight times D, at gamma = n * D / d; a
-    least sum, over d, below the total of those weights minus gamma gives
-    the violated row of the truncation's cells.  All of it is in ints.  The
+    with every crossing edge at its weight times D, at gamma = n * D / d,
+    and their subset table wherever `flow.step_table` builds one; a least
+    sum, over d, below the total of those weights minus gamma gives the
+    violated row of the truncation's cells.  All of it is in ints.  The
     last round, which finds none, rides on the packing, as its
-    `last_round`, for `_report_checks`.  The full weight vector is always
-    feasible, so the bound never exceeds the omniscience rate; a
-    non-optimal LP status is a bug.
+    `last_round`, for `_report_checks`.  Each x* entry and the bound, from
+    the LP's certified optimum, are built as one `Fraction` each.  The
+    full weight vector is always feasible, so the bound never exceeds the
+    omniscience rate; a non-optimal LP status is a bug.
     """
     _check_method(method)
     mres, run = mmi(hg), fundamental(hg)
@@ -337,8 +343,10 @@ def upper_bound_theorem1(hg: WeightedHypergraph, *, method: str = "auto") -> tup
     def oracle(xs: Sequence[int], den: int) -> Optional[Constraint]:
         point = {e: w * den for e, w in fixed.items()}
         point.update(zip(edges, xs))
-        cells, ys = truncation(src.m, point, n * den, d)
-        if sum(ys) < sum(point.values()) * d - n * den:
+        total = sum(point.values())
+        table = step_table(src.m, point, n, total)
+        cells, ys = truncation(src.m, point, n * den, d, table and unpack(table[1], 1 << src.m, table[0]))
+        if sum(ys) < total * d - n * den:
             return _partition_row(edges, fixed, cells, n, d)
         rounds.append((point, den, cells, ys))
         return None
@@ -348,8 +356,10 @@ def upper_bound_theorem1(hg: WeightedHypergraph, *, method: str = "auto") -> tup
         raise InternalInvariantError(f"packing LP reported {sol.status}")
     entries = dict.fromkeys(order, Fraction(0))
     entries.update((e, Fraction(w, scale)) for e, w in fixed.items())
-    entries.update((e, x / scale) for e, x in zip(edges, sol.point))
-    return (sol.objective_value + sum(fixed.values())) / scale - mres.value, FractionalPacking(entries, rounds[-1])
+    entries.update((e, affine(x, 1, 0, scale)) for e, x in zip(edges, sol.point))
+    # UB = (the LP's optimum + w(crossing) - n / d) / L, with L * I = n / d.
+    ub = affine(sol.objective_value, d, sum(fixed.values()) * d - n, d * scale)
+    return ub, FractionalPacking(entries, rounds[-1])
 
 
 def _proves_capacity(point: Mapping[int, int], ys: Sequence[int], n: int, d: int) -> bool:

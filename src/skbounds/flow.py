@@ -44,15 +44,18 @@ is set), so a union comes after every union inside it, and the first
 one at the least value is that intersection: the same cells and x_j as
 the cut, with two lookups per cell and one per union in place of the
 pass over the edges and the cut.  The table has 2^m fields and a
-truncation passes over the edges once per terminal, so `dinkelbach`
-builds it only where 2^m <= 8 m |E| and gamma > 0 at the start, and
-keeps it for the truncations only at m <= 13: past that, the list of
+truncation passes over the edges once per terminal, so one guard,
+`step_table`, builds it only where 2^m <= 8 m |E| and gamma > 0, and
+for the truncations only at m <= KEPT_M = 13: past that, the list of
 2^m ints raises the peak memory (by 4 MiB at m = 16 and 51 MiB at
-m = 20 on dense sources).  With a table every step reads it: step j
-has at most j earlier cells, so a truncation lists fewer than 2^m
-unions, no more than the table's own fields.  Every truncation at
-gamma > 0 with no table (sparse or larger m, UB's rounds) cuts; gamma =
-0 has its closed form (below).
+m = 20 on dense sources).  It has two callers: `dinkelbach`, once per
+run, at its start, and `bounds.upper_bound_theorem1`, once per round
+of row generation, on the round's point.  With a table every step
+reads it: step j has at most j earlier cells, so a truncation lists
+fewer than 2^m unions, no more than the table's own fields.  Every
+truncation at gamma > 0 with no table (sparse or larger m, the Gamma
+check of `bounds.verify_gamma_membership`) cuts; gamma = 0 has its
+closed form (below).
 
 A partition P has value (sum of H(C) over its cells - H(M)) / (|P| - 1)
 at most gamma exactly when its sum of f is at most H(M) - gamma, the sum
@@ -111,7 +114,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Mapping, Optional, Sequence
 
-from .hypergraph import WeightedHypergraph, packed_table, packed_width, rate_rows, unpack
+from .hypergraph import KEPT_M, WeightedHypergraph, packed_table, packed_width, rate_rows, unpack
 
 @dataclass(frozen=True, init=False)
 class Run:
@@ -376,6 +379,25 @@ def truncation(
     return tuple(sorted(cells, key=lambda c: c & -c)), tuple(x)
 
 
+def step_table(
+    m: int, weights: Mapping[int, int], n: int, bound: int, rows: bool = False
+) -> Optional[tuple[int, int]]:
+    """(W, `packed_table` of the int `weights` at W), W the narrowest packed width above
+    `bound`, where a truncation at gamma = n / d reads its steps off the subset table; else None.
+
+    The guard of the module's table step: n > 0, 2^m <= 8 m |E| (the 2^m
+    fields against a truncation's m passes over the edges), m <= KEPT_M
+    (as a list, past that, the table raises the peak memory) unless
+    `rows`, and a width of at most 64 bits that holds `bound`.
+    `dinkelbach` builds its source's table here, with `rows` at a
+    singletons start, whose rate rows read it at every m, and
+    `bounds.upper_bound_theorem1` each round point's.
+    """
+    if n and 1 << m <= 8 * m * len(weights) and (rows or m <= KEPT_M) and (width := packed_width(bound)):
+        return width, packed_table(m, weights, width)
+    return None
+
+
 def dinkelbach(src: WeightedHypergraph, scale: int = 1) -> Run:
     """The run on `src` (int weights, L = `scale`): the least partition value I = n / d, in
     lowest terms, its finest minimizer's cells, and the last truncation's greedy point xs / d.
@@ -385,8 +407,9 @@ def dinkelbach(src: WeightedHypergraph, scale: int = 1) -> Run:
     hold v and another vertex, all from one pass over the edges.  A start
     at the singletons with n > 0 is first tried on their rate rows
     (`_singleton_rows`, the module's proof), where 2^m <= 8 m |E|; under
-    the same guard every start with n > 0 at m <= 13 builds the source's
-    packed table once, and the truncations read it as a list.  Each
+    the same guard (`step_table`) every start with n > 0 at m <= 13
+    builds the source's packed table once, and the truncations read it
+    as a list.  Each
     truncation either beats the one-cell partition, and gamma falls to the
     value of the partition found, or shows that no partition has a value
     below gamma.  The greedy point of that last truncation sums to H(M) - I
@@ -412,17 +435,13 @@ def dinkelbach(src: WeightedHypergraph, scale: int = 1) -> Run:
     g = gcd(n, d)
     n, d = n // g, d // g
     kept = table = None
-    # A 2^m table against a truncation's m passes over the edges.  Its fields
-    # hold the singletons' rows, at 2 d H(M), or else R_CO's check at d <= 2.
-    # Past m = 13 only the rows read it: as a list it raises the peak memory.
-    small = m <= 13
-    if n and 1 << m <= 8 * m * len(src.weights) and (singletons or small):
-        if width := packed_width(total * (2 * d if singletons else 4)):
-            packed = width, packed_table(m, src.weights, width)
-            if singletons and (run := _singleton_rows(src, scale, n, d, split, packed)):
-                return run
-            if small:
-                kept, table = packed, unpack(packed[1], 1 << m, width)
+    # The table's fields hold the singletons' rows, at 2 d H(M), or else R_CO's
+    # check at d <= 2.  Past KEPT_M only the rows read it.
+    if packed := step_table(m, src.weights, n, total * (2 * d if singletons else 4), singletons):
+        if singletons and (run := _singleton_rows(src, scale, n, d, split, packed)):
+            return run
+        if m <= KEPT_M:
+            kept, table = packed, unpack(packed[1], 1 << m, packed[0])
     while True:
         cells, xs = truncation(m, src.weights, n, d, table)
         if sum(xs) >= total * d - n:

@@ -24,6 +24,18 @@ certifies from it.  UB's last round, which certifies x* in Gamma, rides
 on the packing it certifies, not here.  Neither value is a dataclass
 field, so equality and `repr` read only m and the weights, and a pickle
 or deep copy carries only those two and rebuilds the rest when read.
+
+The packed kernels, `packed_table`, `rate_rows` and `tight_rows`, read
+their masks through `_kept`, which keeps them per (m, W) in `_KEPT` for
+m <= KEPT_M = 13 and W <= 64, the tables that `flow` keeps, and builds
+them on each call past that, each kernel only its own: the m zeta masks
+of `packed_table` (`_zeta`), and the doubling's ones and the ones and
+top bits of every field but the full set's (`_fields`).  Each value is
+the same whoever builds it first, and the two of one (m, W) hold under
+(m + 2) * 2^m * W bits of ints: at most 983,040 bytes, at (13, 64), or
+1.0 MiB in CPython's 30-bit digits, and 3.3 MiB over all 52 pairs (m, W);
+everything a benchmark pool reaches (m <= 10, W <= 16) adds up to
+11-33 KB.  At m = 20 and W = 64 they would hold 176 MiB.
 """
 
 from __future__ import annotations
@@ -34,13 +46,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceededError
 from .rational import to_integers
 
 # Hyperedges are bitmasks; parsing rejects anything wider than this.
 MAX_VERTICES = 20
+
+# The largest m whose subset tables are kept: `flow.dinkelbach` keeps its
+# source's for its truncations, and `_KEPT` the packed kernels' masks per
+# (m, W) (module docstring).
+KEPT_M = 13
+_KEPT: dict[tuple, tuple] = {}
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -129,7 +147,8 @@ def packed_table(m: int, entries: Mapping[int, int], width: int) -> int:
     Every value is an int >= 0 and their total is below 2^W, W = `width`
     (8, 16, 32 or 64); no table entry exceeds the total, so no field
     carries into the next.  Each bit b is one addition of the fields
-    without b, shifted onto those with it: T += (T & M_b) << W*2^b.
+    without b, shifted onto those with it: T += (T & M_b) << W*2^b, with
+    the masks M_b of `_zeta`, kept (`_kept`).
     """
     _check_masks(m, entries)
     fields = array(_CODES[width], [0]) * (1 << m)
@@ -138,15 +157,9 @@ def packed_table(m: int, entries: Mapping[int, int], width: int) -> int:
     if sys.byteorder == "big":
         fields.byteswap()
     packed = int.from_bytes(fields, "little")
-    # For bit b the step moves runs of s = W*2^b bits, and M_b holds the
-    # runs at even multiples of s: (comb << s) - comb, comb having a 1 at
-    # each of them.  From the top bit down, each step halves the period.
-    comb = 1
-    for bit in reversed(range(m)):
-        s = width << bit
-        up = comb << s
-        packed += (packed & (up - comb)) << s
-        comb |= up
+    for s, mask in _kept(_zeta, m, width):
+        packed += (packed & mask) << s
+        del mask  # past KEPT_M the masks come one at a time: free this one before the next is made
     return packed
 
 
@@ -162,14 +175,13 @@ def rate_rows(m: int, table: int, width: int, rates: Sequence[int]) -> tuple[int
     then no field borrows from the next, and row B holds exactly when the
     top bit of its field is set.  The full set's field holds no row.
     `holds` is True when every row holds, and `tight_rows` counts the
-    tight ones from the same gaps.
+    tight ones from the same gaps.  The doubling's ones and the top bits
+    are those of `_fields`, kept (`_kept`).
     """
-    have, ones = 1 << width - 1, 1  # field B of have: rates(B) + HALF; ones: a 1 in each field
-    for i, rate in enumerate(rates):
-        s = width << i
-        have |= (have + rate * ones) << s
-        ones |= ones << s
-    high = (ones ^ 1 << width * ((1 << m) - 1)) << width - 1  # no row at the full set
+    ones, _, high = _kept(_fields, m, width)
+    have = 1 << width - 1  # field B: rates(B) + HALF
+    for i, (rate, unit) in enumerate(zip(rates, ones)):
+        have |= (have + rate * unit) << (width << i)
     gaps = have - table
     return gaps, gaps & high == high
 
@@ -180,9 +192,47 @@ def tight_rows(m: int, width: int, gaps: int) -> int:
     Each such field is rates(B) - table(B) + HALF >= HALF, and it keeps
     its top bit when 1 is taken off exactly when the row is not tight.
     """
-    ones = ((1 << width * ((1 << m) - 1)) - 1) // ((1 << width) - 1)  # a 1 in each field but the full set's
-    high = ones << width - 1
-    return (1 << m) - 1 - ((gaps - ones) & high).bit_count()
+    _, rest, high = _kept(_fields, m, width)
+    return (1 << m) - 1 - ((gaps - rest) & high).bit_count()
+
+
+def _zeta(m: int, width: int) -> Iterator[tuple[int, int]]:
+    """`packed_table`'s steps (W*2^b, M_b) on m terminals in W-bit fields, from the top bit b down.
+
+    M_b holds the runs of s = W*2^b bits at even multiples of s:
+    (comb << s) - comb, comb having a 1 at each of them.  Each step
+    halves the period.  They are made one at a time, so that a table
+    whose masks are not kept holds one at a time.
+    """
+    comb = 1
+    for bit in reversed(range(m)):
+        s = width << bit
+        up = comb << s
+        yield s, up - comb
+        comb |= up
+
+
+def _fields(m: int, width: int) -> tuple[tuple[int, ...], int, int]:
+    """(ones, rest, high) on m terminals in W-bit fields: ones[i] has a 1 in each of the first
+    2^i fields, for `rate_rows`' doubling; rest has a 1 in every field but the full set's, and
+    high has their top bits."""
+    ones, unit = [], 1
+    for i in range(m):
+        ones.append(unit)
+        unit |= unit << (width << i)
+    rest = unit ^ 1 << width * ((1 << m) - 1)
+    return tuple(ones), rest, rest << width - 1
+
+
+def _kept(build, m: int, width: int):
+    """build(m, width), `_zeta` or `_fields`, kept as a tuple in `_KEPT` for m <= KEPT_M and
+    W <= 64 (module docstring), else built on each call."""
+    found = _KEPT.get((build, m, width))
+    if found is None:
+        found = build(m, width)
+        if m <= KEPT_M and width <= 64:
+            found = _KEPT[build, m, width] = tuple(found)
+    return found
 
 
 def row_width(total: int, rates: Sequence[int]) -> int:

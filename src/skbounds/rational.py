@@ -60,6 +60,12 @@ def is_ratio(value: Fraction | int, p: int, q: int) -> bool:
     return type(value) in (int, Fraction) and value.numerator * q == p * value.denominator
 
 
+def affine(value: Fraction, a: int, b: int, q: int) -> Fraction:
+    """(a * value + b) / q, for ints a, b and q > 0, as one `Fraction` built from value's own
+    numerator and denominator: no operator builds a `Fraction` on the way."""
+    return Fraction(a * value.numerator + b * value.denominator, q * value.denominator)
+
+
 def to_integers(values: Collection[Fraction | int]) -> tuple[list[int], int]:
     """(ints, L): L the lcm of the values' denominators (1 for none), ints[i] = L * values[i].
 

@@ -7,9 +7,12 @@ all 2^m - 2 rows at once, each summed from the edges directly, on the
 integer source (weights times L); it shares no row builder and no subset
 table with the package, only `lp.solve`.
 
-`per_terminal_rco_lp` is the relaxation over P*'s cells as
-`r_co_direct` built it before it took one column per cell: one rate per
-terminal, with the rows of the complements of the cells.
+`per_cell_rco_lp` is the relaxation over P*'s cells as `r_co_direct`
+built it before it kept only their sum: one column per cell and one row
+per cell, the other cells covering the entropy of M - C given C.
+`per_terminal_rco_lp` is the same relaxation as it was built before it
+took one column per cell: one rate per terminal, with the rows of the
+complements of the cells.
 
 `rowgen_rco` is the row generation `skbounds.bounds.r_co_direct` ran
 before it took the truncation's greedy point: it starts from the rows of
@@ -54,6 +57,17 @@ def cosingleton_rco_lp(src: WeightedHypergraph, cond: Sequence[int]) -> LinearPr
         [1] * src.m,
         [_subset_row(src.m, mask, cond[mask]) for mask in complements],
     )
+
+
+def per_cell_rco_lp(entries: Mapping[int, int], cells: Sequence[int]) -> LinearProgram:
+    """R_CO's relaxation with one column y_C per cell C of `cells` and one row per cell: the y
+    of the other cells sum to >= the total of `entries` on the edges that miss C."""
+    k = len(cells)
+    rows = [
+        Constraint(tuple(int(j != i) for j in range(k)), sum(w for e, w in entries.items() if not e & c))
+        for i, c in enumerate(cells)
+    ]
+    return LinearProgram([f"y{i}" for i in range(1, k + 1)], [1] * k, rows)
 
 
 def per_terminal_rco_lp(m: int, entries: Mapping[int, int], cells: Sequence[int]) -> LinearProgram:

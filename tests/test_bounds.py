@@ -28,7 +28,7 @@ from skbounds.bounds import FractionalPacking, _report_checks, build_gamma_lp, b
 from skbounds.cli import parse_document
 from skbounds.flow import fundamental
 from skbounds.hypergraph import format_subset, vertices_of
-from skbounds.lp import OPTIMAL, solve
+from skbounds.lp import OPTIMAL, Constraint, solve
 from skbounds.partitions import PARTITION_CAP, Partition
 from skbounds.rational import format_rational, to_integers
 
@@ -45,7 +45,7 @@ from conftest import (
 import reference_rco as reference_rco_module
 from reference_gamma import reduced_source_lines
 from reference_packing import reference_packing
-from reference_rco import cosingleton_rco_lp, full_rco_lp, per_terminal_rco_lp, reference_rco, rowgen_rco
+from reference_rco import cosingleton_rco_lp, full_rco_lp, per_cell_rco_lp, per_terminal_rco_lp, reference_rco, rowgen_rco
 from reference_scan import _raw_partitions, integer_scan, reference_mmi
 from reference_separation import reference_separation
 from test_scan_oracle import FAMILIES, type_s_source
@@ -122,16 +122,23 @@ EXAMPLE1_INT, _ = EXAMPLE1.integer_source()
 
 def test_build_rco_lp_row_count():
     cond = subset_weight_table(4, EXAMPLE1_INT.weights)
-    # One column per cell and one row per cell: the other cells cover the
-    # entropy of M - C given C.  P* = {1,2},{3},{4}.
-    lp = build_rco_lp(EXAMPLE1_INT.weights, (0b0011, 0b0100, 0b1000))
-    assert len(lp.variables) == 3
-    assert [(con.coeffs, con.rhs) for con in lp.constraints] == [
+    # One column, the total rate y, and one row, the sum of the rows of the
+    # cells' complements: (|P| - 1) * y >= the entropies of M - C given C.
+    # P* = {1,2},{3},{4}.
+    cells = (0b0011, 0b0100, 0b1000)
+    lp = build_rco_lp(EXAMPLE1_INT.weights, cells)
+    assert lp.variables == ["y"]
+    assert [(con.coeffs, con.rhs) for con in lp.constraints] == [((2,), cond[0b1100] + cond[0b1011] + cond[0b0111])]
+    # The reference keeps those rows one by one, one column per cell.
+    per_cell = per_cell_rco_lp(EXAMPLE1_INT.weights, cells)
+    assert [(con.coeffs, con.rhs) for con in per_cell.constraints] == [
         ((0, 1, 1), cond[0b1100]), ((1, 0, 1), cond[0b1011]), ((1, 1, 0), cond[0b0111])
     ]
-    # Over the singletons they are the co-singleton rows that row generation started from.
+    # Over the singletons the row sums the co-singleton rows that row generation started from.
     singletons = build_rco_lp(EXAMPLE1_INT.weights, (1, 2, 4, 8))
-    assert singletons.constraints == cosingleton_rco_lp(EXAMPLE1_INT, cond).constraints
+    cosingletons = cosingleton_rco_lp(EXAMPLE1_INT, cond).constraints
+    assert singletons.constraints == [Constraint((3,), sum(con.rhs for con in cosingletons))]
+    assert per_cell_rco_lp(EXAMPLE1_INT.weights, (1, 2, 4, 8)).constraints == cosingletons
     # The reference writes every row: 2^4 - 2 proper nonempty subsets.
     full = full_rco_lp(EXAMPLE1_INT)
     assert len(full.constraints) == len(proper_subsets(4)) == 14
@@ -389,6 +396,33 @@ def test_the_ladder_at_m_16_keeps_no_table(kernel_calls):
     r_co_direct(hg)
     cuts = [("bipartite_cut", k) for k in (1, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15)]
     assert kernel_calls == [*cuts, ("packed_table", 16), ("rate_rows", 16)]
+
+
+def test_ub_reads_one_packed_table_per_round_where_the_guard_passes(kernel_calls, monkeypatch):
+    # ladder6.hg (m = 6, 9 edges), as `corpus` sizes go: each of UB's three
+    # rounds truncates its point off one packed table, with no cut.  The
+    # ladder at m = 16 is sparse, 2^m > 8 m |E|: its rounds build no
+    # table, and their steps cut.
+    rounds = []
+    truncate = skbounds.bounds.truncation
+
+    def counting(m, weights, n, d, table=None):
+        rounds.append(table is not None)
+        return truncate(m, weights, n, d, table)
+
+    monkeypatch.setattr(skbounds.bounds, "truncation", counting)
+    monkeypatch.setattr(skbounds.partitions, "PARTITION_CAP", 16)  # UB certifies I by `mmi`
+    for hg in (parse_document(fixture_text("ladder6.hg")), cycle_plus_edges(random.Random(16), 16)):
+        mmi(hg)
+        rounds.clear()
+        kernel_calls.clear()
+        upper_bound_theorem1(hg)
+        if hg.m == 6:
+            assert rounds == [True] * 3
+            assert kernel_calls == [("packed_table", 6)] * 3
+        else:
+            assert rounds and not any(rounds)
+            assert kernel_calls and all(name == "bipartite_cut" for name, _ in kernel_calls)
 
 
 def _with_greedy_point(monkeypatch, change):
@@ -800,9 +834,11 @@ def test_a_faulty_ub_oracle_raises_at_once(monkeypatch):
     rounds = []
     truncate = skbounds.bounds.truncation
 
-    def lowered(m, weights, n, d):
+    def lowered(m, weights, n, d, table=None):
+        # A table of the point as given would bypass the fault: build it from the lowered weights.
         rounds.append(n)
-        return truncate(m, {e: max(w - 1, 0) for e, w in weights.items()}, n, d)
+        low = {e: max(w - 1, 0) for e, w in weights.items()}
+        return truncate(m, low, n, d, table and subset_weight_table(m, low))
 
     monkeypatch.setattr(skbounds.bounds, "truncation", lowered)
     with pytest.raises(skbounds.InternalInvariantError, match=r"returned the row .* which the point already meets"):
@@ -1029,10 +1065,13 @@ def test_gamma_membership_raises_when_the_certificate_fails(monkeypatch):
 
 
 def test_the_relaxation_over_cells_has_the_per_terminal_optimum(identity_corpus, graphical_corpus):
-    # One column per cell against one per terminal (`tests/reference_rco.py`),
-    # over P* on the fixtures, both corpora, the ladder at m <= 12 and 300
-    # random sources, and over the singletons and one random partition on
-    # the random ones.
+    # The summed row's optimum is exactly H - value(P), from the entropies
+    # of the cells, on every partition tried: P* on the fixtures, both
+    # corpora, the ladder at m <= 12 and 300 random sources, and the
+    # singletons and one random partition on the random ones.  At P* it
+    # equals the optima with the rows kept one by one, one column per cell
+    # and one per terminal (`tests/reference_rco.py`).  Off P* the summed
+    # row is still exact, where the row-by-row LPs may reach the rate sum.
     rng = random.Random("rco-cells")
     families = (random_hypergraph, random_graph, cycle_plus_edges)
     randoms = [families[i % 3](rng, rng.randint(2, 9)) for i in range(300)]
@@ -1045,11 +1084,17 @@ def test_the_relaxation_over_cells_has_the_per_terminal_optimum(identity_corpus,
             labels = [rng.randrange(hg.m) for _ in range(hg.m)]
             split = [sum(1 << v for v in range(hg.m) if labels[v] == k) for k in set(labels)]
             partitions += [[1 << v for v in range(hg.m)], split][: 1 + (len(split) > 1)]
+        total = sum(entries.values())
         for partition in partitions:
-            per_cell = solve(build_rco_lp(entries, partition))
-            per_terminal = solve(per_terminal_rco_lp(hg.m, entries, partition))
-            assert per_cell.status == per_terminal.status == OPTIMAL, hg
-            assert per_cell.objective_value == per_terminal.objective_value, (hg, partition)
+            met = sum(sum(w for e, w in entries.items() if e & c) for c in partition)  # the sum of H(C)
+            summed = solve(build_rco_lp(entries, partition))
+            assert summed.status == OPTIMAL, hg
+            assert summed.objective_value == total - Fraction(met - total, len(partition) - 1), (hg, partition)
+        per_cell = solve(per_cell_rco_lp(entries, run.cells))
+        per_terminal = solve(per_terminal_rco_lp(hg.m, entries, run.cells))
+        assert per_cell.status == per_terminal.status == OPTIMAL, hg
+        at_star = solve(build_rco_lp(entries, run.cells)).objective_value
+        assert at_star == per_cell.objective_value == per_terminal.objective_value == sum(run.xs), hg
 
 
 def test_analyze_on_a_graph_scans_only_the_input(monkeypatch):

@@ -324,7 +324,7 @@ def _count_solves(monkeypatch):
 
     def count(kind, fn):
         def wrapper(lp, *args):
-            solves[kind].append("R_CO" if lp.variables[0] == "y1" else "packing")
+            solves[kind].append("R_CO" if lp.variables == ["y"] else "packing")
             return fn(lp, *args)
         return wrapper
 

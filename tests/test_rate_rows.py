@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skbounds.flow
-from skbounds import InternalInvariantError, WeightedHypergraph, mask_of, mmi
+import skbounds.hypergraph
+from skbounds import InternalInvariantError, WeightedHypergraph, mask_of, mmi, r_co_direct
 from skbounds.cli import parse_document
 from skbounds.flow import Run, dinkelbach, fundamental
 from skbounds.hypergraph import pack, packed_table, rate_rows, row_width, tight_rows, unpack
@@ -187,6 +188,62 @@ def test_pack_and_unpack_round_trip_at_every_width(width):
         entries = {0b011: (1 << width - 2) - 1, 0b100: 1}
         table = [sum(w for e, w in entries.items() if not e & ~b) for b in range(8)]
         assert pack(table, width) == packed_table(3, entries, width)
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_the_kept_constants_give_every_kernel_the_plain_sums(m, monkeypatch):
+    # `packed_table`, `rate_rows` and `tight_rows` read their masks through
+    # `hypergraph._kept`: on the call that builds them, empty kept
+    # store first, and on the next, which reads them kept up to m = 13,
+    # every result equals the plain sums, at every packed width.  The rates
+    # on the tight side are the weight of the edges that hold each vertex,
+    # so every row holds and the edges alone make some tight.
+    monkeypatch.setattr(skbounds.hypergraph, "_KEPT", {})
+    rng = random.Random(f"kept/{m}")
+    for width in (8, 16, 32, 64):
+        top = (1 << width - 3) // (4 * (m + 1))  # every rate sum and table entry below 2^(W - 3)
+        entries = {rng.randrange(1, 1 << m): rng.randint(0, top) for _ in range(4)}
+        table = [sum(w for e, w in entries.items() if not e & ~b) for b in range(1 << m)]
+        edges = [sum(w for e, w in entries.items() if e >> i & 1) for i in range(m)]
+        drawn = [rng.randint(-top, top) for _ in range(m)]
+        cases = [(rates, [sum(r for i, r in enumerate(rates) if b >> i & 1) for b in range(1 << m)]) for rates in (edges, drawn)]
+        for _ in range(2):
+            packed = packed_table(m, entries, width)
+            assert unpack(packed, 1 << m, width) == table
+            for rates, sums in cases:
+                gaps, holds = rate_rows(m, packed, width, rates)
+                assert unpack(gaps, 1 << m, width)[:-1] == [s - t + (1 << width - 1) for s, t in zip(sums, table)][:-1]
+                assert holds == all(s >= t for s, t in zip(sums[:-1], table))
+                if holds:
+                    assert tight_rows(m, width, gaps) == sum(s == t for s, t in zip(sums[:-1], table))
+            assert rate_rows(m, packed, width, edges)[1]
+        kept = [key[0].__name__ for key in skbounds.hypergraph._KEPT if key[1:] == (m, width)]
+        assert sorted(kept) == (["_fields", "_zeta"] if m <= 13 else [])
+
+
+def test_the_kept_constants_stop_at_m_13_and_64_bit_fields(monkeypatch):
+    # Past m = 13, and at fields wider than 64 bits (`row_width` past
+    # 2^63), the constants are built on each call and not kept: R_CO on a
+    # dense source at m = 14 and on the ladder at m = 16, and a 128-bit
+    # check, keep nothing, and nothing the earlier tests ran kept such a
+    # key.  The two values of one (m, W) hold at most (m + 2) * 2^m * W
+    # bits of ints, the most at (13, 64).
+    kept = skbounds.hypergraph._KEPT  # what the tests so far have kept
+    monkeypatch.setattr(skbounds.hypergraph, "_KEPT", {})
+    rng, weights = random.Random(0), {}
+    while len(weights) < 150:
+        mask = rng.randrange(1, 1 << 14)
+        if mask & (mask - 1):
+            weights[mask] = rng.randint(1, 9)
+    for hg in (WeightedHypergraph(14, weights), cycle_plus_edges(random.Random(16), 16)):
+        r_co_direct(hg)  # its check of every row builds a table and reads the rate rows at m
+    assert rate_rows(3, pack([0] * 8, 128), 128, [1 << 70, 0, 0])[1]
+    assert skbounds.hypergraph._KEPT == {}
+    assert all(m <= 13 and width <= 64 for _, m, width in kept)
+    zeta = skbounds.hypergraph._zeta(13, 64)
+    ones, rest, high = skbounds.hypergraph._fields(13, 64)
+    bits = sum(x.bit_length() for x in (*[mask for _, mask in zeta], *ones, rest, high))
+    assert bits <= (13 + 2) * 2**13 * 64
 
 
 @pytest.mark.parametrize(

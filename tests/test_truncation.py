@@ -29,8 +29,9 @@ import skbounds.flow
 import skbounds.partitions
 from skbounds import InternalInvariantError, WeightedHypergraph, analyze, mask_of, mmi
 from skbounds.cli import main, parse_document
-from skbounds.flow import bipartite_cut, dinkelbach, fundamental, truncation
-from skbounds.hypergraph import subset_weight_table, vertices_of
+from skbounds.flow import bipartite_cut, dinkelbach, fundamental, step_table, truncation
+from skbounds.hypergraph import subset_weight_table, unpack, vertices_of
+from skbounds.partitions import crossing
 from skbounds.rational import format_rational
 
 from conftest import FIXTURE_DIR, clustered_source, cycle_plus_edges, random_weight
@@ -311,6 +312,49 @@ def test_the_table_steps_equal_the_cut_and_the_general_network(src):
                 patch.setattr(skbounds.flow, "bipartite_cut", counted)
                 assert truncation(m, weights, n, d, given) == expected, (given is None, n, d)
             assert not (given and cuts), (n, d)  # with the table, no step cuts
+
+
+@st.composite
+def ub_round_points(draw) -> tuple[int, dict[int, int], int, int]:
+    """(m, point, n * den, d): a point of UB's oracle rounds on a `table_step_sources` source,
+    with L * I = n / d from its run and den = 1..6.  Each edge that crosses P* is at its
+    weight times den, each other edge of two or more vertices anywhere from 0 (a zero
+    column) to its weight times den, and no singleton is in the point."""
+    src = draw(table_step_sources())
+    run, den = dinkelbach(src), draw(st.integers(1, 6))
+    fixed = crossing(src.weights, run.cells)
+    point = {}
+    for e, w in src.weights.items():
+        if e in fixed:
+            point[e] = w * den
+        elif e & (e - 1):
+            point[e] = draw(st.one_of(st.just(0), st.integers(0, w * den)))
+    return src.m, point, run.n * den, run.d
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(ub_round_points())
+def test_the_table_steps_equal_the_cut_and_the_general_network_on_ub_points(case):
+    # UB's rounds truncate their points off the table `flow.step_table`
+    # builds where its guard passes: with the table, every step must give
+    # the cut path's cells and greedy point, and the general network's,
+    # with no cut.  The table is the subset table of the point.
+    m, point, n, d = case
+    expected = reference_truncation(m, point, n, d)
+    table = subset_weight_table(m, point)
+    packed = step_table(m, point, n, sum(point.values()))
+    assert packed is None or unpack(packed[1], 1 << m, packed[0]) == table
+    for given in (None, table):
+        cuts = []
+
+        def counted(supply, groups):
+            cuts.append(len(supply))
+            return bipartite_cut(supply, groups)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(skbounds.flow, "bipartite_cut", counted)
+            assert truncation(m, point, n, d, given) == expected, (given is None, n, d)
+        assert not (given and cuts), (n, d)
 
 
 def test_a_run_is_frozen_and_compares_and_prints_six_fields():
