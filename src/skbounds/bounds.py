@@ -16,11 +16,10 @@ All quantities are exact rationals:
   total x(E) - I over Gamma = {0 <= x <= w : I(x) = I}, and x* is in Gamma.
   UB's last row-generation round certifies that (below), so `analyze`
   runs `flow.dinkelbach` once, on its input; `fundamental` keeps the run,
-  a `flow.Run`, which `mmi`, `r_co_direct` and UB read by its fields.  A
-  report whose x* is not that round's point falls back to `_capacity`,
-  the capacity of the reduced source by its own run;
-  `verify_gamma_membership` truncates the reduced source once at
-  gamma = I and checks the same certificate.
+  a `flow.Run`, which `mmi`, `r_co_direct` and UB read by its fields and
+  no reader writes.  A report whose x* that round does not certify fails
+  its Gamma line; `verify_gamma_membership` truncates the reduced source
+  once at gamma = I and checks the same certificate.
 * `graphical_bounds`: the closed forms for sources whose hyperedges are
   all pairs.  The packing bound collapses to (m - 2) * capacity, the
   interactive common information equals the weight crossing the
@@ -56,10 +55,11 @@ run's truncations read the source's packed table (`Run.table`, fields
 the weight inside each subset), that table times d, one multiplication,
 is the packed table of the weights times d, and the check reads it in
 place of building its own wherever its fields are as wide as the check
-needs; `r_co_direct` then drops it from the run, which the hypergraph
-keeps.  The relaxation `build_rco_lp` keeps one row, the sum of the
-rows of the complements of P*'s cells: (|P*| - 1) * r(M) >= the sum of
-H(M - C | C) over the cells C, that is r(M) >= H - value(P*).  Every
+needs; it stays on the run, and `run_checks` reads it times its own
+denominator the same way.  The relaxation `build_rco_lp` keeps one row,
+the sum of the rows of the complements of P*'s cells: (|P*| - 1) * r(M)
+>= the sum of H(M - C | C) over the cells C, that is
+r(M) >= H - value(P*).  Every
 rate point meets it, so by weak duality R_CO is at least its optimum;
 `lp.solve` certifies that optimum once, and it must equal the point's
 sum, so R_CO >= its sum.  It has one column, y = r(M).
@@ -115,10 +115,13 @@ A = M - B, ys(A) = ys(M) - ys(B) <= d * (H_p(A) - gamma): ys / d lies in
 the polyhedron of H_x - I, so over the cells C of any partition P the
 sum of H_x(C) - I is at least ys(M) / d, the one-cell partition's
 H_x(M) - I, so value_x(P) >= I.  As x* <= w and I is monotone in the
-weights, I(x*) <= I, so I(x*) = I.  The Type S line reads the number of the round's cells, P*(x*): that trusts
-the truncation exactly as a Dinkelbach run on the reduced source would.
-When any condition fails, both lines come from the reduced source's run,
-so every printed value stays the same.
+weights, I(x*) <= I, so I(x*) = I.  The Type S line reads the number of
+the round's cells, P*(x*): that trusts the truncation exactly as a
+Dinkelbach run on the reduced source would (`tests/reference_gamma.py`
+keeps that run as the oracle).  When any condition fails, both lines
+fail and print that no certificate came from UB's last round: `analyze`
+always hands the round along with its x*, so only a fault gets there,
+and no second computation can print ok over it.
 
 `lp` certifies each optimum by LP duality.  Each report identity is
 written once, in `_report_checks`: `analyze` raises on it and keeps the
@@ -252,21 +255,19 @@ def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fracti
 
     The point is the greedy point xs / d of `flow.dinkelbach`'s last
     truncation, on the integer source, read from `flow.fundamental`.  One
-    `separation_oracle` check, handed the run's kept table times d (read
-    once, then dropped from the run), must show that it meets every
-    subset row, unless the run's own `rows` showed it, and the relaxation
-    `build_rco_lp`, the summed row of the complements of P*'s cells, solved
-    once, must have its sum as optimum; either failure is reported as an
-    internal error, naming the row or both values.
+    `separation_oracle` check, handed the run's kept table times d, must
+    show that it meets every subset row, unless the run's own `rows`
+    showed it, and the relaxation `build_rco_lp`, the summed row of the
+    complements of P*'s cells, solved once, must have its sum as optimum;
+    either failure is reported as an internal error, naming the row or
+    both values.
     """
     _check_method(method)
     run = fundamental(hg)
     xs, q = run.xs, run.d * run.scale
     entries = {e: w * run.d for e, w in run.src.weights.items()}  # over d, as xs are
-    # Rows that decided the run checked these rows on these ints already.
-    table = run.table and (run.table[0], run.table[1] * run.d)  # the packed table of `entries`
-    object.__setattr__(run, "table", None)  # read once: the kept run holds no 2^m fields past here
-    mask = None if run.rows else separation_oracle(entries, xs, table)
+    # Rows that decided the run checked these rows on these ints already; its table times d is that of `entries`.
+    mask = None if run.rows else separation_oracle(entries, xs, run.table and (run.table[0], run.table[1] * run.d))
     if mask is not None:
         have, need = (Fraction(v, q) for v in _row_sides(entries, xs, mask))
         raise InternalInvariantError(
@@ -385,12 +386,6 @@ def _certified_round(hg: WeightedHypergraph, packing: FractionalPacking) -> Opti
     return (sum(point.values()), q, len(cells)) if _proves_capacity(point, ys, run.n * den, run.d) else None
 
 
-def _capacity(hg: WeightedHypergraph) -> tuple[Fraction, int]:
-    """(I, |P*|) of `hg` from `flow.fundamental`, with no listing of the minimizers."""
-    run = fundamental(hg)
-    return Fraction(run.n, run.d * run.scale), len(run.cells)
-
-
 def verify_gamma_membership(
     hg: WeightedHypergraph, packing: FractionalPacking | Mapping[int, Fraction]
 ) -> bool:
@@ -438,16 +433,17 @@ def graphical_bounds(hg: WeightedHypergraph) -> GraphicalBounds:
 
 
 def _report_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
-    """The report identities.  x* in Gamma and the Type S line read UB's last round when it
-    certifies x* (`_certified_round`), else the capacity of the reduced source."""
+    """The report identities.  x* in Gamma and the Type S line read only UB's last round: I and
+    |P*(x*)| when it certifies x* (`_certified_round`), else both lines fail, naming the certificate."""
     rco, ub, capacity = report.r_co, report.ub_theorem1, report.mmi.value
     identity = report.entropy_total - capacity
     certified = _certified_round(hg, report.x_star)
     if certified is None:
         total = sum(report.x_star.entries.values())
-        kept, size = _capacity(hg.restrict(report.x_star.entries))
+        kept = size = "no certificate from UB's last round"
     else:
-        total, kept, size = Fraction(certified[0], certified[1]), _capacity(hg)[0], certified[2]
+        run = fundamental(hg)
+        total, kept, size = Fraction(certified[0], certified[1]), Fraction(run.n, run.d * run.scale), certified[2]
     packed = total - capacity
     checks = [
         ("R_CO identity (H - I)", rco == identity, rco, identity),
@@ -507,12 +503,15 @@ def run_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
     Each entry is (label, ok, value, expected): the identities `analyze`
     enforced, from `report.checks`, and the rate point, which must sum to
     R_CO and meet every subset row by one `separation_oracle` call in ints.
+    Those ints come from the printed rates, over their own denominator d;
+    the check reads the run's kept table times d, which depends on the
+    weights alone, in place of packing its own.
     A failure shows rates(B) and H(B | M - B) of the worst B, else r(M) and R_CO.
     """
     run, rates = fundamental(hg), report.rates.rates
     xs, d = to_integers([r * run.scale for r in rates])
     entries = {e: w * d for e, w in run.src.weights.items()}  # over d, as xs are
-    mask = separation_oracle(entries, xs)
+    mask = separation_oracle(entries, xs, run.table and (run.table[0], run.table[1] * d))
     if mask is None:
         value, expected = sum(rates), report.r_co
     else:

@@ -97,8 +97,10 @@ crosses; the finest of them is the components of those edges.
 `dinkelbach` returns one `Run`, a frozen record with named fields: the
 integer source and its L, n / d, P*, the greedy point xs, the
 singletons' rows when they decided the run, and otherwise the packed
-table its truncations read, which `bounds.r_co_direct` scales by d for
-its check of every subset row and then drops from the run.
+table its truncations read, which `bounds.r_co_direct` and
+`bounds.run_checks` scale by d for their checks of every subset row.
+No reader writes into the run: the table lives as long as the run,
+which holds it only at m <= KEPT_M, so it has at most 2^13 fields.
 `fundamental` is the one place that runs `dinkelbach` on a hypergraph:
 it builds the integer source, runs it once there and keeps the `Run` on
 the hypergraph, so I, P* and the rate point of one source come from one
@@ -127,10 +129,10 @@ class Run:
     L * (H(M) - I).  `rows` is (field width, packed gaps) of the
     singletons' rate rows when they decided the run (`_singleton_rows`),
     else None.  `table` is (field width W, `packed_table` of the weights
-    at W) when the truncations read it, else None, and None again once
-    `r_co_direct` has read it; W leaves room for the weights times 2 d at
-    the singletons' start and times 4 otherwise.  Both are caches, so
-    equality and `repr` read the other fields only.
+    at W) when the truncations read it, else None; W leaves room for the
+    weights times 2 d at the singletons' start and times 4 otherwise.
+    Both are caches, so equality and `repr` read the other fields only,
+    and nothing writes either once the run is built.
     Frozen and not a tuple: every reader names the field.  The
     constructor fills the instance dict in one update, as a frozen
     dataclass's would field by field.

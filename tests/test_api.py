@@ -209,6 +209,69 @@ def test_no_module_unpacks_the_run_by_position():
     assert _fundamental_unpacks(trees) == []
 
 
+def _frozen_writes(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.function`, innermost function last, of each `__setattr__` attribute read, sorted,
+    but for the two writes a frozen record allows: `object.__setattr__(self, ...)` in a
+    `__post_init__`, and `object.__setattr__(report, ...)` in `bounds.analyze`.
+
+    A read at module level is named by the module alone.
+    """
+    sites = []
+
+    def allowed(call: ast.AST, where: str) -> bool:
+        if not (isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "__setattr__"):
+            return False
+        target = getattr(call.func.value, "id", None), getattr(call.args[0], "id", None) if call.args else None
+        if where.endswith(".__post_init__"):
+            return target == ("object", "self")
+        return where == "bounds.analyze" and target == ("object", "report")
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if allowed(child, where):
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "__setattr__":
+                sites.append(where)
+            visit(child, f"{where}.{child.name}" if named else where)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return sorted(sites)
+
+
+def test_the_frozen_write_guard_sees_aliases_nested_functions_and_other_targets():
+    trees = {
+        "a": ast.parse("class A:\n    def __post_init__(self):\n        object.__setattr__(self, 'x', 1)\n"),
+        "b": ast.parse("def r_co(run):\n    object.__setattr__(run, 'table', None)\n"),
+        "c": ast.parse(
+            "class C:\n    def __post_init__(self):\n        def g():\n            object.__setattr__(self, 'x', 1)\n"
+            "        object.__setattr__(other, 'x', 1)\n"
+        ),
+        "d": ast.parse("put = object.__setattr__\nclass D:\n    put = object.__setattr__\n"),
+        "bounds": ast.parse(
+            "def analyze(hg):\n    report = R()\n    object.__setattr__(report, 'checks', ())\n"
+            "    object.__setattr__(hg, 'x', 1)\ndef run_checks(hg, report):\n"
+            "    object.__setattr__(report, 'checks', ())\n"
+        ),
+    }
+    assert _frozen_writes(trees) == [
+        "b.r_co", "bounds.analyze", "bounds.run_checks", "c.C.__post_init__", "c.C.__post_init__.g", "d", "d.D"
+    ]
+
+
+def test_no_reader_writes_into_a_frozen_record():
+    # A frozen record is written only as it is built: in its `__post_init__`,
+    # and by `analyze` on the report it has just built, before any reader
+    # has it.  So a kept `Run` is never written after `dinkelbach` returns.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    assert _frozen_writes(trees) == []
+    (analyze,) = [node for node in trees["bounds"].body if getattr(node, "name", None) == "analyze"]
+    built = [node.value.func.id for node in ast.walk(analyze) if isinstance(node, ast.Assign)
+             and getattr(node.targets[0], "id", None) == "report" and isinstance(node.value, ast.Call)]
+    assert built == ["AnalysisReport"]
+
+
 def _to_integers_sites(trees: dict[str, ast.Module]) -> list[str]:
     """`module.function`, innermost function last, of each read of `to_integers` and each import that renames it.
 

@@ -364,12 +364,37 @@ def test_r_co_on_a_split_start_reads_the_table_its_run_kept(kernel_calls):
 def test_a_failed_singletons_start_builds_one_table_for_the_run_and_r_co(kernel_calls):
     # An m = 10 ladder source that starts at the singletons: their rows
     # fail, and the same table serves the truncations, whose steps all read
-    # it with no cut, and R_CO's check, after which the run drops it.
+    # it with no cut, and R_CO's check.  No reader writes into the run: it
+    # keeps its table, and a second R_CO reads it again.
     hg = cycle_plus_edges(random.Random(22), 10)
     run = fundamental(hg)
+    table = run.table
     assert r_co_direct(hg)[0] == reference_rco(hg)[0]
     assert kernel_calls == [("packed_table", 10), ("rate_rows", 10), ("rate_rows", 10)]
-    assert run.table is None and fundamental(hg) is run
+    assert run.table is table is not None and fundamental(hg) is run
+    assert r_co_direct(hg)[0] == reference_rco(hg)[0]
+    assert kernel_calls[3:] == [("rate_rows", 10)]
+
+
+def test_run_checks_reads_the_table_r_co_read(kernel_calls):
+    # A dense source at m = 12 whose truncations decide its run: R_CO's
+    # check reads the run's table times d, and so does `run_checks` times
+    # its own denominator, so neither packs a table of its own.
+    rng, weights = random.Random(12), {}
+    while len(weights) < 80:
+        mask = rng.randrange(1, 1 << 12)
+        if mask & (mask - 1):
+            weights[mask] = F(rng.randint(1, 9), rng.randint(1, 3))
+    hg = WeightedHypergraph(12, weights)
+    run = fundamental(hg)
+    assert run.rows is None and run.table is not None and 1 << 12 <= 8 * 12 * len(weights)
+    r_co_direct(hg)
+    assert kernel_calls.count(("packed_table", 12)) == 1  # the run's own
+    report = analyze(hg)
+    kernel_calls.clear()
+    lines = run_checks(hg, report)
+    assert all(line[1] for line in lines)
+    assert kernel_calls == [("rate_rows", 12)]
 
 
 def test_a_dense_source_past_m_13_keeps_no_table(kernel_calls):
@@ -494,8 +519,9 @@ def test_analysis_tables_are_packed_and_match_the_list_transform(identity_corpus
     # 2^64, so none falls back to the list transform; each list equals it.
     # The rate point's two checks, R_CO's and run_checks', and the check of
     # UB's last round that certifies x* run on packed ints and unpack no
-    # table.  R_CO's builds none where the run kept its source's table:
-    # every kept table here is wide enough for the check.
+    # table.  R_CO's and run_checks' build none where the run kept its
+    # source's table: every kept table here is wide enough for both, and
+    # the run still holds it after `analyze`.
     list_table, unpacked_table = skbounds.hypergraph._list_table, skbounds.hypergraph._packed_table
     rows_table = skbounds.bounds.packed_table
     unpacked, checks = 0, 0
@@ -523,13 +549,14 @@ def test_analysis_tables_are_packed_and_match_the_list_transform(identity_corpus
     for hg in sources:
         hg = WeightedHypergraph(hg.m, dict(hg.weights))  # keeps no run or mmi result yet
         decided += fundamental(hg).rows is not None
-        kept += fundamental(hg).table is not None  # before R_CO reads and drops it
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # graph-plus-singleton sources warn
             report = analyze(hg)
+        kept += fundamental(hg).table is not None
         run_checks(hg, report)
     assert (decided, kept) == (23, 179)
-    assert checks == 3 * len(sources) - decided - kept  # R_CO's, UB's certificate of x* and run_checks'
+    # R_CO's, UB's certificate of x* and run_checks': a kept table serves two, a run the rows decided one.
+    assert checks == 3 * len(sources) - decided - 2 * kept
     assert unpacked > len(sources) // 2  # mmi's union tables, wherever I > 0
 
 
@@ -869,35 +896,61 @@ def test_an_analyzed_hypergraph_equals_a_fresh_parse():
 
 GAMMA = "x* preserves capacity (Gamma membership)"
 TYPE_S = "reduced source is Type S"
+NO_CERTIFICATE = "no certificate from UB's last round"
+
+
+def _no_rerun(patch) -> None:
+    """Make building a reduced source and running `flow.dinkelbach` raise: a broken report is
+    judged by its certificate alone."""
+    patch.setattr(WeightedHypergraph, "restrict", _no_reduced_source)
+    patch.setattr(skbounds.flow, "dinkelbach", _no_reduced_source)
+
+
+def _failed_lines(hg, report):
+    """The Gamma and Type S lines (None off graphs) of a report whose x* UB's round does not certify."""
+    capacity = report.mmi.value
+    return (False, NO_CERTIFICATE, capacity), None if report.graphical is None else (False, NO_CERTIFICATE, hg.m)
+
+
+def _judged_on_the_certificate(hg, report, monkeypatch):
+    """Assert that `report` fails both lines on the certificate, with no reduced source and no
+    Dinkelbach run, and that `run_checks` reads it with neither too."""
+    with monkeypatch.context() as patch:
+        _no_rerun(patch)
+        assert skbounds.bounds._certified_round(hg, report.x_star) is None, hg
+        assert _lines(hg, report) == _failed_lines(hg, report), hg
+        assert run_checks(hg, report)[1][1], hg  # the rate point, unchanged
 
 
 @pytest.mark.parametrize("m", [8, 10])
-def test_gamma_check_reports_the_reduced_capacity(m):
-    # x* halved on one positive entry leaves Gamma (x* is LP-optimal over it).
-    # The check reports the capacity of the reduced source, by the integer
-    # scan made here as the oracle.
+def test_gamma_check_reports_the_reduced_capacity(m, monkeypatch):
+    # x* halved on one positive entry leaves Gamma (x* is LP-optimal over
+    # it): the reduced capacity, by the integer scan made here as the
+    # oracle, is below I, and the Gamma check (`verify_gamma_membership`)
+    # rejects it.  UB's round is not of that packing: the report's Gamma
+    # line fails on the certificate.
     hg = cycle_plus_edges(random.Random(m), m)
     report = analyze(hg)
     capacity = report.mmi.value
     for e, x in report.x_star.entries.items():
         if x > 0:
             entries = {**report.x_star.entries, e: x / 2}
+            assert integer_scan(hg.restrict(entries)).value < capacity
+            assert not verify_gamma_membership(hg, entries)
             broken = dataclasses.replace(report, x_star=dataclasses.replace(report.x_star, entries=entries))
-            checks = {c[0]: c[1:] for c in _report_checks(hg, broken)}
-            ok, kept, expected = checks[GAMMA]
-            assert not ok and expected == capacity
-            assert kept == integer_scan(hg.restrict(entries)).value
+            _judged_on_the_certificate(hg, broken, monkeypatch)
 
 
-def test_gamma_and_type_s_lines_read_the_reduced_source(monkeypatch):
-    # Packings x_e = w_e * k / 4 with k in 0..4, in Gamma and out of it: the
-    # Gamma line prints the capacity of the reduced source, the Type S line
-    # the size of its P*, and verify_gamma_membership holds exactly when that
-    # capacity is I, all by the `Fraction` scan made here as the oracle.
-    # verify_gamma_membership runs no Dinkelbach: one truncation and its check.
+def test_only_the_reports_own_round_certifies_the_gamma_and_type_s_lines(monkeypatch):
+    # Packings x_e = w_e * k / 4 with k in 0..4, in Gamma and out of it:
+    # verify_gamma_membership holds exactly when the reduced source's
+    # capacity is I, by the `Fraction` scan made here as the oracle, and it
+    # runs no Dinkelbach: one truncation and its check.  None carries its
+    # own round, so both lines of the report fail on the certificate, the
+    # packings in Gamma too.
     calls = _count_dinkelbach(monkeypatch)
     rng = random.Random("reduced-capacity")
-    outside = type_s_lines = 0
+    inside = outside = type_s_lines = 0
     for family in ("hypergraph", "graph", "cycle", "type_s", "tie"):
         for m in range(2, 8):
             hg = FAMILIES[family](rng, m)
@@ -907,19 +960,20 @@ def test_gamma_and_type_s_lines_read_the_reduced_source(monkeypatch):
             capacity = report.mmi.value
             for _ in range(36):
                 entries = {e: w * rng.randint(0, 4) / 4 for e, w in hg.weights.items()}
-                reduced = reference_mmi(hg.restrict(entries))
-                kept = reduced.value == capacity
-                broken = dataclasses.replace(report, x_star=dataclasses.replace(report.x_star, entries=entries))
-                checks = {c[0]: c[1:] for c in _report_checks(hg, broken)}
-                assert checks[GAMMA] == (kept, reduced.value, capacity), (family, m, entries)
+                kept = reference_mmi(hg.restrict(entries)).value == capacity
                 runs = len(calls)
-                assert verify_gamma_membership(hg, entries) == kept
+                assert verify_gamma_membership(hg, entries) == kept, (family, m, entries)
                 assert len(calls) == runs
-                if TYPE_S in checks:
-                    assert checks[TYPE_S][1] == reduced.fundamental.size, (family, m, entries)
-                    type_s_lines += 1
+                if entries == report.x_star.entries:
+                    continue  # the report's own x*, which its round certifies
+                broken = dataclasses.replace(report, x_star=dataclasses.replace(report.x_star, entries=entries))
+                with monkeypatch.context() as patch:
+                    _no_rerun(patch)
+                    assert _lines(hg, broken) == _failed_lines(hg, broken), (family, m, entries)
+                type_s_lines += report.graphical is not None
+                inside += kept
                 outside += not kept
-    assert outside >= 500 and type_s_lines >= 300, (outside, type_s_lines)
+    assert outside >= 500 and inside >= 200 and type_s_lines >= 300, (outside, inside, type_s_lines)
 
 
 def _lines(hg, report):
@@ -989,10 +1043,11 @@ ROUND_MUTATIONS = {
 
 
 @pytest.mark.parametrize("mutation", list(ROUND_MUTATIONS))
-def test_a_broken_round_falls_back_to_the_reduced_source(mutation, identity_corpus):
+def test_a_broken_round_fails_the_gamma_and_type_s_lines(mutation, identity_corpus, monkeypatch):
     # Each entry of the greedy point moved by 1, a point below zero that
     # keeps the sum, and a point entry off by one: the round no longer
-    # certifies x*, and both lines print the reduced source's values.
+    # certifies x*, and both lines fail on the certificate, though x* is
+    # the report's own and in Gamma.
     checked = 0
     for hg, report in map(_analyzed, _rco_sources() + identity_corpus[:60]):
         kept = report.x_star.last_round
@@ -1000,19 +1055,20 @@ def test_a_broken_round_falls_back_to_the_reduced_source(mutation, identity_corp
             continue  # no edge with more than one vertex
         for broken in ROUND_MUTATIONS[mutation](kept):
             x_star = dataclasses.replace(report.x_star, last_round=broken)
-            assert skbounds.bounds._certified_round(hg, x_star) is None, hg
-            assert _lines(hg, dataclasses.replace(report, x_star=x_star)) == _reduced_lines(hg, report), hg
+            _judged_on_the_certificate(hg, dataclasses.replace(report, x_star=x_star), monkeypatch)
             checked += 1
     assert checked >= 70
 
 
-def test_a_round_from_another_packing_falls_back_to_the_reduced_source(identity_corpus):
+def test_a_round_from_another_packing_fails_the_gamma_and_type_s_lines(identity_corpus, monkeypatch):
     # The report's x* replaced by w, which is in Gamma, and by w with one
-    # singleton edge kept at its weight, which UB sets to 0: UB's round is
-    # of another x*, and both lines print the reduced source's values.
+    # singleton edge kept at its weight, which UB sets to 0: each carries
+    # the report's round, which is of another x*, so both lines fail on the
+    # certificate.  Only the report's own x* passes.
     singletons = 0
     for hg, report in map(_analyzed, _rco_sources() + identity_corpus):
         packings = [dict(hg.weights)]
+        assert verify_gamma_membership(hg, packings[0])
         for e, w in hg.weights.items():
             if not e & (e - 1):
                 packings.append({**report.x_star.entries, e: w})
@@ -1021,32 +1077,51 @@ def test_a_round_from_another_packing_falls_back_to_the_reduced_source(identity_
         for entries in packings:
             x_star = dataclasses.replace(report.x_star, entries=entries)  # the round of the report's x*
             other = dataclasses.replace(report, x_star=x_star)
-            assert skbounds.bounds._certified_round(hg, x_star) is None or entries == report.x_star.entries
-            assert _lines(hg, other) == _reduced_lines(hg, other), (hg, entries)
+            if entries == report.x_star.entries:  # UB's x* is w: its own round certifies it
+                assert _lines(hg, other) == _reduced_lines(hg, other), (hg, entries)
+            else:
+                _judged_on_the_certificate(hg, other, monkeypatch)
     assert singletons >= 50
 
 
-def test_a_packing_missing_an_edge_or_above_w_falls_back_and_is_rejected():
+def test_a_report_whose_x_star_is_w_fails_on_the_certificate(monkeypatch):
+    # x* = w keeps I, so it is in Gamma, but on the ladder at m = 6 UB's
+    # LP lowers some edge: the report's round is not of w, and `analyze`
+    # raises on the Gamma line, naming the certificate.
+    hg, report = _analyzed(cycle_plus_edges(random.Random(6), 6))
+    assert report.x_star.entries != dict(hg.weights) and verify_gamma_membership(hg, hg.weights)
+    exact = skbounds.bounds.upper_bound_theorem1
+
+    def w_with_its_round(hg, *, method="auto"):
+        bound, packing = exact(hg, method=method)
+        total = sum(hg.weights.values())
+        return bound + total - sum(packing.entries.values()), dataclasses.replace(packing, entries=dict(hg.weights))
+
+    again = WeightedHypergraph(hg.m, dict(hg.weights))
+    with monkeypatch.context() as patch:
+        patch.setattr(skbounds.bounds, "upper_bound_theorem1", w_with_its_round)
+        with pytest.raises(skbounds.InternalInvariantError) as raised:
+            analyze(again)
+    assert str(raised.value) == f"{GAMMA}: {NO_CERTIFICATE} vs {report.mmi.value}"
+
+
+def test_a_packing_missing_an_edge_or_above_w_fails_on_the_certificate(monkeypatch):
     # x* with one edge left out, which UB's round matches on every other
     # edge; and a round whose point, which x* matches, is above w on one
     # edge: its greedy point passes, as more weight keeps I, but it is not
-    # in Gamma.  Both fall back, and the reduced source rejects them with
-    # the messages it always gave.
+    # in Gamma.  Neither certifies its x*, and both fail on the certificate
+    # with no reduced source built.
     hg, report = _analyzed(EXAMPLE1)
     run = fundamental(hg)
     src, n, d = run.src, run.n, run.d
     e = next(iter(src.weights))
     missing = dataclasses.replace(report.x_star, entries={f: x for f, x in report.x_star.entries.items() if f != e})
-    assert skbounds.bounds._certified_round(hg, missing) is None
-    with pytest.raises(ValueError, match="exactly the hyperedges"):
-        _report_checks(hg, dataclasses.replace(report, x_star=missing))
+    _judged_on_the_certificate(hg, dataclasses.replace(report, x_star=missing), monkeypatch)
     point = {**src.weights, e: 2 * src.weights[e]}
     cells, ys = skbounds.flow.truncation(hg.m, point, n, d)
     assert skbounds.bounds._proves_capacity(point, ys, n, d)
     above = FractionalPacking({f: F(p, run.scale) for f, p in point.items()}, (point, 1, cells, ys))
-    assert skbounds.bounds._certified_round(hg, above) is None
-    with pytest.raises(ValueError, match="exceeds weight"):
-        _report_checks(hg, dataclasses.replace(report, x_star=above))
+    _judged_on_the_certificate(hg, dataclasses.replace(report, x_star=above), monkeypatch)
 
 
 def test_gamma_membership_raises_when_the_certificate_fails(monkeypatch):

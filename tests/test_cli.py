@@ -467,11 +467,13 @@ MUTATIONS = {
         "example1.hg",
         "internal invariant violated: the greedy rate point misses the subset row of {1,2,3}: 2 vs 3\n",
     ),
-    # UB's LP needs cuts on the ladder source, where round one's point leaves Gamma.
+    # UB's LP needs cuts on the ladder source, where round one's point leaves Gamma
+    # (its capacity is 17/6): no round certifies it, and the Gamma line names that.
     "ub-oracle-none": (
         _ub_oracle_none,
         "ladder6.hg",
-        "internal invariant violated: x* preserves capacity (Gamma membership): 17/6 vs 11/3\n",
+        "internal invariant violated: x* preserves capacity (Gamma membership):"
+        " no certificate from UB's last round vs 11/3\n",
     ),
     "tampered-dictionary": (
         _objective_raised,
@@ -535,8 +537,9 @@ def test_analyze_raises_when_x_star_leaves_gamma(monkeypatch, capsys):
         return bound - entries[e], dataclasses.replace(packing, entries=entries)
 
     # Example 1 with x*({1,2}) = 3/4: the singletons have value 5/4 < I = 3/2.
+    # UB's last round is of the LP's x*, so it certifies no halved packing.
     monkeypatch.setattr(skbounds.bounds, "upper_bound_theorem1", halve_one_entry)
-    message = "x* preserves capacity (Gamma membership): 5/4 vs 3/2"
+    message = "x* preserves capacity (Gamma membership): no certificate from UB's last round vs 3/2"
     with pytest.raises(InternalInvariantError, match=re.escape(message)):
         analyze(parse_document(fixture_text("example1.hg")))
     code, out, err = run_cli(capsys, "analyze", str(FIXTURE_DIR / "example1.hg"))
