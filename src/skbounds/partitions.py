@@ -78,7 +78,9 @@ by smallest vertex), and the listing is in `sorted` order of those
 tuples.  `MmiResult` builds them on the first read of `minimizer_cells`
 and keeps them; no caller in the package reads them, as the reports need
 only the count.  It builds a `Partition` per minimizer only when
-`all_minimizers` is read.  Two exhaustive scans in
+`all_minimizers` is read.  `Partition` keeps a tuple already in canonical
+order as given, so those `Partition`s share the listing's tuples, and P*
+shares the run's `cells`: neither is copied.  Two exhaustive scans in
 `tests/reference_scan.py`, one over `Fraction`s and one over ints, are the
 test oracles of `mmi`: of its value, P*, count and sorted listing.
 
@@ -111,18 +113,31 @@ Rows = tuple[int, int]
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint nonempty cells (bitmasks) covering {1..m}.
+    """Disjoint nonempty cells (bitmasks) covering {1..m}, m >= 1.
 
-    Cells are kept in canonical order: sorted by smallest member.
+    Cells are kept in canonical order: sorted by smallest member.  A tuple
+    already in that order is kept as given, not copied, so a partition
+    built from a listing's or a run's tuple shares it; any other iterable
+    of cells (a list, an iterator, a tuple subclass, a tuple out of order)
+    is kept as a sorted tuple.  m and every cell must be an int, not a
+    bool, and m >= 1, else ValueError.
     """
 
     m: int
     cells: tuple[int, ...]
 
     def __post_init__(self):
-        full = (1 << self.m) - 1
-        seen = 0
-        for cell in self.cells:
+        m, cells = self.m, self.cells
+        if type(m) is not int or m < 1:  # bool is an int subclass
+            raise ValueError(f"a partition needs an int m >= 1, not {m!r}")
+        full = (1 << m) - 1
+        seen = last = 0
+        ordered = type(cells) is tuple
+        if not ordered:
+            cells = tuple(cells)  # an iterator is read once, here
+        for cell in cells:
+            if type(cell) is not int:
+                raise ValueError(f"cell {cell!r} is not an int bitmask")
             if cell == 0:
                 raise ValueError("empty cell in partition")
             if cell & ~full:
@@ -130,10 +145,13 @@ class Partition:
             if cell & seen:
                 raise ValueError("cells are not disjoint")
             seen |= cell
+            low = cell & -cell  # distinct per cell, as the cells are disjoint
+            ordered = ordered and low > last
+            last = low
         if seen != full:
             raise ValueError("cells do not cover the vertex set")
-        ordered = tuple(sorted(self.cells, key=lambda c: c & -c))
-        object.__setattr__(self, "cells", ordered)
+        if not ordered:
+            object.__setattr__(self, "cells", tuple(sorted(cells, key=lambda c: c & -c)))
 
     @property
     def size(self) -> int:
@@ -179,7 +197,9 @@ class MmiResult:
     cell tuples (bitmasks sorted by smallest member, as in
     `Partition.cells`); `listing`, a `functools.partial` so that a result
     pickles, builds them on the first read, which keeps them.
-    `all_minimizers` builds their `Partition`s on each read and keeps none.
+    `all_minimizers` builds their `Partition`s on each read and keeps none;
+    each shares its tuple with `minimizer_cells`, as `Partition` keeps a
+    canonical tuple as given, and `fundamental` shares the run's.
     Two results are equal when their values, P*, counts and listings are.
     `mmi` keeps one result per hypergraph, so its readers share the listing.
     """
@@ -415,4 +435,5 @@ def _list_coarsenings(units: tuple[int, ...], slack: list[int]) -> list[tuple[in
                 minimizers.append((*cells, union[t]))
 
     walk(len(slack) - 1, ())
-    return sorted(minimizers)
+    minimizers.sort()
+    return minimizers

@@ -22,6 +22,7 @@ from skbounds.partitions import Partition, crossing
 from conftest import FIXTURE_DIR, fixture_text, from_vertex_cells, is_refinement_of, partition_value
 import reference_scan
 from reference_scan import _raw_partitions, integer_scan
+from test_scan_oracle import bell, tie_heavy_source
 
 EXAMPLE1 = WeightedHypergraph(
     4,
@@ -62,6 +63,36 @@ def test_partition_validation():
         Partition(3, (0b011, 0b110))  # overlap
     with pytest.raises(ValueError):
         Partition(3, (0b011, 0b100, 0))  # empty cell
+    # m and each cell must be an int, not a bool, and m >= 1; the error names the value.
+    for m, cells, named in [
+        (2, (True, 2), "True"),
+        (2, (1.0, 2), "1.0"),
+        (True, (1,), "True"),
+        (2.0, (1, 2), "2.0"),
+        (0, (), "0"),
+        (-1, (), "-1"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            Partition(m, cells)
+
+
+def test_partition_keeps_a_canonical_tuple_and_sorts_any_other_cells():
+    cells = (0b0011, 0b0100, 0b1000)
+    assert Partition(4, cells).cells is cells
+    subclass = type("Cells", (tuple,), {})
+    # An iterator is read once: its cells are both checked and kept.
+    for given in ([0b0011, 0b0100, 0b1000], (0b0100, 0b0011, 0b1000), subclass(cells), reversed(cells)):
+        kept = Partition(4, given).cells
+        assert type(kept) is tuple and kept == cells and kept is not given
+
+
+def test_the_minimizers_share_the_listings_and_the_runs_tuples():
+    hg = tie_heavy_source(random.Random(8), 8)
+    result = mmi(hg)
+    assert len(result.minimizer_cells) == bell(7) - 1
+    for part, cells in zip(result.all_minimizers, result.minimizer_cells, strict=True):
+        assert part.cells is cells
+    assert result.fundamental.cells is skbounds.flow.fundamental(hg).cells
 
 
 @pytest.mark.parametrize(
