@@ -51,8 +51,8 @@ of 2^m entries; only a missed row goes to the list sweep, which names
 it.  When the singletons' rate rows decided the run (`Run.rows`), that
 check has run already, on the same ints (the weights times d, the rates
 xs, n / d in lowest terms), and no second table is built.  When the
-run's truncations read the source's packed table (`Run.table`, fields
-the weight inside each subset), that table times d, one multiplication,
+run's guard built the source's packed table (`Run.table`, fields the
+weight inside each subset), that table times d, one multiplication,
 is the packed table of the weights times d, and the check reads it in
 place of building its own wherever its fields are as wide as the check
 needs; it stays on the run, and `run_checks` reads it times its own
@@ -125,10 +125,11 @@ and no second computation can print ok over it.
 
 `lp` certifies each optimum by LP duality.  Each report identity is
 written once, in `_report_checks`: `analyze` raises on it and keeps the
-list on the report, and `run_checks` adds only the rate point's check
-of every subset row.  With R_CO = H - I that point proves R_CO
-optimal, and with x* in Gamma and UB = x*(E) - I the certified LP proves
-UB optimal over all of Gamma.
+list on the report, `run_checks` reads that list, or builds it for a
+report that carries none, as a `dataclasses.replace` copy does, and
+adds only the rate point's check of every subset row.  With
+R_CO = H - I that point proves R_CO optimal, and with x* in Gamma and
+UB = x*(E) - I the certified LP proves UB optimal over all of Gamma.
 """
 
 from __future__ import annotations
@@ -184,7 +185,8 @@ class AnalysisReport:
     ub_theorem1: Fraction
     x_star: FractionalPacking
     graphical: Optional[GraphicalBounds]
-    checks: tuple[Check, ...] = ()  # the identities `analyze` enforced, from `_report_checks`
+    # The identities `analyze` enforced, from `_report_checks`: no copy carries them, and equality reads none.
+    checks: tuple[Check, ...] = field(default=(), init=False, compare=False)
 
 
 def _check_method(method: str) -> None:
@@ -501,7 +503,8 @@ def run_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
     """Invariant suite over `report = analyze(hg)`.
 
     Each entry is (label, ok, value, expected): the identities `analyze`
-    enforced, from `report.checks`, and the rate point, which must sum to
+    enforced, from `report.checks`, or from `_report_checks` when the
+    report carries none, and the rate point, which must sum to
     R_CO and meet every subset row by one `separation_oracle` call in ints.
     Those ints come from the printed rates, over their own denominator d;
     the check reads the run's kept table times d, which depends on the
@@ -517,4 +520,5 @@ def run_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
     else:
         value, expected = (Fraction(v, d * run.scale) for v in _row_sides(entries, xs, mask))
     line = ("rate point meets every subset row (R_CO)", value == expected, value, expected)
-    return [report.checks[0], line, *report.checks[1:]]
+    checks = report.checks or _report_checks(hg, report)
+    return [checks[0], line, *checks[1:]]

@@ -45,17 +45,17 @@ one at the least value is that intersection: the same cells and x_j as
 the cut, with two lookups per cell and one per union in place of the
 pass over the edges and the cut.  The table has 2^m fields and a
 truncation passes over the edges once per terminal, so one guard,
-`step_table`, builds it only where 2^m <= 8 m |E| and gamma > 0, and
-for the truncations only at m <= KEPT_M = 13: past that, the list of
-2^m ints raises the peak memory (by 4 MiB at m = 16 and 51 MiB at
-m = 20 on dense sources).  It has two callers: `dinkelbach`, once per
-run, at its start, and `bounds.upper_bound_theorem1`, once per round
-of row generation, on the round's point.  With a table every step
-reads it: step j has at most j earlier cells, so a truncation lists
-fewer than 2^m unions, no more than the table's own fields.  Every
-truncation at gamma > 0 with no table (sparse or larger m, the Gamma
-check of `bounds.verify_gamma_membership`) cuts; gamma = 0 has its
-closed form (below).
+`step_table`, builds it only where 2^m <= 8 m |E|, gamma > 0 and its
+fields fit 64 bits, at every m.  The steps read it as the `array` of
+W-bit fields that `hypergraph.unpack` gives, W bits a field and no int
+object per field.  It has two callers: `dinkelbach`, once per run, at
+its start, and `bounds.upper_bound_theorem1`, once per round of row
+generation, on the round's point.  With a table every step reads it:
+step j has at most j earlier cells, so a truncation lists fewer than
+2^m unions, no more than the table's own fields.  Every truncation at
+gamma > 0 with no table (sparse sources, and the Gamma check of
+`bounds.verify_gamma_membership`) cuts; gamma = 0 has its closed form
+(below).
 
 A partition P has value (sum of H(C) over its cells - H(M)) / (|P| - 1)
 at most gamma exactly when its sum of f is at most H(M) - gamma, the sum
@@ -84,8 +84,8 @@ nothing: each step's least minimizer is {j}, so x_j = H(j) - gamma, and
 its greedy point is x / d.  The run returns n / d, the singletons and
 x, what the truncations would return, and keeps the packed gaps of the
 rows as its `rows`.  The check reads the table of the table step, times
-d, so it runs under the same guard, at every m; when a row fails, the
-truncations read that table at m <= 13.
+d, so it runs under the same guard; when a row fails, the truncations
+read that table.
 
 At gamma = 0, where every source with I = 0 ends its run, f is H itself,
 which is already submodular, so the truncation needs no cut: the greedy
@@ -96,11 +96,10 @@ crosses; the finest of them is the components of those edges.
 
 `dinkelbach` returns one `Run`, a frozen record with named fields: the
 integer source and its L, n / d, P*, the greedy point xs, the
-singletons' rows when they decided the run, and otherwise the packed
-table its truncations read, which `bounds.r_co_direct` and
-`bounds.run_checks` scale by d for their checks of every subset row.
-No reader writes into the run: the table lives as long as the run,
-which holds it only at m <= KEPT_M, so it has at most 2^13 fields.
+singletons' rows when they decided the run, and the packed table the
+guard built, which `bounds.r_co_direct` and `bounds.run_checks` scale
+by d for their checks of every subset row.  No reader writes into the
+run: the table lives as long as the run.
 `fundamental` is the one place that runs `dinkelbach` on a hypergraph:
 it builds the integer source, runs it once there and keeps the `Run` on
 the hypergraph, so I, P* and the rate point of one source come from one
@@ -116,7 +115,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Mapping, Optional, Sequence
 
-from .hypergraph import KEPT_M, WeightedHypergraph, packed_table, packed_width, rate_rows, unpack
+from .hypergraph import WeightedHypergraph, packed_table, packed_width, rate_rows, unpack
 
 @dataclass(frozen=True, init=False)
 class Run:
@@ -129,8 +128,9 @@ class Run:
     L * (H(M) - I).  `rows` is (field width, packed gaps) of the
     singletons' rate rows when they decided the run (`_singleton_rows`),
     else None.  `table` is (field width W, `packed_table` of the weights
-    at W) when the truncations read it, else None; W leaves room for the
-    weights times 2 d at the singletons' start and times 4 otherwise.
+    at W) when the guard `step_table` built it, else None; W leaves room
+    for the weights times 2 d at the singletons' start and times 4
+    otherwise.
     Both are caches, so equality and `repr` read the other fields only,
     and nothing writes either once the run is built.
     Frozen and not a tuple: every reader names the field.  The
@@ -283,7 +283,8 @@ def truncation(
     every cut by g, which moves no least source side, so the cells do not
     depend on how gamma is written.  At n = 0 the cells and xs are read
     off the edges in one pass, with no network (the module's closed form).
-    With `table`, the source's subset table T as a list, every step
+    With `table`, the source's subset table T as a sequence of ints (the
+    `array` of `hypergraph.unpack`), every step
     reads term_C and its values off T instead of the edges, and takes the
     first minimizing union in submask order, the intersection of the
     minimizing unions (the module's table step); the edges are read only
@@ -381,21 +382,17 @@ def truncation(
     return tuple(sorted(cells, key=lambda c: c & -c)), tuple(x)
 
 
-def step_table(
-    m: int, weights: Mapping[int, int], n: int, bound: int, rows: bool = False
-) -> Optional[tuple[int, int]]:
+def step_table(m: int, weights: Mapping[int, int], n: int, bound: int) -> Optional[tuple[int, int]]:
     """(W, `packed_table` of the int `weights` at W), W the narrowest packed width above
     `bound`, where a truncation at gamma = n / d reads its steps off the subset table; else None.
 
     The guard of the module's table step: n > 0, 2^m <= 8 m |E| (the 2^m
-    fields against a truncation's m passes over the edges), m <= KEPT_M
-    (as a list, past that, the table raises the peak memory) unless
-    `rows`, and a width of at most 64 bits that holds `bound`.
-    `dinkelbach` builds its source's table here, with `rows` at a
-    singletons start, whose rate rows read it at every m, and
+    fields against a truncation's m passes over the edges) and a width of
+    at most 64 bits that holds `bound`.  `dinkelbach` builds its source's
+    table here, which a singletons start's rate rows read too, and
     `bounds.upper_bound_theorem1` each round point's.
     """
-    if n and 1 << m <= 8 * m * len(weights) and (rows or m <= KEPT_M) and (width := packed_width(bound)):
+    if n and 1 << m <= 8 * m * len(weights) and (width := packed_width(bound)):
         return width, packed_table(m, weights, width)
     return None
 
@@ -409,9 +406,9 @@ def dinkelbach(src: WeightedHypergraph, scale: int = 1) -> Run:
     hold v and another vertex, all from one pass over the edges.  A start
     at the singletons with n > 0 is first tried on their rate rows
     (`_singleton_rows`, the module's proof), where 2^m <= 8 m |E|; under
-    the same guard (`step_table`) every start with n > 0 at m <= 13
-    builds the source's packed table once, and the truncations read it
-    as a list.  Each
+    the same guard (`step_table`) every start with n > 0 builds the
+    source's packed table once, the truncations read it as an `array`,
+    and the run keeps it.  Each
     truncation either beats the one-cell partition, and gamma falls to the
     value of the partition found, or shows that no partition has a value
     below gamma.  The greedy point of that last truncation sums to H(M) - I
@@ -436,18 +433,15 @@ def dinkelbach(src: WeightedHypergraph, scale: int = 1) -> Run:
     n, d = (crossing, m - 1) if singletons else (best, 1)
     g = gcd(n, d)
     n, d = n // g, d // g
-    kept = table = None
-    # The table's fields hold the singletons' rows, at 2 d H(M), or else R_CO's
-    # check at d <= 2.  Past KEPT_M only the rows read it.
-    if packed := step_table(m, src.weights, n, total * (2 * d if singletons else 4), singletons):
-        if singletons and (run := _singleton_rows(src, scale, n, d, split, packed)):
-            return run
-        if m <= KEPT_M:
-            kept, table = packed, unpack(packed[1], 1 << m, packed[0])
+    # The table's fields hold the singletons' rows, at 2 d H(M), or else R_CO's check at d <= 2.
+    table = step_table(m, src.weights, n, total * (2 * d if singletons else 4))
+    if table and singletons and (run := _singleton_rows(src, scale, n, d, split, table)):
+        return run
+    fields = table and unpack(table[1], 1 << m, table[0])
     while True:
-        cells, xs = truncation(m, src.weights, n, d, table)
+        cells, xs = truncation(m, src.weights, n, d, fields)
         if sum(xs) >= total * d - n:
-            return Run(src, scale, n, cells, xs, d, table=kept)
+            return Run(src, scale, n, cells, xs, d, table=table)
         # The partition's sum of H(C) - H(M) is (sum(xs) + n * |cells|) / d - H(M).
         k = len(cells)
         n, d = sum(xs) + n * k - total * d, d * (k - 1)
@@ -467,15 +461,16 @@ def _singleton_rows(
     against xs, n / d in lowest terms, when every rate is >= 0.  A
     success hands the field width and the packed gaps back as the run's
     `rows`, which `partitions.mmi` reads as its certificate and
-    `r_co_direct` as its check of every row; on a failure the
-    truncations read the same table at m <= 13.
+    `r_co_direct` as its check of every row, and the run keeps `table`
+    as every run keeps the one its guard built; on a failure the
+    truncations read the same table.
     """
     xs = tuple(d * (h + src.weights.get(1 << v, 0)) - n for v, h in enumerate(split))
     if min(xs) < 0:
         return None
     width, packed = table
     gaps, holds = rate_rows(src.m, packed * d, width, xs)
-    return Run(src, scale, n, tuple(1 << v for v in range(src.m)), xs, d, (width, gaps)) if holds else None
+    return Run(src, scale, n, tuple(1 << v for v in range(src.m)), xs, d, (width, gaps), table) if holds else None
 
 
 def fundamental(hg: WeightedHypergraph) -> Run:

@@ -18,24 +18,26 @@ shared freely across concurrent work.  A hypergraph keeps two values,
 each the same whoever builds it first, each under one key of its
 `__dict__` that only its owner reads and writes: the `flow.Run` that
 `flow.fundamental` keeps (its integer source and L, I, P*, an optimal
-rate point and, when the singletons' rate rows decided the run, those
-rows, `mmi`'s certificate), and the `MmiResult` that `partitions.mmi`
-certifies from it.  UB's last round, which certifies x* in Gamma, rides
-on the packing it certifies, not here.  Neither value is a dataclass
-field, so equality and `repr` read only m and the weights, and a pickle
-or deep copy carries only those two and rebuilds the rest when read.
+rate point, the packed subset table where its guard built one and, when
+the singletons' rate rows decided the run, those rows, `mmi`'s
+certificate), and the `MmiResult` that `partitions.mmi` certifies from
+it.  UB's last round, which certifies x* in Gamma, rides on the packing
+it certifies, not here.  Neither value is a dataclass field, so equality
+and `repr` read only m and the weights, and a pickle or deep copy
+carries only those two and rebuilds the rest when read.
 
 The packed kernels, `packed_table`, `rate_rows` and `tight_rows`, read
 their masks through `_kept`, which keeps them per (m, W) in `_KEPT` for
-m <= KEPT_M = 13 and W <= 64, the tables that `flow` keeps, and builds
-them on each call past that, each kernel only its own: the m zeta masks
-of `packed_table` (`_zeta`), and the doubling's ones and the ones and
-top bits of every field but the full set's (`_fields`).  Each value is
-the same whoever builds it first, and the two of one (m, W) hold under
-(m + 2) * 2^m * W bits of ints: at most 983,040 bytes, at (13, 64), or
-1.0 MiB in CPython's 30-bit digits, and 3.3 MiB over all 52 pairs (m, W);
-everything a benchmark pool reaches (m <= 10, W <= 16) adds up to
-11-33 KB.  At m = 20 and W = 64 they would hold 176 MiB.
+m <= KEPT_M = 13 and W <= 64, and builds them on each call past that,
+each kernel only its own: the m zeta masks of `packed_table` (`_zeta`),
+and the doubling's ones and the ones and top bits of every field but
+the full set's (`_fields`).  Each value is the same whoever builds it
+first, and the two of one (m, W) hold under (m + 2) * 2^m * W bits of
+ints: at most 983,040 bytes, at (13, 64), or 1.0 MiB in CPython's 30-bit
+digits, and 3.3 MiB over all 52 pairs (m, W); everything a benchmark
+pool reaches (m <= 10, W <= 16) adds up to 11-33 KB.  At m = 20 and
+W = 64 they would hold 176 MiB.  The cap is on the masks only: a
+subset table is built and kept at any m (`flow.step_table`).
 """
 
 from __future__ import annotations
@@ -54,9 +56,7 @@ from .rational import to_integers
 # Hyperedges are bitmasks; parsing rejects anything wider than this.
 MAX_VERTICES = 20
 
-# The largest m whose subset tables are kept: `flow.dinkelbach` keeps its
-# source's for its truncations, and `_KEPT` the packed kernels' masks per
-# (m, W) (module docstring).
+# The largest m whose packed kernels' masks `_KEPT` keeps per (m, W) (module docstring).
 KEPT_M = 13
 _KEPT: dict[tuple, tuple] = {}
 
@@ -258,21 +258,22 @@ def pack(values: Sequence[int], width: int) -> int:
     return int.from_bytes(b"".join([v.to_bytes(width >> 3, "little") for v in values]), "little")
 
 
-def unpack(packed: int, count: int, width: int) -> list[int]:
-    """The `count` W-bit fields of `packed` >= 0, W = `width` a multiple of 8, lowest first."""
+def unpack(packed: int, count: int, width: int) -> Sequence[int]:
+    """The `count` W-bit fields of `packed` >= 0, W = `width` a multiple of 8, lowest first:
+    an `array` of W-bit fields, W bits a field, for W of 8, 16, 32 and 64, else a list."""
     data = packed.to_bytes(width * count >> 3, "little")
     if width in _CODES:
         fields = array(_CODES[width], data)
         if sys.byteorder == "big":
             fields.byteswap()
-        return fields.tolist()
+        return fields
     size = width >> 3
     return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
 
 
 def _packed_table(m: int, entries: Mapping[int, int], width: int) -> list[int]:
     """`subset_weight_table` from `packed_table` at `width`, unpacked to a list."""
-    return unpack(packed_table(m, entries, width), 1 << m, width)
+    return unpack(packed_table(m, entries, width), 1 << m, width).tolist()
 
 
 def _list_table(m: int, entries: Mapping[int, Fraction | int]) -> list[Fraction | int]:

@@ -397,20 +397,33 @@ def test_run_checks_reads_the_table_r_co_read(kernel_calls):
     assert kernel_calls == [("rate_rows", 12)]
 
 
-def test_a_dense_source_past_m_13_keeps_no_table(kernel_calls):
-    # 2^m <= 8 m |E| at m = 14, but past m = 13 a split start builds and
-    # keeps no table, whose list would raise the peak memory: every step
-    # cuts, and R_CO's check builds its own table.
+def test_a_dense_source_past_m_13_keeps_its_table(kernel_calls):
+    # 2^m <= 8 m |E| at m = 14: a split start builds and keeps the
+    # source's table as at any m, every step reads it with no cut, and
+    # R_CO's check reads it times d, packing no second table.
     rng, weights = random.Random(0), {}
     while len(weights) < 150:
         mask = rng.randrange(1, 1 << 14)
         if mask & (mask - 1):
             weights[mask] = rng.randint(1, 9)
     hg = WeightedHypergraph(14, weights)
-    assert fundamental(hg).table is None and 1 << 14 <= 8 * 14 * len(weights)
+    run = fundamental(hg)
+    assert (run.rows, run.table[0]) == (None, 16) and 1 << 14 <= 8 * 14 * len(weights)
     assert r_co_direct(hg)[0] == reference_rco(hg)[0]
-    cuts = [call for call in kernel_calls if call[0] == "bipartite_cut"]
-    assert cuts and kernel_calls == [*cuts, ("packed_table", 14), ("rate_rows", 14)]
+    assert kernel_calls == [("packed_table", 14), ("rate_rows", 14)]
+
+
+def test_a_run_the_rows_decided_keeps_its_table_for_run_checks(kernel_calls):
+    # A Type-S source whose singletons' rate rows decide its run: the run
+    # keeps the table its guard built, which the rows read, and
+    # `run_checks` reads it times its own denominator, packing none.
+    hg = type_s_source(random.Random(3), 8)
+    report = analyze(hg)
+    run = fundamental(hg)
+    assert run.rows is not None and run.table is not None
+    kernel_calls.clear()
+    assert all(line[1] for line in run_checks(hg, report))
+    assert kernel_calls == [("rate_rows", 8)]
 
 
 def test_the_ladder_at_m_16_keeps_no_table(kernel_calls):
@@ -554,9 +567,9 @@ def test_analysis_tables_are_packed_and_match_the_list_transform(identity_corpus
             report = analyze(hg)
         kept += fundamental(hg).table is not None
         run_checks(hg, report)
-    assert (decided, kept) == (23, 179)
-    # R_CO's, UB's certificate of x* and run_checks': a kept table serves two, a run the rows decided one.
-    assert checks == 3 * len(sources) - decided - 2 * kept
+    assert (decided, kept) == (23, 202)
+    # R_CO's, UB's certificate of x* and run_checks': a kept table serves the first and the last.
+    assert checks == 3 * len(sources) - 2 * kept
     assert unpacked > len(sources) // 2  # mmi's union tables, wherever I > 0
 
 
@@ -1259,6 +1272,22 @@ def test_analyze_example1():
     assert report.graphical.ub_theorem2 == 3
     assert report.graphical.lower_bound == F(3, 2)
     assert report.graphical.ci == 3
+
+
+def test_run_checks_judges_a_replaced_report_on_its_own_values():
+    # `dataclasses.replace` copies no verdicts `analyze` kept, so
+    # `run_checks` judges the copy's own R_CO and UB, and equality reads
+    # no verdicts either.
+    hg = parse_document(fixture_text("example1.hg"))
+    report = analyze(hg)
+    r, u = report.r_co, report.ub_theorem1
+    broken = dataclasses.replace(report, r_co=r + 1, ub_theorem1=u + 5)
+    assert broken.checks == () and len(report.checks) == 8
+    lines = {label: (ok, value) for label, ok, value, _ in run_checks(hg, broken)}
+    assert lines["R_CO identity (H - I)"] == (False, r + 1)
+    assert lines["UB = x*(E) - I"] == (False, u + 5)
+    assert run_checks(hg, dataclasses.replace(report)) == run_checks(hg, report)
+    assert dataclasses.replace(report) == report
 
 
 def test_analyze_example2():
