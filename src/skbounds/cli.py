@@ -135,96 +135,68 @@ def parse_document(text: str) -> WeightedHypergraph:
 # and prints one of the two.
 
 
-def _mmi_output(result):
-    doc = {
-        "mmi": {
-            "value": format_rational(result.value),
-            "fundamental": [list(cell) for cell in result.fundamental.vertex_cells()],
-            "minimizer_count": result.minimizer_count,
-        }
-    }
-    lines = [
-        f"I(X_M) = {format_rational(result.value)}",
-        f"P* = {result.fundamental}",
-        f"minimizers = {result.minimizer_count}",
-    ]
-    return doc, lines
+def _fields(*fields):
+    """({key: text}, ["label = text"]) for (key, label, rational) fields, each formatted once."""
+    texts = [(key, label, format_rational(value)) for key, label, value in fields]
+    return {key: text for key, _, text in texts}, [f"{label} = {text}" for _, label, text in texts]
 
 
-def _ub_output(hg: WeightedHypergraph, bound, packing):
-    doc = {
-        "ub_theorem1": format_rational(bound),
-        "x_star": {format_subset(e): format_rational(packing.entries[e]) for e in hg.edges},
-    }
-    lines = [f"UB(Thm 1) = {format_rational(bound)}"] + [
-        f"x*({format_subset(e)}) = {format_rational(packing.entries[e])}"
-        for e in hg.edges
-    ]
-    return doc, lines
+def _graphical_output(graphical):
+    if graphical is None:
+        return {"graphical": None}, ["graphical bounds: n/a (not a graph)"]
+    doc, lines = _fields(
+        ("ub_theorem2", "UB(Thm 2)", graphical.ub_theorem2),
+        ("lower_bound", "LB(Thm 3)", graphical.lower_bound),
+        ("ci", "CI", graphical.ci),
+        # Always equal to ci; the key stays for schema compatibility.
+        ("cross_edge_sum", "cross(P*)", graphical.ci),
+    )
+    return {"graphical": doc}, lines
 
 
 # Each command takes (hg, report), where report is the analyze report for
 # analyze and under --check: a command reads its quantity from it, and
 # without one computes only that quantity.  `mmi` reads the result kept on
-# hg, which is the report's.
+# hg, which is the report's.  `analyze` is H, then the outputs of `mmi`,
+# `rco` and `ub`, then the graphical block.
 def _cmd_analyze(hg, report):
-    mmi_doc, mmi_lines = _mmi_output(report.mmi)
-    ub_doc, ub_lines = _ub_output(hg, report.ub_theorem1, report.x_star)
-    doc = {
-        "entropy_total": format_rational(report.entropy_total),
-        **mmi_doc,
-        "r_co": format_rational(report.r_co),
-        **ub_doc,
-        "graphical": None
-        if report.graphical is None
-        else {
-            "ub_theorem2": format_rational(report.graphical.ub_theorem2),
-            "lower_bound": format_rational(report.graphical.lower_bound),
-            "ci": format_rational(report.graphical.ci),
-            # Always equal to ci; the key stays for schema compatibility.
-            "cross_edge_sum": format_rational(report.graphical.ci),
-        },
-    }
-    lines = [
-        f"m = {hg.m}",
-        f"H(X_M) = {format_rational(report.entropy_total)}",
-        *mmi_lines,
-        f"R_CO = {format_rational(report.r_co)}",
-        *ub_lines,
-    ]
-    if report.graphical is not None:
-        lines.extend(
-            [
-                f"UB(Thm 2) = {format_rational(report.graphical.ub_theorem2)}",
-                f"LB(Thm 3) = {format_rational(report.graphical.lower_bound)}",
-                f"CI = {format_rational(report.graphical.ci)}",
-                f"cross(P*) = {format_rational(report.graphical.ci)}",
-            ]
-        )
-    else:
-        lines.append("graphical bounds: n/a (not a graph)")
+    doc, lines = {}, [f"m = {hg.m}"]
+    for part_doc, part_lines in (
+        _fields(("entropy_total", "H(X_M)", report.entropy_total)),
+        _cmd_mmi(hg, report),
+        _cmd_rco(hg, report),
+        _cmd_ub(hg, report),
+        _graphical_output(report.graphical),
+    ):
+        doc.update(part_doc)
+        lines += part_lines
     return doc, lines
 
 
 def _cmd_mmi(hg, report):
-    return _mmi_output(mmi(hg))
+    result = mmi(hg)
+    doc, lines = _fields(("value", "I(X_M)", result.value))
+    doc["fundamental"] = [list(cell) for cell in result.fundamental.vertex_cells()]
+    doc["minimizer_count"] = result.minimizer_count
+    return {"mmi": doc}, [*lines, f"P* = {result.fundamental}", f"minimizers = {result.minimizer_count}"]
 
 
 def _cmd_rco(hg, report):
-    value = r_co_direct(hg)[0] if report is None else report.r_co
-    return {"r_co": format_rational(value)}, [f"R_CO = {format_rational(value)}"]
+    return _fields(("r_co", "R_CO", r_co_direct(hg)[0] if report is None else report.r_co))
 
 
 def _cmd_ub(hg, report):
-    if report is None:
-        return _ub_output(hg, *upper_bound_theorem1(hg))
-    return _ub_output(hg, report.ub_theorem1, report.x_star)
+    bound, packing = upper_bound_theorem1(hg) if report is None else (report.ub_theorem1, report.x_star)
+    doc, lines = _fields(("ub_theorem1", "UB(Thm 1)", bound))
+    doc["x_star"], x_lines = _fields(
+        *((format_subset(e), f"x*({format_subset(e)})", packing.entries[e]) for e in hg.edges)
+    )
+    return doc, lines + x_lines
 
 
 def _cmd_lb(hg, report):
     graphical = graphical_bounds(hg) if report is None else report.graphical
-    bound = format_rational(graphical.lower_bound)
-    return {"lower_bound": bound}, [f"LB(Thm 3) = {bound}"]
+    return _fields(("lower_bound", "LB(Thm 3)", graphical.lower_bound))
 
 
 # Each command's handler and its --help line.

@@ -71,9 +71,11 @@ and the minimizers of the value, and the finest of them is the fundamental
 partition P* (Chan et al., "Info-clustering", Proc. IEEE 2015).
 
 When the start is the singletons, at gamma0 = n / d > 0, their rate rows
-may decide the run with no truncation.  Let x_v = d * H(v) - n (a negative
-one fails its own row, x_v >= d * H(v | M - v) >= 0, and the step stops
-there).  Their sum is d * H(M) - n, as d * (sum of H(v) - H(M)) = (m - 1) * n.
+may decide the run with no truncation.  Let x_v = d * H(v) - n; their sum
+is d * H(M) - n, as d * (sum of H(v) - H(M)) = (m - 1) * n.  A start never
+has a negative x_v, since it needs n / d <= min(split) <= H(v).  The step
+still returns None on one, which keeps `rate_rows`' bound on its fields
+for any other caller.
 If one packed check (`hypergraph.rate_rows`) shows x(B) >= d * H(B | M - B)
 on every nonempty proper B, then x / d is a feasible omniscience rate point
 of sum H(M) - gamma0, so R_CO <= H(M) - gamma0 and I = H(M) - R_CO >=
@@ -458,7 +460,8 @@ def _singleton_rows(
     `split[v]` is the weight of the edges that hold v and another vertex,
     so H(v) adds the weight of {v} itself.  One `rate_rows` check of
     `table`, the run's (W, packed table) with W fitting 2 d H(M), times d
-    against xs, n / d in lowest terms, when every rate is >= 0.  A
+    against xs, n / d in lowest terms, when every rate is >= 0, as at
+    every start of `dinkelbach`.  A
     success hands the field width and the packed gaps back as the run's
     `rows`, which `partitions.mmi` reads as its certificate and
     `r_co_direct` as its check of every row, and the run keeps `table`

@@ -81,14 +81,6 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# `edges` sorts by a key that reads no vertex tuple: vertex v gives
-# character v - 1, "0" if v is in the mask and "1" if not, up to its
-# largest vertex.  Two vertex tuples first differ where one holds a vertex
-# the other lacks, or ends; a tuple that ends there is a prefix and so
-# the shorter key.
-_FLIP = str.maketrans("01", "10")
-
-
 def format_subset(mask: int) -> str:
     """Render a vertex subset as "{1,2}"."""
     return "{" + ",".join(str(v) for v in vertices_of(mask)) + "}"
@@ -340,7 +332,7 @@ class WeightedHypergraph:
     @property
     def edges(self) -> tuple[int, ...]:
         """Hyperedge masks in canonical order (sorted by vertex tuple)."""
-        return tuple(sorted(self.weights, key=lambda e: bin(e)[:1:-1].translate(_FLIP)))
+        return tuple(sorted(self.weights, key=vertices_of))
 
     @property
     def total_entropy(self) -> Fraction:

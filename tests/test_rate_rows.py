@@ -311,6 +311,18 @@ def test_a_singletons_start_whose_rows_fail_still_truncates(monkeypatch, table_c
     assert dinkelbach(hg.integer_source()[0]) == run
 
 
+def test_the_rows_step_refuses_a_negative_rate_without_a_check(monkeypatch):
+    # No singletons start has a negative rate, so only a direct call reaches
+    # the guard: edges {1,2} : 1 and {2,3} : 4 give H = (1, 5, 4), and at
+    # gamma = 2 the rates are (-1, 3, 2).
+    src = WeightedHypergraph(3, {0b011: 1, 0b110: 4})
+    checked = []
+    monkeypatch.setattr(skbounds.flow, "rate_rows", lambda *args: checked.append(args))
+    table = (8, packed_table(3, src.weights, 8))
+    assert skbounds.flow._singleton_rows(src, 1, 2, 1, [1, 5, 4], table) is None
+    assert checked == []
+
+
 @pytest.mark.parametrize("m", [12, 14, 16, 18, 20])
 def test_sparse_sources_build_no_start_table(m, table_calls):
     # 2^m > 8 m |E|: the ladder, and at m = 16 and 20 a uniform cycle and a
