@@ -48,7 +48,9 @@ every row, so R_CO <= its sum: on the point's ints it compares the packed
 conditional-entropy table of the weights times d with the packed rate
 sums of every subset, every field in one subtraction, and builds no list
 of 2^m entries; only a missed row goes to the list sweep, which names
-it.  When the singletons' rate rows decided the run (`Run.rows`), that
+it.  `_missed_row` is that check, with both sides of a missed row, for
+`r_co_direct`, `run_checks` and the Gamma certificate alike.  When the
+singletons' rate rows decided the run (`Run.rows`), that
 check has run already, on the same ints (the weights times d, the rates
 xs, n / d in lowest terms), and no second table is built.  When the
 run's guard built the source's packed table (`Run.table`, fields the
@@ -231,10 +233,19 @@ def separation_oracle(
     return gaps.index(least, 1) if least < 0 else None
 
 
-def _row_sides(entries: Mapping[int, int], xs: Sequence[int], mask: int) -> tuple[int, int]:
-    """(xs(B), entries(B)): both sides of the subset row of B = `mask`."""
-    have = sum(x for i, x in enumerate(xs) if mask >> i & 1)
-    return have, sum(w for e, w in entries.items() if not e & ~mask)
+def _missed_row(
+    entries: Mapping[int, int], xs: Sequence[int], d: int = 1, table: Optional[tuple[int, int]] = None
+) -> Optional[tuple[int, int, int]]:
+    """(mask, xs(B), entries(B)) of the subset row B = mask that xs miss most, or None when they meet every row.
+
+    `entries` are int weights times d, the denominator of the rates xs, and
+    `table`, when given, is the (W, `packed_table`) of the weights alone, a
+    run's `table`: `separation_oracle` reads it times d, the packed table
+    of `entries`, in place of packing its own.
+    """
+    mask = separation_oracle(entries, xs, table and (table[0], table[1] * d))
+    return None if mask is None else (mask, sum(x for i, x in enumerate(xs) if mask >> i & 1),
+                                      sum(w for e, w in entries.items() if not e & ~mask))
 
 
 def build_rco_lp(entries: Mapping[int, int], cells: Sequence[int]) -> LinearProgram:
@@ -267,13 +278,13 @@ def r_co_direct(hg: WeightedHypergraph, *, method: str = "auto") -> tuple[Fracti
     _check_method(method)
     run = fundamental(hg)
     xs, q = run.xs, run.d * run.scale
-    entries = {e: w * run.d for e, w in run.src.weights.items()}  # over d, as xs are
-    # Rows that decided the run checked these rows on these ints already; its table times d is that of `entries`.
-    mask = None if run.rows else separation_oracle(entries, xs, run.table and (run.table[0], run.table[1] * run.d))
-    if mask is not None:
-        have, need = (Fraction(v, q) for v in _row_sides(entries, xs, mask))
+    entries = {e: w * run.d for e, w in run.src.weights.items()}  # over d, as xs are; the relaxation reads them too
+    # Rows that decided the run checked these rows on these ints already.
+    missed = None if run.rows else _missed_row(entries, xs, run.d, run.table)
+    if missed is not None:
+        have, need = (Fraction(v, q) for v in missed[1:])
         raise InternalInvariantError(
-            f"the greedy rate point misses the subset row of {format_subset(mask)}: {have} vs {need}"
+            f"the greedy rate point misses the subset row of {format_subset(missed[0])}: {have} vs {need}"
         )
     total = sum(xs)
     sol = solve(build_rco_lp(entries, run.cells))
@@ -369,8 +380,7 @@ def _proves_capacity(point: Mapping[int, int], ys: Sequence[int], n: int, d: int
     """True when ys / d shows that the source of int weights `point` has no partition of
     value below gamma = n / d: ys sums to d * H(M) - n, the one-cell partition's sum, and
     one `separation_oracle` call finds ys(B) >= d * H(B | M - B) on every row (module docstring)."""
-    rows = {e: p * d for e, p in point.items()}
-    return sum(ys) == d * sum(point.values()) - n and separation_oracle(rows, ys) is None
+    return sum(ys) == d * sum(point.values()) - n and _missed_row({e: p * d for e, p in point.items()}, ys) is None
 
 
 def _certified_round(hg: WeightedHypergraph, packing: FractionalPacking) -> Optional[tuple[int, int, int]]:
@@ -513,12 +523,8 @@ def run_checks(hg: WeightedHypergraph, report: AnalysisReport) -> list[Check]:
     """
     run, rates = fundamental(hg), report.rates.rates
     xs, d = to_integers([r * run.scale for r in rates])
-    entries = {e: w * d for e, w in run.src.weights.items()}  # over d, as xs are
-    mask = separation_oracle(entries, xs, run.table and (run.table[0], run.table[1] * d))
-    if mask is None:
-        value, expected = sum(rates), report.r_co
-    else:
-        value, expected = (Fraction(v, d * run.scale) for v in _row_sides(entries, xs, mask))
+    missed = _missed_row({e: w * d for e, w in run.src.weights.items()}, xs, d, run.table)
+    value, expected = (sum(rates), report.r_co) if missed is None else (Fraction(v, d * run.scale) for v in missed[1:])
     line = ("rate point meets every subset row (R_CO)", value == expected, value, expected)
     checks = report.checks or _report_checks(hg, report)
     return [checks[0], line, *checks[1:]]

@@ -77,12 +77,14 @@ Each minimizer is recorded as its canonical cell tuple (bitmasks sorted
 by smallest vertex), and the listing is in `sorted` order of those
 tuples.  `MmiResult` builds them on the first read of `minimizer_cells`
 and keeps them; no caller in the package reads them, as the reports need
-only the count.  It builds a `Partition` per minimizer only when
-`all_minimizers` is read.  `Partition` keeps a tuple already in canonical
-order as given, so those `Partition`s share the listing's tuples, and P*
-shares the run's `cells`: neither is copied.  Two exhaustive scans in
-`tests/reference_scan.py`, one over `Fraction`s and one over ints, are the
-test oracles of `mmi`: of its value, P*, count and sorted listing.
+only the count, and neither does comparing, hashing or printing a result,
+which read its value, P* and count alone.  It builds a `Partition` per
+minimizer only when `all_minimizers` is read.  `Partition` keeps a tuple
+already in canonical order as given, so those `Partition`s share the
+listing's tuples, and P* shares the run's `cells`: neither is copied.
+Two exhaustive scans in `tests/reference_scan.py`, one over `Fraction`s
+and one over ints, are the test oracles of `mmi`: of its value, P*,
+count and sorted listing.
 
 `mmi` is the one way the package computes the capacity and P*.
 `crossing` is the one test of which edges cross a partition, those that
@@ -187,7 +189,7 @@ def cross_edges(hg: WeightedHypergraph, partition: Partition) -> Fraction:
     return Fraction(sum(crossing(hg.weights, partition.cells).values()))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MmiResult:
     """Minimum shared-information value, P* and the number of minimizers.
 
@@ -200,14 +202,16 @@ class MmiResult:
     `all_minimizers` builds their `Partition`s on each read and keeps none;
     each shares its tuple with `minimizer_cells`, as `Partition` keeps a
     canonical tuple as given, and `fundamental` shares the run's.
-    Two results are equal when their values, P*, counts and listings are.
+    Equality, the hash and `repr` read the value, P* and the count only, as
+    every other record reads only its stated fields, so none of them lists
+    a minimizer, and a result pickles without its listing until one is read.
     `mmi` keeps one result per hypergraph, so its readers share the listing.
     """
 
     value: Fraction
     fundamental: Partition
     minimizer_count: int
-    listing: Callable[[], Iterable[tuple[int, ...]]] = field(repr=False)
+    listing: Callable[[], Iterable[tuple[int, ...]]] = field(compare=False, repr=False)
 
     @cached_property
     def minimizer_cells(self) -> tuple[tuple[int, ...], ...]:
@@ -216,13 +220,6 @@ class MmiResult:
     @property
     def all_minimizers(self) -> tuple[Partition, ...]:
         return tuple(Partition(self.fundamental.m, cells) for cells in self.minimizer_cells)
-
-    def __eq__(self, other):
-        if not isinstance(other, MmiResult):
-            return NotImplemented
-        return (self.value, self.fundamental, self.minimizer_count) == (
-            other.value, other.fundamental, other.minimizer_count
-        ) and self.minimizer_cells == other.minimizer_cells
 
 
 def mmi(hg: WeightedHypergraph) -> MmiResult:

@@ -272,6 +272,66 @@ def test_no_reader_writes_into_a_frozen_record():
     assert built == ["AnalysisReport"]
 
 
+def _dataclass_equality(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.Class.name` of each `__eq__` or `__hash__` that a dataclass defines in its body, by
+    `def` or by assignment, and `module.Class.eq=False` of each that turns the generated equality
+    off, sorted.
+
+    A class is a dataclass when a decorator names `dataclass`, called or not, bare or as an attribute.
+    """
+    sites = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for decorator in node.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                named = call.func if call else decorator
+                if getattr(named, "id", getattr(named, "attr", None)) != "dataclass":
+                    continue
+                where = f"{module}.{node.name}"
+                for keyword in call.keywords if call else ():
+                    if keyword.arg == "eq" and getattr(keyword.value, "value", None) is False:
+                        sites.append(f"{where}.eq=False")
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        targets = [item.name]
+                    elif isinstance(item, ast.Assign):
+                        targets = [getattr(t, "id", None) for t in item.targets]
+                    elif isinstance(item, ast.AnnAssign):
+                        targets = [getattr(item.target, "id", None)]
+                    else:
+                        targets = []
+                    sites += [f"{where}.{name}" for name in targets if name in ("__eq__", "__hash__")]
+    return sorted(sites)
+
+
+def test_the_dataclass_equality_guard_sees_defs_assignments_and_every_decorator_form():
+    trees = {
+        "a": ast.parse(
+            "@dataclass(frozen=True, eq=False)\nclass A:\n    x: int\n    def __eq__(self, other):\n        return 1\n"
+        ),
+        "b": ast.parse(
+            "@dataclasses.dataclass\nclass B:\n    __hash__ = None\n    def __repr__(self):\n        return ''\n"
+        ),
+        "c": ast.parse("@dataclass\nclass C:\n    __eq__: object = None\n    y: int = field(compare=False)\n"),
+        "d": ast.parse(
+            "class D:\n    def __eq__(self, other):\n        return 1\n"
+            "@dataclass(frozen=True, init=False)\nclass E:\n    def __init__(self):\n        pass\n"
+        ),
+    }
+    assert _dataclass_equality(trees) == ["a.A.__eq__", "a.A.eq=False", "b.B.__hash__", "c.C.__eq__"]
+
+
+def test_every_record_compares_only_its_stated_fields():
+    # A dataclass's generated equality and hash read exactly its fields
+    # with compare=True.  A hand-written `__eq__` or `__hash__`, or
+    # eq=False, would read other state: `MmiResult`'s listed every
+    # minimizer on the first `==`.  `flow.Run` keeps its hand-written
+    # `__init__` (ROADMAP, "Tried and set aside"), which compares nothing.
+    assert _dataclass_equality(_src_trees()) == []
+
+
 def _to_integers_sites(trees: dict[str, ast.Module]) -> list[str]:
     """`module.function`, innermost function last, of each read of `to_integers` and each import that renames it.
 
@@ -429,8 +489,8 @@ def test_every_import_and_private_name_is_read():
 UNREAD_PUBLIC_ALLOWED = {
     "hypergraph.WeightedHypergraph.entropy_table": "README's way to read the value of one partition",
     "partitions.MmiResult.all_minimizers": (
-        "perfbench's partition-scan check and tracer read it; ROADMAP item 1 moves them to"
-        " `minimizer_count`"
+        "perfbench's partition-scan check and tracer read it; ROADMAP item 1a moves them to"
+        " `minimizer_count`, and item 15 deletes it"
     ),
 }
 
@@ -542,7 +602,7 @@ UNPASSED_OPTION_ALLOWED = {
     "cli.main.argv": "the console script calls main() with none; tests pass their own",
     "bounds.analyze.method": (
         'perfbench\'s workloads pass method="auto" or "rowgen", which select the one row'
-        " method; ROADMAP items 1 and 5 remove it"
+        " method; ROADMAP item 1a drops those arguments, and item 15 removes it"
     ),
 }
 

@@ -63,6 +63,7 @@ def test_splitting_an_edge_line_changes_nothing(make, tmp_path, capsys):
         halves_hg, whole_hg = parse_document(halves), parse_document(whole)
         report = analyze(whole_hg)
         assert analyze(halves_hg) == report
+        assert analyze(halves_hg).mmi.minimizer_cells == report.mmi.minimizer_cells
         # So do the full-row reference LPs, rate point and x* included.
         assert reference_rco(halves_hg) == reference_rco(whole_hg)
         capacity = report.mmi.value

@@ -284,9 +284,10 @@ def test_weights_are_read_only(example1):
 
 def test_hypergraphs_and_reports_survive_a_pickle_round_trip():
     # Before and after `analyze` the hypergraph comes back equal, as does
-    # its report, listing included; a deep copy too.  UB's last round rides
-    # on x*, so a report read back, on a copy that keeps no run, gives the
-    # same check lines, and the same identities where the round certifies x*.
+    # its report and, compared on its own, the listing; a deep copy too.
+    # UB's last round rides on x*, so a report read back, on a copy that
+    # keeps no run, gives the same check lines, and the same identities
+    # where the round certifies x*.
     for path in sorted(FIXTURE_DIR.glob("*.hg")):
         hg = parse_document(fixture_text(path.name))
         before = pickle.loads(pickle.dumps(hg))
@@ -297,10 +298,13 @@ def test_hypergraphs_and_reports_survive_a_pickle_round_trip():
             again = pickle.loads(pickle.dumps(hg))
             assert again == hg and copy.deepcopy(hg) == hg
             assert analyze(before) == report == analyze(again)
+            listing = report.mmi.minimizer_cells
+            assert analyze(before).mmi.minimizer_cells == listing == analyze(again).mmi.minimizer_cells
         back = pickle.loads(pickle.dumps(report))
         assert back == report
         assert back.mmi.minimizer_cells == report.mmi.minimizer_cells
         assert pickle.loads(pickle.dumps(report.mmi)) == report.mmi
+        assert pickle.loads(pickle.dumps(report.mmi)).minimizer_cells == report.mmi.minimizer_cells
         assert back.x_star.last_round == report.x_star.last_round
         assert _certified_round(copy.deepcopy(hg), back.x_star) is not None
         assert run_checks(copy.deepcopy(hg), back) == run_checks(hg, report)

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -266,6 +267,31 @@ def test_mmi_keeps_its_result_on_the_hypergraph(weights):
     # An equal hypergraph certifies and keeps its own.
     copy = WeightedHypergraph(4, weights)
     assert mmi(copy) == result and mmi(copy) is not result
+    assert mmi(copy).minimizer_cells == result.minimizer_cells
+
+
+def test_comparing_hashing_printing_and_pickling_results_lists_no_minimizer(monkeypatch):
+    # Equality, the hash and `repr` read the value, P* and the count, so
+    # none of them, no pickle round trip and no `==` of two reports lists
+    # the 21,146 tied minimizers of two equal tie-heavy sources at m = 10;
+    # the listing is built when read.
+    weights = tie_heavy_source(random.Random(10), 10).weights
+    first, second = WeightedHypergraph(10, weights), WeightedHypergraph(10, weights)
+
+    def listed(*args):
+        raise AssertionError("a minimizer was listed")
+
+    monkeypatch.setattr(skbounds.partitions, "_list_coarsenings", listed)
+    a, b = mmi(first), mmi(second)
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) and repr(a) == repr(b)
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a)
+    with pytest.warns(UserWarning, match="graphical bounds skipped"):
+        reports = analyze(first), analyze(second)
+    assert reports[0] == reports[1]
+    monkeypatch.undo()
+    assert len(a.minimizer_cells) == a.minimizer_count == bell(9) - 1
 
 
 # Entropy tables that no hypergraph has (ent[A] indexed by mask A), patched
